@@ -10,8 +10,16 @@ anywhere.
 
 from __future__ import annotations
 
-from .errors import PoleAtZero, ResidualPole
+import math
+import random
+
+from .errors import PoleAtZero, ResidualPole, SplitFailure
+from .groups import DEFAULT_CAP
 from .linalg import inv_mod
+
+# Largest modulus whose int64 kernels stay exact: a dot product of
+# DEFAULT_CAP residues, each product below (p-1)^2, must stay below 2^63.
+MAX_MODULUS = math.isqrt((2**63 - 1) // DEFAULT_CAP) + 1
 
 
 def is_prime(n: int) -> bool:
@@ -208,6 +216,51 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     while not b.is_zero():
         a, b = b, a % b
     return a.monic()
+
+
+def powmod(base: Poly, k: int, mod: Poly) -> Poly:
+    """base^k reduced modulo mod, by repeated squaring."""
+    out = Poly.const(base.p, 1) % mod
+    base = base % mod
+    while k:
+        if k & 1:
+            out = out * base % mod
+        base = base * base % mod
+        k >>= 1
+    return out
+
+
+def poly_roots(f: Poly) -> list[int]:
+    """Distinct roots of a nonzero f in F_p, in ascending order.
+
+    gcd(f, x^p - x) keeps one linear factor per root; Cantor-Zassenhaus
+    equal-degree splitting with seeded shifts a then separates them along
+    gcd(h, (x + a)^((p-1)/2) - 1).  The cost grows with log p, not p.
+    Raises SplitFailure for a composite modulus, where the splitting
+    would never end.
+    """
+    p = f.p
+    if not is_prime(p):
+        raise SplitFailure(f"modulus {p} is not prime")
+    x = Poly.x(p)
+    if p == 2:
+        return [r for r in (0, 1) if f.eval(r) == 0]
+    pending = [poly_gcd(f, powmod(x, p, f) - x)]
+    one = Poly.const(p, 1)
+    rng = random.Random(0)
+    roots = []
+    while pending:
+        h = pending.pop()
+        if h.degree == 1:
+            roots.append(-h.coeffs[0] % p)
+        elif h.degree > 1:
+            while True:
+                a = rng.randrange(p)
+                s = poly_gcd(h, powmod(x + Poly.const(p, a), (p - 1) // 2, h) - one)
+                if 0 < s.degree < h.degree:
+                    break
+            pending += [s, h.exact_div(s)]
+    return sorted(roots)
 
 
 def one_minus_t(p: int) -> Poly:

@@ -21,7 +21,7 @@ from .errors import (
     SplitFailure,
 )
 from .groups import ConjugacyClasses, Group, Subgroup, power_class_map
-from .linalg import inv_mod, nullspace, solve
+from .linalg import eigenspaces, inv_mod, require_exact, solve
 
 ClassFunction = tuple[int, ...]
 
@@ -90,22 +90,12 @@ def _eigen_refine(subspaces, mat, p):
     """Split each invariant row-subspace into eigenspaces of mat."""
     out = []
     for basis in subspaces:
-        m = basis.shape[0]
-        if m == 1:
+        if basis.shape[0] == 1:
             out.append(basis)
             continue
         images = basis @ mat.T % p
         coords = solve(basis.T % p, images.T % p, p)  # operator on coordinates
-        found = 0
-        for lam in range(p):
-            null = nullspace((coords - lam * np.eye(m, dtype=np.int64)) % p, p)
-            if null.shape[0]:
-                out.append(null @ basis % p)
-                found += null.shape[0]
-                if found == m:
-                    break
-        if found != m:
-            raise SplitFailure("class matrix is not diagonalizable over F_p")
+        out.extend(null @ basis % p for null in eigenspaces(coords, p))
     return out
 
 
@@ -119,6 +109,7 @@ def character_table(group: Group, classes: ConjugacyClasses, p: int) -> Characte
     """
     k = classes.num_classes
     order = group.order
+    require_exact(k, p)
     a = structure_constants(group, classes)
     mats = [np.array(a[i], dtype=np.int64) % p for i in range(k)]
 
@@ -157,11 +148,13 @@ def character_table(group: Group, classes: ConjugacyClasses, p: int) -> Characte
     if sum(d * d for d in degrees) != order:
         raise SplitFailure("degree squares do not sum to the group order")
     table = CharacterTable(group, classes, p, values, degrees)
-    for i in range(len(values)):
-        for j in range(len(values)):
-            expected = 1 if i == j else 0
-            if inner_mult(values[i], values[j], group, classes, p) != expected:
-                raise SplitFailure("row orthogonality failed")
+    # Gram matrix of inner_mult over all pairs of rows; the weighted factor
+    # is reduced first so each k-term sum stays exact in int64.
+    vals = np.array(values, dtype=np.int64)
+    weighted = vals * np.array(classes.sizes, dtype=np.int64) % p
+    gram = weighted @ vals[:, list(classes.inverse_class)].T % p * inv_mod(order % p, p) % p
+    if not np.array_equal(gram, np.eye(len(values), dtype=np.int64)):
+        raise SplitFailure("row orthogonality failed")
     return table
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import cover as cover_mod
 from . import cyclic as cyclic_mod
-from .arith import choose_prime, is_prime
+from .arith import MAX_MODULUS, choose_prime, is_prime
 from .characters import central_idempotents, character_table
 from .errors import IsotypicError
 from .groups import Group, conjugacy_classes, exponent, group_from_name, group_from_text
@@ -80,9 +80,17 @@ def _resolve_group(name: str | None, gens_path: str | None) -> Group:
         raise click.UsageError(str(exc)) from exc
 
 
+def _check_modulus_bound(p: int, source: str) -> None:
+    if p > MAX_MODULUS:
+        raise click.UsageError(
+            f"{source} {p} exceeds {MAX_MODULUS}, the largest modulus whose int64 arithmetic is exact"
+        )
+
+
 def _resolve_prime(group: Group, override: int | None) -> int:
     if override is None:
         return choose_prime(group)
+    _check_modulus_bound(override, "--prime")
     e = exponent(group)
     if not is_prime(override):
         raise click.UsageError(f"--prime {override} is not prime")
@@ -108,6 +116,7 @@ def _parse_matrix_file(path: str) -> tuple[int, list[np.ndarray]]:
         p = int(lines[0].split()[1])
     except (IndexError, ValueError) as exc:
         raise click.UsageError("unreadable modulus line") from exc
+    _check_modulus_bound(p, "file modulus")
     blocks: list[list[list[int]]] = []
     current: list[list[int]] = []
     for line in lines[1:]:

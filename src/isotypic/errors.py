@@ -17,6 +17,10 @@ class ClosureExceedsCap(IsotypicError):
 
 # -- exact arithmetic ---------------------------------------------------------
 
+class ModulusTooLarge(IsotypicError):
+    """Residue products mod p would overflow the int64 kernels."""
+
+
 class PoleAtZero(IsotypicError):
     """Series expansion requested for a rational function with den(0) = 0."""
 

@@ -178,50 +178,56 @@ def build_group(generators, cap: int = DEFAULT_CAP, degree: int | None = None, n
     elements = [ident]
     index = {ident: 0}
     words: list = [None]
+    right: list[list[int]] = []  # right[a][j] = index of elements[a] * generators[j]
     pos = 0
     while pos < len(elements):
         cur = elements[pos]
+        row = []
         for gen_pos, g in enumerate(generators):
             nxt = cur * g
-            if nxt not in index:
+            k = index.get(nxt)
+            if k is None:
                 if len(elements) >= cap:
                     raise ClosureExceedsCap(f"closure exceeded cap of {cap} elements")
-                index[nxt] = len(elements)
+                k = index[nxt] = len(elements)
                 elements.append(nxt)
                 words.append((pos, gen_pos))
+            row.append(k)
+        right.append(row)
         pos += 1
 
+    # Column k of the table follows the word of element k:
+    # x * elements[k] = (x * elements[parent]) * generators[gen_pos].
     n = len(elements)
+    right_tab = np.array(right, dtype=np.int64).reshape(n, len(generators))
     mult = np.empty((n, n), dtype=np.int64)
-    for a in range(n):
-        for b in range(n):
-            mult[a, b] = index[elements[a] * elements[b]]
-    inv = [0] * n
-    for a in range(n):
-        inv[a] = int(np.nonzero(mult[a] == 0)[0][0])
+    mult[:, 0] = np.arange(n)
+    for k in range(1, n):
+        parent, gen_pos = words[k]
+        mult[:, k] = right_tab[mult[:, parent], gen_pos]
+    inv = np.argmin(mult, axis=1)  # the identity 0 occurs once in each row
     gen_idx = [index[g] for g in generators]
-    return Group(elements, mult, inv, generators, gen_idx, words, name=name)
+    return Group(elements, mult, inv.tolist(), generators, gen_idx, words, name=name)
 
 
 def conjugacy_classes(group: Group) -> ConjugacyClasses:
     """Conjugation orbits, class representatives chosen as minimum indices."""
     n = group.order
     mult = group.mult
-    inv = group.inv
-    class_of = [-1] * n
+    inv = np.asarray(group.inv, dtype=np.int64)
+    class_of = np.full(n, -1, dtype=np.int64)
     reps = []
     sizes = []
     for g in range(n):
         if class_of[g] != -1:
             continue
-        cls = len(reps)
-        orbit = {int(mult[mult[h, g], inv[h]]) for h in range(n)}
-        for x in orbit:
-            class_of[x] = cls
+        conj = mult[mult[:, g], inv]  # h * g * h^-1 over all h
+        class_of[conj] = len(reps)
         reps.append(g)
-        sizes.append(len(orbit))
-    inverse_class = tuple(class_of[inv[r]] for r in reps)
-    return ConjugacyClasses(tuple(class_of), tuple(reps), tuple(sizes), inverse_class)
+        sizes.append(n // int(np.count_nonzero(conj == g)))  # |G| / |centralizer|
+    class_of = tuple(class_of.tolist())
+    inverse_class = tuple(class_of[group.inv[r]] for r in reps)
+    return ConjugacyClasses(class_of, tuple(reps), tuple(sizes), inverse_class)
 
 
 def exponent(group: Group) -> int:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SingularMatrix
+from .errors import ModulusTooLarge, SingularMatrix, SplitFailure
 
 
 def inv_mod(a: int, p: int) -> int:
@@ -18,6 +18,12 @@ def inv_mod(a: int, p: int) -> int:
     if a == 0:
         raise ZeroDivisionError(f"0 has no inverse mod {p}")
     return pow(a, p - 2, p)
+
+
+def require_exact(n: int, p: int) -> None:
+    """Raise unless a length-n dot product of residues mod p fits in int64."""
+    if n * (p - 1) ** 2 >= 2**63:
+        raise ModulusTooLarge(f"modulus {p} overflows int64 arithmetic on {n}-term sums")
 
 
 def asmat(a, p: int) -> np.ndarray:
@@ -136,3 +142,59 @@ def same_row_space(a: np.ndarray, b: np.ndarray, p: int) -> bool:
     ra = row_space(asmat(a, p), p)
     rb = row_space(asmat(b, p), p)
     return ra.shape == rb.shape and bool(np.array_equal(ra, rb))
+
+
+def charpoly(a: np.ndarray, p: int) -> list[int]:
+    """Coefficients (low to high, monic) of det(xI - a) over F_p.
+
+    A similarity reduction to upper Hessenberg form h (first-nonzero
+    pivots), then the recurrence on its leading principal minors:
+    f_m = (x - h[m-1, m-1]) f_{m-1}
+          - sum_i h[m-1-i, m-1] * h[m-1, m-2] ... h[m-i, m-1-i] * f_{m-1-i}.
+    """
+    h = asmat(a, p).copy()
+    n = h.shape[0]
+    for j in range(n - 2):
+        nz = np.nonzero(h[j + 1 :, j])[0]
+        if nz.size == 0:
+            continue
+        piv = j + 1 + int(nz[0])
+        if piv != j + 1:
+            h[[j + 1, piv]] = h[[piv, j + 1]]
+            h[:, [j + 1, piv]] = h[:, [piv, j + 1]]
+        c = h[j + 2 :, j] * inv_mod(int(h[j + 1, j]), p) % p
+        h[j + 2 :] = (h[j + 2 :] - np.outer(c, h[j + 1])) % p
+        h[:, j + 1] = (h[:, j + 1] + h[:, j + 2 :] @ c) % p
+    f = np.zeros((n + 1, n + 1), dtype=np.int64)  # row m: coefficients of f_m
+    f[0, 0] = 1
+    for m in range(1, n + 1):
+        # coef[i] multiplies f_{m-1-i}: h[m-1-i, m-1] times the subdiagonal run
+        coef = np.zeros(m, dtype=np.int64)
+        coef[0] = h[m - 1, m - 1]
+        run = 1
+        for i in range(1, m):
+            run = run * int(h[m - i, m - 1 - i]) % p
+            if run == 0:
+                break
+            coef[i] = int(h[m - 1 - i, m - 1]) * run % p
+        f[m, 1:] = f[m - 1, :-1]
+        f[m] = (f[m] - coef @ f[m - 1 :: -1]) % p
+    return f[n].tolist()
+
+
+def eigenspaces(a: np.ndarray, p: int, complete: bool = True) -> list[np.ndarray]:
+    """`nullspace(a - lam I)` for each eigenvalue lam of a in F_p, ascending.
+
+    The eigenvalues are the roots of the characteristic polynomial in F_p,
+    so the cost does not grow with p.  With `complete`, the eigenspaces
+    must fill the space (a diagonalizable over F_p), else SplitFailure.
+    """
+    from .arith import Poly, poly_roots  # arith imports this module
+
+    a = asmat(a, p)
+    n = a.shape[0]
+    roots = poly_roots(Poly(p, charpoly(a, p)))
+    spaces = [nullspace((a - lam * identity(n)) % p, p) for lam in roots]
+    if complete and sum(s.shape[0] for s in spaces) != n:
+        raise SplitFailure("matrix is not diagonalizable over F_p")
+    return spaces

@@ -46,10 +46,12 @@ class MatrixRep:
     """One invertible dim x dim matrix over F_p per group element."""
 
     def __init__(self, group: Group, p: int, mats: np.ndarray, validate: bool = True):
+        mats = np.asarray(mats, dtype=np.int64)
         self.group = group
         self.p = p
-        self.mats = np.asarray(mats, dtype=np.int64) % p
-        self.dim = int(self.mats.shape[1]) if self.mats.ndim == 3 else 0
+        self.dim = int(mats.shape[1]) if mats.ndim == 3 else 0
+        linalg.require_exact(self.dim, p)
+        self.mats = mats % p
         self.validation = "skipped"
         if validate:
             self._validate()
@@ -540,8 +542,7 @@ def _shrink_once(rep: MatrixRep, basis: np.ndarray, p: int) -> np.ndarray:
     for tries, t_mat in enumerate(candidates()):
         if tries > 500:
             break
-        for lam in range(p):
-            null = linalg.nullspace((t_mat - lam * np.eye(m, dtype=np.int64)) % p, p)
-            if 0 < null.shape[0] < m:
+        for null in linalg.eigenspaces(t_mat, p, complete=False):
+            if null.shape[0] < m:
                 return null @ basis % p
     raise SplitFailure("could not split the isotypic component to a single copy")

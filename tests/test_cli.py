@@ -7,7 +7,9 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from isotypic.arith import MAX_MODULUS, is_prime
 from isotypic.cli import main
+from isotypic.groups import conjugacy_classes, group_from_name
 
 S3_STANDARD_REP = "p 7\n0 1\n1 0\n\n0 6\n1 6\n"
 
@@ -187,3 +189,58 @@ def test_output_file_matches_stdout(runner, tmp_path):
     )
     assert direct.exit_code == 0 and to_file.exit_code == 0
     assert out.read_text() == direct.output
+
+
+def _prime_at_or_below(n):
+    while not is_prime(n):
+        n -= 1
+    return n
+
+
+def _prime_above(n):
+    n += 1
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+def test_prime_override_modulus_bound(runner):
+    below, above = _prime_at_or_below(MAX_MODULUS), _prime_above(MAX_MODULUS)
+    # C2 accepts every odd prime; only the int64 bound separates these two
+    result = runner.invoke(main, ["table", "--group", "C2", "--prime", str(below), "--format", "json"])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["table"]["values"] == [[1, 1], [1, below - 1]]
+    for p in (above, 3037000039, 2**61 - 1):  # 2^61 - 1 is prime: rejected before a primality test
+        result = runner.invoke(main, ["table", "--group", "C2", "--prime", str(p)])
+        assert result.exit_code == 2
+        assert f"exceeds {MAX_MODULUS}" in result.output
+
+
+def test_matrix_file_modulus_bound(runner, tmp_path):
+    below, above = _prime_at_or_below(MAX_MODULUS), _prime_above(MAX_MODULUS)
+    path = tmp_path / "sign.txt"
+    path.write_text(f"p {below}\n{below - 1}\n")
+    result = runner.invoke(main, ["decompose", "--group", "C2", "--rep", str(path), "--format", "json"])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["type"] == [0, 1]
+    path.write_text(f"p {above}\n{above - 1}\n")
+    result = runner.invoke(main, ["decompose", "--group", "C2", "--rep", str(path)])
+    assert result.exit_code == 2
+    assert f"file modulus {above} exceeds {MAX_MODULUS}" in result.output
+
+
+def test_table_s4_large_prime(runner):
+    # the eigenvalues come from root finding, so a prime near 10^6 is cheap
+    p = 1000033
+    result = runner.invoke(main, ["table", "--group", "S4", "--prime", str(p), "--format", "json"])
+    assert result.exit_code == 0
+    t = json.loads(result.output)["table"]
+    assert t["modulus"] == p
+    assert t["degrees"] == [1, 1, 2, 3, 3]
+    group = group_from_name("S4")
+    classes = conjugacy_classes(group)
+    assert t["class_sizes"] == list(classes.sizes)
+    for i, chi in enumerate(t["values"]):
+        for j, psi in enumerate(t["values"]):
+            acc = sum(s * a * psi[classes.inverse_class[c]] for c, (s, a) in enumerate(zip(classes.sizes, chi)))
+            assert acc * pow(group.order, -1, p) % p == (1 if i == j else 0)

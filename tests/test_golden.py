@@ -1,0 +1,31 @@
+"""Byte-equality of `isotypic table` reports against committed golden files.
+
+The files were written by `isotypic table ... --format json --out FILE`
+before the eigenvalue search moved from a scan over F_p to root finding;
+they pin element order, class order, row order and every value.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from isotypic.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+CASES = {
+    "table_S4_p10009.json": ["--group", "S4", "--prime", "10009"],
+    "table_Q8.json": ["--group", "Q8"],
+    "table_A4.json": ["--group", "A4"],
+    "table_D12.json": ["--group", "D12"],
+    "table_S5.json": ["--group", "S5"],
+}
+
+
+@pytest.mark.parametrize("filename", sorted(CASES))
+def test_table_report_matches_golden(filename):
+    result = CliRunner().invoke(main, ["table", *CASES[filename], "--format", "json"])
+    assert result.exit_code == 0, result.output
+    assert result.stdout_bytes == (GOLDEN / filename).read_bytes()

@@ -11,6 +11,8 @@ import pytest
 import isotypic as iso
 from isotypic.errors import ClosureExceedsCap, InvalidPermutation
 
+from conftest import TEST_GROUPS
+
 
 def test_permutation_validation():
     with pytest.raises(InvalidPermutation):
@@ -223,3 +225,25 @@ def test_word_reconstruction():
         for gen_pos in reversed(path):
             acc = acc * group.generators[gen_pos]
         assert acc == group.elements[k]
+
+
+@pytest.mark.parametrize("name", TEST_GROUPS + ("S5", "D12"))
+def test_closure_tables_match_definitions(name):
+    # oracle: multiply the permutations themselves for every pair
+    group = iso.group_from_name(name)
+    n = group.order
+    index = {g: k for k, g in enumerate(group.elements)}
+    assert len(index) == n
+    for a in range(n):
+        row = [index[group.elements[a] * group.elements[b]] for b in range(n)]
+        assert group.mult[a].tolist() == row
+        assert (group.elements[a] * group.elements[group.inv[a]]).is_identity()
+    classes = iso.conjugacy_classes(group)
+    reps_seen = []
+    for g in range(n):
+        orbit = {index[h * group.elements[g] * h.inverse()] for h in group.elements}
+        assert {classes.class_of[x] for x in orbit} == {classes.class_of[g]}
+        assert classes.sizes[classes.class_of[g]] == len(orbit)
+        if min(orbit) == g:
+            reps_seen.append(g)
+    assert classes.reps == tuple(reps_seen)  # ordered by minimum element index

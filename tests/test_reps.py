@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import math
 import random
+import zlib
 
 import numpy as np
 import pytest
 
 import isotypic as iso
 from isotypic import linalg
-from isotypic.errors import NotAHomomorphism, SingularMatrix
+from isotypic.errors import ModulusTooLarge, NotAHomomorphism, SingularMatrix
 from isotypic.reps import conjugate_rep, restrict_to_subspace
 
 from conftest import TEST_GROUPS
@@ -154,7 +156,7 @@ def test_hom_dim_examples(ctx):
 def test_hom_dim_two_methods_randomized(ctx):
     for name in TEST_GROUPS:
         c = ctx(name)
-        rng = random.Random(hash(name) & 0xFFFF)
+        rng = random.Random(zlib.crc32(name.encode()))
         for _ in range(20):
             r1, m1 = random_rep(c, rng)
             r2, m2 = random_rep(c, rng)
@@ -359,3 +361,26 @@ def test_assembled_map_injectivity_reduces_to_coefficients(ctx):
         injective_phi = linalg.rank(assembled, p) == v.dim * a
         assert injective_s == injective_phi
         assert linalg.rank(assembled, p) == v.dim * linalg.rank(s, p)
+
+
+def test_matrix_rep_int64_bound():
+    # dim * (p-1)^2 < 2^63 keeps every dim-term product sum exact in int64
+    group = iso.group_from_name("C2")
+    p = math.isqrt(2**63 - 1) + 1  # largest p with (p-1)^2 < 2^63
+    sign = np.array([[[1]], [[p - 1]]], dtype=np.int64)
+    assert iso.MatrixRep(group, p, sign).dim == 1
+    with pytest.raises(ModulusTooLarge):
+        iso.MatrixRep(group, p + 1, sign)
+    two = np.array([np.eye(2), np.eye(2)], dtype=np.int64)
+    with pytest.raises(ModulusTooLarge):
+        iso.MatrixRep(group, p, two)
+
+
+def test_matmul_exact_at_max_modulus():
+    from isotypic.arith import MAX_MODULUS
+    from isotypic.groups import DEFAULT_CAP
+
+    p = MAX_MODULUS
+    row = np.full((1, DEFAULT_CAP), p - 1, dtype=np.int64)
+    assert int(linalg.matmul(row, row.T, p)[0, 0]) == DEFAULT_CAP * (p - 1) ** 2 % p
+    assert DEFAULT_CAP * p**2 >= 2**63  # one more and the sum could overflow
