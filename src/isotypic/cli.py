@@ -20,7 +20,8 @@ import numpy as np
 from . import cover as cover_mod
 from . import cyclic as cyclic_mod
 from .arith import MAX_MODULUS, choose_prime, is_prime
-from .characters import central_idempotents, character_table
+from .characters import central_idempotents, character_table, convolve, splitting_element
+from .cover import VerificationOutcome
 from .errors import IsotypicError
 from .groups import Group, conjugacy_classes, exponent, group_from_name, group_from_text
 from .polymat import as_unit_times_power
@@ -49,20 +50,6 @@ class RunConfig:
     max_degree: int = 12
     out: str | None = None
     fmt: str = "text"
-
-
-@dataclass
-class VerificationOutcome:
-    check: str
-    anchor: str
-    passed: bool
-    witness: dict | None = None
-
-    def to_dict(self) -> dict:
-        d = {"check": self.check, "anchor": self.anchor, "pass": self.passed}
-        if self.witness is not None:
-            d["witness"] = self.witness
-        return d
 
 
 # -- input resolution ------------------------------------------------------------
@@ -343,7 +330,7 @@ def cmd_decompose(group_name, gens_path, prime, fmt, out, rep_source):
 @main.command("cover")
 @_add_opts(_group_opts)
 @click.option("--action", "action_source", required=True, help="builtin (perm/reflection/scalar) or matrix file")
-@click.option("--max-degree", default=12, type=int, show_default=True)
+@click.option("--max-degree", default=12, type=click.IntRange(min=0), show_default=True)
 def cmd_cover(group_name, gens_path, prime, fmt, out, action_source, max_degree):
     """Full graded verification of one cover action."""
     group = _resolve_group(group_name, gens_path)
@@ -448,7 +435,7 @@ def cyclic_report(model: cyclic_mod.CyclicCoverModel, seed: int = 0) -> dict:
 
 
 @main.command("verify-all")
-@click.option("--max-degree", default=12, type=int, show_default=True)
+@click.option("--max-degree", default=12, type=click.IntRange(min=0), show_default=True)
 @click.option("--format", "fmt", default="json", type=click.Choice(["text", "json"]))
 @click.option("--out", default=None, type=click.Path())
 def cmd_verify_all(max_degree, fmt, out):
@@ -456,6 +443,11 @@ def cmd_verify_all(max_degree, fmt, out):
     doc = verify_all_document(max_degree)
     _emit(doc, fmt, out, _render_outcomes)
     _exit_by_outcomes(doc)
+
+
+def _error_witness(exc: Exception, **where) -> dict:
+    """What a failed check raised, and where (group, rep, irreducible)."""
+    return {"error": type(exc).__name__, "message": str(exc), **where}
 
 
 def verify_all_document(max_degree: int = 12) -> dict:
@@ -469,8 +461,6 @@ def verify_all_document(max_degree: int = 12) -> dict:
         table = character_table(group, classes, p)
 
         idems = central_idempotents(table)
-        from .characters import convolve
-
         ok = True
         total = np.zeros(group.order, dtype=np.int64)
         for i, e_i in enumerate(idems):
@@ -501,35 +491,35 @@ def verify_all_document(max_degree: int = 12) -> dict:
         )
 
         models = irreducible_models(group, table)
-        eval_ok = True
-        for rep in (reg, permutation_rep(group, p)):
+        eval_witness = None
+        for rep_name, rep in (("regular", reg), ("perm", permutation_rep(group, p))):
             for i in range(table.num_irreps):
                 try:
                     evaluation_iso_check(rep, i, table, models[i])
-                except IsotypicError:
-                    eval_ok = False
+                except IsotypicError as exc:
+                    eval_witness = eval_witness or _error_witness(exc, group=name, rep=rep_name, irrep=i)
         outcomes.append(
             VerificationOutcome(
                 f"{name}.evaluation_iso",
                 "evaluation maps are isomorphisms onto the isotypic components",
-                eval_ok,
+                eval_witness is None,
+                eval_witness,
             )
         )
 
-        from .characters import splitting_element
-
-        split_ok = True
+        split_witness = None
         for i, d in enumerate(table.degrees):
             if d >= 2:
                 try:
                     splitting_element(table, i, group, classes)
-                except IsotypicError:
-                    split_ok = False
+                except IsotypicError as exc:
+                    split_witness = split_witness or _error_witness(exc, group=name, irrep=i)
         outcomes.append(
             VerificationOutcome(
                 f"{name}.splitting_elements",
                 "every irreducible of degree >= 2 restricts with >= 2 components somewhere",
-                split_ok,
+                split_witness is None,
+                split_witness,
             )
         )
 

@@ -398,7 +398,9 @@ def _tensor_mults(action: LinearCoverAction, table: CharacterTable) -> np.ndarra
 
 
 @dataclass
-class CoverOutcome:
+class VerificationOutcome:
+    """One named check of a report: pass or fail, with a witness on failure."""
+
     check: str
     anchor: str
     passed: bool
@@ -421,7 +423,7 @@ class CoverReport:
     generic_mults: list[int]
     degree_table: list[list[int]]
     invariant_series: RatFunc
-    outcomes: list[CoverOutcome] = field(default_factory=list)
+    outcomes: list[VerificationOutcome] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -463,11 +465,11 @@ def pushforward_report(
     products respect the tensor vanishing pattern at small degrees.
     """
     group, p = action.group, action.p
-    outcomes: list[CoverOutcome] = []
+    outcomes: list[VerificationOutcome] = []
 
     generic = [generic_multiplicity(action, i, table) for i in range(table.num_irreps)]
     outcomes.append(
-        CoverOutcome(
+        VerificationOutcome(
             "cover.generic_rank",
             "rank of each multiplicity module equals the irreducible dimension",
             generic == list(table.degrees),
@@ -491,7 +493,7 @@ def pushforward_report(
                 if series_witness is None:
                     series_witness = {"degree": d, "irrep": i}
     outcomes.append(
-        CoverOutcome(
+        VerificationOutcome(
             "cover.series_vs_projectors",
             "series coefficients equal projector multiplicities (mod p)",
             series_ok,
@@ -508,7 +510,7 @@ def pushforward_report(
                 if inv_witness is None:
                     inv_witness = {"subgroup": list(h.element_indices), "degree": row.d}
     outcomes.append(
-        CoverOutcome(
+        VerificationOutcome(
             "cover.invariants",
             "fixed-ring dimensions match the weighted multiplicity count",
             inv_ok,
@@ -528,7 +530,7 @@ def pushforward_report(
                         if prod_witness is None:
                             prod_witness = {"i": i, "j": j, "a": a, "b": b, "detail": res.witness}
     outcomes.append(
-        CoverOutcome(
+        VerificationOutcome(
             "cover.product_pattern",
             "component products vanish outside the tensor decomposition",
             prod_ok,

@@ -128,6 +128,25 @@ def inverse(a: np.ndarray, p: int) -> np.ndarray:
     return solve(a, identity(n), p)
 
 
+def det(a: np.ndarray, p: int) -> int:
+    """Determinant of a square matrix by elimination with first-nonzero pivots."""
+    m = asmat(a, p).copy()
+    n = m.shape[0]
+    d = 1
+    for col in range(n):
+        nz = np.nonzero(m[col:, col])[0]
+        if nz.size == 0:
+            return 0
+        piv = col + int(nz[0])
+        if piv != col:
+            m[[col, piv]] = m[[piv, col]]
+            d = -d
+        d = d * int(m[col, col]) % p
+        c = m[col + 1 :, col] * inv_mod(int(m[col, col]), p) % p
+        m[col + 1 :] = (m[col + 1 :] - np.outer(c, m[col])) % p
+    return d % p
+
+
 def coords_in_rowspace(basis: np.ndarray, vectors: np.ndarray, p: int) -> np.ndarray:
     """Coordinates of row vectors with respect to a row basis.
 

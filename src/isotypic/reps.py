@@ -38,10 +38,6 @@ from .errors import (
 from .groups import ConjugacyClasses, Group, Subgroup
 from .linalg import inv_mod
 
-EXHAUSTIVE_LIMIT = 64
-SAMPLED_PAIRS = 1000
-
-
 class MatrixRep:
     """One invertible dim x dim matrix over F_p per group element."""
 
@@ -57,41 +53,31 @@ class MatrixRep:
             self._validate()
 
     def _validate(self):
-        group, p, mats = self.group, self.p, self.mats
-        if mats.shape != (group.order, self.dim, self.dim):
+        """Check rho(e) = I and rho(b) rho(s) = rho(b*s) for every element b
+        and every generator s.
+
+        By induction on the breadth-first words this proves rho(b) rho(a) =
+        rho(b*a) for all a, b, so rho is a homomorphism; invertibility
+        follows from rho(g) rho(g^-1) = rho(e) = I.  Each generator costs
+        one (|G|*dim) x dim matrix product.
+        """
+        group, p, mats, d = self.group, self.p, self.mats, self.dim
+        n = group.order
+        if mats.shape != (n, d, d):
             raise NotAHomomorphism("matrix block count or shape does not match the group")
-        if not np.array_equal(mats[0] % p, linalg.identity(self.dim)):
+        if not np.array_equal(mats[0], linalg.identity(d)):
             raise NotAHomomorphism("identity element must map to the identity matrix")
-        for g in range(group.order):
-            if not np.array_equal(mats[g] @ mats[group.inv[g]] % p, linalg.identity(self.dim)):
-                raise SingularMatrix(f"matrix of element {g} is not invertible mod {p}")
-        if group.order <= EXHAUSTIVE_LIMIT:
-            for a in range(group.order):
-                prod = np.einsum("ij,bjk->bik", mats[a], mats) % p
-                if not np.array_equal(prod, mats[group.mult[a]]):
-                    b = next(
-                        b for b in range(group.order)
-                        if not np.array_equal(prod[b], mats[group.mult[a, b]])
-                    )
-                    raise NotAHomomorphism(
-                        f"rho({a})rho({b}) != rho({a}*{b})",
-                        word=(group.word_string(a), group.word_string(b)),
-                    )
-            self.validation = "exhaustive"
-        else:
-            rng = random.Random(0)
-            pairs = [(a, b) for a in group.generator_indices for b in range(group.order)]
-            pairs += [
-                (rng.randrange(group.order), rng.randrange(group.order))
-                for _ in range(SAMPLED_PAIRS)
-            ]
-            for a, b in pairs:
-                if not np.array_equal(mats[a] @ mats[b] % p, mats[group.mult[a, b]]):
-                    raise NotAHomomorphism(
-                        f"rho({a})rho({b}) != rho({a}*{b})",
-                        word=(group.word_string(a), group.word_string(b)),
-                    )
-            self.validation = "sampled"
+        rows = mats.reshape(n * d, d)
+        for pos, s in enumerate(group.generator_indices):
+            prod = (rows @ mats[s] % p).reshape(n, d, d)
+            bad = np.nonzero((prod != mats[group.mult[:, s]]).any(axis=(1, 2)))[0]
+            if bad.size:
+                b = int(bad[0])
+                raise NotAHomomorphism(
+                    f"rho({b})rho(g{pos}) != rho({b}*g{pos})",
+                    word=group.word_string(b) + f".g{pos}",
+                )
+        self.validation = "exhaustive"
 
     def matrix(self, g: int) -> np.ndarray:
         return self.mats[g]
@@ -174,8 +160,9 @@ def rep_from_matrices(group: Group, p: int, gen_mats, dim: int = 1) -> MatrixRep
     """Extend generator matrices along the breadth-first words.
 
     Every element's matrix is the word product of generator matrices; the
-    extension must be single-valued on every generator edge of the Cayley
-    graph, otherwise the assignment is not a homomorphism.  `dim` is only
+    validation of the result checks every generator edge of the Cayley
+    graph, so an assignment that is not a homomorphism raises
+    NotAHomomorphism with the word of the first bad edge.  `dim` is only
     consulted for the generator-free trivial group.
     """
     gen_mats = [np.asarray(m, dtype=np.int64) % p for m in gen_mats]
@@ -197,14 +184,6 @@ def rep_from_matrices(group: Group, p: int, gen_mats, dim: int = 1) -> MatrixRep
     for k in range(1, group.order):
         parent, gen_pos = group.words[k]
         mats[k] = mats[parent] @ gen_mats[gen_pos] % p
-    for h in range(group.order):
-        for gen_pos, g in enumerate(group.generator_indices):
-            k = int(group.mult[h, g])
-            if not np.array_equal(mats[h] @ gen_mats[gen_pos] % p, mats[k]):
-                raise NotAHomomorphism(
-                    f"words disagree at element {k}",
-                    word=group.word_string(h) + f".g{gen_pos}",
-                )
     return MatrixRep(group, p, mats)
 
 
@@ -280,15 +259,37 @@ def decompose(rep: MatrixRep, table: CharacterTable) -> tuple[IsotypicDecomposit
     return IsotypicDecomposition(components), RepType(tuple(mults))
 
 
+def _pivot_inverse(basis: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
+    """Pivot columns P of a row basis and the inverse of basis[:, P].
+
+    One elimination of [basis | I]: its pivots fall in the basis columns
+    exactly when the rows are independent, and then the right-hand block
+    is the inverse, so c @ basis = v gives c = v[:, P] @ inverse.
+    """
+    k, n = basis.shape
+    r, pivots = linalg.rref(np.concatenate([basis % p, linalg.identity(k)], axis=1), p)
+    if len(pivots) < k or (k and pivots[-1] >= n):
+        raise SingularMatrix("basis rows are linearly dependent")
+    return list(pivots), r[:, n:]
+
+
 def restrict_to_subspace(rep: MatrixRep, basis: np.ndarray) -> MatrixRep:
-    """Action matrices on an invariant row-subspace, in basis coordinates."""
-    p = rep.p
-    mats = []
-    for g in range(rep.group.order):
-        images = basis @ rep.mats[g].T % p
-        coords = linalg.coords_in_rowspace(basis, images, p)
-        mats.append(coords.T % p)
-    return MatrixRep(rep.group, p, np.stack(mats), validate=False)
+    """Action matrices on an invariant row-subspace, in basis coordinates.
+
+    The coordinates of every image come from one batched product with the
+    inverse of the basis on its pivot columns; multiplying them back must
+    give the images, else the subspace is not invariant (SingularMatrix).
+    """
+    p, n, d = rep.p, rep.group.order, rep.dim
+    basis = linalg.asmat(basis, p)
+    k = basis.shape[0]
+    pivots, inv = _pivot_inverse(basis, p)
+    # images[g] = basis @ rho(g)^T, the images of the basis rows
+    images = (rep.mats.reshape(n * d, d) @ basis.T % p).reshape(n, d, k).transpose(0, 2, 1)
+    coords = images[:, :, pivots].reshape(n * k, k) @ inv % p
+    if not np.array_equal(coords @ basis % p, images.reshape(n * k, d)):
+        raise SingularMatrix("subspace is not invariant under the action")
+    return MatrixRep(rep.group, p, coords.reshape(n, k, k).transpose(0, 2, 1), validate=False)
 
 
 # -- hom spaces -------------------------------------------------------------------
@@ -406,29 +407,8 @@ def ext_power_rep(rep: MatrixRep, k: int) -> MatrixRep:
         for a, rows in enumerate(subsets):
             for b, cols in enumerate(subsets):
                 minor = mat[np.ix_(rows, cols)]
-                out[g, a, b] = _det_small(minor, p)
+                out[g, a, b] = linalg.det(minor, p)
     return MatrixRep(rep.group, p, out, validate=False)
-
-
-def _det_small(m: np.ndarray, p: int) -> int:
-    n = m.shape[0]
-    if n == 0:
-        return 1
-    m = m.copy() % p
-    det = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r, col] % p), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            m[[col, piv]] = m[[piv, col]]
-            det = -det
-        det = det * int(m[col, col]) % p
-        inv = inv_mod(int(m[col, col]), p)
-        for r in range(col + 1, n):
-            if m[r, col]:
-                m[r] = (m[r] - m[r, col] * inv * m[col]) % p
-    return det % p
 
 
 # -- invariants and the evaluation map ---------------------------------------------
@@ -499,50 +479,42 @@ def evaluation_iso_check(
 def irreducible_models(group: Group, table: CharacterTable) -> list[MatrixRep]:
     """One explicit matrix model per irreducible character.
 
-    Each model is cut out of the regular representation: the isotypic
-    component is shrunk to a single copy by intersecting with eigenspaces
-    of commutant elements (found by linear solve), scanning a
-    deterministic, seeded candidate sequence.
+    Each model is cut out of the regular representation.  Right
+    multiplication R_a: x -> x*a by an element a of F_p[G] commutes with
+    the left regular action and preserves each isotypic component (a
+    two-sided ideal), so its eigenspaces there are invariant; their
+    dimensions are multiples of the degree n_i, and an eigenspace of
+    dimension exactly n_i is one copy of the irreducible.  The elements a
+    are seeded random draws, so the models are deterministic.
     """
     p = table.p
     reg = regular_rep(group, p)
     decomp, _ = decompose(reg, table)
     models = []
     for i in range(table.num_irreps):
-        n_i = table.degrees[i]
         basis = decomp.components[i]
-        while basis.shape[0] > n_i:
-            basis = _shrink_once(reg, basis, p)
+        if basis.shape[0] > table.degrees[i]:
+            basis = _one_copy(group, p, basis, table.degrees[i])
         model = restrict_to_subspace(reg, basis)
         model._validate()
         models.append(model)
     return models
 
 
-def _shrink_once(rep: MatrixRep, basis: np.ndarray, p: int) -> np.ndarray:
-    """Replace an invariant subspace by a proper invariant subspace.
-
-    Candidates are commutant elements of the restricted action; a proper
-    eigenspace of any of them is again invariant.  The commutant is a full
-    matrix algebra, so splittable candidates are plentiful; the seeded
-    scan is deterministic.
-    """
-    sub = restrict_to_subspace(rep, basis)
-    comm = intertwiner_basis(sub, sub)
-    m = basis.shape[0]
+def _one_copy(group: Group, p: int, basis: np.ndarray, n_i: int) -> np.ndarray:
+    """An n_i-dimensional eigenspace of a right translation on the component,
+    from at most 100 seeded draws of the translating element."""
+    n = group.order
+    pivots, inv = _pivot_inverse(basis, p)
+    cols = np.arange(n)[:, None]
     rng = random.Random(0)
-
-    def candidates():
-        for t in comm:
-            yield t
-        while True:
-            coeffs = [rng.randrange(p) for _ in comm]
-            yield sum((c * t for c, t in zip(coeffs, comm)), np.zeros((m, m), dtype=np.int64)) % p
-
-    for tries, t_mat in enumerate(candidates()):
-        if tries > 500:
-            break
-        for null in linalg.eigenspaces(t_mat, p, complete=False):
-            if null.shape[0] < m:
+    for _ in range(100):
+        right = np.zeros((n, n), dtype=np.int64)
+        # R_a e_c = sum_h a_h e_{c*h}; c -> c*h is a bijection for each c
+        right[group.mult, cols] = [rng.randrange(p) for _ in range(n)]
+        # coordinates c with c @ basis = basis @ R_a^T; R_a acts on them as c^T
+        coords = (basis @ right.T % p)[:, pivots] @ inv % p
+        for null in linalg.eigenspaces(coords.T, p, complete=False):
+            if null.shape[0] == n_i:
                 return null @ basis % p
-    raise SplitFailure("could not split the isotypic component to a single copy")
+    raise SplitFailure("no right translation cut the isotypic component down to one copy")

@@ -244,3 +244,61 @@ def test_table_s4_large_prime(runner):
         for j, psi in enumerate(t["values"]):
             acc = sum(s * a * psi[classes.inverse_class[c]] for c, (s, a) in enumerate(zip(classes.sizes, chi)))
             assert acc * pow(group.order, -1, p) % p == (1 if i == j else 0)
+
+
+def test_cover_max_degree_bounds(runner):
+    result = runner.invoke(main, ["cover", "--group", "S3", "--action", "perm3", "--max-degree", "0"])
+    assert result.exit_code == 0
+    assert "d= 0: [1, 0, 0]" in result.output
+    result = runner.invoke(main, ["cover", "--group", "S3", "--action", "perm3", "--max-degree", "-1"])
+    assert result.exit_code == 2
+    assert "--max-degree" in result.output and "all checks passed" not in result.output
+
+
+def test_verify_all_max_degree_bounds(runner):
+    result = runner.invoke(main, ["verify-all", "--max-degree", "-1"])
+    assert result.exit_code == 2
+    assert "--max-degree" in result.output
+    result = runner.invoke(main, ["verify-all", "--max-degree", "0", "--format", "json"])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["config"]["max_degree"] == 0
+
+
+def test_verify_all_witness_on_failure(monkeypatch):
+    from isotypic import cli
+    from isotypic.errors import NoSplittingElement, WrongImage
+
+    passing = cli.verify_all_document(2)
+    real_check = cli.evaluation_iso_check
+
+    def failing_check(rep, i, table, model):
+        if table.group.name == "S3" and rep.dim == 3 and i == 2:
+            raise WrongImage("planted failure")
+        return real_check(rep, i, table, model)
+
+    def failing_split(table, i, group, classes):
+        raise NoSplittingElement(f"planted failure {i}")
+
+    monkeypatch.setattr(cli, "evaluation_iso_check", failing_check)
+    monkeypatch.setattr(cli, "splitting_element", failing_split)
+    doc = cli.verify_all_document(2)
+    assert doc["pass"] is False
+    by_check = {o["check"]: o for o in doc["outcomes"]}
+    assert by_check["S3.evaluation_iso"] == {
+        "check": "S3.evaluation_iso",
+        "anchor": "evaluation maps are isomorphisms onto the isotypic components",
+        "pass": False,
+        "witness": {"error": "WrongImage", "message": "planted failure", "group": "S3", "rep": "perm", "irrep": 2},
+    }
+    assert by_check["Q8.splitting_elements"]["witness"] == {
+        "error": "NoSplittingElement", "message": "planted failure 4", "group": "Q8", "irrep": 4,
+    }
+    # outcomes that did not fail are exactly as in the passing report; the
+    # abelian groups have no degree >= 2 irreducible to split
+    failed = {"S3.evaluation_iso"} | {f"{g}.splitting_elements" for g in ("S3", "D4", "Q8", "A4")}
+    assert {o["check"] for o in doc["outcomes"] if not o["pass"]} == failed
+    for o in passing["outcomes"]:
+        if o["check"] not in failed:
+            assert by_check[o["check"]] == o
+        else:
+            assert "witness" not in o

@@ -142,3 +142,16 @@ def test_composite_modulus_raises():
     group = iso.group_from_name("S3")
     with pytest.raises(SplitFailure):
         iso.character_table(group, iso.conjugacy_classes(group), 1001)
+
+
+def test_det_matches_sympy():
+    rng = random.Random(23)
+    # 42949657 is the largest prime below MAX_MODULUS: p^2 fits in int64, p^3 does not
+    for p in (2, 7, 181, 10009, 42949657):
+        for n in (0, 1, 2, 3, 5, 8):
+            for singular in (False, True):
+                m = np.array([[rng.randrange(p) for _ in range(n)] for _ in range(n)], dtype=np.int64)
+                if singular and n >= 2:
+                    m[n - 1] = (m[0] * rng.randrange(p)) % p  # a dependent row
+                want = int(sympy.Matrix(m.tolist()).det()) % p if n else 1
+                assert linalg.det(m, p) == want

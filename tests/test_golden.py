@@ -1,8 +1,10 @@
-"""Byte-equality of `isotypic table` reports against committed golden files.
+"""Byte-equality of CLI reports against committed golden files.
 
-The files were written by `isotypic table ... --format json --out FILE`
-before the eigenvalue search moved from a scan over F_p to root finding;
-they pin element order, class order, row order and every value.
+The table files were written by `isotypic table ... --format json --out
+FILE` before the eigenvalue search moved from a scan over F_p to root
+finding; the verify-all, cover, decompose and cyclic files were written
+the same way before irreducible models came from right translations.
+They pin element order, class order, row order and every value.
 """
 
 from __future__ import annotations
@@ -22,10 +24,26 @@ CASES = {
     "table_D12.json": ["--group", "D12"],
     "table_S5.json": ["--group", "S5"],
 }
+REPORT_CASES = {
+    "verify_all.json": ["verify-all"],
+    "cover_S3_perm3.json": ["cover", "--group", "S3", "--action", "perm3"],
+    "cover_D4_reflection_d8.json": ["cover", "--group", "D4", "--action", "reflection", "--max-degree", "8"],
+    "decompose_S4_regular.json": ["decompose", "--group", "S4", "--rep", "regular"],
+    "cyclic_n4.json": ["cyclic", "--n", "4"],
+}
 
 
 @pytest.mark.parametrize("filename", sorted(CASES))
 def test_table_report_matches_golden(filename):
     result = CliRunner().invoke(main, ["table", *CASES[filename], "--format", "json"])
+    assert result.exit_code == 0, result.output
+    assert result.stdout_bytes == (GOLDEN / filename).read_bytes()
+
+
+@pytest.mark.parametrize("filename", sorted(REPORT_CASES))
+def test_report_matches_golden(filename):
+    result = CliRunner().invoke(
+        main, [*REPORT_CASES[filename], "--format", "json"], env={"ISOTYPIC_SEED": "0"}
+    )
     assert result.exit_code == 0, result.output
     assert result.stdout_bytes == (GOLDEN / filename).read_bytes()

@@ -384,3 +384,103 @@ def test_matmul_exact_at_max_modulus():
     row = np.full((1, DEFAULT_CAP), p - 1, dtype=np.int64)
     assert int(linalg.matmul(row, row.T, p)[0, 0]) == DEFAULT_CAP * (p - 1) ** 2 % p
     assert DEFAULT_CAP * p**2 >= 2**63  # one more and the sum could overflow
+
+
+@pytest.fixture(scope="module")
+def s5():
+    group = iso.group_from_name("S5")
+    classes = iso.conjugacy_classes(group)
+    p = iso.choose_prime(group)
+    return group, classes, p, iso.character_table(group, classes, p)
+
+
+def test_validate_names_a_bad_edge_s5(s5):
+    group, _, p, _ = s5
+    reg = iso.regular_rep(group, p)
+    assert reg.validation == "exhaustive"
+    k = 57  # neither the identity nor a generator
+    assert k not in group.generator_indices
+    mats = reg.mats.copy()
+    mats[k] = mats[k][:, ::-1]
+    with pytest.raises(NotAHomomorphism) as err:
+        iso.MatrixRep(group, p, mats)
+    # the witness is the word of an edge b -> b*s that touches element k
+    word = err.value.word
+    prefix, _, gen = word.rpartition(".")
+    b = next(x for x in range(group.order) if group.word_string(x) == prefix)
+    s = group.generator_indices[int(gen[1:])]
+    assert k in (b, int(group.mult[b, s]))
+
+
+def test_validate_accepts_zero_dimensional_rep(ctx):
+    for name in ("C1", "S3", "Q8"):
+        c = ctx(name)
+        zero = iso.MatrixRep(c.group, c.p, np.zeros((c.group.order, 0, 0), dtype=np.int64))
+        assert zero.dim == 0 and zero.validation == "exhaustive"
+
+
+def test_validate_rejects_non_identity_at_e(ctx):
+    c = ctx("C2")
+    with pytest.raises(NotAHomomorphism):
+        iso.MatrixRep(c.group, c.p, np.array([[[2]], [[1]]], dtype=np.int64))
+
+
+def _coords_oracle(rep, basis):
+    """Per-element coordinates, one solve each."""
+    mats = []
+    for g in range(rep.group.order):
+        images = basis @ rep.mats[g].T % rep.p
+        mats.append(linalg.coords_in_rowspace(basis, images, rep.p).T % rep.p)
+    return np.stack(mats)
+
+
+def test_restrict_to_subspace_matches_oracle(ctx):
+    compared = 0
+    for name in ("S3", "D4", "Q8", "A4"):
+        c = ctx(name)
+        rng = random.Random(zlib.crc32(name.encode()))
+        for _ in range(6):
+            rep, _ = random_rep(c, rng)
+            decomp, _ = iso.decompose(rep, c.table)
+            picked = [b for b in decomp.components if b.shape[0] and rng.random() < 0.6]
+            if not picked:
+                continue
+            span = np.concatenate(picked, axis=0)
+            # a random basis of the invariant sum of the picked components
+            basis = random_invertible(rng, span.shape[0], c.p) @ span % c.p
+            sub = restrict_to_subspace(rep, basis)
+            assert np.array_equal(sub.mats, _coords_oracle(rep, basis))
+            sub._validate()
+            compared += 1
+    assert compared >= 16
+
+
+def test_restrict_to_subspace_rejects_bad_bases(ctx):
+    c = ctx("S3")
+    reg = iso.regular_rep(c.group, c.p)
+    line = np.array([[1, 2, 0, 0, 0, 0]], dtype=np.int64)  # not invariant
+    with pytest.raises(SingularMatrix):
+        restrict_to_subspace(reg, line)
+    ones = np.ones((1, 6), dtype=np.int64)  # invariant, but listed twice
+    assert restrict_to_subspace(reg, ones).dim == 1
+    with pytest.raises(SingularMatrix):
+        restrict_to_subspace(reg, np.concatenate([ones, 2 * ones]))
+
+
+@pytest.mark.parametrize("name", ["S4", "S5"])
+def test_irreducible_models_from_right_translations(name, ctx, s5):
+    if name == "S5":
+        group, classes, p, table = s5
+    else:
+        c = ctx(name)
+        group, classes, p, table = c.group, c.classes, c.p, c.table
+    models = iso.irreducible_models(group, table)
+    again = iso.irreducible_models(group, table)
+    reg = iso.regular_rep(group, p)
+    for i, model in enumerate(models):
+        assert np.array_equal(model.mats, again[i].mats)
+        assert model.validation == "exhaustive"
+        assert iso.character_of(model, classes) == table.values[i]
+        assert iso.hom_dim(model, model, table) == 1
+        ok, assembled = iso.evaluation_iso_check(reg, i, table, model)
+        assert ok and assembled.shape == (group.order, table.degrees[i] ** 2)
