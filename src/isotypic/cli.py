@@ -67,6 +67,15 @@ def _resolve_group(name: str | None, gens_path: str | None) -> Group:
         raise click.UsageError(str(exc)) from exc
 
 
+def _env_seed() -> int:
+    """ISOTYPIC_SEED as an integer (default 0); anything else is invalid input."""
+    raw = os.environ.get("ISOTYPIC_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise click.UsageError(f"ISOTYPIC_SEED={raw!r} is not an integer") from None
+
+
 def _check_modulus_bound(p: int, source: str) -> None:
     if p > MAX_MODULUS:
         raise click.UsageError(
@@ -363,7 +372,7 @@ def cmd_cyclic(n, variant, fmt, out):
     """Explicit cyclic cover: phi matrix, determinant, divisors, normal basis."""
     if n < 1:
         raise click.UsageError("--n must be positive")
-    seed = int(os.environ.get("ISOTYPIC_SEED", "0"))
+    seed = _env_seed()
     model = cyclic_mod.build_cyclic(n, variant)
     doc = cyclic_report(model, seed)
     _emit(doc, fmt, out, _render_cyclic)
@@ -452,7 +461,7 @@ def _error_witness(exc: Exception, **where) -> dict:
 
 def verify_all_document(max_degree: int = 12) -> dict:
     outcomes: list[VerificationOutcome] = []
-    seed = int(os.environ.get("ISOTYPIC_SEED", "0"))
+    seed = _env_seed()
 
     for name in VERIFY_GROUPS:
         group = group_from_name(name)
@@ -528,12 +537,7 @@ def verify_all_document(max_degree: int = 12) -> dict:
         p = choose_prime(group)
         classes = conjugacy_classes(group)
         table = character_table(group, classes, p)
-        if action_kind == "perm":
-            action = cover_mod.perm_action(group, p)
-        elif action_kind == "reflection":
-            action = cover_mod.reflection_action(group, p, int(gname[1:]))
-        else:
-            action = cover_mod.scalar_action(group, p, int(gname[1:]))
+        action = _builtin_action(group, p, action_kind)
         report = cover_mod.pushforward_report(action, max_degree, table)
         for o in report.outcomes:
             outcomes.append(

@@ -18,6 +18,7 @@ series construction and pins down the orientation conventions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -26,8 +27,15 @@ from .arith import Poly, RatFunc, limit_at_one, root_of_unity, series_prefix
 from .characters import CharacterTable, char_dual, restrict_invariant_dim, tensor_multiplicities
 from .errors import NotFaithful, OrientationMismatch
 from .groups import Group, Subgroup, subgroup_closure
-from .polymat import bareiss_det
-from .reps import MatrixRep, decompose, isotypic_projector, rep_from_matrices
+from .reps import (
+    MatrixRep,
+    _sym_power_step,
+    decompose,
+    dual_rep,
+    isotypic_projector,
+    rep_from_matrices,
+    trivial_rep,
+)
 
 DEFAULT_CHECK_DEGREE = 6
 
@@ -69,65 +77,20 @@ class LinearCoverAction:
 
     def piece(self, d: int) -> GradedPiece:
         if d not in self._pieces:
-            self._pieces[d] = self._build_piece(d)
+            if d == 0:
+                rep = trivial_rep(self.group, self.p)
+            elif d == 1:
+                # g . x_j = sum_i (rho(g)^-1)[j, i] x_i: the contragredient action
+                rep = dual_rep(self.rep)
+            else:
+                rep = _sym_power_step(self.piece(d - 1).rep, self.piece(1).rep, d)
+            # graded-lex: the multiset order is descending lex on exponents
+            monos = tuple(
+                tuple(m.count(i) for i in range(self.n))
+                for m in combinations_with_replacement(range(self.n), d)
+            )
+            self._pieces[d] = GradedPiece(d, monos, rep)
         return self._pieces[d]
-
-    def _monomials(self, d: int) -> list[tuple[int, ...]]:
-        # graded-lex: within a degree, exponent tuples in descending lex order
-        def gen(rem, slots):
-            if slots == 1:
-                yield (rem,)
-                return
-            for first in range(rem, -1, -1):
-                for rest in gen(rem - first, slots - 1):
-                    yield (first,) + rest
-
-        return list(gen(d, self.n))
-
-    def _build_piece(self, d: int) -> GradedPiece:
-        p = self.p
-        order = self.group.order
-        monos = self._monomials(d)
-        index = {m: i for i, m in enumerate(monos)}
-        if d == 0:
-            mats = np.ones((order, 1, 1), dtype=np.int64)
-            return GradedPiece(0, tuple(monos), MatrixRep(self.group, p, mats, validate=False))
-        if d == 1:
-            # g . x_j = sum_i (rho(g)^-1)[j, i] x_i: the contragredient action
-            inv = np.stack([linalg.inverse(self.rep.mats[g], p) for g in range(order)])
-            mats = inv.transpose(0, 2, 1) % p
-            return GradedPiece(1, tuple(monos), MatrixRep(self.group, p, mats, validate=False))
-
-        prev = self.piece(d - 1)
-        lin = self.piece(1)
-        prev_index = {m: i for i, m in enumerate(prev.monomials)}
-        # split each monomial as (monomial of degree d-1) * (variable)
-        splits = []
-        for mono in monos:
-            j = max(i for i, e in enumerate(mono) if e)
-            beta = list(mono)
-            beta[j] -= 1
-            splits.append((prev_index[tuple(beta)], j))
-        # scatter map: (index in d-1 basis, variable) -> index in d basis
-        scatter = np.empty((len(prev.monomials), self.n), dtype=np.int64)
-        for bi, beta in enumerate(prev.monomials):
-            for i in range(self.n):
-                up = list(beta)
-                up[i] += 1
-                scatter[bi, i] = index[tuple(up)]
-        mats = np.zeros((order, len(monos), len(monos)), dtype=np.int64)
-        for g in range(order):
-            pm = prev.rep.mats[g]
-            lm = lin.rep.mats[g]
-            for col, (beta_idx, j) in enumerate(splits):
-                col_beta = pm[:, beta_idx]
-                target = np.zeros(len(monos), dtype=np.int64)
-                for i in range(self.n):
-                    c = lm[i, j]
-                    if c:
-                        target[scatter[:, i]] = (target[scatter[:, i]] + col_beta * c) % p
-                mats[g, :, col] = target
-        return GradedPiece(d, tuple(monos), MatrixRep(self.group, p, mats, validate=False))
 
     def piece_decomposition(self, d: int, table: CharacterTable):
         """(components, true multiplicities) of the degree-d piece, memoized."""
@@ -223,19 +186,12 @@ def degree_piece(action: LinearCoverAction, d: int) -> GradedPiece:
 def _inverse_dets(action: LinearCoverAction) -> list[Poly]:
     """det(I - t rho(g)^-1) for every element, memoized."""
     if action._dets is None:
-        p = action.p
-        dets = []
-        for g in range(action.group.order):
-            inv = linalg.inverse(action.rep.mats[g], p)
-            mat = [
-                [
-                    Poly(p, ((1 if i == j else 0), -int(inv[i, j])))
-                    for j in range(action.n)
-                ]
-                for i in range(action.n)
-            ]
-            dets.append(bareiss_det(mat))
-        action._dets = dets
+        # det(I - tA) = t^n charpoly_A(1/t): the coefficients reversed
+        mats, inv = action.rep.mats, action.group.inv
+        action._dets = [
+            Poly(action.p, linalg.charpoly(mats[inv[g]], action.p)[::-1])
+            for g in range(action.group.order)
+        ]
     return action._dets
 
 

@@ -357,40 +357,44 @@ def tensor_rep(a: MatrixRep, b: MatrixRep) -> MatrixRep:
     return MatrixRep(a.group, a.p, mats, validate=False)
 
 
-def _multisets(dim: int, k: int):
+def _sym_power_step(prev: MatrixRep, rep: MatrixRep, d: int) -> MatrixRep:
+    """Sym^d from Sym^(d-1) on the lexicographic multiset bases.
+
+    The column of multiset beta + (j,) (j its largest entry) is column beta
+    of `prev` times column j of `rep`: entry (beta', i) of that outer
+    product lands on row beta' + (i,).  One element at a time, so only one
+    Sym^d matrix of temporaries is alive.  Each entry is a sum of dim(rep)
+    products below p^2, exact in int64 because `rep` passed
+    `require_exact`; the MatrixRep constructor reduces it mod p.
+    """
     from itertools import combinations_with_replacement
 
-    return list(combinations_with_replacement(range(dim), k))
+    n = rep.dim
+    below = {m: i for i, m in enumerate(combinations_with_replacement(range(n), d - 1))}
+    basis = {m: i for i, m in enumerate(combinations_with_replacement(range(n), d))}
+    beta = np.array([below[m[:-1]] for m in basis], dtype=np.int64)
+    last = np.array([m[-1] for m in basis], dtype=np.int64)
+    scatter = np.array(
+        [[basis[tuple(sorted(m + (i,)))] for i in range(n)] for m in below], dtype=np.int64
+    )
+    out = np.zeros((rep.group.order, len(basis), len(basis)), dtype=np.int64)
+    for g in range(rep.group.order):
+        cols = prev.mats[g][:, beta]
+        lin = rep.mats[g][:, last]
+        for i in range(n):
+            out[g, scatter[:, i]] += cols * lin[i]
+    return MatrixRep(rep.group, rep.p, out, validate=False)
 
 
 def sym_power_rep(rep: MatrixRep, k: int) -> MatrixRep:
-    """Symmetric power on the lexicographic multiset basis.
-
-    Columns expand the product of the images of the basis vectors in the
-    polynomial model of the symmetric algebra.
-    """
+    """Symmetric power on the lexicographic multiset basis, one degree at a
+    time from the trivial representation."""
     if k < 0:
         raise ValueError("power must be nonnegative")
-    p = rep.p
-    basis = _multisets(rep.dim, k)
-    index = {m: i for i, m in enumerate(basis)}
-    out = np.zeros((rep.group.order, len(basis), len(basis)), dtype=np.int64)
-    for g in range(rep.group.order):
-        mat = rep.mats[g]
-        for col, mset in enumerate(basis):
-            terms = {(): 1}
-            for j in mset:
-                new: dict = {}
-                for key, val in terms.items():
-                    for i in range(rep.dim):
-                        c = mat[i, j]
-                        if c:
-                            nk = tuple(sorted(key + (i,)))
-                            new[nk] = (new.get(nk, 0) + val * c) % p
-                terms = new
-            for key, val in terms.items():
-                out[g, index[key], col] = val
-    return MatrixRep(rep.group, p, out, validate=False)
+    out = trivial_rep(rep.group, rep.p)
+    for d in range(1, k + 1):
+        out = _sym_power_step(out, rep, d)
+    return out
 
 
 def ext_power_rep(rep: MatrixRep, k: int) -> MatrixRep:

@@ -181,6 +181,14 @@ def test_cyclic_seed_env(runner, monkeypatch):
     assert doc["phi_det_factor"] == {"unit": 6, "y_power": 3}
 
 
+@pytest.mark.parametrize("args", [["cyclic", "--n", "3"], ["verify-all", "--max-degree", "0"]])
+def test_bad_seed_is_invalid_input(runner, args):
+    result = runner.invoke(main, args, env={"ISOTYPIC_SEED": "abc"})
+    assert result.exit_code == 2
+    assert "ISOTYPIC_SEED='abc' is not an integer" in result.output
+    assert "Traceback" not in result.output
+
+
 def test_output_file_matches_stdout(runner, tmp_path):
     out = tmp_path / "t.json"
     direct = runner.invoke(main, ["table", "--group", "C4", "--format", "json"])

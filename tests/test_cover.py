@@ -8,8 +8,10 @@ import pytest
 import isotypic as iso
 from isotypic import linalg
 from isotypic.arith import Poly, RatFunc
-from isotypic.cover import cyclic_subgroups
+from isotypic.cli import COVER_SCENARIOS, _builtin_action
+from isotypic.cover import _inverse_dets, cyclic_subgroups
 from isotypic.errors import NotFaithful
+from isotypic.polymat import bareiss_det
 
 
 def scalar_ctx(ctx, n):
@@ -245,3 +247,19 @@ def test_b1_dual_convention(ctx):
     for g in range(c.group.order):
         expected = linalg.inverse(action.rep.mats[g], c.p).T % c.p
         assert np.array_equal(one.rep.mats[g], expected)
+
+
+def test_inverse_dets_match_bareiss_oracle(ctx):
+    # det(I - t rho(g)^-1) by Bareiss elimination over F_p[t]
+    for name, kind in (*COVER_SCENARIOS, ("S4", "perm")):
+        group = iso.group_from_name(name)
+        p = iso.choose_prime(group)
+        action = _builtin_action(group, p, kind)
+        dets = _inverse_dets(action)
+        for g in range(group.order):
+            inv = linalg.inverse(action.rep.mats[g], p)
+            mat = [
+                [Poly(p, (int(i == j), -int(inv[i, j]))) for j in range(action.n)]
+                for i in range(action.n)
+            ]
+            assert dets[g] == bareiss_det(mat)

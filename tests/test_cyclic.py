@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import itertools
-
 import pytest
+import sympy
 
 import isotypic as iso
 from isotypic.arith import Poly
@@ -12,31 +11,16 @@ from isotypic.cyclic import phi_matrix
 from isotypic.polymat import as_unit_times_power
 
 
-def cofactor_det(matrix):
-    """Independent determinant oracle: Leibniz expansion over all
-    permutations (fine for the 4x4 phi matrix of the degree-2 model)."""
-    n = len(matrix)
+def berkowitz_det(matrix):
+    """Independent determinant oracle: sympy's division-free Berkowitz
+    determinant over ZZ[y], reduced mod p afterwards."""
     p = matrix[0][0].p
-    total = Poly(p)
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        seen = [False] * n
-        for start in range(n):
-            if seen[start]:
-                continue
-            length = 0
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        term = Poly.const(p, sign % p)
-        for i in range(n):
-            term = term * matrix[i][perm[i]]
-        total = total + term
-    return total
+    y = sympy.symbols("y")
+    lifted = sympy.Matrix(
+        [[sum(c * y**k for k, c in enumerate(e.coeffs)) for e in row] for row in matrix]
+    )
+    det = sympy.Poly(lifted.det(method="berkowitz"), y)
+    return Poly(p, reversed(det.all_coeffs()))
 
 
 def test_build_cyclic_examples():
@@ -113,10 +97,10 @@ def test_phi_matrix_n2_frozen():
     assert entries == expected
 
 
-def test_phi_det_matches_cofactor_oracle():
+def test_phi_det_matches_berkowitz_oracle():
     for n in (2, 3):
         m = iso.build_cyclic(n)
-        assert iso.phi_det(m) == cofactor_det(phi_matrix(m).entries)
+        assert iso.phi_det(m) == berkowitz_det(phi_matrix(m).entries)
 
 
 def test_phi_det_n2_value():

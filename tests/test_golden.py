@@ -3,8 +3,10 @@
 The table files were written by `isotypic table ... --format json --out
 FILE` before the eigenvalue search moved from a scan over F_p to root
 finding; the verify-all, cover, decompose and cyclic files were written
-the same way before irreducible models came from right translations.
-They pin element order, class order, row order and every value.
+the same way before irreducible models came from right translations, and
+`cover_S4_perm4_d8.json`, the only four-variable report, before the graded
+pieces came from the shared symmetric power.  They pin element order,
+class order, row order and every value.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ REPORT_CASES = {
     "verify_all.json": ["verify-all"],
     "cover_S3_perm3.json": ["cover", "--group", "S3", "--action", "perm3"],
     "cover_D4_reflection_d8.json": ["cover", "--group", "D4", "--action", "reflection", "--max-degree", "8"],
+    "cover_S4_perm4_d8.json": ["cover", "--group", "S4", "--action", "perm4", "--max-degree", "8"],
     "decompose_S4_regular.json": ["decompose", "--group", "S4", "--rep", "regular"],
     "cyclic_n4.json": ["cyclic", "--n", "4"],
 }

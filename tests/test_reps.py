@@ -207,6 +207,52 @@ def test_dual_tensor_sym_ext_characters(ctx):
     assert iso.character_of(iso.dual_rep(iso.dual_rep(std)), c.classes) == chi_std
 
 
+def sym_power_by_expansion(rep, k):
+    """Reference symmetric power: each column expands the product of the
+    images of the basis vectors in the polynomial model, one element at a
+    time through a dictionary of sorted multisets."""
+    from itertools import combinations_with_replacement
+
+    p = rep.p
+    basis = list(combinations_with_replacement(range(rep.dim), k))
+    index = {m: i for i, m in enumerate(basis)}
+    out = np.zeros((rep.group.order, len(basis), len(basis)), dtype=np.int64)
+    for g in range(rep.group.order):
+        mat = rep.mats[g]
+        for col, mset in enumerate(basis):
+            terms = {(): 1}
+            for j in mset:
+                new = {}
+                for key, val in terms.items():
+                    for i in range(rep.dim):
+                        c = mat[i, j]
+                        if c:
+                            nk = tuple(sorted(key + (i,)))
+                            new[nk] = (new.get(nk, 0) + val * c) % p
+                terms = new
+            for key, val in terms.items():
+                out[g, index[key], col] = val
+    return out
+
+
+def test_sym_power_matches_expansion_oracle(ctx):
+    q8 = ctx("Q8")
+    d4 = ctx("D4")
+    reps = [
+        iso.permutation_rep(ctx("S3").group, ctx("S3").p),
+        iso.reflection_action(d4.group, d4.p, 4).rep,
+        iso.permutation_rep(ctx("A4").group, ctx("A4").p),
+        next(m for m in q8.models if m.dim == 2),
+    ]
+    for rep in reps:
+        for k in range(5):
+            got = iso.sym_power_rep(rep, k)
+            want = sym_power_by_expansion(rep, k)
+            assert got.mats.dtype == want.dtype and np.array_equal(got.mats, want)
+    with pytest.raises(ValueError):
+        iso.sym_power_rep(reps[0], -1)
+
+
 def test_ext_power_perm_type(ctx):
     c = ctx("S3")
     lam2 = iso.ext_power_rep(iso.permutation_rep(c.group, c.p), 2)
