@@ -21,7 +21,7 @@ from .errors import (
     SplitFailure,
 )
 from .groups import ConjugacyClasses, Group, Subgroup, power_class_map
-from .linalg import eigenspaces, inv_mod, require_exact, solve
+from .linalg import eigenspaces, inv_mod, matmul, require_exact, solve
 
 ClassFunction = tuple[int, ...]
 
@@ -93,9 +93,9 @@ def _eigen_refine(subspaces, mat, p):
         if basis.shape[0] == 1:
             out.append(basis)
             continue
-        images = basis @ mat.T % p
-        coords = solve(basis.T % p, images.T % p, p)  # operator on coordinates
-        out.extend(null @ basis % p for null in eigenspaces(coords, p))
+        images = matmul(basis, mat.T, p)
+        coords = solve(basis.T, images.T, p)  # operator on coordinates
+        out.extend(matmul(null, basis, p) for null in eigenspaces(coords, p))
     return out
 
 
@@ -149,10 +149,10 @@ def character_table(group: Group, classes: ConjugacyClasses, p: int) -> Characte
         raise SplitFailure("degree squares do not sum to the group order")
     table = CharacterTable(group, classes, p, values, degrees)
     # Gram matrix of inner_mult over all pairs of rows; the weighted factor
-    # is reduced first so each k-term sum stays exact in int64.
+    # is reduced first, since `matmul` takes residues.
     vals = np.array(values, dtype=np.int64)
     weighted = vals * np.array(classes.sizes, dtype=np.int64) % p
-    gram = weighted @ vals[:, list(classes.inverse_class)].T % p * inv_mod(order % p, p) % p
+    gram = matmul(weighted, vals[:, list(classes.inverse_class)].T, p) * inv_mod(order % p, p) % p
     if not np.array_equal(gram, np.eye(len(values), dtype=np.int64)):
         raise SplitFailure("row orthogonality failed")
     return table

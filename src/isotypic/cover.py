@@ -64,6 +64,7 @@ class LinearCoverAction:
         self.name = name
         self._pieces: dict[int, GradedPiece] = {}
         self._piece_data: dict[int, tuple] = {}
+        self._projectors: dict[tuple[int, int], np.ndarray] = {}
         self._series: dict[int, RatFunc] = {}
         self._dets: list[Poly] | None = None
         self._mul_maps: dict[tuple[int, int], np.ndarray] = {}
@@ -98,6 +99,12 @@ class LinearCoverAction:
             decomp, rtype = decompose(self.piece(d).rep, table)
             self._piece_data[d] = (decomp, rtype.multiplicities)
         return self._piece_data[d]
+
+    def piece_projector(self, d: int, l: int, table: CharacterTable) -> np.ndarray:
+        """Isotypic projector of irreducible l on the degree-d piece, memoized."""
+        if (d, l) not in self._projectors:
+            self._projectors[d, l] = isotypic_projector(self.piece(d).rep, l, table)
+        return self._projectors[d, l]
 
     def multiplication_map(self, a: int, b: int) -> np.ndarray:
         """0/1 structural matrix (dim B_a * dim B_b) x dim B_{a+b}.
@@ -280,9 +287,8 @@ def invariants_series_check(
     rows = []
     for d in range(max_degree + 1):
         rep = action.piece(d).rep
-        acc = np.zeros((rep.dim, rep.dim), dtype=np.int64)
-        for x in h.element_indices:
-            acc = (acc + rep.mats[x]) % p
+        # |H| (p-1) is far below 2^63, so the sum is exact before reducing
+        acc = rep.mats[list(h.element_indices)].sum(axis=0) % p
         lhs = linalg.rank(acc * h_inv % p, p)
         mults = action.piece_decomposition(d, table)[1]
         rhs_mod = sum(coeffs[i][d] * fixed_dims[i] for i in range(table.num_irreps)) % p
@@ -315,15 +321,14 @@ def product_structure_check(
     tens = _tensor_mults(action, table)
     comp_a = action.piece_decomposition(a, table)[0].components[i]
     comp_b = action.piece_decomposition(b, table)[0].components[j]
-    target = action.piece(a + b).rep
     if comp_a.shape[0] == 0 or comp_b.shape[0] == 0:
-        span = np.zeros((0, target.dim), dtype=np.int64)
+        span = np.zeros((0, action.piece(a + b).dim), dtype=np.int64)
     else:
-        outer = np.einsum("sa,tb->stab", comp_a, comp_b).reshape(
+        # entry ((s, t), (alpha, beta)) is comp_a[s, alpha] * comp_b[t, beta]
+        outer = (comp_a[:, None, :, None] * comp_b[None, :, None, :]).reshape(
             comp_a.shape[0] * comp_b.shape[0], -1
         ) % p
-        products = outer @ action.multiplication_map(a, b) % p
-        span = linalg.row_space(products, p)
+        span = linalg.row_space(linalg.matmul(outer, action.multiplication_map(a, b), p), p)
     required = tuple(l for l in range(table.num_irreps) if tens[i, j, l] == 0)
     ranks = []
     witness = None
@@ -331,7 +336,7 @@ def product_structure_check(
         if span.shape[0] == 0:
             ranks.append(0)
             continue
-        proj = span @ isotypic_projector(target, l, table).T % p
+        proj = linalg.matmul(span, action.piece_projector(a + b, l, table).T, p)
         r = linalg.rank(proj, p)
         ranks.append(r)
         if r and l in required and witness is None:

@@ -7,6 +7,8 @@ space, null space, image) is deterministic for a given input.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ModulusTooLarge, SingularMatrix, SplitFailure
@@ -35,8 +37,56 @@ def identity(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.int64)
 
 
+FLOAT_EXACT = 2**53  # every integer of magnitude up to this is a float64
+BLOCK_CELLS = 1 << 17  # float64 cells in one column block of the right operand (1 MB)
+# Multiply-adds per BLAS call.  OpenBLAS runs calls this small on the calling
+# thread; threaded calls gained nothing on a 2-vCPU machine, and the workers
+# they wake spin after each call, which slowed verify-all by about 10%.
+BLOCK_WORK = 1 << 19
+
+
 def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    return (a @ b) % p
+    """a @ b mod p for int64 residues in [0, p), with numpy's matmul shapes.
+
+    When k (p-1)^2 < 2^53, k the inner dimension, every partial sum of a
+    dot product is an integer below 2^53, so float64 BLAS computes it
+    exactly in any summation order (the FFLAS-FFPACK trick).  A product
+    larger than one block fills a preallocated int64 output block by block,
+    so the float temporaries stay at a few megabytes; the output is reduced
+    in place.  Larger moduli take the int64 product, which `require_exact`
+    keeps exact.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape[-1] * (p - 1) ** 2 >= FLOAT_EXACT:
+        return (a @ b) % p
+    if b.ndim > 2:  # a stack of right operands: one product per matrix
+        batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+        a, b = np.broadcast_to(a, batch + a.shape[-2:]), np.broadcast_to(b, batch + b.shape[-2:])
+        out = np.empty(batch + a.shape[len(batch) : -1] + b.shape[-1:], dtype=np.int64)
+        for idx in np.ndindex(batch):
+            out[idx] = matmul(a[idx], b[idx], p)
+        return out
+    # rows of a times a matrix; vectors are one row or one column
+    k, n = b.shape[0], b.shape[-1] if b.ndim == 2 else 1
+    rows = math.prod(a.shape[:-1])
+    a2, b2 = a.reshape(rows, k), b.reshape(k, n)
+    if rows * k * max(n, 1) <= BLOCK_WORK and k * n <= BLOCK_CELLS:  # one block
+        out = (a2.astype(np.float64) @ b2.astype(np.float64)).astype(np.int64)
+    else:
+        out = np.empty((rows, n), dtype=np.int64)
+        _float_gemm(a2, b2, out)
+    return np.remainder(out, p, out=out).reshape(a.shape[:-1] + b.shape[1:])
+
+
+def _float_gemm(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """out = a @ b through float64, over column blocks of b and row blocks of a."""
+    (m, k), n = a.shape, b.shape[1]
+    cols = max(1, min(n, BLOCK_CELLS // max(k, 1)))
+    rows = max(1, BLOCK_WORK // max(k * cols, 1))
+    for j in range(0, n, cols):
+        bf = b[:, j : j + cols].astype(np.float64)
+        for i in range(0, m, rows):
+            out[i : i + rows, j : j + cols] = a[i : i + rows].astype(np.float64) @ bf
 
 
 def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -183,7 +233,7 @@ def charpoly(a: np.ndarray, p: int) -> list[int]:
             h[:, [j + 1, piv]] = h[:, [piv, j + 1]]
         c = h[j + 2 :, j] * inv_mod(int(h[j + 1, j]), p) % p
         h[j + 2 :] = (h[j + 2 :] - np.outer(c, h[j + 1])) % p
-        h[:, j + 1] = (h[:, j + 1] + h[:, j + 2 :] @ c) % p
+        h[:, j + 1] = (h[:, j + 1] + matmul(h[:, j + 2 :], c, p)) % p
     f = np.zeros((n + 1, n + 1), dtype=np.int64)  # row m: coefficients of f_m
     f[0, 0] = 1
     for m in range(1, n + 1):
@@ -197,7 +247,7 @@ def charpoly(a: np.ndarray, p: int) -> list[int]:
                 break
             coef[i] = int(h[m - 1 - i, m - 1]) * run % p
         f[m, 1:] = f[m - 1, :-1]
-        f[m] = (f[m] - coef @ f[m - 1 :: -1]) % p
+        f[m] = (f[m] - matmul(coef, f[m - 1 :: -1], p)) % p
     return f[n].tolist()
 
 

@@ -42,12 +42,15 @@ class MatrixRep:
     """One invertible dim x dim matrix over F_p per group element."""
 
     def __init__(self, group: Group, p: int, mats: np.ndarray, validate: bool = True):
+        """With `validate`, `mats` is copied reduced mod p and checked.  Without
+        it the representation takes ownership of an int64 `mats` and reduces
+        it in place, so the caller passes a fresh array and keeps no alias."""
         mats = np.asarray(mats, dtype=np.int64)
         self.group = group
         self.p = p
         self.dim = int(mats.shape[1]) if mats.ndim == 3 else 0
         linalg.require_exact(self.dim, p)
-        self.mats = mats % p
+        self.mats = mats % p if validate else np.remainder(mats, p, out=mats)
         self.validation = "skipped"
         if validate:
             self._validate()
@@ -69,7 +72,7 @@ class MatrixRep:
             raise NotAHomomorphism("identity element must map to the identity matrix")
         rows = mats.reshape(n * d, d)
         for pos, s in enumerate(group.generator_indices):
-            prod = (rows @ mats[s] % p).reshape(n, d, d)
+            prod = linalg.matmul(rows, mats[s], p).reshape(n, d, d)
             bad = np.nonzero((prod != mats[group.mult[:, s]]).any(axis=(1, 2)))[0]
             if bad.size:
                 b = int(bad[0])
@@ -183,7 +186,7 @@ def rep_from_matrices(group: Group, p: int, gen_mats, dim: int = 1) -> MatrixRep
     mats[0] = linalg.identity(dim)
     for k in range(1, group.order):
         parent, gen_pos = group.words[k]
-        mats[k] = mats[parent] @ gen_mats[gen_pos] % p
+        mats[k] = linalg.matmul(mats[parent], gen_mats[gen_pos], p)
     return MatrixRep(group, p, mats)
 
 
@@ -202,7 +205,7 @@ def conjugate_rep(rep: MatrixRep, s: np.ndarray) -> MatrixRep:
     """Change of basis rho'(g) = S rho(g) S^-1."""
     s = linalg.asmat(s, rep.p)
     s_inv = linalg.inverse(s, rep.p)
-    mats = np.einsum("ij,bjk,kl->bil", s, rep.mats, s_inv) % rep.p
+    mats = linalg.matmul(s, linalg.matmul(rep.mats, s_inv, rep.p), rep.p)
     return MatrixRep(rep.group, rep.p, mats, validate=False)
 
 
@@ -221,8 +224,8 @@ def isotypic_projector(rep: MatrixRep, i: int, table: CharacterTable) -> np.ndar
         dtype=np.int64,
     )
     c = table.degrees[i] * inv_mod(group.order % p, p) % p
-    acc = np.einsum("g,gij->ij", coef, rep.mats) % p
-    return acc * c % p
+    acc = linalg.matmul(coef, rep.mats.reshape(group.order, rep.dim**2), p)
+    return acc.reshape(rep.dim, rep.dim) * c % p
 
 
 def decompose(rep: MatrixRep, table: CharacterTable) -> tuple[IsotypicDecomposition, RepType]:
@@ -285,9 +288,9 @@ def restrict_to_subspace(rep: MatrixRep, basis: np.ndarray) -> MatrixRep:
     k = basis.shape[0]
     pivots, inv = _pivot_inverse(basis, p)
     # images[g] = basis @ rho(g)^T, the images of the basis rows
-    images = (rep.mats.reshape(n * d, d) @ basis.T % p).reshape(n, d, k).transpose(0, 2, 1)
-    coords = images[:, :, pivots].reshape(n * k, k) @ inv % p
-    if not np.array_equal(coords @ basis % p, images.reshape(n * k, d)):
+    images = linalg.matmul(rep.mats, basis.T, p).transpose(0, 2, 1)
+    coords = linalg.matmul(images[:, :, pivots].reshape(n * k, k), inv, p)
+    if not np.array_equal(linalg.matmul(coords, basis, p), images.reshape(n * k, d)):
         raise SingularMatrix("subspace is not invariant under the action")
     return MatrixRep(rep.group, p, coords.reshape(n, k, k).transpose(0, 2, 1), validate=False)
 
@@ -343,7 +346,7 @@ def hom_dim(r1: MatrixRep, r2: MatrixRep, table: CharacterTable) -> int:
 
 def dual_rep(rep: MatrixRep) -> MatrixRep:
     """Contragredient action rho(g^-1)^T on the dual basis."""
-    mats = rep.mats[list(rep.group.inv)].transpose(0, 2, 1) % rep.p
+    mats = rep.mats[list(rep.group.inv)].transpose(0, 2, 1)
     return MatrixRep(rep.group, rep.p, mats, validate=False)
 
 
@@ -427,9 +430,7 @@ def subgroup_invariants(rep: MatrixRep, h: Subgroup, table: CharacterTable) -> n
     from .characters import restrict_invariant_dim
 
     p = rep.p
-    acc = np.zeros((rep.dim, rep.dim), dtype=np.int64)
-    for x in h.element_indices:
-        acc = (acc + rep.mats[x]) % p
+    acc = rep.mats[list(h.element_indices)].sum(axis=0) % p
     proj = acc * inv_mod(h.order % p, p) % p
     basis = linalg.row_space(proj.T, p)
     _, rtype = decompose(rep, table)
@@ -517,8 +518,8 @@ def _one_copy(group: Group, p: int, basis: np.ndarray, n_i: int) -> np.ndarray:
         # R_a e_c = sum_h a_h e_{c*h}; c -> c*h is a bijection for each c
         right[group.mult, cols] = [rng.randrange(p) for _ in range(n)]
         # coordinates c with c @ basis = basis @ R_a^T; R_a acts on them as c^T
-        coords = (basis @ right.T % p)[:, pivots] @ inv % p
+        coords = linalg.matmul(linalg.matmul(basis, right.T, p)[:, pivots], inv, p)
         for null in linalg.eigenspaces(coords.T, p, complete=False):
             if null.shape[0] == n_i:
-                return null @ basis % p
+                return linalg.matmul(null, basis, p)
     raise SplitFailure("no right translation cut the isotypic component down to one copy")

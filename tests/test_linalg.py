@@ -1,0 +1,152 @@
+"""The exact F_p product `linalg.matmul` against a Python-int oracle."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+import isotypic as iso
+from isotypic import cover, linalg
+from isotypic.arith import MAX_MODULUS
+
+
+def oracle(a, b, p):
+    """(sum a*b) mod p in Python integers, with numpy's matmul shapes."""
+    return np.asarray(np.asarray(a).astype(object) @ np.asarray(b).astype(object) % p, dtype=np.int64)
+
+
+def residues(rng, shape, p):
+    return rng.integers(0, p, size=shape, dtype=np.int64)
+
+
+@pytest.fixture
+def float_calls(monkeypatch):
+    """Send every float64 product through the blocked loop and count its calls,
+    to tell which path ran."""
+    monkeypatch.setattr(linalg, "BLOCK_WORK", 0)
+    calls = []
+    gemm = linalg._float_gemm
+
+    def spy(a, b, out):
+        calls.append(a.shape)
+        gemm(a, b, out)
+
+    monkeypatch.setattr(linalg, "_float_gemm", spy)
+    return calls
+
+
+@pytest.mark.parametrize("k, path", [(7, "float"), (8, "int64")])
+def test_matmul_at_the_float_bound(k, path, float_calls):
+    # p - 1 = 2^25, so k (p-1)^2 is 7 * 2^50 (below 2^53) or exactly 2^53
+    p = 2**25 + 1
+    assert (k * (p - 1) ** 2 < linalg.FLOAT_EXACT) == (path == "float")
+    rng = np.random.default_rng(k)
+    a = residues(rng, (5, k), p)
+    b = residues(rng, (k, 6), p)
+    a[0], b[:, 0] = p - 1, p - 1  # one entry is the largest possible sum
+    got = linalg.matmul(a, b, p)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, oracle(a, b, p))
+    assert int(got[0, 0]) == k * (p - 1) ** 2 % p
+    assert bool(float_calls) == (path == "float")
+
+
+def test_matmul_int64_path_where_float_rounds(float_calls):
+    # at the largest modulus a 5-term sum exceeds 2^53 and float64 would round
+    p = MAX_MODULUS
+    rng = np.random.default_rng(5)
+    # entries near p - 1, so the sums pass 2^53, where float64 steps by 2
+    a, b = p - 1 - residues(rng, (4, 5), 1000), p - 1 - residues(rng, (5, 3), 1000)
+    assert not np.array_equal((a.astype(float) @ b.astype(float)).astype(np.int64) % p, oracle(a, b, p))
+    assert np.array_equal(linalg.matmul(a, b, p), oracle(a, b, p))
+    assert not float_calls
+
+
+@pytest.mark.parametrize(
+    "ashape, bshape",
+    [((3, 0), (0, 4)), ((0, 5), (5, 3)), ((3, 5), (5, 0)), ((2, 0, 3), (3, 4)),
+     ((2, 3, 0), (0, 4)), ((0,), (0, 2)), ((4, 0), (0,)), ((0, 2, 2), (2, 2))],
+)
+def test_matmul_zero_size(ashape, bshape):
+    p = 10009
+    rng = np.random.default_rng(0)
+    a, b = residues(rng, ashape, p), residues(rng, bshape, p)
+    got = linalg.matmul(a, b, p)
+    assert got.shape == (a @ b).shape
+    assert not got.any()
+
+
+def test_matmul_stacked_and_transposed():
+    p = 10009
+    rng = np.random.default_rng(1)
+    stack = residues(rng, (4, 5, 6), p)
+    mat = residues(rng, (6, 5), p)
+    cases = [
+        (stack, mat),  # stacked left operand
+        (mat, stack),  # stacked right operand
+        (stack, stack.transpose(0, 2, 1)),  # stacked on both sides
+        (stack.transpose(0, 2, 1), mat.T),  # non-contiguous operands
+        (mat.T[::2], stack[1:, ::-1].transpose(0, 2, 1)),  # strided and reversed views
+        (residues(rng, (1, 4, 6), p), stack.transpose(0, 2, 1)),  # broadcast batch
+        (stack[0, 0], mat),  # vector times matrix
+        (stack, mat[:, 0]),  # matrix times vector
+        (mat[:, 0], stack[0, 0]),  # two vectors
+    ]
+    for a, b in cases:
+        want = oracle(a, b, p)
+        got = linalg.matmul(a, b, p)
+        assert got.shape == want.shape and got.dtype == np.int64
+        assert np.array_equal(got, want)
+
+
+def test_matmul_spans_several_blocks(monkeypatch):
+    p = 10009
+    rng = np.random.default_rng(2)
+    # at the default sizes: blocks of BLOCK_WORK / (k n) rows, three and a tail
+    a, b = residues(rng, (3 * linalg.BLOCK_WORK // 64 + 5, 8), p), residues(rng, (8, 8), p)
+    assert np.array_equal(linalg.matmul(a, b, p), oracle(a, b, p))
+    # tiny blocks split both the rows of a and the columns of b, with ragged tails
+    monkeypatch.setattr(linalg, "BLOCK_CELLS", 50)
+    monkeypatch.setattr(linalg, "BLOCK_WORK", 200)
+    a, b = residues(rng, (37, 9), p), residues(rng, (9, 23), p)
+    assert np.array_equal(linalg.matmul(a, b, p), oracle(a, b, p))
+    coef, mats = residues(rng, 24, p), residues(rng, (24, 7, 7), p)
+    assert np.array_equal(linalg.matmul(coef, mats.reshape(24, 49), p), oracle(coef, mats.reshape(24, 49), p))
+
+
+def test_matrix_rep_copies_only_validated_input(ctx):
+    c = ctx("S3")
+    perm = iso.permutation_rep(c.group, c.p).mats
+    unreduced = perm + c.p  # the same representation, every entry shifted by p
+    before = unreduced.copy()
+    rep = iso.MatrixRep(c.group, c.p, unreduced)
+    assert np.array_equal(unreduced, before)
+    assert np.array_equal(rep.mats, perm)
+    # without validation the representation owns the array and reduces it in place
+    owned = iso.MatrixRep(c.group, c.p, unreduced, validate=False)
+    assert np.array_equal(owned.mats, perm)
+    assert np.shares_memory(owned.mats, unreduced)
+
+
+def test_piece_projectors_built_once_per_degree_and_irreducible(ctx, monkeypatch):
+    c = ctx("S3")
+    action = iso.perm_action(c.group, c.p)
+    built = []
+    projector = cover.isotypic_projector
+
+    def spy(rep, l, table):
+        built.append((rep.dim, l))
+        return projector(rep, l, table)
+
+    monkeypatch.setattr(cover, "isotypic_projector", spy)
+    for i in range(c.table.num_irreps):
+        for j in range(c.table.num_irreps):
+            for a in (1, 2):
+                for b in range(a, 3):
+                    assert iso.product_structure_check(action, i, j, a, b, c.table).ok
+    assert len(built) == len(set(built))
+    assert set(action._projectors) <= {(d, l) for d in (2, 3, 4) for l in range(3)}
+    assert all(
+        np.array_equal(p_dl, iso.isotypic_projector(action.piece(d).rep, l, c.table))
+        for (d, l), p_dl in action._projectors.items()
+    )
