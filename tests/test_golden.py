@@ -5,8 +5,10 @@ FILE` before the eigenvalue search moved from a scan over F_p to root
 finding; the verify-all, cover, decompose and cyclic files were written
 the same way before irreducible models came from right translations, and
 `cover_S4_perm4_d8.json`, the only four-variable report, before the graded
-pieces came from the shared symmetric power.  They pin element order,
-class order, row order and every value.
+pieces came from the shared symmetric power.  `cyclic_n3.json` (its
+determinant has the non-trivial unit 6), `cyclic_n4_laurent.json` and
+`cyclic_n6.json` were written before phi was factored as C·diag(y^e).
+They pin element order, class order, row order and every value.
 """
 
 from __future__ import annotations
@@ -32,7 +34,10 @@ REPORT_CASES = {
     "cover_D4_reflection_d8.json": ["cover", "--group", "D4", "--action", "reflection", "--max-degree", "8"],
     "cover_S4_perm4_d8.json": ["cover", "--group", "S4", "--action", "perm4", "--max-degree", "8"],
     "decompose_S4_regular.json": ["decompose", "--group", "S4", "--rep", "regular"],
+    "cyclic_n3.json": ["cyclic", "--n", "3"],
     "cyclic_n4.json": ["cyclic", "--n", "4"],
+    "cyclic_n4_laurent.json": ["cyclic", "--n", "4", "--variant", "laurent"],
+    "cyclic_n6.json": ["cyclic", "--n", "6"],
 }
 
 
