@@ -291,10 +291,6 @@ class RatFunc:
     def const(cls, p: int, c: int) -> "RatFunc":
         return cls(Poly.const(p, c), Poly.const(p, 1))
 
-    @classmethod
-    def from_poly(cls, f: Poly) -> "RatFunc":
-        return cls(f, Poly.const(f.p, 1))
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 

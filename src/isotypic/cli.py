@@ -22,7 +22,7 @@ from . import cyclic as cyclic_mod
 from .arith import MAX_MODULUS, choose_prime, is_prime
 from .characters import central_idempotents, character_table, convolve, splitting_element
 from .cover import VerificationOutcome
-from .errors import IsotypicError
+from .errors import IsotypicError, SingularMatrix
 from .groups import Group, conjugacy_classes, exponent, group_from_name, group_from_text
 from .polymat import as_unit_times_power
 from .reps import (
@@ -39,6 +39,7 @@ SCHEMA = 1
 VERIFY_GROUPS = ("C2", "C3", "C4", "C6", "S3", "D4", "Q8", "A4")
 COVER_SCENARIOS = (("C2", "scalar"), ("C3", "scalar"), ("C4", "scalar"), ("S3", "perm"), ("D4", "reflection"))
 CYCLIC_DEGREES = (2, 3, 4, 6)
+MAX_CYCLIC_DEGREE = 32  # the phi report lists all n^4 entries
 
 
 @dataclass
@@ -372,6 +373,10 @@ def cmd_cyclic(n, variant, fmt, out):
     """Explicit cyclic cover: phi matrix, determinant, divisors, normal basis."""
     if n < 1:
         raise click.UsageError("--n must be positive")
+    if n > MAX_CYCLIC_DEGREE:
+        raise click.UsageError(
+            f"--n must be at most {MAX_CYCLIC_DEGREE}: the report lists all n^4 = {n**4} entries of phi"
+        )
     seed = _env_seed()
     model = cyclic_mod.build_cyclic(n, variant)
     doc = cyclic_report(model, seed)
@@ -382,8 +387,12 @@ def cmd_cyclic(n, variant, fmt, out):
 def cyclic_report(model: cyclic_mod.CyclicCoverModel, seed: int = 0) -> dict:
     """All cyclic-model checks as a JSON-ready document."""
     phi = cyclic_mod.phi_matrix(model)
-    det = cyclic_mod.phi_det(model)
-    divisors = cyclic_mod.phi_elementary_divisors(model)
+    det = cyclic_mod.phi_det(model, phi)
+    try:
+        divisors = cyclic_mod.phi_elementary_divisors(model, phi, det)
+        div_witness = None
+    except SingularMatrix as exc:
+        divisors, div_witness = None, _error_witness(exc, det=list(det.coeffs))
     witness = cyclic_mod.normal_basis_element(model, seed=seed)
     powers = cyclic_mod.decompose_pushforward(model)
     outcomes = []
@@ -398,17 +407,16 @@ def cyclic_report(model: cyclic_mod.CyclicCoverModel, seed: int = 0) -> dict:
     outcomes.append(VerificationOutcome("cyclic.phi_det", anchor, det_ok,
                                         None if det_ok else {"det": list(det.coeffs)}))
 
-    div_ok = all(as_unit_times_power(d) is not None for d in divisors) and len(divisors) == model.n**2
     outcomes.append(
         VerificationOutcome(
             "cyclic.elementary_divisors",
             "all invariant factors are powers of y",
-            div_ok,
-            None if div_ok else {"divisors": [list(d.coeffs) for d in divisors]},
+            div_witness is None,
+            div_witness,
         )
     )
 
-    equiv_ok = cyclic_mod.phi_equivariance_check(model)
+    equiv_ok = cyclic_mod.phi_equivariance_check(model, phi)
     outcomes.append(
         VerificationOutcome(
             "cyclic.equivariance",
@@ -433,7 +441,7 @@ def cyclic_report(model: cyclic_mod.CyclicCoverModel, seed: int = 0) -> dict:
         "phi_matrix": [[list(e.coeffs) for e in row] for row in phi.entries],
         "phi_det": list(det.coeffs),
         "phi_det_factor": {"unit": mono[0], "y_power": mono[1]} if mono else None,
-        "elementary_divisors": [list(d.coeffs) for d in divisors],
+        "elementary_divisors": None if divisors is None else [list(d.coeffs) for d in divisors],
         "normal_basis": {
             "coeffs": [list(c.coeffs) for c in witness.coeffs],
             "determinant": list(witness.determinant.coeffs),

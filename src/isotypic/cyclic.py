@@ -7,11 +7,14 @@ n-th root of unity, so the weight of x^j is zeta^j and each character
 component of B is a free rank-1 A-module A x^j.
 
 The comparison map phi : B (x)_A B -> (+)_{g} B sends m (x) b to the
-tuple (m * g^-1(b))_g.  Its matrix over A has monomial entries; the
-determinant is a unit times y^(n(n-1)/2), so in the polynomial variant
-the cokernel is supported exactly over y = 0 (the image of the ramified
-point x = 0) while in the Laurent variant y is a unit and phi is an
-isomorphism.
+tuple (m * g^-1(b))_g.  Column x^i (x) x^j of its matrix over A is a
+constant column times y^e with e = (i + j) div n, so phi = C·diag(y^e)
+with C constant over F_p, and `polymat` reads everything off that
+factorization: det(phi) = det(C)·y^(n(n-1)/2), and when det(C) != 0 the
+invariant factors are n(n+1)/2 ones and n(n-1)/2 copies of y.  In the
+polynomial variant the cokernel is supported exactly over y = 0 (the
+image of the ramified point x = 0); in the Laurent variant y is a unit
+and phi is an isomorphism.
 """
 
 from __future__ import annotations
@@ -19,12 +22,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .arith import Poly, choose_prime, primitive_root
 from .characters import CharacterTable, character_table
 from .errors import SearchExhausted
 from .groups import Group, conjugacy_classes, group_from_name, subgroup_closure
-from .linalg import inv_mod
-from .polymat import bareiss_det, mat_equal, matmul, smith_normal_form
+from .linalg import det, inv_mod, matmul
+from .polymat import factored_det, factored_invariant_factors
 
 VARIANTS = ("polynomial", "laurent")
 
@@ -59,16 +64,30 @@ class CyclicCoverModel:
 
 @dataclass
 class PhiMatrix:
-    """Matrix of phi in the frozen bases.
+    """Matrix of phi in the frozen bases, stored as phi = C·diag(y^e).
 
     Source: x^i (x) x^j with (i, j) lexicographic.  Target: pairs
     (group element index u, power v) ordered by (u, v), the block u
-    holding the component at g^u.  Entries are polynomials in y of
-    degree <= 1.
+    holding the component at g^u.  `const` is C over F_p and `powers`
+    is e, one exponent (0 or 1) per column.
     """
 
     n: int
-    entries: list[list[Poly]]
+    p: int
+    const: np.ndarray
+    powers: np.ndarray
+
+    @property
+    def entries(self) -> list[list[Poly]]:
+        """Entry (r, c) = C[r, c]·y^e[c] as a polynomial in y.
+
+        Equal entries share one (immutable) `Poly`.
+        """
+        powers = self.powers.tolist()
+        shared = {
+            (c, k): Poly.monomial(self.p, c, k) for c in np.unique(self.const).tolist() for k in set(powers)
+        }
+        return [[shared[c, k] for c, k in zip(row, powers)] for row in self.const.tolist()]
 
 
 @dataclass
@@ -155,71 +174,73 @@ def intermediate_fixed_ring(model: CyclicCoverModel, m: int) -> tuple[int, ...]:
 
 
 def phi_matrix(model: CyclicCoverModel) -> PhiMatrix:
-    """Matrix of m (x) b -> (m * g^-u(b))_u over A = F_p[y].
+    """phi = C·diag(y^e) for m (x) b -> (m * g^-u(b))_u over A = F_p[y].
 
     phi(x^i (x) x^j) lands in slot u as zeta^(-uj) x^(i+j); reducing
-    x^(i+j) to the basis gives a factor y when i + j >= n.
+    x^(i+j) to the basis gives the factor y^e with e = (i + j) div n.
     """
     n, p = model.n, model.p
     zeta_inv = inv_mod(model.zeta, p)
-    size = n * n
-    entries = [[Poly(p) for _ in range(size)] for _ in range(size)]
-    for i in range(n):
-        for j in range(n):
-            col = i * n + j
-            v = (i + j) % n
-            carry = (i + j) // n  # 0 or 1
-            for u in range(n):
-                c = pow(zeta_inv, u * j, p)
-                entries[u * n + v][col] = Poly.monomial(p, c, carry)
-    mat = PhiMatrix(n, entries)
-    for row in mat.entries:
-        for e in row:
-            if e.degree > 1:
-                raise AssertionError("phi entries must have degree <= 1 in y")
-    return mat
+    inv_powers = np.array([pow(zeta_inv, k, p) for k in range(n)], dtype=np.int64)
+    cols = np.arange(n * n)
+    i, j = np.divmod(cols, n)
+    u = np.arange(n)[:, None]
+    const = np.zeros((n * n, n * n), dtype=np.int64)
+    const[u * n + (i + j) % n, cols] = inv_powers[u * j % n]
+    return PhiMatrix(n, p, const, (i + j) // n)
 
 
-def phi_det(model: CyclicCoverModel) -> Poly:
-    """Determinant of phi by fraction-free elimination over F_p[y]."""
-    return bareiss_det(phi_matrix(model).entries)
+def phi_det(model: CyclicCoverModel, phi: PhiMatrix | None = None) -> Poly:
+    """det(phi) = det(C)·y^(sum e)."""
+    if phi is None:
+        phi = phi_matrix(model)
+    return factored_det(phi.const, phi.powers, model.p)
 
 
-def phi_elementary_divisors(model: CyclicCoverModel) -> list[Poly]:
-    """Monic invariant factors of the phi matrix over F_p[y]."""
-    return smith_normal_form(phi_matrix(model).entries)
+def phi_elementary_divisors(
+    model: CyclicCoverModel, phi: PhiMatrix | None = None, determinant: Poly | None = None
+) -> list[Poly]:
+    """Monic invariant factors of phi over F_p[y].
+
+    They are y^e in ascending order, certified by det(phi) != 0 (that is,
+    C invertible); a singular C raises `SingularMatrix`.  Pass `phi` and
+    its `phi_det` to reuse them.
+    """
+    if phi is None:
+        phi = phi_matrix(model)
+    if determinant is None:
+        determinant = phi_det(model, phi)
+    return factored_invariant_factors(determinant, phi.powers)
 
 
-def phi_equivariance_check(model: CyclicCoverModel) -> bool:
+def phi_equivariance_check(model: CyclicCoverModel, phi: PhiMatrix | None = None) -> bool:
     """phi intertwines the two commuting cyclic actions.
 
     Source actions (h = generator): 1 (x) h scales x^i (x) x^j by zeta^j,
     h (x) 1 scales by zeta^i.  Target actions: left translation permutes
     the blocks u -> h u; the twisted action shifts u -> u h^-1 and applies
     h inside the component (x^v scales by zeta^v).  Both identities
-    phi S = T phi must hold as matrices over A.
+    phi S = T phi must hold over A.  S and diag(y^e) are diagonal, so they
+    commute, and diag(y^e) is invertible over Frac(A): phi S = T phi holds
+    exactly when C S = T C, which is checked on constant matrices.
     """
     n, p = model.n, model.p
-    phi = phi_matrix(model).entries
+    if phi is None:
+        phi = phi_matrix(model)
     size = n * n
-
-    def diag(scale_of_col):
-        return [
-            [Poly.const(p, scale_of_col(c)) if r == c else Poly(p) for c in range(size)]
-            for r in range(size)
-        ]
-
-    s_right = diag(lambda c: model.weight(c % n))  # 1 (x) h
-    s_left = diag(lambda c: model.weight(c // n))  # h (x) 1
-    t_translate = [[Poly(p) for _ in range(size)] for _ in range(size)]
-    t_twist = [[Poly(p) for _ in range(size)] for _ in range(size)]
-    for u in range(n):
-        for v in range(n):
-            col = u * n + v
-            t_translate[((u + 1) % n) * n + v][col] = Poly.const(p, 1)
-            t_twist[((u - 1) % n) * n + v][col] = Poly.const(p, model.weight(v))
-    return mat_equal(matmul(phi, s_right), matmul(t_translate, phi)) and mat_equal(
-        matmul(phi, s_left), matmul(t_twist, phi)
+    weights = np.array([model.weight(k) for k in range(n)], dtype=np.int64)
+    cols = np.arange(size)
+    u, v = np.divmod(cols, n)
+    s_right = np.diag(weights[v])  # 1 (x) h
+    s_left = np.diag(weights[u])  # h (x) 1
+    t_translate = np.zeros((size, size), dtype=np.int64)
+    t_translate[(u + 1) % n * n + v, cols] = 1
+    t_twist = np.zeros((size, size), dtype=np.int64)
+    t_twist[(u - 1) % n * n + v, cols] = weights[v]
+    c = phi.const
+    return all(
+        np.array_equal(matmul(c, s, p), matmul(t, c, p))
+        for s, t in ((s_right, t_translate), (s_left, t_twist))
     )
 
 
@@ -228,8 +249,9 @@ def normal_basis_element(model: CyclicCoverModel, seed: int = 0) -> NormalBasisW
 
     Deterministic candidate order: 1 + x, then 1 + x + ... + x^(n-1),
     then seeded random constant coefficient vectors.  The certificate is
-    the determinant of the translate matrix (an identity in y), which a
-    density argument makes nonzero for some early candidate.
+    the determinant of the translate matrix [cand_i zeta^(ij)], a constant
+    matrix over F_p, which a density argument makes nonzero for some early
+    candidate.
     """
     n, p = model.n, model.p
     rng = random.Random(seed)
@@ -243,13 +265,12 @@ def normal_basis_element(model: CyclicCoverModel, seed: int = 0) -> NormalBasisW
         for _ in range(1000):
             yield tuple(rng.randrange(p) for _ in range(n))
 
+    zeta_powers = np.array(
+        [[pow(model.zeta, i * j, p) for j in range(n)] for i in range(n)], dtype=np.int64
+    )
     for cand in candidates():
-        mat = [
-            [Poly.const(p, cand[i] * pow(model.zeta, i * j, p)) for j in range(n)]
-            for i in range(n)
-        ]
-        det = bareiss_det(mat)
-        if not det.is_zero():
+        d = det(np.array(cand, dtype=np.int64)[:, None] * zeta_powers % p, p)
+        if d:
             coeffs = tuple(Poly.const(p, c) for c in cand)
-            return NormalBasisWitness(coeffs, det)
+            return NormalBasisWitness(coeffs, Poly.const(p, d))
     raise SearchExhausted("no normal-basis element found in 1000 candidates")

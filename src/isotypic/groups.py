@@ -74,12 +74,6 @@ class Permutation:
                 out.append(tuple(cyc))
         return out
 
-    def cycle_string(self) -> str:
-        cycs = self.cycles()
-        if not cycs:
-            return "()"
-        return "".join("(" + " ".join(str(i) for i in c) + ")" for c in cycs)
-
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
 

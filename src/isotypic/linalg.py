@@ -193,7 +193,7 @@ def det(a: np.ndarray, p: int) -> int:
             d = -d
         d = d * int(m[col, col]) % p
         c = m[col + 1 :, col] * inv_mod(int(m[col, col]), p) % p
-        m[col + 1 :] = (m[col + 1 :] - np.outer(c, m[col])) % p
+        m[col + 1 :, col + 1 :] = (m[col + 1 :, col + 1 :] - np.outer(c, m[col, col + 1 :])) % p
     return d % p
 
 
@@ -205,12 +205,6 @@ def coords_in_rowspace(basis: np.ndarray, vectors: np.ndarray, p: int) -> np.nda
     """
     c = solve(basis.T % p, vectors.T % p, p)
     return c.T
-
-
-def same_row_space(a: np.ndarray, b: np.ndarray, p: int) -> bool:
-    ra = row_space(asmat(a, p), p)
-    rb = row_space(asmat(b, p), p)
-    return ra.shape == rb.shape and bool(np.array_equal(ra, rb))
 
 
 def charpoly(a: np.ndarray, p: int) -> list[int]:

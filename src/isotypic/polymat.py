@@ -1,161 +1,44 @@
-"""Matrices over the univariate polynomial ring F_p[y].
+"""Matrices over F_p[y] of the form C·diag(y^e).
 
-Provides the fraction-free (Bareiss) determinant and a Smith-style
-diagonalization using the Euclidean degree function, both with
-deterministic pivoting.
+C is a constant square matrix over F_p and e a vector of exponents, one
+per column.  Such a matrix needs no elimination over F_p[y]:
+
+- its determinant is det(C)·y^(sum e);
+- when det(C) != 0, C is invertible over F_p[y], so C·diag(y^e) and
+  diag(y^e) have the same Smith form (Newman, *Integral Matrices*, 1972,
+  ch. II), and the monic invariant factors are y^e in ascending order.
+
+When det(C) = 0 the rule says nothing about the Smith form, and
+`factored_invariant_factors` refuses to answer.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from .arith import Poly
+from .errors import SingularMatrix
+from .linalg import det
 
 
-def const_matrix(p: int, rows) -> list[list[Poly]]:
-    return [[Poly.const(p, int(c)) for c in row] for row in rows]
+def factored_det(const: np.ndarray, powers: np.ndarray, p: int) -> Poly:
+    """det(C·diag(y^e)) = det(C)·y^(sum e)."""
+    return Poly.monomial(p, det(const, p), int(np.sum(powers)))
 
 
-def matmul(a: list[list[Poly]], b: list[list[Poly]]) -> list[list[Poly]]:
-    p = a[0][0].p
-    n, k, m = len(a), len(b), len(b[0])
-    out = [[Poly(p) for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        for l in range(k):
-            e = a[i][l]
-            if e.is_zero():
-                continue
-            for j in range(m):
-                if not b[l][j].is_zero():
-                    out[i][j] = out[i][j] + e * b[l][j]
-    return out
+def factored_invariant_factors(determinant: Poly, powers: np.ndarray) -> list[Poly]:
+    """Monic invariant factors of C·diag(y^e) from its determinant.
 
-
-def mat_equal(a, b) -> bool:
-    return len(a) == len(b) and all(
-        len(ra) == len(rb) and all(x == y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-    )
-
-
-def bareiss_det(matrix: list[list[Poly]]) -> Poly:
-    """Determinant by fraction-free Gaussian elimination.
-
-    Intermediate entries are minors of the input, so every division is
-    exact in F_p[y].  Rows are swapped onto zero pivots (first nonzero
-    below), with the sign tracked.
+    The determinant (from `factored_det`) is nonzero exactly when C is
+    invertible, which is what makes y^e, sorted, the Smith form; a zero
+    determinant raises `SingularMatrix`.
     """
-    m = [row[:] for row in matrix]
-    n = len(m)
-    if n == 0:
-        return Poly.const(1 if not matrix else matrix[0][0].p, 1)
-    p = m[0][0].p
-    if any(len(row) != n for row in m):
-        raise ValueError("determinant requires a square matrix")
-    sign = 1
-    prev = Poly.const(p, 1)
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            pivot_row = next((i for i in range(k + 1, n) if not m[i][k].is_zero()), None)
-            if pivot_row is None:
-                return Poly(p)
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]).exact_div(prev)
-            m[i][k] = Poly(p)
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
+    if determinant.is_zero():
+        raise SingularMatrix("C is singular, so the Smith form of C·diag(y^e) cannot be read off e")
+    return [Poly.monomial(determinant.p, 1, k) for k in sorted(int(k) for k in powers)]
 
 
-def smith_normal_form(matrix: list[list[Poly]]) -> list[Poly]:
-    """Diagonal of the Smith normal form over F_p[y].
-
-    Returns the monic invariant factors d_1 | d_2 | ... (zeros omitted).
-    Pivots are chosen by minimum (degree, row, column).
-    """
-    m = [row[:] for row in matrix]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    if rows == 0 or cols == 0:
-        return []
-    p = m[0][0].p
-    divisors: list[Poly] = []
-    k = 0
-    while k < min(rows, cols):
-        pivot = None
-        best = None
-        for i in range(k, rows):
-            for j in range(k, cols):
-                if not m[i][j].is_zero():
-                    key = (m[i][j].degree, i, j)
-                    if best is None or key < best:
-                        best = key
-                        pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        if pi != k:
-            m[k], m[pi] = m[pi], m[k]
-        if pj != k:
-            for row in m:
-                row[k], row[pj] = row[pj], row[k]
-
-        while True:
-            # clear the pivot column
-            dirty = False
-            for i in range(k + 1, rows):
-                if m[i][k].is_zero():
-                    continue
-                q = m[i][k] // m[k][k]
-                for j in range(k, cols):
-                    m[i][j] = m[i][j] - q * m[k][j]
-                if not m[i][k].is_zero():  # remainder has smaller degree
-                    m[k], m[i] = m[i], m[k]
-                    dirty = True
-            if dirty:
-                continue
-            # clear the pivot row
-            for j in range(k + 1, cols):
-                if m[k][j].is_zero():
-                    continue
-                q = m[k][j] // m[k][k]
-                for i in range(k, rows):
-                    m[i][j] = m[i][j] - q * m[i][k]
-                if not m[k][j].is_zero():
-                    for row in m:
-                        row[k], row[j] = row[j], row[k]
-                    dirty = True
-            if dirty:
-                continue
-            # pivot must divide the rest of the submatrix for the chain
-            offender = None
-            for i in range(k + 1, rows):
-                for j in range(k + 1, cols):
-                    if not (m[i][j] % m[k][k]).is_zero():
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            for j in range(k, cols):
-                m[k][j] = m[k][j] + m[offender][j]
-
-        divisors.append(m[k][k].monic())
-        k += 1
-
-    for a, b in zip(divisors, divisors[1:]):
-        if not (b % a).is_zero():
-            raise AssertionError("invariant factors fail the divisibility chain")
-    return divisors
-
-
-def as_unit_times_power(f: Poly, var_name: str = "y") -> tuple[int, int] | None:
+def as_unit_times_power(f: Poly) -> tuple[int, int] | None:
     """Write f as c * y^k; returns (c, k) or None when f is not a monomial."""
-    if f.is_zero():
-        return None
-    nonzero = [i for i, c in enumerate(f.coeffs) if c != 0]
-    if len(nonzero) != 1:
-        return None
-    k = nonzero[0]
-    return f.coeffs[k], k
+    nonzero = [k for k, c in enumerate(f.coeffs) if c]
+    return (f.coeffs[nonzero[0]], nonzero[0]) if len(nonzero) == 1 else None

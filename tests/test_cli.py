@@ -145,6 +145,14 @@ def test_cyclic_command(runner):
     assert len(doc["phi_matrix"]) == 16
 
 
+def test_cyclic_degree_bound(runner):
+    result = runner.invoke(main, ["cyclic", "--n", "33"])
+    assert result.exit_code == 2
+    assert "--n must be at most 32" in result.output
+    assert "Traceback" not in result.output
+    assert runner.invoke(main, ["cyclic", "--n", "0"]).exit_code == 2
+
+
 def test_cyclic_report_alias(runner, tmp_path):
     out = tmp_path / "out.json"
     result = runner.invoke(

@@ -11,7 +11,7 @@ from isotypic.arith import Poly, RatFunc
 from isotypic.cli import COVER_SCENARIOS, _builtin_action
 from isotypic.cover import _inverse_dets, cyclic_subgroups
 from isotypic.errors import NotFaithful
-from isotypic.polymat import bareiss_det
+from polymat_oracle import bareiss_det
 
 
 def scalar_ctx(ctx, n):

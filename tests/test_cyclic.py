@@ -7,8 +7,11 @@ import sympy
 
 import isotypic as iso
 from isotypic.arith import Poly
-from isotypic.cyclic import phi_matrix
-from isotypic.polymat import as_unit_times_power
+from isotypic.cli import cyclic_report
+from isotypic.cyclic import PhiMatrix, phi_matrix
+from isotypic.errors import SingularMatrix
+from isotypic.polymat import as_unit_times_power, factored_det, factored_invariant_factors
+from polymat_oracle import bareiss_det, mat_equal, matmul, smith_normal_form
 
 
 def berkowitz_det(matrix):
@@ -180,3 +183,106 @@ def test_phi_entry_degree_bound():
         for row in phi_matrix(iso.build_cyclic(n)).entries:
             for e in row:
                 assert e.degree <= 1
+
+
+def oracle_equivariance(model, entries):
+    """phi S = T phi as products of matrices over F_p[y]."""
+    n, p = model.n, model.p
+    size = n * n
+
+    def diag(scale_of_col):
+        return [
+            [Poly.const(p, scale_of_col(c)) if r == c else Poly(p) for c in range(size)]
+            for r in range(size)
+        ]
+
+    s_right = diag(lambda c: model.weight(c % n))
+    s_left = diag(lambda c: model.weight(c // n))
+    t_translate = [[Poly(p) for _ in range(size)] for _ in range(size)]
+    t_twist = [[Poly(p) for _ in range(size)] for _ in range(size)]
+    for u in range(n):
+        for v in range(n):
+            col = u * n + v
+            t_translate[((u + 1) % n) * n + v][col] = Poly.const(p, 1)
+            t_twist[((u - 1) % n) * n + v][col] = Poly.const(p, model.weight(v))
+    return mat_equal(matmul(entries, s_right), matmul(t_translate, entries)) and mat_equal(
+        matmul(entries, s_left), matmul(t_twist, entries)
+    )
+
+
+@pytest.mark.parametrize("variant", iso.cyclic.VARIANTS)
+@pytest.mark.parametrize("n", range(1, 9))
+def test_factored_phi_matches_elimination_oracle(n, variant):
+    # determinant, invariant factors, equivariance and the normal-basis
+    # certificate against elimination over F_p[y] on the Poly entries
+    model = iso.build_cyclic(n, variant)
+    p = model.p
+    phi = phi_matrix(model)
+    entries = phi.entries
+    det = iso.phi_det(model, phi)
+    assert det == bareiss_det(entries)
+    divisors = iso.phi_elementary_divisors(model, phi, det)
+    assert divisors == [Poly.const(p, 1)] * (n * (n + 1) // 2) + [Poly.x(p)] * (n * (n - 1) // 2)
+    if n <= 6:
+        assert divisors == smith_normal_form(entries)
+    assert iso.phi_equivariance_check(model, phi)
+    assert oracle_equivariance(model, entries)
+    witness = iso.normal_basis_element(model)
+    translates = [
+        [c * Poly.const(p, pow(model.zeta, i * j, p)) for j in range(n)]
+        for i, c in enumerate(witness.coeffs)
+    ]
+    assert witness.determinant == bareiss_det(translates)
+
+
+@pytest.mark.parametrize("corruption", ("entry", "swap"))
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_equivariance_check_rejects_a_corrupted_phi(n, corruption):
+    model = iso.build_cyclic(n)
+    phi = phi_matrix(model)
+    const = phi.const.copy()
+    if corruption == "entry":
+        const[0, 0] = (const[0, 0] + 1) % model.p
+    else:
+        # swapping the columns of 1 (x) 1 and x (x) 1 keeps 1 (x) h
+        # equivariance (both have weight 1 there) and breaks h (x) 1
+        const[:, [0, n]] = const[:, [n, 0]]
+    bad = PhiMatrix(n, model.p, const, phi.powers)
+    assert not oracle_equivariance(model, bad.entries)
+    assert not iso.phi_equivariance_check(model, bad)
+
+
+def singular_phi(model):
+    # column 0 repeated in column 1: C is singular, e is unchanged
+    phi = phi_matrix(model)
+    const = phi.const.copy()
+    const[:, 1] = const[:, 0]
+    return PhiMatrix(model.n, model.p, const, phi.powers)
+
+
+def test_singular_const_has_no_invariant_factors():
+    model = iso.build_cyclic(3)
+    phi = singular_phi(model)
+    det = factored_det(phi.const, phi.powers, model.p)
+    assert det.is_zero() and bareiss_det(phi.entries).is_zero()
+    # the ones-and-y pattern would be wrong: the true Smith form has rank < 9
+    assert len(smith_normal_form(phi.entries)) < 9
+    with pytest.raises(SingularMatrix):
+        factored_invariant_factors(det, phi.powers)
+    with pytest.raises(SingularMatrix):
+        iso.phi_elementary_divisors(model, phi)
+
+
+@pytest.mark.parametrize("variant", iso.cyclic.VARIANTS)
+def test_cyclic_report_fails_on_singular_const(monkeypatch, variant):
+    model = iso.build_cyclic(3, variant)
+    monkeypatch.setattr(iso.cyclic, "phi_matrix", singular_phi)
+    doc = cyclic_report(model)
+    by_check = {o["check"]: o for o in doc["outcomes"]}
+    assert doc["pass"] is False
+    assert by_check["cyclic.phi_det"]["pass"] is False
+    assert by_check["cyclic.phi_det"]["witness"] == {"det": []}
+    divisors = by_check["cyclic.elementary_divisors"]
+    assert divisors["pass"] is False
+    assert divisors["witness"]["error"] == "SingularMatrix" and divisors["witness"]["det"] == []
+    assert doc["elementary_divisors"] is None
