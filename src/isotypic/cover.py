@@ -13,10 +13,16 @@ Per-degree multiplicities from projector ranks are true integers; series
 coefficients live in F_p, so series-side comparisons are congruences
 mod p.  The load-bearing cross-check between the two is mandatory at
 series construction and pins down the orientation conventions.
+
+`builtin_action` builds the named actions (perm, reflection, scalar) that
+the command line and the verify-all scenarios use.  `VerificationOutcome`
+is the one outcome type of every report: `pushforward_report` returns
+them in a `CoverReport`, and the cyclic and verify-all reports reuse it.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 
@@ -33,6 +39,7 @@ from .reps import (
     decompose,
     dual_rep,
     isotypic_projector,
+    permutation_rep,
     rep_from_matrices,
     trivial_rep,
 )
@@ -78,6 +85,8 @@ class LinearCoverAction:
 
     def piece(self, d: int) -> GradedPiece:
         if d not in self._pieces:
+            if d < 0:
+                raise ValueError("degree must be nonnegative")
             if d == 0:
                 rep = trivial_rep(self.group, self.p)
             elif d == 1:
@@ -134,16 +143,10 @@ class LinearCoverAction:
         }
 
 
-def validate_action(
-    group: Group, gen_mats, p: int, name: str = "custom", n: int = 1
-) -> LinearCoverAction:
-    """Extend generator matrices to a faithful action on coordinates.
-
-    `n` is only consulted for the generator-free trivial group, where it
-    fixes the number of variables.
-    """
-    rep = rep_from_matrices(group, p, gen_mats, dim=n)
-    return LinearCoverAction(group, p, rep, name=name)
+def validate_action(group: Group, gen_mats, p: int, name: str = "custom") -> LinearCoverAction:
+    """Extend generator matrices to a faithful action on coordinates (one
+    variable for the generator-free trivial group)."""
+    return LinearCoverAction(group, p, rep_from_matrices(group, p, gen_mats), name=name)
 
 
 # -- builtin actions -------------------------------------------------------------
@@ -151,40 +154,54 @@ def validate_action(
 
 def perm_action(group: Group, p: int) -> LinearCoverAction:
     """The defining permutation matrices acting on one variable per point."""
-    gen_mats = []
-    deg = group.degree
-    for g in group.generators:
-        m = np.zeros((deg, deg), dtype=np.int64)
-        m[np.array(g.images), np.arange(deg)] = 1
-        gen_mats.append(m)
-    return validate_action(group, gen_mats, p, name=f"perm{deg}")
+    return LinearCoverAction(group, p, permutation_rep(group, p), name=f"perm{group.degree}")
 
 
-def reflection_action(group: Group, p: int, n: int) -> LinearCoverAction:
+def reflection_action(group: Group, p: int) -> LinearCoverAction:
     """Two-dimensional rotation/reflection matrices for a dihedral group.
 
     Expects the builtin generator order (rotation, reflection): the
-    rotation becomes [[0, -1], [1, zeta + zeta^-1]] for zeta of order n,
-    the reflection swaps the two coordinates.
+    rotation becomes [[0, -1], [1, zeta + zeta^-1]] for zeta of order
+    |G|/2, the reflection swaps the two coordinates.
     """
-    zeta = root_of_unity(p, n)
+    zeta = root_of_unity(p, group.order // 2)
     trace = (zeta + linalg.inv_mod(zeta, p)) % p
     rot = np.array([[0, -1], [1, trace]], dtype=np.int64) % p
     ref = np.array([[0, 1], [1, 0]], dtype=np.int64)
     return validate_action(group, [rot, ref], p, name="reflection2")
 
 
-def scalar_action(group: Group, p: int, n: int) -> LinearCoverAction:
+def scalar_action(group: Group, p: int) -> LinearCoverAction:
     """One-variable action of a cyclic group: the generator scales by a
-    primitive n-th root of unity."""
-    zeta = root_of_unity(p, n)
+    primitive |G|-th root of unity."""
+    zeta = root_of_unity(p, group.order)
     return validate_action(group, [np.array([[zeta]], dtype=np.int64)], p, name="scalar1")
 
 
-def degree_piece(action: LinearCoverAction, d: int) -> GradedPiece:
-    if d < 0:
-        raise ValueError("degree must be nonnegative")
-    return action.piece(d)
+def builtin_action(group: Group, p: int, name: str) -> LinearCoverAction:
+    """The action named perm[<degree>], reflection[2] or scalar[1].
+
+    A name that does not fit the group raises ValueError.
+    """
+    m = re.fullmatch(r"(perm|reflection|scalar)(\d*)", name)
+    if not m:
+        raise ValueError(f"unknown builtin action {name!r}")
+    kind, size = m.group(1), m.group(2)
+    if kind == "perm":
+        if size and int(size) != group.degree:
+            raise ValueError(f"action perm{size} does not match the group degree {group.degree}")
+        return perm_action(group, p)
+    if kind == "reflection":
+        if not re.fullmatch(r"D\d+", group.name):
+            raise ValueError("reflection actions are defined for dihedral groups D<n>")
+        if size and int(size) != 2:
+            raise ValueError("reflection actions are two-dimensional")
+        return reflection_action(group, p)
+    if not re.fullmatch(r"C\d+", group.name):
+        raise ValueError("scalar actions are defined for cyclic groups C<n>")
+    if size and int(size) != 1:
+        raise ValueError("scalar actions are one-dimensional")
+    return scalar_action(group, p)
 
 
 # -- multiplicity series -----------------------------------------------------------
@@ -367,6 +384,11 @@ class VerificationOutcome:
     passed: bool
     witness: dict | None = None
 
+    @classmethod
+    def from_witness(cls, check: str, anchor: str, witness: dict | None) -> "VerificationOutcome":
+        """The outcome of a check that fails exactly when it has a witness."""
+        return cls(check, anchor, witness is None, witness)
+
     def to_dict(self) -> dict:
         d = {"check": self.check, "anchor": self.anchor, "pass": self.passed}
         if self.witness is not None:
@@ -425,80 +447,52 @@ def pushforward_report(
     dimension count holds for every cyclic subgroup, and component
     products respect the tensor vanishing pattern at small degrees.
     """
-    group, p = action.group, action.p
-    outcomes: list[VerificationOutcome] = []
+    group, p, r = action.group, action.p, table.num_irreps
+    degrees = list(table.degrees)
+    generic = [generic_multiplicity(action, i, table) for i in range(r)]
+    generic_witness = None if generic == degrees else {"generic": generic, "degrees": degrees}
 
-    generic = [generic_multiplicity(action, i, table) for i in range(table.num_irreps)]
-    outcomes.append(
-        VerificationOutcome(
-            "cover.generic_rank",
-            "rank of each multiplicity module equals the irreducible dimension",
-            generic == list(table.degrees),
-            None if generic == list(table.degrees) else {"generic": generic, "degrees": list(table.degrees)},
-        )
-    )
-
-    degree_table = []
-    series_ok = True
+    prefixes = [series_prefix(molien_multiplicity_series(action, i, table), max_degree) for i in range(r)]
+    degree_table = [list(action.piece_decomposition(d, table)[1]) for d in range(max_degree + 1)]
     series_witness = None
-    prefixes = [
-        series_prefix(molien_multiplicity_series(action, i, table), max_degree)
-        for i in range(table.num_irreps)
-    ]
-    for d in range(max_degree + 1):
-        mults = list(action.piece_decomposition(d, table)[1])
-        degree_table.append(mults)
-        for i in range(table.num_irreps):
-            if mults[i] % p != prefixes[i][d]:
-                series_ok = False
-                if series_witness is None:
-                    series_witness = {"degree": d, "irrep": i}
-    outcomes.append(
-        VerificationOutcome(
-            "cover.series_vs_projectors",
-            "series coefficients equal projector multiplicities (mod p)",
-            series_ok,
-            series_witness,
-        )
-    )
+    for d, mults in enumerate(degree_table):
+        for i in range(r):
+            if mults[i] % p != prefixes[i][d] and series_witness is None:
+                series_witness = {"degree": d, "irrep": i}
 
-    inv_ok = True
     inv_witness = None
     for h in cyclic_subgroups(group):
         for row in invariants_series_check(action, h, max_degree, table):
-            if not row.ok:
-                inv_ok = False
-                if inv_witness is None:
-                    inv_witness = {"subgroup": list(h.element_indices), "degree": row.d}
-    outcomes.append(
-        VerificationOutcome(
-            "cover.invariants",
-            "fixed-ring dimensions match the weighted multiplicity count",
-            inv_ok,
-            inv_witness,
-        )
-    )
+            if not row.ok and inv_witness is None:
+                inv_witness = {"subgroup": list(h.element_indices), "degree": row.d}
 
-    prod_ok = True
     prod_witness = None
-    for i in range(table.num_irreps):
-        for j in range(table.num_irreps):
+    for i in range(r):
+        for j in range(r):
             for a in range(1, product_degree + 1):
                 for b in range(a, product_degree + 1):
                     res = product_structure_check(action, i, j, a, b, table)
-                    if not res.ok:
-                        prod_ok = False
-                        if prod_witness is None:
-                            prod_witness = {"i": i, "j": j, "a": a, "b": b, "detail": res.witness}
-    outcomes.append(
-        VerificationOutcome(
-            "cover.product_pattern",
-            "component products vanish outside the tensor decomposition",
-            prod_ok,
-            prod_witness,
-        )
-    )
+                    if not res.ok and prod_witness is None:
+                        prod_witness = {"i": i, "j": j, "a": a, "b": b, "detail": res.witness}
 
+    outcomes = [
+        VerificationOutcome.from_witness(
+            "cover.generic_rank",
+            "rank of each multiplicity module equals the irreducible dimension",
+            generic_witness,
+        ),
+        VerificationOutcome.from_witness(
+            "cover.series_vs_projectors",
+            "series coefficients equal projector multiplicities (mod p)",
+            series_witness,
+        ),
+        VerificationOutcome.from_witness(
+            "cover.invariants", "fixed-ring dimensions match the weighted multiplicity count", inv_witness
+        ),
+        VerificationOutcome.from_witness(
+            "cover.product_pattern", "component products vanish outside the tensor decomposition", prod_witness
+        ),
+    ]
     return CoverReport(
         action,
         table,

@@ -15,6 +15,10 @@ invariant factors are n(n+1)/2 ones and n(n-1)/2 copies of y.  In the
 polynomial variant the cokernel is supported exactly over y = 0 (the
 image of the ramified point x = 0); in the Laurent variant y is a unit
 and phi is an isomorphism.
+
+`cyclic_report` runs every check on one model and returns a
+`CyclicReport` of `VerificationOutcome`s, as `cover.pushforward_report`
+does for graded covers.
 """
 
 from __future__ import annotations
@@ -26,10 +30,11 @@ import numpy as np
 
 from .arith import Poly, choose_prime, primitive_root
 from .characters import CharacterTable, character_table
-from .errors import SearchExhausted
+from .cover import VerificationOutcome
+from .errors import SearchExhausted, SingularMatrix, error_witness
 from .groups import Group, conjugacy_classes, group_from_name, subgroup_closure
 from .linalg import det, inv_mod, matmul
-from .polymat import factored_det, factored_invariant_factors
+from .polymat import as_unit_times_power, factored_det, factored_invariant_factors
 
 VARIANTS = ("polynomial", "laurent")
 
@@ -274,3 +279,73 @@ def normal_basis_element(model: CyclicCoverModel, seed: int = 0) -> NormalBasisW
             coeffs = tuple(Poly.const(p, c) for c in cand)
             return NormalBasisWitness(coeffs, Poly.const(p, d))
     raise SearchExhausted("no normal-basis element found in 1000 candidates")
+
+
+@dataclass
+class CyclicReport:
+    """The JSON-ready data of one cyclic model and its verification outcomes."""
+
+    data: dict
+    outcomes: list[VerificationOutcome]
+
+    @property
+    def passed(self) -> bool:
+        return all(o.passed for o in self.outcomes)
+
+    def to_dict(self) -> dict:
+        return {**self.data, "outcomes": [o.to_dict() for o in self.outcomes], "pass": self.passed}
+
+
+def cyclic_report(model: CyclicCoverModel, seed: int = 0) -> CyclicReport:
+    """Run every check on one cyclic model.
+
+    Checks: det(phi) is a unit times y^k (k >= 1 in the polynomial
+    variant, whose cokernel sits over the branch point), the invariant
+    factors are powers of y (certified by det(C) != 0), phi is equivariant,
+    and the normal-basis certificate is nonzero.  `seed` only drives the
+    fallback of the normal-basis search.
+    """
+    phi = phi_matrix(model)
+    determinant = phi_det(model, phi)
+    try:
+        divisors = phi_elementary_divisors(model, phi, determinant)
+        div_witness = None
+    except SingularMatrix as exc:
+        divisors, div_witness = None, error_witness(exc, det=list(determinant.coeffs))
+    mono = as_unit_times_power(determinant)
+    if model.variant == "polynomial":
+        det_ok = mono is not None and (mono[1] >= 1 or model.n == 1)
+        anchor = "det(phi) is a unit times y^k, k >= 1: cokernel supported over the branch point"
+    else:
+        det_ok = mono is not None
+        anchor = "det(phi) is invertible in the Laurent ring: phi is an isomorphism"
+    witness = normal_basis_element(model, seed=seed)
+    data = {
+        "model": model.to_dict(),
+        "component_powers": decompose_pushforward(model),
+        "phi_matrix": [[list(e.coeffs) for e in row] for row in phi.entries],
+        "phi_det": list(determinant.coeffs),
+        "phi_det_factor": {"unit": mono[0], "y_power": mono[1]} if mono else None,
+        "elementary_divisors": None if divisors is None else [list(d.coeffs) for d in divisors],
+        "normal_basis": {
+            "coeffs": [list(c.coeffs) for c in witness.coeffs],
+            "determinant": list(witness.determinant.coeffs),
+        },
+    }
+    outcomes = [
+        VerificationOutcome.from_witness("cyclic.phi_det", anchor, None if det_ok else {"det": data["phi_det"]}),
+        VerificationOutcome.from_witness(
+            "cyclic.elementary_divisors", "all invariant factors are powers of y", div_witness
+        ),
+        VerificationOutcome(
+            "cyclic.equivariance",
+            "phi intertwines the translation and twisted cyclic actions",
+            phi_equivariance_check(model, phi),
+        ),
+        VerificationOutcome(
+            "cyclic.normal_basis",
+            "translates of the witness element form a basis over Frac(A)",
+            not witness.determinant.is_zero(),
+        ),
+    ]
+    return CyclicReport(data, outcomes)

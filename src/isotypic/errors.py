@@ -5,6 +5,11 @@ class IsotypicError(Exception):
     """Base class for all library errors."""
 
 
+def error_witness(exc: Exception, **where) -> dict:
+    """What a failed check raised, and where (group, rep, irreducible)."""
+    return {"error": type(exc).__name__, "message": str(exc), **where}
+
+
 # -- group construction ------------------------------------------------------
 
 class InvalidPermutation(IsotypicError):
@@ -63,6 +68,10 @@ class NotAHomomorphism(IsotypicError):
     def __init__(self, message, word=None):
         super().__init__(message)
         self.word = word
+
+
+class SystemTooLarge(IsotypicError):
+    """An intertwiner system would exceed the cell limit of dense elimination."""
 
 
 class SingularMatrix(IsotypicError):

@@ -33,10 +33,15 @@ from .errors import (
     NotInjective,
     SingularMatrix,
     SplitFailure,
+    SystemTooLarge,
     WrongImage,
 )
 from .groups import ConjugacyClasses, Group, Subgroup
 from .linalg import inv_mod
+
+# Largest intertwiner system (rows x columns) built densely: 2^24 int64
+# cells are 128 MB, where S5's regular rep would need 28800 x 14400.
+MAX_SYSTEM_CELLS = 2**24
 
 class MatrixRep:
     """One invertible dim x dim matrix over F_p per group element."""
@@ -82,9 +87,6 @@ class MatrixRep:
                 )
         self.validation = "exhaustive"
 
-    def matrix(self, g: int) -> np.ndarray:
-        return self.mats[g]
-
     def to_dict(self) -> dict:
         return {
             "modulus": self.p,
@@ -111,22 +113,6 @@ class IsotypicDecomposition:
 
     def dims(self) -> tuple[int, ...]:
         return tuple(int(c.shape[0]) for c in self.components)
-
-
-@dataclass
-class MultiplicitySpace:
-    """Basis of the intertwiners from an irreducible model into a rep.
-
-    Each basis element T has shape (dim E, dim V) and satisfies
-    rho_E(g) T = T rho_V(g) for every g.
-    """
-
-    irrep_index: int
-    basis: list[np.ndarray]
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
 
 
 # -- constructors ---------------------------------------------------------------
@@ -302,10 +288,17 @@ def _intertwiner_system(r1: MatrixRep, r2: MatrixRep) -> np.ndarray:
     """Linear system whose null space is {T : T rho1(g) = rho2(g) T}.
 
     T has shape (dim2, dim1) and is flattened row-major; one block of
-    equations per generator suffices.
+    equations per generator suffices.  A system above MAX_SYSTEM_CELLS
+    raises SystemTooLarge before anything is allocated.
     """
     p = r1.p
     d1, d2 = r1.dim, r2.dim
+    rows, cols = len(r1.group.generator_indices) * d1 * d2, d1 * d2
+    if rows * cols > MAX_SYSTEM_CELLS:
+        raise SystemTooLarge(
+            f"the intertwiner system is {rows} x {cols} ({rows * cols} cells),"
+            f" above the limit of {MAX_SYSTEM_CELLS} cells"
+        )
     blocks = []
     for g_pos, g in enumerate(r1.group.generator_indices):
         a = np.kron(linalg.identity(d2), r1.mats[g].T)
@@ -339,6 +332,23 @@ def hom_dim(r1: MatrixRep, r2: MatrixRep, table: CharacterTable) -> int:
             f"nullity {nullity} and character value {char_val} disagree mod {p}"
         )
     return nullity
+
+
+def decomposition_report(rep: MatrixRep, table: CharacterTable) -> dict:
+    """Type, component dimensions and dim End_G(rep), JSON-ready.
+
+    `pass` holds when dim End_G(rep) from `hom_dim` equals the sum of the
+    squared multiplicities from `decompose`, as Schur's lemma requires.
+    """
+    decomp, rtype = decompose(rep, table)
+    endo = hom_dim(rep, rep, table)
+    return {
+        "dim": rep.dim,
+        "type": list(rtype.multiplicities),
+        "component_dims": list(decomp.dims()),
+        "endomorphism_dim": endo,
+        "pass": endo == sum(m * m for m in rtype.multiplicities),
+    }
 
 
 # -- functorial constructions -----------------------------------------------------
@@ -445,11 +455,6 @@ def subgroup_invariants(rep: MatrixRep, h: Subgroup, table: CharacterTable) -> n
     return basis
 
 
-def multiplicity_space(rep: MatrixRep, i: int, model: MatrixRep) -> MultiplicitySpace:
-    """Intertwiners from the irreducible model i into rep."""
-    return MultiplicitySpace(i, intertwiner_basis(model, rep))
-
-
 def evaluation_iso_check(
     rep: MatrixRep, i: int, table: CharacterTable, model: MatrixRep
 ) -> tuple[bool, np.ndarray]:
@@ -462,12 +467,12 @@ def evaluation_iso_check(
     if hom_dim(model, model, table) != 1:
         raise WrongImage("the supplied model is not irreducible (endomorphisms != scalars)")
     p = rep.p
-    space = multiplicity_space(rep, i, model)
-    m = space.dim
+    basis = intertwiner_basis(model, rep)
+    m = len(basis)
     n_i = model.dim
     assembled = np.zeros((rep.dim, n_i * m), dtype=np.int64)
     for a in range(n_i):
-        for s, t_mat in enumerate(space.basis):
+        for s, t_mat in enumerate(basis):
             assembled[:, a * m + s] = t_mat[:, a]
     if linalg.rank(assembled, p) != n_i * m:
         raise NotInjective(f"evaluation map for irreducible {i} has a kernel")

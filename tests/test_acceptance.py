@@ -25,10 +25,10 @@ from test_reps import random_rep
 
 COVER_CASES = (
     ("S3", lambda c: iso.perm_action(c.group, c.p)),
-    ("D4", lambda c: iso.reflection_action(c.group, c.p, 4)),
-    ("C2", lambda c: iso.scalar_action(c.group, c.p, 2)),
-    ("C3", lambda c: iso.scalar_action(c.group, c.p, 3)),
-    ("C4", lambda c: iso.scalar_action(c.group, c.p, 4)),
+    ("D4", lambda c: iso.reflection_action(c.group, c.p)),
+    ("C2", lambda c: iso.scalar_action(c.group, c.p)),
+    ("C3", lambda c: iso.scalar_action(c.group, c.p)),
+    ("C4", lambda c: iso.scalar_action(c.group, c.p)),
 )
 
 

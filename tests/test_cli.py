@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -97,6 +98,14 @@ def test_decompose_matrix_file_bad_homomorphism(runner, tmp_path):
     assert "word" in result.output
 
 
+def test_matrix_file_entries_beyond_int64_are_reduced(runner, tmp_path):
+    path = tmp_path / "sign.txt"
+    path.write_text(f"p 7\n{7 * 2**70 - 1}\n")  # -1 mod 7
+    result = runner.invoke(main, ["decompose", "--group", "C2", "--rep", str(path), "--format", "json"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["type"] == [0, 1]
+
+
 def test_decompose_matrix_file_modulus_conflict(runner, tmp_path):
     path = tmp_path / "std.txt"
     path.write_text(S3_STANDARD_REP)
@@ -104,6 +113,34 @@ def test_decompose_matrix_file_modulus_conflict(runner, tmp_path):
         main, ["decompose", "--group", "S3", "--rep", str(path), "--prime", "13"]
     )
     assert result.exit_code == 2
+
+
+def test_decompose_huge_hom_system_exits_2(runner):
+    # dim End_G of the S5 regular rep would need a 28800 x 14400 int64
+    # Kronecker system (3.3 GB); it is refused before anything is allocated
+    start = time.perf_counter()
+    result = runner.invoke(main, ["decompose", "--group", "S5", "--rep", "regular"])
+    elapsed = time.perf_counter() - start
+    assert result.exit_code == 2
+    assert "the intertwiner system is 28800 x 14400 (414720000 cells)" in result.output
+    assert "Traceback" not in result.output and result.exception.__class__ is SystemExit
+    assert elapsed < 5
+
+
+def test_cover_matrix_file_modulus_conflict(runner, tmp_path):
+    path = tmp_path / "action.txt"
+    path.write_text("p 3\n2\n")
+    result = runner.invoke(main, ["cover", "--group", "C2", "--action", str(path), "--prime", "5"])
+    assert result.exit_code == 2
+    assert "--prime 5 conflicts with file modulus 3" in result.output
+
+
+def test_cover_matrix_file_bad_homomorphism(runner, tmp_path):
+    path = tmp_path / "action.txt"
+    path.write_text("p 5\n2\n")  # 2^2 = 4 is not 1 mod 5
+    result = runner.invoke(main, ["cover", "--group", "C2", "--action", str(path)])
+    assert result.exit_code == 2
+    assert "word" in result.output and "Traceback" not in result.output
 
 
 def test_cover_command(runner):
@@ -281,11 +318,11 @@ def test_verify_all_max_degree_bounds(runner):
 
 
 def test_verify_all_witness_on_failure(monkeypatch):
-    from isotypic import cli
+    from isotypic import characters, cli, reps
     from isotypic.errors import NoSplittingElement, WrongImage
 
     passing = cli.verify_all_document(2)
-    real_check = cli.evaluation_iso_check
+    real_check = reps.evaluation_iso_check
 
     def failing_check(rep, i, table, model):
         if table.group.name == "S3" and rep.dim == 3 and i == 2:
@@ -295,8 +332,8 @@ def test_verify_all_witness_on_failure(monkeypatch):
     def failing_split(table, i, group, classes):
         raise NoSplittingElement(f"planted failure {i}")
 
-    monkeypatch.setattr(cli, "evaluation_iso_check", failing_check)
-    monkeypatch.setattr(cli, "splitting_element", failing_split)
+    monkeypatch.setattr(reps, "evaluation_iso_check", failing_check)
+    monkeypatch.setattr(characters, "splitting_element", failing_split)
     doc = cli.verify_all_document(2)
     assert doc["pass"] is False
     by_check = {o["check"]: o for o in doc["outcomes"]}

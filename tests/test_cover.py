@@ -8,15 +8,15 @@ import pytest
 import isotypic as iso
 from isotypic import linalg
 from isotypic.arith import Poly, RatFunc
-from isotypic.cli import COVER_SCENARIOS, _builtin_action
-from isotypic.cover import _inverse_dets, cyclic_subgroups
+from isotypic.cover import _inverse_dets, builtin_action, cyclic_subgroups
 from isotypic.errors import NotFaithful
+from isotypic.scenarios import COVER_SCENARIOS
 from polymat_oracle import bareiss_det
 
 
 def scalar_ctx(ctx, n):
     c = ctx(f"C{n}")
-    return c, iso.scalar_action(c.group, c.p, n)
+    return c, iso.scalar_action(c.group, c.p)
 
 
 def test_validate_action_perm_s3(ctx):
@@ -39,21 +39,77 @@ def test_validate_action_rejects_non_faithful(ctx):
 
 def test_degree_piece_basics(ctx):
     c, action = scalar_ctx(ctx, 2)
-    piece0 = iso.degree_piece(action, 0)
+    piece0 = action.piece(0)
     assert piece0.dim == 1 and piece0.rep.mats[0].tolist() == [[1]]
     # sigma x = -x, so degree 3 picks up (-1)^3
-    piece3 = iso.degree_piece(action, 3)
+    piece3 = action.piece(3)
     assert piece3.rep.mats[1].tolist() == [[c.p - 1]]
+
+
+def test_negative_degree_piece_is_rejected(ctx):
+    _, action = scalar_ctx(ctx, 2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        action.piece(-1)
+    assert action.piece(2).dim == 1
+
+
+@pytest.mark.parametrize("name", ["S3", "S4", "A4", "Q8", "D4"])
+def test_perm_action_matches_generator_words(ctx, name):
+    # the defining permutation matrices of the generators, extended along words
+    c = ctx(name)
+    deg = c.group.degree
+    gen_mats = []
+    for g in c.group.generators:
+        m = np.zeros((deg, deg), dtype=np.int64)
+        m[np.array(g.images), np.arange(deg)] = 1
+        gen_mats.append(m)
+    action = iso.perm_action(c.group, c.p)
+    assert action.name == f"perm{deg}"
+    assert np.array_equal(action.rep.mats, iso.validate_action(c.group, gen_mats, c.p).rep.mats)
+
+
+@pytest.mark.parametrize(
+    ("name", "kind", "variables"),
+    [("D3", "reflection", 2), ("D6", "reflection2", 2), ("C5", "scalar1", 1), ("C6", "scalar", 1)],
+)
+def test_builtin_action_orders_from_the_group(ctx, name, kind, variables):
+    # the first generator (rotation) acts with order |G|/2 (dihedral) or |G|
+    # (cyclic), the order of the root of unity taken from the group
+    c = ctx(name)
+    action = builtin_action(c.group, c.p, kind)
+    assert action.n == variables
+    rot = action.rep.mats[c.group.generator_indices[0]]
+    powers = [linalg.identity(variables)]
+    while len(powers) == 1 or not np.array_equal(powers[-1], powers[0]):
+        powers.append(linalg.matmul(powers[-1], rot, c.p))
+    assert len(powers) - 1 == (c.group.order // 2 if name[0] == "D" else c.group.order)
+
+
+@pytest.mark.parametrize(
+    ("name", "kind", "message"),
+    [
+        ("S3", "twist", "unknown builtin action 'twist'"),
+        ("S3", "perm4", "action perm4 does not match the group degree 3"),
+        ("S3", "reflection", "reflection actions are defined for dihedral groups D<n>"),
+        ("D4", "reflection3", "reflection actions are two-dimensional"),
+        ("D4", "scalar", "scalar actions are defined for cyclic groups C<n>"),
+        ("C4", "scalar2", "scalar actions are one-dimensional"),
+    ],
+)
+def test_builtin_action_rejects_names_that_do_not_fit(ctx, name, kind, message):
+    c = ctx(name)
+    with pytest.raises(ValueError, match=message):
+        builtin_action(c.group, c.p, kind)
 
 
 def test_degree_piece_characters_s3(ctx):
     c = ctx("S3")
     action = iso.perm_action(c.group, c.p)
-    piece = iso.degree_piece(action, 2)
+    piece = action.piece(2)
     assert piece.dim == 6
     assert iso.character_of(piece.rep, c.classes) == (6, 2, 0)
     # degree one carries the dual of the defining matrices
-    one = iso.degree_piece(action, 1)
+    one = action.piece(1)
     dual = iso.dual_rep(action.rep)
     assert iso.character_of(one.rep, c.classes) == iso.character_of(dual, c.classes)
 
@@ -62,13 +118,13 @@ def test_degree_pieces_are_homomorphisms(ctx):
     c = ctx("S3")
     action = iso.perm_action(c.group, c.p)
     for d in range(5):
-        iso.degree_piece(action, d).rep._validate()
+        action.piece(d).rep._validate()
 
 
 def test_monomial_order_graded_lex(ctx):
     c = ctx("S3")
     action = iso.perm_action(c.group, c.p)
-    assert iso.degree_piece(action, 2).monomials == (
+    assert action.piece(2).monomials == (
         (2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2),
     )
 
@@ -99,8 +155,8 @@ def test_molien_matches_projectors_everywhere(ctx):
 
     cases = [
         ("S3", lambda c: iso.perm_action(c.group, c.p)),
-        ("D4", lambda c: iso.reflection_action(c.group, c.p, 4)),
-        ("C4", lambda c: iso.scalar_action(c.group, c.p, 4)),
+        ("D4", lambda c: iso.reflection_action(c.group, c.p)),
+        ("C4", lambda c: iso.scalar_action(c.group, c.p)),
     ]
     for name, make in cases:
         c = ctx(name)
@@ -127,10 +183,10 @@ def test_generic_multiplicity_examples(ctx):
 def test_generic_multiplicity_equals_degrees(ctx):
     cases = [
         ("S3", lambda c: iso.perm_action(c.group, c.p)),
-        ("D4", lambda c: iso.reflection_action(c.group, c.p, 4)),
-        ("C2", lambda c: iso.scalar_action(c.group, c.p, 2)),
-        ("C3", lambda c: iso.scalar_action(c.group, c.p, 3)),
-        ("C4", lambda c: iso.scalar_action(c.group, c.p, 4)),
+        ("D4", lambda c: iso.reflection_action(c.group, c.p)),
+        ("C2", lambda c: iso.scalar_action(c.group, c.p)),
+        ("C3", lambda c: iso.scalar_action(c.group, c.p)),
+        ("C4", lambda c: iso.scalar_action(c.group, c.p)),
     ]
     for name, make in cases:
         c = ctx(name)
@@ -149,7 +205,7 @@ def test_invariants_series_check_s3(ctx):
     triv = iso.subgroup_closure(c.group, [])
     rows = iso.invariants_series_check(action, triv, 8, c.table)
     for row in rows:
-        assert row.ok and row.fixed_dim == iso.degree_piece(action, row.d).dim
+        assert row.ok and row.fixed_dim == action.piece(row.d).dim
     # H = G: the fixed dimensions are the invariant-ring coefficients
     whole = iso.subgroup_closure(c.group, [1, 2])
     from isotypic.arith import series_prefix
@@ -162,8 +218,8 @@ def test_invariants_series_check_s3(ctx):
 
 def test_invariants_series_check_all_subgroups(ctx):
     for name, make in (
-        ("D4", lambda c: iso.reflection_action(c.group, c.p, 4)),
-        ("C4", lambda c: iso.scalar_action(c.group, c.p, 4)),
+        ("D4", lambda c: iso.reflection_action(c.group, c.p)),
+        ("C4", lambda c: iso.scalar_action(c.group, c.p)),
     ):
         c = ctx(name)
         action = make(c)
@@ -201,7 +257,7 @@ def test_product_structure_c2_odd_times_odd(ctx):
 
 def test_product_structure_all_pairs_small(ctx):
     c = ctx("D4")
-    action = iso.reflection_action(c.group, c.p, 4)
+    action = iso.reflection_action(c.group, c.p)
     for i in range(5):
         for j in range(5):
             for a in (1, 2, 3):
@@ -228,7 +284,7 @@ def test_pushforward_report_trivial_group(ctx):
 
 def test_pushforward_report_d4(ctx):
     c = ctx("D4")
-    report = iso.pushforward_report(iso.reflection_action(c.group, c.p, 4), 12, c.table)
+    report = iso.pushforward_report(iso.reflection_action(c.group, c.p), 12, c.table)
     assert report.passed
     assert report.generic_mults == [1, 1, 1, 1, 2]
 
@@ -242,8 +298,8 @@ def test_cyclic_subgroups_s3(ctx):
 def test_b1_dual_convention(ctx):
     # the degree-1 matrices are inverse transposes of the defining ones
     c = ctx("D4")
-    action = iso.reflection_action(c.group, c.p, 4)
-    one = iso.degree_piece(action, 1)
+    action = iso.reflection_action(c.group, c.p)
+    one = action.piece(1)
     for g in range(c.group.order):
         expected = linalg.inverse(action.rep.mats[g], c.p).T % c.p
         assert np.array_equal(one.rep.mats[g], expected)
@@ -254,7 +310,7 @@ def test_inverse_dets_match_bareiss_oracle(ctx):
     for name, kind in (*COVER_SCENARIOS, ("S4", "perm")):
         group = iso.group_from_name(name)
         p = iso.choose_prime(group)
-        action = _builtin_action(group, p, kind)
+        action = builtin_action(group, p, kind)
         dets = _inverse_dets(action)
         for g in range(group.order):
             inv = linalg.inverse(action.rep.mats[g], p)

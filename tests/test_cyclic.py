@@ -7,8 +7,7 @@ import sympy
 
 import isotypic as iso
 from isotypic.arith import Poly
-from isotypic.cli import cyclic_report
-from isotypic.cyclic import PhiMatrix, phi_matrix
+from isotypic.cyclic import PhiMatrix, cyclic_report, phi_matrix
 from isotypic.errors import SingularMatrix
 from isotypic.polymat import as_unit_times_power, factored_det, factored_invariant_factors
 from polymat_oracle import bareiss_det, mat_equal, matmul, smith_normal_form
@@ -277,7 +276,7 @@ def test_singular_const_has_no_invariant_factors():
 def test_cyclic_report_fails_on_singular_const(monkeypatch, variant):
     model = iso.build_cyclic(3, variant)
     monkeypatch.setattr(iso.cyclic, "phi_matrix", singular_phi)
-    doc = cyclic_report(model)
+    doc = cyclic_report(model).to_dict()
     by_check = {o["check"]: o for o in doc["outcomes"]}
     assert doc["pass"] is False
     assert by_check["cyclic.phi_det"]["pass"] is False

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import isotypic
 from isotypic import cli
+from isotypic.scenarios import COVER_SCENARIOS, CYCLIC_DEGREES, VERIFY_GROUPS
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -42,18 +43,46 @@ def test_import_loads_every_layer():
     assert missing == []
 
 
-def test_traced_cyclic_report_leaves_no_escape():
+def install_tracer():
     tracer_mod = load_tracer()
     layers = {name: sys.modules[f"isotypic.{name}"] for name in tracer_mod.LAYERS}
     tracer = tracer_mod.Tracer(layers, namespaces=[isotypic])
     tracer.install()
+    return tracer
+
+
+def test_traced_cyclic_report_leaves_no_escape():
+    tracer = install_tracer()
     try:
-        doc = cli.cyclic_report(isotypic.build_cyclic(3))
+        report = isotypic.cyclic.cyclic_report(isotypic.build_cyclic(3))
+        escapes = tracer.audit()
+    finally:
+        tracer.uninstall()
+    assert escapes == []
+    assert report.passed is True
+    assert tracer.calls["cyclic.build_cyclic"] == 1
+    assert tracer.calls["cyclic.phi_matrix"] == 1
+    assert tracer.layers["polymat"][0] > 0
+
+
+def test_traced_verify_all_goes_through_the_wrappers():
+    # `scenarios` is not a traced layer, so the audit cannot see an alias it
+    # holds.  Its calls run under the span of `cli.verify_all_document`; an
+    # unwrapped `from .reps import decompose` there would drop them from the
+    # spans counted here.
+    tracer = install_tracer()
+    try:
+        doc = cli.verify_all_document(2)
         escapes = tracer.audit()
     finally:
         tracer.uninstall()
     assert escapes == []
     assert doc["pass"] is True
-    assert tracer.calls["cyclic.build_cyclic"] == 1
-    assert tracer.calls["cyclic.phi_matrix"] == 1
-    assert tracer.layers["polymat"][0] > 0
+    direct = {name: n for (name, parent), (n, _) in tracer.spans.items() if parent == "cli.verify_all_document"}
+    assert direct["reps.decompose"] == len(VERIFY_GROUPS)
+    assert direct["cover.pushforward_report"] == len(COVER_SCENARIOS)
+    assert direct["cyclic.cyclic_report"] == len(CYCLIC_DEGREES) * len(isotypic.cyclic.VARIANTS)
+    for name in ("reps.decompose", "cover.pushforward_report", "cyclic.cyclic_report"):
+        assert tracer.calls[name] > 0
+    for layer in ("reps", "cover", "cyclic", "characters"):
+        assert tracer.layers[layer][0] > 0, layer
