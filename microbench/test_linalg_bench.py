@@ -7,8 +7,8 @@ does not collect them.  Run from the repository root:
 
 Shapes follow the hot calls: the homomorphism check of the S5 regular
 representation (14400 x 120 times 120 x 120), the isotypic projector of
-the S4 degree-12 cover piece (1 x 24 times 24 x 455^2) and a row-space
-rank of that size.
+the S4 degree-12 cover piece (1 x 24 times 24 x 455^2), a row-space
+rank of that size, and the changes of basis of `irreducible_models(S5)`.
 """
 
 from __future__ import annotations
@@ -46,3 +46,19 @@ def test_rref(benchmark, n):
     a = rng.integers(0, P, size=(n, n // 2)) @ rng.integers(0, P, size=(n // 2, n)) % P
     _, pivots = benchmark(linalg.rref, a, P)
     assert len(pivots) == n // 2
+
+
+# (basis rows, vector rows) over 120 columns, as in `irreducible_models(S5)`:
+# `restrict_to_subspace` on a degree-6 model (6 basis rows, 120 * 6 images)
+# and one right-translation `split` of the 36-dimensional component
+COORDINATE_CASES = {"restrict-s5": (6, 720), "split-s5": (36, 36)}
+
+
+@pytest.mark.parametrize("name", COORDINATE_CASES)
+def test_coordinates(benchmark, name):
+    k, m = COORDINATE_CASES[name]
+    rng = np.random.default_rng(k)
+    basis = rng.integers(0, P, size=(k, 120))
+    c = rng.integers(0, P, size=(m, k))
+    out = benchmark(linalg.coordinates, basis, c @ basis % P, P)
+    assert np.array_equal(out, c)

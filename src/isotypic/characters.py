@@ -21,7 +21,7 @@ from .errors import (
     SplitFailure,
 )
 from .groups import ConjugacyClasses, Group, Subgroup, power_class_map
-from .linalg import eigenspaces, inv_mod, matmul, require_exact, solve
+from .linalg import inv_mod, matmul, require_exact, split
 
 ClassFunction = tuple[int, ...]
 
@@ -86,19 +86,6 @@ class CharacterTable:
         }
 
 
-def _eigen_refine(subspaces, mat, p):
-    """Split each invariant row-subspace into eigenspaces of mat."""
-    out = []
-    for basis in subspaces:
-        if basis.shape[0] == 1:
-            out.append(basis)
-            continue
-        images = matmul(basis, mat.T, p)
-        coords = solve(basis.T, images.T, p)  # operator on coordinates
-        out.extend(matmul(null, basis, p) for null in eigenspaces(coords, p))
-    return out
-
-
 def character_table(group: Group, classes: ConjugacyClasses, p: int) -> CharacterTable:
     """Compute the table by splitting common eigenspaces of class matrices.
 
@@ -117,7 +104,9 @@ def character_table(group: Group, classes: ConjugacyClasses, p: int) -> Characte
     for i in range(1, k):
         if all(s.shape[0] == 1 for s in subspaces):
             break
-        subspaces = _eigen_refine(subspaces, mats[i], p)
+        subspaces = [
+            s for b in subspaces for s in ([b] if b.shape[0] == 1 else split(b, mats[i], p, True))
+        ]
     if not all(s.shape[0] == 1 for s in subspaces):
         raise SplitFailure("common eigenspaces did not refine to lines")
 
@@ -187,16 +176,10 @@ def central_idempotents(table: CharacterTable) -> list[np.ndarray]:
     complete set of orthogonal central idempotents.
     """
     group, classes, p = table.group, table.classes, table.p
-    order_inv = inv_mod(group.order % p, p)
-    out = []
-    for i in range(table.num_irreps):
-        c = table.degrees[i] * order_inv % p
-        coeffs = np.array(
-            [c * table.values[i][classes.class_of[group.inv[g]]] % p for g in range(group.order)],
-            dtype=np.int64,
-        )
-        out.append(coeffs)
-    return out
+    inv_class = np.asarray(classes.class_of)[list(group.inv)]  # class of g^-1
+    values = np.array(table.values, dtype=np.int64)[:, inv_class]
+    scale = np.array(table.degrees, dtype=np.int64) * inv_mod(group.order % p, p) % p
+    return list(values * scale[:, None] % p)
 
 
 def convolve(a: np.ndarray, b: np.ndarray, group: Group, p: int) -> np.ndarray:
@@ -227,11 +210,6 @@ def char_dual(v: ClassFunction, classes: ConjugacyClasses) -> ClassFunction:
 
 def char_tensor(v: ClassFunction, w: ClassFunction, p: int) -> ClassFunction:
     return tuple(a * b % p for a, b in zip(v, w))
-
-
-def char_scale(v: ClassFunction, s: int, p: int) -> ClassFunction:
-    """Character of a direct sum of s copies."""
-    return tuple(s * a % p for a in v)
 
 
 def _newton(v: ClassFunction, k: int, table: CharacterTable, alternating: bool) -> ClassFunction:

@@ -12,7 +12,7 @@ counts, product vanishing patterns) are verified degree by degree.
 Per-degree multiplicities from projector ranks are true integers; series
 coefficients live in F_p, so series-side comparisons are congruences
 mod p.  The load-bearing cross-check between the two is mandatory at
-series construction and pins down the orientation conventions.
+series construction and pins down the orientation convention.
 
 `builtin_action` builds the named actions (perm, reflection, scalar) that
 the command line and the verify-all scenarios use.  `VerificationOutcome`
@@ -227,36 +227,32 @@ def molien_multiplicity_series(
 ) -> RatFunc:
     """Generating function of the multiplicities of irreducible i by degree.
 
-    The finite sum (1/|G|) sum_g chi_i(g^-1) / det(1 - t rho(g)^-1) is
-    cross-checked coefficient-by-coefficient against projector-derived
-    multiplicities up to check_degree; the opposite character orientation
-    is tried if the first fails, and OrientationMismatch is raised when
-    neither matches (an implementation bug, not a data error).
+    The finite sum (1/|G|) sum_g chi_i(g^-1) / det(1 - t rho(g)^-1), the
+    orientation fixed by the contragredient action on the variables, is
+    cross-checked coefficient by coefficient against the projector
+    multiplicities up to check_degree.  A disagreement raises
+    OrientationMismatch (an implementation bug, not a data error).
     """
     if i in action._series:
         return action._series[i]
     group, classes, p = table.group, table.classes, table.p
     dets = _inverse_dets(action)
-
-    def assemble(use_inverse_char: bool) -> RatFunc:
-        acc = RatFunc.const(p, 0)
-        for g in range(group.order):
-            c = group.inv[g] if use_inverse_char else g
-            chi = table.values[i][classes.class_of[c]]
-            acc = acc + RatFunc(Poly.const(p, chi), dets[g])
-        return acc.scale(linalg.inv_mod(group.order % p, p))
-
+    acc = RatFunc.const(p, 0)
+    for g in range(group.order):
+        chi = table.values[i][classes.class_of[group.inv[g]]]
+        acc = acc + RatFunc(Poly.const(p, chi), dets[g])
+    series = acc.scale(linalg.inv_mod(group.order % p, p))
+    got = series_prefix(series, check_degree)
     expected = [
         action.piece_decomposition(d, table)[1][i] % p for d in range(check_degree + 1)
     ]
-    for orientation in (True, False):
-        series = assemble(orientation)
-        if series_prefix(series, check_degree) == expected:
-            action._series[i] = series
-            return series
-    raise OrientationMismatch(
-        f"no orientation of the series formula matches the projectors for irreducible {i}"
-    )
+    if got != expected:
+        raise OrientationMismatch(
+            f"series coefficients {got} != projector multiplicities {expected}"
+            f" for irreducible {i}"
+        )
+    action._series[i] = series
+    return series
 
 
 def generic_multiplicity(action: LinearCoverAction, i: int, table: CharacterTable) -> int:

@@ -105,8 +105,8 @@ class NotFaithful(IsotypicError):
 
 
 class OrientationMismatch(IsotypicError):
-    """Neither orientation of the multiplicity-series formula matches the
-    projector-derived coefficients; indicates an implementation bug."""
+    """The multiplicity series disagrees with the projector-derived
+    coefficients; indicates an implementation bug."""
 
 
 # -- cyclic cover models ------------------------------------------------------

@@ -332,16 +332,6 @@ def group_from_text(text: str, cap: int = DEFAULT_CAP, name: str = "custom") -> 
     return build_group(gens, cap=cap, degree=1, name=name)
 
 
-def group_from_mult_table(table, cap: int = DEFAULT_CAP, name: str = "custom") -> Group:
-    """Convert an abstract multiplication table to its regular permutation action.
-
-    Row g of the table (g, h) -> index of g*h is the left-translation
-    permutation of element g; the rows generate the regular realization.
-    """
-    rows = [Permutation(row) for row in table]
-    return build_group(rows, cap=cap, name=name)
-
-
 def _cycle_perm(n: int) -> Permutation:
     return Permutation(tuple(range(1, n)) + (0,))
 

@@ -148,26 +148,24 @@ def nullspace(a: np.ndarray, p: int) -> np.ndarray:
     return basis
 
 
-def solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Solve a @ x = b for x, where a has full column rank.
+def coordinates(basis: np.ndarray, vectors: np.ndarray, p: int) -> np.ndarray:
+    """Coordinates c with c @ basis = vectors, for a row basis.
 
-    b may be a matrix (one system per column).  Raises SingularMatrix when
-    the system is inconsistent or underdetermined.
+    One elimination of [basis | I]: its pivots P all fall in the basis
+    columns exactly when the rows are independent, and then the right-hand
+    block is the inverse of basis[:, P], so c = vectors[:, P] @ inverse.
+    Multiplying back must give the vectors.  Dependent rows and a vector
+    outside the span both raise SingularMatrix.
     """
-    a = asmat(a, p)
-    b = asmat(b, p)
-    single = b.ndim == 1
-    if single:
-        b = b[:, None]
-    m, n = a.shape
-    aug = np.concatenate([a, b], axis=1)
-    r, pivots = rref(aug, p)
-    if any(c >= n for c in pivots):
-        raise SingularMatrix("inconsistent linear system")
-    if len(pivots) < n:
-        raise SingularMatrix("matrix does not have full column rank")
-    x = r[:n, n:] % p
-    return x[:, 0] if single else x
+    basis, vectors = asmat(basis, p), asmat(vectors, p)
+    k, n = basis.shape
+    r, pivots = rref(np.concatenate([basis, identity(k)], axis=1), p)
+    if len(pivots) < k or (k and pivots[-1] >= n):
+        raise SingularMatrix("basis rows are linearly dependent")
+    c = matmul(vectors[..., list(pivots)], r[:, n:], p)
+    if not np.array_equal(matmul(c, basis, p), vectors):
+        raise SingularMatrix("a vector lies outside the span of the basis")
+    return c
 
 
 def inverse(a: np.ndarray, p: int) -> np.ndarray:
@@ -175,7 +173,7 @@ def inverse(a: np.ndarray, p: int) -> np.ndarray:
     n = a.shape[0]
     if a.shape != (n, n):
         raise SingularMatrix("only square matrices are invertible")
-    return solve(a, identity(n), p)
+    return coordinates(a, identity(n), p)
 
 
 def det(a: np.ndarray, p: int) -> int:
@@ -195,16 +193,6 @@ def det(a: np.ndarray, p: int) -> int:
         c = m[col + 1 :, col] * inv_mod(int(m[col, col]), p) % p
         m[col + 1 :, col + 1 :] = (m[col + 1 :, col + 1 :] - np.outer(c, m[col, col + 1 :])) % p
     return d % p
-
-
-def coords_in_rowspace(basis: np.ndarray, vectors: np.ndarray, p: int) -> np.ndarray:
-    """Coordinates of row vectors with respect to a row basis.
-
-    Returns c with c @ basis = vectors; raises SingularMatrix when some
-    vector lies outside the span.
-    """
-    c = solve(basis.T % p, vectors.T % p, p)
-    return c.T
 
 
 def charpoly(a: np.ndarray, p: int) -> list[int]:
@@ -261,3 +249,16 @@ def eigenspaces(a: np.ndarray, p: int, complete: bool = True) -> list[np.ndarray
     if complete and sum(s.shape[0] for s in spaces) != n:
         raise SplitFailure("matrix is not diagonalizable over F_p")
     return spaces
+
+
+def split(basis: np.ndarray, mat: np.ndarray, p: int, complete: bool) -> list[np.ndarray]:
+    """Eigenspaces of mat on an invariant row space, as ambient row bases.
+
+    The row space of basis must be invariant under mat acting on column
+    vectors, v -> v @ mat.T, else SingularMatrix.  The operator on
+    coordinates is the transpose of `coordinates(basis, basis @ mat.T)`;
+    each of its eigenspaces maps back through the basis.  `complete` is as
+    in `eigenspaces`.
+    """
+    coords = coordinates(basis, matmul(basis, mat.T, p), p)
+    return [matmul(null, basis, p) for null in eigenspaces(coords.T, p, complete)]

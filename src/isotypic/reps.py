@@ -20,6 +20,7 @@ import numpy as np
 from . import linalg
 from .characters import (
     CharacterTable,
+    central_idempotents,
     char_dual,
     char_tensor,
     char_trivial,
@@ -187,14 +188,6 @@ def direct_sum_rep(a: MatrixRep, b: MatrixRep) -> MatrixRep:
     return MatrixRep(a.group, a.p, mats, validate=False)
 
 
-def conjugate_rep(rep: MatrixRep, s: np.ndarray) -> MatrixRep:
-    """Change of basis rho'(g) = S rho(g) S^-1."""
-    s = linalg.asmat(s, rep.p)
-    s_inv = linalg.inverse(s, rep.p)
-    mats = linalg.matmul(s, linalg.matmul(rep.mats, s_inv, rep.p), rep.p)
-    return MatrixRep(rep.group, rep.p, mats, validate=False)
-
-
 # -- characters and projectors ---------------------------------------------------
 
 
@@ -204,14 +197,8 @@ def character_of(rep: MatrixRep, classes: ConjugacyClasses) -> tuple[int, ...]:
 
 def isotypic_projector(rep: MatrixRep, i: int, table: CharacterTable) -> np.ndarray:
     """Central projector deg_i/|G| * sum_g chi_i(g^-1) rho(g)."""
-    group, classes, p = table.group, table.classes, table.p
-    coef = np.array(
-        [table.values[i][classes.class_of[group.inv[g]]] for g in range(group.order)],
-        dtype=np.int64,
-    )
-    c = table.degrees[i] * inv_mod(group.order % p, p) % p
-    acc = linalg.matmul(coef, rep.mats.reshape(group.order, rep.dim**2), p)
-    return acc.reshape(rep.dim, rep.dim) * c % p
+    flat = rep.mats.reshape(rep.group.order, rep.dim**2)
+    return linalg.matmul(central_idempotents(table)[i], flat, table.p).reshape(rep.dim, rep.dim)
 
 
 def decompose(rep: MatrixRep, table: CharacterTable) -> tuple[IsotypicDecomposition, RepType]:
@@ -248,36 +235,19 @@ def decompose(rep: MatrixRep, table: CharacterTable) -> tuple[IsotypicDecomposit
     return IsotypicDecomposition(components), RepType(tuple(mults))
 
 
-def _pivot_inverse(basis: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
-    """Pivot columns P of a row basis and the inverse of basis[:, P].
-
-    One elimination of [basis | I]: its pivots fall in the basis columns
-    exactly when the rows are independent, and then the right-hand block
-    is the inverse, so c @ basis = v gives c = v[:, P] @ inverse.
-    """
-    k, n = basis.shape
-    r, pivots = linalg.rref(np.concatenate([basis % p, linalg.identity(k)], axis=1), p)
-    if len(pivots) < k or (k and pivots[-1] >= n):
-        raise SingularMatrix("basis rows are linearly dependent")
-    return list(pivots), r[:, n:]
-
-
 def restrict_to_subspace(rep: MatrixRep, basis: np.ndarray) -> MatrixRep:
     """Action matrices on an invariant row-subspace, in basis coordinates.
 
-    The coordinates of every image come from one batched product with the
-    inverse of the basis on its pivot columns; multiplying them back must
-    give the images, else the subspace is not invariant (SingularMatrix).
+    The coordinates of the images of the basis rows under every element
+    come from one `linalg.coordinates` call, which raises SingularMatrix
+    when the subspace is not invariant.
     """
     p, n, d = rep.p, rep.group.order, rep.dim
     basis = linalg.asmat(basis, p)
     k = basis.shape[0]
-    pivots, inv = _pivot_inverse(basis, p)
     # images[g] = basis @ rho(g)^T, the images of the basis rows
     images = linalg.matmul(rep.mats, basis.T, p).transpose(0, 2, 1)
-    coords = linalg.matmul(images[:, :, pivots].reshape(n * k, k), inv, p)
-    if not np.array_equal(linalg.matmul(coords, basis, p), images.reshape(n * k, d)):
-        raise SingularMatrix("subspace is not invariant under the action")
+    coords = linalg.coordinates(basis, images.reshape(n * k, d), p)
     return MatrixRep(rep.group, p, coords.reshape(n, k, k).transpose(0, 2, 1), validate=False)
 
 
@@ -515,16 +485,13 @@ def _one_copy(group: Group, p: int, basis: np.ndarray, n_i: int) -> np.ndarray:
     """An n_i-dimensional eigenspace of a right translation on the component,
     from at most 100 seeded draws of the translating element."""
     n = group.order
-    pivots, inv = _pivot_inverse(basis, p)
     cols = np.arange(n)[:, None]
     rng = random.Random(0)
     for _ in range(100):
         right = np.zeros((n, n), dtype=np.int64)
         # R_a e_c = sum_h a_h e_{c*h}; c -> c*h is a bijection for each c
         right[group.mult, cols] = [rng.randrange(p) for _ in range(n)]
-        # coordinates c with c @ basis = basis @ R_a^T; R_a acts on them as c^T
-        coords = linalg.matmul(linalg.matmul(basis, right.T, p)[:, pivots], inv, p)
-        for null in linalg.eigenspaces(coords.T, p, complete=False):
-            if null.shape[0] == n_i:
-                return linalg.matmul(null, basis, p)
+        for space in linalg.split(basis, right, p, False):
+            if space.shape[0] == n_i:
+                return space
     raise SplitFailure("no right translation cut the isotypic component down to one copy")

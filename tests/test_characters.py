@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 
 import isotypic as iso
-from isotypic.characters import (
-    char_scale,
-    convolve,
-    cyclic_weight_multiplicities,
-    delta_element,
-)
+from isotypic.characters import convolve, cyclic_weight_multiplicities, delta_element
 from isotypic.errors import EvenCharacteristicHazard, NotAMultiplicity
 
 from conftest import TEST_GROUPS
+
+
+def char_scale(v, s, p):
+    """Character of a direct sum of s copies."""
+    return tuple(s * a % p for a in v)
 
 
 def test_structure_constants_s3(ctx):

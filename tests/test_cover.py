@@ -9,7 +9,7 @@ import isotypic as iso
 from isotypic import linalg
 from isotypic.arith import Poly, RatFunc
 from isotypic.cover import _inverse_dets, builtin_action, cyclic_subgroups
-from isotypic.errors import NotFaithful
+from isotypic.errors import NotFaithful, OrientationMismatch
 from isotypic.scenarios import COVER_SCENARIOS
 from polymat_oracle import bareiss_det
 
@@ -148,6 +148,22 @@ def test_molien_series_c3(ctx):
     c, action = scalar_ctx(ctx, 3)
     one, t = Poly.const(c.p, 1), Poly.x(c.p)
     assert iso.molien_multiplicity_series(action, 0, c.table) == RatFunc(one, one - t ** 3)
+
+
+def test_molien_rejects_swapped_projector_multiplicities(ctx, monkeypatch):
+    # the conjugate orientation sum chi_i(g) / det(1 - t rho(g)^-1) would fit
+    # these swapped multiplicities; the series must not fall back to it
+    c, action = scalar_ctx(ctx, 3)
+    real = action.piece_decomposition
+
+    def swapped(d, table):
+        decomp, mults = real(d, table)
+        return decomp, (mults[0], mults[2], mults[1])
+
+    monkeypatch.setattr(action, "piece_decomposition", swapped)
+    for i in (1, 2):
+        with pytest.raises(OrientationMismatch):
+            iso.molien_multiplicity_series(action, i, c.table)
 
 
 def test_molien_matches_projectors_everywhere(ctx):

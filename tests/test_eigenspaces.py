@@ -11,7 +11,7 @@ import sympy
 import isotypic as iso
 from isotypic import linalg
 from isotypic.arith import Poly, poly_roots
-from isotypic.errors import SplitFailure
+from isotypic.errors import SingularMatrix, SplitFailure
 
 
 def scan_eigenspaces(a, p):
@@ -62,6 +62,36 @@ def test_eigenspaces_match_scan_on_diagonalizable(p, diag):
     got = linalg.eigenspaces(a, p)
     assert_same_spaces(got, scan_eigenspaces(a, p))
     assert [s.shape[0] for s in got] == [diag.count(lam) for lam in sorted(set(diag))]
+
+
+@pytest.mark.parametrize("complete", [True, False])
+@pytest.mark.parametrize("p, diag", DIAGONAL_CASES)
+def test_split_of_the_whole_space_is_eigenspaces(p, diag, complete):
+    rng = random.Random(len(diag) * 1000 + p)
+    a = similar_diagonal(diag, p, rng)
+    got = linalg.split(linalg.identity(len(diag)), a, p, complete)
+    assert_same_spaces(got, linalg.eigenspaces(a, p, complete))
+
+
+def test_split_of_an_invariant_subspace():
+    # the sum of two eigenspaces, in a random basis, splits back into them
+    rng = random.Random(17)
+    p, diag = 13, [1, 1, 2, 2, 12]
+    a = similar_diagonal(diag, p, rng)
+    spaces = linalg.eigenspaces(a, p)
+    span = np.concatenate([spaces[0], spaces[2]])
+    basis = random_invertible(3, p, rng) @ span % p
+    got = linalg.split(basis, a, p, True)
+    assert [linalg.row_space(s, p).tolist() for s in got] == [
+        linalg.row_space(s, p).tolist() for s in (spaces[0], spaces[2])
+    ]
+
+
+def test_split_rejects_a_non_invariant_basis():
+    swap = np.array([[0, 1], [1, 0]], dtype=np.int64)  # e0 <-> e1
+    for complete in (True, False):
+        with pytest.raises(SingularMatrix):
+            linalg.split(np.array([[1, 0]], dtype=np.int64), swap, 7, complete)
 
 
 def test_eigenspaces_match_scan_seeded():

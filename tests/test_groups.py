@@ -199,18 +199,6 @@ def test_parse_generator_text_pads_degrees():
     assert group.order == 4
 
 
-def test_group_from_mult_table_roundtrip():
-    s3 = iso.group_from_name("S3")
-    table = [[int(s3.mult[a, b]) for b in range(6)] for a in range(6)]
-    from isotypic.groups import group_from_mult_table
-
-    regular = group_from_mult_table(table)
-    assert regular.order == 6
-    assert sorted(regular.element_order(g) for g in range(6)) == sorted(
-        s3.element_order(g) for g in range(6)
-    )
-
-
 def test_word_reconstruction():
     group = iso.group_from_name("A4")
     for k in range(group.order):

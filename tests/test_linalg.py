@@ -1,13 +1,19 @@
-"""The exact F_p product `linalg.matmul` against a Python-int oracle."""
+"""The exact F_p product `linalg.matmul` against a Python-int oracle, and the
+change of basis `linalg.coordinates` and `linalg.inverse` against sympy."""
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
+import sympy
+from sympy.polys.matrices import DomainMatrix
 
 import isotypic as iso
 from isotypic import cover, linalg
 from isotypic.arith import MAX_MODULUS
+from isotypic.errors import SingularMatrix
 
 
 def oracle(a, b, p):
@@ -150,3 +156,64 @@ def test_piece_projectors_built_once_per_degree_and_irreducible(ctx, monkeypatch
         np.array_equal(p_dl, iso.isotypic_projector(action.piece(d).rep, l, c.table))
         for (d, l), p_dl in action._projectors.items()
     )
+
+
+def gf(a, p):
+    """A sympy DomainMatrix over GF(p)."""
+    return DomainMatrix.from_Matrix(sympy.Matrix(np.asarray(a).tolist())).convert_to(sympy.GF(p))
+
+
+def sympy_coordinates(basis, vectors, p):
+    """c with c @ basis = vectors: sympy's LU solve of basis^T c^T = vectors^T over GF(p)."""
+    x = gf(basis.T, p).lu_solve(gf(vectors.T, p)).to_Matrix()
+    return np.array([[int(v) % p for v in row] for row in x.T.tolist()], dtype=np.int64)
+
+
+def test_coordinates_match_sympy():
+    rng = random.Random(41)
+    for _ in range(60):
+        p = rng.choice((2, 3, 7, 13, 10009))
+        n = rng.randint(1, 7)
+        k, m = rng.randint(1, n), rng.randint(1, 6)
+        while True:
+            basis = np.array([[rng.randrange(p) for _ in range(n)] for _ in range(k)], dtype=np.int64)
+            if gf(basis, p).rank() == k:
+                break
+        c = np.array([[rng.randrange(p) for _ in range(k)] for _ in range(m)], dtype=np.int64)
+        vectors = c @ basis % p
+        got = linalg.coordinates(basis, vectors, p)
+        want = sympy_coordinates(basis, vectors, p)
+        assert got.dtype == np.int64 and np.array_equal(got, want) and np.array_equal(got, c)
+
+
+def test_coordinates_rejects_dependent_rows_and_vectors_outside_the_span():
+    p = 7
+    basis = np.array([[1, 2, 0, 3], [0, 1, 1, 0]], dtype=np.int64)
+    dependent = np.concatenate([basis, (basis[:1] + 3 * basis[1:]) % p])
+    with pytest.raises(SingularMatrix, match="dependent"):
+        linalg.coordinates(dependent, basis, p)
+    # a*row0 + b*row1 = (a, 2a + b, b, 3a) never equals (1, 0, 0, 0)
+    vectors = np.array([[1, 3, 1, 3], [1, 0, 0, 0]], dtype=np.int64)
+    with pytest.raises(SingularMatrix, match="outside"):
+        linalg.coordinates(basis, vectors, p)
+    assert linalg.coordinates(basis, vectors[:1], p).tolist() == [[1, 1]]
+
+
+def test_inverse_matches_sympy_inv_mod():
+    rng = random.Random(43)
+    inverted = 0
+    for _ in range(60):
+        p = rng.choice((2, 3, 7, 13, 10009))
+        n = rng.randint(1, 6)
+        a = np.array([[rng.randrange(p) for _ in range(n)] for _ in range(n)], dtype=np.int64)
+        m = sympy.Matrix(a.tolist())
+        if m.det() % p == 0:
+            with pytest.raises(SingularMatrix):
+                linalg.inverse(a, p)
+            continue
+        want = np.array(m.inv_mod(p).tolist(), dtype=np.int64) % p
+        assert np.array_equal(linalg.inverse(a, p), want)
+        inverted += 1
+    assert inverted >= 30
+    with pytest.raises(SingularMatrix):
+        linalg.inverse(np.array([[1, 2], [3, 6]], dtype=np.int64), 7)

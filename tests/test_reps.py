@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import random
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,9 +15,19 @@ import pytest
 import isotypic as iso
 from isotypic import linalg
 from isotypic.errors import ModulusTooLarge, NotAHomomorphism, SingularMatrix
-from isotypic.reps import conjugate_rep, intertwiner_basis, restrict_to_subspace
+from isotypic.reps import intertwiner_basis, restrict_to_subspace
 
 from conftest import TEST_GROUPS
+
+MODEL_DIGESTS = Path(__file__).resolve().parent / "golden" / "irreducible_models.json"
+
+
+def conjugate_rep(rep, s):
+    """Change of basis rho'(g) = S rho(g) S^-1."""
+    s = linalg.asmat(s, rep.p)
+    s_inv = linalg.inverse(s, rep.p)
+    mats = linalg.matmul(s, linalg.matmul(rep.mats, s_inv, rep.p), rep.p)
+    return iso.MatrixRep(rep.group, rep.p, mats, validate=False)
 
 
 def random_invertible(rng, dim, p):
@@ -472,11 +485,14 @@ def test_validate_rejects_non_identity_at_e(ctx):
 
 
 def _coords_oracle(rep, basis):
-    """Per-element coordinates, one solve each."""
+    """Per-element coordinates, one elimination of [basis^T | images^T] each."""
+    k, p = basis.shape[0], rep.p
     mats = []
     for g in range(rep.group.order):
-        images = basis @ rep.mats[g].T % rep.p
-        mats.append(linalg.coords_in_rowspace(basis, images, rep.p).T % rep.p)
+        images = basis @ rep.mats[g].T % p
+        r, pivots = linalg.rref(np.concatenate([basis.T, images.T], axis=1), p)
+        assert pivots == tuple(range(k))  # independent rows, images in their span
+        mats.append(r[:k, k:])  # column j: the coordinates of image j
     return np.stack(mats)
 
 
@@ -530,3 +546,21 @@ def test_irreducible_models_from_right_translations(name, ctx, s5):
         assert iso.hom_dim(model, model, table) == 1
         ok, assembled = iso.evaluation_iso_check(reg, i, table, model)
         assert ok and assembled.shape == (group.order, table.degrees[i] ** 2)
+
+
+def test_irreducible_models_match_pinned_digests(ctx):
+    """Values, dtype and shape of every model, pinned by sha256 digests of
+    `mats` that were written before the change of basis became
+    `linalg.coordinates` and the right-translation split `linalg.split`."""
+    pinned = json.loads(MODEL_DIGESTS.read_text())
+    assert list(pinned) == ["S3", "D4", "Q8", "A4", "S4"]
+    for name, want in pinned.items():
+        got = [
+            {
+                "dtype": str(m.mats.dtype),
+                "shape": list(m.mats.shape),
+                "sha256": hashlib.sha256(m.mats.tobytes()).hexdigest(),
+            }
+            for m in ctx(name).models
+        ]
+        assert got == want, name
