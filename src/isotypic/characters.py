@@ -64,6 +64,7 @@ class CharacterTable:
     degrees: tuple[int, ...]
     trivial_index: int = 0
     _power_maps: dict = field(default_factory=dict, repr=False)
+    _idempotents: list | None = field(default=None, repr=False)
 
     @property
     def num_irreps(self) -> int:
@@ -73,6 +74,14 @@ class CharacterTable:
         if k not in self._power_maps:
             self._power_maps[k] = power_class_map(self.group, self.classes, k)
         return self._power_maps[k]
+
+    def idempotents(self) -> list[np.ndarray]:
+        """`central_idempotents` of this table, built once and read-only."""
+        if self._idempotents is None:
+            self._idempotents = central_idempotents(self)
+            for row in self._idempotents:
+                row.setflags(write=False)
+        return self._idempotents
 
     def to_dict(self) -> dict:
         return {

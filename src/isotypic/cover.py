@@ -16,14 +16,15 @@ series construction and pins down the orientation convention.
 
 `builtin_action` builds the named actions (perm, reflection, scalar) that
 the command line and the verify-all scenarios use.  `VerificationOutcome`
-is the one outcome type of every report: `pushforward_report` returns
-them in a `CoverReport`, and the cyclic and verify-all reports reuse it.
+is the one outcome type of every report, and `Report` the one report type:
+`pushforward_report` and `cyclic.cyclic_report` return their data and
+outcomes in it, and verify-all collects the outcomes.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -36,6 +37,7 @@ from .groups import Group, Subgroup, subgroup_closure
 from .reps import (
     MatrixRep,
     _sym_power_step,
+    check_size,
     decompose,
     dual_rep,
     isotypic_projector,
@@ -44,7 +46,10 @@ from .reps import (
     trivial_rep,
 )
 
-DEFAULT_CHECK_DEGREE = 6
+# Degrees through which the Molien series is checked against projector
+# multiplicities, and through which component products are checked.
+CHECK_DEGREE = 6
+PRODUCT_DEGREE = 4
 
 
 @dataclass
@@ -87,6 +92,12 @@ class LinearCoverAction:
         if d not in self._pieces:
             if d < 0:
                 raise ValueError("degree must be nonnegative")
+            # graded-lex: the multiset order is descending lex on exponents
+            monos = tuple(
+                tuple(m.count(i) for i in range(self.n))
+                for m in combinations_with_replacement(range(self.n), d)
+            )
+            check_size(f"the degree-{d} piece", self.group.order, len(monos), len(monos))
             if d == 0:
                 rep = trivial_rep(self.group, self.p)
             elif d == 1:
@@ -94,11 +105,6 @@ class LinearCoverAction:
                 rep = dual_rep(self.rep)
             else:
                 rep = _sym_power_step(self.piece(d - 1).rep, self.piece(1).rep, d)
-            # graded-lex: the multiset order is descending lex on exponents
-            monos = tuple(
-                tuple(m.count(i) for i in range(self.n))
-                for m in combinations_with_replacement(range(self.n), d)
-            )
             self._pieces[d] = GradedPiece(d, monos, rep)
         return self._pieces[d]
 
@@ -123,6 +129,7 @@ class LinearCoverAction:
         key = (a, b)
         if key not in self._mul_maps:
             pa, pb, pab = self.piece(a), self.piece(b), self.piece(a + b)
+            check_size(f"the multiplication map of degrees {a} and {b}", pa.dim * pb.dim, pab.dim)
             index = {m: i for i, m in enumerate(pab.monomials)}
             s = np.zeros((pa.dim * pb.dim, pab.dim), dtype=np.int64)
             for ia, alpha in enumerate(pa.monomials):
@@ -219,18 +226,13 @@ def _inverse_dets(action: LinearCoverAction) -> list[Poly]:
     return action._dets
 
 
-def molien_multiplicity_series(
-    action: LinearCoverAction,
-    i: int,
-    table: CharacterTable,
-    check_degree: int = DEFAULT_CHECK_DEGREE,
-) -> RatFunc:
+def molien_multiplicity_series(action: LinearCoverAction, i: int, table: CharacterTable) -> RatFunc:
     """Generating function of the multiplicities of irreducible i by degree.
 
     The finite sum (1/|G|) sum_g chi_i(g^-1) / det(1 - t rho(g)^-1), the
     orientation fixed by the contragredient action on the variables, is
     cross-checked coefficient by coefficient against the projector
-    multiplicities up to check_degree.  A disagreement raises
+    multiplicities through CHECK_DEGREE.  A disagreement raises
     OrientationMismatch (an implementation bug, not a data error).
     """
     if i in action._series:
@@ -242,10 +244,8 @@ def molien_multiplicity_series(
         chi = table.values[i][classes.class_of[group.inv[g]]]
         acc = acc + RatFunc(Poly.const(p, chi), dets[g])
     series = acc.scale(linalg.inv_mod(group.order % p, p))
-    got = series_prefix(series, check_degree)
-    expected = [
-        action.piece_decomposition(d, table)[1][i] % p for d in range(check_degree + 1)
-    ]
+    got = series_prefix(series, CHECK_DEGREE)
+    expected = [action.piece_decomposition(d, table)[1][i] % p for d in range(CHECK_DEGREE + 1)]
     if got != expected:
         raise OrientationMismatch(
             f"series coefficients {got} != projector multiplicities {expected}"
@@ -393,32 +393,18 @@ class VerificationOutcome:
 
 
 @dataclass
-class CoverReport:
-    """Everything the cover verification produces, JSON-serializable."""
+class Report:
+    """The JSON-ready data of one report and its verification outcomes."""
 
-    action: LinearCoverAction
-    table: CharacterTable
-    max_degree: int
-    generic_mults: list[int]
-    degree_table: list[list[int]]
-    invariant_series: RatFunc
-    outcomes: list[VerificationOutcome] = field(default_factory=list)
+    data: dict
+    outcomes: list[VerificationOutcome]
 
     @property
     def passed(self) -> bool:
         return all(o.passed for o in self.outcomes)
 
     def to_dict(self) -> dict:
-        return {
-            "action": self.action.to_dict(),
-            "degrees": list(self.table.degrees),
-            "max_degree": self.max_degree,
-            "generic_multiplicities": self.generic_mults,
-            "multiplicities_by_degree": self.degree_table,
-            "invariant_series": self.invariant_series.to_dict(),
-            "outcomes": [o.to_dict() for o in self.outcomes],
-            "pass": self.passed,
-        }
+        return {**self.data, "outcomes": [o.to_dict() for o in self.outcomes], "pass": self.passed}
 
 
 def cyclic_subgroups(group: Group) -> list[Subgroup]:
@@ -429,19 +415,16 @@ def cyclic_subgroups(group: Group) -> list[Subgroup]:
     return sorted(seen.values(), key=lambda s: (s.order, s.element_indices))
 
 
-def pushforward_report(
-    action: LinearCoverAction,
-    max_degree: int,
-    table: CharacterTable,
-    product_degree: int = 4,
-) -> CoverReport:
+def pushforward_report(action: LinearCoverAction, max_degree: int, table: CharacterTable) -> Report:
     """Run the full structure verification for one cover action.
 
     Checks: every generic multiplicity equals the irreducible dimension
     (regular type at the generic point), Molien coefficients match
     projector multiplicities mod p through max_degree, the fixed-ring
     dimension count holds for every cyclic subgroup, and component
-    products respect the tensor vanishing pattern at small degrees.
+    products respect the tensor vanishing pattern through PRODUCT_DEGREE.
+    A graded piece or multiplication map above `reps.MAX_SYSTEM_CELLS`
+    raises SystemTooLarge.
     """
     group, p, r = action.group, action.p, table.num_irreps
     degrees = list(table.degrees)
@@ -465,8 +448,8 @@ def pushforward_report(
     prod_witness = None
     for i in range(r):
         for j in range(r):
-            for a in range(1, product_degree + 1):
-                for b in range(a, product_degree + 1):
+            for a in range(1, PRODUCT_DEGREE + 1):
+                for b in range(a, PRODUCT_DEGREE + 1):
                     res = product_structure_check(action, i, j, a, b, table)
                     if not res.ok and prod_witness is None:
                         prod_witness = {"i": i, "j": j, "a": a, "b": b, "detail": res.witness}
@@ -489,12 +472,12 @@ def pushforward_report(
             "cover.product_pattern", "component products vanish outside the tensor decomposition", prod_witness
         ),
     ]
-    return CoverReport(
-        action,
-        table,
-        max_degree,
-        generic,
-        degree_table,
-        molien_multiplicity_series(action, 0, table),
-        outcomes,
-    )
+    data = {
+        "action": action.to_dict(),
+        "degrees": degrees,
+        "max_degree": max_degree,
+        "generic_multiplicities": generic,
+        "multiplicities_by_degree": degree_table,
+        "invariant_series": molien_multiplicity_series(action, 0, table).to_dict(),
+    }
+    return Report(data, outcomes)

@@ -17,21 +17,20 @@ image of the ramified point x = 0); in the Laurent variant y is a unit
 and phi is an isomorphism.
 
 `cyclic_report` runs every check on one model and returns a
-`CyclicReport` of `VerificationOutcome`s, as `cover.pushforward_report`
+`cover.Report` of `VerificationOutcome`s, as `cover.pushforward_report`
 does for graded covers.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from .arith import Poly, choose_prime, primitive_root
 from .characters import CharacterTable, character_table
-from .cover import VerificationOutcome
-from .errors import SearchExhausted, SingularMatrix, error_witness
+from .cover import Report, VerificationOutcome
+from .errors import SingularMatrix, error_witness
 from .groups import Group, conjugacy_classes, group_from_name, subgroup_closure
 from .linalg import det, inv_mod, matmul
 from .polymat import as_unit_times_power, factored_det, factored_invariant_factors
@@ -99,8 +98,9 @@ class PhiMatrix:
 class NormalBasisWitness:
     """Element whose translates form a basis of Frac(B) over Frac(A).
 
-    coeffs[i] is the A-coefficient of x^i; the certificate is the nonzero
-    determinant of the translate matrix in the x-power basis.
+    coeffs[i] is the A-coefficient of x^i; the certificate is the
+    determinant of the translate matrix in the x-power basis, nonzero
+    exactly when the translates are a basis.
     """
 
     coeffs: tuple[Poly, ...]
@@ -249,61 +249,29 @@ def phi_equivariance_check(model: CyclicCoverModel, phi: PhiMatrix | None = None
     )
 
 
-def normal_basis_element(model: CyclicCoverModel, seed: int = 0) -> NormalBasisWitness:
-    """Element of B whose n translates are a basis over Frac(A).
+def normal_basis_element(model: CyclicCoverModel) -> NormalBasisWitness:
+    """The element 1 + x + ... + x^(n-1) and its normal-basis certificate.
 
-    Deterministic candidate order: 1 + x, then 1 + x + ... + x^(n-1),
-    then seeded random constant coefficient vectors.  The certificate is
-    the determinant of the translate matrix [cand_i zeta^(ij)], a constant
-    matrix over F_p, which a density argument makes nonzero for some early
-    candidate.
+    The translate matrix of c_0 + c_1 x + ... is diag(c)·[zeta^(ij)], so
+    its determinant is prod(c_i)·det[zeta^(ij)]: the all-ones element is
+    a normal-basis element exactly when any element is.  The certificate
+    is det[zeta^(ij)], a Vandermonde determinant that vanishes only when
+    zeta has order below n; a zero is returned, not raised.
     """
     n, p = model.n, model.p
-    rng = random.Random(seed)
-
-    def candidates():
-        if n == 1:
-            yield (1,)
-        else:
-            yield (1, 1) + (0,) * (n - 2)
-            yield (1,) * n
-        for _ in range(1000):
-            yield tuple(rng.randrange(p) for _ in range(n))
-
     zeta_powers = np.array(
         [[pow(model.zeta, i * j, p) for j in range(n)] for i in range(n)], dtype=np.int64
     )
-    for cand in candidates():
-        d = det(np.array(cand, dtype=np.int64)[:, None] * zeta_powers % p, p)
-        if d:
-            coeffs = tuple(Poly.const(p, c) for c in cand)
-            return NormalBasisWitness(coeffs, Poly.const(p, d))
-    raise SearchExhausted("no normal-basis element found in 1000 candidates")
+    return NormalBasisWitness((Poly.const(p, 1),) * n, Poly.const(p, det(zeta_powers, p)))
 
 
-@dataclass
-class CyclicReport:
-    """The JSON-ready data of one cyclic model and its verification outcomes."""
-
-    data: dict
-    outcomes: list[VerificationOutcome]
-
-    @property
-    def passed(self) -> bool:
-        return all(o.passed for o in self.outcomes)
-
-    def to_dict(self) -> dict:
-        return {**self.data, "outcomes": [o.to_dict() for o in self.outcomes], "pass": self.passed}
-
-
-def cyclic_report(model: CyclicCoverModel, seed: int = 0) -> CyclicReport:
+def cyclic_report(model: CyclicCoverModel) -> Report:
     """Run every check on one cyclic model.
 
     Checks: det(phi) is a unit times y^k (k >= 1 in the polynomial
     variant, whose cokernel sits over the branch point), the invariant
     factors are powers of y (certified by det(C) != 0), phi is equivariant,
-    and the normal-basis certificate is nonzero.  `seed` only drives the
-    fallback of the normal-basis search.
+    and the normal-basis certificate is nonzero.
     """
     phi = phi_matrix(model)
     determinant = phi_det(model, phi)
@@ -319,7 +287,7 @@ def cyclic_report(model: CyclicCoverModel, seed: int = 0) -> CyclicReport:
     else:
         det_ok = mono is not None
         anchor = "det(phi) is invertible in the Laurent ring: phi is an isomorphism"
-    witness = normal_basis_element(model, seed=seed)
+    witness = normal_basis_element(model)
     data = {
         "model": model.to_dict(),
         "component_powers": decompose_pushforward(model),
@@ -342,10 +310,10 @@ def cyclic_report(model: CyclicCoverModel, seed: int = 0) -> CyclicReport:
             "phi intertwines the translation and twisted cyclic actions",
             phi_equivariance_check(model, phi),
         ),
-        VerificationOutcome(
+        VerificationOutcome.from_witness(
             "cyclic.normal_basis",
             "translates of the witness element form a basis over Frac(A)",
-            not witness.determinant.is_zero(),
+            {"determinant": data["normal_basis"]["determinant"]} if witness.determinant.is_zero() else None,
         ),
     ]
-    return CyclicReport(data, outcomes)
+    return Report(data, outcomes)

@@ -107,9 +107,3 @@ class NotFaithful(IsotypicError):
 class OrientationMismatch(IsotypicError):
     """The multiplicity series disagrees with the projector-derived
     coefficients; indicates an implementation bug."""
-
-
-# -- cyclic cover models ------------------------------------------------------
-
-class SearchExhausted(IsotypicError):
-    """Normal-basis candidate search ran out of candidates (unreachable)."""

@@ -12,6 +12,7 @@ eliminations in `linalg`, so component bases are reproducible.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -20,7 +21,6 @@ import numpy as np
 from . import linalg
 from .characters import (
     CharacterTable,
-    central_idempotents,
     char_dual,
     char_tensor,
     char_trivial,
@@ -40,9 +40,21 @@ from .errors import (
 from .groups import ConjugacyClasses, Group, Subgroup
 from .linalg import inv_mod
 
-# Largest intertwiner system (rows x columns) built densely: 2^24 int64
-# cells are 128 MB, where S5's regular rep would need 28800 x 14400.
+# Largest dense array built for a hom system or a graded cover piece: 2^24
+# int64 cells are 128 MB, where S5's regular rep would need 28800 x 14400.
 MAX_SYSTEM_CELLS = 2**24
+
+
+def check_size(what: str, *shape: int) -> None:
+    """Raise SystemTooLarge, before anything is allocated, when an array of
+    this shape would exceed MAX_SYSTEM_CELLS."""
+    cells = math.prod(shape)
+    if cells > MAX_SYSTEM_CELLS:
+        raise SystemTooLarge(
+            f"{what} is {' x '.join(map(str, shape))} ({cells} cells),"
+            f" above the limit of {MAX_SYSTEM_CELLS} cells"
+        )
+
 
 class MatrixRep:
     """One invertible dim x dim matrix over F_p per group element."""
@@ -198,7 +210,7 @@ def character_of(rep: MatrixRep, classes: ConjugacyClasses) -> tuple[int, ...]:
 def isotypic_projector(rep: MatrixRep, i: int, table: CharacterTable) -> np.ndarray:
     """Central projector deg_i/|G| * sum_g chi_i(g^-1) rho(g)."""
     flat = rep.mats.reshape(rep.group.order, rep.dim**2)
-    return linalg.matmul(central_idempotents(table)[i], flat, table.p).reshape(rep.dim, rep.dim)
+    return linalg.matmul(table.idempotents()[i], flat, table.p).reshape(rep.dim, rep.dim)
 
 
 def decompose(rep: MatrixRep, table: CharacterTable) -> tuple[IsotypicDecomposition, RepType]:
@@ -263,12 +275,7 @@ def _intertwiner_system(r1: MatrixRep, r2: MatrixRep) -> np.ndarray:
     """
     p = r1.p
     d1, d2 = r1.dim, r2.dim
-    rows, cols = len(r1.group.generator_indices) * d1 * d2, d1 * d2
-    if rows * cols > MAX_SYSTEM_CELLS:
-        raise SystemTooLarge(
-            f"the intertwiner system is {rows} x {cols} ({rows * cols} cells),"
-            f" above the limit of {MAX_SYSTEM_CELLS} cells"
-        )
+    check_size("the intertwiner system", len(r1.group.generator_indices) * d1 * d2, d1 * d2)
     blocks = []
     for g_pos, g in enumerate(r1.group.generator_indices):
         a = np.kron(linalg.identity(d2), r1.mats[g].T)

@@ -46,7 +46,7 @@ def _first_error(attempts) -> dict | None:
 def _idempotents_ok(table: characters.CharacterTable) -> bool:
     """e_i e_j = delta_ij e_i in F_p[G], and the e_i sum to 1."""
     group, p = table.group, table.p
-    idems = characters.central_idempotents(table)
+    idems = table.idempotents()
     zero = np.zeros(group.order, dtype=np.int64)
     orthogonal = all(
         np.array_equal(characters.convolve(e_i, e_j, group, p), e_i % p if i == j else zero)
@@ -56,10 +56,10 @@ def _idempotents_ok(table: characters.CharacterTable) -> bool:
     return orthogonal and np.array_equal(sum(idems) % p, characters.delta_element(group, 0))
 
 
-def group_checks(name: str) -> list[VerificationOutcome]:
-    """The four per-group outcomes of verify-all for the builtin group `name`."""
-    table = _table(name)
+def group_checks(table: characters.CharacterTable) -> list[VerificationOutcome]:
+    """The four per-group outcomes of verify-all for the group of `table`."""
     group, classes, p = table.group, table.classes, table.p
+    name = group.name
     reg = reps.regular_rep(group, p)
     _, rtype = reps.decompose(reg, table)
     models = reps.irreducible_models(group, table)
@@ -93,18 +93,19 @@ def group_checks(name: str) -> list[VerificationOutcome]:
     ]
 
 
-def verify_all(max_degree: int, seed: int) -> list[VerificationOutcome]:
-    """Every builtin scenario; cover reports run through `max_degree`, and
-    `seed` drives the fallback of the cyclic normal-basis search."""
-    outcomes = [o for name in VERIFY_GROUPS for o in group_checks(name)]
+def verify_all(max_degree: int) -> list[VerificationOutcome]:
+    """Every builtin scenario; cover reports run through `max_degree`.  Each
+    group's character table is built once."""
+    tables = {name: _table(name) for name in VERIFY_GROUPS}
+    outcomes = [o for table in tables.values() for o in group_checks(table)]
     for name, kind in COVER_SCENARIOS:
-        table = _table(name)
+        table = tables[name]
         action = cover.builtin_action(table.group, table.p, kind)
         report = cover.pushforward_report(action, max_degree, table)
         outcomes += _prefixed(f"{name}.{action.name}", report.outcomes)
     for n in CYCLIC_DEGREES:
         for variant in cyclic.VARIANTS:
-            report = cyclic.cyclic_report(cyclic.build_cyclic(n, variant), seed)
+            report = cyclic.cyclic_report(cyclic.build_cyclic(n, variant))
             # The equivariance outcome above n = 4 is computed (two 36x36
             # products at n = 6) but not listed: listing it would change the
             # verify-all bytes pinned by tests/golden/verify_all.json and

@@ -127,6 +127,18 @@ def test_decompose_huge_hom_system_exits_2(runner):
     assert elapsed < 5
 
 
+def test_cover_piece_too_large_exits_2(runner):
+    # Q8 acting on 8 variables: the Molien check needs the degree-6 piece,
+    # 8 dense 1716 x 1716 matrices; it is refused before it is built
+    start = time.perf_counter()
+    result = runner.invoke(main, ["cover", "--group", "Q8", "--action", "perm", "--max-degree", "1"])
+    elapsed = time.perf_counter() - start
+    assert result.exit_code == 2
+    assert "the degree-6 piece is 8 x 1716 x 1716 (23557248 cells)" in result.output
+    assert "Traceback" not in result.output and result.exception.__class__ is SystemExit
+    assert elapsed < 5
+
+
 def test_cover_matrix_file_modulus_conflict(runner, tmp_path):
     path = tmp_path / "action.txt"
     path.write_text("p 3\n2\n")
@@ -213,25 +225,6 @@ def test_verify_all_deterministic(runner, tmp_path):
     doc = json.loads(b1)
     assert doc["pass"] is True
     assert all(o["pass"] for o in doc["outcomes"])
-
-
-def test_cyclic_seed_env(runner, monkeypatch):
-    # the env var seeds the fallback search; the deterministic candidates
-    # come first, so the canonical witnesses are unchanged
-    monkeypatch.setenv("ISOTYPIC_SEED", "17")
-    result = runner.invoke(main, ["cyclic", "--n", "3", "--format", "json"])
-    assert result.exit_code == 0
-    doc = json.loads(result.output)
-    assert doc["normal_basis"]["coeffs"] == [[1], [1], [1]]
-    assert doc["phi_det_factor"] == {"unit": 6, "y_power": 3}
-
-
-@pytest.mark.parametrize("args", [["cyclic", "--n", "3"], ["verify-all", "--max-degree", "0"]])
-def test_bad_seed_is_invalid_input(runner, args):
-    result = runner.invoke(main, args, env={"ISOTYPIC_SEED": "abc"})
-    assert result.exit_code == 2
-    assert "ISOTYPIC_SEED='abc' is not an integer" in result.output
-    assert "Traceback" not in result.output
 
 
 def test_output_file_matches_stdout(runner, tmp_path):

@@ -9,7 +9,8 @@ import isotypic as iso
 from isotypic import linalg
 from isotypic.arith import Poly, RatFunc
 from isotypic.cover import _inverse_dets, builtin_action, cyclic_subgroups
-from isotypic.errors import NotFaithful, OrientationMismatch
+from isotypic import reps
+from isotypic.errors import NotFaithful, OrientationMismatch, SystemTooLarge
 from isotypic.scenarios import COVER_SCENARIOS
 from polymat_oracle import bareiss_det
 
@@ -35,6 +36,22 @@ def test_validate_action_rejects_non_faithful(ctx):
     c = ctx("C2")
     with pytest.raises(NotFaithful):
         iso.validate_action(c.group, [np.eye(1, dtype=np.int64)], c.p)
+
+
+def test_oversized_piece_and_multiplication_map_raise(ctx, monkeypatch):
+    # C2 acting by -1 on three variables, under a 500-cell limit: the
+    # degree-4 piece (2 x 15 x 15) fits, the degree-5 piece and the
+    # 36 x 15 map of degrees 2 + 2 do not
+    c = ctx("C2")
+    action = iso.validate_action(c.group, [np.eye(3, dtype=np.int64) * (c.p - 1)], c.p)
+    monkeypatch.setattr(reps, "MAX_SYSTEM_CELLS", 500)
+    assert action.piece(4).dim == 15
+    assert action.multiplication_map(1, 3).shape == (30, 15)
+    with pytest.raises(SystemTooLarge, match=r"the degree-5 piece is 2 x 21 x 21 \(882 cells\)"):
+        action.piece(5)
+    with pytest.raises(SystemTooLarge, match=r"multiplication map of degrees 2 and 2 is 36 x 15 \(540 cells\)"):
+        action.multiplication_map(2, 2)
+    assert 5 not in action._pieces and (2, 2) not in action._mul_maps
 
 
 def test_degree_piece_basics(ctx):
@@ -285,8 +302,8 @@ def test_pushforward_report_s3(ctx):
     c = ctx("S3")
     report = iso.pushforward_report(iso.perm_action(c.group, c.p), 12, c.table)
     assert report.passed
-    assert report.generic_mults == [1, 1, 2]
-    assert report.degree_table[0] == [1, 0, 0]
+    assert report.data["generic_multiplicities"] == [1, 1, 2]
+    assert report.data["multiplicities_by_degree"][0] == [1, 0, 0]
     doc = report.to_dict()
     assert doc["pass"] and len(doc["multiplicities_by_degree"]) == 13
 
@@ -295,14 +312,14 @@ def test_pushforward_report_trivial_group(ctx):
     c = ctx("C1")
     action = iso.validate_action(c.group, [], c.p)
     report = iso.pushforward_report(action, 6, c.table)
-    assert report.passed and report.generic_mults == [1]
+    assert report.passed and report.data["generic_multiplicities"] == [1]
 
 
 def test_pushforward_report_d4(ctx):
     c = ctx("D4")
     report = iso.pushforward_report(iso.reflection_action(c.group, c.p), 12, c.table)
     assert report.passed
-    assert report.generic_mults == [1, 1, 1, 1, 2]
+    assert report.data["generic_multiplicities"] == [1, 1, 1, 1, 2]
 
 
 def test_cyclic_subgroups_s3(ctx):

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import math
+import random
+from dataclasses import replace
+
 import pytest
 import sympy
 
@@ -175,6 +179,41 @@ def test_normal_basis_translate_determinant_is_vandermonde():
             prod = prod * (pts[j] - pts[i]) % m.p
     unit, _ = as_unit_times_power(w.determinant)
     assert unit % m.p == prod % m.p or (-unit) % m.p == prod % m.p
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 6))
+def test_translate_determinant_is_coefficient_product_times_vandermonde(n):
+    # det(diag(c)·[zeta^(ij)]) = prod(c_i)·det[zeta^(ij)] against the
+    # Bareiss oracle, for seeded coefficients with and without zeros
+    model = iso.build_cyclic(n)
+    p = model.p
+    vandermonde = iso.normal_basis_element(model).determinant
+    rng = random.Random(n)
+    for trial in range(8):
+        c = [rng.randrange(1, p) for _ in range(n)]
+        if trial % 2:
+            c[rng.randrange(n)] = 0
+        translates = [
+            [Poly.const(p, c[i] * pow(model.zeta, i * j, p)) for j in range(n)] for i in range(n)
+        ]
+        assert bareiss_det(translates) == Poly.const(p, math.prod(c)) * vandermonde
+
+
+def test_normal_basis_certificate_vanishes_for_a_short_zeta(monkeypatch):
+    # zeta^2 has order 2 < 4: the translates of every element are dependent,
+    # the certificate is returned as 0 and the report's outcome fails on it
+    model = iso.build_cyclic(4)
+    short = replace(model, zeta=pow(model.zeta, 2, model.p))
+    witness = iso.normal_basis_element(short)
+    assert [list(c.coeffs) for c in witness.coeffs] == [[1]] * 4
+    assert witness.determinant.is_zero()
+    monkeypatch.setattr(iso.cyclic, "normal_basis_element", lambda m: witness)
+    doc = cyclic_report(model).to_dict()
+    by_check = {o["check"]: o for o in doc["outcomes"]}
+    assert doc["pass"] is False
+    assert by_check["cyclic.normal_basis"]["pass"] is False
+    assert by_check["cyclic.normal_basis"]["witness"] == {"determinant": []}
+    assert all(o["pass"] for o in doc["outcomes"] if o["check"] != "cyclic.normal_basis")
 
 
 def test_phi_entry_degree_bound():

@@ -132,6 +132,23 @@ def test_decompose_regular_all_groups(ctx):
                 sub._validate()
 
 
+def test_decompose_builds_the_idempotents_once(monkeypatch):
+    # five projectors, one set of idempotent rows per table
+    group = iso.group_from_name("S4")
+    p = iso.choose_prime(group)
+    table = iso.character_table(group, iso.conjugacy_classes(group), p)
+    builds = []
+    build = iso.characters.central_idempotents
+    monkeypatch.setattr(iso.characters, "central_idempotents", lambda t: builds.append(t) or build(t))
+    _, rtype = iso.decompose(iso.regular_rep(group, p), table)
+    assert rtype.multiplicities == table.degrees == (1, 1, 2, 3, 3)
+    assert builds == [table]
+    rows = table.idempotents()
+    assert rows is table.idempotents() and len(builds) == 1
+    assert all(not row.flags.writeable for row in rows)
+    assert all(np.array_equal(a, b) for a, b in zip(rows, build(table)))
+
+
 def test_decompose_perm_s3(ctx):
     c = ctx("S3")
     perm = iso.permutation_rep(c.group, c.p)
