@@ -32,7 +32,7 @@ from .characters import CharacterTable, character_table
 from .cover import Report, VerificationOutcome
 from .errors import SingularMatrix, error_witness
 from .groups import Group, conjugacy_classes, group_from_name, subgroup_closure
-from .linalg import det, inv_mod, matmul
+from .linalg import block_det, det, inv_mod, matmul
 from .polymat import as_unit_times_power, factored_det, factored_invariant_factors
 
 VARIANTS = ("polynomial", "laurent")
@@ -195,11 +195,39 @@ def phi_matrix(model: CyclicCoverModel) -> PhiMatrix:
     return PhiMatrix(n, p, const, (i + j) // n)
 
 
+def const_blocks(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Rows and columns of the n diagonal blocks of C, for v = 0..n-1.
+
+    Column x^i (x) x^j lands only in rows (u, v) with v = (i + j) mod n, so
+    block v holds the rows (u, v) and the columns x^i (x) x^(v-i mod n).
+    """
+    k = np.arange(n)
+    return [(k * n + v, k * n + (v - k) % n) for v in range(n)]
+
+
+def off_block_entry(phi: PhiMatrix) -> tuple[int, int] | None:
+    """(row, column) of the first nonzero entry of C outside its diagonal
+    blocks (`const_blocks`), or None when C is block diagonal."""
+    k = np.arange(phi.n * phi.n)
+    row_block, col_block = k % phi.n, (k // phi.n + k) % phi.n
+    stray = np.argwhere((phi.const != 0) & (row_block[:, None] != col_block))
+    return (int(stray[0, 0]), int(stray[0, 1])) if stray.size else None
+
+
 def phi_det(model: CyclicCoverModel, phi: PhiMatrix | None = None) -> Poly:
-    """det(phi) = det(C)·y^(sum e)."""
+    """det(phi) = det(C)·y^(sum e).
+
+    det(C) is the product of the n determinants of the n x n blocks of
+    `const_blocks`, times the two permutation signs (`linalg.block_det`),
+    in place of one n^2 x n^2 determinant.  A C with an entry off those
+    blocks (see `off_block_entry`) takes the whole determinant instead.
+    """
     if phi is None:
         phi = phi_matrix(model)
-    return factored_det(phi.const, phi.powers, model.p)
+    if off_block_entry(phi) is not None:
+        return factored_det(phi.const, phi.powers, model.p)
+    det_c = block_det(phi.const, const_blocks(phi.n), model.p)
+    return Poly.monomial(model.p, det_c, int(np.sum(phi.powers)))
 
 
 def phi_elementary_divisors(
@@ -269,9 +297,11 @@ def cyclic_report(model: CyclicCoverModel) -> Report:
     """Run every check on one cyclic model.
 
     Checks: det(phi) is a unit times y^k (k >= 1 in the polynomial
-    variant, whose cokernel sits over the branch point), the invariant
-    factors are powers of y (certified by det(C) != 0), phi is equivariant,
-    and the normal-basis certificate is nonzero.
+    variant, whose cokernel sits over the branch point) and C is zero off
+    its diagonal blocks, the invariant factors are powers of y (certified
+    by det(C) != 0), phi is equivariant, and the normal-basis certificate
+    is nonzero.  A determinant that fails is the witness; otherwise a
+    nonzero entry off the blocks is.
     """
     phi = phi_matrix(model)
     determinant = phi_det(model, phi)
@@ -287,6 +317,13 @@ def cyclic_report(model: CyclicCoverModel) -> Report:
     else:
         det_ok = mono is not None
         anchor = "det(phi) is invertible in the Laurent ring: phi is an isomorphism"
+    stray = off_block_entry(phi)
+    if not det_ok:
+        det_witness = {"det": list(determinant.coeffs)}
+    elif stray is not None:
+        det_witness = {"off_block_entry": list(stray)}
+    else:
+        det_witness = None
     witness = normal_basis_element(model)
     data = {
         "model": model.to_dict(),
@@ -301,7 +338,7 @@ def cyclic_report(model: CyclicCoverModel) -> Report:
         },
     }
     outcomes = [
-        VerificationOutcome.from_witness("cyclic.phi_det", anchor, None if det_ok else {"det": data["phi_det"]}),
+        VerificationOutcome.from_witness("cyclic.phi_det", anchor, det_witness),
         VerificationOutcome.from_witness(
             "cyclic.elementary_divisors", "all invariant factors are powers of y", div_witness
         ),

@@ -70,6 +70,10 @@ class NotAHomomorphism(IsotypicError):
         self.word = word
 
 
+class NotAnIntertwiner(IsotypicError):
+    """A multiplicity-space basis matrix does not commute with a generator."""
+
+
 class SystemTooLarge(IsotypicError):
     """An intertwiner system would exceed the cell limit of dense elimination."""
 

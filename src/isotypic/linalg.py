@@ -195,6 +195,38 @@ def det(a: np.ndarray, p: int) -> int:
     return d % p
 
 
+def perm_sign(perm) -> int:
+    """Sign (+1 or -1) of a permutation of range(n): (-1)^(n - cycles)."""
+    perm = [int(k) for k in perm]
+    seen = [False] * len(perm)
+    cycles = 0
+    for start in range(len(perm)):
+        if not seen[start]:
+            cycles += 1
+            k = start
+            while not seen[k]:
+                seen[k] = True
+                k = perm[k]
+    return -1 if (len(perm) - cycles) % 2 else 1
+
+
+def block_det(a: np.ndarray, blocks, p: int) -> int:
+    """det(a) for a square matrix that is block diagonal up to a row and a
+    column permutation.
+
+    `blocks` lists the (rows, cols) index lists of the square diagonal
+    blocks; the rows of all blocks, in order, are a permutation of the row
+    indices, and likewise the columns.  det(a) is the sign of those two
+    permutations times the product of the block determinants.  The caller
+    checks that a is zero outside the blocks.
+    """
+    a = asmat(a, p)
+    d = perm_sign(np.concatenate([r for r, _ in blocks])) * perm_sign(np.concatenate([c for _, c in blocks]))
+    for rows, cols in blocks:
+        d = d * det(a[np.ix_(rows, cols)], p) % p
+    return d % p
+
+
 def charpoly(a: np.ndarray, p: int) -> list[int]:
     """Coefficients (low to high, monic) of det(xI - a) over F_p.
 

@@ -2,9 +2,10 @@
 
 A representation assigns one invertible matrix per group element, indexed
 by the canonical element order.  Central projectors cut out the isotypic
-components; multiplicity spaces are bases of intertwiners from an
-irreducible model, and the evaluation map assembled from them is checked
-to be an isomorphism onto the component.
+components.  Multiplicity spaces Hom_G(V_i, E) come from Serre's operators
+p_{a1} built from the matrix coefficients of an irreducible model, and the
+evaluation map assembled from them is checked to be an isomorphism onto the
+component.
 
 All rank and null-space computations go through the deterministic
 eliminations in `linalg`, so component bases are reproducible.
@@ -31,6 +32,7 @@ from .errors import (
     InconsistentMultiplicity,
     MethodMismatch,
     NotAHomomorphism,
+    NotAnIntertwiner,
     NotInjective,
     SingularMatrix,
     SplitFailure,
@@ -432,6 +434,40 @@ def subgroup_invariants(rep: MatrixRep, h: Subgroup, table: CharacterTable) -> n
     return basis
 
 
+def multiplicity_space(rep: MatrixRep, model: MatrixRep) -> list[np.ndarray]:
+    """Basis of Hom_G(model, rep) as (rep.dim x n_i) matrices, n_i = model.dim.
+
+    Serre's operators (*Linear Representations of Finite Groups*, §2.7,
+    Prop. 8), with r(g) the model matrices:
+    p_a = (n_i/|G|) sum_g r(g^-1)[0, a] rho(g) for a = 0..n_i-1, all from
+    one product of the (n_i x |G|) coefficients with the (|G| x dim^2)
+    matrices.  For an irreducible model, p_0 projects onto a space W of
+    dimension the multiplicity, and for w in W the matrix
+    T_w = [p_0 w | ... | p_{n_i-1} w] intertwines: rho(g) T_w = T_w r(g).
+    The T_w over the row basis of W, `row_space(p_0^T)`, form the basis;
+    one product gives them all.  Each is checked against every generator,
+    one pair of products per generator, and the first generator that
+    fails raises NotAnIntertwiner.
+    """
+    group, p = rep.group, rep.p
+    n, d, n_i = group.order, rep.dim, model.dim
+    scale = n_i * inv_mod(n, p) % p
+    coef = model.mats[list(group.inv), 0, :].T * scale % p
+    ops = linalg.matmul(coef, rep.mats.reshape(n, d * d), p).reshape(n_i, d, d)
+    w = linalg.row_space(ops[0].T, p)
+    m = w.shape[0]
+    # cols[a, :, s] = p_a w_s, column a of the s-th intertwiner T_s
+    cols = linalg.matmul(ops.reshape(n_i * d, d), w.T, p).reshape(n_i, d, m)
+    side_by_side = cols.transpose(1, 2, 0).reshape(d, m * n_i)  # [T_0 | T_1 | ...]
+    stacked = cols.transpose(2, 1, 0).reshape(m * d, n_i)  # T_0 over T_1 over ...
+    for pos, g in enumerate(group.generator_indices):
+        left = linalg.matmul(rep.mats[g], side_by_side, p).reshape(d, m, n_i)
+        right = linalg.matmul(stacked, model.mats[g], p).reshape(m, d, n_i)
+        if not np.array_equal(left, right.transpose(1, 0, 2)):
+            raise NotAnIntertwiner(f"a multiplicity-space matrix T has rho(g{pos}) T != T r(g{pos})")
+    return list(stacked.reshape(m, d, n_i))
+
+
 def evaluation_iso_check(
     rep: MatrixRep, i: int, table: CharacterTable, model: MatrixRep
 ) -> tuple[bool, np.ndarray]:
@@ -439,18 +475,19 @@ def evaluation_iso_check(
 
     The map v (x) T -> T v must be injective with image exactly the i-th
     isotypic component; both failures are impossible for valid inputs and
-    raise.
+    raise.  The multiplicity space comes from the model's matrix
+    coefficients (`multiplicity_space`) and the component from the
+    character table, so the image check compares two independent routes.
     """
     if hom_dim(model, model, table) != 1:
         raise WrongImage("the supplied model is not irreducible (endomorphisms != scalars)")
     p = rep.p
-    basis = intertwiner_basis(model, rep)
+    basis = multiplicity_space(rep, model)
     m = len(basis)
     n_i = model.dim
     assembled = np.zeros((rep.dim, n_i * m), dtype=np.int64)
-    for a in range(n_i):
-        for s, t_mat in enumerate(basis):
-            assembled[:, a * m + s] = t_mat[:, a]
+    for s, t_mat in enumerate(basis):
+        assembled[:, s::m] = t_mat  # column a * m + s is T_s e_a
     if linalg.rank(assembled, p) != n_i * m:
         raise NotInjective(f"evaluation map for irreducible {i} has a kernel")
     component = linalg.row_space(isotypic_projector(rep, i, table).T, p)

@@ -10,6 +10,7 @@ import pytest
 import sympy
 
 import isotypic as iso
+from isotypic import linalg
 from isotypic.arith import Poly
 from isotypic.cyclic import PhiMatrix, cyclic_report, phi_matrix
 from isotypic.errors import SingularMatrix
@@ -107,6 +108,16 @@ def test_phi_det_matches_berkowitz_oracle():
     for n in (2, 3):
         m = iso.build_cyclic(n)
         assert iso.phi_det(m) == berkowitz_det(phi_matrix(m).entries)
+
+
+@pytest.mark.parametrize("variant", iso.cyclic.VARIANTS)
+def test_phi_det_blocks_match_the_whole_determinant(variant):
+    for n in range(2, 13):
+        model = iso.build_cyclic(n, variant)
+        phi = phi_matrix(model)
+        assert iso.cyclic.off_block_entry(phi) is None
+        whole = Poly.monomial(model.p, linalg.det(phi.const, model.p), int(phi.powers.sum()))
+        assert iso.phi_det(model, phi) == whole, n
 
 
 def test_phi_det_n2_value():
@@ -324,3 +335,29 @@ def test_cyclic_report_fails_on_singular_const(monkeypatch, variant):
     assert divisors["pass"] is False
     assert divisors["witness"]["error"] == "SingularMatrix" and divisors["witness"]["det"] == []
     assert doc["elementary_divisors"] is None
+
+
+def stray_phi(model):
+    # column x^0 (x) x^0 (block 0) added to column x^0 (x) x^1 (block 1):
+    # det(C) is unchanged, but C has nonzero entries off its blocks
+    phi = phi_matrix(model)
+    const = phi.const.copy()
+    const[:, 1] = (const[:, 1] + const[:, 0]) % model.p
+    return PhiMatrix(model.n, model.p, const, phi.powers)
+
+
+@pytest.mark.parametrize("variant", iso.cyclic.VARIANTS)
+def test_cyclic_report_fails_on_an_entry_off_the_blocks(monkeypatch, variant):
+    model = iso.build_cyclic(3, variant)
+    good = iso.phi_det(model)
+    bad = stray_phi(model)
+    assert iso.cyclic.off_block_entry(bad) == (0, 1)
+    # the block product would be wrong here; the whole determinant is taken
+    assert iso.phi_det(model, bad) == good == factored_det(bad.const, bad.powers, model.p)
+    monkeypatch.setattr(iso.cyclic, "phi_matrix", stray_phi)
+    doc = cyclic_report(model).to_dict()
+    by_check = {o["check"]: o for o in doc["outcomes"]}
+    assert doc["pass"] is False and doc["phi_det"] == list(good.coeffs)
+    assert by_check["cyclic.phi_det"]["pass"] is False
+    assert by_check["cyclic.phi_det"]["witness"] == {"off_block_entry": [0, 1]}
+    assert by_check["cyclic.elementary_divisors"]["pass"] is True

@@ -8,6 +8,7 @@ import random
 import numpy as np
 import pytest
 import sympy
+from sympy.combinatorics import Permutation
 from sympy.polys.matrices import DomainMatrix
 
 import isotypic as iso
@@ -217,3 +218,34 @@ def test_inverse_matches_sympy_inv_mod():
     assert inverted >= 30
     with pytest.raises(SingularMatrix):
         linalg.inverse(np.array([[1, 2], [3, 6]], dtype=np.int64), 7)
+
+
+def test_perm_sign_matches_sympy():
+    rng = random.Random(47)
+    for n in range(0, 9):
+        for _ in range(10):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            want = Permutation(perm).signature() if n else 1
+            assert linalg.perm_sign(perm) == want
+
+
+def test_block_det_matches_the_whole_determinant():
+    # random square blocks placed on shuffled rows and columns
+    rng = random.Random(53)
+    p = 10009
+    for _ in range(40):
+        sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 4))]
+        n = sum(sizes)
+        rows, cols = list(range(n)), list(range(n))
+        rng.shuffle(rows)
+        rng.shuffle(cols)
+        a = np.zeros((n, n), dtype=np.int64)
+        blocks, start = [], 0
+        for k in sizes:
+            r, c = np.array(rows[start : start + k]), np.array(cols[start : start + k])
+            singular = rng.random() < 0.2
+            a[np.ix_(r, c)] = [[0 if singular and j == 0 else rng.randrange(p) for j in range(k)] for _ in range(k)]
+            blocks.append((r, c))
+            start += k
+        assert linalg.block_det(a, blocks, p) == linalg.det(a, p)

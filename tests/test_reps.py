@@ -14,8 +14,14 @@ import pytest
 
 import isotypic as iso
 from isotypic import linalg
-from isotypic.errors import ModulusTooLarge, NotAHomomorphism, SingularMatrix
-from isotypic.reps import intertwiner_basis, restrict_to_subspace
+from isotypic.errors import (
+    ModulusTooLarge,
+    NotAHomomorphism,
+    NotAnIntertwiner,
+    SingularMatrix,
+    WrongImage,
+)
+from isotypic.reps import intertwiner_basis, multiplicity_space, restrict_to_subspace
 
 from conftest import TEST_GROUPS
 
@@ -581,3 +587,83 @@ def test_irreducible_models_match_pinned_digests(ctx):
             for m in ctx(name).models
         ]
         assert got == want, name
+
+
+@pytest.mark.parametrize("name", TEST_GROUPS + ("S5",))
+def test_multiplicity_space_matches_intertwiner_oracle(name, ctx):
+    c = ctx(name)
+    p = c.p
+    rand, _ = random_rep(c, random.Random(zlib.crc32(name.encode())))
+    reps = {"regular": iso.regular_rep(c.group, p), "perm": iso.permutation_rep(c.group, p), "random": rand}
+    zero_seen = 0
+    for rep_name, rep in reps.items():
+        for i, model in enumerate(c.models):
+            basis = multiplicity_space(rep, model)
+            oracle = intertwiner_basis(model, rep)
+            m = len(basis)
+            assert m == len(oracle), (rep_name, i)
+            if m:
+                ours = np.stack([t.reshape(-1) for t in basis])
+                theirs = np.stack([t.reshape(-1) for t in oracle])
+                assert linalg.rank(ours, p) == m
+                assert linalg.rank(np.concatenate([ours, theirs]), p) == m
+            for t in basis:
+                assert t.shape == (rep.dim, model.dim)
+                # every element, not only the generators
+                assert np.array_equal(rep.mats @ t % p, t @ model.mats % p), (rep_name, i)
+            ok, assembled = iso.evaluation_iso_check(rep, i, c.table, model)
+            assert ok and assembled.shape == (rep.dim, model.dim * m)
+            if m == 0:
+                assert basis == []
+                zero_seen += 1
+    # C1 has one irreducible, and the seeded C2 sum contains both of C2's
+    assert zero_seen or name in ("C1", "C2")
+
+
+def test_multiplicity_space_rejects_a_model_of_another_irreducible(ctx):
+    c = ctx("S5")
+    reg = iso.regular_rep(c.group, c.p)
+    degrees = c.table.degrees
+    pairs = [(i, j) for i in range(len(degrees)) for j in range(len(degrees)) if i != j and degrees[i] == degrees[j]]
+    assert len(pairs) == 6  # degrees 1, 4 and 5 each occur twice
+    for i, j in pairs:
+        with pytest.raises(WrongImage):
+            iso.evaluation_iso_check(reg, i, c.table, c.models[j])
+
+
+def _corrupted(rep, pos):
+    """`rep` with the matrix of generator `pos` column-reversed, unvalidated."""
+    mats = rep.mats.copy()
+    g = rep.group.generator_indices[pos]
+    mats[g] = mats[g][:, ::-1]
+    return iso.MatrixRep(rep.group, rep.p, mats, validate=False)
+
+
+@pytest.mark.parametrize("name", ["C6", "S3", "S5"])
+def test_multiplicity_space_names_a_corrupted_generator(name, ctx):
+    # The corrupted matrix enters every operator p_a, so the first generator
+    # whose equation fails need not be the corrupted one; on the regular rep
+    # and with a single generator it is.
+    c = ctx(name)
+    single = len(c.group.generator_indices) == 1
+    for rep_name, rep in (("regular", iso.regular_rep(c.group, c.p)), ("perm", iso.permutation_rep(c.group, c.p))):
+        bad = _corrupted(rep, 0)
+        for model in c.models:
+            with pytest.raises(NotAnIntertwiner) as err:
+                multiplicity_space(bad, model)
+            named = "rho(g0)" if rep_name == "regular" or single else "rho(g"
+            assert named in str(err.value)
+
+
+def test_corrupted_generator_reaches_the_evaluation_outcome(monkeypatch, ctx):
+    from isotypic import scenarios
+
+    c = ctx("S3")
+    real_perm = iso.reps.permutation_rep
+    monkeypatch.setattr(iso.reps, "permutation_rep", lambda group, p: _corrupted(real_perm(group, p), 0))
+    by_check = {o.check: o for o in scenarios.group_checks(c.table)}
+    outcome = by_check["S3.evaluation_iso"]
+    assert not outcome.passed
+    assert outcome.witness["error"] == "NotAnIntertwiner" and "rho(g0)" in outcome.witness["message"]
+    assert (outcome.witness["group"], outcome.witness["rep"], outcome.witness["irrep"]) == ("S3", "perm", 0)
+    assert all(o.passed for check, o in by_check.items() if check != "S3.evaluation_iso")
