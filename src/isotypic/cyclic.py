@@ -33,7 +33,7 @@ from .cover import Report, VerificationOutcome
 from .errors import SingularMatrix, error_witness
 from .groups import Group, conjugacy_classes, group_from_name, subgroup_closure
 from .linalg import block_det, det, inv_mod, matmul
-from .polymat import as_unit_times_power, factored_det, factored_invariant_factors
+from .polymat import as_unit_times_power, factored_invariant_factors
 
 VARIANTS = ("polynomial", "laurent")
 
@@ -219,13 +219,12 @@ def phi_det(model: CyclicCoverModel, phi: PhiMatrix | None = None) -> Poly:
 
     det(C) is the product of the n determinants of the n x n blocks of
     `const_blocks`, times the two permutation signs (`linalg.block_det`),
-    in place of one n^2 x n^2 determinant.  A C with an entry off those
-    blocks (see `off_block_entry`) takes the whole determinant instead.
+    in place of one n^2 x n^2 determinant.  `phi_matrix` places entries
+    only inside those blocks; `cyclic_report` checks that C has none
+    outside them (`off_block_entry`).
     """
     if phi is None:
         phi = phi_matrix(model)
-    if off_block_entry(phi) is not None:
-        return factored_det(phi.const, phi.powers, model.p)
     det_c = block_det(phi.const, const_blocks(phi.n), model.p)
     return Poly.monomial(model.p, det_c, int(np.sum(phi.powers)))
 
@@ -300,8 +299,9 @@ def cyclic_report(model: CyclicCoverModel) -> Report:
     variant, whose cokernel sits over the branch point) and C is zero off
     its diagonal blocks, the invariant factors are powers of y (certified
     by det(C) != 0), phi is equivariant, and the normal-basis certificate
-    is nonzero.  A determinant that fails is the witness; otherwise a
-    nonzero entry off the blocks is.
+    is nonzero.  `phi_det` is the product of the block determinants,
+    which is det(C) only when C is zero off the blocks.  A determinant
+    that fails is the witness; otherwise a nonzero entry off the blocks is.
     """
     phi = phi_matrix(model)
     determinant = phi_det(model, phi)

@@ -71,7 +71,7 @@ class NotAHomomorphism(IsotypicError):
 
 
 class NotAnIntertwiner(IsotypicError):
-    """A multiplicity-space basis matrix does not commute with a generator."""
+    """A multiplicity-space basis matrix fails rho(g) T = T r(g) for a generator g."""
 
 
 class SystemTooLarge(IsotypicError):

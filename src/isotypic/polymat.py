@@ -18,18 +18,12 @@ import numpy as np
 
 from .arith import Poly
 from .errors import SingularMatrix
-from .linalg import det
-
-
-def factored_det(const: np.ndarray, powers: np.ndarray, p: int) -> Poly:
-    """det(C·diag(y^e)) = det(C)·y^(sum e)."""
-    return Poly.monomial(p, det(const, p), int(np.sum(powers)))
 
 
 def factored_invariant_factors(determinant: Poly, powers: np.ndarray) -> list[Poly]:
     """Monic invariant factors of C·diag(y^e) from its determinant.
 
-    The determinant (from `factored_det`) is nonzero exactly when C is
+    The determinant det(C)·y^(sum e) is nonzero exactly when C is
     invertible, which is what makes y^e, sorted, the Smith form; a zero
     determinant raises `SingularMatrix`.
     """

@@ -446,8 +446,10 @@ def multiplicity_space(rep: MatrixRep, model: MatrixRep) -> list[np.ndarray]:
     T_w = [p_0 w | ... | p_{n_i-1} w] intertwines: rho(g) T_w = T_w r(g).
     The T_w over the row basis of W, `row_space(p_0^T)`, form the basis;
     one product gives them all.  Each is checked against every generator,
-    one pair of products per generator, and the first generator that
-    fails raises NotAnIntertwiner.
+    one pair of products per generator, and the first generator whose
+    intertwining equation fails raises NotAnIntertwiner.  That generator
+    need not be the one with a wrong matrix, since every rho(g) enters
+    every p_a; wrong matrices are caught by MatrixRep's validation.
     """
     group, p = rep.group, rep.p
     n, d, n_i = group.order, rep.dim, model.dim
@@ -464,7 +466,10 @@ def multiplicity_space(rep: MatrixRep, model: MatrixRep) -> list[np.ndarray]:
         left = linalg.matmul(rep.mats[g], side_by_side, p).reshape(d, m, n_i)
         right = linalg.matmul(stacked, model.mats[g], p).reshape(m, d, n_i)
         if not np.array_equal(left, right.transpose(1, 0, 2)):
-            raise NotAnIntertwiner(f"a multiplicity-space matrix T has rho(g{pos}) T != T r(g{pos})")
+            raise NotAnIntertwiner(
+                f"g{pos} is the first generator whose intertwining equation fails: "
+                f"a multiplicity-space matrix T has rho(g{pos}) T != T r(g{pos})"
+            )
     return list(stacked.reshape(m, d, n_i))
 
 

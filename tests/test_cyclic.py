@@ -14,7 +14,7 @@ from isotypic import linalg
 from isotypic.arith import Poly
 from isotypic.cyclic import PhiMatrix, cyclic_report, phi_matrix
 from isotypic.errors import SingularMatrix
-from isotypic.polymat import as_unit_times_power, factored_det, factored_invariant_factors
+from isotypic.polymat import as_unit_times_power, factored_invariant_factors
 from polymat_oracle import bareiss_det, mat_equal, matmul, smith_normal_form
 
 
@@ -312,7 +312,8 @@ def singular_phi(model):
 def test_singular_const_has_no_invariant_factors():
     model = iso.build_cyclic(3)
     phi = singular_phi(model)
-    det = factored_det(phi.const, phi.powers, model.p)
+    # column 1 is zero in the rows of its block, so the block product is 0
+    det = iso.phi_det(model, phi)
     assert det.is_zero() and bareiss_det(phi.entries).is_zero()
     # the ones-and-y pattern would be wrong: the true Smith form has rank < 9
     assert len(smith_normal_form(phi.entries)) < 9
@@ -352,8 +353,9 @@ def test_cyclic_report_fails_on_an_entry_off_the_blocks(monkeypatch, variant):
     good = iso.phi_det(model)
     bad = stray_phi(model)
     assert iso.cyclic.off_block_entry(bad) == (0, 1)
-    # the block product would be wrong here; the whole determinant is taken
-    assert iso.phi_det(model, bad) == good == factored_det(bad.const, bad.powers, model.p)
+    # no block changes, so the block product is still det(C), as elimination
+    # over F_p[y] confirms; only the entry off the blocks fails the check
+    assert iso.phi_det(model, bad) == good == bareiss_det(bad.entries)
     monkeypatch.setattr(iso.cyclic, "phi_matrix", stray_phi)
     doc = cyclic_report(model).to_dict()
     by_check = {o["check"]: o for o in doc["outcomes"]}

@@ -640,10 +640,11 @@ def _corrupted(rep, pos):
 
 
 @pytest.mark.parametrize("name", ["C6", "S3", "S5"])
-def test_multiplicity_space_names_a_corrupted_generator(name, ctx):
-    # The corrupted matrix enters every operator p_a, so the first generator
-    # whose equation fails need not be the corrupted one; on the regular rep
-    # and with a single generator it is.
+def test_multiplicity_space_rejects_a_corrupted_generator(name, ctx):
+    # The witness names the first generator whose intertwining equation
+    # fails.  The corrupted matrix enters every operator p_a, so that need
+    # not be the corrupted generator; on the regular rep and with a single
+    # generator it is.
     c = ctx(name)
     single = len(c.group.generator_indices) == 1
     for rep_name, rep in (("regular", iso.regular_rep(c.group, c.p)), ("perm", iso.permutation_rep(c.group, c.p))):
