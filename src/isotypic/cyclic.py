@@ -27,12 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import Poly, choose_prime, primitive_root
+from .arith import Poly, choose_prime, root_of_unity
 from .characters import CharacterTable, character_table
 from .cover import Report, VerificationOutcome
 from .errors import SingularMatrix, error_witness
 from .groups import Group, conjugacy_classes, group_from_name, subgroup_closure
-from .linalg import block_det, det, inv_mod, matmul
+from .linalg import block_det, det, inv_mod
 from .polymat import as_unit_times_power, factored_invariant_factors
 
 VARIANTS = ("polynomial", "laurent")
@@ -81,17 +81,16 @@ class PhiMatrix:
     const: np.ndarray
     powers: np.ndarray
 
-    @property
-    def entries(self) -> list[list[Poly]]:
-        """Entry (r, c) = C[r, c]·y^e[c] as a polynomial in y.
+    def coeff_lists(self) -> list[list[list[int]]]:
+        """Coefficients in y of each entry C[r, c]·y^e[c], low to high: []
+        where C[r, c] is 0, otherwise [0]*e[c] + [C[r, c]].
 
-        Equal entries share one (immutable) `Poly`.
+        Equal entries share one list.
         """
-        powers = self.powers.tolist()
-        shared = {
-            (c, k): Poly.monomial(self.p, c, k) for c in np.unique(self.const).tolist() for k in set(powers)
-        }
-        return [[shared[c, k] for c, k in zip(row, powers)] for row in self.const.tolist()]
+        base = int(self.powers.max(initial=0)) + 1
+        keys, index = np.unique(self.const * base + self.powers, return_inverse=True)
+        lists = [[0] * (key % base) + [key // base] if key >= base else [] for key in keys.tolist()]
+        return [[lists[k] for k in row] for row in index.reshape(self.const.shape).tolist()]
 
 
 @dataclass
@@ -115,7 +114,7 @@ def build_cyclic(n: int, variant: str = "polynomial") -> CyclicCoverModel:
         raise ValueError(f"variant must be one of {VARIANTS}")
     group = group_from_name(f"C{n}")
     p = choose_prime(group)
-    zeta = pow(primitive_root(p), (p - 1) // n, p)
+    zeta = root_of_unity(p, n)
     classes = conjugacy_classes(group)
     table = character_table(group, classes, p)
     return CyclicCoverModel(n, p, zeta, variant, group, table)
@@ -178,11 +177,24 @@ def intermediate_fixed_ring(model: CyclicCoverModel, m: int) -> tuple[int, ...]:
     return by_chars
 
 
+def blocks_of(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal block of each row and of each column of C.
+
+    Row (u, v) holds the coefficient of x^v in slot u, so it lies in block
+    v; column x^i (x) x^j has x^(i+j) = y^e x^((i + j) mod n), so it lies
+    in block (i + j) mod n.
+    """
+    k = np.arange(n * n)
+    i, j = np.divmod(k, n)
+    return j, (i + j) % n
+
+
 def phi_matrix(model: CyclicCoverModel) -> PhiMatrix:
     """phi = C·diag(y^e) for m (x) b -> (m * g^-u(b))_u over A = F_p[y].
 
     phi(x^i (x) x^j) lands in slot u as zeta^(-uj) x^(i+j); reducing
-    x^(i+j) to the basis gives the factor y^e with e = (i + j) div n.
+    x^(i+j) to the basis gives the factor y^e with e = (i + j) div n, in
+    row (u, (i + j) mod n).
     """
     n, p = model.n, model.p
     zeta_inv = inv_mod(model.zeta, p)
@@ -191,30 +203,26 @@ def phi_matrix(model: CyclicCoverModel) -> PhiMatrix:
     i, j = np.divmod(cols, n)
     u = np.arange(n)[:, None]
     const = np.zeros((n * n, n * n), dtype=np.int64)
-    const[u * n + (i + j) % n, cols] = inv_powers[u * j % n]
+    const[u * n + blocks_of(n)[1], cols] = inv_powers[u * j % n]
     return PhiMatrix(n, p, const, (i + j) // n)
 
 
 def const_blocks(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Rows and columns of the n diagonal blocks of C, for v = 0..n-1.
-
-    Column x^i (x) x^j lands only in rows (u, v) with v = (i + j) mod n, so
-    block v holds the rows (u, v) and the columns x^i (x) x^(v-i mod n).
-    """
-    k = np.arange(n)
-    return [(k * n + v, k * n + (v - k) % n) for v in range(n)]
+    """Rows and columns of the n diagonal blocks of C (`blocks_of`), for
+    v = 0..n-1, each in ascending order."""
+    row_block, col_block = blocks_of(n)
+    return [(np.flatnonzero(row_block == v), np.flatnonzero(col_block == v)) for v in range(n)]
 
 
 def off_block_entry(phi: PhiMatrix) -> tuple[int, int] | None:
     """(row, column) of the first nonzero entry of C outside its diagonal
-    blocks (`const_blocks`), or None when C is block diagonal."""
-    k = np.arange(phi.n * phi.n)
-    row_block, col_block = k % phi.n, (k // phi.n + k) % phi.n
+    blocks (`blocks_of`), or None when C is block diagonal."""
+    row_block, col_block = blocks_of(phi.n)
     stray = np.argwhere((phi.const != 0) & (row_block[:, None] != col_block))
     return (int(stray[0, 0]), int(stray[0, 1])) if stray.size else None
 
 
-def phi_det(model: CyclicCoverModel, phi: PhiMatrix | None = None) -> Poly:
+def phi_det(phi: PhiMatrix) -> Poly:
     """det(phi) = det(C)·y^(sum e).
 
     det(C) is the product of the n determinants of the n x n blocks of
@@ -223,56 +231,31 @@ def phi_det(model: CyclicCoverModel, phi: PhiMatrix | None = None) -> Poly:
     only inside those blocks; `cyclic_report` checks that C has none
     outside them (`off_block_entry`).
     """
-    if phi is None:
-        phi = phi_matrix(model)
-    det_c = block_det(phi.const, const_blocks(phi.n), model.p)
-    return Poly.monomial(model.p, det_c, int(np.sum(phi.powers)))
+    det_c = block_det(phi.const, const_blocks(phi.n), phi.p)
+    return Poly.monomial(phi.p, det_c, int(np.sum(phi.powers)))
 
 
-def phi_elementary_divisors(
-    model: CyclicCoverModel, phi: PhiMatrix | None = None, determinant: Poly | None = None
-) -> list[Poly]:
-    """Monic invariant factors of phi over F_p[y].
-
-    They are y^e in ascending order, certified by det(phi) != 0 (that is,
-    C invertible); a singular C raises `SingularMatrix`.  Pass `phi` and
-    its `phi_det` to reuse them.
-    """
-    if phi is None:
-        phi = phi_matrix(model)
-    if determinant is None:
-        determinant = phi_det(model, phi)
-    return factored_invariant_factors(determinant, phi.powers)
-
-
-def phi_equivariance_check(model: CyclicCoverModel, phi: PhiMatrix | None = None) -> bool:
+def phi_equivariance_check(model: CyclicCoverModel, phi: PhiMatrix) -> bool:
     """phi intertwines the two commuting cyclic actions.
 
     Source actions (h = generator): 1 (x) h scales x^i (x) x^j by zeta^j,
-    h (x) 1 scales by zeta^i.  Target actions: left translation permutes
-    the blocks u -> h u; the twisted action shifts u -> u h^-1 and applies
-    h inside the component (x^v scales by zeta^v).  Both identities
+    h (x) 1 scales by zeta^i.  Target actions: left translation moves
+    block u to h u; the twisted action moves u to u h^-1 and applies h
+    inside the component (x^v scales by zeta^v).  Both identities
     phi S = T phi must hold over A.  S and diag(y^e) are diagonal, so they
     commute, and diag(y^e) is invertible over Frac(A): phi S = T phi holds
-    exactly when C S = T C, which is checked on constant matrices.
+    exactly when C S = T C.  S scales the columns of C; T rolls its row
+    slots u and scales the rows (u, v) by the twist, so no product is
+    formed.
     """
     n, p = model.n, model.p
-    if phi is None:
-        phi = phi_matrix(model)
-    size = n * n
     weights = np.array([model.weight(k) for k in range(n)], dtype=np.int64)
-    cols = np.arange(size)
-    u, v = np.divmod(cols, n)
-    s_right = np.diag(weights[v])  # 1 (x) h
-    s_left = np.diag(weights[u])  # h (x) 1
-    t_translate = np.zeros((size, size), dtype=np.int64)
-    t_translate[(u + 1) % n * n + v, cols] = 1
-    t_twist = np.zeros((size, size), dtype=np.int64)
-    t_twist[(u - 1) % n * n + v, cols] = weights[v]
-    c = phi.const
-    return all(
-        np.array_equal(matmul(c, s, p), matmul(t, c, p))
-        for s, t in ((s_right, t_translate), (s_left, t_twist))
+    i, j = np.divmod(np.arange(n * n), n)
+    slots = phi.const.reshape(n, n, n * n) % p  # slots[u, v] is row (u, v)
+    translated = np.roll(slots, 1, axis=0)  # row (u, v) of T C is row (u - 1, v) of C
+    twisted = np.roll(slots, -1, axis=0) * weights[:, None] % p  # zeta^v times row (u + 1, v)
+    return np.array_equal(slots * weights[j] % p, translated) and np.array_equal(
+        slots * weights[i] % p, twisted
     )
 
 
@@ -304,9 +287,9 @@ def cyclic_report(model: CyclicCoverModel) -> Report:
     that fails is the witness; otherwise a nonzero entry off the blocks is.
     """
     phi = phi_matrix(model)
-    determinant = phi_det(model, phi)
+    determinant = phi_det(phi)
     try:
-        divisors = phi_elementary_divisors(model, phi, determinant)
+        divisors = factored_invariant_factors(determinant, phi.powers)
         div_witness = None
     except SingularMatrix as exc:
         divisors, div_witness = None, error_witness(exc, det=list(determinant.coeffs))
@@ -328,7 +311,7 @@ def cyclic_report(model: CyclicCoverModel) -> Report:
     data = {
         "model": model.to_dict(),
         "component_powers": decompose_pushforward(model),
-        "phi_matrix": [[list(e.coeffs) for e in row] for row in phi.entries],
+        "phi_matrix": phi.coeff_lists(),
         "phi_det": list(determinant.coeffs),
         "phi_det_factor": {"unit": mono[0], "y_power": mono[1]} if mono else None,
         "elementary_divisors": None if divisors is None else [list(d.coeffs) for d in divisors],

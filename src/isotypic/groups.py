@@ -327,9 +327,8 @@ def parse_generator_text(text: str) -> list[Permutation]:
     return [Permutation(tuple(p.images) + tuple(range(p.degree, deg))) for p in perms]
 
 
-def group_from_text(text: str, cap: int = DEFAULT_CAP, name: str = "custom") -> Group:
-    gens = parse_generator_text(text)
-    return build_group(gens, cap=cap, degree=1, name=name)
+def group_from_text(text: str, name: str = "custom") -> Group:
+    return build_group(parse_generator_text(text), degree=1, name=name)
 
 
 def _cycle_perm(n: int) -> Permutation:
@@ -347,7 +346,7 @@ _A4_GENS = (
 )
 
 
-def group_from_name(name: str, cap: int = DEFAULT_CAP) -> Group:
+def group_from_name(name: str) -> Group:
     """Builtin groups: S<n>, C<n>, D<n> (order 2n), Q8, A4."""
     label = name.strip()
     m = re.fullmatch(r"([SCDscd])(\d+)", label)
@@ -371,9 +370,9 @@ def group_from_name(name: str, cap: int = DEFAULT_CAP) -> Group:
                 gens = [Permutation((1, 0, 2, 3)), Permutation((0, 1, 3, 2))]
             else:
                 gens = [_cycle_perm(n), Permutation(tuple((n - i) % n for i in range(n)))]
-        return build_group(gens, cap=cap, degree=1, name=label.upper())
+        return build_group(gens, degree=1, name=label.upper())
     if label.upper() == "Q8":
-        return build_group(_Q8_GENS, cap=cap, name="Q8")
+        return build_group(_Q8_GENS, name="Q8")
     if label.upper() == "A4":
-        return build_group(_A4_GENS, cap=cap, name="A4")
+        return build_group(_A4_GENS, name="A4")
     raise ValueError(f"unknown builtin group {name!r}")

@@ -148,10 +148,9 @@ def regular_rep(group: Group, p: int) -> MatrixRep:
     return MatrixRep(group, p, mats)
 
 
-def permutation_rep(group: Group, p: int, action=None) -> MatrixRep:
-    """Permutation matrices of an action on points (defaults to the
-    defining permutation realization of the group)."""
-    perms = list(action) if action is not None else [group.elements[g] for g in range(group.order)]
+def permutation_rep(group: Group, p: int) -> MatrixRep:
+    """Permutation matrices of the defining permutation realization."""
+    perms = group.elements
     deg = perms[0].degree
     mats = np.zeros((group.order, deg, deg), dtype=np.int64)
     cols = np.arange(deg)

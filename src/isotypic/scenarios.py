@@ -106,10 +106,10 @@ def verify_all(max_degree: int) -> list[VerificationOutcome]:
     for n in CYCLIC_DEGREES:
         for variant in cyclic.VARIANTS:
             report = cyclic.cyclic_report(cyclic.build_cyclic(n, variant))
-            # The equivariance outcome above n = 4 is computed (two 36x36
-            # products at n = 6) but not listed: listing it would change the
-            # verify-all bytes pinned by tests/golden/verify_all.json and
-            # perfbench/pins.json.
+            # The equivariance outcome above n = 4 is computed (a column
+            # scaling and a row gather of the 36x36 C at n = 6) but not
+            # listed: listing it would change the verify-all bytes pinned by
+            # tests/golden/verify_all.json and perfbench/pins.json.
             kept = [o for o in report.outcomes if n <= 4 or o.check != "cyclic.equivariance"]
             outcomes += _prefixed(f"C{n}.{variant}", kept)
     return outcomes

@@ -5,8 +5,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import settings
 
 import isotypic as iso
+
+# Every @given test draws the same examples on every run, so a failure
+# replays exactly; max_examples keeps its default.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 TEST_GROUPS = ("C1", "C2", "C3", "C4", "C6", "S3", "D4", "Q8", "A4")
 ACCEPTANCE_GROUPS = ("C2", "C3", "C4", "C6", "S3", "D4", "Q8", "A4")

@@ -13,6 +13,12 @@ from __future__ import annotations
 from isotypic.arith import Poly
 
 
+def poly_grid(phi) -> list[list[Poly]]:
+    """The entries C[r, c]·y^e[c] of a `cyclic.PhiMatrix` as `Poly`s."""
+    powers = phi.powers.tolist()
+    return [[Poly.monomial(phi.p, c, k) for c, k in zip(row, powers)] for row in phi.const.tolist()]
+
+
 def matmul(a: list[list[Poly]], b: list[list[Poly]]) -> list[list[Poly]]:
     p = a[0][0].p
     n, k, m = len(a), len(b), len(b[0])

@@ -18,7 +18,7 @@ import isotypic as iso
 from isotypic import linalg
 from isotypic.characters import convolve, delta_element
 from isotypic.cli import main
-from isotypic.polymat import as_unit_times_power
+from isotypic.polymat import as_unit_times_power, factored_invariant_factors
 
 from conftest import ACCEPTANCE_GROUPS
 from test_reps import random_rep
@@ -213,21 +213,20 @@ def test_c09_product_patterns(ctx, cover_actions):
 @criterion(10, "phi determinants: ramified support in y, unramified isomorphism")
 def test_c10_phi_contracts():
     for n in (2, 3, 4, 6):
-        poly_model = iso.build_cyclic(n, "polynomial")
-        det = iso.phi_det(poly_model)
+        phi = iso.phi_matrix(iso.build_cyclic(n, "polynomial"))
+        det = iso.phi_det(phi)
         mono = as_unit_times_power(det)
         assert mono is not None
         unit, k = mono
         assert unit != 0 and k >= 1
-        divisors = iso.phi_elementary_divisors(poly_model)
+        divisors = factored_invariant_factors(det, phi.powers)
         assert len(divisors) == n * n
         assert all(as_unit_times_power(d) is not None for d in divisors)
-        laurent_model = iso.build_cyclic(n, "laurent")
-        lmono = as_unit_times_power(iso.phi_det(laurent_model))
+        lmono = as_unit_times_power(iso.phi_det(iso.phi_matrix(iso.build_cyclic(n, "laurent"))))
         assert lmono is not None and lmono[0] != 0  # unit times a power of the unit y
-    m2 = iso.build_cyclic(2)
-    unit, k = as_unit_times_power(iso.phi_det(m2))
-    assert k == 1 and unit % m2.p in (4 % m2.p, (-4) % m2.p)  # independently derived +-4y
+    phi2 = iso.phi_matrix(iso.build_cyclic(2))
+    unit, k = as_unit_times_power(iso.phi_det(phi2))
+    assert k == 1 and unit % phi2.p in (4 % phi2.p, (-4) % phi2.p)  # independently derived +-4y
 
 
 @criterion(11, "normal-basis witnesses certified for n in {2, 3, 4, 6}")

@@ -5,7 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import isotypic as iso
@@ -80,6 +81,19 @@ def test_poly_gcd_examples():
         iso.poly_gcd(Poly(p), Poly(p))
 
 
+Y = sympy.Symbol("y")
+
+
+def to_sympy(f: Poly) -> sympy.Poly:
+    return sympy.Poly(list(reversed(f.coeffs)) or [0], Y, modulus=f.p)
+
+
+def from_sympy(f: sympy.Poly, p: int) -> Poly:
+    """The `Poly` of a sympy polynomial over GF(p), whose coefficients are
+    symmetric residues in (-p/2, p/2]."""
+    return Poly(p, [int(c) % p for c in reversed(f.all_coeffs())])
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.integers(0, 6), max_size=5),
@@ -98,8 +112,24 @@ def test_poly_gcd_divides_both(a, b, c):
     if not g.is_zero():
         assert (g % d).is_zero()
     if not fc.is_zero():
-        assert (d % iso.poly_gcd(fc, fc)).is_zero() or True  # gcd is monic multiple of common factors
         assert (d % fc.monic()).is_zero()
+    # the monic gcd over GF(p), computed by sympy
+    assert d == from_sympy(to_sympy(f).gcd(to_sympy(g)), p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from((7, 10009)),
+    st.lists(st.integers(0, 10008), max_size=7),
+    st.lists(st.integers(0, 10008), min_size=1, max_size=4),
+)
+def test_poly_divmod_matches_sympy_div(p, a, b):
+    f, g = Poly(p, a), Poly(p, b)
+    assume(not g.is_zero())
+    q, r = f.divmod(g)
+    want_q, want_r = sympy.div(to_sympy(f), to_sympy(g))
+    assert (q, r) == (from_sympy(want_q, p), from_sympy(want_r, p))
+    assert r.degree < g.degree and q * g + r == f
 
 
 def test_ratfunc_reduction_and_equality():

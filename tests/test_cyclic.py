@@ -6,6 +6,7 @@ import math
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 import sympy
 
@@ -15,7 +16,7 @@ from isotypic.arith import Poly
 from isotypic.cyclic import PhiMatrix, cyclic_report, phi_matrix
 from isotypic.errors import SingularMatrix
 from isotypic.polymat import as_unit_times_power, factored_invariant_factors
-from polymat_oracle import bareiss_det, mat_equal, matmul, smith_normal_form
+from polymat_oracle import bareiss_det, mat_equal, matmul, poly_grid, smith_normal_form
 
 
 def berkowitz_det(matrix):
@@ -36,7 +37,7 @@ def test_build_cyclic_examples():
     m3 = iso.build_cyclic(3)
     assert (m3.p, m3.zeta) == (7, 2)
     m1 = iso.build_cyclic(1)
-    assert m1.n == 1 and iso.phi_det(m1) == Poly.const(m1.p, 1)
+    assert m1.n == 1 and iso.phi_det(phi_matrix(m1)) == Poly.const(m1.p, 1)
     with pytest.raises(ValueError):
         iso.build_cyclic(0)
     with pytest.raises(ValueError):
@@ -90,7 +91,7 @@ def test_intermediate_fixed_ring():
 
 def test_phi_matrix_n2_frozen():
     m = iso.build_cyclic(2)
-    entries = phi_matrix(m).entries
+    entries = poly_grid(phi_matrix(m))
     p = m.p
     one, y = Poly.const(p, 1), Poly.x(p)
     minus = Poly.const(p, p - 1)
@@ -106,8 +107,8 @@ def test_phi_matrix_n2_frozen():
 
 def test_phi_det_matches_berkowitz_oracle():
     for n in (2, 3):
-        m = iso.build_cyclic(n)
-        assert iso.phi_det(m) == berkowitz_det(phi_matrix(m).entries)
+        phi = phi_matrix(iso.build_cyclic(n))
+        assert iso.phi_det(phi) == berkowitz_det(poly_grid(phi))
 
 
 @pytest.mark.parametrize("variant", iso.cyclic.VARIANTS)
@@ -117,13 +118,13 @@ def test_phi_det_blocks_match_the_whole_determinant(variant):
         phi = phi_matrix(model)
         assert iso.cyclic.off_block_entry(phi) is None
         whole = Poly.monomial(model.p, linalg.det(phi.const, model.p), int(phi.powers.sum()))
-        assert iso.phi_det(model, phi) == whole, n
+        assert iso.phi_det(phi) == whole, n
 
 
 def test_phi_det_n2_value():
     # hand expansion gives det = +-4y; the sign depends only on row order
     m = iso.build_cyclic(2)
-    det = iso.phi_det(m)
+    det = iso.phi_det(phi_matrix(m))
     unit, k = as_unit_times_power(det)
     assert k == 1
     assert unit % m.p in (4 % m.p, (-4) % m.p)
@@ -132,7 +133,7 @@ def test_phi_det_n2_value():
 def test_phi_det_contract():
     for n in (2, 3, 4, 6):
         m_poly = iso.build_cyclic(n, "polynomial")
-        det = iso.phi_det(m_poly)
+        det = iso.phi_det(phi_matrix(m_poly))
         mono = as_unit_times_power(det)
         assert mono is not None
         unit, k = mono
@@ -141,13 +142,13 @@ def test_phi_det_contract():
         assert k == n * (n - 1) // 2
         # the Laurent model shares the matrix; y is invertible there
         m_laurent = iso.build_cyclic(n, "laurent")
-        assert iso.phi_det(m_laurent) == det
+        assert iso.phi_det(phi_matrix(m_laurent)) == det
 
 
 def test_phi_elementary_divisors():
     for n in (2, 3, 4, 6):
-        m = iso.build_cyclic(n)
-        divisors = iso.phi_elementary_divisors(m)
+        phi = phi_matrix(iso.build_cyclic(n))
+        divisors = factored_invariant_factors(iso.phi_det(phi), phi.powers)
         assert len(divisors) == n * n  # full rank: phi is injective
         total = 0
         for d in divisors:
@@ -159,7 +160,8 @@ def test_phi_elementary_divisors():
 
 def test_phi_equivariance():
     for n in (1, 2, 3, 4):
-        assert iso.phi_equivariance_check(iso.build_cyclic(n))
+        model = iso.build_cyclic(n)
+        assert iso.phi_equivariance_check(model, phi_matrix(model))
 
 
 def test_normal_basis_witnesses():
@@ -229,7 +231,7 @@ def test_normal_basis_certificate_vanishes_for_a_short_zeta(monkeypatch):
 
 def test_phi_entry_degree_bound():
     for n in (2, 3, 4, 6):
-        for row in phi_matrix(iso.build_cyclic(n)).entries:
+        for row in poly_grid(phi_matrix(iso.build_cyclic(n))):
             for e in row:
                 assert e.degree <= 1
 
@@ -267,10 +269,10 @@ def test_factored_phi_matches_elimination_oracle(n, variant):
     model = iso.build_cyclic(n, variant)
     p = model.p
     phi = phi_matrix(model)
-    entries = phi.entries
-    det = iso.phi_det(model, phi)
+    entries = poly_grid(phi)
+    det = iso.phi_det(phi)
     assert det == bareiss_det(entries)
-    divisors = iso.phi_elementary_divisors(model, phi, det)
+    divisors = factored_invariant_factors(det, phi.powers)
     assert divisors == [Poly.const(p, 1)] * (n * (n + 1) // 2) + [Poly.x(p)] * (n * (n - 1) // 2)
     if n <= 6:
         assert divisors == smith_normal_form(entries)
@@ -297,8 +299,78 @@ def test_equivariance_check_rejects_a_corrupted_phi(n, corruption):
         # equivariance (both have weight 1 there) and breaks h (x) 1
         const[:, [0, n]] = const[:, [n, 0]]
     bad = PhiMatrix(n, model.p, const, phi.powers)
-    assert not oracle_equivariance(model, bad.entries)
+    assert not oracle_equivariance(model, poly_grid(bad))
     assert not iso.phi_equivariance_check(model, bad)
+
+
+def dense_equivariance(model, const):
+    """C S = T C with S and T built as dense n^2 x n^2 matrices over F_p
+    and multiplied by `linalg.matmul`."""
+    n, p = model.n, model.p
+    size = n * n
+    weights = np.array([model.weight(k) for k in range(n)], dtype=np.int64)
+    cols = np.arange(size)
+    u, v = np.divmod(cols, n)
+    t_translate = np.zeros((size, size), dtype=np.int64)
+    t_translate[(u + 1) % n * n + v, cols] = 1
+    t_twist = np.zeros((size, size), dtype=np.int64)
+    t_twist[(u - 1) % n * n + v, cols] = weights[v]
+    return all(
+        np.array_equal(linalg.matmul(const, np.diag(s), p), linalg.matmul(t, const, p))
+        for s, t in ((weights[v], t_translate), (weights[u], t_twist))
+    )
+
+
+def corruptions(const, p, rng):
+    """Seeded edits of C: one entry, a column swap, a row swap, a column
+    scaled, a row slot rolled, C scaled, and a random matrix."""
+    size = const.shape[0]
+    n = math.isqrt(size)
+    a, b = rng.sample(range(size), 2)
+    out = [const.copy() for _ in range(5)]
+    out[0][rng.randrange(size), rng.randrange(size)] += rng.randrange(1, p)
+    out[1][:, [a, b]] = out[1][:, [b, a]]
+    out[2][[a, b]] = out[2][[b, a]]
+    out[3][:, a] *= rng.randrange(2, p)
+    out[4] = np.roll(out[4].reshape(n, n, size), 1, axis=1).reshape(size, size)
+    out.append(const * rng.randrange(2, p))
+    out.append(np.array([[rng.randrange(p) for _ in range(size)] for _ in range(size)], dtype=np.int64))
+    return [c % p for c in out]
+
+
+@pytest.mark.parametrize("variant", iso.cyclic.VARIANTS)
+def test_equivariance_check_matches_the_dense_products(variant):
+    # the column scaling and row-slot roll against the dense products over
+    # F_p (and, for n <= 4, over F_p[y]), on the intact C and on seeded
+    # corruptions of it
+    for n in range(2, 17):
+        model = iso.build_cyclic(n, variant)
+        phi = phi_matrix(model)
+        assert iso.phi_equivariance_check(model, phi) and dense_equivariance(model, phi.const)
+        # C is compared over F_p, so unreduced residues are the same C
+        unreduced = phi.const + model.p
+        assert iso.phi_equivariance_check(model, replace(phi, const=unreduced)) and dense_equivariance(model, unreduced)
+        verdicts = []
+        for const in corruptions(phi.const, model.p, random.Random(n)):
+            dense = dense_equivariance(model, const)
+            assert iso.phi_equivariance_check(model, replace(phi, const=const)) == dense, n
+            if n <= 4:
+                assert oracle_equivariance(model, poly_grid(replace(phi, const=const))) == dense, n
+            verdicts.append(dense)
+        assert not all(verdicts), n
+
+
+@pytest.mark.parametrize("variant", iso.cyclic.VARIANTS)
+def test_coeff_lists_match_the_poly_grid(variant):
+    # the report's entry lists against the Poly oracle, on C and, for n >= 2,
+    # on its seeded corruptions (the last is a random matrix)
+    for n in range(1, 9):
+        model = iso.build_cyclic(n, variant)
+        phi = phi_matrix(model)
+        edits = corruptions(phi.const, model.p, random.Random(n)) if n > 1 else []
+        for const in (phi.const, *edits):
+            other = replace(phi, const=const)
+            assert other.coeff_lists() == [[list(e.coeffs) for e in row] for row in poly_grid(other)]
 
 
 def singular_phi(model):
@@ -313,14 +385,15 @@ def test_singular_const_has_no_invariant_factors():
     model = iso.build_cyclic(3)
     phi = singular_phi(model)
     # column 1 is zero in the rows of its block, so the block product is 0
-    det = iso.phi_det(model, phi)
-    assert det.is_zero() and bareiss_det(phi.entries).is_zero()
+    det = iso.phi_det(phi)
+    whole = bareiss_det(poly_grid(phi))
+    assert det.is_zero() and whole.is_zero()
     # the ones-and-y pattern would be wrong: the true Smith form has rank < 9
-    assert len(smith_normal_form(phi.entries)) < 9
+    assert len(smith_normal_form(poly_grid(phi))) < 9
     with pytest.raises(SingularMatrix):
         factored_invariant_factors(det, phi.powers)
     with pytest.raises(SingularMatrix):
-        iso.phi_elementary_divisors(model, phi)
+        factored_invariant_factors(whole, phi.powers)
 
 
 @pytest.mark.parametrize("variant", iso.cyclic.VARIANTS)
@@ -350,12 +423,12 @@ def stray_phi(model):
 @pytest.mark.parametrize("variant", iso.cyclic.VARIANTS)
 def test_cyclic_report_fails_on_an_entry_off_the_blocks(monkeypatch, variant):
     model = iso.build_cyclic(3, variant)
-    good = iso.phi_det(model)
+    good = iso.phi_det(phi_matrix(model))
     bad = stray_phi(model)
     assert iso.cyclic.off_block_entry(bad) == (0, 1)
     # no block changes, so the block product is still det(C), as elimination
     # over F_p[y] confirms; only the entry off the blocks fails the check
-    assert iso.phi_det(model, bad) == good == bareiss_det(bad.entries)
+    assert iso.phi_det(bad) == good == bareiss_det(poly_grid(bad))
     monkeypatch.setattr(iso.cyclic, "phi_matrix", stray_phi)
     doc = cyclic_report(model).to_dict()
     by_check = {o["check"]: o for o in doc["outcomes"]}

@@ -13,6 +13,7 @@ They pin element order, class order, row order and every value.
 
 from __future__ import annotations
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -39,6 +40,22 @@ REPORT_CASES = {
     "cyclic_n4_laurent.json": ["cyclic", "--n", "4", "--variant", "laurent"],
     "cyclic_n6.json": ["cyclic", "--n", "6"],
 }
+
+# sha256 of `isotypic cyclic --n N --variant V --format json`, taken from the
+# CLI before the report's phi entries and equivariance check were read off
+# C and e directly; the golden files above stop at n = 6.
+CYCLIC_SHA256 = {
+    (12, "polynomial"): "b8744ada26080912880545cffbdfd313e9f4ba0226b55cd223ff1bcddd7e9a47",
+    (12, "laurent"): "4340b16844d76c3839279ed8689ce4530ccb648fe488114aadbdb7a29a482d92",
+    (32, "polynomial"): "ffd00d0744097a555de08bba4631c19622e656cff4760ad102559a52146372a7",
+}
+
+
+@pytest.mark.parametrize("n, variant", sorted(CYCLIC_SHA256))
+def test_large_cyclic_report_matches_pinned_sha256(n, variant):
+    result = CliRunner().invoke(main, ["cyclic", "--n", str(n), "--variant", variant, "--format", "json"])
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == CYCLIC_SHA256[n, variant]
 
 
 @pytest.mark.parametrize("filename", sorted(CASES))

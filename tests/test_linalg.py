@@ -1,5 +1,5 @@
-"""The exact F_p product `linalg.matmul` against a Python-int oracle, and the
-change of basis `linalg.coordinates` and `linalg.inverse` against sympy."""
+"""The exact F_p product `linalg.matmul` against a Python-int oracle, and
+`linalg.rank`, `rref`, `nullspace`, `coordinates` and `inverse` against sympy."""
 
 from __future__ import annotations
 
@@ -160,8 +160,45 @@ def test_piece_projectors_built_once_per_degree_and_irreducible(ctx, monkeypatch
 
 
 def gf(a, p):
-    """A sympy DomainMatrix over GF(p)."""
-    return DomainMatrix.from_Matrix(sympy.Matrix(np.asarray(a).tolist())).convert_to(sympy.GF(p))
+    """A sympy DomainMatrix over GF(p), zero-size shapes included."""
+    a = np.asarray(a)
+    field = sympy.GF(p)
+    return DomainMatrix([[field(int(x)) for x in row] for row in a.tolist()], a.shape, field)
+
+
+def from_gf(m, p):
+    """The int64 array of residues in [0, p) of a DomainMatrix over GF(p)."""
+    return np.array([[int(x) % p for x in row] for row in m.to_Matrix().tolist()], dtype=np.int64).reshape(m.shape)
+
+
+def seeded_matrices(rng, p):
+    """Zero-size and zero matrices, then random m x n matrices, half of them
+    products of m x k and k x n factors (rank at most k < min(m, n))."""
+    out = [np.zeros(shape, dtype=np.int64) for shape in ((0, 0), (0, 3), (3, 0), (2, 3))]
+    for _ in range(30):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        k = rng.randint(0, min(m, n) - 1)
+        left = np.array([[rng.randrange(p) for _ in range(k)] for _ in range(m)], dtype=np.int64).reshape(m, k)
+        right = np.array([[rng.randrange(p) for _ in range(n)] for _ in range(k)], dtype=np.int64).reshape(k, n)
+        out.append(left @ right % p)
+        out.append(np.array([[rng.randrange(p) for _ in range(n)] for _ in range(m)], dtype=np.int64))
+    return out
+
+
+@pytest.mark.parametrize("p", (7, 10009))
+def test_rank_rref_nullspace_match_sympy(p):
+    rng = random.Random(p)
+    deficient = 0
+    for a in seeded_matrices(rng, p):
+        want = gf(a, p)
+        r, pivots = linalg.rref(a, p)
+        want_r, want_pivots = want.rref()
+        assert linalg.rank(a, p) == want.rank()
+        assert np.array_equal(r, from_gf(want_r, p)) and pivots == tuple(want_pivots)
+        # divide_last scales each sympy basis vector to end in 1: its free column
+        assert np.array_equal(linalg.nullspace(a, p), from_gf(want.nullspace(divide_last=True), p))
+        deficient += want.rank() < min(a.shape)
+    assert deficient >= 30
 
 
 def sympy_coordinates(basis, vectors, p):
