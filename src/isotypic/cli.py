@@ -121,10 +121,52 @@ def _matrix_file_input(path: str, group: Group, prime: int | None) -> tuple[int,
 # -- output ------------------------------------------------------------------------
 
 
+def json_text(doc) -> str:
+    """The text of `json.dumps(doc, indent=2)`, laid out here.
+
+    With `indent` set, the json module encodes every value with its
+    pure-Python encoder.  Here a list of plain ints is one join, scalars
+    and keys go through the C encoder, and the items of a list are encoded
+    once per distinct object, so the shared entry lists of a cyclic
+    report's phi matrix cost one encoding each.
+    """
+    texts: dict[int, dict[int, str]] = {}  # depth -> id of an item -> its text
+
+    def encode(obj, depth: int) -> str:
+        if isinstance(obj, (list, tuple)):
+            return layout("[", "]", encode_items(obj, depth + 1), depth)
+        if isinstance(obj, dict):
+            return layout("{", "}", [f"{encode_key(k)}: {encode(v, depth + 1)}" for k, v in obj.items()], depth)
+        return json.dumps(obj)
+
+    def encode_items(items, depth: int):
+        if set(map(type, items)) == {int}:
+            return map(int.__repr__, items)
+        known = texts.setdefault(depth, {})
+        by_id = dict(zip(map(id, items), items))
+        for key in by_id.keys() - known.keys():
+            known[key] = encode(by_id[key], depth)
+        return map(known.__getitem__, map(id, items))
+
+    def encode_key(key) -> str:
+        if not isinstance(key, str):
+            if not (isinstance(key, (int, float)) or key is None):
+                raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+            key = json.dumps(key)
+        return json.dumps(key)
+
+    def layout(opening: str, closing: str, parts, depth: int) -> str:
+        inner = "\n" + "  " * (depth + 1)
+        body = ("," + inner).join(parts)
+        return f"{opening}{inner}{body}\n{'  ' * depth}{closing}" if body else opening + closing
+
+    return encode(doc, 0)
+
+
 def _emit(doc: dict, fmt: str, out: str | None, render) -> None:
     """Write the document as JSON or rendered text; exit 1 if a check failed."""
     if fmt == "json":
-        payload = json.dumps(doc, indent=2) + "\n"
+        payload = json_text(doc) + "\n"
     else:
         payload = render(doc)
     if out:

@@ -37,9 +37,11 @@ from .groups import Group, Subgroup, subgroup_closure
 from .reps import (
     MatrixRep,
     _sym_power_step,
+    as_monomial,
     check_size,
     decompose,
     dual_rep,
+    fixed_dim,
     isotypic_projector,
     permutation_rep,
     rep_from_matrices,
@@ -101,8 +103,9 @@ class LinearCoverAction:
             if d == 0:
                 rep = trivial_rep(self.group, self.p)
             elif d == 1:
-                # g . x_j = sum_i (rho(g)^-1)[j, i] x_i: the contragredient action
-                rep = dual_rep(self.rep)
+                # g . x_j = sum_i (rho(g)^-1)[j, i] x_i: the contragredient action,
+                # monomial (and so is every piece above it) when rho(g) is
+                rep = as_monomial(dual_rep(self.rep))
             else:
                 rep = _sym_power_step(self.piece(d - 1).rep, self.piece(1).rep, d)
             self._pieces[d] = GradedPiece(d, monos, rep)
@@ -283,9 +286,10 @@ def invariants_series_check(
 ) -> list[InvariantsRow]:
     """Degree-by-degree check dim (B_d)^H = sum_i m_{i,d} dim V_i^H.
 
-    The left side is an averaging-projector rank (a true integer); the
-    series side is reduced mod p while the projector-multiplicity side is
-    exact, and both must agree.
+    The left side is `reps.fixed_dim` (a true integer: an orbit count on a
+    monomial piece, an averaging-projector rank otherwise); the series side
+    is reduced mod p while the projector-multiplicity side is exact, and
+    both must agree.
     """
     group, classes, p = table.group, table.classes, table.p
     fixed_dims = [
@@ -296,13 +300,9 @@ def invariants_series_check(
         series_prefix(molien_multiplicity_series(action, i, table), max_degree)
         for i in range(table.num_irreps)
     ]
-    h_inv = linalg.inv_mod(h.order % p, p)
     rows = []
     for d in range(max_degree + 1):
-        rep = action.piece(d).rep
-        # |H| (p-1) is far below 2^63, so the sum is exact before reducing
-        acc = rep.mats[list(h.element_indices)].sum(axis=0) % p
-        lhs = linalg.rank(acc * h_inv % p, p)
+        lhs = fixed_dim(action.piece(d).rep, h)
         mults = action.piece_decomposition(d, table)[1]
         rhs_mod = sum(coeffs[i][d] * fixed_dims[i] for i in range(table.num_irreps)) % p
         rhs_int = sum(mults[i] * fixed_dims[i] for i in range(table.num_irreps))

@@ -13,9 +13,11 @@ eliminations in `linalg`, so component bases are reproducible.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -59,21 +61,55 @@ def check_size(what: str, *shape: int) -> None:
 
 
 class MatrixRep:
-    """One invertible dim x dim matrix over F_p per group element."""
+    """One invertible dim x dim matrix over F_p per group element.
 
-    def __init__(self, group: Group, p: int, mats: np.ndarray, validate: bool = True):
-        """With `validate`, `mats` is copied reduced mod p and checked.  Without
-        it the representation takes ownership of an int64 `mats` and reduces
-        it in place, so the caller passes a fresh array and keeps no alias."""
-        mats = np.asarray(mats, dtype=np.int64)
+    Stored densely, or in monomial form: two |G| x dim arrays `images` and
+    `scalars` with rho(g) e_j = scalars[g, j] e_{images[g, j]}.  A monomial
+    representation builds its dense `mats` only when a caller reads them.
+    """
+
+    def __init__(
+        self,
+        group: Group,
+        p: int,
+        mats: np.ndarray | None = None,
+        validate: bool = True,
+        *,
+        images: np.ndarray | None = None,
+        scalars: np.ndarray | None = None,
+    ):
+        """Dense from `mats`, or monomial from `images` and `scalars`.
+
+        With `validate`, dense `mats` are copied reduced mod p and checked.
+        Without it the representation takes ownership of an int64 `mats`
+        and reduces it in place, so the caller passes a fresh array and
+        keeps no alias.  The monomial arrays are always taken over, and
+        `scalars` is reduced in place.
+        """
         self.group = group
         self.p = p
-        self.dim = int(mats.shape[1]) if mats.ndim == 3 else 0
+        self.images = self.scalars = None
+        if images is not None:
+            self.images = np.asarray(images, dtype=np.int64)
+            scalars = np.asarray(scalars, dtype=np.int64)
+            self.scalars = np.remainder(scalars, p, out=scalars)
+            self.dim = int(self.images.shape[1]) if self.images.ndim == 2 else 0
+        else:
+            mats = np.asarray(mats, dtype=np.int64)
+            self.dim = int(mats.shape[1]) if mats.ndim == 3 else 0
+            self.mats = mats % p if validate else np.remainder(mats, p, out=mats)
         linalg.require_exact(self.dim, p)
-        self.mats = mats % p if validate else np.remainder(mats, p, out=mats)
         self.validation = "skipped"
         if validate:
             self._validate()
+
+    @functools.cached_property
+    def mats(self) -> np.ndarray:
+        """The dense matrices of a monomial representation, built on first use."""
+        n, d = self.group.order, self.dim
+        mats = np.zeros((n, d, d), dtype=np.int64)
+        mats[np.arange(n)[:, None], self.images, np.arange(d)] = self.scalars
+        return mats
 
     def _validate(self):
         """Check rho(e) = I and rho(b) rho(s) = rho(b*s) for every element b
@@ -82,8 +118,12 @@ class MatrixRep:
         By induction on the breadth-first words this proves rho(b) rho(a) =
         rho(b*a) for all a, b, so rho is a homomorphism; invertibility
         follows from rho(g) rho(g^-1) = rho(e) = I.  Each generator costs
-        one (|G|*dim) x dim matrix product.
+        one (|G|*dim) x dim matrix product, or for a monomial
+        representation one composition of index maps, O(|G|*dim).
         """
+        if self.images is not None:
+            self._validate_monomial()
+            return
         group, p, mats, d = self.group, self.p, self.mats, self.dim
         n = group.order
         if mats.shape != (n, d, d):
@@ -95,12 +135,33 @@ class MatrixRep:
             prod = linalg.matmul(rows, mats[s], p).reshape(n, d, d)
             bad = np.nonzero((prod != mats[group.mult[:, s]]).any(axis=(1, 2)))[0]
             if bad.size:
-                b = int(bad[0])
-                raise NotAHomomorphism(
-                    f"rho({b})rho(g{pos}) != rho({b}*g{pos})",
-                    word=group.word_string(b) + f".g{pos}",
-                )
+                self._bad_edge(int(bad[0]), pos)
         self.validation = "exhaustive"
+
+    def _validate_monomial(self):
+        group, p, images, scalars, d = self.group, self.p, self.images, self.scalars, self.dim
+        n = group.order
+        if images.shape != (n, d) or scalars.shape != (n, d):
+            raise NotAHomomorphism("index map count or shape does not match the group")
+        if images.size and (images.min() < 0 or images.max() >= d):
+            raise NotAHomomorphism("an index map leaves the basis")
+        if not (np.array_equal(images[0], np.arange(d)) and (scalars[0] == 1).all()):
+            raise NotAHomomorphism("identity element must map to the identity matrix")
+        for pos, s in enumerate(group.generator_indices):
+            # rho(b) rho(s) e_j = scalars[s, j] scalars[b, t] e_{images[b, t]}, t = images[s, j]
+            t = images[s]
+            bs = group.mult[:, s]
+            wrong = (images[:, t] != images[bs]) | (scalars[:, t] * scalars[s] % p != scalars[bs])
+            bad = np.nonzero(wrong.any(axis=1))[0]
+            if bad.size:
+                self._bad_edge(int(bad[0]), pos)
+        self.validation = "exhaustive"
+
+    def _bad_edge(self, b: int, pos: int) -> NoReturn:
+        raise NotAHomomorphism(
+            f"rho({b})rho(g{pos}) != rho({b}*g{pos})",
+            word=self.group.word_string(b) + f".g{pos}",
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -134,8 +195,9 @@ class IsotypicDecomposition:
 
 
 def trivial_rep(group: Group, p: int, dim: int = 1) -> MatrixRep:
-    mats = np.broadcast_to(linalg.identity(dim), (group.order, dim, dim)).copy()
-    return MatrixRep(group, p, mats, validate=False)
+    n = group.order
+    images = np.broadcast_to(np.arange(dim, dtype=np.int64), (n, dim)).copy()
+    return MatrixRep(group, p, images=images, scalars=np.ones((n, dim), dtype=np.int64), validate=False)
 
 
 def regular_rep(group: Group, p: int) -> MatrixRep:
@@ -190,6 +252,19 @@ def rep_from_matrices(group: Group, p: int, gen_mats, dim: int = 1) -> MatrixRep
     return MatrixRep(group, p, mats)
 
 
+def as_monomial(rep: MatrixRep) -> MatrixRep:
+    """`rep` in monomial form, validated, when every matrix has exactly one
+    nonzero entry per column; otherwise `rep` itself."""
+    if rep.images is not None:
+        return rep
+    nonzero = rep.mats != 0
+    if not (nonzero.sum(axis=1) == 1).all():
+        return rep
+    images = nonzero.argmax(axis=1)  # the row of the nonzero entry of column j
+    scalars = np.take_along_axis(rep.mats, images[:, None, :], axis=1)[:, 0, :]
+    return MatrixRep(rep.group, rep.p, images=images, scalars=scalars)
+
+
 def direct_sum_rep(a: MatrixRep, b: MatrixRep) -> MatrixRep:
     if a.group is not b.group or a.p != b.p:
         raise ValueError("direct sum requires a common group and modulus")
@@ -205,13 +280,32 @@ def direct_sum_rep(a: MatrixRep, b: MatrixRep) -> MatrixRep:
 
 
 def character_of(rep: MatrixRep, classes: ConjugacyClasses) -> tuple[int, ...]:
+    """Traces of the class representatives; a monomial representation sums
+    its scalars on fixed points."""
+    if rep.images is not None:
+        elems = list(classes.reps)
+        fixed = rep.images[elems] == np.arange(rep.dim)
+        return tuple(int(t) for t in (rep.scalars[elems] * fixed).sum(axis=1) % rep.p)
     return tuple(int(np.trace(rep.mats[r]) % rep.p) for r in classes.reps)
 
 
 def isotypic_projector(rep: MatrixRep, i: int, table: CharacterTable) -> np.ndarray:
-    """Central projector deg_i/|G| * sum_g chi_i(g^-1) rho(g)."""
-    flat = rep.mats.reshape(rep.group.order, rep.dim**2)
-    return linalg.matmul(table.idempotents()[i], flat, table.p).reshape(rep.dim, rep.dim)
+    """Central projector deg_i/|G| * sum_g chi_i(g^-1) rho(g).
+
+    A monomial representation scatter-adds the coefficient times the scalar
+    of each (g, j) into cell (images[g, j], j).  A cell sums at most |G|
+    residues, so while |G| p < 2^53 (always, under the closure cap and
+    MAX_MODULUS) the float64 sums of `np.bincount` are exact.
+    """
+    p, d = table.p, rep.dim
+    coef = table.idempotents()[i]
+    if rep.images is not None and rep.group.order * p < linalg.FLOAT_EXACT:
+        weights = coef[:, None] * rep.scalars % p
+        cells = rep.images * d + np.arange(d)
+        proj = np.bincount(cells.ravel(), weights=weights.ravel(), minlength=d * d)
+        return (proj.astype(np.int64) % p).reshape(d, d)
+    flat = rep.mats.reshape(rep.group.order, d * d)
+    return linalg.matmul(coef, flat, p).reshape(d, d)
 
 
 def decompose(rep: MatrixRep, table: CharacterTable) -> tuple[IsotypicDecomposition, RepType]:
@@ -353,10 +447,13 @@ def _sym_power_step(prev: MatrixRep, rep: MatrixRep, d: int) -> MatrixRep:
 
     The column of multiset beta + (j,) (j its largest entry) is column beta
     of `prev` times column j of `rep`: entry (beta', i) of that outer
-    product lands on row beta' + (i,).  One element at a time, so only one
-    Sym^d matrix of temporaries is alive.  Each entry is a sum of dim(rep)
-    products below p^2, exact in int64 because `rep` passed
-    `require_exact`; the MatrixRep constructor reduces it mod p.
+    product lands on row beta' + (i,).  When both are monomial so is the
+    result: its index map sends beta + (j,) to the multiset of the two
+    images, with the product of the scalars, and it is validated.
+    Otherwise one element at a time, so only one Sym^d matrix of
+    temporaries is alive.  Each entry is a sum of dim(rep) products below
+    p^2, exact in int64 because `rep` passed `require_exact`; the MatrixRep
+    constructor reduces it mod p.
     """
     from itertools import combinations_with_replacement
 
@@ -367,7 +464,11 @@ def _sym_power_step(prev: MatrixRep, rep: MatrixRep, d: int) -> MatrixRep:
     last = np.array([m[-1] for m in basis], dtype=np.int64)
     scatter = np.array(
         [[basis[tuple(sorted(m + (i,)))] for i in range(n)] for m in below], dtype=np.int64
-    )
+    ).reshape(len(below), n)
+    if prev.images is not None and rep.images is not None:
+        images = scatter[prev.images[:, beta], rep.images[:, last]]
+        scalars = prev.scalars[:, beta] * rep.scalars[:, last]
+        return MatrixRep(rep.group, rep.p, images=images, scalars=scalars)
     out = np.zeros((rep.group.order, len(basis), len(basis)), dtype=np.int64)
     for g in range(rep.group.order):
         cols = prev.mats[g][:, beta]
@@ -409,6 +510,14 @@ def ext_power_rep(rep: MatrixRep, k: int) -> MatrixRep:
 # -- invariants and the evaluation map ---------------------------------------------
 
 
+def _averaging_projector(rep: MatrixRep, h: Subgroup) -> np.ndarray:
+    """(1/|H|) sum_{h in H} rho(h)."""
+    p = rep.p
+    # |H| (p-1) is far below 2^63, so the sum is exact before reducing
+    acc = rep.mats[list(h.element_indices)].sum(axis=0) % p
+    return acc * inv_mod(h.order % p, p) % p
+
+
 def subgroup_invariants(rep: MatrixRep, h: Subgroup, table: CharacterTable) -> np.ndarray:
     """Basis of the H-fixed subspace via the averaging projector.
 
@@ -418,9 +527,7 @@ def subgroup_invariants(rep: MatrixRep, h: Subgroup, table: CharacterTable) -> n
     from .characters import restrict_invariant_dim
 
     p = rep.p
-    acc = rep.mats[list(h.element_indices)].sum(axis=0) % p
-    proj = acc * inv_mod(h.order % p, p) % p
-    basis = linalg.row_space(proj.T, p)
+    basis = linalg.row_space(_averaging_projector(rep, h).T, p)
     _, rtype = decompose(rep, table)
     expected = sum(
         m * restrict_invariant_dim(table.values[i], h, table.group, table.classes, p)
@@ -431,6 +538,27 @@ def subgroup_invariants(rep: MatrixRep, h: Subgroup, table: CharacterTable) -> n
             f"fixed subspace has dim {basis.shape[0]}, character predicts {expected}"
         )
     return basis
+
+
+def fixed_dim(rep: MatrixRep, h: Subgroup) -> int:
+    """Dimension of the H-fixed subspace of `rep`.
+
+    On a monomial representation H permutes the basis lines.  On each
+    H-orbit, a fixed vector's coordinates are determined by any one of
+    them, and the orbit carries a nonzero fixed vector exactly when the
+    stabilizer of its points acts on them by the scalar 1; so the dimension
+    is a count of orbits (Holt, Eick and O'Brien, *Handbook of
+    Computational Group Theory*, ch. 7).  A dense representation takes the
+    rank of the averaging projector.
+    """
+    if rep.images is not None:
+        elems = list(h.element_indices)
+        images, scalars = rep.images[elems], rep.scalars[elems]
+        # H is a group, so images[:, j] is the orbit of j; its least point labels it
+        label = images.min(axis=0)
+        twisted = ((images == np.arange(rep.dim)) & (scalars != 1)).any(axis=0)
+        return len(np.unique(label)) - len(np.unique(label[twisted]))
+    return linalg.rank(_averaging_projector(rep, h), rep.p)
 
 
 def multiplicity_space(rep: MatrixRep, model: MatrixRep) -> list[np.ndarray]:

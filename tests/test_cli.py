@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from isotypic import cyclic
 from isotypic.arith import MAX_MODULUS, is_prime
-from isotypic.cli import main
+from isotypic.cli import json_text, main
 from isotypic.groups import conjugacy_classes, group_from_name
 
 S3_STANDARD_REP = "p 7\n0 1\n1 0\n\n0 6\n1 6\n"
@@ -348,3 +350,33 @@ def test_verify_all_witness_on_failure(monkeypatch):
             assert by_check[o["check"]] == o
         else:
             assert "witness" not in o
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {}, [], {"a": []}, [[], {}], (1, 2), [True, False, None, 1, 2.5, "x"],
+        {1: True, 2.5: None, None: 1.5, True: "\u00e9\n"}, {"k": [[1, [2]], "s"]},
+        float("nan"), [float("inf"), -0.0], [[[]], [[]]], ["a", "a", 1],
+    ],
+)
+def test_json_text_matches_json_dumps_on_edge_cases(doc):
+    assert json_text(doc) == json.dumps(doc, indent=2)
+
+
+def test_json_text_rejects_keys_that_json_rejects():
+    with pytest.raises(TypeError, match="keys must be str"):
+        json_text({(1, 2): 0})
+
+
+def test_json_text_matches_every_golden_document():
+    for path in sorted((Path(__file__).resolve().parent / "golden").glob("*.json")):
+        text = path.read_text()
+        assert json_text(json.loads(text)) + "\n" == text, path.name
+
+
+def test_json_text_matches_json_dumps_on_shared_lists():
+    # the n = 32 cyclic report: 1024 x 1024 phi entries, equal ones one list
+    doc = {"schema": 1, **cyclic.cyclic_report(cyclic.build_cyclic(32)).to_dict()}
+    assert len({id(e) for row in doc["phi_matrix"] for e in row}) < 100
+    assert json_text(doc) == json.dumps(doc, indent=2)

@@ -5,7 +5,11 @@ FILE` before the eigenvalue search moved from a scan over F_p to root
 finding; the verify-all, cover, decompose and cyclic files were written
 the same way before irreducible models came from right translations, and
 `cover_S4_perm4_d8.json`, the only four-variable report, before the graded
-pieces came from the shared symmetric power.  `cyclic_n3.json` (its
+pieces came from the shared symmetric power.  `cover_D6_reflection_d8.json`
+was written before the graded pieces of monomial actions were stored as
+index maps: its rotation [[0, 12], [1, 1]] at p = 13 is not monomial, so
+it pins the dense path, which every other cover report now bypasses.
+`cyclic_n3.json` (its
 determinant has the non-trivial unit 6), `cyclic_n4_laurent.json` and
 `cyclic_n6.json` were written before phi was factored as C·diag(y^e).
 They pin element order, class order, row order and every value.
@@ -34,6 +38,7 @@ REPORT_CASES = {
     "cover_S3_perm3.json": ["cover", "--group", "S3", "--action", "perm3"],
     "cover_D4_reflection_d8.json": ["cover", "--group", "D4", "--action", "reflection", "--max-degree", "8"],
     "cover_S4_perm4_d8.json": ["cover", "--group", "S4", "--action", "perm4", "--max-degree", "8"],
+    "cover_D6_reflection_d8.json": ["cover", "--group", "D6", "--action", "reflection", "--max-degree", "8"],
     "decompose_S4_regular.json": ["decompose", "--group", "S4", "--rep", "regular"],
     "cyclic_n3.json": ["cyclic", "--n", "3"],
     "cyclic_n4.json": ["cyclic", "--n", "4"],
