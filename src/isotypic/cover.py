@@ -78,10 +78,10 @@ class LinearCoverAction:
         self.name = name
         self._pieces: dict[int, GradedPiece] = {}
         self._piece_data: dict[int, tuple] = {}
-        self._projectors: dict[tuple[int, int], np.ndarray] = {}
         self._series: dict[int, RatFunc] = {}
         self._dets: list[Poly] | None = None
         self._mul_maps: dict[tuple[int, int], np.ndarray] = {}
+        self._coords: dict[int, np.ndarray] = {}
         kernel = [g for g in range(group.order) if np.array_equal(rep.mats[g], rep.mats[0])]
         if len(kernel) != 1:
             raise NotFaithful(
@@ -118,28 +118,32 @@ class LinearCoverAction:
             self._piece_data[d] = (decomp, rtype.multiplicities)
         return self._piece_data[d]
 
-    def piece_projector(self, d: int, l: int, table: CharacterTable) -> np.ndarray:
-        """Isotypic projector of irreducible l on the degree-d piece, memoized."""
-        if (d, l) not in self._projectors:
-            self._projectors[d, l] = isotypic_projector(self.piece(d).rep, l, table)
-        return self._projectors[d, l]
+    def component_coordinates(self, d: int, table: CharacterTable) -> np.ndarray:
+        """S^-1 for S the degree-d components stacked in irreducible order,
+        memoized: w @ S^-1 are the coordinates of a row w of B_d in that
+        basis.  `linalg.inverse` multiplies back, so components that do not
+        fill B_d raise SingularMatrix."""
+        if d not in self._coords:
+            stacked = np.concatenate(self.piece_decomposition(d, table)[0].components)
+            self._coords[d] = linalg.inverse(stacked, self.p)
+        return self._coords[d]
 
     def multiplication_map(self, a: int, b: int) -> np.ndarray:
-        """0/1 structural matrix (dim B_a * dim B_b) x dim B_{a+b}.
+        """Index of the monomial alpha + beta of B_{a+b} for each row
+        (alpha, beta) of B_a x B_b, flattened, memoized.
 
-        Row index (alpha, beta) flattened; column = index of alpha + beta.
+        It stands for the 0/1 (dim B_a * dim B_b) x dim B_{a+b} matrix with a
+        1 in that column of each row, and the size guard counts that matrix.
         """
         key = (a, b)
         if key not in self._mul_maps:
             pa, pb, pab = self.piece(a), self.piece(b), self.piece(a + b)
             check_size(f"the multiplication map of degrees {a} and {b}", pa.dim * pb.dim, pab.dim)
             index = {m: i for i, m in enumerate(pab.monomials)}
-            s = np.zeros((pa.dim * pb.dim, pab.dim), dtype=np.int64)
-            for ia, alpha in enumerate(pa.monomials):
-                for ib, beta in enumerate(pb.monomials):
-                    target = index[tuple(x + y for x, y in zip(alpha, beta))]
-                    s[ia * pb.dim + ib, target] = 1
-            self._mul_maps[key] = s
+            targets = [
+                index[tuple(x + y for x, y in zip(alpha, beta))] for alpha in pa.monomials for beta in pb.monomials
+            ]
+            self._mul_maps[key] = np.array(targets, dtype=np.int64)
         return self._mul_maps[key]
 
     def to_dict(self) -> dict:
@@ -328,31 +332,48 @@ def product_structure_check(
     """Multiply the i-component of B_a by the j-component of B_b and project.
 
     Every projection onto an irreducible absent from V_i tensor V_j must
-    vanish; the observed rank pattern is reported either way.
+    vanish; the observed rank pattern is reported either way.  The rank of
+    the projection P_l onto irreducible l is read in component coordinates:
+    the central idempotents sum to the identity, so the P_l sum to I, and
+    `decompose` checks that their ranks sum to dim B_{a+b}; so P_l is the
+    projection onto the component C_l along the others.  For product rows W
+    with coordinates X = W S^-1 in the stacked basis S = [C_0; ...; C_{r-1}],
+    P_l W^T = (X_l C_l)^T, X_l the columns of X on C_l, and as the rows of C_l
+    are independent, rank(P_l W^T) = rank(X_l).  The products themselves
+    are scatter-adds of comp_a (x) comp_b onto the monomial alpha + beta.
+    Only a failing check builds P_l, for its witness: the first nonzero row
+    of row_space(W) @ P_l^T.
     """
     p = table.p
     tens = _tensor_mults(action, table)
     comp_a = action.piece_decomposition(a, table)[0].components[i]
     comp_b = action.piece_decomposition(b, table)[0].components[j]
-    if comp_a.shape[0] == 0 or comp_b.shape[0] == 0:
-        span = np.zeros((0, action.piece(a + b).dim), dtype=np.int64)
-    else:
-        # entry ((s, t), (alpha, beta)) is comp_a[s, alpha] * comp_b[t, beta]
-        outer = (comp_a[:, None, :, None] * comp_b[None, :, None, :]).reshape(
-            comp_a.shape[0] * comp_b.shape[0], -1
-        ) % p
-        span = linalg.row_space(linalg.matmul(outer, action.multiplication_map(a, b), p), p)
     required = tuple(l for l in range(table.num_irreps) if tens[i, j, l] == 0)
+    if comp_a.shape[0] == 0 or comp_b.shape[0] == 0:
+        ranks = (0,) * table.num_irreps
+        return ProductCheck(i, j, a, b, required, ranks, True)
+    target = action.multiplication_map(a, b)
+    order = np.argsort(target, kind="stable")
+    # every monomial of B_{a+b} is some alpha + beta, so each group is nonempty
+    starts = np.searchsorted(target[order], np.arange(action.piece(a + b).dim))
+    # entry ((s, t), (alpha, beta)) is comp_a[s, alpha] * comp_b[t, beta]
+    outer = (comp_a[:, None, :, None] * comp_b[None, :, None, :]).reshape(
+        comp_a.shape[0] * comp_b.shape[0], -1
+    ) % p
+    # each sum has at most dim B_a residues, exact in int64
+    prods = np.add.reduceat(outer[:, order], starts, axis=1) % p
+    coords = linalg.matmul(prods, action.component_coordinates(a + b, table), p)
     ranks = []
     witness = None
-    for l in range(table.num_irreps):
-        if span.shape[0] == 0:
-            ranks.append(0)
-            continue
-        proj = linalg.matmul(span, action.piece_projector(a + b, l, table).T, p)
-        r = linalg.rank(proj, p)
+    at = 0
+    for l, dim in enumerate(action.piece_decomposition(a + b, table)[0].dims()):
+        block = coords[:, at : at + dim]
+        at += dim
+        r = linalg.rank(block, p) if block.any() else 0
         ranks.append(r)
         if r and l in required and witness is None:
+            span = linalg.row_space(prods, p)
+            proj = linalg.matmul(span, isotypic_projector(action.piece(a + b).rep, l, table).T, p)
             witness = {
                 "component": l,
                 "degree": a + b,

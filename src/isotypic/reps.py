@@ -313,16 +313,25 @@ def decompose(rep: MatrixRep, table: CharacterTable) -> tuple[IsotypicDecomposit
 
     Multiplicities are true integers rank(P_i)/deg_i; each one is cross-
     checked against the character inner product, which lives mod p, so the
-    two methods must agree as residues.
+    two methods must agree as residues.  The component of i is
+    `row_space(P_i^T)`.  On a monomial representation P_i only has cells
+    (images[g, j], j), so it is block diagonal over the G-orbits of the
+    basis: each orbit block of P_i^T is row-reduced alone, and its rows,
+    embedded and sorted by pivot column, are the reduced row-echelon form
+    of all of P_i^T, which is unique, so the same basis.
     """
     group, classes, p = table.group, table.classes, table.p
     chi = character_of(rep, classes)
+    orbits = None
+    if rep.images is not None:
+        label = _orbit_labels(rep.images)
+        orbits = [np.nonzero(label == k)[0] for k in np.unique(label)]
     components = []
     mults = []
     total = 0
     for i in range(table.num_irreps):
         proj = isotypic_projector(rep, i, table)
-        basis = linalg.row_space(proj.T, p)
+        basis = linalg.row_space(proj.T, p) if orbits is None else _orbit_block_row_space(proj.T, orbits, p)
         r = basis.shape[0]
         if r % table.degrees[i] != 0:
             raise InconsistentMultiplicity(
@@ -340,6 +349,24 @@ def decompose(rep: MatrixRep, table: CharacterTable) -> tuple[IsotypicDecomposit
     if total != rep.dim:
         raise InconsistentMultiplicity("component dimensions do not fill the representation")
     return IsotypicDecomposition(components), RepType(tuple(mults))
+
+
+def _orbit_block_row_space(a: np.ndarray, orbits: list[np.ndarray], p: int) -> np.ndarray:
+    """`linalg.row_space(a)` for a matrix that is zero outside the blocks
+    a[O, O], O the index arrays of `orbits` (each ascending)."""
+    rows, pivots = [], []
+    for orbit in orbits:
+        block = a[np.ix_(orbit, orbit)]
+        if not block.any():
+            continue
+        r, piv = linalg.rref(block, p)
+        embedded = np.zeros((len(piv), a.shape[1]), dtype=np.int64)
+        embedded[:, orbit] = r[: len(piv)]
+        rows.append(embedded)
+        pivots.extend(orbit[list(piv)])
+    if not rows:
+        return np.zeros((0, a.shape[1]), dtype=np.int64)
+    return np.concatenate(rows)[np.argsort(pivots)]
 
 
 def restrict_to_subspace(rep: MatrixRep, basis: np.ndarray) -> MatrixRep:
@@ -540,6 +567,13 @@ def subgroup_invariants(rep: MatrixRep, h: Subgroup, table: CharacterTable) -> n
     return basis
 
 
+def _orbit_labels(images: np.ndarray) -> np.ndarray:
+    """The least point of the orbit of each basis index, for the index maps
+    `images` (one row per element) of a group: images[:, j] is then the
+    orbit of j."""
+    return images.min(axis=0)
+
+
 def fixed_dim(rep: MatrixRep, h: Subgroup) -> int:
     """Dimension of the H-fixed subspace of `rep`.
 
@@ -554,8 +588,7 @@ def fixed_dim(rep: MatrixRep, h: Subgroup) -> int:
     if rep.images is not None:
         elems = list(h.element_indices)
         images, scalars = rep.images[elems], rep.scalars[elems]
-        # H is a group, so images[:, j] is the orbit of j; its least point labels it
-        label = images.min(axis=0)
+        label = _orbit_labels(images)
         twisted = ((images == np.arange(rep.dim)) & (scalars != 1)).any(axis=0)
         return len(np.unique(label)) - len(np.unique(label[twisted]))
     return linalg.rank(_averaging_projector(rep, h), rep.p)

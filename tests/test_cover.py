@@ -41,12 +41,13 @@ def test_validate_action_rejects_non_faithful(ctx):
 def test_oversized_piece_and_multiplication_map_raise(ctx, monkeypatch):
     # C2 acting by -1 on three variables, under a 500-cell limit: the
     # degree-4 piece (2 x 15 x 15) fits, the degree-5 piece and the
-    # 36 x 15 map of degrees 2 + 2 do not
+    # 36 x 15 map of degrees 2 + 2 do not; a map is stored as its 36
+    # target columns, but the guard counts the 0/1 matrix they stand for
     c = ctx("C2")
     action = iso.validate_action(c.group, [np.eye(3, dtype=np.int64) * (c.p - 1)], c.p)
     monkeypatch.setattr(reps, "MAX_SYSTEM_CELLS", 500)
     assert action.piece(4).dim == 15
-    assert action.multiplication_map(1, 3).shape == (30, 15)
+    assert action.multiplication_map(1, 3).shape == (30,)
     with pytest.raises(SystemTooLarge, match=r"the degree-5 piece is 2 x 21 x 21 \(882 cells\)"):
         action.piece(5)
     with pytest.raises(SystemTooLarge, match=r"multiplication map of degrees 2 and 2 is 36 x 15 \(540 cells\)"):

@@ -55,12 +55,29 @@ CYCLIC_SHA256 = {
     (32, "polynomial"): "ffd00d0744097a555de08bba4631c19622e656cff4760ad102559a52146372a7",
 }
 
+# sha256 of `isotypic cover --format json` with these arguments, taken from
+# the CLI before the product check moved to component coordinates and
+# monomial pieces were decomposed one orbit block at a time.  A4 has
+# non-real characters, so its projectors are not symmetric.
+COVER_SHA256 = {
+    ("S4", "perm4", 12): "ff98944442369c8923b284d4d6b1932fd60cfa44ab248c7147975cfc2818625e",
+    ("A4", "perm4", 8): "9ae9c58d50aede8715038fe32e7766481de0b7cc3336ffc3b8ccaffa86fbc7f5",
+}
+
 
 @pytest.mark.parametrize("n, variant", sorted(CYCLIC_SHA256))
 def test_large_cyclic_report_matches_pinned_sha256(n, variant):
     result = CliRunner().invoke(main, ["cyclic", "--n", str(n), "--variant", variant, "--format", "json"])
     assert result.exit_code == 0, result.output
     assert hashlib.sha256(result.stdout_bytes).hexdigest() == CYCLIC_SHA256[n, variant]
+
+
+@pytest.mark.parametrize("group, action, degree", sorted(COVER_SHA256))
+def test_large_cover_report_matches_pinned_sha256(group, action, degree):
+    args = ["cover", "--group", group, "--action", action, "--max-degree", str(degree), "--format", "json"]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == COVER_SHA256[group, action, degree]
 
 
 @pytest.mark.parametrize("filename", sorted(CASES))

@@ -136,6 +136,8 @@ def test_matrix_rep_copies_only_validated_input(ctx):
 
 
 def test_piece_projectors_built_once_per_degree_and_irreducible(ctx, monkeypatch):
+    # a passing product check builds no projector of the product's degree;
+    # a failing one builds exactly the one of its witness
     c = ctx("S3")
     action = iso.perm_action(c.group, c.p)
     built = []
@@ -151,12 +153,15 @@ def test_piece_projectors_built_once_per_degree_and_irreducible(ctx, monkeypatch
             for a in (1, 2):
                 for b in range(a, 3):
                     assert iso.product_structure_check(action, i, j, a, b, c.table).ok
-    assert len(built) == len(set(built))
-    assert set(action._projectors) <= {(d, l) for d in (2, 3, 4) for l in range(3)}
-    assert all(
-        np.array_equal(p_dl, iso.isotypic_projector(action.piece(d).rep, l, c.table))
-        for (d, l), p_dl in action._projectors.items()
-    )
+    assert built == []
+    # (x_0 + x_1 + x_2)^2, the square of the trivial component of B_1, is
+    # invariant: forbid the trivial irreducible in it
+    tens = iso.tensor_multiplicities(c.table).copy()
+    tens[0, 0, 0] = 0
+    monkeypatch.setattr(cover, "_tensor_mults", lambda action, table: tens)
+    res = iso.product_structure_check(action, 0, 0, 1, 1, c.table)
+    assert not res.ok and res.witness["component"] == 0
+    assert built == [(action.piece(2).dim, 0)]
 
 
 def gf(a, p):

@@ -2,8 +2,9 @@
 
 A monomial `MatrixRep` stores rho(g) e_j = scalars[g, j] e_{images[g, j]}.
 Every monomial branch (validation, `character_of`, `isotypic_projector`,
-`_sym_power_step`, `fixed_dim`) is checked against the dense route on the
-same representation.
+`_sym_power_step`, `fixed_dim`, the orbit blocks of `decompose`) is checked
+against the dense route on the same representation, and the cover's product
+check against ranks of projected products on the dense pieces.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import isotypic as iso
-from isotypic import linalg
+from isotypic import cover, linalg
 from isotypic.cover import builtin_action, cyclic_subgroups
 from isotypic.errors import NotAHomomorphism
 from isotypic.reps import _sym_power_step
@@ -25,6 +26,8 @@ from isotypic.reps import _sym_power_step
 MONOMIAL_ACTIONS = (
     ("S3", "perm3"), ("S4", "perm4"), ("C4", "scalar"), ("D4", "reflection2"), ("A4", "perm4"), ("C3", "perm3"),
 )
+# D6's rotation is not monomial: its pieces take the dense route of the library too
+ORACLE_ACTIONS = MONOMIAL_ACTIONS + (("D6", "reflection2"),)
 
 
 def dense_pieces(action, top):
@@ -195,3 +198,88 @@ def test_cover_report_never_builds_dense_monomial_pieces(ctx):
     for d in range(2, 13):
         rep = action.piece(d).rep
         assert rep.images is not None and "mats" not in vars(rep), d
+
+
+@pytest.mark.parametrize(("name", "kind"), ORACLE_ACTIONS)
+def test_components_are_the_row_spaces_of_the_dense_projectors(ctx, name, kind):
+    c = ctx(name)
+    action = builtin_action(c.group, c.p, kind)
+    for d, dense in enumerate(dense_pieces(action, 6)):
+        decomp, _ = iso.decompose(action.piece(d).rep, c.table)
+        for i in range(c.table.num_irreps):
+            expected = linalg.row_space(iso.isotypic_projector(dense, i, c.table).T, c.p)
+            assert np.array_equal(decomp.components[i], expected), (d, i)
+
+
+class ProductOracle:
+    """Projected products of components, from the dense pieces alone.
+
+    Components are the row spaces of the dense projectors' transposes, and
+    products go through a dense 0/1 matrix with one 1 per (alpha, beta)
+    row, in the column of alpha + beta.
+    """
+
+    def __init__(self, action, table, top):
+        self.action, self.table, self.p = action, table, table.p
+        self.dense = dense_pieces(action, top)
+        self.projs = [
+            [iso.isotypic_projector(rep, l, table) for l in range(table.num_irreps)] for rep in self.dense
+        ]
+
+    def component(self, d, i):
+        return linalg.row_space(self.projs[d][i].T, self.p)
+
+    def projected(self, i, j, a, b):
+        """span @ P_l^T for each l, span the row space of the products."""
+        pa, pb, pab = (self.action.piece(d) for d in (a, b, a + b))
+        index = {m: k for k, m in enumerate(pab.monomials)}
+        mul = np.zeros((pa.dim * pb.dim, pab.dim), dtype=np.int64)
+        for ia, alpha in enumerate(pa.monomials):
+            for ib, beta in enumerate(pb.monomials):
+                mul[ia * pb.dim + ib, index[tuple(x + y for x, y in zip(alpha, beta))]] = 1
+        outer = np.kron(self.component(a, i), self.component(b, j)) % self.p
+        span = linalg.row_space(linalg.matmul(outer, mul, self.p), self.p)
+        return [linalg.matmul(span, proj.T, self.p) for proj in self.projs[a + b]]
+
+
+@pytest.mark.parametrize(("name", "kind"), ORACLE_ACTIONS)
+def test_product_ranks_match_the_dense_oracle(ctx, name, kind):
+    c = ctx(name)
+    action = builtin_action(c.group, c.p, kind)
+    oracle = ProductOracle(action, c.table, 8)
+    r = c.table.num_irreps
+    for i in range(r):
+        for j in range(r):
+            for a in range(1, 5):
+                for b in range(a, 5):
+                    res = iso.product_structure_check(action, i, j, a, b, c.table)
+                    ranks = tuple(linalg.rank(m, c.p) for m in oracle.projected(i, j, a, b))
+                    assert res.observed_ranks == ranks, (i, j, a, b)
+                    assert res.ok and res.witness is None
+
+
+@pytest.mark.parametrize(("name", "kind"), ORACLE_ACTIONS)
+def test_forbidden_component_is_witnessed_by_the_oracle_row(ctx, monkeypatch, name, kind):
+    # forbid, in turn, the last irreducible that each product of B_2 and B_3
+    # components reaches: the witness is the first nonzero projected row
+    c = ctx(name)
+    action = builtin_action(c.group, c.p, kind)
+    oracle = ProductOracle(action, c.table, 5)
+    true = iso.tensor_multiplicities(c.table)
+    r, witnessed = c.table.num_irreps, 0
+    for i in range(r):
+        for j in range(r):
+            projected = oracle.projected(i, j, 2, 3)
+            reached = [l for l in range(r) if projected[l].any()]
+            if not reached:
+                continue
+            l = reached[-1]
+            tens = true.copy()
+            tens[i, j, l] = 0
+            monkeypatch.setattr(cover, "_tensor_mults", lambda action, table: tens)
+            res = iso.product_structure_check(action, i, j, 2, 3, c.table)
+            row = projected[l][np.nonzero(projected[l].any(axis=1))[0][0]]
+            assert not res.ok and l in res.required_zero
+            assert res.witness == {"component": l, "degree": 5, "vector": row.tolist()}, (i, j)
+            witnessed += 1
+    assert witnessed
