@@ -34,8 +34,8 @@ def s4():
 def build_piece(group, p, form):
     """The degree-12 piece, from the degree-1 piece one degree at a time."""
     one = reps.dual_rep(reps.permutation_rep(group, p))
-    if form == "monomial":
-        one = reps.as_monomial(one)
+    if form == "dense":
+        one = reps.MatrixRep(group, p, one.mats)
     rep = one
     for d in range(2, DEGREE + 1):
         rep = _sym_power_step(rep, one, d)

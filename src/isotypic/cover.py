@@ -37,7 +37,6 @@ from .groups import Group, Subgroup, subgroup_closure
 from .reps import (
     MatrixRep,
     _sym_power_step,
-    as_monomial,
     check_size,
     decompose,
     dual_rep,
@@ -103,9 +102,8 @@ class LinearCoverAction:
             if d == 0:
                 rep = trivial_rep(self.group, self.p)
             elif d == 1:
-                # g . x_j = sum_i (rho(g)^-1)[j, i] x_i: the contragredient action,
-                # monomial (and so is every piece above it) when rho(g) is
-                rep = as_monomial(dual_rep(self.rep))
+                # g . x_j = sum_i (rho(g)^-1)[j, i] x_i: the contragredient action
+                rep = dual_rep(self.rep)
             else:
                 rep = _sym_power_step(self.piece(d - 1).rep, self.piece(1).rep, d)
             self._pieces[d] = GradedPiece(d, monos, rep)

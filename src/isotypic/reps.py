@@ -201,34 +201,28 @@ def trivial_rep(group: Group, p: int, dim: int = 1) -> MatrixRep:
 
 
 def regular_rep(group: Group, p: int) -> MatrixRep:
-    """Left-translation action on the group algebra basis."""
-    n = group.order
-    mats = np.zeros((n, n, n), dtype=np.int64)
-    cols = np.arange(n)
-    for g in range(n):
-        mats[g, group.mult[g, cols], cols] = 1
-    return MatrixRep(group, p, mats)
+    """Left-translation action on the group algebra basis, rho(g) e_c =
+    e_{g*c}: monomial, with the rows of the multiplication table as index maps."""
+    return MatrixRep(group, p, images=group.mult.copy(), scalars=np.ones_like(group.mult))
 
 
 def permutation_rep(group: Group, p: int) -> MatrixRep:
-    """Permutation matrices of the defining permutation realization."""
-    perms = group.elements
-    deg = perms[0].degree
-    mats = np.zeros((group.order, deg, deg), dtype=np.int64)
-    cols = np.arange(deg)
-    for g in range(group.order):
-        mats[g, np.array(perms[g].images), cols] = 1
-    return MatrixRep(group, p, mats)
+    """Permutation matrices of the defining permutation realization, in
+    monomial form: the index map of g is the permutation itself."""
+    images = np.array([perm.images for perm in group.elements], dtype=np.int64)
+    return MatrixRep(group, p, images=images, scalars=np.ones_like(images))
 
 
 def rep_from_matrices(group: Group, p: int, gen_mats, dim: int = 1) -> MatrixRep:
     """Extend generator matrices along the breadth-first words.
 
-    Every element's matrix is the word product of generator matrices; the
-    validation of the result checks every generator edge of the Cayley
-    graph, so an assignment that is not a homomorphism raises
-    NotAHomomorphism with the word of the first bad edge.  `dim` is only
-    consulted for the generator-free trivial group.
+    Every element's matrix is the word product of generator matrices.  When
+    every generator has exactly one nonzero entry per column, the products
+    are composed as index maps and scalars, and the result is monomial;
+    otherwise they are dense.  The validation of the result checks every
+    generator edge of the Cayley graph, so an assignment that is not a
+    homomorphism raises NotAHomomorphism with the word of the first bad
+    edge.  `dim` is only consulted for the generator-free trivial group.
     """
     gen_mats = [np.asarray(m, dtype=np.int64) % p for m in gen_mats]
     if len(gen_mats) != len(group.generators):
@@ -244,25 +238,23 @@ def rep_from_matrices(group: Group, p: int, gen_mats, dim: int = 1) -> MatrixRep
                 linalg.inverse(m, p)
             except SingularMatrix:
                 raise SingularMatrix("generator matrix is singular mod p") from None
-    mats = np.zeros((group.order, dim, dim), dtype=np.int64)
+    n = group.order
+    if all(((m != 0).sum(axis=0) == 1).all() for m in gen_mats):
+        # rho(k) e_j = s_j rho(parent) e_{t_j}, s_j in row t_j of column j
+        gens = [(np.nonzero(m.T)[1], m.T[m.T != 0]) for m in gen_mats]
+        images, scalars = np.empty((2, n, dim), dtype=np.int64)
+        images[0], scalars[0] = np.arange(dim), 1
+        for k in range(1, n):
+            parent, gen_pos = group.words[k]
+            t, s = gens[gen_pos]
+            images[k], scalars[k] = images[parent, t], scalars[parent, t] * s % p
+        return MatrixRep(group, p, images=images, scalars=scalars)
+    mats = np.zeros((n, dim, dim), dtype=np.int64)
     mats[0] = linalg.identity(dim)
-    for k in range(1, group.order):
+    for k in range(1, n):
         parent, gen_pos = group.words[k]
         mats[k] = linalg.matmul(mats[parent], gen_mats[gen_pos], p)
     return MatrixRep(group, p, mats)
-
-
-def as_monomial(rep: MatrixRep) -> MatrixRep:
-    """`rep` in monomial form, validated, when every matrix has exactly one
-    nonzero entry per column; otherwise `rep` itself."""
-    if rep.images is not None:
-        return rep
-    nonzero = rep.mats != 0
-    if not (nonzero.sum(axis=1) == 1).all():
-        return rep
-    images = nonzero.argmax(axis=1)  # the row of the nonzero entry of column j
-    scalars = np.take_along_axis(rep.mats, images[:, None, :], axis=1)[:, 0, :]
-    return MatrixRep(rep.group, rep.p, images=images, scalars=scalars)
 
 
 def direct_sum_rep(a: MatrixRep, b: MatrixRep) -> MatrixRep:
@@ -454,8 +446,16 @@ def decomposition_report(rep: MatrixRep, table: CharacterTable) -> dict:
 
 
 def dual_rep(rep: MatrixRep) -> MatrixRep:
-    """Contragredient action rho(g^-1)^T on the dual basis."""
-    mats = rep.mats[list(rep.group.inv)].transpose(0, 2, 1)
+    """Contragredient action rho(g^-1)^T on the dual basis.
+
+    For a monomial rho(g) = P D it is P D^-1: the same index map, with the
+    scalar of column k that of rho(g^-1) on images[g, k]; it is validated.
+    """
+    inv = list(rep.group.inv)
+    if rep.images is not None:
+        scalars = np.take_along_axis(rep.scalars[inv], rep.images, axis=1)
+        return MatrixRep(rep.group, rep.p, images=rep.images.copy(), scalars=scalars)
+    mats = rep.mats[inv].transpose(0, 2, 1)
     return MatrixRep(rep.group, rep.p, mats, validate=False)
 
 

@@ -10,9 +10,10 @@ import pytest
 from click.testing import CliRunner
 
 from isotypic import cyclic
-from isotypic.arith import MAX_MODULUS, is_prime
+from isotypic.arith import MAX_MODULUS, choose_prime, is_prime
 from isotypic.cli import json_text, main
 from isotypic.groups import conjugacy_classes, group_from_name
+from isotypic.reps import permutation_rep
 
 S3_STANDARD_REP = "p 7\n0 1\n1 0\n\n0 6\n1 6\n"
 
@@ -176,6 +177,21 @@ def test_cover_action_file(runner, tmp_path):
     assert result.exit_code == 0
     doc = json.loads(result.output)
     assert doc["report"]["generic_multiplicities"] == [1, 1]
+
+
+def test_cover_action_file_of_permutation_matrices_matches_the_builtin(runner, tmp_path):
+    # the file goes through rep_from_matrices, the builtin through permutation_rep
+    group = group_from_name("S4")
+    p = choose_prime(group)
+    mats = permutation_rep(group, p).mats[list(group.generator_indices)]
+    blocks = ["\n".join(" ".join(map(str, row)) for row in m) for m in mats.tolist()]
+    path = tmp_path / "perm4.txt"
+    path.write_text(f"p {p}\n" + "\n\n".join(blocks) + "\n")
+    args = ["cover", "--group", "S4", "--max-degree", "8", "--format", "json", "--action"]
+    from_file = runner.invoke(main, args + [str(path)])
+    builtin = runner.invoke(main, args + ["perm4"])
+    assert from_file.exit_code == 0 and builtin.exit_code == 0
+    assert from_file.output == builtin.output
 
 
 def test_cover_rejects_wrong_builtin(runner):

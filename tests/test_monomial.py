@@ -1,10 +1,14 @@
 """Monomial representations: index maps against the dense matrices.
 
 A monomial `MatrixRep` stores rho(g) e_j = scalars[g, j] e_{images[g, j]}.
-Every monomial branch (validation, `character_of`, `isotypic_projector`,
-`_sym_power_step`, `fixed_dim`, the orbit blocks of `decompose`) is checked
-against the dense route on the same representation, and the cover's product
-check against ranks of projected products on the dense pieces.
+The constructors that build it (`regular_rep`, `permutation_rep`, the
+monomial branch of `rep_from_matrices`, `dual_rep` of a monomial rep) are
+checked against dense matrix loops, and every monomial branch (validation,
+`character_of`, `isotypic_projector`, `_sym_power_step`, `fixed_dim`, the
+orbit blocks of `decompose`) against the dense route on the same
+representation, and the cover's product check against ranks of projected
+products on the dense pieces.  The dense side is always built explicitly
+as `MatrixRep(group, p, rep.mats)`.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from hypothesis import strategies as st
 import isotypic as iso
 from isotypic import cover, linalg
 from isotypic.cover import builtin_action, cyclic_subgroups
-from isotypic.errors import NotAHomomorphism
+from isotypic.errors import NotAHomomorphism, SingularMatrix
 from isotypic.reps import _sym_power_step
 
 # A4 and C3 have non-real characters, so their projectors are not symmetric
@@ -33,7 +37,7 @@ ORACLE_ACTIONS = MONOMIAL_ACTIONS + (("D6", "reflection2"),)
 def dense_pieces(action, top):
     """The graded pieces through degree `top` by the dense symmetric power."""
     group, p = action.group, action.p
-    one = iso.dual_rep(action.rep)
+    one = iso.dual_rep(iso.MatrixRep(group, p, action.rep.mats))
     pieces = [iso.MatrixRep(group, p, np.broadcast_to(linalg.identity(1), (group.order, 1, 1)).copy())]
     for d in range(1, top + 1):
         pieces.append(one if d == 1 else _sym_power_step(pieces[-1], one, d))
@@ -65,13 +69,118 @@ def test_monomial_pieces_match_the_dense_route(ctx, name, kind):
         assert np.array_equal(rep.mats, dense.mats)
 
 
-def test_as_monomial_keeps_a_dense_rep_that_is_not_monomial(ctx):
-    c = ctx("D4")
-    rot = np.array([[0, c.p - 1], [1, 1]], dtype=np.int64)  # two nonzeros in column 1
-    rep = iso.MatrixRep(c.group, c.p, np.broadcast_to(rot, (c.group.order, 2, 2)).copy(), validate=False)
-    assert iso.as_monomial(rep) is rep
-    mono = iso.as_monomial(iso.permutation_rep(c.group, c.p))
-    assert mono.images is not None and iso.as_monomial(mono) is mono
+CONSTRUCTOR_GROUPS = ("C1", "C6", "S3", "D4", "Q8", "A4", "S5")
+
+
+def dense_regular(group):
+    """The regular representation as a dense matrix loop, rho(g) e_c = e_{g*c}."""
+    n = group.order
+    mats = np.zeros((n, n, n), dtype=np.int64)
+    cols = np.arange(n)
+    for g in range(n):
+        mats[g, group.mult[g, cols], cols] = 1
+    return mats
+
+
+def dense_permutation(group):
+    """The defining permutation matrices as a dense matrix loop."""
+    perms = group.elements
+    deg = perms[0].degree
+    mats = np.zeros((group.order, deg, deg), dtype=np.int64)
+    cols = np.arange(deg)
+    for g in range(group.order):
+        mats[g, np.array(perms[g].images), cols] = 1
+    return mats
+
+
+def word_products(group, p, gen_mats):
+    """Every element's matrix as the dense product along its breadth-first word."""
+    dim = len(gen_mats[0])
+    mats = np.zeros((group.order, dim, dim), dtype=np.int64)
+    mats[0] = linalg.identity(dim)
+    for k in range(1, group.order):
+        parent, pos = group.words[k]
+        mats[k] = linalg.matmul(mats[parent], np.asarray(gen_mats[pos], dtype=np.int64) % p, p)
+    return mats
+
+
+@pytest.mark.parametrize("name", CONSTRUCTOR_GROUPS)
+def test_regular_and_permutation_reps_are_built_monomial(ctx, name):
+    c = ctx(name)
+    for build, dense in ((iso.regular_rep, dense_regular), (iso.permutation_rep, dense_permutation)):
+        rep = build(c.group, c.p)
+        assert rep.images is not None and rep.validation == "exhaustive"
+        assert "mats" not in vars(rep)
+        assert np.array_equal(rep.mats, dense(c.group)), build.__name__
+
+
+@pytest.mark.parametrize("name", CONSTRUCTOR_GROUPS)
+def test_dual_of_a_monomial_rep_is_monomial(ctx, name):
+    # the permutation rep times each linear character: on C6 and A4 its
+    # scalars are roots of unity other than +-1, so the dual's differ
+    c = ctx(name)
+    inv = list(c.group.inv)
+    perm = iso.permutation_rep(c.group, c.p)
+    reps = [iso.regular_rep(c.group, c.p), perm]
+    for i in (i for i, deg in enumerate(c.table.degrees) if deg == 1):
+        chi = np.array([c.table.values[i][c.classes.class_of[g]] for g in range(c.group.order)])
+        scalars = np.broadcast_to(chi[:, None], perm.images.shape).copy()
+        reps.append(iso.MatrixRep(c.group, c.p, images=perm.images.copy(), scalars=scalars))
+    beyond_signs = False
+    for rep in reps:
+        dual = iso.dual_rep(rep)
+        assert dual.images is not None and dual.validation == "exhaustive"
+        assert np.array_equal(dual.mats, rep.mats[inv].transpose(0, 2, 1))
+        beyond_signs |= not np.array_equal(dual.scalars, rep.scalars)
+        again = iso.dual_rep(dual)
+        assert np.array_equal(again.images, rep.images) and np.array_equal(again.scalars, rep.scalars)
+    assert beyond_signs == (name in ("C6", "A4"))
+
+
+@pytest.mark.parametrize("name", ["S3", "S4", "A4"])
+def test_permutation_rep_report_matches_its_dense_copy(ctx, name):
+    # no golden file covers `decompose --rep perm`
+    c = ctx(name)
+    rep = iso.permutation_rep(c.group, c.p)
+    dense = iso.MatrixRep(c.group, c.p, rep.mats)
+    assert dense.images is None
+    assert iso.reps.decomposition_report(rep, c.table) == iso.reps.decomposition_report(dense, c.table)
+    for got, want in zip(iso.decompose(rep, c.table)[0].components, iso.decompose(dense, c.table)[0].components):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    ("name", "kind", "monomial"),
+    [("D4", "reflection2", True), ("C4", "scalar", True), ("S4", "perm4", True), ("D6", "reflection2", False)],
+)
+def test_rep_from_matrices_is_monomial_exactly_for_monomial_generators(ctx, name, kind, monomial):
+    c = ctx(name)
+    gens = builtin_action(c.group, c.p, kind).rep.mats[list(c.group.generator_indices)]
+    assert all(((m != 0).sum(axis=0) == 1).all() for m in gens) == monomial
+    rep = iso.rep_from_matrices(c.group, c.p, gens.tolist())
+    assert (rep.images is not None) == monomial and rep.validation == "exhaustive"
+    assert np.array_equal(rep.mats, word_products(c.group, c.p, gens))
+
+
+def test_rep_from_matrices_rejects_a_singular_generator_with_one_nonzero_per_column(ctx):
+    c = ctx("C2")
+    with pytest.raises(SingularMatrix):
+        iso.rep_from_matrices(c.group, c.p, [[[1, 1], [0, 0]]])
+
+
+@pytest.mark.parametrize(("name", "scale"), [("S4", 1), ("D4", 2), ("S3", 1)])
+def test_monomial_generators_that_are_not_a_homomorphism_name_the_dense_word(ctx, name, scale):
+    # the generator matrices of the permutation rep in swapped order, the
+    # second one scaled: the same first bad edge as the dense word products
+    c = ctx(name)
+    perm = iso.permutation_rep(c.group, c.p).mats
+    first, second = (perm[g] for g in c.group.generator_indices)
+    gens = [second, first * scale % c.p]
+    with pytest.raises(NotAHomomorphism) as dense_err:
+        iso.MatrixRep(c.group, c.p, word_products(c.group, c.p, gens))
+    with pytest.raises(NotAHomomorphism) as err:
+        iso.rep_from_matrices(c.group, c.p, gens)
+    assert err.value.word is not None and err.value.word == dense_err.value.word
 
 
 def test_non_monomial_action_keeps_the_dense_pieces(ctx):
@@ -84,8 +193,8 @@ def test_non_monomial_action_keeps_the_dense_pieces(ctx):
 def test_sym_power_rep_of_a_monomial_rep_is_monomial(ctx):
     c = ctx("A4")
     perm = iso.permutation_rep(c.group, c.p)
-    dense = iso.sym_power_rep(perm, 3)
-    mono = iso.sym_power_rep(iso.as_monomial(perm), 3)
+    dense = iso.sym_power_rep(iso.MatrixRep(c.group, c.p, perm.mats), 3)
+    mono = iso.sym_power_rep(perm, 3)
     assert dense.images is None and mono.images is not None
     assert mono.validation == "exhaustive"
     assert np.array_equal(mono.mats, dense.mats)
@@ -128,7 +237,7 @@ def twisted_perm_rep(c, rng):
     q = np.zeros((dim, dim), dtype=np.int64)
     q[rng.sample(range(dim), dim), np.arange(dim)] = [rng.choice([1, p - 1]) for _ in range(dim)]
     mats = linalg.matmul(linalg.matmul(q, mats, p), linalg.inverse(q, p), p)
-    return iso.as_monomial(iso.MatrixRep(group, p, mats))
+    return iso.rep_from_matrices(group, p, mats[list(group.generator_indices)])
 
 
 @settings(max_examples=40, deadline=None)
