@@ -1,13 +1,16 @@
-"""Micro benchmarks of the multiplicity spaces in `isotypic.reps`.
+"""Micro benchmarks of restriction and multiplicity spaces in `isotypic.reps`.
 
 Outside the `testpaths` of pyproject.toml; run from the repository root:
 
     PYTHONPATH=src python -m pytest microbench/test_reps_bench.py --benchmark-only
 
-Both compute a basis of Hom_G(V, E) for E the regular representation of S5
-(dimension 120) and V its degree-6 irreducible model, the largest piece of
-the models-s5 workload: `multiplicity_space` from Serre's operators, and
-`intertwiner_basis` from the null space of the 1440 x 720 Kronecker system.
+E is the regular representation of S5 (dimension 120), V its degree-6
+irreducible model, the largest piece of the models-s5 workload.
+`restrict_to_subspace` acts on the 36-dimensional degree-6 isotypic
+component of E.  A basis of Hom_G(V, E) comes from `multiplicity_space`
+(Serre's operators), on E as built (index maps) and on its dense copy, so
+both branches of the group sums and actions have a number, and from
+`intertwiner_basis` (the null space of the 1440 x 720 Kronecker system).
 """
 
 from __future__ import annotations
@@ -18,19 +21,31 @@ from isotypic import arith, characters, groups, reps
 
 
 @pytest.fixture(scope="module")
-def s5_regular_and_model():
+def s5():
     group = groups.group_from_name("S5")
     p = arith.choose_prime(group)
     table = characters.character_table(group, groups.conjugacy_classes(group), p)
-    model = reps.irreducible_models(group, table)[table.degrees.index(6)]
-    return reps.regular_rep(group, p), model
+    six = table.degrees.index(6)
+    model = reps.irreducible_models(group, table)[six]
+    regular = reps.regular_rep(group, p)
+    component = reps.decompose(regular, table)[0].components[six]
+    return regular, model, component
 
 
-@pytest.mark.parametrize("method", ["multiplicity_space", "intertwiner_basis"])
-def test_hom_basis_s5_regular(benchmark, s5_regular_and_model, method):
-    reg, model = s5_regular_and_model
+def test_restrict_s5_regular_to_degree_6_component(benchmark, s5):
+    regular, _, component = s5
+    sub = benchmark(reps.restrict_to_subspace, regular, component)
+    assert sub.dim == 36
+
+
+@pytest.mark.parametrize("method", ["multiplicity_space", "multiplicity_space-dense", "intertwiner_basis"])
+def test_hom_basis_s5_regular(benchmark, s5, method):
+    regular, model, _ = s5
     if method == "multiplicity_space":
-        basis = benchmark(reps.multiplicity_space, reg, model)
+        basis = benchmark(reps.multiplicity_space, regular, model)
+    elif method == "multiplicity_space-dense":
+        dense = reps.MatrixRep(regular.group, regular.p, regular.mats.copy(), validate=False)
+        basis = benchmark(reps.multiplicity_space, dense, model)
     else:
-        basis = benchmark(reps.intertwiner_basis, model, reg)
+        basis = benchmark(reps.intertwiner_basis, model, regular)
     assert len(basis) == 6

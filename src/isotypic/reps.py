@@ -281,23 +281,49 @@ def character_of(rep: MatrixRep, classes: ConjugacyClasses) -> tuple[int, ...]:
     return tuple(int(np.trace(rep.mats[r]) % rep.p) for r in classes.reps)
 
 
-def isotypic_projector(rep: MatrixRep, i: int, table: CharacterTable) -> np.ndarray:
-    """Central projector deg_i/|G| * sum_g chi_i(g^-1) rho(g).
+def _group_sum(rep: MatrixRep, elems, coef: np.ndarray) -> np.ndarray:
+    """sum_k coef[a, k] rho(elems[k]) for each row a of `coef`, stacked.
 
+    `elems` indexes the group elements (a list, or slice(None) for all).
     A monomial representation scatter-adds the coefficient times the scalar
-    of each (g, j) into cell (images[g, j], j).  A cell sums at most |G|
-    residues, so while |G| p < 2^53 (always, under the closure cap and
-    MAX_MODULUS) the float64 sums of `np.bincount` are exact.
+    of each (g, j) into cell (images[g, j], j), one `np.bincount` per row.
+    A cell sums at most |G| residues, so while |G| p < 2^53 (always, under
+    the closure cap and MAX_MODULUS) its float64 sums are exact.  A dense
+    representation takes one `linalg.matmul` with the flattened matrices.
     """
-    p, d = table.p, rep.dim
-    coef = table.idempotents()[i]
+    p, d = rep.p, rep.dim
     if rep.images is not None and rep.group.order * p < linalg.FLOAT_EXACT:
-        weights = coef[:, None] * rep.scalars % p
-        cells = rep.images * d + np.arange(d)
-        proj = np.bincount(cells.ravel(), weights=weights.ravel(), minlength=d * d)
-        return (proj.astype(np.int64) % p).reshape(d, d)
-    flat = rep.mats.reshape(rep.group.order, d * d)
-    return linalg.matmul(coef, flat, p).reshape(d, d)
+        scalars = rep.scalars[elems]
+        cells = (rep.images[elems] * d + np.arange(d)).ravel()
+        out = np.empty((len(coef), d * d), dtype=np.int64)
+        for a, row in enumerate(coef):
+            weights = row[:, None] * scalars % p
+            out[a] = np.bincount(cells, weights=weights.ravel(), minlength=d * d)
+        return np.remainder(out, p, out=out).reshape(len(coef), d, d)
+    mats = rep.mats[elems]
+    return linalg.matmul(coef, mats.reshape(len(mats), d * d), p).reshape(len(coef), d, d)
+
+
+def _act(rep: MatrixRep, elems, cols: np.ndarray) -> np.ndarray:
+    """rho(g) @ cols for each g in `elems` (as in `_group_sum`), stacked.
+
+    A monomial rho(g) moves row j of `cols`, times scalars[g, j], to row
+    images[g, j] (each index map of a representation is a permutation):
+    one scatter, no product.  A dense representation takes one
+    `linalg.matmul`.
+    """
+    if rep.images is None:
+        return linalg.matmul(rep.mats[elems], cols, rep.p)
+    images, scalars = rep.images[elems], rep.scalars[elems]
+    out = np.zeros(images.shape + cols.shape[1:], dtype=np.int64)
+    out[np.arange(len(images))[:, None], images] = scalars[:, :, None] * cols % rep.p
+    return out
+
+
+def isotypic_projector(rep: MatrixRep, i: int, table: CharacterTable) -> np.ndarray:
+    """Central projector deg_i/|G| * sum_g chi_i(g^-1) rho(g), one
+    `_group_sum` over the whole group."""
+    return _group_sum(rep, slice(None), table.idempotents()[i][None])[0]
 
 
 def decompose(rep: MatrixRep, table: CharacterTable) -> tuple[IsotypicDecomposition, RepType]:
@@ -364,15 +390,15 @@ def _orbit_block_row_space(a: np.ndarray, orbits: list[np.ndarray], p: int) -> n
 def restrict_to_subspace(rep: MatrixRep, basis: np.ndarray) -> MatrixRep:
     """Action matrices on an invariant row-subspace, in basis coordinates.
 
-    The coordinates of the images of the basis rows under every element
-    come from one `linalg.coordinates` call, which raises SingularMatrix
-    when the subspace is not invariant.
+    The images of the basis rows under every element come from one `_act`,
+    and their coordinates from one `linalg.coordinates` call, which raises
+    SingularMatrix when the subspace is not invariant.
     """
     p, n, d = rep.p, rep.group.order, rep.dim
     basis = linalg.asmat(basis, p)
     k = basis.shape[0]
     # images[g] = basis @ rho(g)^T, the images of the basis rows
-    images = linalg.matmul(rep.mats, basis.T, p).transpose(0, 2, 1)
+    images = _act(rep, slice(None), basis.T).transpose(0, 2, 1)
     coords = linalg.coordinates(basis, images.reshape(n * k, d), p)
     return MatrixRep(rep.group, p, coords.reshape(n, k, k).transpose(0, 2, 1), validate=False)
 
@@ -538,11 +564,9 @@ def ext_power_rep(rep: MatrixRep, k: int) -> MatrixRep:
 
 
 def _averaging_projector(rep: MatrixRep, h: Subgroup) -> np.ndarray:
-    """(1/|H|) sum_{h in H} rho(h)."""
-    p = rep.p
-    # |H| (p-1) is far below 2^63, so the sum is exact before reducing
-    acc = rep.mats[list(h.element_indices)].sum(axis=0) % p
-    return acc * inv_mod(h.order % p, p) % p
+    """(1/|H|) sum_{h in H} rho(h), one `_group_sum` over H."""
+    coef = np.full((1, h.order), inv_mod(h.order % rep.p, rep.p), dtype=np.int64)
+    return _group_sum(rep, list(h.element_indices), coef)[0]
 
 
 def subgroup_invariants(rep: MatrixRep, h: Subgroup, table: CharacterTable) -> np.ndarray:
@@ -600,22 +624,22 @@ def multiplicity_space(rep: MatrixRep, model: MatrixRep) -> list[np.ndarray]:
     Serre's operators (*Linear Representations of Finite Groups*, §2.7,
     Prop. 8), with r(g) the model matrices:
     p_a = (n_i/|G|) sum_g r(g^-1)[0, a] rho(g) for a = 0..n_i-1, all from
-    one product of the (n_i x |G|) coefficients with the (|G| x dim^2)
-    matrices.  For an irreducible model, p_0 projects onto a space W of
-    dimension the multiplicity, and for w in W the matrix
-    T_w = [p_0 w | ... | p_{n_i-1} w] intertwines: rho(g) T_w = T_w r(g).
-    The T_w over the row basis of W, `row_space(p_0^T)`, form the basis;
-    one product gives them all.  Each is checked against every generator,
-    one pair of products per generator, and the first generator whose
-    intertwining equation fails raises NotAnIntertwiner.  That generator
-    need not be the one with a wrong matrix, since every rho(g) enters
-    every p_a; wrong matrices are caught by MatrixRep's validation.
+    one `_group_sum` of the (n_i x |G|) coefficients.  For an irreducible
+    model, p_0 projects onto a space W of dimension the multiplicity, and
+    for w in W the matrix T_w = [p_0 w | ... | p_{n_i-1} w] intertwines:
+    rho(g) T_w = T_w r(g).  The T_w over the row basis of W,
+    `row_space(p_0^T)`, form the basis; one product gives them all.  Each
+    is checked against every generator, one `_act` and one product per
+    generator, and the first generator whose intertwining equation fails
+    raises NotAnIntertwiner.  That generator need not be the one with a
+    wrong matrix, since every rho(g) enters every p_a; wrong matrices are
+    caught by MatrixRep's validation.
     """
     group, p = rep.group, rep.p
     n, d, n_i = group.order, rep.dim, model.dim
     scale = n_i * inv_mod(n, p) % p
     coef = model.mats[list(group.inv), 0, :].T * scale % p
-    ops = linalg.matmul(coef, rep.mats.reshape(n, d * d), p).reshape(n_i, d, d)
+    ops = _group_sum(rep, slice(None), coef)
     w = linalg.row_space(ops[0].T, p)
     m = w.shape[0]
     # cols[a, :, s] = p_a w_s, column a of the s-th intertwiner T_s
@@ -623,7 +647,7 @@ def multiplicity_space(rep: MatrixRep, model: MatrixRep) -> list[np.ndarray]:
     side_by_side = cols.transpose(1, 2, 0).reshape(d, m * n_i)  # [T_0 | T_1 | ...]
     stacked = cols.transpose(2, 1, 0).reshape(m * d, n_i)  # T_0 over T_1 over ...
     for pos, g in enumerate(group.generator_indices):
-        left = linalg.matmul(rep.mats[g], side_by_side, p).reshape(d, m, n_i)
+        left = _act(rep, [g], side_by_side)[0].reshape(d, m, n_i)
         right = linalg.matmul(stacked, model.mats[g], p).reshape(m, d, n_i)
         if not np.array_equal(left, right.transpose(1, 0, 2)):
             raise NotAnIntertwiner(

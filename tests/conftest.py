@@ -1,13 +1,17 @@
-"""Shared fixtures: cached group/table contexts for the test groups."""
+"""Shared fixtures and helpers: cached group/table contexts for the test
+groups, and random invertible matrices."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
 import isotypic as iso
+from isotypic import linalg
+from isotypic.errors import SingularMatrix
 
 # Every @given test draws the same examples on every run, so a failure
 # replays exactly; max_examples keeps its default.
@@ -35,6 +39,17 @@ class GroupContext:
 
 
 _CACHE: dict[str, GroupContext] = {}
+
+
+def random_invertible(rng, dim, p):
+    """A uniformly drawn invertible dim x dim matrix over F_p."""
+    while True:
+        m = np.array([[rng.randrange(p) for _ in range(dim)] for _ in range(dim)], dtype=np.int64)
+        try:
+            linalg.inverse(m, p)
+            return m
+        except SingularMatrix:
+            continue
 
 
 def _build(name: str) -> GroupContext:

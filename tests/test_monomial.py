@@ -5,10 +5,10 @@ The constructors that build it (`regular_rep`, `permutation_rep`, the
 monomial branch of `rep_from_matrices`, `dual_rep` of a monomial rep) are
 checked against dense matrix loops, and every monomial branch (validation,
 `character_of`, `isotypic_projector`, `_sym_power_step`, `fixed_dim`, the
-orbit blocks of `decompose`) against the dense route on the same
-representation, and the cover's product check against ranks of projected
-products on the dense pieces.  The dense side is always built explicitly
-as `MatrixRep(group, p, rep.mats)`.
+orbit blocks of `decompose`, `restrict_to_subspace`, `multiplicity_space`)
+against the dense route on the same representation, and the cover's product
+check against ranks of projected products on the dense pieces.  The dense
+side is always built explicitly as `MatrixRep(group, p, rep.mats)`.
 """
 
 from __future__ import annotations
@@ -24,7 +24,9 @@ import isotypic as iso
 from isotypic import cover, linalg
 from isotypic.cover import builtin_action, cyclic_subgroups
 from isotypic.errors import NotAHomomorphism, SingularMatrix
-from isotypic.reps import _sym_power_step
+from isotypic.reps import _sym_power_step, multiplicity_space, restrict_to_subspace
+
+from conftest import random_invertible
 
 # A4 and C3 have non-real characters, so their projectors are not symmetric
 MONOMIAL_ACTIONS = (
@@ -259,6 +261,39 @@ def test_fixed_dim_counts_orbits_with_untwisted_stabilizers(ctx, name, seed):
         assert np.array_equal(iso.isotypic_projector(rep, i, c.table), iso.isotypic_projector(dense, i, c.table))
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(("S3", "S4", "D4")), st.integers(0, 2**32 - 1))
+def test_restriction_and_multiplicity_spaces_of_twisted_reps_match_the_dense_copy(ctx, name, seed):
+    # scalars of -1 catch a scalar read at the image index instead of the source
+    c = ctx(name)
+    rng = random.Random(seed)
+    rep = twisted_perm_rep(c, rng)
+    assert rep.images is not None and (rep.scalars != 1).any()
+    dense = iso.MatrixRep(c.group, c.p, rep.mats.copy())
+    components = [b for b in iso.decompose(rep, c.table)[0].components if b.shape[0]]
+    span = np.concatenate(components)
+    mixed = random_invertible(rng, span.shape[0], c.p) @ span % c.p
+    for basis in components + [mixed]:
+        got = restrict_to_subspace(rep, basis)
+        assert np.array_equal(got.mats, restrict_to_subspace(dense, basis).mats)
+    for i, model in enumerate(c.models):
+        got = multiplicity_space(rep, model)
+        want = multiplicity_space(dense, model)
+        assert len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want)), i
+
+
+@pytest.mark.parametrize("name", ["S3", "S4", "D4"])
+def test_restriction_of_a_twisted_rep_to_a_non_invariant_line_is_singular(ctx, name):
+    c = ctx(name)
+    rep = twisted_perm_rep(c, random.Random(0))
+    moved = next(j for j in range(rep.dim) if (rep.images[:, j] != j).any())
+    line = np.zeros((1, rep.dim), dtype=np.int64)
+    line[0, moved] = 1
+    with pytest.raises(SingularMatrix):
+        restrict_to_subspace(rep, line)
+    assert "mats" not in vars(rep)
+
+
 @pytest.mark.parametrize("pos", [0, 1])
 def test_corrupted_monomial_generator_names_its_edge(ctx, pos):
     c = ctx("S4")
@@ -307,6 +342,28 @@ def test_cover_report_never_builds_dense_monomial_pieces(ctx):
     for d in range(2, 13):
         rep = action.piece(d).rep
         assert rep.images is not None and "mats" not in vars(rep), d
+
+
+def test_models_path_never_builds_dense_regular_matrices(ctx, monkeypatch):
+    # S5's irreducible models and evaluation maps, as the models-s5 workload
+    # runs them: neither regular rep (120 x 120 x 120 dense) reads `mats`
+    c = ctx("S5")
+    built = []
+    real = iso.reps.regular_rep
+
+    def spy(group, p):
+        built.append(real(group, p))
+        return built[-1]
+
+    monkeypatch.setattr(iso.reps, "regular_rep", spy)
+    models = iso.irreducible_models(c.group, c.table)
+    regular = real(c.group, c.p)
+    for i, model in enumerate(models):
+        ok, _ = iso.evaluation_iso_check(regular, i, c.table, model)
+        assert ok, i
+    assert len(built) == 1
+    for rep in (built[0], regular):
+        assert rep.images is not None and "mats" not in vars(rep)
 
 
 @pytest.mark.parametrize(("name", "kind"), ORACLE_ACTIONS)

@@ -23,7 +23,7 @@ from isotypic.errors import (
 )
 from isotypic.reps import intertwiner_basis, multiplicity_space, restrict_to_subspace
 
-from conftest import TEST_GROUPS
+from conftest import TEST_GROUPS, random_invertible
 
 MODEL_DIGESTS = Path(__file__).resolve().parent / "golden" / "irreducible_models.json"
 
@@ -34,16 +34,6 @@ def conjugate_rep(rep, s):
     s_inv = linalg.inverse(s, rep.p)
     mats = linalg.matmul(s, linalg.matmul(rep.mats, s_inv, rep.p), rep.p)
     return iso.MatrixRep(rep.group, rep.p, mats, validate=False)
-
-
-def random_invertible(rng, dim, p):
-    while True:
-        m = np.array([[rng.randrange(p) for _ in range(dim)] for _ in range(dim)], dtype=np.int64)
-        try:
-            linalg.inverse(m, p)
-            return m
-        except SingularMatrix:
-            continue
 
 
 def random_rep(c, rng, max_total_dim=6):
@@ -637,6 +627,33 @@ def _corrupted(rep, pos):
     g = rep.group.generator_indices[pos]
     mats[g] = mats[g][:, ::-1]
     return iso.MatrixRep(rep.group, rep.p, mats, validate=False)
+
+
+def _corrupted_monomial(rep, pos):
+    """`rep` with the index map of generator `pos` column-reversed and its
+    scalars kept, unvalidated: still monomial."""
+    images = rep.images.copy()
+    g = rep.group.generator_indices[pos]
+    images[g] = images[g][::-1]
+    return iso.MatrixRep(rep.group, rep.p, images=images, scalars=rep.scalars.copy(), validate=False)
+
+
+@pytest.mark.parametrize("name", ["C6", "S3", "S5"])
+def test_multiplicity_space_rejects_a_corrupted_monomial_generator(name, ctx):
+    # scalars are all 1 on these reps, so the corrupted matrices are those
+    # of `_corrupted`, and the monomial branch must raise as the dense one
+    c = ctx(name)
+    for rep in (iso.regular_rep(c.group, c.p), iso.permutation_rep(c.group, c.p)):
+        bad = _corrupted_monomial(rep, 0)
+        dense = _corrupted(rep, 0)
+        assert bad.images is not None and (rep.scalars == 1).all()
+        for model in c.models:
+            with pytest.raises(NotAnIntertwiner) as err:
+                multiplicity_space(bad, model)
+            with pytest.raises(NotAnIntertwiner) as dense_err:
+                multiplicity_space(dense, model)
+            assert str(err.value) == str(dense_err.value)
+        assert "mats" not in vars(bad)
 
 
 @pytest.mark.parametrize("name", ["C6", "S3", "S5"])
