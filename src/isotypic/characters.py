@@ -14,13 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    EvenCharacteristicHazard,
-    NoSplittingElement,
-    NotAMultiplicity,
-    SplitFailure,
-)
-from .groups import ConjugacyClasses, Group, Subgroup, power_class_map
+from .errors import NoSplittingElement, NotAMultiplicity, SplitFailure
+from .groups import ConjugacyClasses, Group, Subgroup
 from .linalg import inv_mod, matmul, require_exact, split
 
 ClassFunction = tuple[int, ...]
@@ -63,17 +58,11 @@ class CharacterTable:
     values: tuple[ClassFunction, ...]
     degrees: tuple[int, ...]
     trivial_index: int = 0
-    _power_maps: dict = field(default_factory=dict, repr=False)
     _idempotents: list | None = field(default=None, repr=False)
 
     @property
     def num_irreps(self) -> int:
         return len(self.values)
-
-    def power_map(self, k: int):
-        if k not in self._power_maps:
-            self._power_maps[k] = power_class_map(self.group, self.classes, k)
-        return self._power_maps[k]
 
     def idempotents(self) -> list[np.ndarray]:
         """`central_idempotents` of this table, built once and read-only."""
@@ -219,53 +208,6 @@ def char_dual(v: ClassFunction, classes: ConjugacyClasses) -> ClassFunction:
 
 def char_tensor(v: ClassFunction, w: ClassFunction, p: int) -> ClassFunction:
     return tuple(a * b % p for a, b in zip(v, w))
-
-
-def _newton(v: ClassFunction, k: int, table: CharacterTable, alternating: bool) -> ClassFunction:
-    """Elementary (alternating) or complete homogeneous symmetric character.
-
-    Newton recursion on the power sums chi(g^m); requires every division
-    by 1..k to be invertible mod p.
-    """
-    p = table.p
-    for m in range(2, k + 1):
-        if m % p == 0:
-            raise EvenCharacteristicHazard(
-                f"power {k} needs division by {m}, not invertible mod {p}"
-            )
-    num = table.classes.num_classes
-    pows = [[v[table.power_map(m)[c]] for c in range(num)] for m in range(1, k + 1)]
-    rows = [[1] * num]  # degree-0 term
-    for j in range(1, k + 1):
-        inv_j = inv_mod(j, p)
-        row = []
-        for c in range(num):
-            acc = 0
-            for m in range(1, j + 1):
-                term = rows[j - m][c] * pows[m - 1][c]
-                if alternating and m % 2 == 0:
-                    acc -= term
-                else:
-                    acc += term
-            row.append(acc * inv_j % p)
-        rows.append(row)
-    return tuple(rows[k])
-
-
-def char_sym_power(v: ClassFunction, k: int, table: CharacterTable) -> ClassFunction:
-    if k < 0:
-        raise ValueError("power must be nonnegative")
-    if k == 0:
-        return char_trivial(table)
-    return _newton(v, k, table, alternating=False)
-
-
-def char_ext_power(v: ClassFunction, k: int, table: CharacterTable) -> ClassFunction:
-    if k < 0:
-        raise ValueError("power must be nonnegative")
-    if k == 0:
-        return char_trivial(table)
-    return _newton(v, k, table, alternating=True)
 
 
 def restrict_invariant_dim(

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import linalg
 from .arith import Poly, RatFunc, limit_at_one, root_of_unity, series_prefix
-from .characters import CharacterTable, char_dual, restrict_invariant_dim, tensor_multiplicities
+from .characters import CharacterTable, restrict_invariant_dim, tensor_multiplicities
 from .errors import NotFaithful, OrientationMismatch
 from .groups import Group, Subgroup, subgroup_closure
 from .reps import (
@@ -81,6 +81,7 @@ class LinearCoverAction:
         self._dets: list[Poly] | None = None
         self._mul_maps: dict[tuple[int, int], np.ndarray] = {}
         self._coords: dict[int, np.ndarray] = {}
+        self._tensors: np.ndarray | None = None
         kernel = [g for g in range(group.order) if np.array_equal(rep.mats[g], rep.mats[0])]
         if len(kernel) != 1:
             raise NotFaithful(
@@ -111,6 +112,7 @@ class LinearCoverAction:
 
     def piece_decomposition(self, d: int, table: CharacterTable):
         """(components, true multiplicities) of the degree-d piece, memoized."""
+        _require_own_table(self, table)
         if d not in self._piece_data:
             decomp, rtype = decompose(self.piece(d).rep, table)
             self._piece_data[d] = (decomp, rtype.multiplicities)
@@ -216,6 +218,16 @@ def builtin_action(group: Group, p: int, name: str) -> LinearCoverAction:
     return scalar_action(group, p)
 
 
+def _require_own_table(action: LinearCoverAction, table: CharacterTable) -> None:
+    """The memos of an action are built from one table: raise ValueError for
+    a table of another group object or prime."""
+    if table.group is not action.group or table.p != action.p:
+        raise ValueError(
+            f"the character table of {table.group.name} at p = {table.p} does not belong"
+            f" to the action of {action.group.name} at p = {action.p}"
+        )
+
+
 # -- multiplicity series -----------------------------------------------------------
 
 
@@ -240,6 +252,7 @@ def molien_multiplicity_series(action: LinearCoverAction, i: int, table: Charact
     multiplicities through CHECK_DEGREE.  A disagreement raises
     OrientationMismatch (an implementation bug, not a data error).
     """
+    _require_own_table(action, table)
     if i in action._series:
         return action._series[i]
     group, classes, p = table.group, table.classes, table.p
@@ -319,37 +332,40 @@ class ProductCheck:
     a: int
     b: int
     required_zero: tuple[int, ...]
-    observed_ranks: tuple[int, ...]
-    ok: bool
     witness: dict | None = None
+
+    @property
+    def ok(self) -> bool:
+        return self.witness is None
 
 
 def product_structure_check(
     action: LinearCoverAction, i: int, j: int, a: int, b: int, table: CharacterTable
 ) -> ProductCheck:
-    """Multiply the i-component of B_a by the j-component of B_b and project.
+    """Multiply the i-component of B_a by the j-component of B_b and test
+    that every projection onto an irreducible absent from V_i tensor V_j
+    vanishes.
 
-    Every projection onto an irreducible absent from V_i tensor V_j must
-    vanish; the observed rank pattern is reported either way.  The rank of
-    the projection P_l onto irreducible l is read in component coordinates:
-    the central idempotents sum to the identity, so the P_l sum to I, and
+    The projections are read in component coordinates: the central
+    idempotents sum to the identity, so the projections P_l sum to I, and
     `decompose` checks that their ranks sum to dim B_{a+b}; so P_l is the
     projection onto the component C_l along the others.  For product rows W
     with coordinates X = W S^-1 in the stacked basis S = [C_0; ...; C_{r-1}],
     P_l W^T = (X_l C_l)^T, X_l the columns of X on C_l, and as the rows of C_l
-    are independent, rank(P_l W^T) = rank(X_l).  The products themselves
-    are scatter-adds of comp_a (x) comp_b onto the monomial alpha + beta.
-    Only a failing check builds P_l, for its witness: the first nonzero row
-    of row_space(W) @ P_l^T.
+    are independent, P_l W^T = 0 exactly when X_l = 0.  So only the columns
+    of S^-1 on forbidden components are multiplied, and nothing when no
+    component is forbidden.  The products themselves are scatter-adds of
+    comp_a (x) comp_b onto the monomial alpha + beta.  The check fails at the
+    first nonzero X_l in ascending l, and only then builds P_l, for its
+    witness: the first nonzero row of row_space(W) @ P_l^T.
     """
     p = table.p
     tens = _tensor_mults(action, table)
     comp_a = action.piece_decomposition(a, table)[0].components[i]
     comp_b = action.piece_decomposition(b, table)[0].components[j]
     required = tuple(l for l in range(table.num_irreps) if tens[i, j, l] == 0)
-    if comp_a.shape[0] == 0 or comp_b.shape[0] == 0:
-        ranks = (0,) * table.num_irreps
-        return ProductCheck(i, j, a, b, required, ranks, True)
+    if not required or comp_a.shape[0] == 0 or comp_b.shape[0] == 0:
+        return ProductCheck(i, j, a, b, required)
     target = action.multiplication_map(a, b)
     order = np.argsort(target, kind="stable")
     # every monomial of B_{a+b} is some alpha + beta, so each group is nonempty
@@ -360,31 +376,25 @@ def product_structure_check(
     ) % p
     # each sum has at most dim B_a residues, exact in int64
     prods = np.add.reduceat(outer[:, order], starts, axis=1) % p
-    coords = linalg.matmul(prods, action.component_coordinates(a + b, table), p)
-    ranks = []
-    witness = None
-    at = 0
-    for l, dim in enumerate(action.piece_decomposition(a + b, table)[0].dims()):
-        block = coords[:, at : at + dim]
-        at += dim
-        r = linalg.rank(block, p) if block.any() else 0
-        ranks.append(r)
-        if r and l in required and witness is None:
-            span = linalg.row_space(prods, p)
-            proj = linalg.matmul(span, isotypic_projector(action.piece(a + b).rep, l, table).T, p)
-            witness = {
-                "component": l,
-                "degree": a + b,
-                "vector": proj[np.nonzero(proj.any(axis=1))[0][0]].tolist(),
-            }
-    ok = all(ranks[l] == 0 for l in required)
-    return ProductCheck(i, j, a, b, required, tuple(ranks), ok, witness)
+    bounds = np.cumsum((0,) + action.piece_decomposition(a + b, table)[0].dims())
+    cols = np.concatenate([np.arange(bounds[l], bounds[l + 1]) for l in required])
+    coords = linalg.matmul(prods, action.component_coordinates(a + b, table)[:, cols], p)
+    nonzero = cols[coords.any(axis=0)]
+    if nonzero.size == 0:
+        return ProductCheck(i, j, a, b, required)
+    l = int(np.searchsorted(bounds, nonzero[0], side="right")) - 1
+    span = linalg.row_space(prods, p)
+    proj = linalg.matmul(span, isotypic_projector(action.piece(a + b).rep, l, table).T, p)
+    witness = {"component": l, "degree": a + b, "vector": proj[np.nonzero(proj.any(axis=1))[0][0]].tolist()}
+    return ProductCheck(i, j, a, b, required, witness)
 
 
 def _tensor_mults(action: LinearCoverAction, table: CharacterTable) -> np.ndarray:
-    if not hasattr(action, "_tensor_mults"):
-        action._tensor_mults = tensor_multiplicities(table)
-    return action._tensor_mults
+    """`tensor_multiplicities(table)`, memoized on the action."""
+    _require_own_table(action, table)
+    if action._tensors is None:
+        action._tensors = tensor_multiplicities(table)
+    return action._tensors
 
 
 # -- full report -----------------------------------------------------------------------

@@ -48,10 +48,6 @@ class NotAMultiplicity(IsotypicError):
     """Inner product asserted to be a multiplicity lifts above its bound."""
 
 
-class EvenCharacteristicHazard(IsotypicError):
-    """Power-sum recursion requires dividing by a multiple of the modulus."""
-
-
 class NoSplittingElement(IsotypicError):
     """No group element acts non-scalar on an irreducible of degree >= 2.
 

@@ -246,27 +246,6 @@ def subgroup_closure(group: Group, gens) -> Subgroup:
     return Subgroup(elems, len(elems))
 
 
-def all_subgroups(group: Group) -> list[Subgroup]:
-    """Every subgroup, found by closing known subgroups with one new element.
-
-    Intended for desk-scale groups; cost grows with the subgroup lattice.
-    """
-    seen = {}
-    trivial = subgroup_closure(group, [])
-    seen[trivial.element_indices] = trivial
-    frontier = [trivial]
-    while frontier:
-        h = frontier.pop()
-        for g in range(1, group.order):
-            if g in h.element_indices:
-                continue
-            k = subgroup_closure(group, list(h.element_indices) + [g])
-            if k.element_indices not in seen:
-                seen[k.element_indices] = k
-                frontier.append(k)
-    return sorted(seen.values(), key=lambda s: (s.order, s.element_indices))
-
-
 def power_class_map(group: Group, classes: ConjugacyClasses, k: int):
     """Class-index map c -> class of g^k for g in class c (k >= 0)."""
     if k < 0:

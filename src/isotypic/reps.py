@@ -257,17 +257,6 @@ def rep_from_matrices(group: Group, p: int, gen_mats, dim: int = 1) -> MatrixRep
     return MatrixRep(group, p, mats)
 
 
-def direct_sum_rep(a: MatrixRep, b: MatrixRep) -> MatrixRep:
-    if a.group is not b.group or a.p != b.p:
-        raise ValueError("direct sum requires a common group and modulus")
-    n = a.group.order
-    d = a.dim + b.dim
-    mats = np.zeros((n, d, d), dtype=np.int64)
-    mats[:, : a.dim, : a.dim] = a.mats
-    mats[:, a.dim :, a.dim :] = b.mats
-    return MatrixRep(a.group, a.p, mats, validate=False)
-
-
 # -- characters and projectors ---------------------------------------------------
 
 
@@ -485,16 +474,6 @@ def dual_rep(rep: MatrixRep) -> MatrixRep:
     return MatrixRep(rep.group, rep.p, mats, validate=False)
 
 
-def tensor_rep(a: MatrixRep, b: MatrixRep) -> MatrixRep:
-    """Tensor product on the lexicographic basis e_i (x) f_j."""
-    if a.group is not b.group or a.p != b.p:
-        raise ValueError("tensor requires a common group and modulus")
-    mats = np.stack(
-        [np.kron(a.mats[g], b.mats[g]) % a.p for g in range(a.group.order)]
-    )
-    return MatrixRep(a.group, a.p, mats, validate=False)
-
-
 def _sym_power_step(prev: MatrixRep, rep: MatrixRep, d: int) -> MatrixRep:
     """Sym^d from Sym^(d-1) on the lexicographic multiset bases.
 
@@ -529,35 +508,6 @@ def _sym_power_step(prev: MatrixRep, rep: MatrixRep, d: int) -> MatrixRep:
         for i in range(n):
             out[g, scatter[:, i]] += cols * lin[i]
     return MatrixRep(rep.group, rep.p, out, validate=False)
-
-
-def sym_power_rep(rep: MatrixRep, k: int) -> MatrixRep:
-    """Symmetric power on the lexicographic multiset basis, one degree at a
-    time from the trivial representation."""
-    if k < 0:
-        raise ValueError("power must be nonnegative")
-    out = trivial_rep(rep.group, rep.p)
-    for d in range(1, k + 1):
-        out = _sym_power_step(out, rep, d)
-    return out
-
-
-def ext_power_rep(rep: MatrixRep, k: int) -> MatrixRep:
-    """Exterior power: the k-th compound matrix on lexicographic subsets."""
-    from itertools import combinations
-
-    if not 0 <= k <= rep.dim:
-        raise ValueError("power must satisfy 0 <= k <= dim")
-    p = rep.p
-    subsets = list(combinations(range(rep.dim), k))
-    out = np.zeros((rep.group.order, len(subsets), len(subsets)), dtype=np.int64)
-    for g in range(rep.group.order):
-        mat = rep.mats[g]
-        for a, rows in enumerate(subsets):
-            for b, cols in enumerate(subsets):
-                minor = mat[np.ix_(rows, cols)]
-                out[g, a, b] = linalg.det(minor, p)
-    return MatrixRep(rep.group, p, out, validate=False)
 
 
 # -- invariants and the evaluation map ---------------------------------------------

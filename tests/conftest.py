@@ -1,5 +1,7 @@
 """Shared fixtures and helpers: cached group/table contexts for the test
-groups, and random invertible matrices."""
+groups, random invertible matrices, every subgroup of a group, and the
+functors on representations and characters that only tests take (direct
+sums, tensor products, symmetric powers, exterior squares)."""
 
 from __future__ import annotations
 
@@ -10,8 +12,9 @@ import pytest
 from hypothesis import settings
 
 import isotypic as iso
-from isotypic import linalg
+from isotypic import cover, linalg
 from isotypic.errors import SingularMatrix
+from isotypic.reps import _sym_power_step
 
 # Every @given test draws the same examples on every run, so a failure
 # replays exactly; max_examples keeps its default.
@@ -68,3 +71,94 @@ def ctx():
         return _CACHE[name]
 
     return get
+
+
+def all_subgroups(group):
+    """Every subgroup, found by closing known subgroups with one new element,
+    sorted by (order, elements)."""
+    seen = {}
+    trivial = iso.subgroup_closure(group, [])
+    seen[trivial.element_indices] = trivial
+    frontier = [trivial]
+    while frontier:
+        h = frontier.pop()
+        for g in range(1, group.order):
+            if g not in h.element_indices:
+                k = iso.subgroup_closure(group, list(h.element_indices) + [g])
+                if k.element_indices not in seen:
+                    seen[k.element_indices] = k
+                    frontier.append(k)
+    return sorted(seen.values(), key=lambda s: (s.order, s.element_indices))
+
+
+def forbid(monkeypatch, r, i, j, *forbidden):
+    """Make `cover.product_structure_check` forbid exactly the components
+    `forbidden` of V_i (x) V_j, by tensor multiplicities that are 1 elsewhere."""
+    tens = np.ones((r, r, r), dtype=np.int64)
+    tens[i, j, list(forbidden)] = 0
+    monkeypatch.setattr(cover, "_tensor_mults", lambda action, table: tens)
+
+
+# -- functors: representations ----------------------------------------------------
+
+
+def block_diagonal(*stacks):
+    """The block-diagonal matrices of equally long stacks of square matrices."""
+    dim = sum(s.shape[1] for s in stacks)
+    out = np.zeros((len(stacks[0]), dim, dim), dtype=np.int64)
+    at = 0
+    for s in stacks:
+        out[:, at : at + s.shape[1], at : at + s.shape[1]] = s
+        at += s.shape[1]
+    return out
+
+
+def direct_sum(*reps):
+    """The direct sum of representations of one group, block diagonal."""
+    return iso.MatrixRep(reps[0].group, reps[0].p, block_diagonal(*(r.mats for r in reps)), validate=False)
+
+
+def tensor(a, b):
+    """The tensor product on the lexicographic basis e_i (x) f_j."""
+    mats = np.stack([np.kron(x, y) for x, y in zip(a.mats, b.mats)]) % a.p
+    return iso.MatrixRep(a.group, a.p, mats, validate=False)
+
+
+def sym_power(rep, k):
+    """Sym^k on the lexicographic multiset basis, one `_sym_power_step` at a
+    time from the trivial representation."""
+    out = iso.trivial_rep(rep.group, rep.p)
+    for d in range(1, k + 1):
+        out = _sym_power_step(out, rep, d)
+    return out
+
+
+def ext_square(rep):
+    """Lambda^2 on the pairs a < b in lexicographic order, from 2 x 2 minors."""
+    a, b = np.triu_indices(rep.dim, 1)
+    m = rep.mats
+    minors = m[:, a[:, None], a] * m[:, b[:, None], b] - m[:, a[:, None], b] * m[:, b[:, None], a]
+    return iso.MatrixRep(rep.group, rep.p, minors % rep.p, validate=False)
+
+
+# -- functors: characters, in closed form ------------------------------------------
+
+
+def _power_values(chi, table, k):
+    """chi(g^k) per class."""
+    return [chi[c] for c in iso.power_class_map(table.group, table.classes, k)]
+
+
+def char_square(chi, table, sign):
+    """The character of Sym^2 (sign 1) or Lambda^2 (sign -1):
+    (chi(g)^2 + sign chi(g^2)) / 2, for p > 2."""
+    half = pow(2, -1, table.p)
+    return tuple((x * x + sign * y) * half % table.p for x, y in zip(chi, _power_values(chi, table, 2)))
+
+
+def char_sym_cube(chi, table):
+    """The character of Sym^3: (chi(g)^3 + 3 chi(g) chi(g^2) + 2 chi(g^3)) / 6,
+    for p > 3."""
+    sixth = pow(6, -1, table.p)
+    two, three = _power_values(chi, table, 2), _power_values(chi, table, 3)
+    return tuple((x**3 + 3 * x * y + 2 * z) * sixth % table.p for x, y, z in zip(chi, two, three))

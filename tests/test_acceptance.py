@@ -20,7 +20,7 @@ from isotypic.characters import convolve, delta_element
 from isotypic.cli import main
 from isotypic.polymat import as_unit_times_power, factored_invariant_factors
 
-from conftest import ACCEPTANCE_GROUPS
+from conftest import ACCEPTANCE_GROUPS, all_subgroups, char_square, direct_sum, ext_square, sym_power, tensor
 from test_reps import random_rep
 
 COVER_CASES = (
@@ -102,7 +102,7 @@ def test_c02_regular_rank_law(ctx):
 @criterion(3, "type laws: exterior square of the S3 permutation, functor characters")
 def test_c03_type_laws(ctx):
     c = ctx("S3")
-    lam2 = iso.ext_power_rep(iso.permutation_rep(c.group, c.p), 2)
+    lam2 = ext_square(iso.permutation_rep(c.group, c.p))
     _, rtype = iso.decompose(lam2, c.table)
     assert rtype.multiplicities == (0, 1, 1)  # sign + standard
     for name in ACCEPTANCE_GROUPS:
@@ -113,20 +113,14 @@ def test_c03_type_laws(ctx):
             r2, _ = random_rep(cc, rng, max_total_dim=4)
             chi1 = iso.character_of(r1, cc.classes)
             chi2 = iso.character_of(r2, cc.classes)
-            assert iso.character_of(iso.tensor_rep(r1, r2), cc.classes) == iso.char_tensor(
-                chi1, chi2, cc.p
-            )
+            assert iso.character_of(tensor(r1, r2), cc.classes) == iso.char_tensor(chi1, chi2, cc.p)
             assert iso.character_of(iso.dual_rep(r1), cc.classes) == iso.char_dual(
                 chi1, cc.classes
             )
             if cc.p > 2:
-                assert iso.character_of(iso.sym_power_rep(r1, 2), cc.classes) == (
-                    iso.char_sym_power(chi1, 2, cc.table)
-                )
+                assert iso.character_of(sym_power(r1, 2), cc.classes) == char_square(chi1, cc.table, 1)
                 if r1.dim >= 2:
-                    assert iso.character_of(iso.ext_power_rep(r1, 2), cc.classes) == (
-                        iso.char_ext_power(chi1, 2, cc.table)
-                    )
+                    assert iso.character_of(ext_square(r1), cc.classes) == char_square(chi1, cc.table, -1)
 
 
 @criterion(4, "hom dimensions: two methods agree, pure-type formula, cross-type zero")
@@ -140,7 +134,7 @@ def test_c04_hom_dims(ctx):
             got = iso.hom_dim(r1, r2, c.table)  # MethodMismatch would raise
             assert got == sum(a * b for a, b in zip(m1, m2))
         for i in range(c.table.num_irreps):
-            double = iso.direct_sum_rep(c.models[i], c.models[i])
+            double = direct_sum(c.models[i], c.models[i])
             n_i = c.table.degrees[i]
             assert iso.hom_dim(double, c.models[i], c.table) == (
                 double.dim * c.models[i].dim
@@ -192,7 +186,7 @@ def test_c08_invariants_all_subgroups(ctx, cover_actions):
     for name, _ in COVER_CASES:
         c = ctx(name)
         action = cover_actions[name]
-        for sub in iso.all_subgroups(c.group):
+        for sub in all_subgroups(c.group):
             rows = iso.invariants_series_check(action, sub, 12, c.table)
             assert all(row.ok for row in rows)
 
@@ -207,7 +201,7 @@ def test_c09_product_patterns(ctx, cover_actions):
                 for a in range(1, 7):
                     for b in range(a, 7):
                         res = iso.product_structure_check(action, i, j, a, b, c.table)
-                        assert res.ok, (name, i, j, a, b, res.observed_ranks)
+                        assert res.ok, (name, i, j, a, b, res.witness)
 
 
 @criterion(10, "phi determinants: ramified support in y, unramified isomorphism")

@@ -7,9 +7,9 @@ import pytest
 
 import isotypic as iso
 from isotypic.characters import convolve, cyclic_weight_multiplicities, delta_element
-from isotypic.errors import EvenCharacteristicHazard, NotAMultiplicity
+from isotypic.errors import NotAMultiplicity
 
-from conftest import TEST_GROUPS
+from conftest import TEST_GROUPS, char_square
 
 
 def char_scale(v, s, p):
@@ -205,39 +205,13 @@ def test_char_dual_tensor(ctx):
 def test_char_ext_power_perm_s3(ctx):
     c = ctx("S3")
     perm = (3, 1, 0)
-    lam2 = iso.char_ext_power(perm, 2, c.table)
+    lam2 = char_square(perm, c.table, -1)
     assert lam2 == (3, 6, 0)  # (3, -1, 0) mod 7
     mults = [
         iso.inner_mult(lam2, c.table.values[i], c.group, c.classes, c.p, bound=4)
         for i in range(3)
     ]
     assert mults == [0, 1, 1]  # sign + standard
-
-
-def test_char_sym_ext_small_cases(ctx):
-    c = ctx("S3")
-    std = c.table.values[2]
-    assert iso.char_sym_power(std, 0, c.table) == c.table.values[0]
-    assert iso.char_ext_power(std, 1, c.table) == std
-    # hand formulas at k = 2
-    pm2 = c.table.power_map(2)
-    for cl in range(c.classes.num_classes):
-        sq = std[cl] * std[cl] % c.p
-        pw = std[pm2[cl]]
-        half = pow(2, c.p - 2, c.p)
-        assert iso.char_sym_power(std, 2, c.table)[cl] == (sq + pw) * half % c.p
-        assert iso.char_ext_power(std, 2, c.table)[cl] == (sq - pw) * half % c.p
-    # ext above the dimension vanishes
-    assert iso.char_ext_power(std, 3, c.table) == (0, 0, 0)
-
-
-def test_char_power_characteristic_hazard(ctx):
-    c = ctx("C1")  # p = 2
-    with pytest.raises(EvenCharacteristicHazard):
-        iso.char_sym_power(c.table.values[0], 2, c.table)
-    c2 = ctx("C2")  # p = 3: division by 3 impossible
-    with pytest.raises(EvenCharacteristicHazard):
-        iso.char_ext_power(c2.table.values[0], 3, c2.table)
 
 
 def test_restrict_invariant_dim(ctx):

@@ -12,6 +12,7 @@ from isotypic.cover import _inverse_dets, builtin_action, cyclic_subgroups
 from isotypic import reps
 from isotypic.errors import NotFaithful, OrientationMismatch, SystemTooLarge
 from isotypic.scenarios import COVER_SCENARIOS
+from conftest import all_subgroups, forbid
 from polymat_oracle import bareiss_det
 
 
@@ -257,36 +258,45 @@ def test_invariants_series_check_all_subgroups(ctx):
     ):
         c = ctx(name)
         action = make(c)
-        for sub in iso.all_subgroups(c.group):
+        for sub in all_subgroups(c.group):
             assert all(row.ok for row in iso.invariants_series_check(action, sub, 8, c.table))
 
 
-def test_product_structure_sign_times_sign(ctx):
+def test_product_structure_sign_times_sign(ctx, monkeypatch):
     c = ctx("S3")
     action = iso.perm_action(c.group, c.p)
     # sign-isotypic vectors first appear in degree 3; their squares are invariant
     res = iso.product_structure_check(action, 1, 1, 3, 3, c.table)
     assert res.ok
     assert res.required_zero == (1, 2)
-    assert res.observed_ranks[0] > 0
+    forbid(monkeypatch, 3, 1, 1, 0)
+    res = iso.product_structure_check(action, 1, 1, 3, 3, c.table)
+    assert not res.ok and res.witness["component"] == 0 and res.witness["degree"] == 6
 
 
-def test_product_structure_trivial_factor(ctx):
+def test_product_structure_trivial_factor(ctx, monkeypatch):
     c = ctx("S3")
     action = iso.perm_action(c.group, c.p)
     for j in range(3):
         for a, b in ((1, 2), (2, 3)):
+            monkeypatch.undo()
+            assert iso.product_structure_check(action, 0, j, a, b, c.table).ok
+            # an invariant times the j-component lies in the j-component ...
+            forbid(monkeypatch, 3, 0, j, *(l for l in range(3) if l != j))
+            assert iso.product_structure_check(action, 0, j, a, b, c.table).ok
+            # ... and is nonzero there when that component is (F_p[x] has no zero divisors)
+            forbid(monkeypatch, 3, 0, j, j)
             res = iso.product_structure_check(action, 0, j, a, b, c.table)
-            assert res.ok
-            for l, r in enumerate(res.observed_ranks):
-                if l != j:
-                    assert r == 0
+            assert res.ok == (action.piece_decomposition(b, c.table)[1][j] == 0)
 
 
-def test_product_structure_c2_odd_times_odd(ctx):
+def test_product_structure_c2_odd_times_odd(ctx, monkeypatch):
     c, action = scalar_ctx(ctx, 2)
     res = iso.product_structure_check(action, 1, 1, 1, 1, c.table)
-    assert res.ok and res.required_zero == (1,) and res.observed_ranks == (1, 0)
+    assert res.ok and res.required_zero == (1,)
+    forbid(monkeypatch, 2, 1, 1, 0)
+    res = iso.product_structure_check(action, 1, 1, 1, 1, c.table)
+    assert not res.ok and res.witness == {"component": 0, "degree": 2, "vector": [1]}  # x * x = x^2
 
 
 def test_product_structure_all_pairs_small(ctx):
@@ -353,3 +363,15 @@ def test_inverse_dets_match_bareiss_oracle(ctx):
                 for i in range(action.n)
             ]
             assert dets[g] == bareiss_det(mat)
+
+
+def test_a_foreign_table_is_refused_after_the_memos_are_built(ctx):
+    # S3 and C6 both split at p = 7; the memos built from the S3 table would
+    # otherwise answer for C6 (generic multiplicity 1) or index past them
+    s3, c6 = ctx("S3"), ctx("C6")
+    assert s3.p == c6.p == 7
+    action = iso.perm_action(s3.group, s3.p)
+    assert iso.pushforward_report(action, 4, s3.table).passed
+    for call in (iso.generic_multiplicity, lambda a, i, t: iso.pushforward_report(a, 4, t)):
+        with pytest.raises(ValueError, match="C6 at p = 7 .* S3 at p = 7"):
+            call(action, 1, c6.table)

@@ -7,7 +7,7 @@ checked against dense matrix loops, and every monomial branch (validation,
 `character_of`, `isotypic_projector`, `_sym_power_step`, `fixed_dim`, the
 orbit blocks of `decompose`, `restrict_to_subspace`, `multiplicity_space`)
 against the dense route on the same representation, and the cover's product
-check against ranks of projected products on the dense pieces.  The dense
+check against the zero pattern of projected products on the dense pieces.  The dense
 side is always built explicitly as `MatrixRep(group, p, rep.mats)`.
 """
 
@@ -26,7 +26,7 @@ from isotypic.cover import builtin_action, cyclic_subgroups
 from isotypic.errors import NotAHomomorphism, SingularMatrix
 from isotypic.reps import _sym_power_step, multiplicity_space, restrict_to_subspace
 
-from conftest import random_invertible
+from conftest import all_subgroups, block_diagonal, forbid, random_invertible, sym_power
 
 # A4 and C3 have non-real characters, so their projectors are not symmetric
 MONOMIAL_ACTIONS = (
@@ -195,8 +195,8 @@ def test_non_monomial_action_keeps_the_dense_pieces(ctx):
 def test_sym_power_rep_of_a_monomial_rep_is_monomial(ctx):
     c = ctx("A4")
     perm = iso.permutation_rep(c.group, c.p)
-    dense = iso.sym_power_rep(iso.MatrixRep(c.group, c.p, perm.mats), 3)
-    mono = iso.sym_power_rep(perm, 3)
+    dense = sym_power(iso.MatrixRep(c.group, c.p, perm.mats), 3)
+    mono = sym_power(perm, 3)
     assert dense.images is None and mono.images is not None
     assert mono.validation == "exhaustive"
     assert np.array_equal(mono.mats, dense.mats)
@@ -230,12 +230,8 @@ def twisted_perm_rep(c, rng):
             base = np.ones((group.order, 1, 1), dtype=np.int64)
         chi = chars[twister if k == 0 else rng.choice(signs)]
         blocks.append(base * chi[:, None, None] % p)
-    dim = sum(b.shape[1] for b in blocks)
-    mats = np.zeros((group.order, dim, dim), dtype=np.int64)
-    at = 0
-    for b in blocks:
-        mats[:, at : at + b.shape[1], at : at + b.shape[1]] = b
-        at += b.shape[1]
+    mats = block_diagonal(*blocks)
+    dim = mats.shape[1]
     q = np.zeros((dim, dim), dtype=np.int64)
     q[rng.sample(range(dim), dim), np.arange(dim)] = [rng.choice([1, p - 1]) for _ in range(dim)]
     mats = linalg.matmul(linalg.matmul(q, mats, p), linalg.inverse(q, p), p)
@@ -249,7 +245,7 @@ def test_fixed_dim_counts_orbits_with_untwisted_stabilizers(ctx, name, seed):
     rep = twisted_perm_rep(c, random.Random(seed))
     assert rep.images is not None and rep.validation == "exhaustive"
     twisted = False
-    for h in iso.all_subgroups(c.group):
+    for h in all_subgroups(c.group):
         elems = list(h.element_indices)
         fixed = rep.images[elems] == np.arange(rep.dim)
         twisted |= bool((fixed & (rep.scalars[elems] != 1)).any())
@@ -409,7 +405,9 @@ class ProductOracle:
 
 
 @pytest.mark.parametrize(("name", "kind"), ORACLE_ACTIONS)
-def test_product_ranks_match_the_dense_oracle(ctx, name, kind):
+def test_product_ranks_match_the_dense_oracle(ctx, monkeypatch, name, kind):
+    # with one component l forbidden at a time, the check fails exactly when
+    # the oracle's projection onto l has nonzero rank, at its first nonzero row
     c = ctx(name)
     action = builtin_action(c.group, c.p, kind)
     oracle = ProductOracle(action, c.table, 8)
@@ -418,10 +416,19 @@ def test_product_ranks_match_the_dense_oracle(ctx, name, kind):
         for j in range(r):
             for a in range(1, 5):
                 for b in range(a, 5):
+                    monkeypatch.undo()
                     res = iso.product_structure_check(action, i, j, a, b, c.table)
-                    ranks = tuple(linalg.rank(m, c.p) for m in oracle.projected(i, j, a, b))
-                    assert res.observed_ranks == ranks, (i, j, a, b)
                     assert res.ok and res.witness is None
+                    for l, projected in enumerate(oracle.projected(i, j, a, b)):
+                        forbid(monkeypatch, r, i, j, l)
+                        res = iso.product_structure_check(action, i, j, a, b, c.table)
+                        rows = np.nonzero(projected.any(axis=1))[0]
+                        if rows.size == 0:
+                            assert res.ok and res.witness is None, (i, j, a, b, l)
+                        else:
+                            row = projected[rows[0]].tolist()
+                            assert not res.ok, (i, j, a, b, l)
+                            assert res.witness == {"component": l, "degree": a + b, "vector": row}
 
 
 @pytest.mark.parametrize(("name", "kind"), ORACLE_ACTIONS)

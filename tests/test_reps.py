@@ -23,7 +23,17 @@ from isotypic.errors import (
 )
 from isotypic.reps import intertwiner_basis, multiplicity_space, restrict_to_subspace
 
-from conftest import TEST_GROUPS, random_invertible
+from conftest import (
+    TEST_GROUPS,
+    all_subgroups,
+    char_square,
+    char_sym_cube,
+    direct_sum,
+    ext_square,
+    random_invertible,
+    sym_power,
+    tensor,
+)
 
 MODEL_DIGESTS = Path(__file__).resolve().parent / "golden" / "irreducible_models.json"
 
@@ -43,10 +53,7 @@ def random_rep(c, rng, max_total_dim=6):
         dim = sum(m * d for m, d in zip(mults, c.table.degrees))
         if 0 < dim <= max_total_dim:
             break
-    rep = None
-    for i, m in enumerate(mults):
-        for _ in range(m):
-            rep = c.models[i] if rep is None else iso.direct_sum_rep(rep, c.models[i])
+    rep = direct_sum(*(c.models[i] for i, m in enumerate(mults) for _ in range(m)))
     return conjugate_rep(rep, random_invertible(rng, rep.dim, c.p)), tuple(mults)
 
 
@@ -171,7 +178,7 @@ def test_trivial_projector_on_trivial_rep(ctx):
 def test_hom_dim_examples(ctx):
     c = ctx("S3")
     std = c.models[2]
-    two_std = iso.direct_sum_rep(std, std)
+    two_std = direct_sum(std, std)
     assert iso.hom_dim(two_std, std, c.table) == 2
     assert two_std.dim * std.dim // (c.table.degrees[2] ** 2) == 2  # rank formula
     assert iso.hom_dim(c.models[0], c.models[1], c.table) == 0
@@ -198,12 +205,8 @@ def test_hom_dim_pure_type_formula(ctx):
         i = max(range(c.table.num_irreps), key=lambda k: c.table.degrees[k])
         n_i = c.table.degrees[i]
         for a, b in ((1, 1), (1, 2), (2, 2)):
-            r1 = c.models[i]
-            for _ in range(a - 1):
-                r1 = iso.direct_sum_rep(r1, c.models[i])
-            r2 = c.models[i]
-            for _ in range(b - 1):
-                r2 = iso.direct_sum_rep(r2, c.models[i])
+            r1 = direct_sum(*[c.models[i]] * a)
+            r2 = direct_sum(*[c.models[i]] * b)
             r1 = conjugate_rep(r1, random_invertible(rng, r1.dim, c.p))
             r2 = conjugate_rep(r2, random_invertible(rng, r2.dim, c.p))
             assert iso.hom_dim(r1, r2, c.table) == a * b
@@ -219,16 +222,10 @@ def test_dual_tensor_sym_ext_characters(ctx):
     std = c.models[2]
     chi_perm = iso.character_of(perm, c.classes)
     chi_std = iso.character_of(std, c.classes)
-    assert iso.character_of(iso.tensor_rep(perm, std), c.classes) == iso.char_tensor(
-        chi_perm, chi_std, c.p
-    )
+    assert iso.character_of(tensor(perm, std), c.classes) == iso.char_tensor(chi_perm, chi_std, c.p)
     assert iso.character_of(iso.dual_rep(perm), c.classes) == iso.char_dual(chi_perm, c.classes)
-    assert iso.character_of(iso.sym_power_rep(perm, 2), c.classes) == iso.char_sym_power(
-        chi_perm, 2, c.table
-    )
-    assert iso.character_of(iso.ext_power_rep(perm, 2), c.classes) == iso.char_ext_power(
-        chi_perm, 2, c.table
-    )
+    assert iso.character_of(sym_power(perm, 2), c.classes) == char_square(chi_perm, c.table, 1)
+    assert iso.character_of(ext_square(perm), c.classes) == char_square(chi_perm, c.table, -1)
     # double dual has the character of the original
     assert iso.character_of(iso.dual_rep(iso.dual_rep(std)), c.classes) == chi_std
 
@@ -272,16 +269,16 @@ def test_sym_power_matches_expansion_oracle(ctx):
     ]
     for rep in reps:
         for k in range(5):
-            got = iso.sym_power_rep(rep, k)
+            got = sym_power(rep, k)
             want = sym_power_by_expansion(rep, k)
             assert got.mats.dtype == want.dtype and np.array_equal(got.mats, want)
     with pytest.raises(ValueError):
-        iso.sym_power_rep(reps[0], -1)
+        iso.perm_action(ctx("S3").group, ctx("S3").p).piece(-1)
 
 
 def test_ext_power_perm_type(ctx):
     c = ctx("S3")
-    lam2 = iso.ext_power_rep(iso.permutation_rep(c.group, c.p), 2)
+    lam2 = ext_square(iso.permutation_rep(c.group, c.p))
     _, rtype = iso.decompose(lam2, c.table)
     assert rtype.multiplicities == (0, 1, 1)
 
@@ -290,7 +287,7 @@ def test_tensor_with_trivial_is_identity(ctx):
     c = ctx("D4")
     rng = random.Random(3)
     rep, mults = random_rep(c, rng)
-    tens = iso.tensor_rep(rep, iso.trivial_rep(c.group, c.p, 1))
+    tens = tensor(rep, iso.trivial_rep(c.group, c.p, 1))
     _, rtype = iso.decompose(tens, c.table)
     assert rtype.multiplicities == mults
 
@@ -304,24 +301,16 @@ def test_functor_character_identities_randomized(ctx):
             r2, _ = random_rep(c, rng, max_total_dim=4)
             chi1 = iso.character_of(r1, c.classes)
             chi2 = iso.character_of(r2, c.classes)
-            assert iso.character_of(iso.tensor_rep(r1, r2), c.classes) == iso.char_tensor(
-                chi1, chi2, c.p
-            )
+            assert iso.character_of(tensor(r1, r2), c.classes) == iso.char_tensor(chi1, chi2, c.p)
             assert iso.character_of(iso.dual_rep(r1), c.classes) == iso.char_dual(
                 chi1, c.classes
             )
             if c.p > 2:
-                assert iso.character_of(iso.sym_power_rep(r1, 2), c.classes) == (
-                    iso.char_sym_power(chi1, 2, c.table)
-                )
+                assert iso.character_of(sym_power(r1, 2), c.classes) == char_square(chi1, c.table, 1)
                 if r1.dim >= 2:
-                    assert iso.character_of(iso.ext_power_rep(r1, 2), c.classes) == (
-                        iso.char_ext_power(chi1, 2, c.table)
-                    )
+                    assert iso.character_of(ext_square(r1), c.classes) == char_square(chi1, c.table, -1)
             if c.p > 3:
-                assert iso.character_of(iso.sym_power_rep(r1, 3), c.classes) == (
-                    iso.char_sym_power(chi1, 3, c.table)
-                )
+                assert iso.character_of(sym_power(r1, 3), c.classes) == char_sym_cube(chi1, c.table)
 
 
 def test_subgroup_invariants(ctx):
@@ -342,7 +331,7 @@ def test_subgroup_invariants_all_groups(ctx):
     for name in ("C4", "D4", "A4"):
         c = ctx(name)
         reg = iso.regular_rep(c.group, c.p)
-        for sub in iso.all_subgroups(c.group):
+        for sub in all_subgroups(c.group):
             basis = iso.subgroup_invariants(reg, sub, c.table)
             assert basis.shape[0] == c.group.order // sub.order  # coset count
 
@@ -399,8 +388,7 @@ def test_one_dimensional_components_act_by_scalars(ctx):
     for name in ("C4", "S3", "D4"):
         c = ctx(name)
         lin = next(i for i, d in enumerate(c.table.degrees) if d == 1 and i > 0)
-        rep = iso.direct_sum_rep(c.models[lin], c.models[lin])
-        rep = iso.direct_sum_rep(rep, c.models[0])  # pad with a trivial summand
+        rep = direct_sum(c.models[lin], c.models[lin], c.models[0])  # pad with a trivial summand
         rng = random.Random(11)
         rep = conjugate_rep(rep, random_invertible(rng, rep.dim, c.p))
         decomp, _ = iso.decompose(rep, c.table)
@@ -423,8 +411,8 @@ def test_assembled_map_injectivity_reduces_to_coefficients(ctx):
         s = np.array([[rng.randrange(p) for _ in range(a)] for _ in range(b)], dtype=np.int64)
         assembled = np.kron(linalg.identity(v.dim), s) % p
         # check it is a G-map between the tensor representations
-        ra = iso.tensor_rep(v, iso.trivial_rep(c.group, p, a))
-        rb = iso.tensor_rep(v, iso.trivial_rep(c.group, p, b))
+        ra = tensor(v, iso.trivial_rep(c.group, p, a))
+        rb = tensor(v, iso.trivial_rep(c.group, p, b))
         for g in c.group.generator_indices:
             assert np.array_equal(
                 assembled @ ra.mats[g] % p, rb.mats[g] @ assembled % p
