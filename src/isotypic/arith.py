@@ -14,7 +14,7 @@ import math
 import random
 
 from .errors import PoleAtZero, ResidualPole, SplitFailure
-from .groups import DEFAULT_CAP
+from .groups import DEFAULT_CAP, exponent
 from .linalg import inv_mod
 
 # Largest modulus whose int64 kernels stay exact: a dot product of
@@ -43,8 +43,6 @@ def choose_prime(group) -> int:
     For such p the field F_p contains all roots of unity of order dividing
     the exponent, hence splits every irreducible representation of G.
     """
-    from .groups import exponent  # local import to avoid a cycle
-
     e = exponent(group)
     p = group.order + 1
     # align on the residue class 1 mod e

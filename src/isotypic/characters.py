@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .arith import root_of_unity
 from .errors import NoSplittingElement, NotAMultiplicity, SplitFailure
 from .groups import ConjugacyClasses, Group, Subgroup
 from .linalg import inv_mod, matmul, require_exact, split
@@ -57,8 +58,7 @@ class CharacterTable:
     p: int
     values: tuple[ClassFunction, ...]
     degrees: tuple[int, ...]
-    trivial_index: int = 0
-    _idempotents: list | None = field(default=None, repr=False)
+    _idempotents: list | None = field(default=None, init=False, repr=False)
 
     @property
     def num_irreps(self) -> int:
@@ -145,23 +145,18 @@ def character_table(group: Group, classes: ConjugacyClasses, p: int) -> Characte
     return table
 
 
-def inner_mult(
-    w: ClassFunction,
-    v: ClassFunction,
-    group: Group,
-    classes: ConjugacyClasses,
-    p: int,
-    bound: int | None = None,
-) -> int:
-    """(1/|G|) sum_c |c| W(c) V(c^-1), as a residue mod p.
+def inner_mult(table: CharacterTable, w: ClassFunction, v: ClassFunction, bound: int | None = None) -> int:
+    """(1/|G|) sum_c |c| W(c) V(c^-1), as a residue mod p, for class
+    functions W and V of the group of `table`.
 
     With `bound` given, the residue is asserted to be the lift of a true
     multiplicity below the bound; a failure signals a non-character input.
     """
+    classes, p = table.classes, table.p
     acc = 0
     for c in range(classes.num_classes):
         acc += classes.sizes[c] * w[c] * v[classes.inverse_class[c]]
-    val = acc * inv_mod(group.order % p, p) % p
+    val = acc * inv_mod(table.group.order % p, p) % p
     if bound is not None and val >= bound:
         raise NotAMultiplicity(f"inner product {val} exceeds the multiplicity bound {bound}")
     return val
@@ -210,17 +205,15 @@ def char_tensor(v: ClassFunction, w: ClassFunction, p: int) -> ClassFunction:
     return tuple(a * b % p for a, b in zip(v, w))
 
 
-def restrict_invariant_dim(
-    v: ClassFunction, h: Subgroup, group: Group, classes: ConjugacyClasses, p: int
-) -> int:
-    """Dimension of the H-fixed subspace: (1/|H|) sum over h of chi(h)."""
-    acc = sum(v[classes.class_of[x]] for x in h.element_indices)
+def restrict_invariant_dim(table: CharacterTable, v: ClassFunction, h: Subgroup) -> int:
+    """Dimension of the H-fixed subspace of a representation of the group
+    of `table` with character v: (1/|H|) sum over h of chi(h)."""
+    p = table.p
+    acc = sum(v[table.classes.class_of[x]] for x in h.element_indices)
     return acc * inv_mod(h.order % p, p) % p
 
 
-def cyclic_weight_multiplicities(
-    v: ClassFunction, g: int, group: Group, classes: ConjugacyClasses, p: int
-) -> list[int]:
+def cyclic_weight_multiplicities(table: CharacterTable, v: ClassFunction, g: int) -> list[int]:
     """Eigenvalue multiplicities of g on a representation with character v.
 
     Entry a is the multiplicity of zeta^a, where zeta is the canonical
@@ -228,8 +221,7 @@ def cyclic_weight_multiplicities(
     the power values chi(g^m).  Lifts are genuine integers because each
     multiplicity is at most dim < p.
     """
-    from .arith import root_of_unity
-
+    group, classes, p = table.group, table.classes, table.p
     m = group.element_order(g)
     zeta = root_of_unity(p, m)
     zeta_inv = inv_mod(zeta, p)
@@ -251,7 +243,7 @@ def cyclic_weight_multiplicities(
     return mults
 
 
-def splitting_element(table: CharacterTable, i: int, group: Group, classes: ConjugacyClasses) -> int:
+def splitting_element(table: CharacterTable, i: int) -> int:
     """First element (in discovery order) acting non-scalar on irreducible i.
 
     Equivalently: the restriction of the character to the cyclic group it
@@ -261,8 +253,8 @@ def splitting_element(table: CharacterTable, i: int, group: Group, classes: Conj
     if table.degrees[i] < 2:
         raise ValueError("splitting elements are defined for degree >= 2")
     v = table.values[i]
-    for g in range(1, group.order):
-        mults = cyclic_weight_multiplicities(v, g, group, classes, table.p)
+    for g in range(1, table.group.order):
+        mults = cyclic_weight_multiplicities(table, v, g)
         if sum(1 for m in mults if m) >= 2:
             return g
     raise NoSplittingElement(f"irreducible {i} has no non-scalar element")
@@ -270,7 +262,7 @@ def splitting_element(table: CharacterTable, i: int, group: Group, classes: Conj
 
 def tensor_multiplicities(table: CharacterTable) -> np.ndarray:
     """n[i][j][l] = multiplicity of irreducible l in irreducible i tensor j."""
-    group, classes, p = table.group, table.classes, table.p
+    classes, p = table.classes, table.p
     r = table.num_irreps
     n = np.zeros((r, r, r), dtype=np.int64)
     for i in range(r):
@@ -278,7 +270,7 @@ def tensor_multiplicities(table: CharacterTable) -> np.ndarray:
             prod = char_tensor(table.values[i], table.values[j], p)
             for l in range(r):
                 bound = table.degrees[i] * table.degrees[j] + 1
-                n[i, j, l] = inner_mult(prod, table.values[l], group, classes, p, bound=bound)
+                n[i, j, l] = inner_mult(table, prod, table.values[l], bound=bound)
             n[j, i] = n[i, j]
     # bookkeeping: the trivial row is the identity functor and degrees add up
     for j in range(r):
@@ -296,6 +288,6 @@ def tensor_multiplicities(table: CharacterTable) -> np.ndarray:
         for l in range(r):
             prod = char_tensor(dual_j, table.values[l], p)
             for i in range(r):
-                if inner_mult(prod, table.values[i], group, classes, p) != n[i, j, l] % p:
+                if inner_mult(table, prod, table.values[i]) != n[i, j, l] % p:
                     raise NotAMultiplicity("dual symmetry of tensor multiplicities failed")
     return n

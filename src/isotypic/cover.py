@@ -33,7 +33,7 @@ from . import linalg
 from .arith import Poly, RatFunc, limit_at_one, root_of_unity, series_prefix
 from .characters import CharacterTable, restrict_invariant_dim, tensor_multiplicities
 from .errors import NotFaithful, OrientationMismatch
-from .groups import Group, Subgroup, subgroup_closure
+from .groups import ConjugacyClasses, Group, Subgroup, subgroup_closure
 from .reps import (
     MatrixRep,
     _sym_power_step,
@@ -69,9 +69,8 @@ class GradedPiece:
 class LinearCoverAction:
     """Faithful linear action on polynomial functions in n variables."""
 
-    def __init__(self, group: Group, p: int, rep: MatrixRep, name: str = "custom"):
-        self.group = group
-        self.p = p
+    def __init__(self, rep: MatrixRep, name: str = "custom"):
+        self.group, self.p = rep.group, rep.p
         self.rep = rep
         self.n = rep.dim
         self.name = name
@@ -82,7 +81,7 @@ class LinearCoverAction:
         self._mul_maps: dict[tuple[int, int], np.ndarray] = {}
         self._coords: dict[int, np.ndarray] = {}
         self._tensors: np.ndarray | None = None
-        kernel = [g for g in range(group.order) if np.array_equal(rep.mats[g], rep.mats[0])]
+        kernel = [g for g in range(rep.group.order) if np.array_equal(rep.mats[g], rep.mats[0])]
         if len(kernel) != 1:
             raise NotFaithful(
                 f"{len(kernel)} elements act trivially; the cover group would be a quotient"
@@ -160,7 +159,7 @@ class LinearCoverAction:
 def validate_action(group: Group, gen_mats, p: int, name: str = "custom") -> LinearCoverAction:
     """Extend generator matrices to a faithful action on coordinates (one
     variable for the generator-free trivial group)."""
-    return LinearCoverAction(group, p, rep_from_matrices(group, p, gen_mats), name=name)
+    return LinearCoverAction(rep_from_matrices(group, p, gen_mats), name=name)
 
 
 # -- builtin actions -------------------------------------------------------------
@@ -168,7 +167,7 @@ def validate_action(group: Group, gen_mats, p: int, name: str = "custom") -> Lin
 
 def perm_action(group: Group, p: int) -> LinearCoverAction:
     """The defining permutation matrices acting on one variable per point."""
-    return LinearCoverAction(group, p, permutation_rep(group, p), name=f"perm{group.degree}")
+    return LinearCoverAction(permutation_rep(group, p), name=f"perm{group.degree}")
 
 
 def reflection_action(group: Group, p: int) -> LinearCoverAction:
@@ -231,15 +230,14 @@ def _require_own_table(action: LinearCoverAction, table: CharacterTable) -> None
 # -- multiplicity series -----------------------------------------------------------
 
 
-def _inverse_dets(action: LinearCoverAction) -> list[Poly]:
-    """det(I - t rho(g)^-1) for every element, memoized."""
+def _inverse_dets(action: LinearCoverAction, classes: ConjugacyClasses) -> list[Poly]:
+    """det(I - t rho(g)^-1) for g the representative of each class, memoized;
+    a class function, as conjugate matrices have one characteristic
+    polynomial."""
     if action._dets is None:
         # det(I - tA) = t^n charpoly_A(1/t): the coefficients reversed
         mats, inv = action.rep.mats, action.group.inv
-        action._dets = [
-            Poly(action.p, linalg.charpoly(mats[inv[g]], action.p)[::-1])
-            for g in range(action.group.order)
-        ]
+        action._dets = [Poly(action.p, linalg.charpoly(mats[inv[g]], action.p)[::-1]) for g in classes.reps]
     return action._dets
 
 
@@ -248,19 +246,21 @@ def molien_multiplicity_series(action: LinearCoverAction, i: int, table: Charact
 
     The finite sum (1/|G|) sum_g chi_i(g^-1) / det(1 - t rho(g)^-1), the
     orientation fixed by the contragredient action on the variables, is
-    cross-checked coefficient by coefficient against the projector
-    multiplicities through CHECK_DEGREE.  A disagreement raises
-    OrientationMismatch (an implementation bug, not a data error).
+    taken over the conjugacy classes, each term weighted by its class size,
+    as both factors are class functions.  It is cross-checked coefficient
+    by coefficient against the projector multiplicities through
+    CHECK_DEGREE.  A disagreement raises OrientationMismatch (an
+    implementation bug, not a data error).
     """
     _require_own_table(action, table)
     if i in action._series:
         return action._series[i]
     group, classes, p = table.group, table.classes, table.p
-    dets = _inverse_dets(action)
+    dets = _inverse_dets(action, classes)
     acc = RatFunc.const(p, 0)
-    for g in range(group.order):
-        chi = table.values[i][classes.class_of[group.inv[g]]]
-        acc = acc + RatFunc(Poly.const(p, chi), dets[g])
+    for c, size in enumerate(classes.sizes):
+        chi = table.values[i][classes.inverse_class[c]]
+        acc = acc + RatFunc(Poly.const(p, size * chi), dets[c])
     series = acc.scale(linalg.inv_mod(group.order % p, p))
     got = series_prefix(series, CHECK_DEGREE)
     expected = [action.piece_decomposition(d, table)[1][i] % p for d in range(CHECK_DEGREE + 1)]
@@ -306,11 +306,8 @@ def invariants_series_check(
     is reduced mod p while the projector-multiplicity side is exact, and
     both must agree.
     """
-    group, classes, p = table.group, table.classes, table.p
-    fixed_dims = [
-        restrict_invariant_dim(table.values[i], h, group, classes, p)
-        for i in range(table.num_irreps)
-    ]
+    p = table.p
+    fixed_dims = [restrict_invariant_dim(table, table.values[i], h) for i in range(table.num_irreps)]
     coeffs = [
         series_prefix(molien_multiplicity_series(action, i, table), max_degree)
         for i in range(table.num_irreps)

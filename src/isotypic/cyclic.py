@@ -23,15 +23,15 @@ does for graded covers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .arith import Poly, choose_prime, root_of_unity
-from .characters import CharacterTable, character_table
+from .characters import CharacterTable, character_table, restrict_invariant_dim
 from .cover import Report, VerificationOutcome
 from .errors import SingularMatrix, error_witness
-from .groups import Group, conjugacy_classes, group_from_name, subgroup_closure
+from .groups import conjugacy_classes, group_from_name, subgroup_closure
 from .linalg import block_det, det, inv_mod
 from .polymat import as_unit_times_power, factored_invariant_factors
 
@@ -40,14 +40,33 @@ VARIANTS = ("polynomial", "laurent")
 
 @dataclass
 class CyclicCoverModel:
-    """Degree-n cyclic cover data: modulus, root of unity, variant."""
+    """Degree-n cyclic cover of the variant, for the character table of the
+    cyclic group C<n> (`group_from_name`, generator at index 1) over F_p.
 
-    n: int
-    p: int
-    zeta: int
+    n is the group order, p the table's prime, and zeta = root_of_unity(p, n)
+    the eigenvalue of the generator on x.
+    """
+
     variant: str
-    group: Group
     table: CharacterTable
+    zeta: int = field(init=False)
+
+    def __post_init__(self):
+        if self.variant not in VARIANTS:
+            raise ValueError(f"variant must be one of {VARIANTS}")
+        self.zeta = root_of_unity(self.p, self.n)
+
+    @property
+    def n(self) -> int:
+        return self.group.order
+
+    @property
+    def p(self) -> int:
+        return self.table.p
+
+    @property
+    def group(self):
+        return self.table.group
 
     @property
     def classes(self):
@@ -110,14 +129,8 @@ def build_cyclic(n: int, variant: str = "polynomial") -> CyclicCoverModel:
     """Set up the degree-n model: smallest valid prime, canonical zeta."""
     if n < 1:
         raise ValueError("cover degree must be positive")
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}")
     group = group_from_name(f"C{n}")
-    p = choose_prime(group)
-    zeta = root_of_unity(p, n)
-    classes = conjugacy_classes(group)
-    table = character_table(group, classes, p)
-    return CyclicCoverModel(n, p, zeta, variant, group, table)
+    return CyclicCoverModel(variant, character_table(group, conjugacy_classes(group), choose_prime(group)))
 
 
 def decompose_pushforward(model: CyclicCoverModel) -> list[int]:
@@ -166,12 +179,7 @@ def intermediate_fixed_ring(model: CyclicCoverModel, m: int) -> tuple[int, ...]:
     by_subring = tuple(j for j in range(n) if j % (n // m) == 0)
     if by_chars != by_subring:
         raise AssertionError("character and subring descriptions of the fixed ring disagree")
-    from .characters import restrict_invariant_dim
-
-    count = sum(
-        restrict_invariant_dim(model.table.values[k], h, model.group, model.classes, model.p)
-        for k in range(model.table.num_irreps)
-    )
+    count = sum(restrict_invariant_dim(model.table, chi, h) for chi in model.table.values)
     if count != len(by_chars):
         raise AssertionError("fixed-ring rank disagrees with the weighted dimension count")
     return by_chars

@@ -74,9 +74,6 @@ class Permutation:
                 out.append(tuple(cyc))
         return out
 
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
 

@@ -17,6 +17,7 @@ import functools
 import math
 import random
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from typing import NoReturn
 
 import numpy as np
@@ -28,6 +29,7 @@ from .characters import (
     char_tensor,
     char_trivial,
     inner_mult,
+    restrict_invariant_dim,
 )
 from .errors import (
     DimensionMismatch,
@@ -327,7 +329,7 @@ def decompose(rep: MatrixRep, table: CharacterTable) -> tuple[IsotypicDecomposit
     embedded and sorted by pivot column, are the reduced row-echelon form
     of all of P_i^T, which is unique, so the same basis.
     """
-    group, classes, p = table.group, table.classes, table.p
+    classes, p = table.classes, table.p
     chi = character_of(rep, classes)
     orbits = None
     if rep.images is not None:
@@ -345,7 +347,7 @@ def decompose(rep: MatrixRep, table: CharacterTable) -> tuple[IsotypicDecomposit
                 f"projector rank {r} is not a multiple of degree {table.degrees[i]}"
             )
         m = r // table.degrees[i]
-        char_m = inner_mult(chi, table.values[i], group, classes, p)
+        char_m = inner_mult(table, chi, table.values[i])
         if m % p != char_m:
             raise InconsistentMultiplicity(
                 f"projector multiplicity {m} != character multiplicity {char_m} (mod {p})"
@@ -427,12 +429,12 @@ def hom_dim(r1: MatrixRep, r2: MatrixRep, table: CharacterTable) -> int:
     The null-space count is the returned integer; the character inner
     product <chi_1^dual * chi_2, 1> must match it mod p.
     """
-    group, classes, p = table.group, table.classes, table.p
+    classes, p = table.classes, table.p
     nullity = len(intertwiner_basis(r1, r2))
     chi = char_tensor(
         char_dual(character_of(r1, classes), classes), character_of(r2, classes), p
     )
-    char_val = inner_mult(chi, char_trivial(table), group, classes, p)
+    char_val = inner_mult(table, chi, char_trivial(table))
     if nullity % p != char_val:
         raise MethodMismatch(
             f"nullity {nullity} and character value {char_val} disagree mod {p}"
@@ -487,8 +489,6 @@ def _sym_power_step(prev: MatrixRep, rep: MatrixRep, d: int) -> MatrixRep:
     p^2, exact in int64 because `rep` passed `require_exact`; the MatrixRep
     constructor reduces it mod p.
     """
-    from itertools import combinations_with_replacement
-
     n = rep.dim
     below = {m: i for i, m in enumerate(combinations_with_replacement(range(n), d - 1))}
     basis = {m: i for i, m in enumerate(combinations_with_replacement(range(n), d))}
@@ -525,14 +525,10 @@ def subgroup_invariants(rep: MatrixRep, h: Subgroup, table: CharacterTable) -> n
     The dimension is cross-checked against the character-side count
     sum_i m_i * dim V_i^H; a mismatch indicts the implementation.
     """
-    from .characters import restrict_invariant_dim
-
-    p = rep.p
-    basis = linalg.row_space(_averaging_projector(rep, h).T, p)
+    basis = linalg.row_space(_averaging_projector(rep, h).T, rep.p)
     _, rtype = decompose(rep, table)
     expected = sum(
-        m * restrict_invariant_dim(table.values[i], h, table.group, table.classes, p)
-        for i, m in enumerate(rtype.multiplicities)
+        m * restrict_invariant_dim(table, table.values[i], h) for i, m in enumerate(rtype.multiplicities)
     )
     if basis.shape[0] != expected:
         raise DimensionMismatch(
@@ -627,10 +623,10 @@ def evaluation_iso_check(
     assembled = np.zeros((rep.dim, n_i * m), dtype=np.int64)
     for s, t_mat in enumerate(basis):
         assembled[:, s::m] = t_mat  # column a * m + s is T_s e_a
-    if linalg.rank(assembled, p) != n_i * m:
+    image = linalg.row_space(assembled.T, p)
+    if image.shape[0] != n_i * m:
         raise NotInjective(f"evaluation map for irreducible {i} has a kernel")
     component = linalg.row_space(isotypic_projector(rep, i, table).T, p)
-    image = linalg.row_space(assembled.T, p)
     if image.shape != component.shape or not np.array_equal(image, component):
         raise WrongImage(f"evaluation image differs from isotypic component {i}")
     return True, assembled
@@ -657,16 +653,18 @@ def irreducible_models(group: Group, table: CharacterTable) -> list[MatrixRep]:
     for i in range(table.num_irreps):
         basis = decomp.components[i]
         if basis.shape[0] > table.degrees[i]:
-            basis = _one_copy(group, p, basis, table.degrees[i])
+            basis = _one_copy(table, basis, i)
         model = restrict_to_subspace(reg, basis)
         model._validate()
         models.append(model)
     return models
 
 
-def _one_copy(group: Group, p: int, basis: np.ndarray, n_i: int) -> np.ndarray:
-    """An n_i-dimensional eigenspace of a right translation on the component,
-    from at most 100 seeded draws of the translating element."""
+def _one_copy(table: CharacterTable, basis: np.ndarray, i: int) -> np.ndarray:
+    """A deg_i-dimensional eigenspace of a right translation on the basis of
+    the i-th isotypic component of the regular rep, from at most 100 seeded
+    draws of the translating element."""
+    group, p = table.group, table.p
     n = group.order
     cols = np.arange(n)[:, None]
     rng = random.Random(0)
@@ -675,6 +673,6 @@ def _one_copy(group: Group, p: int, basis: np.ndarray, n_i: int) -> np.ndarray:
         # R_a e_c = sum_h a_h e_{c*h}; c -> c*h is a bijection for each c
         right[group.mult, cols] = [rng.randrange(p) for _ in range(n)]
         for space in linalg.split(basis, right, p, False):
-            if space.shape[0] == n_i:
+            if space.shape[0] == table.degrees[i]:
                 return space
     raise SplitFailure("no right translation cut the isotypic component down to one copy")

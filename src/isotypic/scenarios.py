@@ -58,7 +58,7 @@ def _idempotents_ok(table: characters.CharacterTable) -> bool:
 
 def group_checks(table: characters.CharacterTable) -> list[VerificationOutcome]:
     """The four per-group outcomes of verify-all for the group of `table`."""
-    group, classes, p = table.group, table.classes, table.p
+    group, p = table.group, table.p
     name = group.name
     reg = reps.regular_rep(group, p)
     _, rtype = reps.decompose(reg, table)
@@ -69,7 +69,7 @@ def group_checks(table: characters.CharacterTable) -> list[VerificationOutcome]:
         for i in range(table.num_irreps)
     )
     split_witness = _first_error(
-        (characters.splitting_element, (table, i, group, classes), {"group": name, "irrep": i})
+        (characters.splitting_element, (table, i), {"group": name, "irrep": i})
         for i, d in enumerate(table.degrees)
         if d >= 2
     )
@@ -105,7 +105,7 @@ def verify_all(max_degree: int) -> list[VerificationOutcome]:
         outcomes += _prefixed(f"{name}.{action.name}", report.outcomes)
     for n in CYCLIC_DEGREES:
         for variant in cyclic.VARIANTS:
-            report = cyclic.cyclic_report(cyclic.build_cyclic(n, variant))
+            report = cyclic.cyclic_report(cyclic.CyclicCoverModel(variant, tables[f"C{n}"]))
             # The equivariance outcome above n = 4 is computed (a column
             # scaling and a row gather of the 36x36 C at n = 6) but not
             # listed: listing it would change the verify-all bytes pinned by

@@ -1,7 +1,8 @@
 """Shared fixtures and helpers: cached group/table contexts for the test
-groups, random invertible matrices, every subgroup of a group, and the
-functors on representations and characters that only tests take (direct
-sums, tensor products, symmetric powers, exterior squares)."""
+groups, random invertible matrices, the identity test on permutations,
+every subgroup of a group, and the functors on representations and
+characters that only tests take (direct sums, tensor products, symmetric
+powers, exterior squares)."""
 
 from __future__ import annotations
 
@@ -71,6 +72,10 @@ def ctx():
         return _CACHE[name]
 
     return get
+
+
+def is_identity(perm: iso.Permutation) -> bool:
+    return all(i == j for i, j in enumerate(perm.images))
 
 
 def all_subgroups(group):

@@ -96,7 +96,7 @@ def test_row_orthogonality_exact(ctx):
         c = ctx(name)
         for i in range(c.table.num_irreps):
             for j in range(c.table.num_irreps):
-                got = iso.inner_mult(c.table.values[i], c.table.values[j], c.group, c.classes, c.p)
+                got = iso.inner_mult(c.table, c.table.values[i], c.table.values[j])
                 assert got == (1 if i == j else 0)
 
 
@@ -135,11 +135,11 @@ def test_inner_mult_examples(ctx):
     c = ctx("S3")
     reg = (6, 0, 0)
     for i in range(3):
-        assert iso.inner_mult(reg, c.table.values[i], c.group, c.classes, c.p) == c.table.degrees[i]
+        assert iso.inner_mult(c.table, reg, c.table.values[i]) == c.table.degrees[i]
     perm = (3, 1, 0)
-    assert iso.inner_mult(perm, c.table.values[0], c.group, c.classes, c.p) == 1
+    assert iso.inner_mult(c.table, perm, c.table.values[0]) == 1
     with pytest.raises(NotAMultiplicity):
-        iso.inner_mult(reg, c.table.values[2], c.group, c.classes, c.p, bound=2)
+        iso.inner_mult(c.table, reg, c.table.values[2], bound=2)
 
 
 def test_central_idempotents_c2():
@@ -207,10 +207,7 @@ def test_char_ext_power_perm_s3(ctx):
     perm = (3, 1, 0)
     lam2 = char_square(perm, c.table, -1)
     assert lam2 == (3, 6, 0)  # (3, -1, 0) mod 7
-    mults = [
-        iso.inner_mult(lam2, c.table.values[i], c.group, c.classes, c.p, bound=4)
-        for i in range(3)
-    ]
+    mults = [iso.inner_mult(c.table, lam2, c.table.values[i], bound=4) for i in range(3)]
     assert mults == [0, 1, 1]  # sign + standard
 
 
@@ -219,35 +216,33 @@ def test_restrict_invariant_dim(ctx):
     a3 = iso.subgroup_closure(c.group, [2])
     assert a3.order == 3
     std, sign = c.table.values[2], c.table.values[1]
-    assert iso.restrict_invariant_dim(std, a3, c.group, c.classes, c.p) == 0
-    assert iso.restrict_invariant_dim(sign, a3, c.group, c.classes, c.p) == 1
+    assert iso.restrict_invariant_dim(c.table, std, a3) == 0
+    assert iso.restrict_invariant_dim(c.table, sign, a3) == 1
     trivial_sub = iso.subgroup_closure(c.group, [])
-    assert iso.restrict_invariant_dim(std, trivial_sub, c.group, c.classes, c.p) == 2
+    assert iso.restrict_invariant_dim(c.table, std, trivial_sub) == 2
 
 
 def test_cyclic_weight_multiplicities(ctx):
     c = ctx("S3")
     std = c.table.values[2]
     transp = 1
-    mults = cyclic_weight_multiplicities(std, transp, c.group, c.classes, c.p)
+    mults = cyclic_weight_multiplicities(c.table, std, transp)
     assert mults == [1, 1]  # eigenvalues +1 and -1, once each
 
 
 def test_splitting_element(ctx):
     c = ctx("S3")
-    assert iso.splitting_element(c.table, 2, c.group, c.classes) == 1  # first transposition
+    assert iso.splitting_element(c.table, 2) == 1  # first transposition
     for name in ("Q8", "D4", "A4"):
         cc = ctx(name)
         for i, d in enumerate(cc.table.degrees):
             if d < 2:
                 continue
-            g = iso.splitting_element(cc.table, i, cc.group, cc.classes)
-            mults = cyclic_weight_multiplicities(
-                cc.table.values[i], g, cc.group, cc.classes, cc.p
-            )
+            g = iso.splitting_element(cc.table, i)
+            mults = cyclic_weight_multiplicities(cc.table, cc.table.values[i], g)
             assert sum(1 for m in mults if m) >= 2
     with pytest.raises(ValueError):
-        iso.splitting_element(c.table, 0, c.group, c.classes)
+        iso.splitting_element(c.table, 0)
 
 
 def test_tensor_multiplicities_s3(ctx):
@@ -279,5 +274,5 @@ def test_sum_of_copies_pairing(ctx):
             dual = iso.char_dual(c.table.values[i], c.classes)
             for s in range(1, 5):
                 chi = iso.char_tensor(char_scale(c.table.values[i], s, c.p), dual, c.p)
-                got = iso.inner_mult(chi, c.table.values[0], c.group, c.classes, c.p, bound=5)
+                got = iso.inner_mult(c.table, chi, c.table.values[0], bound=5)
                 assert got == s

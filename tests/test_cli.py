@@ -340,7 +340,7 @@ def test_verify_all_witness_on_failure(monkeypatch):
             raise WrongImage("planted failure")
         return real_check(rep, i, table, model)
 
-    def failing_split(table, i, group, classes):
+    def failing_split(table, i):
         raise NoSplittingElement(f"planted failure {i}")
 
     monkeypatch.setattr(reps, "evaluation_iso_check", failing_check)
@@ -366,6 +366,26 @@ def test_verify_all_witness_on_failure(monkeypatch):
             assert by_check[o["check"]] == o
         else:
             assert "witness" not in o
+
+
+def test_verify_all_builds_each_character_table_once(monkeypatch):
+    # every library binding of `character_table` counts, aliases included
+    import isotypic
+    from isotypic import characters, scenarios
+
+    real = characters.character_table
+    calls = []
+
+    def counting(group, classes, p):
+        calls.append(group.name)
+        return real(group, classes, p)
+
+    for name in dir(isotypic):
+        module = getattr(isotypic, name)
+        if getattr(module, "character_table", None) is real:
+            monkeypatch.setattr(module, "character_table", counting)
+    scenarios.verify_all(12)
+    assert sorted(calls) == sorted(scenarios.VERIFY_GROUPS)
 
 
 @pytest.mark.parametrize(

@@ -350,19 +350,38 @@ def test_b1_dual_convention(ctx):
 
 
 def test_inverse_dets_match_bareiss_oracle(ctx):
-    # det(I - t rho(g)^-1) by Bareiss elimination over F_p[t]
+    # det(I - t rho(g)^-1) by Bareiss elimination over F_p[t], for every
+    # element: the memo holds one per class, so it must be a class function
     for name, kind in (*COVER_SCENARIOS, ("S4", "perm")):
-        group = iso.group_from_name(name)
-        p = iso.choose_prime(group)
-        action = builtin_action(group, p, kind)
-        dets = _inverse_dets(action)
-        for g in range(group.order):
-            inv = linalg.inverse(action.rep.mats[g], p)
+        c = ctx(name)
+        action = builtin_action(c.group, c.p, kind)
+        dets = _inverse_dets(action, c.classes)
+        assert len(dets) == c.classes.num_classes
+        for g in range(c.group.order):
+            inv = linalg.inverse(action.rep.mats[g], c.p)
             mat = [
-                [Poly(p, (int(i == j), -int(inv[i, j]))) for j in range(action.n)]
+                [Poly(c.p, (int(i == j), -int(inv[i, j]))) for j in range(action.n)]
                 for i in range(action.n)
             ]
-            assert dets[g] == bareiss_det(mat)
+            assert dets[c.classes.class_of[g]] == bareiss_det(mat)
+
+
+@pytest.mark.parametrize(
+    "name, kind",
+    [("S3", "perm"), ("A4", "perm"), ("S4", "perm"), ("S5", "perm"), ("D4", "reflection"),
+     ("D6", "reflection"), ("C4", "scalar")],
+)
+def test_molien_class_sum_matches_the_element_sum(ctx, name, kind):
+    # (1/|G|) sum over every element g of chi_i(g^-1) / det(1 - t rho(g)^-1)
+    c = ctx(name)
+    p, group = c.p, c.group
+    action = builtin_action(group, p, kind)
+    for i, chi in enumerate(c.table.values):
+        acc = RatFunc.const(p, 0)
+        for g in range(group.order):
+            det = Poly(p, linalg.charpoly(action.rep.mats[group.inv[g]], p)[::-1])
+            acc = acc + RatFunc(Poly.const(p, chi[c.classes.class_of[group.inv[g]]]), det)
+        assert iso.molien_multiplicity_series(action, i, c.table) == acc.scale(pow(group.order, -1, p))
 
 
 def test_a_foreign_table_is_refused_after_the_memos_are_built(ctx):

@@ -42,6 +42,8 @@ def test_build_cyclic_examples():
         iso.build_cyclic(0)
     with pytest.raises(ValueError):
         iso.build_cyclic(2, "projective")
+    with pytest.raises(ValueError, match="variant must be one of"):
+        iso.CyclicCoverModel("projective", m2.table)
 
 
 def test_zeta_order():
@@ -216,7 +218,8 @@ def test_normal_basis_certificate_vanishes_for_a_short_zeta(monkeypatch):
     # zeta^2 has order 2 < 4: the translates of every element are dependent,
     # the certificate is returned as 0 and the report's outcome fails on it
     model = iso.build_cyclic(4)
-    short = replace(model, zeta=pow(model.zeta, 2, model.p))
+    short = replace(model)
+    short.zeta = pow(model.zeta, 2, model.p)
     witness = iso.normal_basis_element(short)
     assert [list(c.coeffs) for c in witness.coeffs] == [[1]] * 4
     assert witness.determinant.is_zero()

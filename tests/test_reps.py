@@ -18,6 +18,7 @@ from isotypic.errors import (
     ModulusTooLarge,
     NotAHomomorphism,
     NotAnIntertwiner,
+    NotInjective,
     SingularMatrix,
     WrongImage,
 )
@@ -380,6 +381,16 @@ def test_evaluation_iso_everywhere(ctx):
             for i in range(c.table.num_irreps):
                 ok, _ = iso.evaluation_iso_check(rep, i, c.table, c.models[i])
                 assert ok
+
+
+def test_evaluation_iso_rejects_a_dependent_multiplicity_basis(ctx, monkeypatch):
+    # [T, T] spans one intertwiner: the assembled map from V_i (x) F_p^2 has a kernel
+    c = ctx("S3")
+    reg = iso.regular_rep(c.group, c.p)
+    t_mat = multiplicity_space(reg, c.models[2])[0]
+    monkeypatch.setattr(iso.reps, "multiplicity_space", lambda rep, model: [t_mat, t_mat])
+    with pytest.raises(NotInjective, match="irreducible 2 has a kernel"):
+        iso.evaluation_iso_check(reg, 2, c.table, c.models[2])
 
 
 def test_one_dimensional_components_act_by_scalars(ctx):
