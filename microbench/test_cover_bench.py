@@ -46,7 +46,7 @@ def build_piece(group, p, form):
 def pieces(s4):
     group, p, _ = s4
     mono = build_piece(group, p, "monomial")
-    dense = reps.MatrixRep(group, p, mono.mats.copy(), validate=False)
+    dense = reps.MatrixRep(group, p, mono.mats)
     return {"monomial": mono, "dense": dense}
 
 

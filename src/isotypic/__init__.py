@@ -65,7 +65,6 @@ from .groups import (
 from .reps import (
     IsotypicDecomposition,
     MatrixRep,
-    RepType,
     character_of,
     decompose,
     dual_rep,

@@ -261,10 +261,6 @@ def poly_roots(f: Poly) -> list[int]:
     return sorted(roots)
 
 
-def one_minus_t(p: int) -> Poly:
-    return Poly(p, (1, -1))
-
-
 class RatFunc:
     """Reduced rational function num/den over F_p with monic denominator."""
 
@@ -350,16 +346,12 @@ def series_prefix(f: RatFunc, terms: int) -> list[int]:
     return out
 
 
-def limit_at_one(f: RatFunc, n: int) -> int:
-    """Value of the reduced (1-t)^n * f at t = 1.
+def limit_at_one(f: RatFunc) -> int:
+    """Value of the reduced f at t = 1.
 
-    Raises ResidualPole when a factor (1-t) survives in the denominator
-    after clearing n of them.
+    Raises ResidualPole when a factor (1-t) divides the denominator.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    g = RatFunc(f.num * one_minus_t(f.p) ** n, f.den)
-    d = g.den.eval(1)
+    d = f.den.eval(1)
     if d == 0:
-        raise ResidualPole(f"pole of order > {n} at t = 1")
-    return g.num.eval(1) * inv_mod(d, f.p) % f.p
+        raise ResidualPole("pole at t = 1")
+    return f.num.eval(1) * inv_mod(d, f.p) % f.p

@@ -11,8 +11,9 @@ counts, product vanishing patterns) are verified degree by degree.
 
 Per-degree multiplicities from projector ranks are true integers; series
 coefficients live in F_p, so series-side comparisons are congruences
-mod p.  The load-bearing cross-check between the two is mandatory at
-series construction and pins down the orientation convention.
+mod p.  The load-bearing cross-check between the two, which pins down the
+orientation convention, is the `cover.series_vs_projectors` outcome of
+every report, through at least CHECK_DEGREE.
 
 `builtin_action` builds the named actions (perm, reflection, scalar) that
 the command line and the verify-all scenarios use.  `VerificationOutcome`
@@ -32,9 +33,10 @@ import numpy as np
 from . import linalg
 from .arith import Poly, RatFunc, limit_at_one, root_of_unity, series_prefix
 from .characters import CharacterTable, restrict_invariant_dim, tensor_multiplicities
-from .errors import NotFaithful, OrientationMismatch
+from .errors import NotFaithful
 from .groups import ConjugacyClasses, Group, Subgroup, subgroup_closure
 from .reps import (
+    IsotypicDecomposition,
     MatrixRep,
     _sym_power_step,
     check_size,
@@ -75,7 +77,7 @@ class LinearCoverAction:
         self.n = rep.dim
         self.name = name
         self._pieces: dict[int, GradedPiece] = {}
-        self._piece_data: dict[int, tuple] = {}
+        self._piece_data: dict[int, IsotypicDecomposition] = {}
         self._series: dict[int, RatFunc] = {}
         self._dets: list[Poly] | None = None
         self._mul_maps: dict[tuple[int, int], np.ndarray] = {}
@@ -109,12 +111,11 @@ class LinearCoverAction:
             self._pieces[d] = GradedPiece(d, monos, rep)
         return self._pieces[d]
 
-    def piece_decomposition(self, d: int, table: CharacterTable):
-        """(components, true multiplicities) of the degree-d piece, memoized."""
+    def piece_decomposition(self, d: int, table: CharacterTable) -> IsotypicDecomposition:
+        """`decompose` of the degree-d piece, memoized."""
         _require_own_table(self, table)
         if d not in self._piece_data:
-            decomp, rtype = decompose(self.piece(d).rep, table)
-            self._piece_data[d] = (decomp, rtype.multiplicities)
+            self._piece_data[d] = decompose(self.piece(d).rep, table)
         return self._piece_data[d]
 
     def component_coordinates(self, d: int, table: CharacterTable) -> np.ndarray:
@@ -123,7 +124,7 @@ class LinearCoverAction:
         basis.  `linalg.inverse` multiplies back, so components that do not
         fill B_d raise SingularMatrix."""
         if d not in self._coords:
-            stacked = np.concatenate(self.piece_decomposition(d, table)[0].components)
+            stacked = np.concatenate(self.piece_decomposition(d, table).components)
             self._coords[d] = linalg.inverse(stacked, self.p)
         return self._coords[d]
 
@@ -247,10 +248,8 @@ def molien_multiplicity_series(action: LinearCoverAction, i: int, table: Charact
     The finite sum (1/|G|) sum_g chi_i(g^-1) / det(1 - t rho(g)^-1), the
     orientation fixed by the contragredient action on the variables, is
     taken over the conjugacy classes, each term weighted by its class size,
-    as both factors are class functions.  It is cross-checked coefficient
-    by coefficient against the projector multiplicities through
-    CHECK_DEGREE.  A disagreement raises OrientationMismatch (an
-    implementation bug, not a data error).
+    as both factors are class functions.  `pushforward_report` compares its
+    coefficients with the projector multiplicities.
     """
     _require_own_table(action, table)
     if i in action._series:
@@ -261,16 +260,8 @@ def molien_multiplicity_series(action: LinearCoverAction, i: int, table: Charact
     for c, size in enumerate(classes.sizes):
         chi = table.values[i][classes.inverse_class[c]]
         acc = acc + RatFunc(Poly.const(p, size * chi), dets[c])
-    series = acc.scale(linalg.inv_mod(group.order % p, p))
-    got = series_prefix(series, CHECK_DEGREE)
-    expected = [action.piece_decomposition(d, table)[1][i] % p for d in range(CHECK_DEGREE + 1)]
-    if got != expected:
-        raise OrientationMismatch(
-            f"series coefficients {got} != projector multiplicities {expected}"
-            f" for irreducible {i}"
-        )
-    action._series[i] = series
-    return series
+    action._series[i] = acc.scale(linalg.inv_mod(group.order % p, p))
+    return action._series[i]
 
 
 def generic_multiplicity(action: LinearCoverAction, i: int, table: CharacterTable) -> int:
@@ -281,7 +272,7 @@ def generic_multiplicity(action: LinearCoverAction, i: int, table: CharacterTabl
     """
     m_i = molien_multiplicity_series(action, i, table)
     m_0 = molien_multiplicity_series(action, 0, table)
-    return limit_at_one(m_i / m_0, 0)
+    return limit_at_one(m_i / m_0)
 
 
 # -- verification checks --------------------------------------------------------------
@@ -315,7 +306,7 @@ def invariants_series_check(
     rows = []
     for d in range(max_degree + 1):
         lhs = fixed_dim(action.piece(d).rep, h)
-        mults = action.piece_decomposition(d, table)[1]
+        mults = action.piece_decomposition(d, table).multiplicities
         rhs_mod = sum(coeffs[i][d] * fixed_dims[i] for i in range(table.num_irreps)) % p
         rhs_int = sum(mults[i] * fixed_dims[i] for i in range(table.num_irreps))
         rows.append(InvariantsRow(d, lhs, rhs_mod, rhs_int, lhs % p == rhs_mod and lhs == rhs_int))
@@ -358,8 +349,8 @@ def product_structure_check(
     """
     p = table.p
     tens = _tensor_mults(action, table)
-    comp_a = action.piece_decomposition(a, table)[0].components[i]
-    comp_b = action.piece_decomposition(b, table)[0].components[j]
+    comp_a = action.piece_decomposition(a, table).components[i]
+    comp_b = action.piece_decomposition(b, table).components[j]
     required = tuple(l for l in range(table.num_irreps) if tens[i, j, l] == 0)
     if not required or comp_a.shape[0] == 0 or comp_b.shape[0] == 0:
         return ProductCheck(i, j, a, b, required)
@@ -373,7 +364,7 @@ def product_structure_check(
     ) % p
     # each sum has at most dim B_a residues, exact in int64
     prods = np.add.reduceat(outer[:, order], starts, axis=1) % p
-    bounds = np.cumsum((0,) + action.piece_decomposition(a + b, table)[0].dims())
+    bounds = np.cumsum((0,) + action.piece_decomposition(a + b, table).dims())
     cols = np.concatenate([np.arange(bounds[l], bounds[l + 1]) for l in required])
     coords = linalg.matmul(prods, action.component_coordinates(a + b, table)[:, cols], p)
     nonzero = cols[coords.any(axis=0)]
@@ -446,7 +437,8 @@ def pushforward_report(action: LinearCoverAction, max_degree: int, table: Charac
 
     Checks: every generic multiplicity equals the irreducible dimension
     (regular type at the generic point), Molien coefficients match
-    projector multiplicities mod p through max_degree, the fixed-ring
+    projector multiplicities mod p through max(max_degree, CHECK_DEGREE)
+    (the report's multiplicities stop at max_degree), the fixed-ring
     dimension count holds for every cyclic subgroup, and component
     products respect the tensor vanishing pattern through PRODUCT_DEGREE.
     A graded piece or multiplication map above `reps.MAX_SYSTEM_CELLS`
@@ -457,13 +449,13 @@ def pushforward_report(action: LinearCoverAction, max_degree: int, table: Charac
     generic = [generic_multiplicity(action, i, table) for i in range(r)]
     generic_witness = None if generic == degrees else {"generic": generic, "degrees": degrees}
 
-    prefixes = [series_prefix(molien_multiplicity_series(action, i, table), max_degree) for i in range(r)]
-    degree_table = [list(action.piece_decomposition(d, table)[1]) for d in range(max_degree + 1)]
-    series_witness = None
-    for d, mults in enumerate(degree_table):
-        for i in range(r):
-            if mults[i] % p != prefixes[i][d] and series_witness is None:
-                series_witness = {"degree": d, "irrep": i}
+    top = max(max_degree, CHECK_DEGREE)
+    prefixes = [series_prefix(molien_multiplicity_series(action, i, table), top) for i in range(r)]
+    mults = [action.piece_decomposition(d, table).multiplicities for d in range(top + 1)]
+    series_witness = next(
+        ({"degree": d, "irrep": i} for d in range(top + 1) for i in range(r) if mults[d][i] % p != prefixes[i][d]),
+        None,
+    )
 
     inv_witness = None
     for h in cyclic_subgroups(group):
@@ -503,7 +495,7 @@ def pushforward_report(action: LinearCoverAction, max_degree: int, table: Charac
         "degrees": degrees,
         "max_degree": max_degree,
         "generic_multiplicities": generic,
-        "multiplicities_by_degree": degree_table,
+        "multiplicities_by_degree": [list(m) for m in mults[: max_degree + 1]],
         "invariant_series": molien_multiplicity_series(action, 0, table).to_dict(),
     }
     return Report(data, outcomes)

@@ -44,7 +44,8 @@ class CyclicCoverModel:
     cyclic group C<n> (`group_from_name`, generator at index 1) over F_p.
 
     n is the group order, p the table's prime, and zeta = root_of_unity(p, n)
-    the eigenvalue of the generator on x.
+    the eigenvalue of the generator on x.  A table whose group is not
+    cyclic and generated by element 1 raises ValueError.
     """
 
     variant: str
@@ -54,6 +55,8 @@ class CyclicCoverModel:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
+        if self.n > 1 and self.group.element_order(1) != self.n:
+            raise ValueError(f"the table of {self.group.name} is not that of a cyclic group generated by element 1")
         self.zeta = root_of_unity(self.p, self.n)
 
     @property

@@ -102,8 +102,3 @@ class WrongImage(IsotypicError):
 
 class NotFaithful(IsotypicError):
     """A cover action has nontrivial kernel; the quotient group would act."""
-
-
-class OrientationMismatch(IsotypicError):
-    """The multiplicity series disagrees with the projector-derived
-    coefficients; indicates an implementation bug."""

@@ -48,12 +48,6 @@ class Permutation:
             raise InvalidPermutation("cannot compose permutations of different degree")
         return Permutation(tuple(self.images[j] for j in other.images))
 
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation(inv)
-
     def order(self) -> int:
         return math.lcm(*(len(c) for c in self.cycles())) if self.cycles() else 1
 
@@ -145,19 +139,21 @@ class ConjugacyClasses:
 @dataclass(frozen=True)
 class Subgroup:
     element_indices: tuple[int, ...]
-    order: int
+
+    @property
+    def order(self) -> int:
+        return len(self.element_indices)
 
 
-def build_group(generators, cap: int = DEFAULT_CAP, degree: int | None = None, name: str = "custom") -> Group:
+def build_group(generators, degree: int | None = None, name: str = "custom") -> Group:
     """Close a set of permutation generators into a Group.
 
     Elements are discovered breadth-first from the identity, right-
-    multiplying by the generators in input order.  `degree` is only
+    multiplying by the generators in input order; a closure above
+    DEFAULT_CAP elements raises ClosureExceedsCap.  `degree` is only
     consulted when no generators are given.
     """
     generators = list(generators)
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
     if generators:
         deg = generators[0].degree
         if any(g.degree != deg for g in generators):
@@ -178,8 +174,8 @@ def build_group(generators, cap: int = DEFAULT_CAP, degree: int | None = None, n
             nxt = cur * g
             k = index.get(nxt)
             if k is None:
-                if len(elements) >= cap:
-                    raise ClosureExceedsCap(f"closure exceeded cap of {cap} elements")
+                if len(elements) >= DEFAULT_CAP:
+                    raise ClosureExceedsCap(f"closure exceeded cap of {DEFAULT_CAP} elements")
                 k = index[nxt] = len(elements)
                 elements.append(nxt)
                 words.append((pos, gen_pos))
@@ -239,8 +235,7 @@ def subgroup_closure(group: Group, gens) -> Subgroup:
             if k not in members:
                 members.add(k)
                 frontier.append(k)
-    elems = tuple(sorted(members))
-    return Subgroup(elems, len(elems))
+    return Subgroup(tuple(sorted(members)))
 
 
 def power_class_map(group: Group, classes: ConjugacyClasses, k: int):
@@ -261,12 +256,13 @@ def power_class_map(group: Group, classes: ConjugacyClasses, k: int):
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
-def parse_cycles(line: str, degree: int | None = None) -> Permutation:
+def parse_cycles(line: str) -> Permutation:
     """Parse one permutation in cycle notation, e.g. "(0 1)(2 3)".
 
-    "()" or an empty line denotes the identity.  Cycles are composed left
-    to right with the rightmost applied first (irrelevant for the usual
-    disjoint-cycle form).
+    "()" or an empty line denotes the identity.  The degree is one more
+    than the largest point, so a one-point cycle such as "(4)" pads it.
+    Cycles are composed left to right with the rightmost applied first
+    (irrelevant for the usual disjoint-cycle form).
     """
     stripped = _CYCLE_RE.sub("", line).strip()
     if stripped:
@@ -282,8 +278,7 @@ def parse_cycles(line: str, degree: int | None = None) -> Permutation:
         if pts:
             maxpt = max(maxpt, max(pts))
             cycles.append(pts)
-    deg = degree if degree is not None else maxpt + 1
-    deg = max(deg, maxpt + 1, 1)
+    deg = max(maxpt + 1, 1)
     perm = Permutation.identity(deg)
     for pts in reversed(cycles):
         images = list(range(deg))

@@ -46,7 +46,8 @@ BLOCK_WORK = 1 << 19
 
 
 def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p for int64 residues in [0, p), with numpy's matmul shapes.
+    """a @ b mod p for int64 residues in [0, p), with numpy's matmul shapes,
+    for a right operand that is a matrix or a vector.
 
     When k (p-1)^2 < 2^53, k the inner dimension, every partial sum of a
     dot product is an integer below 2^53, so float64 BLAS computes it
@@ -59,13 +60,6 @@ def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     a, b = np.asarray(a), np.asarray(b)
     if a.shape[-1] * (p - 1) ** 2 >= FLOAT_EXACT:
         return (a @ b) % p
-    if b.ndim > 2:  # a stack of right operands: one product per matrix
-        batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-        a, b = np.broadcast_to(a, batch + a.shape[-2:]), np.broadcast_to(b, batch + b.shape[-2:])
-        out = np.empty(batch + a.shape[len(batch) : -1] + b.shape[-1:], dtype=np.int64)
-        for idx in np.ndindex(batch):
-            out[idx] = matmul(a[idx], b[idx], p)
-        return out
     # rows of a times a matrix; vectors are one row or one column
     k, n = b.shape[0], b.shape[-1] if b.ndim == 2 else 1
     rows = math.prod(a.shape[:-1])
@@ -119,8 +113,6 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
 
 
 def rank(a: np.ndarray, p: int) -> int:
-    if a.size == 0:
-        return 0
     return len(rref(a, p)[1])
 
 

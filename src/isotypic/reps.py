@@ -68,6 +68,8 @@ class MatrixRep:
     Stored densely, or in monomial form: two |G| x dim arrays `images` and
     `scalars` with rho(g) e_j = scalars[g, j] e_{images[g, j]}.  A monomial
     representation builds its dense `mats` only when a caller reads them.
+    Every representation is validated as it is built, so one that exists
+    is a homomorphism, unless a caller rewrites its arrays afterwards.
     """
 
     def __init__(
@@ -75,18 +77,15 @@ class MatrixRep:
         group: Group,
         p: int,
         mats: np.ndarray | None = None,
-        validate: bool = True,
         *,
         images: np.ndarray | None = None,
         scalars: np.ndarray | None = None,
     ):
-        """Dense from `mats`, or monomial from `images` and `scalars`.
+        """Dense from `mats`, or monomial from `images` and `scalars`;
+        either way `_validate` checks the result.
 
-        With `validate`, dense `mats` are copied reduced mod p and checked.
-        Without it the representation takes ownership of an int64 `mats`
-        and reduces it in place, so the caller passes a fresh array and
-        keeps no alias.  The monomial arrays are always taken over, and
-        `scalars` is reduced in place.
+        Dense `mats` are copied reduced mod p.  The monomial arrays are
+        taken over, and `scalars` is reduced in place.
         """
         self.group = group
         self.p = p
@@ -99,11 +98,9 @@ class MatrixRep:
         else:
             mats = np.asarray(mats, dtype=np.int64)
             self.dim = int(mats.shape[1]) if mats.ndim == 3 else 0
-            self.mats = mats % p if validate else np.remainder(mats, p, out=mats)
+            self.mats = mats % p
         linalg.require_exact(self.dim, p)
-        self.validation = "skipped"
-        if validate:
-            self._validate()
+        self._validate()
 
     @functools.cached_property
     def mats(self) -> np.ndarray:
@@ -138,7 +135,6 @@ class MatrixRep:
             bad = np.nonzero((prod != mats[group.mult[:, s]]).any(axis=(1, 2)))[0]
             if bad.size:
                 self._bad_edge(int(bad[0]), pos)
-        self.validation = "exhaustive"
 
     def _validate_monomial(self):
         group, p, images, scalars, d = self.group, self.p, self.images, self.scalars, self.dim
@@ -157,7 +153,6 @@ class MatrixRep:
             bad = np.nonzero(wrong.any(axis=1))[0]
             if bad.size:
                 self._bad_edge(int(bad[0]), pos)
-        self.validation = "exhaustive"
 
     def _bad_edge(self, b: int, pos: int) -> NoReturn:
         raise NotAHomomorphism(
@@ -165,29 +160,17 @@ class MatrixRep:
             word=self.group.word_string(b) + f".g{pos}",
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "modulus": self.p,
-            "dim": self.dim,
-            "matrices": [m.reshape(-1).tolist() for m in self.mats],
-        }
-
     def __repr__(self) -> str:
         return f"MatrixRep(group={self.group.name}, dim={self.dim}, p={self.p})"
 
 
-@dataclass(frozen=True)
-class RepType:
-    """Multiplicity vector (m_0, ..., m_r) of a representation."""
-
-    multiplicities: tuple[int, ...]
-
-
 @dataclass
 class IsotypicDecomposition:
-    """Per-irreducible bases (row matrices) of the projector images."""
+    """Per-irreducible bases (row matrices) of the projector images, and the
+    multiplicity vector (m_0, ..., m_r)."""
 
     components: list[np.ndarray]
+    multiplicities: tuple[int, ...]
 
     def dims(self) -> tuple[int, ...]:
         return tuple(int(c.shape[0]) for c in self.components)
@@ -196,10 +179,10 @@ class IsotypicDecomposition:
 # -- constructors ---------------------------------------------------------------
 
 
-def trivial_rep(group: Group, p: int, dim: int = 1) -> MatrixRep:
+def trivial_rep(group: Group, p: int) -> MatrixRep:
+    """The one-dimensional trivial representation, monomial."""
     n = group.order
-    images = np.broadcast_to(np.arange(dim, dtype=np.int64), (n, dim)).copy()
-    return MatrixRep(group, p, images=images, scalars=np.ones((n, dim), dtype=np.int64), validate=False)
+    return MatrixRep(group, p, images=np.zeros((n, 1), dtype=np.int64), scalars=np.ones((n, 1), dtype=np.int64))
 
 
 def regular_rep(group: Group, p: int) -> MatrixRep:
@@ -215,7 +198,7 @@ def permutation_rep(group: Group, p: int) -> MatrixRep:
     return MatrixRep(group, p, images=images, scalars=np.ones_like(images))
 
 
-def rep_from_matrices(group: Group, p: int, gen_mats, dim: int = 1) -> MatrixRep:
+def rep_from_matrices(group: Group, p: int, gen_mats) -> MatrixRep:
     """Extend generator matrices along the breadth-first words.
 
     Every element's matrix is the word product of generator matrices.  When
@@ -224,22 +207,22 @@ def rep_from_matrices(group: Group, p: int, gen_mats, dim: int = 1) -> MatrixRep
     otherwise they are dense.  The validation of the result checks every
     generator edge of the Cayley graph, so an assignment that is not a
     homomorphism raises NotAHomomorphism with the word of the first bad
-    edge.  `dim` is only consulted for the generator-free trivial group.
+    edge.  The generator-free trivial group gets the one-dimensional
+    trivial representation.
     """
     gen_mats = [np.asarray(m, dtype=np.int64) % p for m in gen_mats]
     if len(gen_mats) != len(group.generators):
         raise NotAHomomorphism(
             f"expected {len(group.generators)} generator matrices, got {len(gen_mats)}"
         )
-    if gen_mats:
-        dim = gen_mats[0].shape[0]
-        for m in gen_mats:
-            if m.shape != (dim, dim):
-                raise NotAHomomorphism("generator matrices must be square of equal size")
-            try:
-                linalg.inverse(m, p)
-            except SingularMatrix:
-                raise SingularMatrix("generator matrix is singular mod p") from None
+    dim = gen_mats[0].shape[0] if gen_mats else 1
+    for m in gen_mats:
+        if m.shape != (dim, dim):
+            raise NotAHomomorphism("generator matrices must be square of equal size")
+        try:
+            linalg.inverse(m, p)
+        except SingularMatrix:
+            raise SingularMatrix("generator matrix is singular mod p") from None
     n = group.order
     if all(((m != 0).sum(axis=0) == 1).all() for m in gen_mats):
         # rho(k) e_j = s_j rho(parent) e_{t_j}, s_j in row t_j of column j
@@ -317,8 +300,8 @@ def isotypic_projector(rep: MatrixRep, i: int, table: CharacterTable) -> np.ndar
     return _group_sum(rep, slice(None), table.idempotents()[i][None])[0]
 
 
-def decompose(rep: MatrixRep, table: CharacterTable) -> tuple[IsotypicDecomposition, RepType]:
-    """Isotypic decomposition plus the multiplicity vector.
+def decompose(rep: MatrixRep, table: CharacterTable) -> IsotypicDecomposition:
+    """Isotypic decomposition, with the multiplicity vector.
 
     Multiplicities are true integers rank(P_i)/deg_i; each one is cross-
     checked against the character inner product, which lives mod p, so the
@@ -357,7 +340,7 @@ def decompose(rep: MatrixRep, table: CharacterTable) -> tuple[IsotypicDecomposit
         total += r
     if total != rep.dim:
         raise InconsistentMultiplicity("component dimensions do not fill the representation")
-    return IsotypicDecomposition(components), RepType(tuple(mults))
+    return IsotypicDecomposition(components, tuple(mults))
 
 
 def _orbit_block_row_space(a: np.ndarray, orbits: list[np.ndarray], p: int) -> np.ndarray:
@@ -383,7 +366,8 @@ def restrict_to_subspace(rep: MatrixRep, basis: np.ndarray) -> MatrixRep:
 
     The images of the basis rows under every element come from one `_act`,
     and their coordinates from one `linalg.coordinates` call, which raises
-    SingularMatrix when the subspace is not invariant.
+    SingularMatrix when the subspace is not invariant; the result is
+    validated.
     """
     p, n, d = rep.p, rep.group.order, rep.dim
     basis = linalg.asmat(basis, p)
@@ -391,7 +375,7 @@ def restrict_to_subspace(rep: MatrixRep, basis: np.ndarray) -> MatrixRep:
     # images[g] = basis @ rho(g)^T, the images of the basis rows
     images = _act(rep, slice(None), basis.T).transpose(0, 2, 1)
     coords = linalg.coordinates(basis, images.reshape(n * k, d), p)
-    return MatrixRep(rep.group, p, coords.reshape(n, k, k).transpose(0, 2, 1), validate=False)
+    return MatrixRep(rep.group, p, coords.reshape(n, k, k).transpose(0, 2, 1))
 
 
 # -- hom spaces -------------------------------------------------------------------
@@ -448,14 +432,14 @@ def decomposition_report(rep: MatrixRep, table: CharacterTable) -> dict:
     `pass` holds when dim End_G(rep) from `hom_dim` equals the sum of the
     squared multiplicities from `decompose`, as Schur's lemma requires.
     """
-    decomp, rtype = decompose(rep, table)
+    decomp = decompose(rep, table)
     endo = hom_dim(rep, rep, table)
     return {
         "dim": rep.dim,
-        "type": list(rtype.multiplicities),
+        "type": list(decomp.multiplicities),
         "component_dims": list(decomp.dims()),
         "endomorphism_dim": endo,
-        "pass": endo == sum(m * m for m in rtype.multiplicities),
+        "pass": endo == sum(m * m for m in decomp.multiplicities),
     }
 
 
@@ -466,14 +450,13 @@ def dual_rep(rep: MatrixRep) -> MatrixRep:
     """Contragredient action rho(g^-1)^T on the dual basis.
 
     For a monomial rho(g) = P D it is P D^-1: the same index map, with the
-    scalar of column k that of rho(g^-1) on images[g, k]; it is validated.
+    scalar of column k that of rho(g^-1) on images[g, k].
     """
     inv = list(rep.group.inv)
     if rep.images is not None:
         scalars = np.take_along_axis(rep.scalars[inv], rep.images, axis=1)
         return MatrixRep(rep.group, rep.p, images=rep.images.copy(), scalars=scalars)
-    mats = rep.mats[inv].transpose(0, 2, 1)
-    return MatrixRep(rep.group, rep.p, mats, validate=False)
+    return MatrixRep(rep.group, rep.p, rep.mats[inv].transpose(0, 2, 1))
 
 
 def _sym_power_step(prev: MatrixRep, rep: MatrixRep, d: int) -> MatrixRep:
@@ -483,11 +466,10 @@ def _sym_power_step(prev: MatrixRep, rep: MatrixRep, d: int) -> MatrixRep:
     of `prev` times column j of `rep`: entry (beta', i) of that outer
     product lands on row beta' + (i,).  When both are monomial so is the
     result: its index map sends beta + (j,) to the multiset of the two
-    images, with the product of the scalars, and it is validated.
-    Otherwise one element at a time, so only one Sym^d matrix of
-    temporaries is alive.  Each entry is a sum of dim(rep) products below
-    p^2, exact in int64 because `rep` passed `require_exact`; the MatrixRep
-    constructor reduces it mod p.
+    images, with the product of the scalars.  Otherwise one element at a
+    time, so only one Sym^d matrix of temporaries is alive.  Each entry is
+    a sum of dim(rep) products below p^2, exact in int64 because `rep`
+    passed `require_exact`; the MatrixRep constructor reduces it mod p.
     """
     n = rep.dim
     below = {m: i for i, m in enumerate(combinations_with_replacement(range(n), d - 1))}
@@ -507,7 +489,7 @@ def _sym_power_step(prev: MatrixRep, rep: MatrixRep, d: int) -> MatrixRep:
         lin = rep.mats[g][:, last]
         for i in range(n):
             out[g, scatter[:, i]] += cols * lin[i]
-    return MatrixRep(rep.group, rep.p, out, validate=False)
+    return MatrixRep(rep.group, rep.p, out)
 
 
 # -- invariants and the evaluation map ---------------------------------------------
@@ -526,9 +508,9 @@ def subgroup_invariants(rep: MatrixRep, h: Subgroup, table: CharacterTable) -> n
     sum_i m_i * dim V_i^H; a mismatch indicts the implementation.
     """
     basis = linalg.row_space(_averaging_projector(rep, h).T, rep.p)
-    _, rtype = decompose(rep, table)
     expected = sum(
-        m * restrict_invariant_dim(table, table.values[i], h) for i, m in enumerate(rtype.multiplicities)
+        m * restrict_invariant_dim(table, table.values[i], h)
+        for i, m in enumerate(decompose(rep, table).multiplicities)
     )
     if basis.shape[0] != expected:
         raise DimensionMismatch(
@@ -578,8 +560,10 @@ def multiplicity_space(rep: MatrixRep, model: MatrixRep) -> list[np.ndarray]:
     is checked against every generator, one `_act` and one product per
     generator, and the first generator whose intertwining equation fails
     raises NotAnIntertwiner.  That generator need not be the one with a
-    wrong matrix, since every rho(g) enters every p_a; wrong matrices are
-    caught by MatrixRep's validation.
+    wrong matrix, since every rho(g) enters every p_a.  MatrixRep validates
+    every representation it builds, so a corrupted generator reaches this
+    check only through a caller that rewrites a representation's arrays
+    after construction.
     """
     group, p = rep.group, rep.p
     n, d, n_i = group.order, rep.dim, model.dim
@@ -648,15 +632,13 @@ def irreducible_models(group: Group, table: CharacterTable) -> list[MatrixRep]:
     """
     p = table.p
     reg = regular_rep(group, p)
-    decomp, _ = decompose(reg, table)
+    decomp = decompose(reg, table)
     models = []
     for i in range(table.num_irreps):
         basis = decomp.components[i]
         if basis.shape[0] > table.degrees[i]:
             basis = _one_copy(table, basis, i)
-        model = restrict_to_subspace(reg, basis)
-        model._validate()
-        models.append(model)
+        models.append(restrict_to_subspace(reg, basis))
     return models
 
 

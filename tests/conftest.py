@@ -1,8 +1,8 @@
 """Shared fixtures and helpers: cached group/table contexts for the test
-groups, random invertible matrices, the identity test on permutations,
-every subgroup of a group, and the functors on representations and
-characters that only tests take (direct sums, tensor products, symmetric
-powers, exterior squares)."""
+groups, random invertible matrices, the identity test and the inverse of
+permutations, every subgroup of a group, and the functors on
+representations and characters that only tests take (direct sums, tensor
+products, symmetric powers, exterior squares)."""
 
 from __future__ import annotations
 
@@ -78,6 +78,13 @@ def is_identity(perm: iso.Permutation) -> bool:
     return all(i == j for i, j in enumerate(perm.images))
 
 
+def inverse(perm: iso.Permutation) -> iso.Permutation:
+    inv = [0] * perm.degree
+    for i, j in enumerate(perm.images):
+        inv[j] = i
+    return iso.Permutation(inv)
+
+
 def all_subgroups(group):
     """Every subgroup, found by closing known subgroups with one new element,
     sorted by (order, elements)."""
@@ -120,13 +127,13 @@ def block_diagonal(*stacks):
 
 def direct_sum(*reps):
     """The direct sum of representations of one group, block diagonal."""
-    return iso.MatrixRep(reps[0].group, reps[0].p, block_diagonal(*(r.mats for r in reps)), validate=False)
+    return iso.MatrixRep(reps[0].group, reps[0].p, block_diagonal(*(r.mats for r in reps)))
 
 
 def tensor(a, b):
     """The tensor product on the lexicographic basis e_i (x) f_j."""
     mats = np.stack([np.kron(x, y) for x, y in zip(a.mats, b.mats)]) % a.p
-    return iso.MatrixRep(a.group, a.p, mats, validate=False)
+    return iso.MatrixRep(a.group, a.p, mats)
 
 
 def sym_power(rep, k):
@@ -143,7 +150,7 @@ def ext_square(rep):
     a, b = np.triu_indices(rep.dim, 1)
     m = rep.mats
     minors = m[:, a[:, None], a] * m[:, b[:, None], b] - m[:, a[:, None], b] * m[:, b[:, None], a]
-    return iso.MatrixRep(rep.group, rep.p, minors % rep.p, validate=False)
+    return iso.MatrixRep(rep.group, rep.p, minors % rep.p)
 
 
 # -- functors: characters, in closed form ------------------------------------------

@@ -15,7 +15,6 @@ import pytest
 from click.testing import CliRunner
 
 import isotypic as iso
-from isotypic import linalg
 from isotypic.characters import convolve, delta_element
 from isotypic.cli import main
 from isotypic.polymat import as_unit_times_power, factored_invariant_factors
@@ -91,8 +90,8 @@ def test_c02_regular_rank_law(ctx):
     for name in ACCEPTANCE_GROUPS:
         c = ctx(name)
         reg = iso.regular_rep(c.group, c.p)
-        decomp, rtype = iso.decompose(reg, c.table)  # raises on any method mismatch
-        assert rtype.multiplicities == c.table.degrees
+        decomp = iso.decompose(reg, c.table)  # raises on any method mismatch
+        assert decomp.multiplicities == c.table.degrees
         if name == "S3":
             assert decomp.dims() == (1, 1, 4)
 
@@ -101,8 +100,8 @@ def test_c02_regular_rank_law(ctx):
 def test_c03_type_laws(ctx):
     c = ctx("S3")
     lam2 = ext_square(iso.permutation_rep(c.group, c.p))
-    _, rtype = iso.decompose(lam2, c.table)
-    assert rtype.multiplicities == (0, 1, 1)  # sign + standard
+    decomp = iso.decompose(lam2, c.table)
+    assert decomp.multiplicities == (0, 1, 1)  # sign + standard
     for name in ACCEPTANCE_GROUPS:
         cc = ctx(name)
         rng = random.Random(300 + len(name))
@@ -176,7 +175,7 @@ def test_c07_cover_generic_rank(ctx, cover_actions):
         for i in range(c.table.num_irreps):
             coeffs = series_prefix(iso.molien_multiplicity_series(action, i, c.table), 12)
             for d in range(13):
-                assert coeffs[d] == action.piece_decomposition(d, c.table)[1][i] % c.p
+                assert coeffs[d] == action.piece_decomposition(d, c.table).multiplicities[i] % c.p
 
 
 @criterion(8, "fixed-ring dimension counts hold for every subgroup, d <= 12")

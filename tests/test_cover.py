@@ -10,7 +10,7 @@ from isotypic import linalg
 from isotypic.arith import Poly, RatFunc
 from isotypic.cover import _inverse_dets, builtin_action, cyclic_subgroups
 from isotypic import reps
-from isotypic.errors import NotFaithful, OrientationMismatch, SystemTooLarge
+from isotypic.errors import NotFaithful, SystemTooLarge
 from isotypic.scenarios import COVER_SCENARIOS
 from conftest import all_subgroups, forbid
 from polymat_oracle import bareiss_det
@@ -134,10 +134,11 @@ def test_degree_piece_characters_s3(ctx):
 
 
 def test_degree_pieces_are_homomorphisms(ctx):
+    # MatrixRep validates each piece as it is built: NotAHomomorphism otherwise
     c = ctx("S3")
     action = iso.perm_action(c.group, c.p)
     for d in range(5):
-        action.piece(d).rep._validate()
+        assert action.piece(d).rep.dim == len(action.piece(d).monomials)
 
 
 def test_monomial_order_graded_lex(ctx):
@@ -171,18 +172,22 @@ def test_molien_series_c3(ctx):
 
 def test_molien_rejects_swapped_projector_multiplicities(ctx, monkeypatch):
     # the conjugate orientation sum chi_i(g) / det(1 - t rho(g)^-1) would fit
-    # these swapped multiplicities; the series must not fall back to it
-    c, action = scalar_ctx(ctx, 3)
-    real = action.piece_decomposition
+    # these swapped multiplicities; the report must fail its series outcome
+    # on them, at max_degree 0 too, since it compares through CHECK_DEGREE
+    for max_degree in (0, 3):
+        c, action = scalar_ctx(ctx, 3)
+        real = action.piece_decomposition
 
-    def swapped(d, table):
-        decomp, mults = real(d, table)
-        return decomp, (mults[0], mults[2], mults[1])
+        def swapped(d, table, real=real):
+            decomp = real(d, table)
+            m = decomp.multiplicities
+            return reps.IsotypicDecomposition(decomp.components, (m[0], m[2], m[1]))
 
-    monkeypatch.setattr(action, "piece_decomposition", swapped)
-    for i in (1, 2):
-        with pytest.raises(OrientationMismatch):
-            iso.molien_multiplicity_series(action, i, c.table)
+        monkeypatch.setattr(action, "piece_decomposition", swapped)
+        report = iso.pushforward_report(action, max_degree, c.table)
+        outcome = next(o for o in report.outcomes if o.check == "cover.series_vs_projectors")
+        assert not outcome.passed and outcome.witness == {"degree": 1, "irrep": 1}
+        assert len(report.data["multiplicities_by_degree"]) == max_degree + 1
 
 
 def test_molien_matches_projectors_everywhere(ctx):
@@ -200,7 +205,7 @@ def test_molien_matches_projectors_everywhere(ctx):
             series = iso.molien_multiplicity_series(action, i, c.table)
             coeffs = series_prefix(series, 12)
             for d in range(13):
-                mult = action.piece_decomposition(d, c.table)[1][i]
+                mult = action.piece_decomposition(d, c.table).multiplicities[i]
                 assert coeffs[d] == mult % c.p
             # the constant coefficient picks out the trivial piece only
             assert coeffs[0] == (1 if i == 0 else 0)
@@ -287,7 +292,7 @@ def test_product_structure_trivial_factor(ctx, monkeypatch):
             # ... and is nonzero there when that component is (F_p[x] has no zero divisors)
             forbid(monkeypatch, 3, 0, j, j)
             res = iso.product_structure_check(action, 0, j, a, b, c.table)
-            assert res.ok == (action.piece_decomposition(b, c.table)[1][j] == 0)
+            assert res.ok == (action.piece_decomposition(b, c.table).multiplicities[j] == 0)
 
 
 def test_product_structure_c2_odd_times_odd(ctx, monkeypatch):

@@ -46,6 +46,27 @@ def test_build_cyclic_examples():
         iso.CyclicCoverModel("projective", m2.table)
 
 
+def _table(group):
+    return iso.character_table(group, iso.conjugacy_classes(group), iso.choose_prime(group))
+
+
+def test_cyclic_model_needs_a_cyclic_group_generated_by_element_1():
+    s3 = iso.group_from_name("S3")
+    with pytest.raises(ValueError, match="table of S3 is not that of a cyclic group"):
+        iso.CyclicCoverModel("polynomial", iso.character_table(s3, iso.conjugacy_classes(s3), 7))
+    # C6 again, but element 1 is the first generator, of order 3
+    c6_by_parts = iso.group_from_text("(0 2 4)(1 3 5)\n(0 3)(1 4)(2 5)")
+    assert c6_by_parts.order == 6 and c6_by_parts.element_order(1) == 3
+    with pytest.raises(ValueError, match="generated by element 1"):
+        iso.CyclicCoverModel("laurent", _table(c6_by_parts))
+    # a C6 that was not built by name reports as the builtin one
+    c6 = iso.group_from_text("(0 1 2 3 4 5)")
+    for variant in ("polynomial", "laurent"):
+        report = cyclic_report(iso.CyclicCoverModel(variant, _table(c6)))
+        assert report.passed
+        assert report.to_dict() == cyclic_report(iso.build_cyclic(6, variant)).to_dict()
+
+
 def test_zeta_order():
     for n in (2, 3, 4, 6, 5):
         m = iso.build_cyclic(n)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-import math
 import random
 
 import pytest
@@ -11,7 +10,7 @@ import pytest
 import isotypic as iso
 from isotypic.errors import ClosureExceedsCap, InvalidPermutation
 
-from conftest import TEST_GROUPS, all_subgroups, is_identity
+from conftest import TEST_GROUPS, all_subgroups, inverse, is_identity
 
 
 def test_permutation_validation():
@@ -23,7 +22,7 @@ def test_permutation_validation():
 
 def test_permutation_composition_and_inverse():
     a = iso.parse_cycles("(0 1 2)")
-    b = iso.parse_cycles("(0 1)", degree=3)
+    b = iso.parse_cycles("(0 1)(2)")
     # (a * b)(x) = a(b(x))
     assert (a * b).images == (2, 1, 0)
     rng = random.Random(1)
@@ -31,13 +30,13 @@ def test_permutation_composition_and_inverse():
         images = list(range(5))
         rng.shuffle(images)
         perm = iso.Permutation(images)
-        assert is_identity(perm * perm.inverse())
-        assert is_identity(perm.inverse() * perm)
+        assert is_identity(perm * inverse(perm))
+        assert is_identity(inverse(perm) * perm)
 
 
 def test_build_s3_against_enumeration_oracle():
     # oracle: all 3! permutations of 3 points
-    gens = [iso.parse_cycles("(0 1)", degree=3), iso.parse_cycles("(0 1 2)")]
+    gens = [iso.parse_cycles("(0 1)(2)"), iso.parse_cycles("(0 1 2)")]
     group = iso.build_group(gens)
     assert group.order == 6
     oracle = {iso.Permutation(p) for p in itertools.permutations(range(3))}
@@ -52,16 +51,18 @@ def test_build_trivial_group():
 
 
 def test_build_dihedral_from_square_generators():
-    gens = [iso.parse_cycles("(0 1 2 3)"), iso.parse_cycles("(0 2)", degree=4)]
+    gens = [iso.parse_cycles("(0 1 2 3)"), iso.parse_cycles("(0 2)(3)")]
     group = iso.build_group(gens)
     assert group.order == 8
     assert len(set(group.elements)) == 8
 
 
-def test_closure_cap():
-    gens = [iso.parse_cycles("(0 1)", degree=5), iso.parse_cycles("(0 1 2 3 4)")]
-    with pytest.raises(ClosureExceedsCap):
-        iso.build_group(gens, cap=10)
+def test_closure_cap(monkeypatch):
+    # build_group reads DEFAULT_CAP when it runs
+    gens = [iso.parse_cycles("(0 1)(4)"), iso.parse_cycles("(0 1 2 3 4)")]
+    monkeypatch.setattr(iso.groups, "DEFAULT_CAP", 10)
+    with pytest.raises(ClosureExceedsCap, match="cap of 10 elements"):
+        iso.build_group(gens)
 
 
 def test_mult_table_contract():
@@ -229,7 +230,7 @@ def test_closure_tables_match_definitions(name):
     classes = iso.conjugacy_classes(group)
     reps_seen = []
     for g in range(n):
-        orbit = {index[h * group.elements[g] * h.inverse()] for h in group.elements}
+        orbit = {index[h * group.elements[g] * inverse(h)] for h in group.elements}
         assert {classes.class_of[x] for x in orbit} == {classes.class_of[g]}
         assert classes.sizes[classes.class_of[g]] == len(orbit)
         if min(orbit) == g:

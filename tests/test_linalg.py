@@ -90,11 +90,8 @@ def test_matmul_stacked_and_transposed():
     mat = residues(rng, (6, 5), p)
     cases = [
         (stack, mat),  # stacked left operand
-        (mat, stack),  # stacked right operand
-        (stack, stack.transpose(0, 2, 1)),  # stacked on both sides
         (stack.transpose(0, 2, 1), mat.T),  # non-contiguous operands
-        (mat.T[::2], stack[1:, ::-1].transpose(0, 2, 1)),  # strided and reversed views
-        (residues(rng, (1, 4, 6), p), stack.transpose(0, 2, 1)),  # broadcast batch
+        (stack[1:, ::-1].transpose(0, 2, 1), mat.T[:, ::2]),  # strided and reversed views
         (stack[0, 0], mat),  # vector times matrix
         (stack, mat[:, 0]),  # matrix times vector
         (mat[:, 0], stack[0, 0]),  # two vectors
@@ -121,7 +118,7 @@ def test_matmul_spans_several_blocks(monkeypatch):
     assert np.array_equal(linalg.matmul(coef, mats.reshape(24, 49), p), oracle(coef, mats.reshape(24, 49), p))
 
 
-def test_matrix_rep_copies_only_validated_input(ctx):
+def test_matrix_rep_holds_a_reduced_copy_of_its_input(ctx):
     c = ctx("S3")
     perm = iso.permutation_rep(c.group, c.p).mats
     unreduced = perm + c.p  # the same representation, every entry shifted by p
@@ -129,10 +126,7 @@ def test_matrix_rep_copies_only_validated_input(ctx):
     rep = iso.MatrixRep(c.group, c.p, unreduced)
     assert np.array_equal(unreduced, before)
     assert np.array_equal(rep.mats, perm)
-    # without validation the representation owns the array and reduces it in place
-    owned = iso.MatrixRep(c.group, c.p, unreduced, validate=False)
-    assert np.array_equal(owned.mats, perm)
-    assert np.shares_memory(owned.mats, unreduced)
+    assert not np.shares_memory(rep.mats, unreduced)
 
 
 def test_piece_projectors_built_once_per_degree_and_irreducible(ctx, monkeypatch):

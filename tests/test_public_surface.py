@@ -1,4 +1,4 @@
-"""Two guards on the library's surface, read from the AST of `src/isotypic/`.
+"""Three guards on the library's surface, read from the AST of `src/isotypic/`.
 
 Every public, undecorated top-level function or class, and every public
 method of a public class, is referenced in code (an AST name or attribute;
@@ -8,6 +8,12 @@ module or by `perfbench/*.py`.  What only tests call belongs in `tests/`.
 No function, method or dataclass takes a value that another of its
 arguments carries: a character table fixes its group, classes and prime,
 and a representation its group and prime.
+
+Every parameter with a default, of a function, a method or a class
+constructor, is passed by keyword or by position in some call in a library
+module or in `perfbench/*.py`: a default that no caller overrides is a
+constant, not an option.  Calls are matched to definitions by name only, so
+a call to another definition of the same name counts too.
 """
 
 from __future__ import annotations
@@ -88,3 +94,63 @@ def test_no_signature_takes_a_value_another_argument_carries():
     assert not found, "read these from the carrying argument: " + "; ".join(found)
     # the allowlist names only signatures that still take a carried value
     assert ALLOWED_REDUNDANT <= redundant.keys()
+
+
+def _defaulted_parameters(scope, cls=None):
+    """(callee, position, name) of every parameter with a default: the callee
+    is a function's or method's name, or a class name for `__init__` and for
+    the init fields of a dataclass; the position counts the arguments a call
+    writes (after `self` or `cls`), None for a keyword-only parameter."""
+    for node in ast.iter_child_nodes(scope):
+        if isinstance(node, ast.ClassDef):
+            if any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+                fields = [
+                    s for s in node.body
+                    if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
+                    and not (s.value is not None and "init=False" in ast.unparse(s.value))
+                ]
+                yield from ((node.name, pos, s.target.id) for pos, s in enumerate(fields) if s.value is not None)
+            yield from _defaulted_parameters(node, node.name)
+        elif isinstance(node, ast.FunctionDef):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            bound = cls is not None and "staticmethod" not in map(ast.unparse, node.decorator_list)
+            callee = cls if node.name == "__init__" else node.name
+            for arg in positional[len(positional) - len(args.defaults) :]:
+                yield callee, positional.index(arg) - bound, arg.arg
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield callee, None, arg.arg
+            yield from _defaulted_parameters(node)
+
+
+def _passed_arguments(scope, cls=None):
+    """(callee name, keyword) and (callee name, positional count) of every
+    call; `cls(...)` in a class body is a call of that class, and a call
+    with `*args` or `**kwargs` passes every position or keyword."""
+    for node in ast.iter_child_nodes(scope):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            name = cls if name == "cls" and cls else name
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            yield name, float("inf") if starred else len(node.args)
+            yield from ((name, kw.arg or "**") for kw in node.keywords)
+        yield from _passed_arguments(node, node.name if isinstance(node, ast.ClassDef) else cls)
+
+
+def test_every_defaulted_parameter_is_passed_by_a_library_or_benchmark_call():
+    passed = set()
+    for path in MODULES + sorted((ROOT / "perfbench").glob("*.py")):
+        passed |= set(_passed_arguments(ast.parse(path.read_text())))
+    widest = {}
+    for name, arg in passed:
+        if not isinstance(arg, str):
+            widest[name] = max(widest.get(name, 0), arg)
+    unset = sorted(
+        f"{path.name}: {callee}.{param}"
+        for path in MODULES
+        for callee, pos, param in _defaulted_parameters(ast.parse(path.read_text()))
+        if not {(callee, param), (callee, "**")} & passed and (pos is None or widest.get(callee, 0) <= pos)
+    )
+    assert not unset, "no call sets these defaults; make them constants: " + ", ".join(unset)

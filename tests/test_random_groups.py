@@ -1,0 +1,48 @@
+"""Random permutation groups as a property test.
+
+Each example closes one to three random permutations of one degree, at
+most 5 (the S6 models alone take seconds), and checks the character table
+and the irreducible models of the group it gets: row orthogonality, the sum
+of the squared degrees, the character of every model, dim End_G(perm) as
+the sum of the squared multiplicity-space dimensions of the permutation
+representation, and every evaluation isomorphism.  The derandomized
+profile of `conftest.py` draws the same groups on every run.
+"""
+
+from __future__ import annotations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import isotypic as iso
+from isotypic.reps import multiplicity_space
+
+
+@st.composite
+def permutation_groups(draw):
+    degree = draw(st.integers(1, 5))
+    gens = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=3))
+    return iso.build_group([iso.Permutation(g) for g in gens])
+
+
+@settings(deadline=None)
+@given(permutation_groups())
+def test_random_group_tables_and_models(group):
+    classes = iso.conjugacy_classes(group)
+    p = iso.choose_prime(group)
+    table = iso.character_table(group, classes, p)
+    n = group.order
+    for i, chi in enumerate(table.values):
+        for j, psi in enumerate(table.values):
+            # sum over g of chi_i(g) chi_j(g^-1) is |G| delta_ij
+            total = sum(size * chi[c] * psi[classes.inverse_class[c]] for c, size in enumerate(classes.sizes))
+            assert total % p == (n % p if i == j else 0), (i, j)
+    assert sum(d * d for d in table.degrees) == n
+    perm = iso.permutation_rep(group, p)
+    mults = []
+    for i, model in enumerate(iso.irreducible_models(group, table)):
+        assert iso.character_of(model, classes) == table.values[i]
+        mults.append(len(multiplicity_space(perm, model)))
+        ok, _ = iso.evaluation_iso_check(perm, i, table, model)
+        assert ok
+    assert iso.hom_dim(perm, perm, table) == sum(m * m for m in mults)

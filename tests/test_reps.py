@@ -22,7 +22,7 @@ from isotypic.errors import (
     SingularMatrix,
     WrongImage,
 )
-from isotypic.reps import intertwiner_basis, multiplicity_space, restrict_to_subspace
+from isotypic.reps import _sym_power_step, intertwiner_basis, multiplicity_space, restrict_to_subspace
 
 from conftest import (
     TEST_GROUPS,
@@ -40,11 +40,11 @@ MODEL_DIGESTS = Path(__file__).resolve().parent / "golden" / "irreducible_models
 
 
 def conjugate_rep(rep, s):
-    """Change of basis rho'(g) = S rho(g) S^-1."""
-    s = linalg.asmat(s, rep.p)
-    s_inv = linalg.inverse(s, rep.p)
-    mats = linalg.matmul(s, linalg.matmul(rep.mats, s_inv, rep.p), rep.p)
-    return iso.MatrixRep(rep.group, rep.p, mats, validate=False)
+    """Change of basis rho'(g) = S rho(g) S^-1, one element at a time."""
+    p = rep.p
+    s = linalg.asmat(s, p)
+    s_inv = linalg.inverse(s, p)
+    return iso.MatrixRep(rep.group, p, np.stack([linalg.matmul(s, linalg.matmul(m, s_inv, p), p) for m in rep.mats]))
 
 
 def random_rep(c, rng, max_total_dim=6):
@@ -63,7 +63,6 @@ def test_regular_rep_character(ctx):
     reg = iso.regular_rep(c.group, c.p)
     assert reg.dim == 6
     assert iso.character_of(reg, c.classes) == (6, 0, 0)
-    assert reg.validation == "exhaustive"
 
 
 def test_permutation_rep(ctx):
@@ -126,14 +125,13 @@ def test_decompose_regular_all_groups(ctx):
     for name in TEST_GROUPS:
         c = ctx(name)
         reg = iso.regular_rep(c.group, c.p)
-        decomp, rtype = iso.decompose(reg, c.table)
-        assert rtype.multiplicities == c.table.degrees
+        decomp = iso.decompose(reg, c.table)
+        assert decomp.multiplicities == c.table.degrees
         assert decomp.dims() == tuple(d * d for d in c.table.degrees)
-        # every component is stable under the action
+        # every component is stable under the action: restricting raises otherwise
         for basis in decomp.components:
             if basis.shape[0]:
-                sub = restrict_to_subspace(reg, basis)
-                sub._validate()
+                restrict_to_subspace(reg, basis)
 
 
 def test_decompose_builds_the_idempotents_once(monkeypatch):
@@ -144,8 +142,8 @@ def test_decompose_builds_the_idempotents_once(monkeypatch):
     builds = []
     build = iso.characters.central_idempotents
     monkeypatch.setattr(iso.characters, "central_idempotents", lambda t: builds.append(t) or build(t))
-    _, rtype = iso.decompose(iso.regular_rep(group, p), table)
-    assert rtype.multiplicities == table.degrees == (1, 1, 2, 3, 3)
+    decomp = iso.decompose(iso.regular_rep(group, p), table)
+    assert decomp.multiplicities == table.degrees == (1, 1, 2, 3, 3)
     assert builds == [table]
     rows = table.idempotents()
     assert rows is table.idempotents() and len(builds) == 1
@@ -156,22 +154,22 @@ def test_decompose_builds_the_idempotents_once(monkeypatch):
 def test_decompose_perm_s3(ctx):
     c = ctx("S3")
     perm = iso.permutation_rep(c.group, c.p)
-    decomp, rtype = iso.decompose(perm, c.table)
-    assert rtype.multiplicities == (1, 0, 1)
+    decomp = iso.decompose(perm, c.table)
+    assert decomp.multiplicities == (1, 0, 1)
     assert decomp.dims() == (1, 0, 2)
 
 
 def test_decompose_zero_dimensional_rep(ctx):
     c = ctx("S3")
     zero = iso.MatrixRep(c.group, c.p, np.zeros((6, 0, 0), dtype=np.int64))
-    decomp, rtype = iso.decompose(zero, c.table)
-    assert rtype.multiplicities == (0, 0, 0)
+    decomp = iso.decompose(zero, c.table)
+    assert decomp.multiplicities == (0, 0, 0)
     assert decomp.dims() == (0, 0, 0)
 
 
 def test_trivial_projector_on_trivial_rep(ctx):
     c = ctx("S3")
-    triv = iso.trivial_rep(c.group, c.p, 1)
+    triv = iso.trivial_rep(c.group, c.p)
     proj = iso.isotypic_projector(triv, 0, c.table)
     assert proj.tolist() == [[1]]
 
@@ -280,17 +278,17 @@ def test_sym_power_matches_expansion_oracle(ctx):
 def test_ext_power_perm_type(ctx):
     c = ctx("S3")
     lam2 = ext_square(iso.permutation_rep(c.group, c.p))
-    _, rtype = iso.decompose(lam2, c.table)
-    assert rtype.multiplicities == (0, 1, 1)
+    decomp = iso.decompose(lam2, c.table)
+    assert decomp.multiplicities == (0, 1, 1)
 
 
 def test_tensor_with_trivial_is_identity(ctx):
     c = ctx("D4")
     rng = random.Random(3)
     rep, mults = random_rep(c, rng)
-    tens = tensor(rep, iso.trivial_rep(c.group, c.p, 1))
-    _, rtype = iso.decompose(tens, c.table)
-    assert rtype.multiplicities == mults
+    tens = tensor(rep, iso.trivial_rep(c.group, c.p))
+    decomp = iso.decompose(tens, c.table)
+    assert decomp.multiplicities == mults
 
 
 def test_functor_character_identities_randomized(ctx):
@@ -402,7 +400,7 @@ def test_one_dimensional_components_act_by_scalars(ctx):
         rep = direct_sum(c.models[lin], c.models[lin], c.models[0])  # pad with a trivial summand
         rng = random.Random(11)
         rep = conjugate_rep(rep, random_invertible(rng, rep.dim, c.p))
-        decomp, _ = iso.decompose(rep, c.table)
+        decomp = iso.decompose(rep, c.table)
         basis = decomp.components[lin]
         sub = restrict_to_subspace(rep, basis)
         for g in range(c.group.order):
@@ -422,8 +420,8 @@ def test_assembled_map_injectivity_reduces_to_coefficients(ctx):
         s = np.array([[rng.randrange(p) for _ in range(a)] for _ in range(b)], dtype=np.int64)
         assembled = np.kron(linalg.identity(v.dim), s) % p
         # check it is a G-map between the tensor representations
-        ra = tensor(v, iso.trivial_rep(c.group, p, a))
-        rb = tensor(v, iso.trivial_rep(c.group, p, b))
+        ra = tensor(v, direct_sum(*[iso.trivial_rep(c.group, p)] * a))
+        rb = tensor(v, direct_sum(*[iso.trivial_rep(c.group, p)] * b))
         for g in c.group.generator_indices:
             assert np.array_equal(
                 assembled @ ra.mats[g] % p, rb.mats[g] @ assembled % p
@@ -468,7 +466,6 @@ def s5():
 def test_validate_names_a_bad_edge_s5(s5):
     group, _, p, _ = s5
     reg = iso.regular_rep(group, p)
-    assert reg.validation == "exhaustive"
     k = 57  # neither the identity nor a generator
     assert k not in group.generator_indices
     mats = reg.mats.copy()
@@ -487,13 +484,39 @@ def test_validate_accepts_zero_dimensional_rep(ctx):
     for name in ("C1", "S3", "Q8"):
         c = ctx(name)
         zero = iso.MatrixRep(c.group, c.p, np.zeros((c.group.order, 0, 0), dtype=np.int64))
-        assert zero.dim == 0 and zero.validation == "exhaustive"
+        assert zero.dim == 0
 
 
 def test_validate_rejects_non_identity_at_e(ctx):
     c = ctx("C2")
     with pytest.raises(NotAHomomorphism):
         iso.MatrixRep(c.group, c.p, np.array([[[2]], [[1]]], dtype=np.int64))
+
+
+def test_every_constructor_validates_its_result(ctx, monkeypatch):
+    # each library constructor and each derived representation, in both
+    # storage forms where it has two, passes through `_validate` once
+    c = ctx("D6")
+    checked = []
+    validate = iso.MatrixRep._validate
+    monkeypatch.setattr(iso.MatrixRep, "_validate", lambda rep: checked.append(rep) or validate(rep))
+    perm = iso.permutation_rep(c.group, c.p)
+    dense = iso.MatrixRep(c.group, c.p, perm.mats)
+    reflection = iso.reflection_action(c.group, c.p).rep
+    built = [
+        perm,
+        dense,
+        reflection,
+        iso.trivial_rep(c.group, c.p),
+        iso.regular_rep(c.group, c.p),
+        iso.dual_rep(perm),
+        iso.dual_rep(dense),
+        _sym_power_step(perm, perm, 2),
+        _sym_power_step(dense, dense, 2),
+        restrict_to_subspace(perm, np.ones((1, perm.dim), dtype=np.int64)),
+    ]
+    assert reflection.images is None and built[7].images is not None and built[8].images is None
+    assert [id(rep) for rep in checked] == [id(rep) for rep in built]
 
 
 def _coords_oracle(rep, basis):
@@ -515,7 +538,7 @@ def test_restrict_to_subspace_matches_oracle(ctx):
         rng = random.Random(zlib.crc32(name.encode()))
         for _ in range(6):
             rep, _ = random_rep(c, rng)
-            decomp, _ = iso.decompose(rep, c.table)
+            decomp = iso.decompose(rep, c.table)
             picked = [b for b in decomp.components if b.shape[0] and rng.random() < 0.6]
             if not picked:
                 continue
@@ -524,7 +547,6 @@ def test_restrict_to_subspace_matches_oracle(ctx):
             basis = random_invertible(rng, span.shape[0], c.p) @ span % c.p
             sub = restrict_to_subspace(rep, basis)
             assert np.array_equal(sub.mats, _coords_oracle(rep, basis))
-            sub._validate()
             compared += 1
     assert compared >= 16
 
@@ -553,7 +575,6 @@ def test_irreducible_models_from_right_translations(name, ctx, s5):
     reg = iso.regular_rep(group, p)
     for i, model in enumerate(models):
         assert np.array_equal(model.mats, again[i].mats)
-        assert model.validation == "exhaustive"
         assert iso.character_of(model, classes) == table.values[i]
         assert iso.hom_dim(model, model, table) == 1
         ok, assembled = iso.evaluation_iso_check(reg, i, table, model)
@@ -621,20 +642,21 @@ def test_multiplicity_space_rejects_a_model_of_another_irreducible(ctx):
 
 
 def _corrupted(rep, pos):
-    """`rep` with the matrix of generator `pos` column-reversed, unvalidated."""
-    mats = rep.mats.copy()
+    """A dense copy of `rep`, validated, and then the matrix of generator
+    `pos` column-reversed."""
+    bad = iso.MatrixRep(rep.group, rep.p, rep.mats)
     g = rep.group.generator_indices[pos]
-    mats[g] = mats[g][:, ::-1]
-    return iso.MatrixRep(rep.group, rep.p, mats, validate=False)
+    bad.mats[g] = bad.mats[g][:, ::-1].copy()
+    return bad
 
 
 def _corrupted_monomial(rep, pos):
-    """`rep` with the index map of generator `pos` column-reversed and its
-    scalars kept, unvalidated: still monomial."""
-    images = rep.images.copy()
+    """A monomial copy of `rep`, validated, and then the index map of
+    generator `pos` column-reversed, its scalars kept."""
+    bad = iso.MatrixRep(rep.group, rep.p, images=rep.images.copy(), scalars=rep.scalars.copy())
     g = rep.group.generator_indices[pos]
-    images[g] = images[g][::-1]
-    return iso.MatrixRep(rep.group, rep.p, images=images, scalars=rep.scalars.copy(), validate=False)
+    bad.images[g] = bad.images[g][::-1].copy()
+    return bad
 
 
 @pytest.mark.parametrize("name", ["C6", "S3", "S5"])
