@@ -20,5 +20,5 @@ ORDERS = {"S6": 720, "D100": 200}
 @pytest.mark.parametrize("name", ORDERS)
 def test_build_group(benchmark, name):
     gens = group_from_name(name).generators
-    group = benchmark(build_group, gens, degree=1, name=name)
+    group = benchmark(build_group, gens, name=name)
     assert group.order == ORDERS[name]

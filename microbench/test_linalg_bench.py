@@ -8,7 +8,8 @@ does not collect them.  Run from the repository root:
 Shapes follow the hot calls: the homomorphism check of the S5 regular
 representation (14400 x 120 times 120 x 120), the isotypic projector of
 the S4 degree-12 cover piece (1 x 24 times 24 x 455^2), a row-space
-rank of that size, and the changes of basis of `irreducible_models(S5)`.
+rank of that size, the changes of basis of `irreducible_models(S5)`, and
+the first split of the D100 character table.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ import numpy as np
 import pytest
 
 from isotypic import linalg
-from isotypic.arith import MAX_MODULUS
+from isotypic.arith import MAX_MODULUS, choose_prime
+from isotypic.characters import structure_constants
+from isotypic.groups import conjugacy_classes, group_from_name
 
 P = 10009  # the default prime of S4 and S5
 # (rows of a, k, columns of b, p, path the kernel takes)
@@ -62,3 +65,13 @@ def test_coordinates(benchmark, name):
     c = rng.integers(0, P, size=(m, k))
     out = benchmark(linalg.coordinates, basis, c @ basis % P, P)
     assert np.array_equal(out, c)
+
+
+def test_eigenspaces(benchmark):
+    # the first class-matrix split of the D100 table: 53 x 53 at p = 401,
+    # 51 roots, of which 49 are simple and 2 (+-2) are double
+    group = group_from_name("D100")
+    p = choose_prime(group)
+    a = np.array(structure_constants(group, conjugacy_classes(group))[1], dtype=np.int64) % p
+    spaces = benchmark(linalg.eigenspaces, a, p)
+    assert [s.shape[0] for s in spaces].count(1) == 49 and len(spaces) == 51

@@ -96,15 +96,13 @@ def character_table(group: Group, classes: ConjugacyClasses, p: int) -> Characte
     order = group.order
     require_exact(k, p)
     a = structure_constants(group, classes)
-    mats = [np.array(a[i], dtype=np.int64) % p for i in range(k)]
 
     subspaces = [np.eye(k, dtype=np.int64)]
     for i in range(1, k):
         if all(s.shape[0] == 1 for s in subspaces):
             break
-        subspaces = [
-            s for b in subspaces for s in ([b] if b.shape[0] == 1 else split(b, mats[i], p, True))
-        ]
+        mat = np.array(a[i], dtype=np.int64) % p
+        subspaces = [s for b in subspaces for s in ([b] if b.shape[0] == 1 else split(b, mat, p, True))]
     if not all(s.shape[0] == 1 for s in subspaces):
         raise SplitFailure("common eigenspaces did not refine to lines")
 

@@ -49,7 +49,7 @@ class Permutation:
         return Permutation(tuple(self.images[j] for j in other.images))
 
     def order(self) -> int:
-        return math.lcm(*(len(c) for c in self.cycles())) if self.cycles() else 1
+        return math.lcm(*(len(c) for c in self.cycles()))  # lcm() of nothing is 1
 
     def cycles(self) -> list[tuple[int, ...]]:
         seen = [False] * self.degree
@@ -145,21 +145,18 @@ class Subgroup:
         return len(self.element_indices)
 
 
-def build_group(generators, degree: int | None = None, name: str = "custom") -> Group:
+def build_group(generators, name: str = "custom") -> Group:
     """Close a set of permutation generators into a Group.
 
     Elements are discovered breadth-first from the identity, right-
     multiplying by the generators in input order; a closure above
-    DEFAULT_CAP elements raises ClosureExceedsCap.  `degree` is only
-    consulted when no generators are given.
+    DEFAULT_CAP elements raises ClosureExceedsCap.  No generators give
+    the trivial group on one point.
     """
     generators = list(generators)
-    if generators:
-        deg = generators[0].degree
-        if any(g.degree != deg for g in generators):
-            raise InvalidPermutation("generators must share one degree")
-    else:
-        deg = degree if degree is not None else 1
+    deg = generators[0].degree if generators else 1
+    if any(g.degree != deg for g in generators):
+        raise InvalidPermutation("generators must share one degree")
 
     ident = Permutation.identity(deg)
     elements = [ident]
@@ -299,7 +296,7 @@ def parse_generator_text(text: str) -> list[Permutation]:
 
 
 def group_from_text(text: str, name: str = "custom") -> Group:
-    return build_group(parse_generator_text(text), degree=1, name=name)
+    return build_group(parse_generator_text(text), name=name)
 
 
 def _cycle_perm(n: int) -> Permutation:
@@ -341,7 +338,7 @@ def group_from_name(name: str) -> Group:
                 gens = [Permutation((1, 0, 2, 3)), Permutation((0, 1, 3, 2))]
             else:
                 gens = [_cycle_perm(n), Permutation(tuple((n - i) % n for i in range(n)))]
-        return build_group(gens, degree=1, name=label.upper())
+        return build_group(gens, name=label.upper())
     if label.upper() == "Q8":
         return build_group(_Q8_GENS, name="Q8")
     if label.upper() == "A4":

@@ -260,19 +260,66 @@ def charpoly(a: np.ndarray, p: int) -> list[int]:
 def eigenspaces(a: np.ndarray, p: int, complete: bool = True) -> list[np.ndarray]:
     """`nullspace(a - lam I)` for each eigenvalue lam of a in F_p, ascending.
 
-    The eigenvalues are the roots of the characteristic polynomial in F_p,
-    so the cost does not grow with p.  With `complete`, the eigenspaces
-    must fill the space (a diagonalizable over F_p), else SplitFailure.
+    The eigenvalues are the roots of the characteristic polynomial f in
+    F_p, so the cost does not grow with p.  The eigenvectors of all simple
+    roots come from one Krylov product (Keller-Gehrig, Theor. Comput. Sci.
+    36 (1985)): with K = [e_0, a e_0, ..., a^(n-1) e_0] and q_lam the
+    coefficients of f(x)/(x - lam), Cayley-Hamilton gives
+    (a - lam) K q_lam = f(a) e_0 = 0.  lam is simple exactly when
+    q_lam(lam) != 0; its eigenspace is then a line, and K q_lam scaled to
+    a last nonzero entry of 1 is the vector `nullspace` returns.  Repeated
+    roots, and simple roots whose K q_lam is 0 (e_0 has no component on
+    that line), take `nullspace`.  One product a W = W diag(lam) checks
+    every Krylov vector; a failure means f is wrong and raises
+    SplitFailure.  With `complete`, the eigenspaces must fill the space
+    (a diagonalizable over F_p), else SplitFailure.
     """
     from .arith import Poly, poly_roots  # arith imports this module
 
     a = asmat(a, p)
     n = a.shape[0]
-    roots = poly_roots(Poly(p, charpoly(a, p)))
-    spaces = [nullspace((a - lam * identity(n)) % p, p) for lam in roots]
-    if complete and sum(s.shape[0] for s in spaces) != n:
+    f = charpoly(a, p)
+    roots = poly_roots(Poly(p, f))
+    spaces = _simple_eigenvectors(a, f, roots, p) if roots else {}
+    for lam in roots:
+        if lam not in spaces:
+            spaces[lam] = nullspace((a - lam * identity(n)) % p, p)
+    if complete and sum(s.shape[0] for s in spaces.values()) != n:
         raise SplitFailure("matrix is not diagonalizable over F_p")
-    return spaces
+    return [spaces[lam] for lam in roots]
+
+
+def _simple_eigenvectors(a: np.ndarray, f: list[int], roots: list[int], p: int) -> dict:
+    """{lam: 1 x n eigenvector} for the simple roots lam of f = charpoly(a)
+    whose Krylov vector K q_lam is nonzero, as `eigenspaces` describes."""
+    n = a.shape[0]
+    lams = np.array(roots, dtype=np.int64)
+    # column r of q: f(x)/(x - roots[r]) by synthetic division, high to low,
+    # with its value at roots[r] by Horner alongside
+    q = np.zeros((n, len(roots)), dtype=np.int64)
+    q[n - 1] = 1
+    value = np.ones(len(roots), dtype=np.int64)
+    for j in range(n - 1, 0, -1):
+        q[j - 1] = (f[j] + lams * q[j]) % p
+        value = (value * lams + q[j - 1]) % p
+    simple = np.nonzero(value)[0]
+    if simple.size == 0:
+        return {}
+    krylov = np.zeros((n, n), dtype=np.int64)  # row j: a^j e_0
+    krylov[0, 0] = 1
+    for j in range(1, n):
+        krylov[j] = matmul(a, krylov[j - 1], p)
+    w = matmul(krylov.T, q[:, simple], p)  # column r: q_r(a) e_0
+    wrong = np.any(matmul(a, w, p) != w * lams[simple] % p, axis=0)
+    if wrong.any():
+        lam = roots[simple[np.argmax(wrong)]]
+        raise SplitFailure(f"{lam} is a root of the characteristic polynomial but not an eigenvalue")
+    out = {}
+    for r, col in zip(simple, w.T):
+        nz = np.nonzero(col)[0]
+        if nz.size:  # else e_0 has no component on this line
+            out[roots[r]] = (col * inv_mod(int(col[nz[-1]]), p) % p)[None, :]
+    return out
 
 
 def split(basis: np.ndarray, mat: np.ndarray, p: int, complete: bool) -> list[np.ndarray]:

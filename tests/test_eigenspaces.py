@@ -28,12 +28,16 @@ def random_invertible(n, p, rng):
             return m
 
 
+def conjugate(q, block, p):
+    """q block q^-1, and the coordinates q^-1 e_0 of e_0 in the basis of q's columns."""
+    q_inv = linalg.inverse(q, p)
+    return linalg.matmul(linalg.matmul(q, block, p), q_inv, p), q_inv[:, 0]
+
+
 def similar_diagonal(diag, p, rng):
     """P D P^-1 for a seeded random invertible P."""
-    n = len(diag)
-    q = random_invertible(n, p, rng)
-    d = np.diag(np.array(diag, dtype=np.int64))
-    return q @ d % p @ linalg.inverse(q, p) % p
+    q = random_invertible(len(diag), p, rng)
+    return conjugate(q, np.diag(np.array(diag, dtype=np.int64)), p)[0]
 
 
 def assert_same_spaces(got, want):
@@ -124,6 +128,100 @@ def test_jordan_block_raises():
     with pytest.raises(SplitFailure):
         linalg.eigenspaces(rotation, 7)
     assert linalg.eigenspaces(rotation, 7, complete=False) == []
+
+
+
+# -- eigenvectors of simple roots from one Krylov product -----------------------
+
+
+def root_oracle(a, p, roots):
+    """Oracle: one `nullspace(a - lam I)` per root."""
+    n = a.shape[0]
+    return [linalg.nullspace((a - lam * np.eye(n, dtype=np.int64)) % p, p) for lam in roots]
+
+
+def count_nullspace(monkeypatch):
+    """Record the argument of every `linalg.nullspace` call."""
+    seen = []
+    nullspace = linalg.nullspace
+
+    def spy(m, p):
+        seen.append(m.copy())
+        return nullspace(m, p)
+
+    monkeypatch.setattr(linalg, "nullspace", spy)
+    return seen
+
+
+@pytest.mark.parametrize("p", [101, 10009, 42949657])
+@pytest.mark.parametrize("n", [20, 60])
+def test_distinct_spectrum_matches_root_oracle(monkeypatch, p, n):
+    # 42949657 takes the int64 path of `matmul`
+    rng = random.Random(n * p)
+    diag = rng.sample(range(p), n)
+    a, e0 = conjugate(random_invertible(n, p, rng), np.diag(np.array(diag, dtype=np.int64)), p)
+    want = root_oracle(a, p, sorted(diag))
+    seen = count_nullspace(monkeypatch)
+    assert_same_spaces(linalg.eigenspaces(a, p), want)
+    # only a line that e_0 has no component on takes `nullspace`
+    assert len(seen) == np.count_nonzero(e0 == 0)
+
+
+def test_eigenline_of_e0_leaves_every_other_root_to_nullspace(monkeypatch):
+    # a = [0] + b: e_0 spans the 0-line, so K q_lam = q_lam(0) e_0 = 0 for lam != 0
+    p, rng = 10009, random.Random(8)
+    diag = rng.sample(range(1, p), 12)
+    a = np.zeros((13, 13), dtype=np.int64)
+    a[1:, 1:] = similar_diagonal(diag, p, rng)
+    want = root_oracle(a, p, sorted(diag + [0]))
+    seen = count_nullspace(monkeypatch)
+    assert_same_spaces(linalg.eigenspaces(a, p), want)
+    assert len(seen) == 12
+    assert np.array_equal(want[0], [[1] + [0] * 12])
+
+
+def test_simple_and_repeated_roots_on_a_non_diagonalizable_matrix(monkeypatch):
+    # a Jordan block J_2(3), and 3, 5, 7, 7, 9 on the diagonal
+    p, rng = 13, random.Random(21)
+    block = np.diag(np.array([3, 3, 3, 5, 7, 7, 9], dtype=np.int64))
+    block[0, 1] = 1
+    a, e0 = conjugate(random_invertible(7, p, rng), block, p)
+    with pytest.raises(SplitFailure, match="not diagonalizable"):
+        linalg.eigenspaces(a, p)
+    want = root_oracle(a, p, [3, 5, 7, 9])
+    assert_same_spaces(want, scan_eigenspaces(a, p))
+    seen = count_nullspace(monkeypatch)
+    got = linalg.eigenspaces(a, p, complete=False)
+    assert_same_spaces(got, want)
+    assert [s.shape[0] for s in got] == [2, 1, 2, 1]
+    # the repeated roots 3 and 7, and a simple root only where e_0 misses its line
+    assert len(seen) == 2 + np.count_nonzero(e0[[3, 6]] == 0)
+
+
+def test_roots_that_are_not_eigenvalues_raise(monkeypatch):
+    p, rng = 13, random.Random(2)
+    a = similar_diagonal([1, 2, 3, 4], p, rng)
+    wrong = Poly.const(p, 1)
+    for mu in (5, 6, 7, 8):
+        wrong = wrong * Poly(p, (-mu, 1))
+    monkeypatch.setattr(linalg, "charpoly", lambda a, p: list(wrong.coeffs))
+    for complete in (True, False):
+        with pytest.raises(SplitFailure, match="^5 is a root of the characteristic polynomial but not an"):
+            linalg.eigenspaces(a, p, complete)
+
+
+def test_d100_table_takes_nullspace_for_its_two_repeated_roots(monkeypatch):
+    # the rotation class sum has 51 roots on the 53 classes; only +-2, on the
+    # four linear characters, are repeated
+    group = iso.group_from_name("D100")
+    classes = iso.conjugacy_classes(group)
+    p = iso.choose_prime(group)
+    a1 = np.array(iso.characters.structure_constants(group, classes)[1], dtype=np.int64) % p
+    seen = count_nullspace(monkeypatch)
+    iso.character_table(group, classes, p)
+    assert len(seen) == 2
+    for lam, m in zip((2, p - 2), seen):
+        assert np.array_equal((a1 - m) % p, lam * np.eye(53, dtype=np.int64))
 
 
 def test_charpoly_matches_sympy():

@@ -34,6 +34,16 @@ def test_permutation_composition_and_inverse():
         assert is_identity(inverse(perm) * perm)
 
 
+
+@pytest.mark.parametrize("name", ["S5", "D12"])
+def test_permutation_order_is_least_power_to_identity(name):
+    for g in iso.group_from_name(name).elements:
+        k, power = 1, g
+        while not is_identity(power):
+            k, power = k + 1, power * g
+        assert g.order() == k
+
+
 def test_build_s3_against_enumeration_oracle():
     # oracle: all 3! permutations of 3 points
     gens = [iso.parse_cycles("(0 1)(2)"), iso.parse_cycles("(0 1 2)")]
@@ -45,7 +55,7 @@ def test_build_s3_against_enumeration_oracle():
 
 
 def test_build_trivial_group():
-    group = iso.build_group([], degree=1)
+    group = iso.build_group([])
     assert group.order == 1
     assert is_identity(group.elements[0])
 
