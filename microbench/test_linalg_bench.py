@@ -19,7 +19,7 @@ import pytest
 
 from isotypic import linalg
 from isotypic.arith import MAX_MODULUS, choose_prime
-from isotypic.characters import structure_constants
+from isotypic.characters import class_matrix
 from isotypic.groups import conjugacy_classes, group_from_name
 
 P = 10009  # the default prime of S4 and S5
@@ -72,6 +72,6 @@ def test_eigenspaces(benchmark):
     # 51 roots, of which 49 are simple and 2 (+-2) are double
     group = group_from_name("D100")
     p = choose_prime(group)
-    a = np.array(structure_constants(group, conjugacy_classes(group))[1], dtype=np.int64) % p
+    a = class_matrix(group, conjugacy_classes(group), 1) % p
     spaces = benchmark(linalg.eigenspaces, a, p)
     assert [s.shape[0] for s in spaces].count(1) == 49 and len(spaces) == 51

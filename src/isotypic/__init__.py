@@ -18,11 +18,11 @@ from .characters import (
     char_tensor,
     char_trivial,
     character_table,
+    class_matrix,
     convolve,
     inner_mult,
     restrict_invariant_dim,
     splitting_element,
-    structure_constants,
     tensor_multiplicities,
 )
 from .cover import (
@@ -42,7 +42,7 @@ from .cyclic import (
     build_cyclic,
     decompose_pushforward,
     intermediate_fixed_ring,
-    normal_basis_element,
+    normal_basis_certificate,
     phi_det,
     phi_equivariance_check,
     phi_matrix,

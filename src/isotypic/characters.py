@@ -22,26 +22,19 @@ from .linalg import inv_mod, matmul, require_exact, split
 ClassFunction = tuple[int, ...]
 
 
-def structure_constants(group: Group, classes: ConjugacyClasses) -> list[list[list[int]]]:
-    """Class-sum multiplication counts a[i][j][k].
+def class_matrix(group: Group, classes: ConjugacyClasses, i: int) -> np.ndarray:
+    """The class matrix A_i, (A_i)[j][k] = a[i][j][k], of class i.
 
-    a[i][j][k] counts factorizations of a fixed representative of class k
-    as (element of class i) * (element of class j); equivalently the
-    class sums satisfy C_i C_j = sum_k a[i][j][k] C_k.
+    a[i][j][k] counts factorizations of a fixed representative z_k of class
+    k as (element of class i) * (element of class j); equivalently the
+    class sums satisfy C_i C_j = sum_k a[i][j][k] C_k.  The counts are one
+    bincount of the classes of x^-1 z_k over the |C_i| x k pairs (x, k).
     """
     k = classes.num_classes
-    mult, inv = group.mult, group.inv
-    members: list[list[int]] = [[] for _ in range(k)]
-    for g in range(group.order):
-        members[classes.class_of[g]].append(g)
-    a = [[[0] * k for _ in range(k)] for _ in range(k)]
-    for ci in range(k):
-        for ck, z in enumerate(classes.reps):
-            row = a[ci]
-            for x in members[ci]:
-                y = int(mult[inv[x], z])
-                row[classes.class_of[y]][ck] += 1
-    return a
+    class_of = np.asarray(classes.class_of)
+    inverses = np.asarray(group.inv)[class_of == i]
+    quotients = group.mult[inverses[:, None], np.asarray(classes.reps)]
+    return np.bincount((class_of[quotients] * k + np.arange(k)).ravel(), minlength=k * k).reshape(k, k)
 
 
 @dataclass
@@ -88,20 +81,20 @@ def character_table(group: Group, classes: ConjugacyClasses, p: int) -> Characte
     """Compute the table by splitting common eigenspaces of class matrices.
 
     The vectors of class-sum eigenvalues (central characters) are the
-    simultaneous eigenvectors of the commuting matrices A_i with
-    (A_i)[j][k] = a[i][j][k]; each one-dimensional joint eigenspace is
-    normalized back to an irreducible character.
+    simultaneous eigenvectors of the commuting class matrices A_i
+    (`class_matrix`, built when the split loop reaches class i); each
+    one-dimensional joint eigenspace is normalized back to an irreducible
+    character.
     """
     k = classes.num_classes
     order = group.order
     require_exact(k, p)
-    a = structure_constants(group, classes)
 
     subspaces = [np.eye(k, dtype=np.int64)]
     for i in range(1, k):
         if all(s.shape[0] == 1 for s in subspaces):
             break
-        mat = np.array(a[i], dtype=np.int64) % p
+        mat = class_matrix(group, classes, i) % p
         subspaces = [s for b in subspaces for s in ([b] if b.shape[0] == 1 else split(b, mat, p, True))]
     if not all(s.shape[0] == 1 for s in subspaces):
         raise SplitFailure("common eigenspaces did not refine to lines")

@@ -210,7 +210,7 @@ def _render_outcomes(doc: dict) -> str:
     for o in doc["outcomes"]:
         status = "pass" if o["pass"] else "FAIL"
         lines.append(f"[{status}] {o['check']}: {o['anchor']}")
-        if not o["pass"] and o.get("witness") is not None:
+        if not o["pass"]:
             lines.append(f"        witness: {json.dumps(o['witness'])}")
     lines.append("all checks passed" if doc["pass"] else "SOME CHECKS FAILED")
     return "\n".join(lines) + "\n"

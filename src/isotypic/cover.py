@@ -57,9 +57,8 @@ PRODUCT_DEGREE = 4
 
 @dataclass
 class GradedPiece:
-    """Degree-d monomials (graded-lex order) with the induced action."""
+    """The monomials of one degree (graded-lex order) with the induced action."""
 
-    d: int
     monomials: tuple[tuple[int, ...], ...]
     rep: MatrixRep
 
@@ -108,7 +107,7 @@ class LinearCoverAction:
                 rep = dual_rep(self.rep)
             else:
                 rep = _sym_power_step(self.piece(d - 1).rep, self.piece(1).rep, d)
-            self._pieces[d] = GradedPiece(d, monos, rep)
+            self._pieces[d] = GradedPiece(monos, rep)
         return self._pieces[d]
 
     def piece_decomposition(self, d: int, table: CharacterTable) -> IsotypicDecomposition:
@@ -278,24 +277,17 @@ def generic_multiplicity(action: LinearCoverAction, i: int, table: CharacterTabl
 # -- verification checks --------------------------------------------------------------
 
 
-@dataclass
-class InvariantsRow:
-    d: int
-    fixed_dim: int
-    char_side_mod_p: int
-    char_side_int: int
-    ok: bool
-
-
 def invariants_series_check(
     action: LinearCoverAction, h: Subgroup, max_degree: int, table: CharacterTable
-) -> list[InvariantsRow]:
+) -> dict | None:
     """Degree-by-degree check dim (B_d)^H = sum_i m_{i,d} dim V_i^H.
 
     The left side is `reps.fixed_dim` (a true integer: an orbit count on a
     monomial piece, an averaging-projector rank otherwise); the series side
     is reduced mod p while the projector-multiplicity side is exact, and
-    both must agree.
+    both must agree.  Returns None when they do through max_degree, and
+    otherwise the witness {"subgroup", "degree"} of the first degree where
+    they do not.
     """
     p = table.p
     fixed_dims = [restrict_invariant_dim(table, table.values[i], h) for i in range(table.num_irreps)]
@@ -303,33 +295,19 @@ def invariants_series_check(
         series_prefix(molien_multiplicity_series(action, i, table), max_degree)
         for i in range(table.num_irreps)
     ]
-    rows = []
     for d in range(max_degree + 1):
         lhs = fixed_dim(action.piece(d).rep, h)
         mults = action.piece_decomposition(d, table).multiplicities
         rhs_mod = sum(coeffs[i][d] * fixed_dims[i] for i in range(table.num_irreps)) % p
         rhs_int = sum(mults[i] * fixed_dims[i] for i in range(table.num_irreps))
-        rows.append(InvariantsRow(d, lhs, rhs_mod, rhs_int, lhs % p == rhs_mod and lhs == rhs_int))
-    return rows
-
-
-@dataclass
-class ProductCheck:
-    i: int
-    j: int
-    a: int
-    b: int
-    required_zero: tuple[int, ...]
-    witness: dict | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.witness is None
+        if lhs % p != rhs_mod or lhs != rhs_int:
+            return {"subgroup": list(h.element_indices), "degree": d}
+    return None
 
 
 def product_structure_check(
     action: LinearCoverAction, i: int, j: int, a: int, b: int, table: CharacterTable
-) -> ProductCheck:
+) -> dict | None:
     """Multiply the i-component of B_a by the j-component of B_b and test
     that every projection onto an irreducible absent from V_i tensor V_j
     vanishes.
@@ -345,7 +323,8 @@ def product_structure_check(
     component is forbidden.  The products themselves are scatter-adds of
     comp_a (x) comp_b onto the monomial alpha + beta.  The check fails at the
     first nonzero X_l in ascending l, and only then builds P_l, for its
-    witness: the first nonzero row of row_space(W) @ P_l^T.
+    witness {"component": l, "degree": a + b, "vector"}: the first nonzero
+    row of row_space(W) @ P_l^T.  Returns None when the check passes.
     """
     p = table.p
     tens = _tensor_mults(action, table)
@@ -353,7 +332,7 @@ def product_structure_check(
     comp_b = action.piece_decomposition(b, table).components[j]
     required = tuple(l for l in range(table.num_irreps) if tens[i, j, l] == 0)
     if not required or comp_a.shape[0] == 0 or comp_b.shape[0] == 0:
-        return ProductCheck(i, j, a, b, required)
+        return None
     target = action.multiplication_map(a, b)
     order = np.argsort(target, kind="stable")
     # every monomial of B_{a+b} is some alpha + beta, so each group is nonempty
@@ -369,12 +348,11 @@ def product_structure_check(
     coords = linalg.matmul(prods, action.component_coordinates(a + b, table)[:, cols], p)
     nonzero = cols[coords.any(axis=0)]
     if nonzero.size == 0:
-        return ProductCheck(i, j, a, b, required)
+        return None
     l = int(np.searchsorted(bounds, nonzero[0], side="right")) - 1
     span = linalg.row_space(prods, p)
     proj = linalg.matmul(span, isotypic_projector(action.piece(a + b).rep, l, table).T, p)
-    witness = {"component": l, "degree": a + b, "vector": proj[np.nonzero(proj.any(axis=1))[0][0]].tolist()}
-    return ProductCheck(i, j, a, b, required, witness)
+    return {"component": l, "degree": a + b, "vector": proj[np.nonzero(proj.any(axis=1))[0][0]].tolist()}
 
 
 def _tensor_mults(action: LinearCoverAction, table: CharacterTable) -> np.ndarray:
@@ -390,17 +368,15 @@ def _tensor_mults(action: LinearCoverAction, table: CharacterTable) -> np.ndarra
 
 @dataclass
 class VerificationOutcome:
-    """One named check of a report: pass or fail, with a witness on failure."""
+    """One named check of a report, which fails exactly when it has a witness."""
 
     check: str
     anchor: str
-    passed: bool
-    witness: dict | None = None
+    witness: dict | None
 
-    @classmethod
-    def from_witness(cls, check: str, anchor: str, witness: dict | None) -> "VerificationOutcome":
-        """The outcome of a check that fails exactly when it has a witness."""
-        return cls(check, anchor, witness is None, witness)
+    @property
+    def passed(self) -> bool:
+        return self.witness is None
 
     def to_dict(self) -> dict:
         d = {"check": self.check, "anchor": self.anchor, "pass": self.passed}
@@ -457,36 +433,35 @@ def pushforward_report(action: LinearCoverAction, max_degree: int, table: Charac
         None,
     )
 
-    inv_witness = None
-    for h in cyclic_subgroups(group):
-        for row in invariants_series_check(action, h, max_degree, table):
-            if not row.ok and inv_witness is None:
-                inv_witness = {"subgroup": list(h.element_indices), "degree": row.d}
-
-    prod_witness = None
-    for i in range(r):
-        for j in range(r):
-            for a in range(1, PRODUCT_DEGREE + 1):
-                for b in range(a, PRODUCT_DEGREE + 1):
-                    res = product_structure_check(action, i, j, a, b, table)
-                    if not res.ok and prod_witness is None:
-                        prod_witness = {"i": i, "j": j, "a": a, "b": b, "detail": res.witness}
+    inv_checks = (invariants_series_check(action, h, max_degree, table) for h in cyclic_subgroups(group))
+    inv_witness = next((w for w in inv_checks if w is not None), None)
+    prod_witness = next(
+        (
+            {"i": i, "j": j, "a": a, "b": b, "detail": w}
+            for i in range(r)
+            for j in range(r)
+            for a in range(1, PRODUCT_DEGREE + 1)
+            for b in range(a, PRODUCT_DEGREE + 1)
+            if (w := product_structure_check(action, i, j, a, b, table)) is not None
+        ),
+        None,
+    )
 
     outcomes = [
-        VerificationOutcome.from_witness(
+        VerificationOutcome(
             "cover.generic_rank",
             "rank of each multiplicity module equals the irreducible dimension",
             generic_witness,
         ),
-        VerificationOutcome.from_witness(
+        VerificationOutcome(
             "cover.series_vs_projectors",
             "series coefficients equal projector multiplicities (mod p)",
             series_witness,
         ),
-        VerificationOutcome.from_witness(
+        VerificationOutcome(
             "cover.invariants", "fixed-ring dimensions match the weighted multiplicity count", inv_witness
         ),
-        VerificationOutcome.from_witness(
+        VerificationOutcome(
             "cover.product_pattern", "component products vanish outside the tensor decomposition", prod_witness
         ),
     ]

@@ -115,19 +115,6 @@ class PhiMatrix:
         return [[lists[k] for k in row] for row in index.reshape(self.const.shape).tolist()]
 
 
-@dataclass
-class NormalBasisWitness:
-    """Element whose translates form a basis of Frac(B) over Frac(A).
-
-    coeffs[i] is the A-coefficient of x^i; the certificate is the
-    determinant of the translate matrix in the x-power basis, nonzero
-    exactly when the translates are a basis.
-    """
-
-    coeffs: tuple[Poly, ...]
-    determinant: Poly
-
-
 def build_cyclic(n: int, variant: str = "polynomial") -> CyclicCoverModel:
     """Set up the degree-n model: smallest valid prime, canonical zeta."""
     if n < 1:
@@ -246,7 +233,7 @@ def phi_det(phi: PhiMatrix) -> Poly:
     return Poly.monomial(phi.p, det_c, int(np.sum(phi.powers)))
 
 
-def phi_equivariance_check(model: CyclicCoverModel, phi: PhiMatrix) -> bool:
+def phi_equivariance_check(model: CyclicCoverModel, phi: PhiMatrix) -> dict | None:
     """phi intertwines the two commuting cyclic actions.
 
     Source actions (h = generator): 1 (x) h scales x^i (x) x^j by zeta^j,
@@ -257,7 +244,10 @@ def phi_equivariance_check(model: CyclicCoverModel, phi: PhiMatrix) -> bool:
     commute, and diag(y^e) is invertible over Frac(A): phi S = T phi holds
     exactly when C S = T C.  S scales the columns of C; T rolls its row
     slots u and scales the rows (u, v) by the twist, so no product is
-    formed.
+    formed.  Returns None when both hold, and otherwise the witness
+    {"action": "translation" | "twisted", "row", "column"}: the first
+    entry, in row-major order and the translation action first, where
+    C S and T C differ.
     """
     n, p = model.n, model.p
     weights = np.array([model.weight(k) for k in range(n)], dtype=np.int64)
@@ -265,25 +255,28 @@ def phi_equivariance_check(model: CyclicCoverModel, phi: PhiMatrix) -> bool:
     slots = phi.const.reshape(n, n, n * n) % p  # slots[u, v] is row (u, v)
     translated = np.roll(slots, 1, axis=0)  # row (u, v) of T C is row (u - 1, v) of C
     twisted = np.roll(slots, -1, axis=0) * weights[:, None] % p  # zeta^v times row (u + 1, v)
-    return np.array_equal(slots * weights[j] % p, translated) and np.array_equal(
-        slots * weights[i] % p, twisted
-    )
+    sides = (("translation", slots * weights[j] % p, translated), ("twisted", slots * weights[i] % p, twisted))
+    for action, scaled, moved in sides:
+        differ = np.argwhere((scaled != moved).reshape(n * n, n * n))
+        if differ.size:
+            return {"action": action, "row": int(differ[0, 0]), "column": int(differ[0, 1])}
+    return None
 
 
-def normal_basis_element(model: CyclicCoverModel) -> NormalBasisWitness:
-    """The element 1 + x + ... + x^(n-1) and its normal-basis certificate.
+def normal_basis_certificate(model: CyclicCoverModel) -> Poly:
+    """The normal-basis certificate det[zeta^(ij)] of 1 + x + ... + x^(n-1).
 
     The translate matrix of c_0 + c_1 x + ... is diag(c)·[zeta^(ij)], so
     its determinant is prod(c_i)·det[zeta^(ij)]: the all-ones element is
-    a normal-basis element exactly when any element is.  The certificate
-    is det[zeta^(ij)], a Vandermonde determinant that vanishes only when
-    zeta has order below n; a zero is returned, not raised.
+    a normal-basis element exactly when any element is.  det[zeta^(ij)] is
+    a Vandermonde determinant that vanishes only when zeta has order below
+    n; a zero is returned, not raised.
     """
     n, p = model.n, model.p
     zeta_powers = np.array(
         [[pow(model.zeta, i * j, p) for j in range(n)] for i in range(n)], dtype=np.int64
     )
-    return NormalBasisWitness((Poly.const(p, 1),) * n, Poly.const(p, det(zeta_powers, p)))
+    return Poly.const(p, det(zeta_powers, p))
 
 
 def cyclic_report(model: CyclicCoverModel) -> Report:
@@ -318,7 +311,7 @@ def cyclic_report(model: CyclicCoverModel) -> Report:
         det_witness = {"off_block_entry": list(stray)}
     else:
         det_witness = None
-    witness = normal_basis_element(model)
+    certificate = normal_basis_certificate(model)
     data = {
         "model": model.to_dict(),
         "component_powers": decompose_pushforward(model),
@@ -326,14 +319,12 @@ def cyclic_report(model: CyclicCoverModel) -> Report:
         "phi_det": list(determinant.coeffs),
         "phi_det_factor": {"unit": mono[0], "y_power": mono[1]} if mono else None,
         "elementary_divisors": None if divisors is None else [list(d.coeffs) for d in divisors],
-        "normal_basis": {
-            "coeffs": [list(c.coeffs) for c in witness.coeffs],
-            "determinant": list(witness.determinant.coeffs),
-        },
+        # the all-ones coefficients of 1 + x + ... + x^(n-1), one A-constant each
+        "normal_basis": {"coeffs": [[1]] * model.n, "determinant": list(certificate.coeffs)},
     }
     outcomes = [
-        VerificationOutcome.from_witness("cyclic.phi_det", anchor, det_witness),
-        VerificationOutcome.from_witness(
+        VerificationOutcome("cyclic.phi_det", anchor, det_witness),
+        VerificationOutcome(
             "cyclic.elementary_divisors", "all invariant factors are powers of y", div_witness
         ),
         VerificationOutcome(
@@ -341,10 +332,10 @@ def cyclic_report(model: CyclicCoverModel) -> Report:
             "phi intertwines the translation and twisted cyclic actions",
             phi_equivariance_check(model, phi),
         ),
-        VerificationOutcome.from_witness(
+        VerificationOutcome(
             "cyclic.normal_basis",
             "translates of the witness element form a basis over Frac(A)",
-            {"determinant": data["normal_basis"]["determinant"]} if witness.determinant.is_zero() else None,
+            {"determinant": data["normal_basis"]["determinant"]} if certificate.is_zero() else None,
         ),
     ]
     return Report(data, outcomes)

@@ -43,17 +43,20 @@ def _first_error(attempts) -> dict | None:
     return witness
 
 
-def _idempotents_ok(table: characters.CharacterTable) -> bool:
-    """e_i e_j = delta_ij e_i in F_p[G], and the e_i sum to 1."""
+def _idempotents_witness(table: characters.CharacterTable) -> dict | None:
+    """None when e_i e_j = delta_ij e_i in F_p[G] and the e_i sum to 1;
+    otherwise {"product": [i, j]} for the first pair (i, j) in row-major
+    order whose product is wrong, or {"element": g} for the first
+    coefficient of the sum that differs from that of 1."""
     group, p = table.group, table.p
     idems = table.idempotents()
     zero = np.zeros(group.order, dtype=np.int64)
-    orthogonal = all(
-        np.array_equal(characters.convolve(e_i, e_j, group, p), e_i % p if i == j else zero)
-        for i, e_i in enumerate(idems)
-        for j, e_j in enumerate(idems)
-    )
-    return orthogonal and np.array_equal(sum(idems) % p, characters.delta_element(group, 0))
+    for i, e_i in enumerate(idems):
+        for j, e_j in enumerate(idems):
+            if not np.array_equal(characters.convolve(e_i, e_j, group, p), e_i % p if i == j else zero):
+                return {"product": [i, j]}
+    wrong = np.flatnonzero(sum(idems) % p != characters.delta_element(group, 0))
+    return {"element": int(wrong[0])} if wrong.size else None
 
 
 def group_checks(table: characters.CharacterTable) -> list[VerificationOutcome]:
@@ -72,19 +75,21 @@ def group_checks(table: characters.CharacterTable) -> list[VerificationOutcome]:
         for i, d in enumerate(table.degrees)
         if d >= 2
     )
+    multiplicities = list(reps.decompose(reg, table).multiplicities)
+    degrees = list(table.degrees)
     return [
         VerificationOutcome(
-            f"{name}.idempotents", "orthogonal central idempotents summing to 1", _idempotents_ok(table)
+            f"{name}.idempotents", "orthogonal central idempotents summing to 1", _idempotents_witness(table)
         ),
         VerificationOutcome(
             f"{name}.regular_type",
             "regular representation has multiplicities equal to the degrees",
-            reps.decompose(reg, table).multiplicities == table.degrees,
+            None if multiplicities == degrees else {"multiplicities": multiplicities, "degrees": degrees},
         ),
-        VerificationOutcome.from_witness(
+        VerificationOutcome(
             f"{name}.evaluation_iso", "evaluation maps are isomorphisms onto the isotypic components", eval_witness
         ),
-        VerificationOutcome.from_witness(
+        VerificationOutcome(
             f"{name}.splitting_elements",
             "every irreducible of degree >= 2 restricts with >= 2 components somewhere",
             split_witness,

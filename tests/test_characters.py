@@ -19,7 +19,7 @@ def char_scale(v, s, p):
 
 def test_structure_constants_s3(ctx):
     c = ctx("S3")
-    a = iso.structure_constants(c.group, c.classes)
+    a1 = iso.class_matrix(c.group, c.classes, 1)
     # oracle: multiply transpositions pairwise by hand via the element list
     transp = [g for g in range(6) if c.classes.class_of[g] == 1]
     counts = [0, 0, 0]
@@ -29,26 +29,36 @@ def test_structure_constants_s3(ctx):
             y = int(c.group.mult[c.group.inv[x], z])
             if c.classes.class_of[y] == 1:
                 counts[z_class] += 1
-    assert a[1][1] == counts == [3, 0, 3]
+    assert a1[1].tolist() == counts == [3, 0, 3]
 
 
 def test_structure_constants_identity_row(ctx):
     for name in ("C4", "S3", "Q8"):
         c = ctx(name)
-        a = iso.structure_constants(c.group, c.classes)
-        k = c.classes.num_classes
-        for j in range(k):
-            assert a[0][j] == [1 if l == j else 0 for l in range(k)]
+        assert np.array_equal(iso.class_matrix(c.group, c.classes, 0), np.eye(c.classes.num_classes))
 
 
 def test_structure_constants_c4_generator_square(ctx):
     c = ctx("C4")
-    a = iso.structure_constants(c.group, c.classes)
     gen_class = c.classes.class_of[1]
     square_class = c.classes.class_of[int(c.group.mult[1, 1])]
-    assert a[gen_class][gen_class] == [
+    assert iso.class_matrix(c.group, c.classes, gen_class)[gen_class].tolist() == [
         1 if l == square_class else 0 for l in range(c.classes.num_classes)
     ]
+
+
+def test_class_matrix_counts_factorizations(ctx):
+    # the loop oracle: x of class i with x^-1 z_k of class j, for each class rep z_k
+    for name in TEST_GROUPS:
+        c = ctx(name)
+        k = c.classes.num_classes
+        for i in range(k):
+            expected = np.zeros((k, k), dtype=np.int64)
+            for ck, z in enumerate(c.classes.reps):
+                for x in range(c.group.order):
+                    if c.classes.class_of[x] == i:
+                        expected[c.classes.class_of[int(c.group.mult[c.group.inv[x], z])], ck] += 1
+            assert np.array_equal(iso.class_matrix(c.group, c.classes, i), expected), (name, i)
 
 
 def test_character_table_c2():

@@ -368,6 +368,86 @@ def test_verify_all_witness_on_failure(monkeypatch):
             assert "witness" not in o
 
 
+def _failing_outcomes(runner, args):
+    """{check: witness} of the failing outcomes of a JSON run, and the text run."""
+    doc = json.loads(runner.invoke(main, [*args, "--format", "json"]).output)
+    outcomes = doc["report"]["outcomes"] if "report" in doc else doc["outcomes"]
+    text = runner.invoke(main, [*args, "--format", "text"]).output
+    return {o["check"]: o["witness"] for o in outcomes if not o["pass"]}, text
+
+
+def test_idempotents_outcome_witnesses_the_first_wrong_product(runner, monkeypatch):
+    import numpy as np
+    from isotypic import characters
+
+    real = characters.convolve
+
+    def planted(a, b, group, p):
+        out = real(a, b, group, p)
+        return (out + 1) % p if group.name == "D4" and not np.array_equal(a, b) else out
+
+    monkeypatch.setattr(characters, "convolve", planted)
+    failing, text = _failing_outcomes(runner, ["verify-all", "--max-degree", "2"])
+    assert failing == {"D4.idempotents": {"product": [0, 1]}}
+    assert '[FAIL] D4.idempotents: orthogonal central idempotents summing to 1\n        witness: {"product": [0, 1]}\n' in text
+
+
+def test_idempotents_outcome_witnesses_the_first_wrong_coefficient_of_the_sum(runner, monkeypatch):
+    from isotypic import characters
+
+    real = characters.delta_element
+
+    def planted(group, g):
+        v = real(group, g)
+        if group.name == "Q8":
+            v[3] = 1
+        return v
+
+    monkeypatch.setattr(characters, "delta_element", planted)
+    failing, text = _failing_outcomes(runner, ["verify-all", "--max-degree", "2"])
+    assert failing == {"Q8.idempotents": {"element": 3}}
+    assert '[FAIL] Q8.idempotents: orthogonal central idempotents summing to 1\n        witness: {"element": 3}\n' in text
+
+
+def test_regular_type_outcome_witnesses_the_multiplicities(runner, monkeypatch):
+    from isotypic import reps
+
+    real = reps.decompose
+
+    def planted(rep, table):
+        decomp = real(rep, table)
+        if table.group.name == "S3" and rep.dim == 6:
+            return reps.IsotypicDecomposition(decomp.components, decomp.multiplicities[::-1])
+        return decomp
+
+    monkeypatch.setattr(reps, "decompose", planted)
+    failing, text = _failing_outcomes(runner, ["verify-all", "--max-degree", "2"])
+    witness = {"multiplicities": [2, 1, 1], "degrees": [1, 1, 2]}
+    assert failing == {"S3.regular_type": witness}
+    assert f"        witness: {json.dumps(witness)}\n" in text
+
+
+def test_equivariance_outcome_witnesses_the_first_differing_entry(runner, monkeypatch):
+    # one more on C[0, 0]: (C S)[0, 0] = C[0, 0] for the translation action,
+    # while (T C)[0, 0] is the intact entry of row (n - 1, 0)
+    from dataclasses import replace
+
+    real = cyclic.phi_matrix
+
+    def planted(model):
+        phi = real(model)
+        const = phi.const.copy()
+        const[0, 0] = (const[0, 0] + 1) % model.p
+        return replace(phi, const=const)
+
+    monkeypatch.setattr(cyclic, "phi_matrix", planted)
+    failing, text = _failing_outcomes(runner, ["cyclic", "--n", "3"])
+    witness = {"action": "translation", "row": 0, "column": 0}
+    assert failing["cyclic.equivariance"] == witness
+    assert "[FAIL] cyclic.equivariance: phi intertwines the translation and twisted cyclic actions\n" in text
+    assert f"        witness: {json.dumps(witness)}\n" in text
+
+
 def test_verify_all_builds_each_character_table_once(monkeypatch):
     # every library binding of `character_table` counts, aliases included
     import isotypic

@@ -9,7 +9,7 @@ import isotypic as iso
 from isotypic import linalg
 from isotypic.arith import Poly, RatFunc
 from isotypic.cover import _inverse_dets, builtin_action, cyclic_subgroups
-from isotypic import reps
+from isotypic import cover, reps
 from isotypic.errors import NotFaithful, SystemTooLarge
 from isotypic.scenarios import COVER_SCENARIOS
 from conftest import all_subgroups, forbid
@@ -239,21 +239,37 @@ def test_invariants_series_check_s3(ctx):
     c = ctx("S3")
     action = iso.perm_action(c.group, c.p)
     a3 = iso.subgroup_closure(c.group, [2])
-    rows = iso.invariants_series_check(action, a3, 12, c.table)
-    assert all(row.ok for row in rows)
+    assert iso.invariants_series_check(action, a3, 12, c.table) is None
     # H = 1: both sides are the full dimension of the graded piece
     triv = iso.subgroup_closure(c.group, [])
-    rows = iso.invariants_series_check(action, triv, 8, c.table)
-    for row in rows:
-        assert row.ok and row.fixed_dim == action.piece(row.d).dim
+    assert iso.invariants_series_check(action, triv, 8, c.table) is None
+    for d in range(9):
+        assert iso.fixed_dim(action.piece(d).rep, triv) == action.piece(d).dim
     # H = G: the fixed dimensions are the invariant-ring coefficients
     whole = iso.subgroup_closure(c.group, [1, 2])
     from isotypic.arith import series_prefix
 
     inv_coeffs = series_prefix(iso.molien_multiplicity_series(action, 0, c.table), 8)
-    rows = iso.invariants_series_check(action, whole, 8, c.table)
-    for row in rows:
-        assert row.ok and row.fixed_dim % c.p == inv_coeffs[row.d]
+    assert iso.invariants_series_check(action, whole, 8, c.table) is None
+    for d in range(9):
+        assert iso.fixed_dim(action.piece(d).rep, whole) % c.p == inv_coeffs[d]
+
+
+def test_invariants_series_check_witnesses_the_first_failing_degree(ctx, monkeypatch):
+    # one fixed dimension too many from degree 3 on: the witness names the
+    # subgroup and degree 3, and the report's outcome carries it
+    c = ctx("S3")
+    action = iso.perm_action(c.group, c.p)
+    a3 = iso.subgroup_closure(c.group, [2])
+    real = cover.fixed_dim
+    monkeypatch.setattr(cover, "fixed_dim", lambda rep, h: real(rep, h) + (rep.dim >= 10))
+    witness = {"subgroup": list(a3.element_indices), "degree": 3}
+    assert iso.invariants_series_check(action, a3, 12, c.table) == witness
+    assert iso.invariants_series_check(action, a3, 2, c.table) is None
+    report = iso.pushforward_report(action, 4, c.table)
+    outcome = next(o for o in report.outcomes if o.check == "cover.invariants")
+    trivial = cyclic_subgroups(c.group)[0]
+    assert outcome.witness == {"subgroup": list(trivial.element_indices), "degree": 3}
 
 
 def test_invariants_series_check_all_subgroups(ctx):
@@ -264,19 +280,18 @@ def test_invariants_series_check_all_subgroups(ctx):
         c = ctx(name)
         action = make(c)
         for sub in all_subgroups(c.group):
-            assert all(row.ok for row in iso.invariants_series_check(action, sub, 8, c.table))
+            assert iso.invariants_series_check(action, sub, 8, c.table) is None
 
 
 def test_product_structure_sign_times_sign(ctx, monkeypatch):
     c = ctx("S3")
     action = iso.perm_action(c.group, c.p)
     # sign-isotypic vectors first appear in degree 3; their squares are invariant
-    res = iso.product_structure_check(action, 1, 1, 3, 3, c.table)
-    assert res.ok
-    assert res.required_zero == (1, 2)
+    assert iso.product_structure_check(action, 1, 1, 3, 3, c.table) is None
+    assert np.flatnonzero(iso.tensor_multiplicities(c.table)[1, 1] == 0).tolist() == [1, 2]
     forbid(monkeypatch, 3, 1, 1, 0)
-    res = iso.product_structure_check(action, 1, 1, 3, 3, c.table)
-    assert not res.ok and res.witness["component"] == 0 and res.witness["degree"] == 6
+    witness = iso.product_structure_check(action, 1, 1, 3, 3, c.table)
+    assert witness["component"] == 0 and witness["degree"] == 6
 
 
 def test_product_structure_trivial_factor(ctx, monkeypatch):
@@ -285,23 +300,23 @@ def test_product_structure_trivial_factor(ctx, monkeypatch):
     for j in range(3):
         for a, b in ((1, 2), (2, 3)):
             monkeypatch.undo()
-            assert iso.product_structure_check(action, 0, j, a, b, c.table).ok
+            assert iso.product_structure_check(action, 0, j, a, b, c.table) is None
             # an invariant times the j-component lies in the j-component ...
             forbid(monkeypatch, 3, 0, j, *(l for l in range(3) if l != j))
-            assert iso.product_structure_check(action, 0, j, a, b, c.table).ok
+            assert iso.product_structure_check(action, 0, j, a, b, c.table) is None
             # ... and is nonzero there when that component is (F_p[x] has no zero divisors)
             forbid(monkeypatch, 3, 0, j, j)
-            res = iso.product_structure_check(action, 0, j, a, b, c.table)
-            assert res.ok == (action.piece_decomposition(b, c.table).multiplicities[j] == 0)
+            witness = iso.product_structure_check(action, 0, j, a, b, c.table)
+            assert (witness is None) == (action.piece_decomposition(b, c.table).multiplicities[j] == 0)
 
 
 def test_product_structure_c2_odd_times_odd(ctx, monkeypatch):
     c, action = scalar_ctx(ctx, 2)
-    res = iso.product_structure_check(action, 1, 1, 1, 1, c.table)
-    assert res.ok and res.required_zero == (1,)
+    assert iso.product_structure_check(action, 1, 1, 1, 1, c.table) is None
+    assert np.flatnonzero(iso.tensor_multiplicities(c.table)[1, 1] == 0).tolist() == [1]
     forbid(monkeypatch, 2, 1, 1, 0)
-    res = iso.product_structure_check(action, 1, 1, 1, 1, c.table)
-    assert not res.ok and res.witness == {"component": 0, "degree": 2, "vector": [1]}  # x * x = x^2
+    witness = iso.product_structure_check(action, 1, 1, 1, 1, c.table)
+    assert witness == {"component": 0, "degree": 2, "vector": [1]}  # x * x = x^2
 
 
 def test_product_structure_all_pairs_small(ctx):
@@ -311,7 +326,7 @@ def test_product_structure_all_pairs_small(ctx):
         for j in range(5):
             for a in (1, 2, 3):
                 for b in (1, 2, 3):
-                    assert iso.product_structure_check(action, i, j, a, b, c.table).ok
+                    assert iso.product_structure_check(action, i, j, a, b, c.table) is None
 
 
 def test_pushforward_report_s3(ctx):

@@ -184,36 +184,32 @@ def test_phi_elementary_divisors():
 def test_phi_equivariance():
     for n in (1, 2, 3, 4):
         model = iso.build_cyclic(n)
-        assert iso.phi_equivariance_check(model, phi_matrix(model))
+        assert iso.phi_equivariance_check(model, phi_matrix(model)) is None
 
 
 def test_normal_basis_witnesses():
     m2 = iso.build_cyclic(2)
-    w2 = iso.normal_basis_element(m2)
-    assert [list(c.coeffs) for c in w2.coeffs] == [[1], [1]]  # 1 + x
-    assert w2.determinant == Poly.const(3, 1)  # det [[1,1],[1,-1]] = -2 = 1 mod 3
+    assert cyclic_report(m2).data["normal_basis"]["coeffs"] == [[1], [1]]  # 1 + x
+    assert iso.normal_basis_certificate(m2) == Poly.const(3, 1)  # det [[1,1],[1,-1]] = -2 = 1 mod 3
     m1 = iso.build_cyclic(1)
-    assert [list(c.coeffs) for c in iso.normal_basis_element(m1).coeffs] == [[1]]
+    assert cyclic_report(m1).data["normal_basis"]["coeffs"] == [[1]]
     m3 = iso.build_cyclic(3)
-    w3 = iso.normal_basis_element(m3)
-    assert [list(c.coeffs) for c in w3.coeffs] == [[1], [1], [1]]  # 1 + x + x^2
-    assert not w3.determinant.is_zero()
+    assert cyclic_report(m3).data["normal_basis"]["coeffs"] == [[1], [1], [1]]  # 1 + x + x^2
+    assert not iso.normal_basis_certificate(m3).is_zero()
     for n in (4, 6):
-        w = iso.normal_basis_element(iso.build_cyclic(n))
-        assert not w.determinant.is_zero()
+        assert not iso.normal_basis_certificate(iso.build_cyclic(n)).is_zero()
 
 
 def test_normal_basis_translate_determinant_is_vandermonde():
     # for constant all-ones coefficients the translate matrix is the
     # vandermonde matrix in the powers of zeta
     m = iso.build_cyclic(4)
-    w = iso.normal_basis_element(m)
     prod = 1
     pts = [pow(m.zeta, i, m.p) for i in range(4)]
     for i in range(4):
         for j in range(i + 1, 4):
             prod = prod * (pts[j] - pts[i]) % m.p
-    unit, _ = as_unit_times_power(w.determinant)
+    unit, _ = as_unit_times_power(iso.normal_basis_certificate(m))
     assert unit % m.p == prod % m.p or (-unit) % m.p == prod % m.p
 
 
@@ -223,7 +219,7 @@ def test_translate_determinant_is_coefficient_product_times_vandermonde(n):
     # Bareiss oracle, for seeded coefficients with and without zeros
     model = iso.build_cyclic(n)
     p = model.p
-    vandermonde = iso.normal_basis_element(model).determinant
+    vandermonde = iso.normal_basis_certificate(model)
     rng = random.Random(n)
     for trial in range(8):
         c = [rng.randrange(1, p) for _ in range(n)]
@@ -241,12 +237,12 @@ def test_normal_basis_certificate_vanishes_for_a_short_zeta(monkeypatch):
     model = iso.build_cyclic(4)
     short = replace(model)
     short.zeta = pow(model.zeta, 2, model.p)
-    witness = iso.normal_basis_element(short)
-    assert [list(c.coeffs) for c in witness.coeffs] == [[1]] * 4
-    assert witness.determinant.is_zero()
-    monkeypatch.setattr(iso.cyclic, "normal_basis_element", lambda m: witness)
+    certificate = iso.normal_basis_certificate(short)
+    assert certificate.is_zero()
+    monkeypatch.setattr(iso.cyclic, "normal_basis_certificate", lambda m: certificate)
     doc = cyclic_report(model).to_dict()
     by_check = {o["check"]: o for o in doc["outcomes"]}
+    assert doc["normal_basis"] == {"coeffs": [[1]] * 4, "determinant": []}
     assert doc["pass"] is False
     assert by_check["cyclic.normal_basis"]["pass"] is False
     assert by_check["cyclic.normal_basis"]["witness"] == {"determinant": []}
@@ -300,14 +296,13 @@ def test_factored_phi_matches_elimination_oracle(n, variant):
     assert divisors == [Poly.const(p, 1)] * (n * (n + 1) // 2) + [Poly.x(p)] * (n * (n - 1) // 2)
     if n <= 6:
         assert divisors == smith_normal_form(entries)
-    assert iso.phi_equivariance_check(model, phi)
+    assert iso.phi_equivariance_check(model, phi) is None
     assert oracle_equivariance(model, entries)
-    witness = iso.normal_basis_element(model)
     translates = [
-        [c * Poly.const(p, pow(model.zeta, i * j, p)) for j in range(n)]
-        for i, c in enumerate(witness.coeffs)
+        [Poly(p, c) * Poly.const(p, pow(model.zeta, i * j, p)) for j in range(n)]
+        for i, c in enumerate(cyclic_report(model).data["normal_basis"]["coeffs"])
     ]
-    assert witness.determinant == bareiss_det(translates)
+    assert iso.normal_basis_certificate(model) == bareiss_det(translates)
 
 
 @pytest.mark.parametrize("corruption", ("entry", "swap"))
@@ -324,12 +319,16 @@ def test_equivariance_check_rejects_a_corrupted_phi(n, corruption):
         const[:, [0, n]] = const[:, [n, 0]]
     bad = PhiMatrix(n, model.p, const, phi.powers)
     assert not oracle_equivariance(model, poly_grid(bad))
-    assert not iso.phi_equivariance_check(model, bad)
+    witness = iso.phi_equivariance_check(model, bad)
+    assert witness == dense_equivariance_witness(model, const)
+    if corruption == "swap":
+        assert witness["action"] == "twisted"
 
 
-def dense_equivariance(model, const):
-    """C S = T C with S and T built as dense n^2 x n^2 matrices over F_p
-    and multiplied by `linalg.matmul`."""
+def dense_equivariance_witness(model, const):
+    """The first entry, translation action first, where C S and T C differ,
+    with S and T built as dense n^2 x n^2 matrices over F_p and multiplied
+    by `linalg.matmul`; None when both agree."""
     n, p = model.n, model.p
     size = n * n
     weights = np.array([model.weight(k) for k in range(n)], dtype=np.int64)
@@ -339,10 +338,11 @@ def dense_equivariance(model, const):
     t_translate[(u + 1) % n * n + v, cols] = 1
     t_twist = np.zeros((size, size), dtype=np.int64)
     t_twist[(u - 1) % n * n + v, cols] = weights[v]
-    return all(
-        np.array_equal(linalg.matmul(const, np.diag(s), p), linalg.matmul(t, const, p))
-        for s, t in ((weights[v], t_translate), (weights[u], t_twist))
-    )
+    for action, s, t in (("translation", weights[v], t_translate), ("twisted", weights[u], t_twist)):
+        differ = np.argwhere(linalg.matmul(const, np.diag(s), p) != linalg.matmul(t, const, p))
+        if differ.size:
+            return {"action": action, "row": int(differ[0, 0]), "column": int(differ[0, 1])}
+    return None
 
 
 def corruptions(const, p, rng):
@@ -370,14 +370,17 @@ def test_equivariance_check_matches_the_dense_products(variant):
     for n in range(2, 17):
         model = iso.build_cyclic(n, variant)
         phi = phi_matrix(model)
-        assert iso.phi_equivariance_check(model, phi) and dense_equivariance(model, phi.const)
+        assert iso.phi_equivariance_check(model, phi) is None
+        assert dense_equivariance_witness(model, phi.const) is None
         # C is compared over F_p, so unreduced residues are the same C
         unreduced = phi.const + model.p
-        assert iso.phi_equivariance_check(model, replace(phi, const=unreduced)) and dense_equivariance(model, unreduced)
+        assert iso.phi_equivariance_check(model, replace(phi, const=unreduced)) is None
+        assert dense_equivariance_witness(model, unreduced) is None
         verdicts = []
         for const in corruptions(phi.const, model.p, random.Random(n)):
-            dense = dense_equivariance(model, const)
-            assert iso.phi_equivariance_check(model, replace(phi, const=const)) == dense, n
+            witness = dense_equivariance_witness(model, const)
+            assert iso.phi_equivariance_check(model, replace(phi, const=const)) == witness, n
+            dense = witness is None
             if n <= 4:
                 assert oracle_equivariance(model, poly_grid(replace(phi, const=const))) == dense, n
             verdicts.append(dense)

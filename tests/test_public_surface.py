@@ -1,4 +1,4 @@
-"""Three guards on the library's surface, read from the AST of `src/isotypic/`.
+"""Four guards on the library's surface, read from the AST of `src/isotypic/`.
 
 Every public, undecorated top-level function or class, and every public
 method of a public class, is referenced in code (an AST name or attribute;
@@ -14,6 +14,11 @@ constructor, is passed by keyword or by position in some call in a library
 module or in `perfbench/*.py`: a default that no caller overrides is a
 constant, not an option.  Calls are matched to definitions by name only, so
 a call to another definition of the same name counts too.
+
+Every field of a dataclass is read as an attribute (`x.field`, not only
+assigned) in a library module or in `perfbench/*.py`: a field that nothing
+reads is a value that nothing needs.  Fields are matched to reads by name
+only, so a read of a same-named field of another class counts too.
 """
 
 from __future__ import annotations
@@ -154,3 +159,19 @@ def test_every_defaulted_parameter_is_passed_by_a_library_or_benchmark_call():
         if not {(callee, param), (callee, "**")} & passed and (pos is None or widest.get(callee, 0) <= pos)
     )
     assert not unset, "no call sets these defaults; make them constants: " + ", ".join(unset)
+
+
+def test_every_dataclass_field_is_read_by_a_library_or_benchmark_module():
+    reads = set()
+    for path in MODULES + sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+    unread = sorted(
+        f"{path.name}: {name}.{field}"
+        for path in MODULES
+        for name, node in _definitions(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        for field in _settable_values(node) - reads
+    )
+    assert not unread, "nothing reads these dataclass fields; delete them: " + ", ".join(unread)
