@@ -9,6 +9,11 @@ case runs once on the monomial form (index maps and scalars, as
 `LinearCoverAction.piece` stores it) and once on the dense form (24
 matrices of 455 x 455): building the pieces of degrees 0..12, the five
 isotypic projectors, and `fixed_dim` for the 17 cyclic subgroups.
+
+`test_product_checks` times the 250 `product_structure_check` calls of the
+S4 `perm4` cover report (i, j over the five irreducibles, 1 <= a <= b <=
+4) on an action whose pieces and decompositions through degree 8 are
+already memoized.
 """
 
 from __future__ import annotations
@@ -73,3 +78,20 @@ def test_fixed_dims(benchmark, s4, pieces, form):
     assert len(subgroups) == 17
     dims = benchmark(lambda: [reps.fixed_dim(pieces[form], h) for h in subgroups])
     assert dims[0] == 455  # the trivial subgroup fixes everything
+
+
+def test_product_checks(benchmark, s4):
+    group, p, table = s4
+    action = cover.perm_action(group, p)
+    for d in range(2 * cover.PRODUCT_DEGREE + 1):
+        action.piece_decomposition(d, table)
+    calls = [
+        (i, j, a, b)
+        for i in range(table.num_irreps)
+        for j in range(table.num_irreps)
+        for a in range(1, cover.PRODUCT_DEGREE + 1)
+        for b in range(a, cover.PRODUCT_DEGREE + 1)
+    ]
+    assert len(calls) == 250
+    witnesses = benchmark(lambda: [cover.product_structure_check(action, *call, table) for call in calls])
+    assert witnesses == [None] * 250

@@ -48,26 +48,28 @@ def _resolve_group(name: str | None, gens_path: str | None) -> Group:
         raise _usage_error(exc) from exc
 
 
-def _check_modulus_bound(p: int, source: str) -> None:
+def _check_modulus(p: int, source: str) -> None:
+    """A prime within the int64 bound; the bound is checked first, so no
+    primality test runs on a huge number."""
     if p > MAX_MODULUS:
         raise click.UsageError(
             f"{source} {p} exceeds {MAX_MODULUS}, the largest modulus whose int64 arithmetic is exact"
         )
+    if not is_prime(p):
+        raise click.UsageError(f"{source} {p} is not prime")
 
 
-def _resolve_prime(group: Group, override: int | None) -> int:
+def _resolve_prime(group: Group, override: int | None, source: str = "--prime") -> int:
     if override is None:
         return choose_prime(group)
-    _check_modulus_bound(override, "--prime")
+    _check_modulus(override, source)
     e = exponent(group)
-    if not is_prime(override):
-        raise click.UsageError(f"--prime {override} is not prime")
     if group.order % override == 0:
-        raise click.UsageError(f"--prime {override} divides the group order {group.order}")
+        raise click.UsageError(f"{source} {override} divides the group order {group.order}")
     if override % e != 1 % e:
-        raise click.UsageError(f"--prime {override} is not 1 mod the exponent {e}")
+        raise click.UsageError(f"{source} {override} is not 1 mod the exponent {e}")
     if override <= group.order:
-        raise click.UsageError(f"--prime {override} must exceed the group order {group.order}")
+        raise click.UsageError(f"{source} {override} must exceed the group order {group.order}")
     return override
 
 
@@ -88,7 +90,7 @@ def _parse_matrix_file(path: str) -> tuple[int, list[list[list[int]]]]:
         p = int(lines[0].split()[1])
     except (IndexError, ValueError) as exc:
         raise click.UsageError("unreadable modulus line") from exc
-    _check_modulus_bound(p, "file modulus")
+    _check_modulus(p, "file modulus")  # before any row is reduced mod p
     blocks: list[list[list[int]]] = []
     current: list[list[int]] = []
     for line in lines[1:]:
@@ -112,7 +114,7 @@ def _parse_matrix_file(path: str) -> tuple[int, list[list[list[int]]]]:
 def _matrix_file_input(path: str, group: Group, prime: int | None) -> tuple[int, list]:
     """Modulus and matrices of a matrix file; `--prime` may only repeat its modulus."""
     file_p, mats = _parse_matrix_file(path)
-    p = _resolve_prime(group, file_p if prime is None else prime)
+    p = _resolve_prime(group, file_p, "file modulus") if prime is None else _resolve_prime(group, prime)
     if p != file_p:
         raise click.UsageError(f"--prime {p} conflicts with file modulus {file_p}")
     return p, mats

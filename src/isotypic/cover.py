@@ -38,6 +38,7 @@ from .groups import ConjugacyClasses, Group, Subgroup, subgroup_closure
 from .reps import (
     IsotypicDecomposition,
     MatrixRep,
+    _group_sum,
     _sym_power_step,
     check_size,
     decompose,
@@ -80,7 +81,6 @@ class LinearCoverAction:
         self._series: dict[int, RatFunc] = {}
         self._dets: list[Poly] | None = None
         self._mul_maps: dict[tuple[int, int], np.ndarray] = {}
-        self._coords: dict[int, np.ndarray] = {}
         self._tensors: np.ndarray | None = None
         kernel = [g for g in range(rep.group.order) if np.array_equal(rep.mats[g], rep.mats[0])]
         if len(kernel) != 1:
@@ -116,16 +116,6 @@ class LinearCoverAction:
         if d not in self._piece_data:
             self._piece_data[d] = decompose(self.piece(d).rep, table)
         return self._piece_data[d]
-
-    def component_coordinates(self, d: int, table: CharacterTable) -> np.ndarray:
-        """S^-1 for S the degree-d components stacked in irreducible order,
-        memoized: w @ S^-1 are the coordinates of a row w of B_d in that
-        basis.  `linalg.inverse` multiplies back, so components that do not
-        fill B_d raise SingularMatrix."""
-        if d not in self._coords:
-            stacked = np.concatenate(self.piece_decomposition(d, table).components)
-            self._coords[d] = linalg.inverse(stacked, self.p)
-        return self._coords[d]
 
     def multiplication_map(self, a: int, b: int) -> np.ndarray:
         """Index of the monomial alpha + beta of B_{a+b} for each row
@@ -312,19 +302,16 @@ def product_structure_check(
     that every projection onto an irreducible absent from V_i tensor V_j
     vanishes.
 
-    The projections are read in component coordinates: the central
-    idempotents sum to the identity, so the projections P_l sum to I, and
-    `decompose` checks that their ranks sum to dim B_{a+b}; so P_l is the
-    projection onto the component C_l along the others.  For product rows W
-    with coordinates X = W S^-1 in the stacked basis S = [C_0; ...; C_{r-1}],
-    P_l W^T = (X_l C_l)^T, X_l the columns of X on C_l, and as the rows of C_l
-    are independent, P_l W^T = 0 exactly when X_l = 0.  So only the columns
-    of S^-1 on forbidden components are multiplied, and nothing when no
-    component is forbidden.  The products themselves are scatter-adds of
-    comp_a (x) comp_b onto the monomial alpha + beta.  The check fails at the
-    first nonzero X_l in ascending l, and only then builds P_l, for its
-    witness {"component": l, "degree": a + b, "vector"}: the first nonzero
-    row of row_space(W) @ P_l^T.  Returns None when the check passes.
+    The products W are scatter-adds of comp_a (x) comp_b onto the monomial
+    alpha + beta.  They are tested against one projector P_F, the group sum
+    of e_F, the sum of the central idempotents e_l of the forbidden l: P_F
+    is the sum of those P_l, whose images are independent, so P_F W^T = 0
+    exactly when every forbidden P_l W^T = 0.  Nothing is built when no
+    component is forbidden or a factor is empty.  The check fails at the
+    first forbidden l, in ascending order, with P_l W^T nonzero, and only
+    then builds the P_l up to it, for its witness {"component": l,
+    "degree": a + b, "vector"}: the first nonzero row of
+    row_space(W) @ P_l^T.  Returns None when the check passes.
     """
     p = table.p
     tens = _tensor_mults(action, table)
@@ -336,23 +323,24 @@ def product_structure_check(
     target = action.multiplication_map(a, b)
     order = np.argsort(target, kind="stable")
     # every monomial of B_{a+b} is some alpha + beta, so each group is nonempty
-    starts = np.searchsorted(target[order], np.arange(action.piece(a + b).dim))
+    rep = action.piece(a + b).rep
+    starts = np.searchsorted(target[order], np.arange(rep.dim))
     # entry ((s, t), (alpha, beta)) is comp_a[s, alpha] * comp_b[t, beta]
     outer = (comp_a[:, None, :, None] * comp_b[None, :, None, :]).reshape(
         comp_a.shape[0] * comp_b.shape[0], -1
     ) % p
     # each sum has at most dim B_a residues, exact in int64
     prods = np.add.reduceat(outer[:, order], starts, axis=1) % p
-    bounds = np.cumsum((0,) + action.piece_decomposition(a + b, table).dims())
-    cols = np.concatenate([np.arange(bounds[l], bounds[l + 1]) for l in required])
-    coords = linalg.matmul(prods, action.component_coordinates(a + b, table)[:, cols], p)
-    nonzero = cols[coords.any(axis=0)]
-    if nonzero.size == 0:
+    e_forbidden = np.sum([table.idempotents()[l] for l in required], axis=0)[None] % p
+    if not linalg.matmul(prods, _group_sum(rep, slice(None), e_forbidden)[0].T, p).any():
         return None
-    l = int(np.searchsorted(bounds, nonzero[0], side="right")) - 1
     span = linalg.row_space(prods, p)
-    proj = linalg.matmul(span, isotypic_projector(action.piece(a + b).rep, l, table).T, p)
-    return {"component": l, "degree": a + b, "vector": proj[np.nonzero(proj.any(axis=1))[0][0]].tolist()}
+    # P_F is the sum of the forbidden P_l, so one of them is nonzero here
+    for l in required:
+        proj = linalg.matmul(span, isotypic_projector(rep, l, table).T, p)
+        rows = np.nonzero(proj.any(axis=1))[0]
+        if rows.size:
+            return {"component": l, "degree": a + b, "vector": proj[rows[0]].tolist()}
 
 
 def _tensor_mults(action: LinearCoverAction, table: CharacterTable) -> np.ndarray:

@@ -158,6 +158,26 @@ def test_cover_matrix_file_bad_homomorphism(runner, tmp_path):
     assert "word" in result.output and "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("modulus", [0, 1, 4, -7])
+@pytest.mark.parametrize("command", [["decompose", "--rep"], ["cover", "--action"]], ids=["decompose", "cover"])
+def test_matrix_file_modulus_that_is_not_prime_exits_2(runner, tmp_path, command, modulus):
+    # checked before any row is reduced: `p 0` used to divide by zero
+    path = tmp_path / "m.txt"
+    path.write_text(f"p {modulus}\n1\n")
+    result = runner.invoke(main, [command[0], "--group", "C2", command[1], str(path)])
+    assert result.exit_code == 2
+    assert f"file modulus {modulus} is not prime" in result.output
+    assert "Traceback" not in result.output and result.exception.__class__ is SystemExit
+
+
+def test_matrix_file_modulus_is_named_in_prime_errors(runner, tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text("p 5\n0 1\n1 0\n\n0 4\n1 4\n")  # S3 has exponent 6
+    result = runner.invoke(main, ["decompose", "--group", "S3", "--rep", str(path)])
+    assert result.exit_code == 2
+    assert "file modulus 5 is not 1 mod the exponent 6" in result.output
+
+
 def test_cover_command(runner):
     result = runner.invoke(
         main, ["cover", "--group", "S3", "--action", "perm3", "--max-degree", "6"]

@@ -329,6 +329,21 @@ def test_product_structure_all_pairs_small(ctx):
                     assert iso.product_structure_check(action, i, j, a, b, c.table) is None
 
 
+@pytest.mark.parametrize(("name", "kind"), [("S4", "perm4"), ("D6", "reflection2")])
+def test_cover_report_builds_no_dense_inverse(ctx, monkeypatch, name, kind):
+    # the product check tests one projector, with no change of basis: S4
+    # perm4 has monomial pieces, D6 reflection2 dense ones
+    c = ctx(name)
+    action = builtin_action(c.group, c.p, kind)
+
+    def refuse(*args):
+        raise AssertionError("a cover report inverts no matrix")
+
+    monkeypatch.setattr(linalg, "inverse", refuse)
+    monkeypatch.setattr(linalg, "coordinates", refuse)
+    assert iso.pushforward_report(action, 8, c.table).passed
+
+
 def test_pushforward_report_s3(ctx):
     c = ctx("S3")
     report = iso.pushforward_report(iso.perm_action(c.group, c.p), 12, c.table)

@@ -16,6 +16,8 @@ from isotypic import cover, linalg
 from isotypic.arith import MAX_MODULUS
 from isotypic.errors import SingularMatrix
 
+from conftest import forbid
+
 
 def oracle(a, b, p):
     """(sum a*b) mod p in Python integers, with numpy's matmul shapes."""
@@ -129,32 +131,56 @@ def test_matrix_rep_holds_a_reduced_copy_of_its_input(ctx):
     assert not np.shares_memory(rep.mats, unreduced)
 
 
-def test_piece_projectors_built_once_per_degree_and_irreducible(ctx, monkeypatch):
-    # a passing product check builds no projector of the product's degree;
-    # a failing one builds exactly the one of its witness
+def test_product_check_builds_one_projector_until_it_fails(ctx, monkeypatch):
+    # a passing check with forbidden components builds P_F, one group sum on
+    # B_{a+b}, and no P_l; with nothing forbidden or an empty factor it builds
+    # nothing; a failing one builds P_l for the forbidden l up to its witness
     c = ctx("S3")
     action = iso.perm_action(c.group, c.p)
-    built = []
-    projector = cover.isotypic_projector
+    sums, built = [], []
+    group_sum, projector = cover._group_sum, cover.isotypic_projector
 
-    def spy(rep, l, table):
+    def sum_spy(rep, elems, coef):
+        sums.append(rep)
+        return group_sum(rep, elems, coef)
+
+    def projector_spy(rep, l, table):
         built.append((rep.dim, l))
         return projector(rep, l, table)
 
-    monkeypatch.setattr(cover, "isotypic_projector", spy)
-    for i in range(c.table.num_irreps):
-        for j in range(c.table.num_irreps):
+    monkeypatch.setattr(cover, "_group_sum", sum_spy)
+    monkeypatch.setattr(cover, "isotypic_projector", projector_spy)
+    tens = iso.tensor_multiplicities(c.table)
+    seen = set()
+    for i in range(3):
+        for j in range(3):
             for a in (1, 2):
                 for b in range(a, 3):
+                    sums.clear()
                     assert iso.product_structure_check(action, i, j, a, b, c.table) is None
-    assert built == []
+                    decomps = [action.piece_decomposition(d, c.table) for d in (a, b)]
+                    if tens[i, j].all():
+                        kind = "nothing forbidden"
+                    elif not (decomps[0].multiplicities[i] and decomps[1].multiplicities[j]):
+                        kind = "empty factor"
+                    else:
+                        kind = "one group sum"
+                    assert [rep is action.piece(a + b).rep for rep in sums] == (
+                        [True] if kind == "one group sum" else []
+                    ), (i, j, a, b)
+                    seen.add(kind)
+    assert built == [] and len(seen) == 3
     # (x_0 + x_1 + x_2)^2, the square of the trivial component of B_1, is
-    # invariant: forbid the trivial irreducible in it
-    tens = iso.tensor_multiplicities(c.table).copy()
-    tens[0, 0, 0] = 0
-    monkeypatch.setattr(cover, "_tensor_mults", lambda action, table: tens)
+    # invariant: with everything forbidden, only P_0 is built
+    forbid(monkeypatch, 3, 0, 0, 0, 1, 2)
     assert iso.product_structure_check(action, 0, 0, 1, 1, c.table)["component"] == 0
-    assert built == [(action.piece(2).dim, 0)]
+    assert built == [(6, 0)]
+    # the standard component times an invariant is standard: P_1 vanishes on
+    # it, P_2 is the witness, and P_0 is not forbidden
+    built.clear()
+    forbid(monkeypatch, 3, 2, 0, 1, 2)
+    assert iso.product_structure_check(action, 2, 0, 1, 1, c.table)["component"] == 2
+    assert built == [(6, 1), (6, 2)]
 
 
 def gf(a, p):

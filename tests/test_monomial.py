@@ -453,3 +453,24 @@ def test_forbidden_component_is_witnessed_by_the_oracle_row(ctx, monkeypatch, na
             assert witness == {"component": l, "degree": 5, "vector": row.tolist()}, (i, j)
             witnessed += 1
     assert witnessed
+
+
+@pytest.mark.parametrize(("name", "kind"), [("S4", "perm4"), ("D6", "reflection2")])
+def test_lowest_forbidden_component_is_the_witness(ctx, monkeypatch, name, kind):
+    # forbid two irreducibles that the products of B_1 and B_2 components both
+    # reach: the witness is the lower one, with its first nonzero projected row
+    c = ctx(name)
+    action = builtin_action(c.group, c.p, kind)
+    oracle = ProductOracle(action, c.table, 3)
+    r = c.table.num_irreps
+
+    def reached(i, j):
+        return [l for l, proj in enumerate(oracle.projected(i, j, 1, 2)) if proj.any()]
+
+    i, j = next((i, j) for i in range(r) for j in range(r) if len(reached(i, j)) >= 2)
+    low, high = reached(i, j)[-2:]
+    forbid(monkeypatch, r, i, j, low, high)
+    witness = iso.product_structure_check(action, i, j, 1, 2, c.table)
+    projected = oracle.projected(i, j, 1, 2)[low]
+    row = projected[np.nonzero(projected.any(axis=1))[0][0]]
+    assert witness == {"component": low, "degree": 3, "vector": row.tolist()}, (i, j, low, high)
