@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from isotypic import arith, characters, cover, groups, reps
-from isotypic.reps import _sym_power_step
+from isotypic.cover import _sym_power_step
 
 DEGREE = 12
 FORMS = ["monomial", "dense"]

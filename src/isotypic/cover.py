@@ -24,9 +24,10 @@ outcomes in it, and verify-all collects the outcomes.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 
@@ -39,7 +40,6 @@ from .reps import (
     IsotypicDecomposition,
     MatrixRep,
     _group_sum,
-    _sym_power_step,
     check_size,
     decompose,
     dual_rep,
@@ -56,16 +56,46 @@ CHECK_DEGREE = 6
 PRODUCT_DEGREE = 4
 
 
-@dataclass
-class GradedPiece:
-    """The monomials of one degree (graded-lex order) with the induced action."""
+def _products(n: int, a: int, b: int) -> np.ndarray:
+    """The index in B_{a+b} of x^alpha x^beta for each (alpha, beta) in
+    B_a x B_b, flattened.  The basis of B_d in n variables is the multisets
+    of `combinations_with_replacement(range(n), d)`: graded lex, x_0^d first.
+    """
+    basis = {m: k for k, m in enumerate(combinations_with_replacement(range(n), a + b))}
+    pairs = product(combinations_with_replacement(range(n), a), combinations_with_replacement(range(n), b))
+    return np.array([basis[tuple(sorted(alpha + beta))] for alpha, beta in pairs], dtype=np.int64)
 
-    monomials: tuple[tuple[int, ...], ...]
-    rep: MatrixRep
 
-    @property
-    def dim(self) -> int:
-        return len(self.monomials)
+def _sym_power_step(prev: MatrixRep, rep: MatrixRep, d: int) -> MatrixRep:
+    """B_d from B_{d-1} (`prev`) and B_1 (`rep`) on the bases of `_products`.
+
+    x^beta x_i is monomial scatter[beta, i] of B_d.  Column m is column beta
+    of `prev` times column j of `rep` for any one factorization x^m =
+    x^beta x_j, as g acts by ring automorphisms: g . (x^beta x_j) =
+    (g . x^beta)(g . x_j).  Entry (beta', i) of that outer product lands on
+    row scatter[beta', i].  When both are monomial so is the result, with
+    the product of the scalars.  Otherwise one element at a time, so only
+    one matrix of temporaries is alive.  Each entry is a sum of dim(rep)
+    products below p^2, exact in int64 because `rep` passed
+    `require_exact`; the MatrixRep constructor reduces it mod p.
+    """
+    n = rep.dim
+    scatter = _products(n, d - 1, 1).reshape(prev.dim, n)
+    factor = np.empty(scatter.max() + 1, dtype=np.int64)
+    # one factorization (beta, j) per monomial of B_d, whichever is written last
+    factor[scatter.ravel()] = np.arange(scatter.size)
+    beta, last = np.divmod(factor, n)
+    if prev.images is not None and rep.images is not None:
+        images = scatter[prev.images[:, beta], rep.images[:, last]]
+        scalars = prev.scalars[:, beta] * rep.scalars[:, last]
+        return MatrixRep(rep.group, rep.p, images=images, scalars=scalars)
+    out = np.zeros((rep.group.order, factor.size, factor.size), dtype=np.int64)
+    for g in range(rep.group.order):
+        cols = prev.mats[g][:, beta]
+        lin = rep.mats[g][:, last]
+        for i in range(n):
+            out[g, scatter[:, i]] += cols * lin[i]
+    return MatrixRep(rep.group, rep.p, out)
 
 
 class LinearCoverAction:
@@ -76,7 +106,7 @@ class LinearCoverAction:
         self.rep = rep
         self.n = rep.dim
         self.name = name
-        self._pieces: dict[int, GradedPiece] = {}
+        self._pieces: dict[int, MatrixRep] = {}
         self._piece_data: dict[int, IsotypicDecomposition] = {}
         self._series: dict[int, RatFunc] = {}
         self._dets: list[Poly] | None = None
@@ -90,49 +120,41 @@ class LinearCoverAction:
 
     # -- graded pieces ---------------------------------------------------------
 
-    def piece(self, d: int) -> GradedPiece:
+    def piece(self, d: int) -> MatrixRep:
+        """The action on B_d, on the monomial basis of `_products`, memoized."""
         if d not in self._pieces:
             if d < 0:
                 raise ValueError("degree must be nonnegative")
-            # graded-lex: the multiset order is descending lex on exponents
-            monos = tuple(
-                tuple(m.count(i) for i in range(self.n))
-                for m in combinations_with_replacement(range(self.n), d)
-            )
-            check_size(f"the degree-{d} piece", self.group.order, len(monos), len(monos))
+            dim = math.comb(self.n + d - 1, d)
+            check_size(f"the degree-{d} piece", self.group.order, dim, dim)
             if d == 0:
-                rep = trivial_rep(self.group, self.p)
+                self._pieces[d] = trivial_rep(self.group, self.p)
             elif d == 1:
                 # g . x_j = sum_i (rho(g)^-1)[j, i] x_i: the contragredient action
-                rep = dual_rep(self.rep)
+                self._pieces[d] = dual_rep(self.rep)
             else:
-                rep = _sym_power_step(self.piece(d - 1).rep, self.piece(1).rep, d)
-            self._pieces[d] = GradedPiece(monos, rep)
+                self._pieces[d] = _sym_power_step(self.piece(d - 1), self.piece(1), d)
         return self._pieces[d]
 
     def piece_decomposition(self, d: int, table: CharacterTable) -> IsotypicDecomposition:
         """`decompose` of the degree-d piece, memoized."""
         _require_own_table(self, table)
         if d not in self._piece_data:
-            self._piece_data[d] = decompose(self.piece(d).rep, table)
+            self._piece_data[d] = decompose(self.piece(d), table)
         return self._piece_data[d]
 
     def multiplication_map(self, a: int, b: int) -> np.ndarray:
-        """Index of the monomial alpha + beta of B_{a+b} for each row
-        (alpha, beta) of B_a x B_b, flattened, memoized.
+        """`_products(n, a, b)`, memoized.
 
-        It stands for the 0/1 (dim B_a * dim B_b) x dim B_{a+b} matrix with a
-        1 in that column of each row, and the size guard counts that matrix.
+        It stands for the 0/1 (dim B_a * dim B_b) x dim B_{a+b} matrix with
+        one 1 per row, and the size guard counts that matrix, which bounds
+        the array `product_structure_check` scatters along it.
         """
         key = (a, b)
         if key not in self._mul_maps:
             pa, pb, pab = self.piece(a), self.piece(b), self.piece(a + b)
             check_size(f"the multiplication map of degrees {a} and {b}", pa.dim * pb.dim, pab.dim)
-            index = {m: i for i, m in enumerate(pab.monomials)}
-            targets = [
-                index[tuple(x + y for x, y in zip(alpha, beta))] for alpha in pa.monomials for beta in pb.monomials
-            ]
-            self._mul_maps[key] = np.array(targets, dtype=np.int64)
+            self._mul_maps[key] = _products(self.n, a, b)
         return self._mul_maps[key]
 
     def to_dict(self) -> dict:
@@ -163,8 +185,8 @@ def perm_action(group: Group, p: int) -> LinearCoverAction:
 def reflection_action(group: Group, p: int) -> LinearCoverAction:
     """Two-dimensional rotation/reflection matrices for a dihedral group.
 
-    Expects the builtin generator order (rotation, reflection): the
-    rotation becomes [[0, -1], [1, zeta + zeta^-1]] for zeta of order
+    Expects the builtin generators of D<n>, n >= 3 (rotation, reflection):
+    the rotation becomes [[0, -1], [1, zeta + zeta^-1]] for zeta of order
     |G|/2, the reflection swaps the two coordinates.
     """
     zeta = root_of_unity(p, group.order // 2)
@@ -175,10 +197,11 @@ def reflection_action(group: Group, p: int) -> LinearCoverAction:
 
 
 def scalar_action(group: Group, p: int) -> LinearCoverAction:
-    """One-variable action of a cyclic group: the generator scales by a
-    primitive |G|-th root of unity."""
+    """One-variable action of a cyclic group: the generator, if any, scales
+    by a primitive |G|-th root of unity."""
     zeta = root_of_unity(p, group.order)
-    return validate_action(group, [np.array([[zeta]], dtype=np.int64)], p, name="scalar1")
+    gens = [np.array([[zeta]], dtype=np.int64)] * len(group.generator_indices)
+    return validate_action(group, gens, p, name="scalar1")
 
 
 def builtin_action(group: Group, p: int, name: str) -> LinearCoverAction:
@@ -197,6 +220,8 @@ def builtin_action(group: Group, p: int, name: str) -> LinearCoverAction:
     if kind == "reflection":
         if not re.fullmatch(r"D\d+", group.name):
             raise ValueError("reflection actions are defined for dihedral groups D<n>")
+        if int(group.name[1:]) < 3:
+            raise ValueError(f"reflection actions need D<n> with n >= 3: {group.name} has no rotation generator")
         if size and int(size) != 2:
             raise ValueError("reflection actions are two-dimensional")
         return reflection_action(group, p)
@@ -286,7 +311,7 @@ def invariants_series_check(
         for i in range(table.num_irreps)
     ]
     for d in range(max_degree + 1):
-        lhs = fixed_dim(action.piece(d).rep, h)
+        lhs = fixed_dim(action.piece(d), h)
         mults = action.piece_decomposition(d, table).multiplicities
         rhs_mod = sum(coeffs[i][d] * fixed_dims[i] for i in range(table.num_irreps)) % p
         rhs_int = sum(mults[i] * fixed_dims[i] for i in range(table.num_irreps))
@@ -302,15 +327,16 @@ def product_structure_check(
     that every projection onto an irreducible absent from V_i tensor V_j
     vanishes.
 
-    The products W are scatter-adds of comp_a (x) comp_b onto the monomial
-    alpha + beta.  They are tested against one projector P_F, the group sum
-    of e_F, the sum of the central idempotents e_l of the forbidden l: P_F
-    is the sum of those P_l, whose images are independent, so P_F W^T = 0
-    exactly when every forbidden P_l W^T = 0.  Nothing is built when no
-    component is forbidden or a factor is empty.  The check fails at the
-    first forbidden l, in ascending order, with P_l W^T nonzero, and only
-    then builds the P_l up to it, for its witness {"component": l,
-    "degree": a + b, "vector"}: the first nonzero row of
+    The products W, row (s, t) the product of row s of comp_a and row t of
+    comp_b, are one matrix product of comp_a with the rows of comp_b
+    shifted by each monomial x^alpha of B_a.  They are tested against one
+    projector P_F, the group sum of e_F, the sum of the central idempotents
+    e_l of the forbidden l: P_F is the sum of those P_l, whose images are
+    independent, so P_F W^T = 0 exactly when every forbidden P_l W^T = 0.
+    Nothing is built when no component is forbidden or a factor is empty.
+    The check fails at the first forbidden l, in ascending order, with
+    P_l W^T nonzero, and only then builds the P_l up to it, for its witness
+    {"component": l, "degree": a + b, "vector"}: the first nonzero row of
     row_space(W) @ P_l^T.  Returns None when the check passes.
     """
     p = table.p
@@ -320,17 +346,14 @@ def product_structure_check(
     required = tuple(l for l in range(table.num_irreps) if tens[i, j, l] == 0)
     if not required or comp_a.shape[0] == 0 or comp_b.shape[0] == 0:
         return None
-    target = action.multiplication_map(a, b)
-    order = np.argsort(target, kind="stable")
-    # every monomial of B_{a+b} is some alpha + beta, so each group is nonempty
-    rep = action.piece(a + b).rep
-    starts = np.searchsorted(target[order], np.arange(rep.dim))
-    # entry ((s, t), (alpha, beta)) is comp_a[s, alpha] * comp_b[t, beta]
-    outer = (comp_a[:, None, :, None] * comp_b[None, :, None, :]).reshape(
-        comp_a.shape[0] * comp_b.shape[0], -1
-    ) % p
-    # each sum has at most dim B_a residues, exact in int64
-    prods = np.add.reduceat(outer[:, order], starts, axis=1) % p
+    rep = action.piece(a + b)
+    dim_a, dim_b = comp_a.shape[1], comp_b.shape[1]
+    target = action.multiplication_map(a, b).reshape(dim_a, dim_b)
+    # shifted[alpha, t] is x^alpha times row t of comp_b; multiplying by
+    # x^alpha is injective, so the targets within a row are distinct
+    shifted = np.zeros((dim_a, comp_b.shape[0], rep.dim), dtype=np.int64)
+    shifted[np.arange(dim_a)[:, None, None], np.arange(comp_b.shape[0])[:, None], target[:, None]] = comp_b
+    prods = linalg.matmul(comp_a, shifted.reshape(dim_a, -1), p).reshape(-1, rep.dim)
     e_forbidden = np.sum([table.idempotents()[l] for l in required], axis=0)[None] % p
     if not linalg.matmul(prods, _group_sum(rep, slice(None), e_forbidden)[0].T, p).any():
         return None

@@ -17,7 +17,6 @@ import functools
 import math
 import random
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from typing import NoReturn
 
 import numpy as np
@@ -457,39 +456,6 @@ def dual_rep(rep: MatrixRep) -> MatrixRep:
         scalars = np.take_along_axis(rep.scalars[inv], rep.images, axis=1)
         return MatrixRep(rep.group, rep.p, images=rep.images.copy(), scalars=scalars)
     return MatrixRep(rep.group, rep.p, rep.mats[inv].transpose(0, 2, 1))
-
-
-def _sym_power_step(prev: MatrixRep, rep: MatrixRep, d: int) -> MatrixRep:
-    """Sym^d from Sym^(d-1) on the lexicographic multiset bases.
-
-    The column of multiset beta + (j,) (j its largest entry) is column beta
-    of `prev` times column j of `rep`: entry (beta', i) of that outer
-    product lands on row beta' + (i,).  When both are monomial so is the
-    result: its index map sends beta + (j,) to the multiset of the two
-    images, with the product of the scalars.  Otherwise one element at a
-    time, so only one Sym^d matrix of temporaries is alive.  Each entry is
-    a sum of dim(rep) products below p^2, exact in int64 because `rep`
-    passed `require_exact`; the MatrixRep constructor reduces it mod p.
-    """
-    n = rep.dim
-    below = {m: i for i, m in enumerate(combinations_with_replacement(range(n), d - 1))}
-    basis = {m: i for i, m in enumerate(combinations_with_replacement(range(n), d))}
-    beta = np.array([below[m[:-1]] for m in basis], dtype=np.int64)
-    last = np.array([m[-1] for m in basis], dtype=np.int64)
-    scatter = np.array(
-        [[basis[tuple(sorted(m + (i,)))] for i in range(n)] for m in below], dtype=np.int64
-    ).reshape(len(below), n)
-    if prev.images is not None and rep.images is not None:
-        images = scatter[prev.images[:, beta], rep.images[:, last]]
-        scalars = prev.scalars[:, beta] * rep.scalars[:, last]
-        return MatrixRep(rep.group, rep.p, images=images, scalars=scalars)
-    out = np.zeros((rep.group.order, len(basis), len(basis)), dtype=np.int64)
-    for g in range(rep.group.order):
-        cols = prev.mats[g][:, beta]
-        lin = rep.mats[g][:, last]
-        for i in range(n):
-            out[g, scatter[:, i]] += cols * lin[i]
-    return MatrixRep(rep.group, rep.p, out)
 
 
 # -- invariants and the evaluation map ---------------------------------------------

@@ -2,7 +2,8 @@
 groups, random invertible matrices, the identity test and the inverse of
 permutations, every subgroup of a group, and the functors on
 representations and characters that only tests take (direct sums, tensor
-products, symmetric powers, exterior squares)."""
+products, symmetric powers, exterior squares), and the exponent tuples
+of the monomials of one degree."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from hypothesis import settings
 import isotypic as iso
 from isotypic import cover, linalg
 from isotypic.errors import SingularMatrix
-from isotypic.reps import _sym_power_step
+from isotypic.cover import _sym_power_step
 
 # Every @given test draws the same examples on every run, so a failure
 # replays exactly; max_examples keeps its default.
@@ -143,6 +144,14 @@ def sym_power(rep, k):
     for d in range(1, k + 1):
         out = _sym_power_step(out, rep, d)
     return out
+
+
+def exponents(n, d):
+    """The exponent tuples of the degree-d monomials in n variables, in
+    descending lex order (graded lex within one degree, x_0^d first)."""
+    if n == 1:
+        return [(d,)]
+    return [(e, *rest) for e in range(d, -1, -1) for rest in exponents(n - 1, d - e)]
 
 
 def ext_square(rep):

@@ -220,6 +220,23 @@ def test_cover_rejects_wrong_builtin(runner):
     assert runner.invoke(main, ["cover", "--group", "C2", "--action", "nosuch"]).exit_code == 2
 
 
+def test_cover_scalar_action_of_the_trivial_group(runner):
+    # C1 has no generators, so the scalar action has no generator matrices
+    result = runner.invoke(main, ["cover", "--group", "C1", "--action", "scalar", "--format", "json"])
+    assert result.exit_code == 0
+    doc = json.loads(result.output)
+    assert doc["report"]["multiplicities_by_degree"] == [[1]] * (doc["report"]["max_degree"] + 1)
+
+
+@pytest.mark.parametrize("name", ["D1", "D2"])
+def test_cover_reflection_action_needs_a_rotation(runner, name):
+    # D1 is one transposition and D2 two commuting ones: no rotation generator
+    result = runner.invoke(main, ["cover", "--group", name, "--action", "reflection"])
+    assert result.exit_code == 2
+    assert f"reflection actions need D<n> with n >= 3: {name} has no rotation generator" in result.output
+    assert "Traceback" not in result.output and result.exception.__class__ is SystemExit
+
+
 def test_cyclic_command(runner):
     result = runner.invoke(main, ["cyclic", "--n", "1"])
     assert result.exit_code == 0

@@ -2,17 +2,19 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 import isotypic as iso
 from isotypic import linalg
 from isotypic.arith import Poly, RatFunc
-from isotypic.cover import _inverse_dets, builtin_action, cyclic_subgroups
+from isotypic.cover import _inverse_dets, _products, builtin_action, cyclic_subgroups
 from isotypic import cover, reps
 from isotypic.errors import NotFaithful, SystemTooLarge
 from isotypic.scenarios import COVER_SCENARIOS
-from conftest import all_subgroups, forbid
+from conftest import all_subgroups, exponents, forbid
 from polymat_oracle import bareiss_det
 
 
@@ -59,10 +61,10 @@ def test_oversized_piece_and_multiplication_map_raise(ctx, monkeypatch):
 def test_degree_piece_basics(ctx):
     c, action = scalar_ctx(ctx, 2)
     piece0 = action.piece(0)
-    assert piece0.dim == 1 and piece0.rep.mats[0].tolist() == [[1]]
+    assert piece0.dim == 1 and piece0.mats[0].tolist() == [[1]]
     # sigma x = -x, so degree 3 picks up (-1)^3
     piece3 = action.piece(3)
-    assert piece3.rep.mats[1].tolist() == [[c.p - 1]]
+    assert piece3.mats[1].tolist() == [[c.p - 1]]
 
 
 def test_negative_degree_piece_is_rejected(ctx):
@@ -126,11 +128,11 @@ def test_degree_piece_characters_s3(ctx):
     action = iso.perm_action(c.group, c.p)
     piece = action.piece(2)
     assert piece.dim == 6
-    assert iso.character_of(piece.rep, c.classes) == (6, 2, 0)
+    assert iso.character_of(piece, c.classes) == (6, 2, 0)
     # degree one carries the dual of the defining matrices
     one = action.piece(1)
     dual = iso.dual_rep(action.rep)
-    assert iso.character_of(one.rep, c.classes) == iso.character_of(dual, c.classes)
+    assert iso.character_of(one, c.classes) == iso.character_of(dual, c.classes)
 
 
 def test_degree_pieces_are_homomorphisms(ctx):
@@ -138,15 +140,28 @@ def test_degree_pieces_are_homomorphisms(ctx):
     c = ctx("S3")
     action = iso.perm_action(c.group, c.p)
     for d in range(5):
-        assert action.piece(d).rep.dim == len(action.piece(d).monomials)
+        assert action.piece(d).dim == math.comb(action.n + d - 1, d)
 
 
-def test_monomial_order_graded_lex(ctx):
-    c = ctx("S3")
-    action = iso.perm_action(c.group, c.p)
-    assert action.piece(2).monomials == (
-        (2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2),
-    )
+def test_monomial_order_graded_lex():
+    # x_i x_j for i, j in 0..2, in the order x0^2, x0x1, x0x2, x1^2, x1x2,
+    # x2^2 of B_2
+    assert _products(3, 1, 1).tolist() == [0, 1, 2, 1, 3, 4, 2, 4, 5]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_products_match_the_exponent_oracle(n):
+    # every a + b <= 8, a = 0 and b = 0 included, against exponent tuples
+    # added and looked up in a dict of the graded-lex basis
+    for a in range(9):
+        for b in range(9 - a):
+            index = {m: k for k, m in enumerate(exponents(n, a + b))}
+            expected = [
+                index[tuple(x + y for x, y in zip(alpha, beta))]
+                for alpha in exponents(n, a)
+                for beta in exponents(n, b)
+            ]
+            assert _products(n, a, b).tolist() == expected, (a, b)
 
 
 def test_molien_series_c2(ctx):
@@ -244,7 +259,7 @@ def test_invariants_series_check_s3(ctx):
     triv = iso.subgroup_closure(c.group, [])
     assert iso.invariants_series_check(action, triv, 8, c.table) is None
     for d in range(9):
-        assert iso.fixed_dim(action.piece(d).rep, triv) == action.piece(d).dim
+        assert iso.fixed_dim(action.piece(d), triv) == action.piece(d).dim
     # H = G: the fixed dimensions are the invariant-ring coefficients
     whole = iso.subgroup_closure(c.group, [1, 2])
     from isotypic.arith import series_prefix
@@ -252,7 +267,7 @@ def test_invariants_series_check_s3(ctx):
     inv_coeffs = series_prefix(iso.molien_multiplicity_series(action, 0, c.table), 8)
     assert iso.invariants_series_check(action, whole, 8, c.table) is None
     for d in range(9):
-        assert iso.fixed_dim(action.piece(d).rep, whole) % c.p == inv_coeffs[d]
+        assert iso.fixed_dim(action.piece(d), whole) % c.p == inv_coeffs[d]
 
 
 def test_invariants_series_check_witnesses_the_first_failing_degree(ctx, monkeypatch):
@@ -381,7 +396,7 @@ def test_b1_dual_convention(ctx):
     one = action.piece(1)
     for g in range(c.group.order):
         expected = linalg.inverse(action.rep.mats[g], c.p).T % c.p
-        assert np.array_equal(one.rep.mats[g], expected)
+        assert np.array_equal(one.mats[g], expected)
 
 
 def test_inverse_dets_match_bareiss_oracle(ctx):

@@ -165,7 +165,7 @@ def test_product_check_builds_one_projector_until_it_fails(ctx, monkeypatch):
                         kind = "empty factor"
                     else:
                         kind = "one group sum"
-                    assert [rep is action.piece(a + b).rep for rep in sums] == (
+                    assert [rep is action.piece(a + b) for rep in sums] == (
                         [True] if kind == "one group sum" else []
                     ), (i, j, a, b)
                     seen.add(kind)

@@ -13,6 +13,7 @@ side is always built explicitly as `MatrixRep(group, p, rep.mats)`.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import numpy as np
@@ -22,11 +23,11 @@ from hypothesis import strategies as st
 
 import isotypic as iso
 from isotypic import cover, linalg
-from isotypic.cover import builtin_action, cyclic_subgroups
+from isotypic.cover import _sym_power_step, builtin_action, cyclic_subgroups
 from isotypic.errors import NotAHomomorphism, SingularMatrix
-from isotypic.reps import _sym_power_step, multiplicity_space, restrict_to_subspace
+from isotypic.reps import multiplicity_space, restrict_to_subspace
 
-from conftest import all_subgroups, block_diagonal, forbid, random_invertible, sym_power
+from conftest import all_subgroups, block_diagonal, exponents, forbid, random_invertible, sym_power
 
 # A4 and C3 have non-real characters, so their projectors are not symmetric
 MONOMIAL_ACTIONS = (
@@ -58,7 +59,7 @@ def test_monomial_pieces_match_the_dense_route(ctx, name, kind):
     action = builtin_action(c.group, c.p, kind)
     subgroups = cyclic_subgroups(c.group)
     for d, dense in enumerate(dense_pieces(action, 6)):
-        rep = action.piece(d).rep
+        rep = action.piece(d)
         assert rep.images is not None
         assert dense.images is None
         assert iso.character_of(rep, c.classes) == iso.character_of(dense, c.classes)
@@ -189,7 +190,7 @@ def test_non_monomial_action_keeps_the_dense_pieces(ctx):
     # D6's rotation [[0, -1], [1, 1]] has two nonzeros in a column
     c = ctx("D6")
     action = builtin_action(c.group, c.p, "reflection")
-    assert all(action.piece(d).rep.images is None for d in (1, 2, 3))
+    assert all(action.piece(d).images is None for d in (1, 2, 3))
 
 
 def test_sym_power_rep_of_a_monomial_rep_is_monomial(ctx):
@@ -293,7 +294,7 @@ def test_restriction_of_a_twisted_rep_to_a_non_invariant_line_is_singular(ctx, n
 @pytest.mark.parametrize("pos", [0, 1])
 def test_corrupted_monomial_generator_names_its_edge(ctx, pos):
     c = ctx("S4")
-    rep = builtin_action(c.group, c.p, "perm4").piece(3).rep
+    rep = builtin_action(c.group, c.p, "perm4").piece(3)
     group = rep.group
     k = group.generator_indices[pos]
     for corrupt in ("scalar", "image"):
@@ -336,7 +337,7 @@ def test_cover_report_never_builds_dense_monomial_pieces(ctx):
     assert iso.pushforward_report(action, 12, c.table).passed
     assert action.piece(12).dim == 455
     for d in range(2, 13):
-        rep = action.piece(d).rep
+        rep = action.piece(d)
         assert rep.images is not None and "mats" not in vars(rep), d
 
 
@@ -367,7 +368,7 @@ def test_components_are_the_row_spaces_of_the_dense_projectors(ctx, name, kind):
     c = ctx(name)
     action = builtin_action(c.group, c.p, kind)
     for d, dense in enumerate(dense_pieces(action, 6)):
-        decomp = iso.decompose(action.piece(d).rep, c.table)
+        decomp = iso.decompose(action.piece(d), c.table)
         for i in range(c.table.num_irreps):
             expected = linalg.row_space(iso.isotypic_projector(dense, i, c.table).T, c.p)
             assert np.array_equal(decomp.components[i], expected), (d, i)
@@ -378,7 +379,8 @@ class ProductOracle:
 
     Components are the row spaces of the dense projectors' transposes, and
     products go through a dense 0/1 matrix with one 1 per (alpha, beta)
-    row, in the column of alpha + beta.
+    row, in the column of alpha + beta, built from the oracle's own
+    exponent tuples.
     """
 
     def __init__(self, action, table, top):
@@ -393,12 +395,11 @@ class ProductOracle:
 
     def projected(self, i, j, a, b):
         """span @ P_l^T for each l, span the row space of the products."""
-        pa, pb, pab = (self.action.piece(d) for d in (a, b, a + b))
-        index = {m: k for k, m in enumerate(pab.monomials)}
-        mul = np.zeros((pa.dim * pb.dim, pab.dim), dtype=np.int64)
-        for ia, alpha in enumerate(pa.monomials):
-            for ib, beta in enumerate(pb.monomials):
-                mul[ia * pb.dim + ib, index[tuple(x + y for x, y in zip(alpha, beta))]] = 1
+        basis_a, basis_b, basis_ab = (exponents(self.action.n, d) for d in (a, b, a + b))
+        index = {m: k for k, m in enumerate(basis_ab)}
+        mul = np.zeros((len(basis_a) * len(basis_b), len(basis_ab)), dtype=np.int64)
+        for row, (alpha, beta) in enumerate(itertools.product(basis_a, basis_b)):
+            mul[row, index[tuple(x + y for x, y in zip(alpha, beta))]] = 1
         outer = np.kron(self.component(a, i), self.component(b, j)) % self.p
         span = linalg.row_space(linalg.matmul(outer, mul, self.p), self.p)
         return [linalg.matmul(span, proj.T, self.p) for proj in self.projs[a + b]]

@@ -22,7 +22,8 @@ from isotypic.errors import (
     SingularMatrix,
     WrongImage,
 )
-from isotypic.reps import _sym_power_step, intertwiner_basis, multiplicity_space, restrict_to_subspace
+from isotypic.cover import _sym_power_step
+from isotypic.reps import intertwiner_basis, multiplicity_space, restrict_to_subspace
 
 from conftest import (
     TEST_GROUPS,
