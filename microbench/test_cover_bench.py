@@ -8,7 +8,13 @@ The piece has dimension 455, the largest of the cover-s4 workload.  Each
 case runs once on the monomial form (index maps and scalars, as
 `LinearCoverAction.piece` stores it) and once on the dense form (24
 matrices of 455 x 455): building the pieces of degrees 0..12, the five
-isotypic projectors, and `fixed_dim` for the 17 cyclic subgroups.
+isotypic projectors of the degree-12 piece (dense group sums, which
+`decompose` does not build on a monomial piece), and `fixed_dim` for the
+17 cyclic subgroups.
+
+`test_decompose_pieces` times `piece_decomposition` of degrees 0..12 on a
+fresh action whose pieces are already built, so the memo of orbit-block
+reductions that the degrees share starts empty in every round.
 
 `test_product_checks` times the 250 `product_structure_check` calls of the
 S4 `perm4` cover report (i, j over the five irreducibles, 1 <= a <= b <=
@@ -17,6 +23,8 @@ already memoized.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -78,6 +86,23 @@ def test_fixed_dims(benchmark, s4, pieces, form):
     assert len(subgroups) == 17
     dims = benchmark(lambda: [reps.fixed_dim(pieces[form], h) for h in subgroups])
     assert dims[0] == 455  # the trivial subgroup fixes everything
+
+
+def test_decompose_pieces(benchmark, s4):
+    group, p, table = s4
+
+    def fresh_action():
+        action = cover.perm_action(group, p)
+        for d in range(DEGREE + 1):
+            action.piece(d)
+        return (action,), {}
+
+    decomps = benchmark.pedantic(
+        lambda action: [action.piece_decomposition(d, table) for d in range(DEGREE + 1)],
+        setup=fresh_action,
+        rounds=20,
+    )
+    assert [sum(dec.dims()) for dec in decomps] == [math.comb(d + 3, d) for d in range(DEGREE + 1)]
 
 
 def test_product_checks(benchmark, s4):

@@ -108,6 +108,8 @@ class LinearCoverAction:
         self.name = name
         self._pieces: dict[int, MatrixRep] = {}
         self._piece_data: dict[int, IsotypicDecomposition] = {}
+        self._orbit_blocks: dict = {}
+        self._forbidden_projectors: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
         self._series: dict[int, RatFunc] = {}
         self._dets: list[Poly] | None = None
         self._mul_maps: dict[tuple[int, int], np.ndarray] = {}
@@ -137,10 +139,15 @@ class LinearCoverAction:
         return self._pieces[d]
 
     def piece_decomposition(self, d: int, table: CharacterTable) -> IsotypicDecomposition:
-        """`decompose` of the degree-d piece, memoized."""
+        """`decompose` of the degree-d piece, memoized.
+
+        All degrees share one memo of orbit-block reductions, which is valid
+        because every memo of the action is built from one table: the orbits
+        of one type decompose the same way in every degree.
+        """
         _require_own_table(self, table)
         if d not in self._piece_data:
-            self._piece_data[d] = decompose(self.piece(d), table)
+            self._piece_data[d] = decompose(self.piece(d), table, self._orbit_blocks)
         return self._piece_data[d]
 
     def multiplication_map(self, a: int, b: int) -> np.ndarray:
@@ -333,7 +340,9 @@ def product_structure_check(
     projector P_F, the group sum of e_F, the sum of the central idempotents
     e_l of the forbidden l: P_F is the sum of those P_l, whose images are
     independent, so P_F W^T = 0 exactly when every forbidden P_l W^T = 0.
-    Nothing is built when no component is forbidden or a factor is empty.
+    P_F is kept on the action for the next check with the same a + b and
+    forbidden set.  Nothing is built when no component is forbidden or a
+    factor is empty.
     The check fails at the first forbidden l, in ascending order, with
     P_l W^T nonzero, and only then builds the P_l up to it, for its witness
     {"component": l, "degree": a + b, "vector"}: the first nonzero row of
@@ -354,8 +363,7 @@ def product_structure_check(
     shifted = np.zeros((dim_a, comp_b.shape[0], rep.dim), dtype=np.int64)
     shifted[np.arange(dim_a)[:, None, None], np.arange(comp_b.shape[0])[:, None], target[:, None]] = comp_b
     prods = linalg.matmul(comp_a, shifted.reshape(dim_a, -1), p).reshape(-1, rep.dim)
-    e_forbidden = np.sum([table.idempotents()[l] for l in required], axis=0)[None] % p
-    if not linalg.matmul(prods, _group_sum(rep, slice(None), e_forbidden)[0].T, p).any():
+    if not linalg.matmul(prods, _forbidden_projector(action, a + b, required, table).T, p).any():
         return None
     span = linalg.row_space(prods, p)
     # P_F is the sum of the forbidden P_l, so one of them is nonzero here
@@ -364,6 +372,18 @@ def product_structure_check(
         rows = np.nonzero(proj.any(axis=1))[0]
         if rows.size:
             return {"component": l, "degree": a + b, "vector": proj[rows[0]].tolist()}
+
+
+def _forbidden_projector(
+    action: LinearCoverAction, d: int, forbidden: tuple[int, ...], table: CharacterTable
+) -> np.ndarray:
+    """P_F on the degree-d piece, the group sum of the sum of the central
+    idempotents of `forbidden`, memoized on the action by (d, forbidden)."""
+    key = (d, forbidden)
+    if key not in action._forbidden_projectors:
+        e_forbidden = np.sum([table.idempotents()[l] for l in forbidden], axis=0)[None] % table.p
+        action._forbidden_projectors[key] = _group_sum(action.piece(d), slice(None), e_forbidden)[0]
+    return action._forbidden_projectors[key]
 
 
 def _tensor_mults(action: LinearCoverAction, table: CharacterTable) -> np.ndarray:

@@ -89,7 +89,7 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
     Returns (R, pivot_columns).  Pivots are normalized to 1 and chosen as
     the first nonzero entry in each column, scanning columns left to right.
     """
-    r = asmat(a, p).copy()
+    r = asmat(a, p)  # a new array, which the elimination overwrites
     m, n = r.shape
     pivots: list[int] = []
     row = 0

@@ -278,18 +278,23 @@ def _group_sum(rep: MatrixRep, elems, coef: np.ndarray) -> np.ndarray:
 
 
 def _act(rep: MatrixRep, elems, cols: np.ndarray) -> np.ndarray:
-    """rho(g) @ cols for each g in `elems` (as in `_group_sum`), stacked.
+    """rho(g) @ cols for each g in `elems` (as in `_group_sum`), stacked;
+    `cols` holds residues mod p.
 
     A monomial rho(g) moves row j of `cols`, times scalars[g, j], to row
     images[g, j] (each index map of a representation is a permutation):
-    one scatter, no product.  A dense representation takes one
-    `linalg.matmul`.
+    one scatter, with no product when every scalar is 1.  A dense
+    representation takes one `linalg.matmul`.
     """
     if rep.images is None:
         return linalg.matmul(rep.mats[elems], cols, rep.p)
     images, scalars = rep.images[elems], rep.scalars[elems]
     out = np.zeros(images.shape + cols.shape[1:], dtype=np.int64)
-    out[np.arange(len(images))[:, None], images] = scalars[:, :, None] * cols % rep.p
+    rows = np.arange(len(images))[:, None]
+    if (scalars == 1).all():
+        out[rows, images] = cols
+    else:
+        out[rows, images] = scalars[:, :, None] * cols % rep.p
     return out
 
 
@@ -299,30 +304,33 @@ def isotypic_projector(rep: MatrixRep, i: int, table: CharacterTable) -> np.ndar
     return _group_sum(rep, slice(None), table.idempotents()[i][None])[0]
 
 
-def decompose(rep: MatrixRep, table: CharacterTable) -> IsotypicDecomposition:
+def decompose(rep: MatrixRep, table: CharacterTable, memo: dict | None = None) -> IsotypicDecomposition:
     """Isotypic decomposition, with the multiplicity vector.
 
     Multiplicities are true integers rank(P_i)/deg_i; each one is cross-
     checked against the character inner product, which lives mod p, so the
     two methods must agree as residues.  The component of i is
-    `row_space(P_i^T)`.  On a monomial representation P_i only has cells
-    (images[g, j], j), so it is block diagonal over the G-orbits of the
-    basis: each orbit block of P_i^T is row-reduced alone, and its rows,
-    embedded and sorted by pivot column, are the reduced row-echelon form
-    of all of P_i^T, which is unique, so the same basis.
+    `row_space(P_i^T)`, from the dense projector on a dense representation
+    and from `_orbit_row_space` on a monomial one, which gives the same
+    array.  A caller that decomposes many representations with one table
+    may pass a dict as `memo`, which keeps the orbit-block reductions of
+    `_orbit_row_space` for every later call with that table; without one,
+    nothing is kept.
     """
     classes, p = table.classes, table.p
     chi = character_of(rep, classes)
     orbits = None
-    if rep.images is not None:
+    if rep.images is not None and rep.group.order * p < linalg.FLOAT_EXACT:
         label = _orbit_labels(rep.images)
         orbits = [np.nonzero(label == k)[0] for k in np.unique(label)]
     components = []
     mults = []
     total = 0
     for i in range(table.num_irreps):
-        proj = isotypic_projector(rep, i, table)
-        basis = linalg.row_space(proj.T, p) if orbits is None else _orbit_block_row_space(proj.T, orbits, p)
+        if orbits is None:
+            basis = linalg.row_space(isotypic_projector(rep, i, table).T, p)
+        else:
+            basis = _orbit_row_space(rep, orbits, table, i, memo)
         r = basis.shape[0]
         if r % table.degrees[i] != 0:
             raise InconsistentMultiplicity(
@@ -342,22 +350,65 @@ def decompose(rep: MatrixRep, table: CharacterTable) -> IsotypicDecomposition:
     return IsotypicDecomposition(components, tuple(mults))
 
 
-def _orbit_block_row_space(a: np.ndarray, orbits: list[np.ndarray], p: int) -> np.ndarray:
-    """`linalg.row_space(a)` for a matrix that is zero outside the blocks
-    a[O, O], O the index arrays of `orbits` (each ascending)."""
-    rows, pivots = [], []
+def _orbit_row_space(
+    rep: MatrixRep, orbits: list[np.ndarray], table: CharacterTable, i: int, memo: dict | None
+) -> np.ndarray:
+    """`linalg.row_space(P_i^T)` for the isotypic projector P_i of a
+    monomial representation, `orbits` the index arrays (each ascending) of
+    the G-orbits of its basis.
+
+    P_i only has cells (images[g, j], j), so it is block diagonal over the
+    orbits.  With local[orbit] = arange(|O|), cell (a, b) of an orbit's
+    block is a * |O| + b, so rho(g) e_j, j = orbit[a], lands on cell
+    a * |O| + local[images[g, j]] of the block of P_i^T, with weight
+    e_i[g] * scalars[g, j]: one `np.bincount` of |G| * |O| weights.  A cell
+    sums at most |G| residues, exact in float64 while |G| p < 2^53, which
+    `decompose` checks.  Each block is row-reduced alone, and its rows,
+    embedded and sorted by pivot column, are the reduced row-echelon form
+    of all of P_i^T, which is unique, so the same basis.
+
+    A block is a function of i and of the orbit's local index maps and
+    scalars, its orbit type, and those of the generators fix those of
+    every element, as rho is a homomorphism.  So `memo`, when given, keeps
+    the block's reduction under i and the bytes of the generators' local
+    index maps and scalars on the orbit, and every later orbit of that
+    type reuses it.
+    """
+    p, e = rep.p, table.idempotents()[i]
+    gens = list(rep.group.generator_indices)
+    gen_images, gen_scalars = rep.images[gens], rep.scalars[gens]
+    local = np.empty(rep.dim, dtype=np.int64)
+    parts, pivots = [], []
     for orbit in orbits:
-        block = a[np.ix_(orbit, orbit)]
-        if not block.any():
-            continue
-        r, piv = linalg.rref(block, p)
-        embedded = np.zeros((len(piv), a.shape[1]), dtype=np.int64)
-        embedded[:, orbit] = r[: len(piv)]
-        rows.append(embedded)
+        size = len(orbit)
+        local[orbit] = np.arange(size)
+        key = None
+        if memo is not None:
+            key = (i, local[gen_images[:, orbit]].tobytes(), gen_scalars[:, orbit].tobytes())
+        if key is not None and key in memo:
+            rows, piv = memo[key]
+        else:
+            cells = (np.arange(size) * size + local[rep.images[:, orbit]]).ravel()
+            weights = (e[:, None] * rep.scalars[:, orbit] % p).ravel()
+            block = np.bincount(cells, weights, size * size).astype(np.int64).reshape(size, size)
+            # a transitive rep (the regular rep) is one orbit of |G|: free
+            # its |G|^2-cell arrays before the elimination's own copies
+            del cells, weights
+            r, piv = linalg.rref(block, p)  # rref reduces mod p
+            rows = r[: len(piv)].copy()
+            if key is not None:
+                memo[key] = rows, piv
+        parts.append((orbit, rows))
         pivots.extend(orbit[list(piv)])
-    if not rows:
-        return np.zeros((0, a.shape[1]), dtype=np.int64)
-    return np.concatenate(rows)[np.argsort(pivots)]
+    # the k-th embedded row is row position[k] of the result
+    position = np.empty(len(pivots), dtype=np.int64)
+    position[np.argsort(pivots)] = np.arange(len(pivots))
+    out = np.zeros((len(pivots), rep.dim), dtype=np.int64)
+    start = 0
+    for orbit, rows in parts:
+        out[position[start : start + len(rows), None], orbit] = rows
+        start += len(rows)
+    return out
 
 
 def restrict_to_subspace(rep: MatrixRep, basis: np.ndarray) -> MatrixRep:

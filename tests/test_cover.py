@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -444,3 +445,100 @@ def test_a_foreign_table_is_refused_after_the_memos_are_built(ctx):
     for call in (iso.generic_multiplicity, lambda a, i, t: iso.pushforward_report(a, 4, t)):
         with pytest.raises(ValueError, match="C6 at p = 7 .* S3 at p = 7"):
             call(action, 1, c6.table)
+
+
+def signed_perm_action(c):
+    """A matrix-file action with scalars -1: each generator's permutation
+    matrix times its sign, so rho = perm (x) sign, which is faithful."""
+    perm = iso.permutation_rep(c.group, c.p).mats
+    gens = []
+    for g in c.group.generator_indices:
+        sign = (-1) ** (c.group.degree - len(c.group.elements[g].cycles()))
+        gens.append(perm[g] * sign % c.p)
+    return cover.validate_action(c.group, gens, c.p, name="signed")
+
+
+def orbit_type_actions(ctx):
+    """(action, table, top degree) for the monomial actions of the orbit-type tests."""
+    s4, s3, c4 = ctx("S4"), ctx("S3"), ctx("C4")
+    return [
+        (builtin_action(s4.group, s4.p, "perm4"), s4.table, 12),
+        (builtin_action(s3.group, s3.p, "perm3"), s3.table, 12),
+        (builtin_action(c4.group, c4.p, "scalar"), c4.table, 12),
+        (signed_perm_action(s4), s4.table, 8),
+    ]
+
+
+def test_orbit_type_components_are_the_dense_projector_row_spaces(ctx):
+    # every piece is decomposed through the action's one memo of orbit-block
+    # reductions, shared across degrees, and matches the dense projector
+    for action, table, top in orbit_type_actions(ctx):
+        assert action.piece(1).images is not None
+        assert (action.piece(1).scalars != 1).any() == (action.name in ("scalar1", "signed")), action.name
+        for d in range(top + 1):
+            components = action.piece_decomposition(d, table).components
+            for i, got in enumerate(components):
+                want = linalg.row_space(iso.isotypic_projector(action.piece(d), i, table).T, table.p)
+                assert got.dtype == want.dtype and np.array_equal(got, want), (action.name, d, i)
+
+
+def test_a_shared_orbit_memo_gives_the_arrays_of_a_fresh_one(ctx):
+    for action, table, top in orbit_type_actions(ctx):
+        shared = {}
+        for d in range(top + 1):
+            piece = action.piece(d)
+            with_shared = reps.decompose(piece, table, shared).components
+            with_fresh = reps.decompose(piece, table, {}).components
+            without = reps.decompose(piece, table).components
+            for a, b, c in zip(with_shared, with_fresh, without):
+                assert np.array_equal(a, b) and np.array_equal(a, c), (action.name, d)
+        assert shared
+
+
+def test_orbit_types_with_equal_index_maps_and_other_scalars_are_apart(ctx):
+    # C4 acts on x by a primitive 4th root: every piece B_d is one line,
+    # with the same index maps and scalars that repeat with period 4 in d,
+    # so degrees 0..7 make four orbit types, each reduced once per irreducible
+    c = ctx("C4")
+    action = iso.scalar_action(c.group, c.p)
+    for d in range(8):
+        assert np.array_equal(action.piece(d).images, action.piece(0).images)
+        decomp = action.piece_decomposition(d, c.table)
+        for i, got in enumerate(decomp.components):
+            want = linalg.row_space(iso.isotypic_projector(action.piece(d), i, c.table).T, c.p)
+            assert np.array_equal(got, want), (d, i)
+    assert len(action._orbit_blocks) == 4 * c.table.num_irreps
+
+
+def test_an_orbit_memo_belongs_to_one_action(ctx):
+    c = ctx("S3")
+    first, second = iso.perm_action(c.group, c.p), iso.perm_action(c.group, c.p)
+    first.piece_decomposition(4, c.table)
+    assert first._orbit_blocks and second._orbit_blocks == {}
+    second.piece_decomposition(4, c.table)
+    assert second._orbit_blocks.keys() == first._orbit_blocks.keys()
+    assert second._orbit_blocks is not first._orbit_blocks
+
+
+def test_a_monomial_piece_is_decomposed_without_a_dense_projector(ctx, monkeypatch):
+    # no projector or group sum is built, no dense matrix is read, and no
+    # transient array has dim^2 cells
+    c = ctx("S4")
+    action = iso.perm_action(c.group, c.p)
+    piece = action.piece(12)
+
+    def refuse(*args):
+        raise AssertionError("a dense projector was built")
+
+    monkeypatch.setattr(reps, "isotypic_projector", refuse)
+    monkeypatch.setattr(reps, "_group_sum", refuse)
+    c.table.idempotents()
+    tracemalloc.start()
+    try:
+        decomp = reps.decompose(piece, c.table, {})
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(decomp.dims()) == piece.dim == 455
+    assert "mats" not in vars(piece)
+    assert peak - current < piece.dim**2 * 8

@@ -133,7 +133,8 @@ def test_matrix_rep_holds_a_reduced_copy_of_its_input(ctx):
 
 def test_product_check_builds_one_projector_until_it_fails(ctx, monkeypatch):
     # a passing check with forbidden components builds P_F, one group sum on
-    # B_{a+b}, and no P_l; with nothing forbidden or an empty factor it builds
+    # B_{a+b}, the first time it meets its (a + b, forbidden set) and none
+    # after, and no P_l; with nothing forbidden or an empty factor it builds
     # nothing; a failing one builds P_l for the forbidden l up to its witness
     c = ctx("S3")
     action = iso.perm_action(c.group, c.p)
@@ -151,7 +152,7 @@ def test_product_check_builds_one_projector_until_it_fails(ctx, monkeypatch):
     monkeypatch.setattr(cover, "_group_sum", sum_spy)
     monkeypatch.setattr(cover, "isotypic_projector", projector_spy)
     tens = iso.tensor_multiplicities(c.table)
-    seen = set()
+    seen, forbidden_sets = set(), set()
     for i in range(3):
         for j in range(3):
             for a in (1, 2):
@@ -164,12 +165,14 @@ def test_product_check_builds_one_projector_until_it_fails(ctx, monkeypatch):
                     elif not (decomps[0].multiplicities[i] and decomps[1].multiplicities[j]):
                         kind = "empty factor"
                     else:
-                        kind = "one group sum"
+                        key = (a + b, tuple(np.nonzero(tens[i, j] == 0)[0]))
+                        kind = "reused P_F" if key in forbidden_sets else "one group sum"
+                        forbidden_sets.add(key)
                     assert [rep is action.piece(a + b) for rep in sums] == (
                         [True] if kind == "one group sum" else []
                     ), (i, j, a, b)
                     seen.add(kind)
-    assert built == [] and len(seen) == 3
+    assert built == [] and len(seen) == 4
     # (x_0 + x_1 + x_2)^2, the square of the trivial component of B_1, is
     # invariant: with everything forbidden, only P_0 is built
     forbid(monkeypatch, 3, 0, 0, 0, 1, 2)

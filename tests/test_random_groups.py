@@ -5,16 +5,20 @@ most 5 (the S6 models alone take seconds), and checks the character table
 and the irreducible models of the group it gets: row orthogonality, the sum
 of the squared degrees, the character of every model, dim End_G(perm) as
 the sum of the squared multiplicity-space dimensions of the permutation
-representation, and every evaluation isomorphism.  The derandomized
-profile of `conftest.py` draws the same groups on every run.
+representation, and every evaluation isomorphism; and, on the permutation
+and regular representations, every isotypic component against the row
+space of the dense projector.  The derandomized profile of `conftest.py`
+draws the same groups on every run.
 """
 
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import isotypic as iso
+from isotypic import linalg
 from isotypic.reps import multiplicity_space
 
 
@@ -46,3 +50,18 @@ def test_random_group_tables_and_models(group):
         ok, _ = iso.evaluation_iso_check(perm, i, table, model)
         assert ok
     assert iso.hom_dim(perm, perm, table) == sum(m * m for m in mults)
+
+
+@settings(deadline=None)
+@given(permutation_groups())
+def test_random_group_orbit_blocks_match_the_dense_projectors(group):
+    # `decompose` reduces the orbit blocks of a monomial rep one at a time:
+    # the regular rep is one orbit, a permutation rep of a random group
+    # usually several
+    p = iso.choose_prime(group)
+    table = iso.character_table(group, iso.conjugacy_classes(group), p)
+    for rep in (iso.permutation_rep(group, p), iso.regular_rep(group, p)):
+        components = iso.decompose(rep, table).components
+        for i, got in enumerate(components):
+            want = linalg.row_space(iso.isotypic_projector(rep, i, table).T, p)
+            assert got.dtype == want.dtype and np.array_equal(got, want), i
