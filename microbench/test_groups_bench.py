@@ -5,16 +5,18 @@ Outside the `testpaths` of pyproject.toml; run from the repository root:
     PYTHONPATH=src python -m pytest microbench --benchmark-only
 
 The groups are those of the tables workload: S6 (720 elements on two
-generators) and D100 (200 elements).
+generators) and D100 (200 elements).  `exponent` reads the element orders
+off the multiplication table.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from isotypic.groups import build_group, group_from_name
+from isotypic.groups import build_group, exponent, group_from_name
 
 ORDERS = {"S6": 720, "D100": 200}
+EXPONENTS = {"S6": 60, "D100": 100}
 
 
 @pytest.mark.parametrize("name", ORDERS)
@@ -22,3 +24,9 @@ def test_build_group(benchmark, name):
     gens = group_from_name(name).generators
     group = benchmark(build_group, gens, name=name)
     assert group.order == ORDERS[name]
+
+
+@pytest.mark.parametrize("name", ORDERS)
+def test_exponent(benchmark, name):
+    group = group_from_name(name)
+    assert benchmark(exponent, group) == EXPONENTS[name]

@@ -4,8 +4,12 @@ Scalars are plain ints in [0, p).  Polynomials are immutable coefficient
 tuples stored low-to-high with no trailing zeros; the zero polynomial has
 an empty tuple.  Rational functions are always kept reduced with a monic
 denominator so equality is componentwise and every report is
-deterministic.  There is no floating point and no characteristic-0 lift
-anywhere.
+deterministic.  `poly_roots` works on int64 coefficient arrays instead:
+products mod a fixed modulus are convolutions folded back through a
+table of x^(m+k) mod g, and the roots come from splitting idempotents of
+F_p[x]/(g).  Every value is an exact residue; floating point appears only
+inside `linalg.matmul`, where its bound keeps sums exact, and there is no
+characteristic-0 lift anywhere.
 """
 
 from __future__ import annotations
@@ -13,9 +17,11 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
+
 from .errors import PoleAtZero, ResidualPole, SplitFailure
 from .groups import DEFAULT_CAP, exponent
-from .linalg import inv_mod
+from .linalg import inv_mod, matmul, require_exact
 
 # Largest modulus whose int64 kernels stay exact: a dot product of
 # DEFAULT_CAP residues, each product below (p-1)^2, must stay below 2^63.
@@ -216,49 +222,184 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic()
 
 
-def powmod(base: Poly, k: int, mod: Poly) -> Poly:
-    """base^k reduced modulo mod, by repeated squaring."""
-    out = Poly.const(base.p, 1) % mod
-    base = base % mod
-    while k:
-        if k & 1:
-            out = out * base % mod
-        base = base * base % mod
-        k >>= 1
-    return out
-
-
 def poly_roots(f: Poly) -> list[int]:
     """Distinct roots of a nonzero f in F_p, in ascending order.
 
-    gcd(f, x^p - x) keeps one linear factor per root; Cantor-Zassenhaus
-    equal-degree splitting with seeded shifts a then separates them along
-    gcd(h, (x + a)^((p-1)/2) - 1).  The cost grows with log p, not p.
-    Raises SplitFailure for a composite modulus, where the splitting
-    would never end.
+    g = gcd(f, x^p - x) is the product of x - r over the distinct roots r,
+    and its m roots are split apart on idempotents of A = F_p[x]/(g),
+    which is F_p^m by the Chinese remainder theorem (Cantor-Zassenhaus
+    equal-degree splitting, done on idempotents).  For a draw a,
+    w = (x + a)^((p-1)/2) takes the value 1, -1 or 0 at each root r (the
+    Legendre symbol of r + a), so (w^2 + w)/2, (w^2 - w)/2 and 1 - w^2 are
+    orthogonal idempotents that sum to 1, also when -a is a root.  One w
+    per draw refines every pending idempotent at once.  The draws are
+    seeded, and the first one's w comes with x^p = (x + a)^p - a, as
+    (x + a) w^2 mod f.  The trace of an idempotent counts the roots it
+    carries, so those of trace 1 are done: each is the idempotent of one
+    root r, read off as r = Tr(x e).  x e = r e is then checked on every
+    row at once; m rows with m distinct r certify all m roots, else
+    SplitFailure.
+
+    Arithmetic mod f or g is on int64 coefficient arrays: a product is one
+    convolution and one product with the rows x^(m+k) mod g, and
+    `require_exact` keeps every sum of products below 2^63.  The cost
+    grows with log p, not p.  Raises SplitFailure for a composite modulus,
+    where the splitting would never end.
     """
     p = f.p
     if not is_prime(p):
         raise SplitFailure(f"modulus {p} is not prime")
-    x = Poly.x(p)
     if p == 2:
         return [r for r in (0, 1) if f.eval(r) == 0]
-    pending = [poly_gcd(f, powmod(x, p, f) - x)]
-    one = Poly.const(p, 1)
+    fa = np.array(f.monic().coeffs, dtype=np.int64)
+    if fa.size < 3:  # a constant, or x - r
+        return [int(-fa[0] % p)] if fa.size == 2 else []
+    require_exact(fa.size, p)
+    fold = _fold_table(fa, p)
     rng = random.Random(0)
-    roots = []
-    while pending:
-        h = pending.pop()
-        if h.degree == 1:
-            roots.append(-h.coeffs[0] % p)
-        elif h.degree > 1:
-            while True:
-                a = rng.randrange(p)
-                s = poly_gcd(h, powmod(x + Poly.const(p, a), (p - 1) // 2, h) - one)
-                if 0 < s.degree < h.degree:
-                    break
-            pending += [s, h.exact_div(s)]
-    return sorted(roots)
+    a = rng.randrange(p)
+    w = _linear_power(a, (p - 1) // 2, fold, p)  # mod f, for now
+    frob = _reduce(np.convolve(np.convolve(w, w) % p, (a, 1)), fold, p)  # (x + a)^p = x^p + a
+    frob[:2] -= a, 1
+    g = _gcd(fa, frob % p, p)
+    m = g.size - 1
+    if m < 2:
+        return [int(-g[0] % p)] if m else []
+    if m < fa.size - 1:  # else g = f: every root of f is simple and in F_p
+        w = _remainder(w, g, p)
+        fold = _fold_table(g, p)
+    trace = _power_traces(fold, p)
+    pending, done = np.eye(1, m, dtype=np.int64), np.zeros((0, m), dtype=np.int64)
+    us = _legendre_idempotents(w, a, g, fold, p)
+    split = us[:, None, :]  # the first draw cuts 1, and 1 u = u
+    while True:
+        parts = np.concatenate([*split, (pending - split.sum(axis=0)) % p])
+        parts = parts[parts.any(axis=1)]
+        single = parts @ trace % p == 1
+        done = np.concatenate([done, parts[single]])
+        pending = parts[~single]
+        if not pending.shape[0]:
+            break
+        a = rng.randrange(p)
+        us = _legendre_idempotents(_linear_power(a, (p - 1) // 2, fold, p), a, g, fold, p)
+        split = _times(pending, us, fold, p)
+    shifted = done[:, -1:] * fold[0]  # x e mod g, row by row
+    shifted[:, 1:] += done[:, :-1]
+    shifted %= p
+    roots = shifted @ trace % p
+    if done.shape[0] != m or len(set(roots.tolist())) != m or (shifted != done * roots[:, None] % p).any():
+        raise SplitFailure("an idempotent of trace 1 is not the idempotent of one root")
+    return sorted(roots.tolist())
+
+
+def _legendre_idempotents(w: np.ndarray, a: int, g: np.ndarray, fold: np.ndarray, p: int) -> np.ndarray:
+    """Rows (w^2 + w)/2 and (w^2 - w)/2 for w = (x + a)^((p-1)/2) mod g: the
+    idempotents of the roots r with r + a a nonzero square, and a
+    non-square.  The third idempotent is 1 minus their sum.  w^2 is 1 at
+    every root but -a, so when -a is no root of g the second is 1 minus the
+    first, and only the first is returned."""
+    half = (p + 1) // 2
+    hit = 0
+    for c in reversed(g.tolist()):  # g(-a), by Horner
+        hit = (hit * -a + c) % p
+    if hit:
+        u = w * half
+        u[0] += half
+        return u[None, :] % p
+    ww = _reduce(np.convolve(w, w), fold, p)
+    return np.array([ww + w, ww - w]) * half % p
+
+
+def _fold_table(g: np.ndarray, p: int) -> np.ndarray:
+    """Rows x^(m+k) mod g, k = 0 .. m-1, for a monic g of degree m >= 2:
+    the coefficients of degree m and up of a product fold back through them."""
+    m = g.size - 1
+    fold = np.empty((m, m), dtype=np.int64)
+    fold[0] = -g[:m] % p
+    for k in range(1, m):  # x^(m+k) = x * x^(m+k-1)
+        fold[k] = fold[k - 1, -1] * fold[0]
+        fold[k, 1:] += fold[k - 1, :-1]
+        fold[k] %= p
+    return fold
+
+
+def _reduce(c: np.ndarray, fold: np.ndarray, p: int) -> np.ndarray:
+    """Coefficients of degree below 2m, reduced mod g along the last axis."""
+    m = fold.shape[1]
+    high = c[..., m:] % p
+    # one vector takes the int64 product, exact by `require_exact` and without
+    # `matmul`'s fixed cost, which dominates the short chains of small f
+    high = high @ fold[: high.shape[-1]] if high.ndim == 1 else matmul(high, fold[: high.shape[-1]], p)
+    return (c[..., :m] % p + high) % p
+
+
+def _linear_power(a: int, k: int, fold: np.ndarray, p: int) -> np.ndarray:
+    """(x + a)^k mod g for k >= 1, by squaring."""
+    out = np.zeros(fold.shape[1], dtype=np.int64)
+    out[:2] = a, 1
+    for bit in bin(k)[3:]:
+        c = np.convolve(out, out)
+        if bit == "1":
+            c = np.convolve(c % p, (a, 1))
+        out = _reduce(c, fold, p)
+    return out
+
+
+def _times(e: np.ndarray, us: np.ndarray, fold: np.ndarray, p: int) -> np.ndarray:
+    """e u mod g for each row u of us, row by row: one product with the
+    Toeplitz matrices of the u side by side, then one reduction."""
+    m = fold.shape[1]
+    padded = np.zeros((3 * m - 2, us.shape[0]), dtype=np.int64)
+    padded[m - 1 : 2 * m - 1] = us.T
+    # row i reads the padded u from m - 1 - i on, the coefficients of x^i u:
+    # a view, which `matmul` converts a block of columns at a time
+    rows, cols = padded.strides
+    toeplitz = np.ndarray(
+        (m, padded.shape[1] * (2 * m - 1)), np.int64, padded, (m - 1) * rows, (-rows, cols)
+    )
+    products = matmul(e, toeplitz, p).reshape(e.shape[0], 2 * m - 1, -1)
+    return _reduce(products.transpose(2, 0, 1), fold, p)
+
+
+def _power_traces(fold: np.ndarray, p: int) -> np.ndarray:
+    """Tr(x^j) on F_p[x]/(g) for j = 0 .. m-1, the power sums of the roots.
+
+    Multiplication by x^j sends x^k to x^(j+k), so its trace sums the
+    coefficient of x^k in x^(j+k) mod g: m for j = 0, and otherwise the
+    diagonal fold[i, i + m - j], i < j, of the table of x^(m+i) mod g.
+    """
+    m = fold.shape[1]
+    return np.array([m] + [fold.trace(m - j) for j in range(1, m)], dtype=np.int64) % p
+
+
+def _gcd(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Monic gcd of a monic a and a b of lower degree (coefficients low to high)."""
+    b = b[: _degree(b) + 1]
+    while b.size:
+        b = b * inv_mod(int(b[-1]), p) % p
+        r = _remainder(a, b, p)
+        a, b = b, r[: _degree(r) + 1]
+    return a
+
+
+def _remainder(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a mod a monic b, as deg b coefficients (a has at least that many).
+
+    Schoolbook division that reduces only the coefficient it reads: each
+    entry takes at most deg a products below p^2, which `require_exact`
+    keeps in int64."""
+    n = b.size - 1
+    r = a.copy()
+    for top in range(r.size - 1, n - 1, -1):
+        c = int(r[top]) % p
+        if c:
+            r[top - n : top + 1] -= c * b
+    return r[:n] % p
+
+
+def _degree(v: np.ndarray) -> int:
+    nz = np.flatnonzero(v)
+    return int(nz[-1]) if nz.size else -1
 
 
 class RatFunc:

@@ -6,11 +6,18 @@ order is the canonical element order: every downstream artifact
 (idempotent coefficient vectors, projector bases, report layouts) indexes
 elements by it, so it is part of the contract, not an implementation
 detail.
+
+The closure works on arrays of permutation images, one breadth-first
+level per gather, and fills the multiplication table row by row from the left
+multiplications by the generators; conjugacy classes, exponents and
+subgroups are then gathers on that table.  `Permutation` objects are the
+input and the output, not the arithmetic.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -27,11 +34,21 @@ class Permutation:
     __slots__ = ("images",)
 
     def __init__(self, images):
-        images = tuple(int(i) for i in images)
+        try:  # ints and numpy ints; no float or string is truncated to one
+            images = tuple(operator.index(i) for i in images)
+        except TypeError:
+            raise InvalidPermutation(f"images {images!r} are not all integers") from None
         n = len(images)
         if sorted(images) != list(range(n)):
             raise InvalidPermutation(f"images {images} are not a bijection on 0..{n - 1}")
         self.images = images
+
+    @classmethod
+    def _trusted(cls, images: tuple[int, ...]) -> "Permutation":
+        """A permutation from images already known to be a bijection."""
+        perm = object.__new__(cls)
+        perm.images = images
+        return perm
 
     @property
     def degree(self) -> int:
@@ -152,46 +169,77 @@ def build_group(generators, name: str = "custom") -> Group:
     multiplying by the generators in input order; a closure above
     DEFAULT_CAP elements raises ClosureExceedsCap.  No generators give
     the trivial group on one point.
+
+    The search runs one BFS level at a time on rows of images.  The
+    products e * g_j of a whole level are one gather, `level[:, gens]`,
+    in (element, generator) row-major order, and a dict on their image
+    bytes keeps the first occurrence of each new element in that order.
+    Every element found while level L is scanned lies in level L + 1, so
+    elements, `words` and `generator_indices` come out exactly as a
+    search that multiplies one element by one generator at a time finds
+    them.  Products of validated permutations are permutations, so only
+    the generators are validated.
     """
     generators = list(generators)
     deg = generators[0].degree if generators else 1
     if any(g.degree != deg for g in generators):
         raise InvalidPermutation("generators must share one degree")
 
-    ident = Permutation.identity(deg)
-    elements = [ident]
-    index = {ident: 0}
-    words: list = [None]
-    right: list[list[int]] = []  # right[a][j] = index of elements[a] * generators[j]
-    pos = 0
-    while pos < len(elements):
-        cur = elements[pos]
-        row = []
-        for gen_pos, g in enumerate(generators):
-            nxt = cur * g
-            k = index.get(nxt)
-            if k is None:
-                if len(elements) >= DEFAULT_CAP:
-                    raise ClosureExceedsCap(f"closure exceeded cap of {DEFAULT_CAP} elements")
-                k = index[nxt] = len(elements)
-                elements.append(nxt)
-                words.append((pos, gen_pos))
-            row.append(k)
-        right.append(row)
-        pos += 1
+    images, words, left = _breadth_first(generators, deg)
+    # images as shared ints: a fresh int object per entry would hold
+    # |G| * degree of them (28 bytes each past 256)
+    points = list(range(deg)).__getitem__
+    elements = [Permutation._trusted(tuple(map(points, row.tolist()))) for row in images]
+    del images  # |G| x degree, which the table does not read
 
-    # Column k of the table follows the word of element k:
-    # x * elements[k] = (x * elements[parent]) * generators[gen_pos].
+    # Row k of the table follows the word of element k:
+    # elements[k] * x = elements[parent] * (generators[gen_pos] * x).
     n = len(elements)
-    right_tab = np.array(right, dtype=np.int64).reshape(n, len(generators))
     mult = np.empty((n, n), dtype=np.int64)
-    mult[:, 0] = np.arange(n)
-    for k in range(1, n):
-        parent, gen_pos = words[k]
-        mult[:, k] = right_tab[mult[:, parent], gen_pos]
+    mult[0] = np.arange(n)
+    for k, (a, j) in enumerate(words[1:], start=1):
+        mult[a].take(left[j], out=mult[k])
     inv = np.argmin(mult, axis=1)  # the identity 0 occurs once in each row
-    gen_idx = [index[g] for g in generators]
-    return Group(elements, mult, inv.tolist(), generators, gen_idx, words, name=name)
+    return Group(elements, mult, inv.tolist(), generators, left[:, 0].tolist(), words, name=name)
+
+
+def _breadth_first(generators, deg: int):
+    """The closure search of `build_group`, one level at a time.
+
+    Returns the images of the elements (one row each), the words, and the
+    left multiplications left[j, k], the index of generators[j] *
+    elements[k].  The dict of image bytes that finds each index stays here.
+    """
+    r = len(generators)
+    # the smallest unsigned type that holds a point keeps the keys short
+    gens = np.array([g.images for g in generators], dtype=np.min_scalar_type(max(deg - 1, 0))).reshape(r, deg)
+    level = np.arange(deg, dtype=gens.dtype)[None, :]
+    index = {level.tobytes(): 0}
+    levels, words = [level], [None]
+    first = 0  # index of the first element of `level`
+    while level.shape[0]:
+        cand = level[:, gens]  # cand[a, j] = images of elements[first + a] * generators[j]
+        fresh = []
+        for c, key in enumerate(_row_bytes(cand)):
+            if key not in index:
+                if len(index) >= DEFAULT_CAP:
+                    raise ClosureExceedsCap(f"closure exceeded cap of {DEFAULT_CAP} elements")
+                index[key] = len(index)
+                fresh.append(c)
+                a, j = divmod(c, r)
+                words.append((first + a, j))
+        first += level.shape[0]
+        level = cand.reshape(level.shape[0] * r, deg)[fresh]
+        levels.append(level)
+    images = np.concatenate(levels)
+    left = np.array([[index[key] for key in _row_bytes(g[images])] for g in gens], dtype=np.int64)
+    return images, words, left.reshape(r, len(index))
+
+
+def _row_bytes(rows: np.ndarray) -> list[bytes]:
+    """The bytes of each row of images along the last axis."""
+    raw, width = rows.tobytes(), rows.itemsize * rows.shape[-1]
+    return [raw[c * width : (c + 1) * width] for c in range(math.prod(rows.shape[:-1]))]
 
 
 def conjugacy_classes(group: Group) -> ConjugacyClasses:
@@ -215,8 +263,23 @@ def conjugacy_classes(group: Group) -> ConjugacyClasses:
 
 
 def exponent(group: Group) -> int:
-    """Least common multiple of the element orders."""
-    return math.lcm(*(g.order() for g in group.elements))
+    """Least common multiple of the element orders.
+
+    Powers are read off the multiplication table, all elements at once:
+    step t takes g^t to g^(t+1) = mult[g^t, g] by one gather, and an
+    element leaves at the first t with g^t = 1, its order.
+    """
+    elems = np.arange(group.order)
+    power = elems.copy()  # g^t for each g in elems
+    e, t = 1, 1
+    while elems.size:
+        done = power == 0
+        if done.any():
+            e = math.lcm(e, t)
+            elems, power = elems[~done], power[~done]
+        power = group.mult[power, elems]
+        t += 1
+    return e
 
 
 def subgroup_closure(group: Group, gens) -> Subgroup:

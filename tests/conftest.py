@@ -1,6 +1,7 @@
 """Shared fixtures and helpers: cached group/table contexts for the test
 groups, random invertible matrices, the identity test and the inverse of
-permutations, every subgroup of a group, and the functors on
+permutations, random permutation generators and their closure one
+product at a time, every subgroup of a group, and the functors on
 representations and characters that only tests take (direct sums, tensor
 products, symmetric powers, exterior squares), and the exponent tuples
 of the monomials of one degree."""
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 import isotypic as iso
 from isotypic import cover, linalg
@@ -84,6 +86,44 @@ def inverse(perm: iso.Permutation) -> iso.Permutation:
     for i, j in enumerate(perm.images):
         inv[j] = i
     return iso.Permutation(inv)
+
+
+@st.composite
+def permutation_generators(draw):
+    """One to three random permutations of one degree, at most 5."""
+    degree = draw(st.integers(1, 5))
+    gens = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=3))
+    return [iso.Permutation(g) for g in gens]
+
+
+def closure_oracle(generators):
+    """The closure one element and one generator at a time, on `Permutation`
+    objects: (elements, mult, inv, words, generator_indices) in the
+    breadth-first discovery order that `build_group` must reproduce."""
+    generators = list(generators)
+    ident = iso.Permutation.identity(generators[0].degree if generators else 1)
+    elements, index, words, right = [ident], {ident: 0}, [None], []
+    pos = 0
+    while pos < len(elements):
+        row = []
+        for gen_pos, g in enumerate(generators):
+            nxt = elements[pos] * g
+            if nxt not in index:
+                index[nxt] = len(elements)
+                elements.append(nxt)
+                words.append((pos, gen_pos))
+            row.append(index[nxt])
+        right.append(row)
+        pos += 1
+    n = len(elements)
+    right = np.array(right, dtype=np.int64).reshape(n, len(generators))
+    mult = np.empty((n, n), dtype=np.int64)
+    mult[:, 0] = np.arange(n)
+    for k in range(1, n):
+        parent, gen_pos = words[k]
+        mult[:, k] = right[mult[:, parent], gen_pos]
+    inv = [int(np.argmin(row)) for row in mult]
+    return elements, mult, inv, words, [index[g] for g in generators]
 
 
 def all_subgroups(group):

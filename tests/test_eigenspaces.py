@@ -10,8 +10,8 @@ import sympy
 
 import isotypic as iso
 from isotypic import linalg
-from isotypic.arith import Poly, poly_roots
-from isotypic.errors import SingularMatrix, SplitFailure
+from isotypic.arith import MAX_MODULUS, Poly, is_prime, poly_roots
+from isotypic.errors import ModulusTooLarge, SingularMatrix, SplitFailure
 
 
 def scan_eigenspaces(a, p):
@@ -263,10 +263,72 @@ def test_poly_roots_small_fields():
     assert poly_roots(Poly(7, (1,))) == []
 
 
+LARGEST_PRIME = next(q for q in range(MAX_MODULUS - 1, 0, -1) if is_prime(q))
+
+
+def irreducible_cofactor(p, rng):
+    """A random monic irreducible polynomial of degree 2 to 4, by sympy."""
+    x = sympy.symbols("x")
+    while True:
+        coeffs = [rng.randrange(p) for _ in range(rng.randint(2, 4))] + [1]
+        if sympy.Poly(list(reversed(coeffs)), x, modulus=p).is_irreducible:
+            return Poly(p, coeffs)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 101, 10009, LARGEST_PRIME])
+def test_poly_roots_of_linear_factors_with_repeats_times_an_irreducible(p):
+    # the roots are those of the linear factors, by construction; sympy
+    # certifies the cofactor irreducible, and finds the roots itself where
+    # its factorization is fast
+    assert LARGEST_PRIME == 42949657
+    rng = random.Random(p)
+    for degree in (2, 9, 40, 256):
+        pool = [rng.randrange(p) for _ in range(max(1, degree // 3))]
+        linear = [rng.choice(pool) for _ in range(degree)]
+        f = irreducible_cofactor(p, rng)
+        for r in linear:
+            f = f * Poly(p, (-r, 1))
+        got = poly_roots(f.scale(rng.randrange(1, p)))
+        assert got == sorted(set(linear))
+        if degree <= 40:
+            assert got == sympy_roots(f.coeffs, p)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_poly_roots_of_x_to_the_p_minus_x(p):
+    # every element is a root, so every draw a hits the root -a
+    f = Poly.monomial(p, 1, p) - Poly.x(p)
+    assert poly_roots(f) == list(range(p))
+    assert poly_roots(f * irreducible_cofactor(p, random.Random(p))) == list(range(p))
+
+
+@pytest.mark.parametrize("name", ["D100", "D250"])
+def test_poly_roots_of_class_matrix_characteristic_polynomials(name):
+    group = iso.group_from_name(name)
+    classes = iso.conjugacy_classes(group)
+    p = iso.choose_prime(group)
+    for c in (1, classes.num_classes - 1):
+        f = linalg.charpoly(iso.class_matrix(group, classes, c) % p, p)
+        assert poly_roots(Poly(p, f)) == sympy_roots(f, p)
+
+
+def test_poly_roots_refuses_a_modulus_that_overflows_int64():
+    # a length-n sum of products below (p-1)^2 must stay below 2^63
+    with pytest.raises(ModulusTooLarge):
+        poly_roots(Poly(2**31 - 1, (1, 0, 1)))
+    n = next(n for n in range(4990, 5010) if n * (LARGEST_PRIME - 1) ** 2 >= 2**63)
+    with pytest.raises(ModulusTooLarge):
+        poly_roots(Poly.monomial(LARGEST_PRIME, 1, n - 1) + Poly.const(LARGEST_PRIME, 1))
+    assert poly_roots(Poly(LARGEST_PRIME, (-4, 0, 1))) == [2, LARGEST_PRIME - 2]
+
+
 def test_composite_modulus_raises():
     # splitting needs a field; a composite modulus must fail, not spin
-    with pytest.raises(SplitFailure):
-        poly_roots(Poly(25, (1, 0, 1)))
+    for q in (25, 9, 15, 1001, 3 * 10009):
+        with pytest.raises(SplitFailure):
+            poly_roots(Poly(q, (1, 0, 1)))
+        with pytest.raises(SplitFailure):
+            poly_roots(Poly(q, (-1, 0, 1)))
     group = iso.group_from_name("S3")
     with pytest.raises(SplitFailure):
         iso.character_table(group, iso.conjugacy_classes(group), 1001)

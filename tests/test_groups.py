@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import isotypic as iso
 from isotypic.errors import ClosureExceedsCap, InvalidPermutation
 
-from conftest import TEST_GROUPS, all_subgroups, inverse, is_identity
+from conftest import TEST_GROUPS, all_subgroups, closure_oracle, inverse, is_identity, permutation_generators
 
 
 def test_permutation_validation():
@@ -18,6 +21,16 @@ def test_permutation_validation():
         iso.Permutation((0, 0, 1))
     with pytest.raises(InvalidPermutation):
         iso.Permutation((1, 2, 3))
+
+
+def test_permutation_rejects_images_that_are_not_integers():
+    # int() would truncate 1.9 to 1 and parse "1"; neither is an image
+    for images in ([0, 1.9], ["1", "0"], [0.0, 1.0], [np.float64(1), 0], [None]):
+        with pytest.raises(InvalidPermutation, match="not all integers"):
+            iso.Permutation(images)
+    for images in ([1, 0], np.array([1, 0]), [np.int32(1), np.int64(0)], (np.uint8(1), 0)):
+        perm = iso.Permutation(images)
+        assert perm == iso.Permutation((1, 0)) and all(type(i) is int for i in perm.images)
 
 
 def test_permutation_composition_and_inverse():
@@ -246,3 +259,74 @@ def test_closure_tables_match_definitions(name):
         if min(orbit) == g:
             reps_seen.append(g)
     assert classes.reps == tuple(reps_seen)  # ordered by minimum element index
+
+
+# -- the closure against the one-product-at-a-time oracle ------------------------
+
+BUILTIN_FAMILIES = {
+    "S": [f"S{n}" for n in range(1, 7)],
+    "C": [f"C{n}" for n in range(1, 13)],
+    "D": [f"D{n}" for n in range(1, 101)],
+    "other": ["Q8", "A4"],
+}
+
+
+def assert_matches_oracle(group, generators):
+    elements, mult, inv, words, gen_idx = closure_oracle(generators)
+    assert group.elements == tuple(elements)
+    assert group.mult.dtype == mult.dtype and np.array_equal(group.mult, mult)
+    assert group.inv == tuple(inv)
+    assert group.words == tuple(words)
+    assert group.generator_indices == tuple(gen_idx)
+    assert iso.exponent(group) == math.lcm(*(g.order() for g in elements))
+
+
+@pytest.mark.parametrize("family", BUILTIN_FAMILIES)
+def test_closure_matches_the_product_oracle_on_builtin_groups(family):
+    for name in BUILTIN_FAMILIES[family]:
+        group = iso.group_from_name(name)
+        assert_matches_oracle(group, group.generators)
+
+
+def relabel(images, sigma):
+    """Images of sigma g sigma^-1, as the benchmark relabels its generators."""
+    out = [0] * len(images)
+    for x, y in enumerate(images):
+        out[sigma[x]] = sigma[y]
+    return iso.Permutation(out)
+
+
+@pytest.mark.parametrize("name", ["S6", "D100"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_closure_matches_the_product_oracle_on_relabelled_generators(name, seed):
+    gens = iso.group_from_name(name).generators
+    sigma = list(range(gens[0].degree))
+    random.Random(f"{seed}:{name}").shuffle(sigma)
+    relabelled = [relabel(g.images, sigma) for g in gens]
+    group = iso.build_group(relabelled, name=name)
+    assert_matches_oracle(group, relabelled)
+    # conjugation is an isomorphism, so the table is that of the builtin generators
+    assert np.array_equal(group.mult, iso.group_from_name(name).mult)
+
+
+@settings(deadline=None)
+@given(permutation_generators())
+def test_closure_matches_the_product_oracle_on_random_generators(gens):
+    assert_matches_oracle(iso.build_group(gens), gens)
+
+
+def test_closure_keeps_repeated_and_identity_generators():
+    gens = [iso.parse_cycles("(0 1 2)"), iso.Permutation.identity(3), iso.parse_cycles("(0 1 2)")]
+    group = iso.build_group(gens)
+    assert group.order == 3 and group.generator_indices == (1, 0, 1)
+    assert_matches_oracle(group, gens)
+    assert_matches_oracle(iso.build_group([iso.Permutation(())]), [iso.Permutation(())])
+
+
+def test_closure_cap_boundary(monkeypatch):
+    gens = iso.group_from_name("S4").generators
+    monkeypatch.setattr(iso.groups, "DEFAULT_CAP", 24)
+    assert iso.build_group(gens).order == 24
+    monkeypatch.setattr(iso.groups, "DEFAULT_CAP", 23)
+    with pytest.raises(ClosureExceedsCap, match="cap of 23 elements"):
+        iso.build_group(gens)

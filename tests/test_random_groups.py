@@ -15,18 +15,16 @@ from __future__ import annotations
 
 import numpy as np
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import isotypic as iso
 from isotypic import linalg
 from isotypic.reps import multiplicity_space
 
+from conftest import permutation_generators
 
-@st.composite
-def permutation_groups(draw):
-    degree = draw(st.integers(1, 5))
-    gens = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=3))
-    return iso.build_group([iso.Permutation(g) for g in gens])
+
+def permutation_groups():
+    return permutation_generators().map(iso.build_group)
 
 
 @settings(deadline=None)

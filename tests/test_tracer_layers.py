@@ -86,3 +86,29 @@ def test_traced_verify_all_goes_through_the_wrappers():
         assert tracer.calls[name] > 0
     for layer in ("reps", "cover", "cyclic", "characters"):
         assert tracer.layers[layer][0] > 0, layer
+
+
+def test_traced_character_tables_repeat_their_calls_exactly():
+    # The benchmark's traced self-test needs identical counters on every
+    # pass: a module-level random generator or cache in the closure or the
+    # root finder would make the second pass differ.
+    tracer = install_tracer()
+    try:
+        snaps = []
+        for _ in range(2):
+            tracer.reset()
+            for name, prime in (("S6", None), ("D100", None), ("S4", 10009)):
+                group = isotypic.group_from_name(name)
+                classes = isotypic.conjugacy_classes(group)
+                isotypic.character_table(group, classes, prime or isotypic.choose_prime(group))
+            snaps.append(tracer.snapshot(0.0))
+        escapes = tracer.audit()
+    finally:
+        tracer.uninstall()
+    assert escapes == []
+    first, second = snaps
+    assert first["function_calls"] == second["function_calls"]
+    assert first["counts"] == second["counts"]
+    assert first["function_calls"]["arith.poly_roots"] > 0
+    for counter in ("groups.perm_products", "arith.poly_mul", "arith.poly_divmod"):
+        assert first["counts"][counter] == 0, counter
