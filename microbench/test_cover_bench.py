@@ -13,8 +13,9 @@ isotypic projectors of the degree-12 piece (dense group sums, which
 17 cyclic subgroups.
 
 `test_decompose_pieces` times `piece_decomposition` of degrees 0..12 on a
-fresh action whose pieces are already built, so the memo of orbit-block
-reductions that the degrees share starts empty in every round.
+fresh action whose pieces are already built, with a fresh table, so the
+table's memo of orbit-block reductions that the degrees share starts
+empty in every round.
 
 `test_product_checks` times the 250 `product_structure_check` calls of the
 S4 `perm4` cover report (i, j over the five irreducibles, 1 <= a <= b <=
@@ -95,10 +96,12 @@ def test_decompose_pieces(benchmark, s4):
         action = cover.perm_action(group, p)
         for d in range(DEGREE + 1):
             action.piece(d)
-        return (action,), {}
+        cold = characters.character_table(group, table.classes, p)
+        cold.idempotents()
+        return (action, cold), {}
 
     decomps = benchmark.pedantic(
-        lambda action: [action.piece_decomposition(d, table) for d in range(DEGREE + 1)],
+        lambda action, cold: [action.piece_decomposition(d, cold) for d in range(DEGREE + 1)],
         setup=fresh_action,
         rounds=20,
     )

@@ -11,6 +11,10 @@ component of E.  A basis of Hom_G(V, E) comes from `multiplicity_space`
 (Serre's operators), on E as built (index maps) and on its dense copy, so
 both branches of the group sums and actions have a number, and from
 `intertwiner_basis` (the null space of the 1440 x 720 Kronecker system).
+`evaluation_iso_check` certifies V (x) Hom_G(V, E) -> E: on the warm table
+that built the models, whose orbit-block memo already holds E's reduced
+degree-6 component, and on a cold one, rebuilt before each round, which
+reduces the 120 x 120 block itself.
 """
 
 from __future__ import annotations
@@ -29,18 +33,18 @@ def s5():
     model = reps.irreducible_models(group, table)[six]
     regular = reps.regular_rep(group, p)
     component = reps.decompose(regular, table).components[six]
-    return regular, model, component
+    return regular, model, component, table
 
 
 def test_restrict_s5_regular_to_degree_6_component(benchmark, s5):
-    regular, _, component = s5
+    regular, _, component, _ = s5
     sub = benchmark(reps.restrict_to_subspace, regular, component)
     assert sub.dim == 36
 
 
 @pytest.mark.parametrize("method", ["multiplicity_space", "multiplicity_space-dense", "intertwiner_basis"])
 def test_hom_basis_s5_regular(benchmark, s5, method):
-    regular, model, _ = s5
+    regular, model, _, _ = s5
     if method == "multiplicity_space":
         basis = benchmark(reps.multiplicity_space, regular, model)
     elif method == "multiplicity_space-dense":
@@ -49,3 +53,20 @@ def test_hom_basis_s5_regular(benchmark, s5, method):
     else:
         basis = benchmark(reps.intertwiner_basis, model, regular)
     assert len(basis) == 6
+
+
+@pytest.mark.parametrize("memo", ["warm", "cold"])
+def test_evaluation_iso_s5_regular_degree_6(benchmark, s5, memo):
+    regular, model, _, table = s5
+    six = table.degrees.index(6)
+
+    def cold_table():
+        cold = characters.character_table(table.group, table.classes, table.p)
+        cold.idempotents()
+        return (regular, six, cold, model), {}
+
+    if memo == "warm":
+        ok, assembled = benchmark(reps.evaluation_iso_check, regular, six, table, model)
+    else:
+        ok, assembled = benchmark.pedantic(reps.evaluation_iso_check, setup=cold_table, rounds=20)
+    assert ok and assembled.shape == (120, 36)

@@ -44,6 +44,11 @@ class CharacterTable:
     Rows are ordered canonically: the trivial character first, then
     ascending degree with ties broken lexicographically on the value
     tuples (as residues).  Degrees are true integers.
+
+    `_orbit_blocks` keeps the orbit-block reductions of
+    `reps._orbit_row_space` for every monomial representation decomposed
+    with this table: a block is a function of the central idempotent e_i
+    and of the orbit type, so all of them share it.
     """
 
     group: Group
@@ -52,6 +57,7 @@ class CharacterTable:
     values: tuple[ClassFunction, ...]
     degrees: tuple[int, ...]
     _idempotents: list | None = field(default=None, init=False, repr=False)
+    _orbit_blocks: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def num_irreps(self) -> int:

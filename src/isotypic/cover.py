@@ -108,7 +108,6 @@ class LinearCoverAction:
         self.name = name
         self._pieces: dict[int, MatrixRep] = {}
         self._piece_data: dict[int, IsotypicDecomposition] = {}
-        self._orbit_blocks: dict = {}
         self._forbidden_projectors: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
         self._series: dict[int, RatFunc] = {}
         self._dets: list[Poly] | None = None
@@ -141,13 +140,12 @@ class LinearCoverAction:
     def piece_decomposition(self, d: int, table: CharacterTable) -> IsotypicDecomposition:
         """`decompose` of the degree-d piece, memoized.
 
-        All degrees share one memo of orbit-block reductions, which is valid
-        because every memo of the action is built from one table: the orbits
-        of one type decompose the same way in every degree.
+        All degrees share the table's memo of orbit-block reductions: the
+        orbits of one type decompose the same way in every degree.
         """
         _require_own_table(self, table)
         if d not in self._piece_data:
-            self._piece_data[d] = decompose(self.piece(d), table, self._orbit_blocks)
+            self._piece_data[d] = decompose(self.piece(d), table)
         return self._piece_data[d]
 
     def multiplication_map(self, a: int, b: int) -> np.ndarray:

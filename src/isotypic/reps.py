@@ -8,7 +8,11 @@ evaluation map assembled from them is checked to be an isomorphism onto the
 component.
 
 All rank and null-space computations go through the deterministic
-eliminations in `linalg`, so component bases are reproducible.
+eliminations in `linalg`, so component bases are reproducible.  The
+component of a monomial representation is reduced one orbit block at a
+time, and the blocks are kept on the character table, so every
+representation decomposed or checked with one table reduces each orbit
+type once.
 """
 
 from __future__ import annotations
@@ -304,33 +308,20 @@ def isotypic_projector(rep: MatrixRep, i: int, table: CharacterTable) -> np.ndar
     return _group_sum(rep, slice(None), table.idempotents()[i][None])[0]
 
 
-def decompose(rep: MatrixRep, table: CharacterTable, memo: dict | None = None) -> IsotypicDecomposition:
+def decompose(rep: MatrixRep, table: CharacterTable) -> IsotypicDecomposition:
     """Isotypic decomposition, with the multiplicity vector.
 
-    Multiplicities are true integers rank(P_i)/deg_i; each one is cross-
-    checked against the character inner product, which lives mod p, so the
-    two methods must agree as residues.  The component of i is
-    `row_space(P_i^T)`, from the dense projector on a dense representation
-    and from `_orbit_row_space` on a monomial one, which gives the same
-    array.  A caller that decomposes many representations with one table
-    may pass a dict as `memo`, which keeps the orbit-block reductions of
-    `_orbit_row_space` for every later call with that table; without one,
-    nothing is kept.
+    The component of i is `row_space(P_i^T)`, from `_components`, which
+    raises ValueError for a representation of another group object or
+    prime than the table's.  Multiplicities are true integers
+    rank(P_i)/deg_i; each one is cross-checked against the character inner
+    product, which lives mod p, so the two methods must agree as residues.
     """
-    classes, p = table.classes, table.p
-    chi = character_of(rep, classes)
-    orbits = None
-    if rep.images is not None and rep.group.order * p < linalg.FLOAT_EXACT:
-        label = _orbit_labels(rep.images)
-        orbits = [np.nonzero(label == k)[0] for k in np.unique(label)]
-    components = []
+    components = _components(rep, table, range(table.num_irreps))
+    p = table.p
+    chi = character_of(rep, table.classes)
     mults = []
-    total = 0
-    for i in range(table.num_irreps):
-        if orbits is None:
-            basis = linalg.row_space(isotypic_projector(rep, i, table).T, p)
-        else:
-            basis = _orbit_row_space(rep, orbits, table, i, memo)
+    for i, basis in enumerate(components):
         r = basis.shape[0]
         if r % table.degrees[i] != 0:
             raise InconsistentMultiplicity(
@@ -342,17 +333,36 @@ def decompose(rep: MatrixRep, table: CharacterTable, memo: dict | None = None) -
             raise InconsistentMultiplicity(
                 f"projector multiplicity {m} != character multiplicity {char_m} (mod {p})"
             )
-        components.append(basis)
         mults.append(m)
-        total += r
-    if total != rep.dim:
+    if sum(c.shape[0] for c in components) != rep.dim:
         raise InconsistentMultiplicity("component dimensions do not fill the representation")
     return IsotypicDecomposition(components, tuple(mults))
 
 
-def _orbit_row_space(
-    rep: MatrixRep, orbits: list[np.ndarray], table: CharacterTable, i: int, memo: dict | None
-) -> np.ndarray:
+def _components(rep: MatrixRep, table: CharacterTable, irreps) -> list[np.ndarray]:
+    """The isotypic components `row_space(P_i^T)` of `rep`, for each i in
+    `irreps`.
+
+    A dense representation reduces its dense projector; a monomial one
+    goes through `_orbit_row_space`, which gives the same array and reads
+    and fills the orbit-block memo of the table.  That memo is keyed by
+    local index maps only, so a representation of another group object or
+    prime raises ValueError rather than plant or read blocks that are not
+    its own.
+    """
+    if rep.group is not table.group or rep.p != table.p:
+        raise ValueError(
+            f"the character table of {table.group.name} at p = {table.p} does not belong"
+            f" to the representation of {rep.group.name} at p = {rep.p}"
+        )
+    if rep.images is None or rep.group.order * rep.p >= linalg.FLOAT_EXACT:
+        return [linalg.row_space(isotypic_projector(rep, i, table).T, rep.p) for i in irreps]
+    label = _orbit_labels(rep.images)
+    orbits = [np.nonzero(label == k)[0] for k in np.unique(label)]
+    return [_orbit_row_space(rep, orbits, table, i) for i in irreps]
+
+
+def _orbit_row_space(rep: MatrixRep, orbits: list[np.ndarray], table: CharacterTable, i: int) -> np.ndarray:
     """`linalg.row_space(P_i^T)` for the isotypic projector P_i of a
     monomial representation, `orbits` the index arrays (each ascending) of
     the G-orbits of its basis.
@@ -363,18 +373,19 @@ def _orbit_row_space(
     a * |O| + local[images[g, j]] of the block of P_i^T, with weight
     e_i[g] * scalars[g, j]: one `np.bincount` of |G| * |O| weights.  A cell
     sums at most |G| residues, exact in float64 while |G| p < 2^53, which
-    `decompose` checks.  Each block is row-reduced alone, and its rows,
+    `_components` checks.  Each block is row-reduced alone, and its rows,
     embedded and sorted by pivot column, are the reduced row-echelon form
     of all of P_i^T, which is unique, so the same basis.
 
-    A block is a function of i and of the orbit's local index maps and
+    A block is a function of e_i and of the orbit's local index maps and
     scalars, its orbit type, and those of the generators fix those of
-    every element, as rho is a homomorphism.  So `memo`, when given, keeps
-    the block's reduction under i and the bytes of the generators' local
-    index maps and scalars on the orbit, and every later orbit of that
-    type reuses it.
+    every element, as rho is a homomorphism.  So `table._orbit_blocks`
+    keeps the block's reduction under i and the bytes of the generators'
+    local index maps and scalars on the orbit, and every later orbit of
+    that type, in this or any representation decomposed with the table,
+    reuses it.
     """
-    p, e = rep.p, table.idempotents()[i]
+    p, e, memo = rep.p, table.idempotents()[i], table._orbit_blocks
     gens = list(rep.group.generator_indices)
     gen_images, gen_scalars = rep.images[gens], rep.scalars[gens]
     local = np.empty(rep.dim, dtype=np.int64)
@@ -382,10 +393,8 @@ def _orbit_row_space(
     for orbit in orbits:
         size = len(orbit)
         local[orbit] = np.arange(size)
-        key = None
-        if memo is not None:
-            key = (i, local[gen_images[:, orbit]].tobytes(), gen_scalars[:, orbit].tobytes())
-        if key is not None and key in memo:
+        key = (i, local[gen_images[:, orbit]].tobytes(), gen_scalars[:, orbit].tobytes())
+        if key in memo:
             rows, piv = memo[key]
         else:
             cells = (np.arange(size) * size + local[rep.images[:, orbit]]).ravel()
@@ -396,8 +405,7 @@ def _orbit_row_space(
             del cells, weights
             r, piv = linalg.rref(block, p)  # rref reduces mod p
             rows = r[: len(piv)].copy()
-            if key is not None:
-                memo[key] = rows, piv
+            memo[key] = rows, piv
         parts.append((orbit, rows))
         pivots.extend(orbit[list(piv)])
     # the k-th embedded row is row position[k] of the result
@@ -613,7 +621,10 @@ def evaluation_iso_check(
     isotypic component; both failures are impossible for valid inputs and
     raise.  The multiplicity space comes from the model's matrix
     coefficients (`multiplicity_space`) and the component from the
-    character table, so the image check compares two independent routes.
+    character table (`_components`), so the image check compares two
+    independent routes.  On a monomial representation the component is
+    assembled from the table's reduced orbit blocks, which `decompose`,
+    through `irreducible_models`, has already filled for the regular rep.
     """
     if hom_dim(model, model, table) != 1:
         raise WrongImage("the supplied model is not irreducible (endomorphisms != scalars)")
@@ -627,7 +638,7 @@ def evaluation_iso_check(
     image = linalg.row_space(assembled.T, p)
     if image.shape[0] != n_i * m:
         raise NotInjective(f"evaluation map for irreducible {i} has a kernel")
-    component = linalg.row_space(isotypic_projector(rep, i, table).T, p)
+    component = _components(rep, table, [i])[0]
     if image.shape != component.shape or not np.array_equal(image, component):
         raise WrongImage(f"evaluation image differs from isotypic component {i}")
     return True, assembled

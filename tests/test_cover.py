@@ -470,7 +470,7 @@ def orbit_type_actions(ctx):
 
 
 def test_orbit_type_components_are_the_dense_projector_row_spaces(ctx):
-    # every piece is decomposed through the action's one memo of orbit-block
+    # every piece is decomposed through the table's one memo of orbit-block
     # reductions, shared across degrees, and matches the dense projector
     for action, table, top in orbit_type_actions(ctx):
         assert action.piece(1).images is not None
@@ -482,17 +482,24 @@ def test_orbit_type_components_are_the_dense_projector_row_spaces(ctx):
                 assert got.dtype == want.dtype and np.array_equal(got, want), (action.name, d, i)
 
 
+def fresh_table(table):
+    """A table rebuilt by `character_table`, its orbit-block memo empty."""
+    return iso.character_table(table.group, table.classes, table.p)
+
+
 def test_a_shared_orbit_memo_gives_the_arrays_of_a_fresh_one(ctx):
+    # the session's tables are warm across degrees and actions; a table
+    # rebuilt for each piece reduces every block of it cold
     for action, table, top in orbit_type_actions(ctx):
-        shared = {}
         for d in range(top + 1):
             piece = action.piece(d)
-            with_shared = reps.decompose(piece, table, shared).components
-            with_fresh = reps.decompose(piece, table, {}).components
-            without = reps.decompose(piece, table).components
-            for a, b, c in zip(with_shared, with_fresh, without):
-                assert np.array_equal(a, b) and np.array_equal(a, c), (action.name, d)
-        assert shared
+            cold = fresh_table(table)
+            with_shared = reps.decompose(piece, table).components
+            with_fresh = reps.decompose(piece, cold).components
+            assert cold._orbit_blocks and cold._orbit_blocks is not table._orbit_blocks
+            for a, b in zip(with_shared, with_fresh):
+                assert np.array_equal(a, b), (action.name, d)
+        assert table._orbit_blocks
 
 
 def test_orbit_types_with_equal_index_maps_and_other_scalars_are_apart(ctx):
@@ -500,24 +507,32 @@ def test_orbit_types_with_equal_index_maps_and_other_scalars_are_apart(ctx):
     # with the same index maps and scalars that repeat with period 4 in d,
     # so degrees 0..7 make four orbit types, each reduced once per irreducible
     c = ctx("C4")
+    table = fresh_table(c.table)
     action = iso.scalar_action(c.group, c.p)
     for d in range(8):
         assert np.array_equal(action.piece(d).images, action.piece(0).images)
-        decomp = action.piece_decomposition(d, c.table)
+        decomp = action.piece_decomposition(d, table)
         for i, got in enumerate(decomp.components):
-            want = linalg.row_space(iso.isotypic_projector(action.piece(d), i, c.table).T, c.p)
+            want = linalg.row_space(iso.isotypic_projector(action.piece(d), i, table).T, c.p)
             assert np.array_equal(got, want), (d, i)
-    assert len(action._orbit_blocks) == 4 * c.table.num_irreps
+    assert len(table._orbit_blocks) == 4 * table.num_irreps
 
 
-def test_an_orbit_memo_belongs_to_one_action(ctx):
+def test_an_orbit_memo_belongs_to_one_table(ctx):
+    # two actions with one table share its blocks, reduced once; a second
+    # table starts empty and reduces the same orbit types for itself
     c = ctx("S3")
+    table, other = fresh_table(c.table), fresh_table(c.table)
     first, second = iso.perm_action(c.group, c.p), iso.perm_action(c.group, c.p)
-    first.piece_decomposition(4, c.table)
-    assert first._orbit_blocks and second._orbit_blocks == {}
-    second.piece_decomposition(4, c.table)
-    assert second._orbit_blocks.keys() == first._orbit_blocks.keys()
-    assert second._orbit_blocks is not first._orbit_blocks
+    first.piece_decomposition(4, table)
+    blocks = dict(table._orbit_blocks)
+    assert blocks and other._orbit_blocks == {}
+    second.piece_decomposition(4, table)
+    assert table._orbit_blocks.keys() == blocks.keys()
+    assert all(table._orbit_blocks[key] is blocks[key] for key in blocks)
+    reps.decompose(second.piece(4), other)
+    assert other._orbit_blocks.keys() == blocks.keys()
+    assert other._orbit_blocks is not table._orbit_blocks
 
 
 def test_a_monomial_piece_is_decomposed_without_a_dense_projector(ctx, monkeypatch):
@@ -532,10 +547,11 @@ def test_a_monomial_piece_is_decomposed_without_a_dense_projector(ctx, monkeypat
 
     monkeypatch.setattr(reps, "isotypic_projector", refuse)
     monkeypatch.setattr(reps, "_group_sum", refuse)
-    c.table.idempotents()
+    table = fresh_table(c.table)
+    table.idempotents()
     tracemalloc.start()
     try:
-        decomp = reps.decompose(piece, c.table, {})
+        decomp = reps.decompose(piece, table)
         current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -392,6 +392,95 @@ def test_evaluation_iso_rejects_a_dependent_multiplicity_basis(ctx, monkeypatch)
         iso.evaluation_iso_check(reg, 2, c.table, c.models[2])
 
 
+def same_blocks(table, blocks):
+    """The orbit-block memo of `table` holds exactly the entries of `blocks`."""
+    memo = table._orbit_blocks
+    return memo.keys() == blocks.keys() and all(memo[key] is blocks[key] for key in blocks)
+
+
+EVALUATION_CASES = (("S4", "regular"), ("A4", "regular"), ("S5", "regular"), ("S4", "perm"))
+
+
+@pytest.mark.parametrize("warm", [True, False], ids=["warm", "cold"])
+def test_evaluation_iso_builds_no_dense_projector(ctx, monkeypatch, warm):
+    # the component of a monomial rep is assembled from the table's orbit
+    # blocks: on a warm table every block is a hit, on a rebuilt one each
+    # orbit type is reduced here
+    monkeypatch.setattr(iso.reps, "isotypic_projector", lambda *args: pytest.fail("a dense projector was built"))
+    for name, kind in EVALUATION_CASES:
+        c = ctx(name)
+        rep = iso.regular_rep(c.group, c.p) if kind == "regular" else iso.permutation_rep(c.group, c.p)
+        table = c.table if warm else iso.character_table(c.group, c.classes, c.p)
+        if warm:
+            iso.decompose(rep, table)
+        blocks = dict(table._orbit_blocks)
+        for i, model in enumerate(c.models):
+            ok, _ = iso.evaluation_iso_check(rep, i, table, model)
+            assert ok, (c.name, kind, i)
+        if warm:
+            assert same_blocks(table, blocks), (c.name, kind)
+        else:
+            assert not blocks and table._orbit_blocks, (c.name, kind)
+
+
+@pytest.mark.parametrize("name", ["S4", "A4"])
+def test_the_evaluation_component_is_the_projector_row_space(ctx, monkeypatch, name):
+    # the component `evaluation_iso_check` compares, on the monomial rep
+    # and on its dense copy, is the row space of the dense projector
+    c = ctx(name)
+    compared = []
+    components = iso.reps._components
+    monkeypatch.setattr(iso.reps, "_components", lambda *args: compared.append(components(*args)) or compared[-1])
+    for rep in (iso.regular_rep(c.group, c.p), iso.permutation_rep(c.group, c.p)):
+        dense = iso.MatrixRep(c.group, c.p, rep.mats)
+        for i, model in enumerate(c.models):
+            want = linalg.row_space(iso.isotypic_projector(rep, i, c.table).T, c.p)
+            compared.clear()
+            ok, assembled = iso.evaluation_iso_check(rep, i, c.table, model)
+            ok_dense, assembled_dense = iso.evaluation_iso_check(dense, i, c.table, model)
+            assert ok and ok_dense and np.array_equal(assembled, assembled_dense)
+            assert len(compared) == 2
+            for (got,) in compared:
+                assert got.dtype == want.dtype and np.array_equal(got, want), (i, rep.dim)
+
+
+def test_s5_models_and_evaluations_reduce_each_component_once(monkeypatch, s5):
+    # on a fresh table, the 120-row eliminations are the 7 components of
+    # `decompose` and the 7 `row_space(p_0^T)` of `multiplicity_space`; the
+    # 7 components of the evaluations are the table's blocks
+    group, classes, p, _ = s5
+    table = iso.character_table(group, classes, p)
+    shapes = []
+    rref = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda a, *args: shapes.append(a.shape) or rref(a, *args))
+    models = iso.irreducible_models(group, table)
+    reg = iso.regular_rep(group, p)
+    for i, model in enumerate(models):
+        ok, _ = iso.evaluation_iso_check(reg, i, table, model)
+        assert ok
+    assert sum(rows == 120 for rows, _ in shapes) == 14
+
+
+def test_a_foreign_rep_is_refused_by_the_table(ctx):
+    # S3 and C6 both split at p = 7 and their regular reps are one orbit
+    # of 6; blocks keyed by local index maps must not cross between them,
+    # nor between primes
+    s3, c6 = ctx("S3"), ctx("C6")
+    assert s3.p == c6.p == 7
+    iso.decompose(iso.regular_rep(s3.group, s3.p), s3.table)
+    blocks = dict(s3.table._orbit_blocks)
+    foreign = [
+        (iso.regular_rep(c6.group, c6.p), "S3 at p = 7 .* C6 at p = 7"),
+        (iso.regular_rep(s3.group, 13), "S3 at p = 7 .* S3 at p = 13"),
+    ]
+    for rep, match in foreign:
+        with pytest.raises(ValueError, match=match):
+            iso.decompose(rep, s3.table)
+        with pytest.raises(ValueError, match=match):
+            iso.reps._components(rep, s3.table, [0])
+    assert same_blocks(s3.table, blocks)
+
+
 def test_one_dimensional_components_act_by_scalars(ctx):
     # a pure-type representation built on a linear character is scalar
     # in every group element, even after a change of basis
