@@ -17,10 +17,15 @@ fresh action whose pieces are already built, with a fresh table, so the
 table's memo of orbit-block reductions that the degrees share starts
 empty in every round.
 
-`test_product_checks` times the 250 `product_structure_check` calls of the
-S4 `perm4` cover report (i, j over the five irreducibles, 1 <= a <= b <=
-4) on an action whose pieces and decompositions through degree 8 are
-already memoized.
+`test_product_checks` times the product pass of the S4 `perm4` cover
+report, `cover._product_failures`: every (i, j) over the five
+irreducibles and 1 <= a <= b <= 4, one shared kernel per (j, a, b), on an
+action whose pieces and decompositions through degree 8 are already
+memoized (and whose forbidden projectors are after the first round).
+
+`test_products` times `cover._products` for the 21 monomial index maps
+that one cover-s4 pass builds: the symmetric-power steps (d - 1, 1) for
+d = 2..12 and the multiplication maps 1 <= a <= b <= 4, in 4 variables.
 """
 
 from __future__ import annotations
@@ -113,13 +118,13 @@ def test_product_checks(benchmark, s4):
     action = cover.perm_action(group, p)
     for d in range(2 * cover.PRODUCT_DEGREE + 1):
         action.piece_decomposition(d, table)
-    calls = [
-        (i, j, a, b)
-        for i in range(table.num_irreps)
-        for j in range(table.num_irreps)
-        for a in range(1, cover.PRODUCT_DEGREE + 1)
-        for b in range(a, cover.PRODUCT_DEGREE + 1)
-    ]
-    assert len(calls) == 250
-    witnesses = benchmark(lambda: [cover.product_structure_check(action, *call, table) for call in calls])
-    assert witnesses == [None] * 250
+    failures = benchmark(cover._product_failures, action, table)
+    assert failures == []
+
+
+def test_products(benchmark):
+    calls = [(4, d - 1, 1) for d in range(2, DEGREE + 1)]
+    calls += [(4, a, b) for a in range(1, cover.PRODUCT_DEGREE + 1) for b in range(a, cover.PRODUCT_DEGREE + 1)]
+    assert len(calls) == 21
+    maps = benchmark(lambda: [cover._products(*call) for call in calls])
+    assert [m.size for m in maps[:2]] == [16, 40] and maps[-1].max() == math.comb(11, 8) - 1

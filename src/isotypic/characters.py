@@ -48,7 +48,8 @@ class CharacterTable:
     `_orbit_blocks` keeps the orbit-block reductions of
     `reps._orbit_row_space` for every monomial representation decomposed
     with this table: a block is a function of the central idempotent e_i
-    and of the orbit type, so all of them share it.
+    and of the orbit type, so all of them share it.  Both caches are left
+    out of `==`, which compares the table itself.
     """
 
     group: Group
@@ -56,8 +57,8 @@ class CharacterTable:
     p: int
     values: tuple[ClassFunction, ...]
     degrees: tuple[int, ...]
-    _idempotents: list | None = field(default=None, init=False, repr=False)
-    _orbit_blocks: dict = field(default_factory=dict, init=False, repr=False)
+    _idempotents: list | None = field(default=None, init=False, repr=False, compare=False)
+    _orbit_blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def num_irreps(self) -> int:

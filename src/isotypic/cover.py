@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -60,10 +60,30 @@ def _products(n: int, a: int, b: int) -> np.ndarray:
     """The index in B_{a+b} of x^alpha x^beta for each (alpha, beta) in
     B_a x B_b, flattened.  The basis of B_d in n variables is the multisets
     of `combinations_with_replacement(range(n), d)`: graded lex, x_0^d first.
+
+    The index of x^e in B_d is the number of degree-d monomials before it,
+    those that agree with it before some x_k and have a larger exponent of
+    x_k.  With t the degree of x^e in x_{k+1}..x_{n-1} (`_tails`, which
+    add up over a product), they are x^e's prefix times x_k times the
+    monomials of degree t - 1 in x_k..x_{n-1}: C(t + n-k-2, n-k-1) of
+    them.  Each count is at most dim B_d, so unlike a mixed-radix code of
+    the exponent vectors the sum cannot overflow.
     """
-    basis = {m: k for k, m in enumerate(combinations_with_replacement(range(n), a + b))}
-    pairs = product(combinations_with_replacement(range(n), a), combinations_with_replacement(range(n), b))
-    return np.array([basis[tuple(sorted(alpha + beta))] for alpha, beta in pairs], dtype=np.int64)
+    d = a + b
+    tail_a, tail_b = _tails(n, a), _tails(n, b)
+    tail = (tail_a[:, None] + tail_b).reshape(len(tail_a) * len(tail_b), n - 1)
+    counts = np.array(
+        [[math.comb(t + n - k - 2, n - k - 1) for k in range(n - 1)] for t in range(d + 1)], dtype=np.int64
+    ).reshape(d + 1, n - 1)
+    return counts[tail, np.arange(n - 1)].sum(axis=1)
+
+
+def _tails(n: int, d: int) -> np.ndarray:
+    """tails[m, k], the degree in x_{k+1}..x_{n-1} of the m-th monomial of
+    B_d: the number of its factors above x_k."""
+    combos = list(combinations_with_replacement(range(n), d))
+    factors = np.array(combos, dtype=np.int64).reshape(len(combos), d, 1)
+    return (factors > np.arange(n - 1)).sum(axis=1)
 
 
 def _sym_power_step(prev: MatrixRep, rep: MatrixRep, d: int) -> MatrixRep:
@@ -332,37 +352,25 @@ def product_structure_check(
     that every projection onto an irreducible absent from V_i tensor V_j
     vanishes.
 
-    The products W, row (s, t) the product of row s of comp_a and row t of
-    comp_b, are one matrix product of comp_a with the rows of comp_b
-    shifted by each monomial x^alpha of B_a.  They are tested against one
-    projector P_F, the group sum of e_F, the sum of the central idempotents
-    e_l of the forbidden l: P_F is the sum of those P_l, whose images are
-    independent, so P_F W^T = 0 exactly when every forbidden P_l W^T = 0.
-    P_F is kept on the action for the next check with the same a + b and
-    forbidden set.  Nothing is built when no component is forbidden or a
-    factor is empty.
+    The products W come from `_component_products` for the one i, and
+    `_hits_forbidden` tests them against one projector P_F, the group sum
+    of e_F, the sum of the central idempotents e_l of the forbidden l: P_F
+    is the sum of those P_l, whose images are independent, so P_F W^T = 0
+    exactly when every forbidden P_l W^T = 0.  Nothing is built when no
+    component is forbidden or a factor is empty.  `pushforward_report`
+    runs the same kernel for every i at once and calls this check only to
+    build the witness of the first failing tuple.
     The check fails at the first forbidden l, in ascending order, with
     P_l W^T nonzero, and only then builds the P_l up to it, for its witness
     {"component": l, "degree": a + b, "vector"}: the first nonzero row of
     row_space(W) @ P_l^T.  Returns None when the check passes.
     """
     p = table.p
-    tens = _tensor_mults(action, table)
-    comp_a = action.piece_decomposition(a, table).components[i]
-    comp_b = action.piece_decomposition(b, table).components[j]
-    required = tuple(l for l in range(table.num_irreps) if tens[i, j, l] == 0)
-    if not required or comp_a.shape[0] == 0 or comp_b.shape[0] == 0:
+    required = _forbidden(action, i, j, table)
+    prods = _component_products(action, j, a, b, table, [i]).get(i) if required else None
+    if prods is None or not _hits_forbidden(action, prods, a + b, required, table):
         return None
     rep = action.piece(a + b)
-    dim_a, dim_b = comp_a.shape[1], comp_b.shape[1]
-    target = action.multiplication_map(a, b).reshape(dim_a, dim_b)
-    # shifted[alpha, t] is x^alpha times row t of comp_b; multiplying by
-    # x^alpha is injective, so the targets within a row are distinct
-    shifted = np.zeros((dim_a, comp_b.shape[0], rep.dim), dtype=np.int64)
-    shifted[np.arange(dim_a)[:, None, None], np.arange(comp_b.shape[0])[:, None], target[:, None]] = comp_b
-    prods = linalg.matmul(comp_a, shifted.reshape(dim_a, -1), p).reshape(-1, rep.dim)
-    if not linalg.matmul(prods, _forbidden_projector(action, a + b, required, table).T, p).any():
-        return None
     span = linalg.row_space(prods, p)
     # P_F is the sum of the forbidden P_l, so one of them is nonzero here
     for l in required:
@@ -370,6 +378,86 @@ def product_structure_check(
         rows = np.nonzero(proj.any(axis=1))[0]
         if rows.size:
             return {"component": l, "degree": a + b, "vector": proj[rows[0]].tolist()}
+
+
+def _forbidden(action: LinearCoverAction, i: int, j: int, table: CharacterTable) -> tuple[int, ...]:
+    """The irreducibles absent from V_i tensor V_j, ascending."""
+    tens = _tensor_mults(action, table)
+    return tuple(l for l in range(table.num_irreps) if tens[i, j, l] == 0)
+
+
+def _component_products(
+    action: LinearCoverAction, j: int, a: int, b: int, table: CharacterTable, irreps
+) -> dict[int, np.ndarray]:
+    """The products W of the i-component of B_a by the j-component of B_b,
+    row (s, t) the product of row s of the one and row t of the other, for
+    each i in `irreps` whose component is not empty; none when the
+    j-component is empty.
+
+    They are one matrix product of the rows of all those components,
+    stacked, with the rows of the j-component shifted by each monomial
+    x^alpha of B_a (`_shifted`), which is built once for all of them.
+    """
+    comps_a = action.piece_decomposition(a, table).components
+    comp_b = action.piece_decomposition(b, table).components[j]
+    irreps = [i for i in irreps if comps_a[i].shape[0]]
+    if not irreps or comp_b.shape[0] == 0:
+        return {}
+    dim_a, dim_ab = action.piece(a).dim, action.piece(a + b).dim
+    shifted = _shifted(comp_b, action.multiplication_map(a, b).reshape(dim_a, -1), dim_ab)
+    prods = linalg.matmul(np.concatenate([comps_a[i] for i in irreps]), shifted.reshape(dim_a, -1), table.p)
+    out, start = {}, 0
+    for i in irreps:
+        rows = comps_a[i].shape[0]
+        out[i] = prods[start : start + rows].reshape(-1, dim_ab)
+        start += rows
+    return out
+
+
+def _shifted(comp_b: np.ndarray, target: np.ndarray, dim_ab: int) -> np.ndarray:
+    """shifted[alpha, t], x^alpha times row t of `comp_b`, in B_{a+b}:
+    `target` is the multiplication map of degrees a and b as a dim B_a x
+    dim B_b array.  Multiplying by x^alpha is injective, so the targets
+    within a row are distinct."""
+    dim_a, rows = target.shape[0], comp_b.shape[0]
+    shifted = np.zeros((dim_a, rows, dim_ab), dtype=np.int64)
+    shifted[np.arange(dim_a)[:, None, None], np.arange(rows)[:, None], target[:, None]] = comp_b
+    return shifted
+
+
+def _hits_forbidden(
+    action: LinearCoverAction, prods: np.ndarray, d: int, forbidden: tuple[int, ...], table: CharacterTable
+) -> bool:
+    """Whether P_F W^T is nonzero, for the products W (rows in B_d) and
+    the forbidden set F."""
+    return bool(linalg.matmul(prods, _forbidden_projector(action, d, forbidden, table).T, table.p).any())
+
+
+def _product_failures(action: LinearCoverAction, table: CharacterTable) -> list[tuple[int, int, int, int]]:
+    """Every (i, j, a, b), 1 <= a <= b <= PRODUCT_DEGREE, at which
+    `product_structure_check` fails, in no particular order.
+
+    One `_component_products` per (j, a, b) gives the products of every i
+    with work.  At a == b the products of i by j are those of j by i, in
+    another row order, since `_products` maps (alpha, beta) and (beta,
+    alpha) to one monomial.  So the unordered pair {i, j} is multiplied
+    once, at i <= j, and tested against the forbidden set of each ordered
+    pair, once when the two sets are equal (always, for a real table).
+    """
+    r = table.num_irreps
+    forbidden = {(i, j): _forbidden(action, i, j, table) for i in range(r) for j in range(r)}
+    failures = []
+    for j in range(r):
+        for a in range(1, PRODUCT_DEGREE + 1):
+            for b in range(a, PRODUCT_DEGREE + 1):
+                # at a == b, i by j are the products of j by i: one kernel, at i <= j
+                pairs = {i: {(i, j), (j, i)} if a == b else {(i, j)} for i in range(r) if a < b or i <= j}
+                work = [i for i in pairs if any(forbidden[pair] for pair in pairs[i])]
+                for i, prods in _component_products(action, j, a, b, table, work).items():
+                    for f in {forbidden[pair] for pair in pairs[i]} - {()}:
+                        if _hits_forbidden(action, prods, a + b, f, table):
+                            failures += [(*pair, a, b) for pair in pairs[i] if forbidden[pair] == f]
+    return failures
 
 
 def _forbidden_projector(
@@ -464,17 +552,11 @@ def pushforward_report(action: LinearCoverAction, max_degree: int, table: Charac
 
     inv_checks = (invariants_series_check(action, h, max_degree, table) for h in cyclic_subgroups(group))
     inv_witness = next((w for w in inv_checks if w is not None), None)
-    prod_witness = next(
-        (
-            {"i": i, "j": j, "a": a, "b": b, "detail": w}
-            for i in range(r)
-            for j in range(r)
-            for a in range(1, PRODUCT_DEGREE + 1)
-            for b in range(a, PRODUCT_DEGREE + 1)
-            if (w := product_structure_check(action, i, j, a, b, table)) is not None
-        ),
-        None,
-    )
+    failures = _product_failures(action, table)
+    prod_witness = None
+    if failures:
+        i, j, a, b = min(failures)
+        prod_witness = {"i": i, "j": j, "a": a, "b": b, "detail": product_structure_check(action, i, j, a, b, table)}
 
     outcomes = [
         VerificationOutcome(

@@ -343,12 +343,13 @@ def _components(rep: MatrixRep, table: CharacterTable, irreps) -> list[np.ndarra
     """The isotypic components `row_space(P_i^T)` of `rep`, for each i in
     `irreps`.
 
-    A dense representation reduces its dense projector; a monomial one
-    goes through `_orbit_row_space`, which gives the same array and reads
-    and fills the orbit-block memo of the table.  That memo is keyed by
-    local index maps only, so a representation of another group object or
-    prime raises ValueError rather than plant or read blocks that are not
-    its own.
+    A dense representation reduces its dense projector.  A monomial one
+    finds its orbits and their types once (`_orbit_types`), and each
+    component is assembled by `_orbit_row_space` from one block reduction
+    per (type, i), read from or added to the memo of the table.  That memo
+    is keyed by local index maps only, so a representation of another
+    group object or prime raises ValueError rather than plant or read
+    blocks that are not its own.
     """
     if rep.group is not table.group or rep.p != table.p:
         raise ValueError(
@@ -357,46 +358,68 @@ def _components(rep: MatrixRep, table: CharacterTable, irreps) -> list[np.ndarra
         )
     if rep.images is None or rep.group.order * rep.p >= linalg.FLOAT_EXACT:
         return [linalg.row_space(isotypic_projector(rep, i, table).T, rep.p) for i in irreps]
+    types = _orbit_types(rep)
+    return [_orbit_row_space(rep, types, table, i) for i in irreps]
+
+
+def _orbit_types(rep: MatrixRep) -> list[tuple[tuple[int, bytes], np.ndarray]]:
+    """The G-orbits of the basis of a monomial representation, grouped by
+    orbit type: (type key, orbits) pairs, the orbits of one type stacked as
+    the rows of an array, each row ascending.
+
+    With local[orbit] = arange(|O|), the type key is the orbit size and the
+    bytes of the generators' local index maps and scalars on the orbit.
+    Those of the generators fix those of every element, as rho is a
+    homomorphism, so orbits of one type have one block of every P_i.
+    """
+    gens = list(rep.group.generator_indices)
     label = _orbit_labels(rep.images)
-    orbits = [np.nonzero(label == k)[0] for k in np.unique(label)]
-    return [_orbit_row_space(rep, orbits, table, i) for i in irreps]
+    # the points of each orbit together, ascending within it, orbits by least point
+    order = np.argsort(label, kind="stable")
+    sizes = np.bincount(label, minlength=rep.dim)
+    sizes = sizes[sizes > 0]
+    starts = np.cumsum(sizes) - sizes
+    local = np.empty(rep.dim, dtype=np.int64)
+    local[order] = np.arange(rep.dim) - np.repeat(starts, sizes)
+    # row k: the generators' local index maps and scalars at point order[k]
+    keyed = np.concatenate([local[rep.images[gens]], rep.scalars[gens]]).T[order]
+    types: dict[tuple[int, bytes], list[int]] = {}
+    for start, size in zip(starts.tolist(), sizes.tolist()):
+        types.setdefault((size, keyed[start : start + size].tobytes()), []).append(start)
+    return [(key, order[np.add.outer(firsts, np.arange(key[0]))]) for key, firsts in types.items()]
 
 
-def _orbit_row_space(rep: MatrixRep, orbits: list[np.ndarray], table: CharacterTable, i: int) -> np.ndarray:
+def _orbit_row_space(
+    rep: MatrixRep, types: list[tuple[tuple[int, bytes], np.ndarray]], table: CharacterTable, i: int
+) -> np.ndarray:
     """`linalg.row_space(P_i^T)` for the isotypic projector P_i of a
-    monomial representation, `orbits` the index arrays (each ascending) of
-    the G-orbits of its basis.
+    monomial representation, `types` its orbits grouped by `_orbit_types`.
 
     P_i only has cells (images[g, j], j), so it is block diagonal over the
     orbits.  With local[orbit] = arange(|O|), cell (a, b) of an orbit's
     block is a * |O| + b, so rho(g) e_j, j = orbit[a], lands on cell
     a * |O| + local[images[g, j]] of the block of P_i^T, with weight
-    e_i[g] * scalars[g, j]: one `np.bincount` of |G| * |O| weights.  A cell
-    sums at most |G| residues, exact in float64 while |G| p < 2^53, which
-    `_components` checks.  Each block is row-reduced alone, and its rows,
-    embedded and sorted by pivot column, are the reduced row-echelon form
-    of all of P_i^T, which is unique, so the same basis.
+    e_i[g] * scalars[g, j]: one `np.bincount` of |G| * |O| weights.  A
+    cell sums at most |G| residues, exact in float64 while |G| p < 2^53,
+    which `_components` checks.  Each block is row-reduced alone, and its
+    rows, embedded and sorted by pivot column, are the reduced row-echelon
+    form of all of P_i^T, which is unique, so the same basis.
 
-    A block is a function of e_i and of the orbit's local index maps and
-    scalars, its orbit type, and those of the generators fix those of
-    every element, as rho is a homomorphism.  So `table._orbit_blocks`
-    keeps the block's reduction under i and the bytes of the generators'
-    local index maps and scalars on the orbit, and every later orbit of
-    that type, in this or any representation decomposed with the table,
-    reuses it.
+    A block is a function of e_i and of the orbit type, so
+    `table._orbit_blocks` keeps its reduction under (i, type key), and
+    every orbit of that type, in this or any representation decomposed
+    with the table, reuses it: the rows of one (type, i) go into all the
+    orbits of the type with one scatter.
     """
     p, e, memo = rep.p, table.idempotents()[i], table._orbit_blocks
-    gens = list(rep.group.generator_indices)
-    gen_images, gen_scalars = rep.images[gens], rep.scalars[gens]
-    local = np.empty(rep.dim, dtype=np.int64)
-    parts, pivots = [], []
-    for orbit in orbits:
-        size = len(orbit)
-        local[orbit] = np.arange(size)
-        key = (i, local[gen_images[:, orbit]].tobytes(), gen_scalars[:, orbit].tobytes())
-        if key in memo:
-            rows, piv = memo[key]
-        else:
+    blocks = []
+    for key, orbits in types:
+        memo_key = (i, *key)
+        if memo_key not in memo:
+            orbit = orbits[0]
+            size = len(orbit)
+            local = np.empty(rep.dim, dtype=np.int64)
+            local[orbit] = np.arange(size)
             cells = (np.arange(size) * size + local[rep.images[:, orbit]]).ravel()
             weights = (e[:, None] * rep.scalars[:, orbit] % p).ravel()
             block = np.bincount(cells, weights, size * size).astype(np.int64).reshape(size, size)
@@ -404,18 +427,22 @@ def _orbit_row_space(rep: MatrixRep, orbits: list[np.ndarray], table: CharacterT
             # its |G|^2-cell arrays before the elimination's own copies
             del cells, weights
             r, piv = linalg.rref(block, p)  # rref reduces mod p
-            rows = r[: len(piv)].copy()
-            memo[key] = rows, piv
-        parts.append((orbit, rows))
-        pivots.extend(orbit[list(piv)])
+            memo[memo_key] = r[: len(piv)].copy(), piv
+        blocks.append(memo[memo_key])
+    # the pivot columns of the embedded rows, type by type, orbit by orbit
+    pivots = np.concatenate(
+        [np.empty(0, dtype=np.int64)] + [orbits[:, list(piv)].ravel() for (_, orbits), (_, piv) in zip(types, blocks)]
+    )
     # the k-th embedded row is row position[k] of the result
     position = np.empty(len(pivots), dtype=np.int64)
     position[np.argsort(pivots)] = np.arange(len(pivots))
     out = np.zeros((len(pivots), rep.dim), dtype=np.int64)
     start = 0
-    for orbit, rows in parts:
-        out[position[start : start + len(rows), None], orbit] = rows
-        start += len(rows)
+    for (_, orbits), (rows, _) in zip(types, blocks):
+        count = len(orbits) * len(rows)
+        at = position[start : start + count].reshape(len(orbits), len(rows))
+        out[at[:, :, None], orbits[:, None, :]] = rows
+        start += count
     return out
 
 
@@ -559,15 +586,21 @@ def fixed_dim(rep: MatrixRep, h: Subgroup) -> int:
     them, and the orbit carries a nonzero fixed vector exactly when the
     stabilizer of its points acts on them by the scalar 1; so the dimension
     is a count of orbits (Holt, Eick and O'Brien, *Handbook of
-    Computational Group Theory*, ch. 7).  A dense representation takes the
-    rank of the averaging projector.
+    Computational Group Theory*, ch. 7).  The orbits are counted by their
+    least points, those equal to their `_orbit_labels`, with no sort; only
+    when some point is twisted (fixed with a scalar other than 1) are the
+    labels of the twisted points made unique, to drop their orbits.  A
+    dense representation takes the rank of the averaging projector.
     """
     if rep.images is not None:
         elems = list(h.element_indices)
         images, scalars = rep.images[elems], rep.scalars[elems]
         label = _orbit_labels(images)
+        count = int(np.count_nonzero(label == np.arange(rep.dim)))
         twisted = ((images == np.arange(rep.dim)) & (scalars != 1)).any(axis=0)
-        return len(np.unique(label)) - len(np.unique(label[twisted]))
+        if twisted.any():
+            count -= len(np.unique(label[twisted]))
+        return count
     return linalg.rank(_averaging_projector(rep, h), rep.p)
 
 

@@ -82,6 +82,23 @@ def test_character_table_s3_frozen(ctx):
     assert c.table.values == ((1, 1, 1), (1, 6, 1), (2, 0, 6))
 
 
+def test_tables_compare_by_their_characters_not_their_caches(ctx):
+    # the idempotents are arrays and the orbit blocks hold arrays: neither
+    # may enter `==`, which would raise on their truth value
+    c = ctx("S3")
+    first, second = (iso.character_table(c.group, c.classes, c.p) for _ in range(2))
+    assert first == second
+    first.idempotents()
+    second.idempotents()
+    assert first == second
+    iso.decompose(iso.permutation_rep(c.group, c.p), first)
+    assert first._orbit_blocks and not second._orbit_blocks
+    assert first == second
+    other = iso.character_table(c.group, c.classes, 13)
+    other.idempotents()
+    assert first != other and other != second
+
+
 def test_character_table_shapes(ctx):
     expected_degrees = {
         "C1": (1,),

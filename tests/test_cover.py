@@ -165,6 +165,15 @@ def test_products_match_the_exponent_oracle(n):
             assert _products(n, a, b).tolist() == expected, (a, b)
 
 
+@pytest.mark.parametrize(("n", "a", "b"), [(60, 1, 1), (40, 2, 0), (2, 70, 3)])
+def test_products_of_wide_and_deep_bases(n, a, b):
+    # a mixed-radix code of the exponent vectors, base a + b + 1, would pass
+    # 2^63 on the first two; the third has one exponent above 64
+    index = {m: k for k, m in enumerate(exponents(n, a + b))}
+    expected = [index[tuple(x + y for x, y in zip(alpha, beta))] for alpha in exponents(n, a) for beta in exponents(n, b)]
+    assert _products(n, a, b).tolist() == expected
+
+
 def test_molien_series_c2(ctx):
     c, action = scalar_ctx(ctx, 2)
     p = c.p
@@ -343,6 +352,145 @@ def test_product_structure_all_pairs_small(ctx):
             for a in (1, 2, 3):
                 for b in (1, 2, 3):
                     assert iso.product_structure_check(action, i, j, a, b, c.table) is None
+
+
+def per_tuple_product_outcome(action, table):
+    """The product outcome as a loop over every (i, j, a, b), one
+    `product_structure_check` each: the first failing tuple with its
+    witness, or None."""
+    r, top = table.num_irreps, cover.PRODUCT_DEGREE
+    return next(
+        (
+            {"i": i, "j": j, "a": a, "b": b, "detail": w}
+            for i in range(r)
+            for j in range(r)
+            for a in range(1, top + 1)
+            for b in range(a, top + 1)
+            if (w := iso.product_structure_check(action, i, j, a, b, table)) is not None
+        ),
+        None,
+    )
+
+
+def report_product_witness(action, table):
+    report = iso.pushforward_report(action, 1, table)
+    return next(o.witness for o in report.outcomes if o.check == "cover.product_pattern")
+
+
+def test_the_report_product_pass_finds_the_per_tuple_witness(ctx, monkeypatch):
+    # patched tensors forbid components at chosen (i, j), i > j among them,
+    # so the pass's unordered pairs at a == b meet forbidden sets of (i, j)
+    # and (j, i) that differ; the report's witness is the loop's first one
+    seen = []
+    for name, kind in [("S3", "perm3"), ("C2", "scalar"), ("C4", "scalar"), ("D4", "reflection2"), ("S4", "perm4")]:
+        c = ctx(name)
+        action = builtin_action(c.group, c.p, kind)
+        r = c.table.num_irreps
+        monkeypatch.undo()
+        assert report_product_witness(action, c.table) is None
+        assert per_tuple_product_outcome(action, c.table) is None
+        patches = [(r - 1, 0, *range(r)), (r - 1, r - 1, 0), (0, r - 1, r - 1), (r - 1, 0, r - 1), (r - 1, 0, 0)]
+        for i, j, *forbidden in patches:
+            monkeypatch.undo()
+            forbid(monkeypatch, r, i, j, *forbidden)
+            want = per_tuple_product_outcome(action, c.table)
+            assert report_product_witness(action, c.table) == want, (name, i, j, forbidden)
+            seen.append(want)
+        # (i, j) and (j, i) both forbidden, with other sets
+        tens = iso.tensor_multiplicities(c.table).copy()
+        tens[r - 1, 0, :] = tens[0, r - 1, :] = 1
+        tens[r - 1, 0, 0] = tens[0, r - 1, r - 1] = 0
+        monkeypatch.undo()
+        monkeypatch.setattr(cover, "_tensor_mults", lambda action, table: tens)
+        want = per_tuple_product_outcome(action, c.table)
+        assert report_product_witness(action, c.table) == want, name
+        seen.append(want)
+    assert any(w is None for w in seen) and any(w is not None for w in seen)
+    assert any(w is not None and w["i"] > w["j"] and w["a"] == w["b"] for w in seen)
+
+
+def test_the_product_pass_builds_one_shifted_array_per_kernel(ctx, monkeypatch):
+    # one `_shifted` and one matrix product per (j, a, b) with work, and one
+    # projector test per unordered pair {i, j} at a == b (the table is real)
+    c = ctx("S4")
+    action = builtin_action(c.group, c.p, "perm4")
+    table, r, top = c.table, c.table.num_irreps, cover.PRODUCT_DEGREE
+    counts = {"builds": {}, "matmul": 0, "tests": 0}
+    inside, key = [False], [None]
+    real_pass, real_products = cover._product_failures, cover._component_products
+    real_shifted, real_hits, real_matmul = cover._shifted, cover._hits_forbidden, linalg.matmul
+
+    def product_pass(*args):
+        inside[0] = True
+        try:
+            return real_pass(*args)
+        finally:
+            inside[0] = False
+
+    def products(action, j, a, b, table, irreps):
+        key[0] = (j, a, b)
+        return real_products(action, j, a, b, table, irreps)
+
+    def shifted(*args):
+        counts["builds"][key[0]] = counts["builds"].get(key[0], 0) + 1
+        return real_shifted(*args)
+
+    def hits(*args):
+        counts["tests"] += 1
+        return real_hits(*args)
+
+    def matmul(*args):
+        counts["matmul"] += inside[0]
+        return real_matmul(*args)
+
+    for name, wrapper in [
+        ("_product_failures", product_pass),
+        ("_component_products", products),
+        ("_shifted", shifted),
+        ("_hits_forbidden", hits),
+    ]:
+        monkeypatch.setattr(cover, name, wrapper)
+    monkeypatch.setattr(linalg, "matmul", matmul)
+    assert iso.pushforward_report(action, 12, table).passed
+    # the (j, a, b) with work, and the unordered pairs with work, from the components
+    tens = iso.tensor_multiplicities(table)
+    dims = [action.piece_decomposition(d, table).dims() for d in range(top + 1)]
+    work = {
+        (i, j, a, b)
+        for i in range(r)
+        for j in range(r)
+        for a in range(1, top + 1)
+        for b in range(a, top + 1)
+        if (a < b or i <= j) and dims[a][i] and dims[b][j] and (tens[i, j] == 0).any()
+    }
+    kernels = {(j, a, b) for _, j, a, b in work}
+    assert counts["builds"] == dict.fromkeys(kernels, 1)
+    assert counts["tests"] == len(work)
+    assert counts["matmul"] == len(kernels) + len(work)
+
+
+def former_fixed_dim(rep, h):
+    """`fixed_dim` on a monomial rep as an orbit count with two `np.unique`."""
+    elems = list(h.element_indices)
+    images, scalars = rep.images[elems], rep.scalars[elems]
+    label = images.min(axis=0)
+    twisted = ((images == np.arange(rep.dim)) & (scalars != 1)).any(axis=0)
+    return len(np.unique(label)) - len(np.unique(label[twisted]))
+
+
+def test_fixed_dim_counts_orbit_minima_as_the_unique_labels_did(ctx):
+    # twisted monomial pieces: C4 scaling x by a 4th root, S4 signed permutations
+    c4, s4 = ctx("C4"), ctx("S4")
+    for action, c in ((iso.scalar_action(c4.group, c4.p), c4), (signed_perm_action(s4), s4)):
+        twisted = 0
+        for d in range(9):
+            rep = action.piece(d)
+            assert rep.images is not None
+            for h in all_subgroups(c.group):
+                got = iso.fixed_dim(rep, h)
+                assert got == former_fixed_dim(rep, h), (action.name, d, h.element_indices)
+                twisted += got < len(np.unique(rep.images[list(h.element_indices)].min(axis=0)))
+        assert twisted, action.name
 
 
 @pytest.mark.parametrize(("name", "kind"), [("S4", "perm4"), ("D6", "reflection2")])
