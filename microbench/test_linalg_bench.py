@@ -8,8 +8,11 @@ does not collect them.  Run from the repository root:
 Shapes follow the hot calls: the homomorphism check of the S5 regular
 representation (14400 x 120 times 120 x 120), the isotypic projector of
 the S4 degree-12 cover piece (1 x 24 times 24 x 455^2), a row-space
-rank of that size, the changes of basis of `irreducible_models(S5)`, and
-the first split of the D100 character table.
+rank of that size, the 120 x 120 orbit blocks of rank up to 36 that
+`irreducible_models(S5)` row-reduces, its changes of basis, and the first
+split of the D100 character table.  `residues` is timed against
+`np.remainder` from 10^2 to 10^5 cells, the sizes of the reductions
+inside those calls, to place `linalg.RESIDUE_CELLS`.
 """
 
 from __future__ import annotations
@@ -42,13 +45,26 @@ def test_matmul(benchmark, name):
     assert out.shape == (m, n)
 
 
-@pytest.mark.parametrize("n", [120, 455])
-def test_rref(benchmark, n):
-    rng = np.random.default_rng(n)
-    # rank n/2, so half the columns are pivots and half are eliminated into
-    a = rng.integers(0, P, size=(n, n // 2)) @ rng.integers(0, P, size=(n // 2, n)) % P
+@pytest.mark.parametrize("cells", [10**2, 10**3, 10**4, 10**5])
+@pytest.mark.parametrize("kernel", ["residues", "remainder"])
+def test_reduce(benchmark, kernel, cells):
+    # the values a row update leaves before its reduction, in (-(p-1)^2, p)
+    x = np.random.default_rng(cells).integers(-((P - 1) ** 2), P, size=cells)
+    if kernel == "residues":
+        benchmark(linalg.residues, x, P)
+    else:
+        benchmark(np.remainder, x, P, out=x)
+    assert x.min() >= 0 and x.max() < P
+
+
+# (n, rank): rank n/2, so half the columns are pivots and half are
+# eliminated into, and rank 25 as in the orbit blocks of the S5 models
+@pytest.mark.parametrize("n, r", [(120, 60), (455, 227), (120, 25)])
+def test_rref(benchmark, n, r):
+    rng = np.random.default_rng(n + r)
+    a = rng.integers(0, P, size=(n, r)) @ rng.integers(0, P, size=(r, n)) % P
     _, pivots = benchmark(linalg.rref, a, P)
-    assert len(pivots) == n // 2
+    assert len(pivots) == r
 
 
 # (basis rows, vector rows) over 120 columns, as in `irreducible_models(S5)`:

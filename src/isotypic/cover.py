@@ -130,6 +130,7 @@ class LinearCoverAction:
         self._piece_data: dict[int, IsotypicDecomposition] = {}
         self._forbidden_projectors: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
         self._series: dict[int, RatFunc] = {}
+        self._prefixes: dict[int, list[int]] = {}
         self._dets: list[Poly] | None = None
         self._mul_maps: dict[tuple[int, int], np.ndarray] = {}
         self._tensors: np.ndarray | None = None
@@ -303,6 +304,16 @@ def molien_multiplicity_series(action: LinearCoverAction, i: int, table: Charact
     return action._series[i]
 
 
+def _series_prefix(action: LinearCoverAction, i: int, terms: int, table: CharacterTable) -> list[int]:
+    """`series_prefix` of irreducible i's Molien series through degree
+    `terms`, memoized: the longest prefix computed so far is kept, and a
+    shorter request is a slice of it."""
+    series = molien_multiplicity_series(action, i, table)
+    if len(action._prefixes.get(i, ())) <= terms:
+        action._prefixes[i] = series_prefix(series, terms)
+    return action._prefixes[i][: terms + 1]
+
+
 def generic_multiplicity(action: LinearCoverAction, i: int, table: CharacterTable) -> int:
     """Rank of the i-th multiplicity module over the invariant ring.
 
@@ -331,10 +342,7 @@ def invariants_series_check(
     """
     p = table.p
     fixed_dims = [restrict_invariant_dim(table, table.values[i], h) for i in range(table.num_irreps)]
-    coeffs = [
-        series_prefix(molien_multiplicity_series(action, i, table), max_degree)
-        for i in range(table.num_irreps)
-    ]
+    coeffs = [_series_prefix(action, i, max_degree, table) for i in range(table.num_irreps)]
     for d in range(max_degree + 1):
         lhs = fixed_dim(action.piece(d), h)
         mults = action.piece_decomposition(d, table).multiplicities
@@ -543,7 +551,7 @@ def pushforward_report(action: LinearCoverAction, max_degree: int, table: Charac
     generic_witness = None if generic == degrees else {"generic": generic, "degrees": degrees}
 
     top = max(max_degree, CHECK_DEGREE)
-    prefixes = [series_prefix(molien_multiplicity_series(action, i, table), top) for i in range(r)]
+    prefixes = [_series_prefix(action, i, top, table) for i in range(r)]
     mults = [action.piece_decomposition(d, table).multiplicities for d in range(top + 1)]
     series_witness = next(
         ({"degree": d, "irrep": i} for d in range(top + 1) for i in range(r) if mults[d][i] % p != prefixes[i][d]),

@@ -469,6 +469,27 @@ def test_the_product_pass_builds_one_shifted_array_per_kernel(ctx, monkeypatch):
     assert counts["matmul"] == len(kernels) + len(work)
 
 
+def test_the_cover_report_expands_each_molien_series_once(ctx, monkeypatch):
+    # the invariants check of every cyclic subgroup slices the prefixes the
+    # series check expanded through max(12, CHECK_DEGREE), one per irreducible
+    c = ctx("S4")
+    action = builtin_action(c.group, c.p, "perm4")
+    calls, real = [], cover.series_prefix
+
+    def spy(f, terms):
+        calls.append(terms)
+        return real(f, terms)
+
+    monkeypatch.setattr(cover, "series_prefix", spy)
+    assert iso.pushforward_report(action, 12, c.table).passed
+    assert calls == [12] * 5
+    # a longer prefix is expanded anew, and a shorter one is its slice
+    series = iso.molien_multiplicity_series(action, 1, c.table)
+    assert cover._series_prefix(action, 1, 20, c.table) == real(series, 20)
+    assert cover._series_prefix(action, 1, 3, c.table) == real(series, 3)
+    assert calls == [12] * 5 + [20]
+
+
 def former_fixed_dim(rep, h):
     """`fixed_dim` on a monomial rep as an orbit count with two `np.unique`."""
     elems = list(h.element_indices)

@@ -9,6 +9,12 @@ pieces came from the shared symmetric power.  `cover_D6_reflection_d8.json`
 was written before the graded pieces of monomial actions were stored as
 index maps: its rotation [[0, 12], [1, 1]] at p = 13 is not monomial, so
 it pins the dense path, which every other cover report now bypasses.
+`cover_Q8_model2_d12.json` and `cover_A4_model3_d12.json` pin that path
+too: their actions are the matrix files `action_Q8_model2.txt` and
+`action_A4_model3.txt`, the generator matrices of the 2-dimensional Q8
+and 3-dimensional A4 models of `irreducible_models` at `choose_prime`
+(p = 13), and both reports were written before the reductions mod p
+moved to `linalg.residues`.
 `cyclic_n3.json` (its
 determinant has the non-trivial unit 6), `cyclic_n4_laurent.json` and
 `cyclic_n6.json` were written before phi was factored as C·diag(y^e).
@@ -39,6 +45,12 @@ REPORT_CASES = {
     "cover_D4_reflection_d8.json": ["cover", "--group", "D4", "--action", "reflection", "--max-degree", "8"],
     "cover_S4_perm4_d8.json": ["cover", "--group", "S4", "--action", "perm4", "--max-degree", "8"],
     "cover_D6_reflection_d8.json": ["cover", "--group", "D6", "--action", "reflection", "--max-degree", "8"],
+    "cover_Q8_model2_d12.json": [
+        "cover", "--group", "Q8", "--action", str(GOLDEN / "action_Q8_model2.txt"), "--max-degree", "12"
+    ],
+    "cover_A4_model3_d12.json": [
+        "cover", "--group", "A4", "--action", str(GOLDEN / "action_A4_model3.txt"), "--max-degree", "12"
+    ],
     "decompose_S4_regular.json": ["decompose", "--group", "S4", "--rep", "regular"],
     "cyclic_n3.json": ["cyclic", "--n", "3"],
     "cyclic_n4.json": ["cyclic", "--n", "4"],

@@ -1,5 +1,6 @@
-"""The exact F_p product `linalg.matmul` against a Python-int oracle, and
-`linalg.rank`, `rref`, `nullspace`, `coordinates` and `inverse` against sympy."""
+"""The exact F_p product `linalg.matmul` against a Python-int oracle, the
+reduction `linalg.residues` against `np.remainder`, and `linalg.rank`,
+`rref`, `nullspace`, `coordinates` and `inverse` against sympy."""
 
 from __future__ import annotations
 
@@ -118,6 +119,83 @@ def test_matmul_spans_several_blocks(monkeypatch):
     assert np.array_equal(linalg.matmul(a, b, p), oracle(a, b, p))
     coef, mats = residues(rng, 24, p), residues(rng, (24, 7, 7), p)
     assert np.array_equal(linalg.matmul(coef, mats.reshape(24, 49), p), oracle(coef, mats.reshape(24, 49), p))
+
+
+INT64 = np.iinfo(np.int64)
+# from the smallest modulus to the largest that `linalg` keeps exact
+RESIDUE_PRIMES = (2, 3, 10009, MAX_MODULUS)
+# both sides of the cell count from which `linalg.residues` divides by floor
+RESIDUE_SIZES = (0, 1, linalg.RESIDUE_CELLS - 1, linalg.RESIDUE_CELLS, linalg.RESIDUE_CELLS + 1, 10**5)
+VIEWS = {
+    "transposed": lambda a: a.T,
+    "column-sliced": lambda a: a[:, 3:-3],
+    "reversed": lambda a: a[::-1, ::-1],
+}
+
+
+def int64_cells(rng, shape):
+    """Seeded int64 cells: the extremes -2^63 and +-(2^63 - 1) first, then
+    a mix of the whole range and of small values of either sign."""
+    wide = rng.integers(INT64.min, INT64.max, size=shape, endpoint=True)
+    x = np.where(rng.random(shape) < 0.5, wide, rng.integers(-(10**9), 10**9, size=shape))
+    flat = x.reshape(-1)
+    flat[:3] = [INT64.min, INT64.max, -INT64.max][: flat.size]
+    return x
+
+
+class UfuncLog(np.ndarray):
+    """An int64 array that logs the ufuncs applied to it, so a test can tell
+    which branch of `linalg.residues` ran."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=(), **kwargs):
+        self.log.append(ufunc.__name__)
+        if out:
+            kwargs["out"] = tuple(np.asarray(o) for o in out)
+        result = getattr(ufunc, method)(*(np.asarray(a) for a in inputs), **kwargs)
+        return out[0] if len(out) == 1 else result
+
+
+@pytest.mark.parametrize("p", RESIDUE_PRIMES)
+@pytest.mark.parametrize("size", RESIDUE_SIZES)
+def test_residues_match_np_remainder(size, p):
+    x = int64_cells(np.random.default_rng([size, p]), size)
+    want = np.remainder(x, p)
+    assert linalg.residues(x, p) is x
+    assert np.array_equal(x, want)
+
+
+@pytest.mark.parametrize("p", RESIDUE_PRIMES)
+@pytest.mark.parametrize("rows", [12, 60])  # views below and above the crossover
+@pytest.mark.parametrize("view", VIEWS)
+def test_residues_reduce_a_view_in_place(view, rows, p):
+    base = int64_cells(np.random.default_rng([rows, p]), (rows, 40))
+    before = base.copy()
+    x = VIEWS[view](base)
+    want = np.remainder(x, p)
+    assert linalg.residues(x, p) is x
+    assert np.array_equal(x, want)
+    outside = np.ones(base.shape, dtype=bool)
+    VIEWS[view](outside)[...] = False
+    assert np.array_equal(base[outside], before[outside])
+
+
+@pytest.mark.parametrize(
+    "size, branch",
+    [(linalg.RESIDUE_CELLS - 1, ["remainder"]), (linalg.RESIDUE_CELLS, ["floor_divide", "subtract"])],
+)
+def test_residues_divide_by_floor_from_the_crossover(size, branch):
+    x = np.arange(-size, 0, dtype=np.int64).view(UfuncLog)
+    x.log = []
+    assert linalg.residues(x, 10009) is x
+    assert x.log == branch
+    assert np.array_equal(np.asarray(x), np.arange(-size, 0) % 10009)
+
+
+def test_asmat_returns_a_new_reduced_array():
+    a = np.array([[-1, 7], [12, 3]], dtype=np.int64)
+    m = linalg.asmat(a, 5)
+    assert not np.shares_memory(m, a)
+    assert m.tolist() == [[4, 2], [2, 3]] and a[0, 0] == -1
 
 
 def test_matrix_rep_holds_a_reduced_copy_of_its_input(ctx):
