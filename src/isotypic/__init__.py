@@ -54,13 +54,13 @@ from .groups import (
     Subgroup,
     build_group,
     conjugacy_classes,
+    cyclic_subgroup,
     exponent,
     group_from_name,
     group_from_text,
     parse_cycles,
     parse_generator_text,
     power_class_map,
-    subgroup_closure,
 )
 from .reps import (
     IsotypicDecomposition,

@@ -43,21 +43,33 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def splitting_prime_failure(group, p: int) -> str | None:
+    """Why the prime p breaks the rule that `choose_prime` follows, or None.
+
+    The rule: p does not divide |G|, p = 1 (mod exponent(G)), and p > |G|.
+    """
+    e = exponent(group)
+    if group.order % p == 0:
+        return f"divides the group order {group.order}"
+    if p % e != 1 % e:
+        return f"is not 1 mod the exponent {e}"
+    if p <= group.order:
+        return f"must exceed the group order {group.order}"
+    return None
+
+
 def choose_prime(group) -> int:
-    """Smallest prime p with p = 1 (mod exponent(G)) and p > |G|.
+    """Smallest prime p with p = 1 (mod exponent(G)) and p > |G|, so that
+    `splitting_prime_failure` finds nothing wrong with it.
 
     For such p the field F_p contains all roots of unity of order dividing
     the exponent, hence splits every irreducible representation of G.
     """
     e = exponent(group)
-    p = group.order + 1
-    # align on the residue class 1 mod e
-    if p % e != 1 % e:
-        p += (1 - p) % e
-    while True:
-        if p > group.order and is_prime(p):
-            return p
-        p += e if e > 1 else 1
+    p = group.order + 1 + (-group.order) % e  # the least p > |G| with p = 1 mod e
+    while not is_prime(p):
+        p += e
+    return p
 
 
 def primitive_root(p: int) -> int:

@@ -17,10 +17,10 @@ import sys
 import click
 
 from . import cover, cyclic, scenarios
-from .arith import MAX_MODULUS, choose_prime, is_prime
+from .arith import MAX_MODULUS, choose_prime, is_prime, splitting_prime_failure
 from .characters import CharacterTable, central_idempotents, character_table
 from .errors import IsotypicError, SystemTooLarge
-from .groups import Group, conjugacy_classes, exponent, group_from_name, group_from_text
+from .groups import Group, conjugacy_classes, group_from_name, group_from_text
 from .reps import decomposition_report, permutation_rep, regular_rep, rep_from_matrices
 
 SCHEMA = 1
@@ -63,13 +63,9 @@ def _resolve_prime(group: Group, override: int | None, source: str = "--prime") 
     if override is None:
         return choose_prime(group)
     _check_modulus(override, source)
-    e = exponent(group)
-    if group.order % override == 0:
-        raise click.UsageError(f"{source} {override} divides the group order {group.order}")
-    if override % e != 1 % e:
-        raise click.UsageError(f"{source} {override} is not 1 mod the exponent {e}")
-    if override <= group.order:
-        raise click.UsageError(f"{source} {override} must exceed the group order {group.order}")
+    reason = splitting_prime_failure(group, override)
+    if reason:
+        raise click.UsageError(f"{source} {override} {reason}")
     return override
 
 

@@ -35,7 +35,7 @@ from . import linalg
 from .arith import Poly, RatFunc, limit_at_one, root_of_unity, series_prefix
 from .characters import CharacterTable, restrict_invariant_dim, tensor_multiplicities
 from .errors import NotFaithful
-from .groups import ConjugacyClasses, Group, Subgroup, subgroup_closure
+from .groups import ConjugacyClasses, Group, Subgroup, cyclic_subgroup
 from .reps import (
     IsotypicDecomposition,
     MatrixRep,
@@ -528,7 +528,7 @@ class Report:
 def cyclic_subgroups(group: Group) -> list[Subgroup]:
     seen = {}
     for g in range(group.order):
-        h = subgroup_closure(group, [g])
+        h = cyclic_subgroup(group, g)
         seen.setdefault(h.element_indices, h)
     return sorted(seen.values(), key=lambda s: (s.order, s.element_indices))
 

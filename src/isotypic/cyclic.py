@@ -31,7 +31,7 @@ from .arith import Poly, choose_prime, root_of_unity
 from .characters import CharacterTable, character_table, restrict_invariant_dim
 from .cover import Report, VerificationOutcome
 from .errors import SingularMatrix, error_witness
-from .groups import conjugacy_classes, group_from_name, subgroup_closure
+from .groups import conjugacy_classes, cyclic_subgroup, group_from_name
 from .linalg import block_det, det, inv_mod
 from .polymat import as_unit_times_power, factored_invariant_factors
 
@@ -157,8 +157,7 @@ def intermediate_fixed_ring(model: CyclicCoverModel, m: int) -> tuple[int, ...]:
     if m < 1 or n % m != 0:
         raise ValueError("m must divide the cover degree")
     powers = decompose_pushforward(model)
-    gm = (m % n) if n > 1 else 0
-    h = subgroup_closure(model.group, [gm] if gm else [])
+    h = cyclic_subgroup(model.group, m % n)
     # characters trivial on H
     triv_rows = [
         k

@@ -9,13 +9,15 @@ detail.
 
 The closure works on arrays of permutation images, one breadth-first
 level per gather, and fills the multiplication table row by row from the left
-multiplications by the generators; conjugacy classes, exponents and
-subgroups are then gathers on that table.  `Permutation` objects are the
-input and the output, not the arithmetic.
+multiplications by the generators; conjugacy classes, element orders (one
+walk of all powers, kept on the group) and cyclic subgroups are then
+gathers on that table.  `Permutation` objects are the input and the
+output, not the arithmetic.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import re
@@ -65,26 +67,6 @@ class Permutation:
             raise InvalidPermutation("cannot compose permutations of different degree")
         return Permutation(tuple(self.images[j] for j in other.images))
 
-    def order(self) -> int:
-        return math.lcm(*(len(c) for c in self.cycles()))  # lcm() of nothing is 1
-
-    def cycles(self) -> list[tuple[int, ...]]:
-        seen = [False] * self.degree
-        out = []
-        for start in range(self.degree):
-            if seen[start]:
-                continue
-            cyc = [start]
-            seen[start] = True
-            j = self.images[start]
-            while j != start:
-                cyc.append(j)
-                seen[j] = True
-                j = self.images[j]
-            if len(cyc) > 1:
-                out.append(tuple(cyc))
-        return out
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
 
@@ -120,7 +102,24 @@ class Group:
         return self.elements[0].degree
 
     def element_order(self, k: int) -> int:
-        return self.elements[k].order()
+        return self._orders[k]
+
+    @functools.cached_property
+    def _orders(self) -> tuple[int, ...]:
+        """The order of every element, from one walk of all powers on the
+        table: step t takes g^t to g^(t+1) = mult[g^t, g] by one gather,
+        and an element leaves at the first t with g^t = 1, its order."""
+        elems = np.arange(self.order)
+        power = elems.copy()  # g^t for each g in elems
+        orders = np.empty(self.order, dtype=np.int64)
+        t = 1
+        while elems.size:
+            done = power == 0
+            orders[elems[done]] = t
+            elems, power = elems[~done], power[~done]
+            power = self.mult[power, elems]
+            t += 1
+        return tuple(orders.tolist())
 
     def word_string(self, k: int) -> str:
         """Generator word (by position) along which element k was reached."""
@@ -263,49 +262,27 @@ def conjugacy_classes(group: Group) -> ConjugacyClasses:
 
 
 def exponent(group: Group) -> int:
-    """Least common multiple of the element orders.
-
-    Powers are read off the multiplication table, all elements at once:
-    step t takes g^t to g^(t+1) = mult[g^t, g] by one gather, and an
-    element leaves at the first t with g^t = 1, its order.
-    """
-    elems = np.arange(group.order)
-    power = elems.copy()  # g^t for each g in elems
-    e, t = 1, 1
-    while elems.size:
-        done = power == 0
-        if done.any():
-            e = math.lcm(e, t)
-            elems, power = elems[~done], power[~done]
-        power = group.mult[power, elems]
-        t += 1
-    return e
+    """Least common multiple of the element orders."""
+    return math.lcm(*set(group._orders))
 
 
-def subgroup_closure(group: Group, gens) -> Subgroup:
-    """Smallest subgroup containing the given element indices."""
-    mult = group.mult
-    members = {0}
-    frontier = [0]
-    gens = [int(g) for g in gens]
-    while frontier:
-        h = frontier.pop()
-        for g in gens:
-            k = int(mult[h, g])
-            if k not in members:
-                members.add(k)
-                frontier.append(k)
-    return Subgroup(tuple(sorted(members)))
+def cyclic_subgroup(group: Group, g: int) -> Subgroup:
+    """The subgroup generated by element g: its powers up to its order."""
+    powers = [0]
+    for _ in range(group.element_order(g) - 1):
+        powers.append(int(group.mult[powers[-1], g]))
+    return Subgroup(tuple(sorted(powers)))
 
 
 def power_class_map(group: Group, classes: ConjugacyClasses, k: int):
-    """Class-index map c -> class of g^k for g in class c (k >= 0)."""
+    """Class-index map c -> class of g^k for g in class c (k >= 0); g^k
+    is g^(k mod ord(g)), so a walk takes fewer than ord(g) products."""
     if k < 0:
         raise ValueError("power must be nonnegative")
     out = []
     for r in classes.reps:
         acc = 0
-        for _ in range(k):
+        for _ in range(k % group.element_order(r)):
             acc = int(group.mult[acc, r])
         out.append(classes.class_of[acc])
     return tuple(out)

@@ -1,7 +1,8 @@
 """Dense exact linear algebra over a prime field.
 
-Matrices are numpy int64 arrays with entries reduced into [0, p).  All
-eliminations use first-nonzero pivoting, so every derived basis (row
+Matrices are numpy int64 arrays with entries reduced into [0, p).  One
+row elimination, `_eliminate`, with first-nonzero pivoting, gives `rref`,
+`rank`, `row_space`, `nullspace` and `det`, so every derived basis (row
 space, null space, image) is deterministic for a given input.
 """
 
@@ -106,15 +107,19 @@ def _float_gemm(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
             out[i : i + rows, j : j + cols] = a[i : i + rows].astype(np.float64) @ bf
 
 
-def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Reduced row-echelon form.
+def _eliminate(a, p: int) -> tuple[np.ndarray, tuple[int, ...], int]:
+    """The one row elimination: (R, pivot_columns, d).
 
-    Returns (R, pivot_columns).  Pivots are normalized to 1 and chosen as
-    the first nonzero entry in each column, scanning columns left to right.
+    R is the reduced row-echelon form of a, with pivots normalized to 1 and
+    chosen as the first nonzero entry in each column, scanning columns left
+    to right.  d is the product of the pivots before scaling times the sign
+    of the row swaps, mod p: the determinant of a square a of full rank,
+    since clearing the other rows of a pivot column keeps the determinant.
     """
     r = asmat(a, p)  # a new array, which the elimination overwrites
     m, n = r.shape
     pivots: list[int] = []
+    d = 1
     row = 0
     for col in range(n):
         if row == m:
@@ -125,7 +130,10 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
         piv = row + int(nz[0])
         if piv != row:
             r[[row, piv]] = r[[piv, row]]
-        r[row] *= inv_mod(int(r[row, col]), p)
+            d = -d
+        lead = int(r[row, col])
+        d = d * lead % p
+        r[row] *= inv_mod(lead, p)
         residues(r[row], p)
         other = np.nonzero(r[:, col])[0]
         other = other[other != row]
@@ -135,7 +143,12 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
             r[other] = residues(block, p)
         pivots.append(col)
         row += 1
-    return r, tuple(pivots)
+    return r, tuple(pivots), d
+
+
+def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Reduced row-echelon form: (R, pivot_columns), as `_eliminate` makes them."""
+    return _eliminate(a, p)[:2]
 
 
 def rank(a: np.ndarray, p: int) -> int:
@@ -152,17 +165,15 @@ def nullspace(a: np.ndarray, p: int) -> np.ndarray:
     """Canonical basis of the right null space, one vector per row.
 
     Basis vectors carry a 1 in their free column, listed in ascending
-    free-column order.
+    free-column order; their pivot entries are the negated free columns of
+    the reduced rows.
     """
-    a = asmat(a, p)
-    m, n = a.shape
     r, pivots = rref(a, p)
-    free = [c for c in range(n) if c not in pivots]
-    basis = np.zeros((len(free), n), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for i, pc in enumerate(pivots):
-            basis[k, pc] = (-r[i, fc]) % p
+    n = r.shape[1]
+    free = np.delete(np.arange(n), pivots)
+    basis = np.zeros((free.size, n), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, list(pivots)] = -r[: len(pivots), free].T % p
     return basis
 
 
@@ -186,32 +197,12 @@ def coordinates(basis: np.ndarray, vectors: np.ndarray, p: int) -> np.ndarray:
     return c
 
 
-def inverse(a: np.ndarray, p: int) -> np.ndarray:
-    a = asmat(a, p)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise SingularMatrix("only square matrices are invertible")
-    return coordinates(a, identity(n), p)
-
-
 def det(a: np.ndarray, p: int) -> int:
-    """Determinant of a square matrix by elimination with first-nonzero pivots."""
-    m = asmat(a, p)
-    n = m.shape[0]
-    d = 1
-    for col in range(n):
-        nz = np.nonzero(m[col:, col])[0]
-        if nz.size == 0:
-            return 0
-        piv = col + int(nz[0])
-        if piv != col:
-            m[[col, piv]] = m[[piv, col]]
-            d = -d
-        d = d * int(m[col, col]) % p
-        c = m[col + 1 :, col] * inv_mod(int(m[col, col]), p) % p
-        m[col + 1 :, col + 1 :] -= np.outer(c, m[col, col + 1 :])
-        residues(m[col + 1 :, col + 1 :], p)
-    return d % p
+    """Determinant of a square matrix: `_eliminate`'s pivot product, 0
+    below full rank (1 for an empty matrix)."""
+    n = len(a)
+    _, pivots, d = _eliminate(np.reshape(a, (n, n)), p)
+    return d if len(pivots) == n else 0
 
 
 def perm_sign(perm) -> int:

@@ -222,10 +222,8 @@ def rep_from_matrices(group: Group, p: int, gen_mats) -> MatrixRep:
     for m in gen_mats:
         if m.shape != (dim, dim):
             raise NotAHomomorphism("generator matrices must be square of equal size")
-        try:
-            linalg.inverse(m, p)
-        except SingularMatrix:
-            raise SingularMatrix("generator matrix is singular mod p") from None
+        if linalg.det(m, p) == 0:
+            raise SingularMatrix("generator matrix is singular mod p")
     n = group.order
     if all(((m != 0).sum(axis=0) == 1).all() for m in gen_mats):
         # rho(k) e_j = s_j rho(parent) e_{t_j}, s_j in row t_j of column j
@@ -264,12 +262,14 @@ def _group_sum(rep: MatrixRep, elems, coef: np.ndarray) -> np.ndarray:
     `elems` indexes the group elements (a list, or slice(None) for all).
     A monomial representation scatter-adds the coefficient times the scalar
     of each (g, j) into cell (images[g, j], j), one `np.bincount` per row.
-    A cell sums at most |G| residues, so while |G| p < 2^53 (always, under
-    the closure cap and MAX_MODULUS) its float64 sums are exact.  A dense
-    representation takes one `linalg.matmul` with the flattened matrices.
+    A cell sums at most |G| residues, so its float64 sums are exact: for
+    dim >= 1, `require_exact` keeps p <= isqrt(2^63 - 1) + 1, and with
+    |G| <= DEFAULT_CAP that makes |G| p < 1.6 10^13 < 2^53 (a dim-0
+    representation sums no cells).  A dense representation takes one
+    `linalg.matmul` with the flattened matrices.
     """
     p, d = rep.p, rep.dim
-    if rep.images is not None and rep.group.order * p < linalg.FLOAT_EXACT:
+    if rep.images is not None:
         scalars = rep.scalars[elems]
         cells = (rep.images[elems] * d + np.arange(d)).ravel()
         out = np.empty((len(coef), d * d), dtype=np.int64)
@@ -356,7 +356,7 @@ def _components(rep: MatrixRep, table: CharacterTable, irreps) -> list[np.ndarra
             f"the character table of {table.group.name} at p = {table.p} does not belong"
             f" to the representation of {rep.group.name} at p = {rep.p}"
         )
-    if rep.images is None or rep.group.order * rep.p >= linalg.FLOAT_EXACT:
+    if rep.images is None:
         return [linalg.row_space(isotypic_projector(rep, i, table).T, rep.p) for i in irreps]
     types = _orbit_types(rep)
     return [_orbit_row_space(rep, types, table, i) for i in irreps]

@@ -1,13 +1,15 @@
 """Shared fixtures and helpers: cached group/table contexts for the test
-groups, random invertible matrices, the identity test and the inverse of
-permutations, random permutation generators and their closure one
-product at a time, every subgroup of a group, and the functors on
-representations and characters that only tests take (direct sums, tensor
-products, symmetric powers, exterior squares), and the exponent tuples
-of the monomials of one degree."""
+groups, random invertible matrices and the matrix inverse, the identity
+test, the inverse, the cycles and the order of permutations, random
+permutation generators and their closure one product at a time, the
+closure of element indices into a subgroup and every subgroup of a group,
+and the functors on representations and characters that only tests take
+(direct sums, tensor products, symmetric powers, exterior squares), and
+the exponent tuples of the monomials of one degree."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,12 +50,22 @@ class GroupContext:
 _CACHE: dict[str, GroupContext] = {}
 
 
+def matrix_inverse(a, p):
+    """The inverse of a square matrix over F_p: the coordinates c of the
+    identity rows in the rows of a, c @ a = I.  SingularMatrix otherwise."""
+    a = linalg.asmat(a, p)
+    n = a.shape[0]
+    if a.shape != (n, n):
+        raise SingularMatrix("only square matrices are invertible")
+    return linalg.coordinates(a, linalg.identity(n), p)
+
+
 def random_invertible(rng, dim, p):
     """A uniformly drawn invertible dim x dim matrix over F_p."""
     while True:
         m = np.array([[rng.randrange(p) for _ in range(dim)] for _ in range(dim)], dtype=np.int64)
         try:
-            linalg.inverse(m, p)
+            matrix_inverse(m, p)
             return m
         except SingularMatrix:
             continue
@@ -86,6 +98,30 @@ def inverse(perm: iso.Permutation) -> iso.Permutation:
     for i, j in enumerate(perm.images):
         inv[j] = i
     return iso.Permutation(inv)
+
+
+def cycles(perm: iso.Permutation) -> list[tuple[int, ...]]:
+    """The cycles of length at least 2, each from its least point, by least point."""
+    seen = [False] * perm.degree
+    out = []
+    for start in range(perm.degree):
+        if seen[start]:
+            continue
+        cyc = [start]
+        seen[start] = True
+        j = perm.images[start]
+        while j != start:
+            cyc.append(j)
+            seen[j] = True
+            j = perm.images[j]
+        if len(cyc) > 1:
+            out.append(tuple(cyc))
+    return out
+
+
+def perm_order(perm: iso.Permutation) -> int:
+    """The order of a permutation: the lcm of its cycle lengths."""
+    return math.lcm(*(len(c) for c in cycles(perm)))  # lcm() of nothing is 1
 
 
 @st.composite
@@ -126,18 +162,35 @@ def closure_oracle(generators):
     return elements, mult, inv, words, [index[g] for g in generators]
 
 
+def subgroup_closure(group, gens) -> iso.Subgroup:
+    """Smallest subgroup containing the given element indices, by a search
+    on the multiplication table."""
+    mult = group.mult
+    members = {0}
+    frontier = [0]
+    gens = [int(g) for g in gens]
+    while frontier:
+        h = frontier.pop()
+        for g in gens:
+            k = int(mult[h, g])
+            if k not in members:
+                members.add(k)
+                frontier.append(k)
+    return iso.Subgroup(tuple(sorted(members)))
+
+
 def all_subgroups(group):
     """Every subgroup, found by closing known subgroups with one new element,
     sorted by (order, elements)."""
     seen = {}
-    trivial = iso.subgroup_closure(group, [])
+    trivial = subgroup_closure(group, [])
     seen[trivial.element_indices] = trivial
     frontier = [trivial]
     while frontier:
         h = frontier.pop()
         for g in range(1, group.order):
             if g not in h.element_indices:
-                k = iso.subgroup_closure(group, list(h.element_indices) + [g])
+                k = subgroup_closure(group, list(h.element_indices) + [g])
                 if k.element_indices not in seen:
                     seen[k.element_indices] = k
                     frontier.append(k)

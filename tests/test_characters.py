@@ -9,7 +9,7 @@ import isotypic as iso
 from isotypic.characters import convolve, cyclic_weight_multiplicities, delta_element
 from isotypic.errors import NotAMultiplicity
 
-from conftest import TEST_GROUPS, char_square
+from conftest import TEST_GROUPS, char_square, subgroup_closure
 
 
 def char_scale(v, s, p):
@@ -240,12 +240,12 @@ def test_char_ext_power_perm_s3(ctx):
 
 def test_restrict_invariant_dim(ctx):
     c = ctx("S3")
-    a3 = iso.subgroup_closure(c.group, [2])
+    a3 = subgroup_closure(c.group, [2])
     assert a3.order == 3
     std, sign = c.table.values[2], c.table.values[1]
     assert iso.restrict_invariant_dim(c.table, std, a3) == 0
     assert iso.restrict_invariant_dim(c.table, sign, a3) == 1
-    trivial_sub = iso.subgroup_closure(c.group, [])
+    trivial_sub = subgroup_closure(c.group, [])
     assert iso.restrict_invariant_dim(c.table, std, trivial_sub) == 2
 
 

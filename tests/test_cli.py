@@ -59,6 +59,20 @@ def test_table_prime_override_validation(runner):
     assert runner.invoke(main, ["table", "--group", "S4", "--prime", "7"]).exit_code == 2
 
 
+@pytest.mark.parametrize(
+    ("group", "prime", "reason"),
+    [
+        ("S4", 3, "divides the group order 24"),
+        ("S3", 5, "is not 1 mod the exponent 6"),
+        ("D2", 3, "must exceed the group order 4"),
+    ],
+)
+def test_table_prime_override_names_the_broken_rule(runner, group, prime, reason):
+    result = runner.invoke(main, ["table", "--group", group, "--prime", str(prime)])
+    assert result.exit_code == 2
+    assert f"Error: --prime {prime} {reason}\n" in result.output
+
+
 def test_gens_file(runner, tmp_path):
     path = tmp_path / "gens.txt"
     path.write_text("(0 1)\n(0 1 2)\n")

@@ -15,7 +15,7 @@ from isotypic.cover import _inverse_dets, _products, builtin_action, cyclic_subg
 from isotypic import cover, reps
 from isotypic.errors import NotFaithful, SystemTooLarge
 from isotypic.scenarios import COVER_SCENARIOS
-from conftest import all_subgroups, exponents, forbid
+from conftest import all_subgroups, cycles, exponents, forbid, matrix_inverse, subgroup_closure
 from polymat_oracle import bareiss_det
 
 
@@ -263,15 +263,15 @@ def test_generic_multiplicity_equals_degrees(ctx):
 def test_invariants_series_check_s3(ctx):
     c = ctx("S3")
     action = iso.perm_action(c.group, c.p)
-    a3 = iso.subgroup_closure(c.group, [2])
+    a3 = subgroup_closure(c.group, [2])
     assert iso.invariants_series_check(action, a3, 12, c.table) is None
     # H = 1: both sides are the full dimension of the graded piece
-    triv = iso.subgroup_closure(c.group, [])
+    triv = subgroup_closure(c.group, [])
     assert iso.invariants_series_check(action, triv, 8, c.table) is None
     for d in range(9):
         assert iso.fixed_dim(action.piece(d), triv) == action.piece(d).dim
     # H = G: the fixed dimensions are the invariant-ring coefficients
-    whole = iso.subgroup_closure(c.group, [1, 2])
+    whole = subgroup_closure(c.group, [1, 2])
     from isotypic.arith import series_prefix
 
     inv_coeffs = series_prefix(iso.molien_multiplicity_series(action, 0, c.table), 8)
@@ -285,7 +285,7 @@ def test_invariants_series_check_witnesses_the_first_failing_degree(ctx, monkeyp
     # subgroup and degree 3, and the report's outcome carries it
     c = ctx("S3")
     action = iso.perm_action(c.group, c.p)
-    a3 = iso.subgroup_closure(c.group, [2])
+    a3 = subgroup_closure(c.group, [2])
     real = cover.fixed_dim
     monkeypatch.setattr(cover, "fixed_dim", lambda rep, h: real(rep, h) + (rep.dim >= 10))
     witness = {"subgroup": list(a3.element_indices), "degree": 3}
@@ -524,8 +524,7 @@ def test_cover_report_builds_no_dense_inverse(ctx, monkeypatch, name, kind):
     def refuse(*args):
         raise AssertionError("a cover report inverts no matrix")
 
-    monkeypatch.setattr(linalg, "inverse", refuse)
-    monkeypatch.setattr(linalg, "coordinates", refuse)
+    monkeypatch.setattr(linalg, "coordinates", refuse)  # every inverse in src/ goes through it
     assert iso.pushforward_report(action, 8, c.table).passed
 
 
@@ -559,13 +558,21 @@ def test_cyclic_subgroups_s3(ctx):
     assert [s.order for s in subs] == [1, 2, 2, 2, 3]
 
 
+@pytest.mark.parametrize("name", ("C1", "C6", "S3", "D4", "Q8", "A4", "S4"))
+def test_cyclic_subgroups_are_the_closures_of_single_elements(ctx, name):
+    group = ctx(name).group
+    closures = {subgroup_closure(group, [g]) for g in range(group.order)}
+    want = sorted(closures, key=lambda s: (s.order, s.element_indices))
+    assert cyclic_subgroups(group) == want
+
+
 def test_b1_dual_convention(ctx):
     # the degree-1 matrices are inverse transposes of the defining ones
     c = ctx("D4")
     action = iso.reflection_action(c.group, c.p)
     one = action.piece(1)
     for g in range(c.group.order):
-        expected = linalg.inverse(action.rep.mats[g], c.p).T % c.p
+        expected = matrix_inverse(action.rep.mats[g], c.p).T % c.p
         assert np.array_equal(one.mats[g], expected)
 
 
@@ -578,7 +585,7 @@ def test_inverse_dets_match_bareiss_oracle(ctx):
         dets = _inverse_dets(action, c.classes)
         assert len(dets) == c.classes.num_classes
         for g in range(c.group.order):
-            inv = linalg.inverse(action.rep.mats[g], c.p)
+            inv = matrix_inverse(action.rep.mats[g], c.p)
             mat = [
                 [Poly(c.p, (int(i == j), -int(inv[i, j]))) for j in range(action.n)]
                 for i in range(action.n)
@@ -622,7 +629,7 @@ def signed_perm_action(c):
     perm = iso.permutation_rep(c.group, c.p).mats
     gens = []
     for g in c.group.generator_indices:
-        sign = (-1) ** (c.group.degree - len(c.group.elements[g].cycles()))
+        sign = (-1) ** (c.group.degree - len(cycles(c.group.elements[g])))
         gens.append(perm[g] * sign % c.p)
     return cover.validate_action(c.group, gens, c.p, name="signed")
 

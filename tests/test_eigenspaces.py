@@ -13,6 +13,8 @@ from isotypic import linalg
 from isotypic.arith import MAX_MODULUS, Poly, is_prime, poly_roots
 from isotypic.errors import ModulusTooLarge, SingularMatrix, SplitFailure
 
+from conftest import matrix_inverse
+
 
 def scan_eigenspaces(a, p):
     """Oracle: try every lam in F_p and keep the nonzero null spaces."""
@@ -30,7 +32,7 @@ def random_invertible(n, p, rng):
 
 def conjugate(q, block, p):
     """q block q^-1, and the coordinates q^-1 e_0 of e_0 in the basis of q's columns."""
-    q_inv = linalg.inverse(q, p)
+    q_inv = matrix_inverse(q, p)
     return linalg.matmul(linalg.matmul(q, block, p), q_inv, p), q_inv[:, 0]
 
 

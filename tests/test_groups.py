@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -13,7 +14,16 @@ from hypothesis import given, settings
 import isotypic as iso
 from isotypic.errors import ClosureExceedsCap, InvalidPermutation
 
-from conftest import TEST_GROUPS, all_subgroups, closure_oracle, inverse, is_identity, permutation_generators
+from conftest import (
+    TEST_GROUPS,
+    all_subgroups,
+    closure_oracle,
+    inverse,
+    is_identity,
+    perm_order,
+    permutation_generators,
+    subgroup_closure,
+)
 
 
 def test_permutation_validation():
@@ -54,7 +64,7 @@ def test_permutation_order_is_least_power_to_identity(name):
         k, power = 1, g
         while not is_identity(power):
             k, power = k + 1, power * g
-        assert g.order() == k
+        assert perm_order(g) == k
 
 
 def test_build_s3_against_enumeration_oracle():
@@ -165,15 +175,15 @@ def test_exponent():
 def test_subgroup_closure():
     s3 = iso.group_from_name("S3")
     three_cycle = next(g for g in range(6) if s3.element_order(g) == 3)
-    assert iso.subgroup_closure(s3, [three_cycle]).order == 3
-    assert iso.subgroup_closure(s3, []).order == 1
+    assert subgroup_closure(s3, [three_cycle]).order == 3
+    assert subgroup_closure(s3, []).order == 1
     d4 = iso.group_from_name("D4")
     rot = next(g for g in range(8) if d4.element_order(g) == 4)
     refl = next(
         g for g in range(1, 8) if d4.element_order(g) == 2 and g not in
-        iso.subgroup_closure(d4, [rot]).element_indices
+        subgroup_closure(d4, [rot]).element_indices
     )
-    assert iso.subgroup_closure(d4, [rot, refl]).order == 8
+    assert subgroup_closure(d4, [rot, refl]).order == 8
 
 
 def test_subgroup_lagrange():
@@ -207,6 +217,53 @@ def test_power_class_map():
     pm = iso.power_class_map(c4, c4c, 2)
     assert pm[1] == c4c.class_of[int(c4.mult[1, 1])]
     assert pm == (0, 2, 0, 2)
+
+
+@pytest.mark.parametrize("name", TEST_GROUPS)
+def test_cached_element_orders_match_the_cycle_count_oracle(name):
+    group = iso.group_from_name(name)
+    want = [perm_order(g) for g in group.elements]
+    assert [group.element_order(k) for k in range(group.order)] == want
+    assert iso.exponent(group) == math.lcm(*want)
+
+
+@pytest.mark.parametrize("name", TEST_GROUPS + ("S4", "D6"))
+def test_cyclic_subgroup_is_the_closure_of_one_element(name):
+    group = iso.group_from_name(name)
+    for g in range(group.order):
+        got = iso.cyclic_subgroup(group, g)
+        assert got == subgroup_closure(group, [g]) and got.order == group.element_order(g)
+
+
+def test_power_class_map_matches_a_walk_of_k_products():
+    for name in TEST_GROUPS + ("S4",):
+        group = iso.group_from_name(name)
+        classes = iso.conjugacy_classes(group)
+        for k in range(2 * iso.exponent(group) + 2):
+            want = []
+            for r in classes.reps:
+                acc = 0
+                for _ in range(k):
+                    acc = int(group.mult[acc, r])
+                want.append(classes.class_of[acc])
+            assert iso.power_class_map(group, classes, k) == tuple(want), (name, k)
+
+
+def test_power_class_map_at_a_large_power_walks_k_mod_the_order():
+    # 42949657 is the largest prime below MAX_MODULUS; a walk of k products
+    # per class took about a minute on S5
+    s5 = iso.group_from_name("S5")
+    classes = iso.conjugacy_classes(s5)
+    maps = {}
+    for k in (42949657, 42949656):
+        start = time.perf_counter()
+        maps[k] = iso.power_class_map(s5, classes, k)
+        assert time.perf_counter() - start < 1.0
+        assert maps[k] == iso.power_class_map(s5, classes, k % iso.exponent(s5))
+    # 37 is prime to the exponent 60 and every class of S5 is rational;
+    # 36 = 0 mod 4 and mod 3 sends 4-cycles and 3-cycles to the identity
+    assert maps[42949657] == tuple(range(classes.num_classes))
+    assert maps[42949656] != maps[42949657]
 
 
 def test_exponent_divides_order_and_element_orders():
@@ -278,7 +335,7 @@ def assert_matches_oracle(group, generators):
     assert group.inv == tuple(inv)
     assert group.words == tuple(words)
     assert group.generator_indices == tuple(gen_idx)
-    assert iso.exponent(group) == math.lcm(*(g.order() for g in elements))
+    assert iso.exponent(group) == math.lcm(*(perm_order(g) for g in elements))
 
 
 @pytest.mark.parametrize("family", BUILTIN_FAMILIES)

@@ -1,6 +1,7 @@
 """The exact F_p product `linalg.matmul` against a Python-int oracle, the
-reduction `linalg.residues` against `np.remainder`, and `linalg.rank`,
-`rref`, `nullspace`, `coordinates` and `inverse` against sympy."""
+reduction `linalg.residues` against `np.remainder`, `linalg.rank`, `rref`,
+`nullspace`, `coordinates`, `det` and the test-side matrix inverse against
+sympy, and `nullspace` against the loops it replaced."""
 
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from isotypic import cover, linalg
 from isotypic.arith import MAX_MODULUS
 from isotypic.errors import SingularMatrix
 
-from conftest import forbid
+from conftest import forbid, matrix_inverse
 
 
 def oracle(a, b, p):
@@ -306,6 +307,65 @@ def test_rank_rref_nullspace_match_sympy(p):
     assert deficient >= 30
 
 
+def nullspace_by_loops(a, p):
+    """The null space basis as `nullspace` built it before its scatter: one
+    Python loop over free columns, one over pivot columns."""
+    a = linalg.asmat(a, p)
+    m, n = a.shape
+    r, pivots = linalg.rref(a, p)
+    free = [c for c in range(n) if c not in pivots]
+    basis = np.zeros((len(free), n), dtype=np.int64)
+    for k, fc in enumerate(free):
+        basis[k, fc] = 1
+        for i, pc in enumerate(pivots):
+            basis[k, pc] = (-r[i, fc]) % p
+    return basis
+
+
+def matrices_of_rank(rng, m, n, k, p):
+    """A seeded m x n matrix of rank at most k: a product of m x k and k x n factors."""
+    left = np.array([[rng.randrange(p) for _ in range(k)] for _ in range(m)], dtype=np.int64).reshape(m, k)
+    right = np.array([[rng.randrange(p) for _ in range(n)] for _ in range(k)], dtype=np.int64).reshape(k, n)
+    return linalg.matmul(left, right, p)
+
+
+@pytest.mark.parametrize("p", (2, 7, 10009, 42949657))
+def test_nullspace_scatter_matches_the_double_loop(p):
+    rng = random.Random(p)
+    sizes = (0, 1, 2, 3, 7, 16, 33, 60)
+    ranks = set()
+    for m in sizes:
+        for n in sizes:
+            for k in sorted({0, 1, min(m, n) // 2, min(m, n)}):
+                a = matrices_of_rank(rng, m, n, min(k, m, n), p)
+                got, want = linalg.nullspace(a, p), nullspace_by_loops(a, p)
+                assert got.dtype == want.dtype and np.array_equal(got, want), (m, n, k)
+                assert not linalg.matmul(a, got.T, p).any()
+                ranks.add(n - got.shape[0])
+    # ranks 0, 1, half and full on each shape; over F_2 a product of
+    # random factors often falls a little short of its bound
+    assert {0, 1, 2, 3, 7, 8, 16, 30, 33} <= ranks and max(ranks) >= 59
+
+
+def test_det_matches_sympy_up_to_40():
+    rng = random.Random(59)
+    zero_lead = 0
+    for p in (2, 7, 10009, 42949657):
+        for n in (1, 2, 4, 9, 17, 25, 40):
+            for case in ("random", "zero lead", "singular"):
+                a = np.array([[rng.randrange(p) for _ in range(n)] for _ in range(n)], dtype=np.int64)
+                if case == "zero lead":
+                    a[0, 0] = 0  # the first pivot comes from a swap
+                    zero_lead += n > 1 and a[1:, 0].any()
+                elif case == "singular" and n > 1:
+                    a[:, n - 1] = a[:, 0] * rng.randrange(p) % p
+                want = int(gf(a, p).det()) % p
+                assert linalg.det(a, p) == want, (p, n, case)
+                if case == "singular" and n > 1:
+                    assert want == 0
+    assert zero_lead >= 20
+
+
 def sympy_coordinates(basis, vectors, p):
     """c with c @ basis = vectors: sympy's LU solve of basis^T c^T = vectors^T over GF(p)."""
     x = gf(basis.T, p).lu_solve(gf(vectors.T, p)).to_Matrix()
@@ -352,14 +412,14 @@ def test_inverse_matches_sympy_inv_mod():
         m = sympy.Matrix(a.tolist())
         if m.det() % p == 0:
             with pytest.raises(SingularMatrix):
-                linalg.inverse(a, p)
+                matrix_inverse(a, p)
             continue
         want = np.array(m.inv_mod(p).tolist(), dtype=np.int64) % p
-        assert np.array_equal(linalg.inverse(a, p), want)
+        assert np.array_equal(matrix_inverse(a, p), want)
         inverted += 1
     assert inverted >= 30
     with pytest.raises(SingularMatrix):
-        linalg.inverse(np.array([[1, 2], [3, 6]], dtype=np.int64), 7)
+        matrix_inverse(np.array([[1, 2], [3, 6]], dtype=np.int64), 7)
 
 
 def test_perm_sign_matches_sympy():

@@ -27,7 +27,7 @@ from isotypic.cover import _sym_power_step, builtin_action, cyclic_subgroups
 from isotypic.errors import NotAHomomorphism, SingularMatrix
 from isotypic.reps import multiplicity_space, restrict_to_subspace
 
-from conftest import all_subgroups, block_diagonal, exponents, forbid, random_invertible, sym_power
+from conftest import all_subgroups, block_diagonal, exponents, forbid, matrix_inverse, random_invertible, sym_power
 
 # A4 and C3 have non-real characters, so their projectors are not symmetric
 MONOMIAL_ACTIONS = (
@@ -234,7 +234,7 @@ def twisted_perm_rep(c, rng):
     dim = mats.shape[1]
     q = np.zeros((dim, dim), dtype=np.int64)
     q[rng.sample(range(dim), dim), np.arange(dim)] = [rng.choice([1, p - 1]) for _ in range(dim)]
-    q_inv = linalg.inverse(q, p)
+    q_inv = matrix_inverse(q, p)
     gens = [linalg.matmul(linalg.matmul(q, mats[g], p), q_inv, p) for g in group.generator_indices]
     return iso.rep_from_matrices(group, p, gens)
 

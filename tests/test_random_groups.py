@@ -7,11 +7,15 @@ of the squared degrees, the character of every model, dim End_G(perm) as
 the sum of the squared multiplicity-space dimensions of the permutation
 representation, and every evaluation isomorphism; and, on the permutation
 and regular representations, every isotypic component against the row
-space of the dense projector.  The derandomized profile of `conftest.py`
+space of the dense projector; and the cached element orders and the
+cyclic subgroups against the cycle-count order and the closure of one
+element.  The derandomized profile of `conftest.py`
 draws the same groups on every run.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
@@ -20,7 +24,7 @@ import isotypic as iso
 from isotypic import linalg
 from isotypic.reps import multiplicity_space
 
-from conftest import permutation_generators
+from conftest import perm_order, permutation_generators, subgroup_closure
 
 
 def permutation_groups():
@@ -63,3 +67,13 @@ def test_random_group_orbit_blocks_match_the_dense_projectors(group):
         for i, got in enumerate(components):
             want = linalg.row_space(iso.isotypic_projector(rep, i, table).T, p)
             assert got.dtype == want.dtype and np.array_equal(got, want), i
+
+
+@settings(deadline=None)
+@given(permutation_groups())
+def test_random_group_orders_and_cyclic_subgroups_match_the_oracles(group):
+    orders = [group.element_order(k) for k in range(group.order)]
+    assert orders == [perm_order(g) for g in group.elements]
+    assert iso.exponent(group) == math.lcm(*orders)
+    for g in range(group.order):
+        assert iso.cyclic_subgroup(group, g) == subgroup_closure(group, [g])

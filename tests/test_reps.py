@@ -32,7 +32,9 @@ from conftest import (
     char_sym_cube,
     direct_sum,
     ext_square,
+    matrix_inverse,
     random_invertible,
+    subgroup_closure,
     sym_power,
     tensor,
 )
@@ -44,7 +46,7 @@ def conjugate_rep(rep, s):
     """Change of basis rho'(g) = S rho(g) S^-1, one element at a time."""
     p = rep.p
     s = linalg.asmat(s, p)
-    s_inv = linalg.inverse(s, p)
+    s_inv = matrix_inverse(s, p)
     return iso.MatrixRep(rep.group, p, np.stack([linalg.matmul(s, linalg.matmul(m, s_inv, p), p) for m in rep.mats]))
 
 
@@ -316,14 +318,14 @@ def test_functor_character_identities_randomized(ctx):
 def test_subgroup_invariants(ctx):
     c = ctx("S3")
     perm = iso.permutation_rep(c.group, c.p)
-    whole = iso.subgroup_closure(c.group, [1, 2])
+    whole = subgroup_closure(c.group, [1, 2])
     basis = iso.subgroup_invariants(perm, whole, c.table)
     assert basis.shape[0] == 1  # the all-ones line
     assert np.array_equal(basis[0], np.array([1, 1, 1]))
-    trivial_sub = iso.subgroup_closure(c.group, [])
+    trivial_sub = subgroup_closure(c.group, [])
     assert iso.subgroup_invariants(perm, trivial_sub, c.table).shape[0] == perm.dim
     reg = iso.regular_rep(c.group, c.p)
-    a3 = iso.subgroup_closure(c.group, [2])
+    a3 = subgroup_closure(c.group, [2])
     assert iso.subgroup_invariants(reg, a3, c.table).shape[0] == 2
 
 
@@ -533,6 +535,20 @@ def test_matrix_rep_int64_bound():
     two = np.array([np.eye(2), np.eye(2)], dtype=np.int64)
     with pytest.raises(ModulusTooLarge):
         iso.MatrixRep(group, p, two)
+
+
+def test_a_monomial_group_sum_is_float_exact_at_every_admissible_modulus():
+    # `reps._group_sum` adds at most |G| <= DEFAULT_CAP residues per cell in
+    # float64, and for dim >= 1 the bound above keeps p <= isqrt(2^63 - 1) + 1
+    from isotypic.groups import DEFAULT_CAP
+
+    p = math.isqrt(2**63 - 1) + 1
+    assert DEFAULT_CAP * p < linalg.FLOAT_EXACT
+    # the sign of C2 at that modulus, monomial: (p-1) rho(e) + (p-2) rho(g)
+    group = iso.group_from_name("C2")
+    rep = iso.MatrixRep(group, p, images=np.zeros((2, 1)), scalars=np.array([[1], [p - 1]]))
+    coef = np.array([[p - 1, p - 2]], dtype=np.int64)
+    assert iso.reps._group_sum(rep, slice(None), coef).tolist() == [[[((p - 1) + (p - 2) * (p - 1)) % p]]]
 
 
 def test_matmul_exact_at_max_modulus():
