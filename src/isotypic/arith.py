@@ -2,11 +2,13 @@
 
 Scalars are plain ints in [0, p).  Polynomials are immutable coefficient
 tuples stored low-to-high with no trailing zeros; the zero polynomial has
-an empty tuple.  Rational functions are always kept reduced with a monic
-denominator so equality is componentwise and every report is
-deterministic.  `poly_roots` works on int64 coefficient arrays instead:
-products mod a fixed modulus are convolutions folded back through a
-table of x^(m+k) mod g, and the roots come from splitting idempotents of
+an empty tuple.  A rational function is a pair of polynomials: `RatFunc`
+is the reduced pair with a monic denominator, which reports print, and
+`series_prefix` takes any pair, so that sums of rational functions are
+formed over a common denominator and reduced once, if at all.
+`poly_roots` works on int64 coefficient arrays instead: products mod a
+fixed modulus are convolutions folded back through a table of
+x^(m+k) mod g, and the roots come from splitting idempotents of
 F_p[x]/(g).  Every value is an exact residue; floating point appears only
 inside `linalg.matmul`, where its bound keeps sums exact, and there is no
 characteristic-0 lift anywhere.
@@ -415,7 +417,8 @@ def _degree(v: np.ndarray) -> int:
 
 
 class RatFunc:
-    """Reduced rational function num/den over F_p with monic denominator."""
+    """The reduced form of a pair num/den over F_p, with monic denominator,
+    so equality is componentwise; it does no arithmetic."""
 
     __slots__ = ("p", "num", "den")
 
@@ -434,30 +437,6 @@ class RatFunc:
         self.num = num
         self.den = den
 
-    @classmethod
-    def const(cls, p: int, c: int) -> "RatFunc":
-        return cls(Poly.const(p, c), Poly.const(p, 1))
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __add__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __mul__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: "RatFunc") -> "RatFunc":
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def scale(self, c: int) -> "RatFunc":
-        return RatFunc(self.num.scale(c), self.den)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RatFunc)
@@ -465,9 +444,6 @@ class RatFunc:
             and self.num == other.num
             and self.den == other.den
         )
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
 
     def __repr__(self) -> str:
         return f"RatFunc({self.num} / {self.den} mod {self.p})"
@@ -479,16 +455,17 @@ class RatFunc:
         return {"num": list(self.num.coeffs), "den": list(self.den.coeffs)}
 
 
-def series_prefix(f: RatFunc, terms: int) -> list[int]:
-    """First terms+1 power-series coefficients of f at t = 0.
+def series_prefix(num: Poly, den: Poly, terms: int) -> list[int]:
+    """First terms+1 power-series coefficients of num/den at t = 0.
 
+    The pair need not be reduced: a common factor changes no coefficient.
     Standard long division: c_k = (a_k - sum b_j c_{k-j}) / b_0.
     """
-    p = f.p
-    b = f.den.coeffs
+    p = num.p
+    b = den.coeffs
     if not b or b[0] == 0:
         raise PoleAtZero("denominator vanishes at t = 0")
-    a = f.num.coeffs
+    a = num.coeffs
     b0 = inv_mod(b[0], p)
     out = []
     for k in range(terms + 1):

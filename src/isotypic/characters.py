@@ -133,31 +133,32 @@ def character_table(group: Group, classes: ConjugacyClasses, p: int) -> Characte
     if sum(d * d for d in degrees) != order:
         raise SplitFailure("degree squares do not sum to the group order")
     table = CharacterTable(group, classes, p, values, degrees)
-    # Gram matrix of inner_mult over all pairs of rows; the weighted factor
-    # is reduced first, since `matmul` takes residues.
-    vals = np.array(values, dtype=np.int64)
-    weighted = vals * np.array(classes.sizes, dtype=np.int64) % p
-    gram = matmul(weighted, vals[:, list(classes.inverse_class)].T, p) * inv_mod(order % p, p) % p
+    # Gram matrix of inner_mult over all pairs of rows
+    gram = matmul(class_weights(table), np.array(values, dtype=np.int64).T, p)
     if not np.array_equal(gram, np.eye(len(values), dtype=np.int64)):
         raise SplitFailure("row orthogonality failed")
     return table
 
 
-def inner_mult(table: CharacterTable, w: ClassFunction, v: ClassFunction, bound: int | None = None) -> int:
-    """(1/|G|) sum_c |c| W(c) V(c^-1), as a residue mod p, for class
-    functions W and V of the group of `table`.
+def class_weights(table: CharacterTable) -> np.ndarray:
+    """W[i, c] = |c| chi_i(c^-1) / |G| mod p, so that the class-weighted
+    sums (1/|G|) sum_c |c| chi_i(c^-1) f(c) of all irreducibles i are one
+    product W F, F the k rows f(c)."""
+    classes, p = table.classes, table.p
+    sizes = np.array(classes.sizes, dtype=np.int64)
+    dual = np.array(table.values, dtype=np.int64)[:, list(classes.inverse_class)]
+    return dual * sizes % p * inv_mod(table.group.order % p, p) % p
 
-    With `bound` given, the residue is asserted to be the lift of a true
-    multiplicity below the bound; a failure signals a non-character input.
-    """
+
+def inner_mult(table: CharacterTable, w: ClassFunction, v: ClassFunction) -> int:
+    """(1/|G|) sum_c |c| W(c) V(c^-1), as a residue mod p, for class
+    functions W and V of the group of `table`.  For V = chi_i it is entry i
+    of `class_weights` times W, for callers that need one entry."""
     classes, p = table.classes, table.p
     acc = 0
     for c in range(classes.num_classes):
         acc += classes.sizes[c] * w[c] * v[classes.inverse_class[c]]
-    val = acc * inv_mod(table.group.order % p, p) % p
-    if bound is not None and val >= bound:
-        raise NotAMultiplicity(f"inner product {val} exceeds the multiplicity bound {bound}")
-    return val
+    return acc * inv_mod(table.group.order % p, p) % p
 
 
 def central_idempotents(table: CharacterTable) -> list[np.ndarray]:
@@ -259,33 +260,32 @@ def splitting_element(table: CharacterTable, i: int) -> int:
 
 
 def tensor_multiplicities(table: CharacterTable) -> np.ndarray:
-    """n[i][j][l] = multiplicity of irreducible l in irreducible i tensor j."""
-    classes, p = table.classes, table.p
-    r = table.num_irreps
-    n = np.zeros((r, r, r), dtype=np.int64)
-    for i in range(r):
-        for j in range(i, r):
-            prod = char_tensor(table.values[i], table.values[j], p)
-            for l in range(r):
-                bound = table.degrees[i] * table.degrees[j] + 1
-                n[i, j, l] = inner_mult(table, prod, table.values[l], bound=bound)
-            n[j, i] = n[i, j]
-    # bookkeeping: the trivial row is the identity functor and degrees add up
-    for j in range(r):
-        for l in range(r):
-            if n[0, j, l] != (1 if j == l else 0):
-                raise NotAMultiplicity("tensor with the trivial character is not the identity")
+    """n[i][j][l] = multiplicity of irreducible l in irreducible i tensor j.
+
+    The r^2 products chi_i chi_j are the rows of one r^2 x k residue
+    matrix, and one `matmul` by the k x r transpose of `class_weights`
+    gives their inner products with every irreducible.
+    A non-character input fails a bookkeeping check with
+    NotAMultiplicity: every value is a true multiplicity, at most
+    deg_i deg_j; the trivial row is the identity functor; the degrees add
+    up; and a second product gives <chi_j^dual chi_l, chi_i> = n[i][j][l].
+    """
+    p, r = table.p, table.num_irreps
+    vals = np.array(table.values, dtype=np.int64)
+    weights = class_weights(table).T
+    n = matmul((vals[:, None] * vals).reshape(r * r, -1) % p, weights, p).reshape(r, r, r)
     degs = np.array(table.degrees, dtype=np.int64)
-    for i in range(r):
-        for j in range(r):
-            if int(n[i, j] @ degs) != table.degrees[i] * table.degrees[j]:
-                raise NotAMultiplicity("tensor multiplicities do not add up to the product degree")
-    # dual symmetry <chi_j^dual * chi_l, chi_i> = n[i][j][l]
-    for j in range(r):
-        dual_j = char_dual(table.values[j], classes)
-        for l in range(r):
-            prod = char_tensor(dual_j, table.values[l], p)
-            for i in range(r):
-                if inner_mult(table, prod, table.values[i]) != n[i, j, l] % p:
-                    raise NotAMultiplicity("dual symmetry of tensor multiplicities failed")
+    products = degs[:, None] * degs
+    above = np.argwhere(n > products[:, :, None])
+    if above.size:
+        i, j, l = above[0]
+        raise NotAMultiplicity(f"tensor multiplicity {n[i, j, l]} exceeds the product degree {products[i, j]}")
+    if not np.array_equal(n[0], np.eye(r, dtype=np.int64)):
+        raise NotAMultiplicity("tensor with the trivial character is not the identity")
+    if not np.array_equal(n @ degs, products):
+        raise NotAMultiplicity("tensor multiplicities do not add up to the product degree")
+    dual = vals[:, list(table.classes.inverse_class)]
+    dual_n = matmul((dual[:, None] * vals).reshape(r * r, -1) % p, weights, p).reshape(r, r, r)
+    if not np.array_equal(dual_n.transpose(2, 0, 1), n):
+        raise NotAMultiplicity("dual symmetry of tensor multiplicities failed")
     return n

@@ -32,8 +32,8 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from . import linalg
-from .arith import Poly, RatFunc, limit_at_one, root_of_unity, series_prefix
-from .characters import CharacterTable, restrict_invariant_dim, tensor_multiplicities
+from .arith import Poly, RatFunc, limit_at_one, poly_gcd, root_of_unity, series_prefix
+from .characters import CharacterTable, class_weights, restrict_invariant_dim, tensor_multiplicities
 from .errors import NotFaithful
 from .groups import ConjugacyClasses, Group, Subgroup, cyclic_subgroup
 from .reps import (
@@ -129,9 +129,7 @@ class LinearCoverAction:
         self._pieces: dict[int, MatrixRep] = {}
         self._piece_data: dict[int, IsotypicDecomposition] = {}
         self._forbidden_projectors: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
-        self._series: dict[int, RatFunc] = {}
-        self._prefixes: dict[int, list[int]] = {}
-        self._dets: list[Poly] | None = None
+        self._molien: tuple[Poly, list[Poly], list[list[int]]] | None = None
         self._mul_maps: dict[tuple[int, int], np.ndarray] = {}
         self._tensors: np.ndarray | None = None
         kernel = [g for g in range(rep.group.order) if np.array_equal(rep.mats[g], rep.mats[0])]
@@ -272,14 +270,36 @@ def _require_own_table(action: LinearCoverAction, table: CharacterTable) -> None
 
 
 def _inverse_dets(action: LinearCoverAction, classes: ConjugacyClasses) -> list[Poly]:
-    """det(I - t rho(g)^-1) for g the representative of each class, memoized;
-    a class function, as conjugate matrices have one characteristic
-    polynomial."""
-    if action._dets is None:
-        # det(I - tA) = t^n charpoly_A(1/t): the coefficients reversed
-        mats, inv = action.rep.mats, action.group.inv
-        action._dets = [Poly(action.p, linalg.charpoly(mats[inv[g]], action.p)[::-1]) for g in classes.reps]
-    return action._dets
+    """det(I - t rho(g)^-1) for g the representative of each class; a class
+    function, as conjugate matrices have one characteristic polynomial."""
+    # det(I - tA) = t^n charpoly_A(1/t): the coefficients reversed
+    mats, inv = action.rep.mats, action.group.inv
+    return [Poly(action.p, linalg.charpoly(mats[inv[g]], action.p)[::-1]) for g in classes.reps]
+
+
+def _molien_sums(action: LinearCoverAction, table: CharacterTable) -> tuple[Poly, list[Poly], list[list[int]]]:
+    """The Molien series of every irreducible over one common denominator,
+    memoized: (D, N, prefixes), irreducible i's series being N_i / D, not
+    reduced.  D is the lcm of the class determinants det(1 - t rho(g_c)^-1),
+    from k - 1 gcds, and N = W Q is one product of the `class_weights` W
+    and the rows Q_c = D / det_c, exact under the table's `require_exact`.
+    Row i of the prefixes is the longest power-series prefix of N_i / D
+    expanded so far, none at first.
+    """
+    _require_own_table(action, table)
+    if action._molien is None:
+        p = action.p
+        dets = _inverse_dets(action, table.classes)
+        den = dets[0]
+        for det in dets[1:]:
+            den = den * det.exact_div(poly_gcd(den, det))
+        quotients = np.zeros((len(dets), den.degree + 1), dtype=np.int64)
+        for c, det in enumerate(dets):
+            coeffs = den.exact_div(det).coeffs
+            quotients[c, : len(coeffs)] = coeffs
+        nums = linalg.matmul(class_weights(table), quotients, p)
+        action._molien = den, [Poly(p, row) for row in nums], [[] for _ in nums]
+    return action._molien
 
 
 def molien_multiplicity_series(action: LinearCoverAction, i: int, table: CharacterTable) -> RatFunc:
@@ -288,41 +308,33 @@ def molien_multiplicity_series(action: LinearCoverAction, i: int, table: Charact
     The finite sum (1/|G|) sum_g chi_i(g^-1) / det(1 - t rho(g)^-1), the
     orientation fixed by the contragredient action on the variables, is
     taken over the conjugacy classes, each term weighted by its class size,
-    as both factors are class functions.  `pushforward_report` compares its
-    coefficients with the projector multiplicities.
+    as both factors are class functions: N_i / D of `_molien_sums`, reduced.
+    `pushforward_report` compares its coefficients with the projector
+    multiplicities.
     """
-    _require_own_table(action, table)
-    if i in action._series:
-        return action._series[i]
-    group, classes, p = table.group, table.classes, table.p
-    dets = _inverse_dets(action, classes)
-    acc = RatFunc.const(p, 0)
-    for c, size in enumerate(classes.sizes):
-        chi = table.values[i][classes.inverse_class[c]]
-        acc = acc + RatFunc(Poly.const(p, size * chi), dets[c])
-    action._series[i] = acc.scale(linalg.inv_mod(group.order % p, p))
-    return action._series[i]
+    den, nums, _ = _molien_sums(action, table)
+    return RatFunc(nums[i], den)
 
 
-def _series_prefix(action: LinearCoverAction, i: int, terms: int, table: CharacterTable) -> list[int]:
-    """`series_prefix` of irreducible i's Molien series through degree
-    `terms`, memoized: the longest prefix computed so far is kept, and a
-    shorter request is a slice of it."""
-    series = molien_multiplicity_series(action, i, table)
-    if len(action._prefixes.get(i, ())) <= terms:
-        action._prefixes[i] = series_prefix(series, terms)
-    return action._prefixes[i][: terms + 1]
+def _series_prefixes(action: LinearCoverAction, terms: int, table: CharacterTable) -> list[list[int]]:
+    """`series_prefix` of every irreducible's Molien series through degree
+    `terms`: the memo's prefixes are expanded anew for a longer request,
+    and sliced for a shorter one."""
+    den, nums, prefixes = _molien_sums(action, table)
+    if len(prefixes[0]) <= terms:
+        prefixes[:] = [series_prefix(num, den, terms) for num in nums]
+    return [row[: terms + 1] for row in prefixes]
 
 
 def generic_multiplicity(action: LinearCoverAction, i: int, table: CharacterTable) -> int:
     """Rank of the i-th multiplicity module over the invariant ring.
 
-    Computed as the exact limit at t = 1 of M_i / M_0, clearing the common
-    pole; the structure theory predicts this equals dim V_i.
+    Computed as the exact limit at t = 1 of M_i / M_0 = N_i / N_0, where
+    the common denominator D cancels; the structure theory predicts this
+    equals dim V_i.
     """
-    m_i = molien_multiplicity_series(action, i, table)
-    m_0 = molien_multiplicity_series(action, 0, table)
-    return limit_at_one(m_i / m_0)
+    _, nums, _ = _molien_sums(action, table)
+    return limit_at_one(RatFunc(nums[i], nums[0]))
 
 
 # -- verification checks --------------------------------------------------------------
@@ -342,7 +354,7 @@ def invariants_series_check(
     """
     p = table.p
     fixed_dims = [restrict_invariant_dim(table, table.values[i], h) for i in range(table.num_irreps)]
-    coeffs = [_series_prefix(action, i, max_degree, table) for i in range(table.num_irreps)]
+    coeffs = _series_prefixes(action, max_degree, table)
     for d in range(max_degree + 1):
         lhs = fixed_dim(action.piece(d), h)
         mults = action.piece_decomposition(d, table).multiplicities
@@ -551,7 +563,7 @@ def pushforward_report(action: LinearCoverAction, max_degree: int, table: Charac
     generic_witness = None if generic == degrees else {"generic": generic, "degrees": degrees}
 
     top = max(max_degree, CHECK_DEGREE)
-    prefixes = [_series_prefix(action, i, top, table) for i in range(r)]
+    prefixes = _series_prefixes(action, top, table)
     mults = [action.piece_decomposition(d, table).multiplicities for d in range(top + 1)]
     series_witness = next(
         ({"degree": d, "irrep": i} for d in range(top + 1) for i in range(r) if mults[d][i] % p != prefixes[i][d]),

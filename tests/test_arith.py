@@ -148,12 +148,13 @@ def test_series_prefix_examples():
     p = 7
     one = Poly.const(p, 1)
     t = Poly.x(p)
-    f = RatFunc(one, one - t ** 3)
-    assert iso.series_prefix(f, 6) == [1, 0, 0, 1, 0, 0, 1]
-    assert iso.series_prefix(RatFunc(one, one - t), 3) == [1, 1, 1, 1]
-    assert iso.series_prefix(RatFunc(t, one - t * t), 4) == [0, 1, 0, 1, 0]
+    assert iso.series_prefix(one, one - t ** 3, 6) == [1, 0, 0, 1, 0, 0, 1]
+    assert iso.series_prefix(one, one - t, 3) == [1, 1, 1, 1]
+    assert iso.series_prefix(t, one - t * t, 4) == [0, 1, 0, 1, 0]
+    # an unreduced pair has the series of its reduced form
+    assert iso.series_prefix(one + t, one - t * t, 3) == [1, 1, 1, 1]
     with pytest.raises(PoleAtZero):
-        iso.series_prefix(RatFunc(one, t), 3)
+        iso.series_prefix(one, t, 3)
 
 
 @settings(max_examples=60, deadline=None)
@@ -167,13 +168,13 @@ def test_series_of_product_is_cauchy_product(na, da, nb, db):
     p = 7
     da = [max(da[0], 1)] + da[1:]  # den(0) != 0
     db = [max(db[0], 1)] + db[1:]
-    f = RatFunc(Poly(p, na), Poly(p, da))
-    g = RatFunc(Poly(p, nb), Poly(p, db))
+    fn, fd, gn, gd = Poly(p, na), Poly(p, da), Poly(p, nb), Poly(p, db)
     terms = 8
-    sf = iso.series_prefix(f, terms)
-    sg = iso.series_prefix(g, terms)
+    sf = iso.series_prefix(fn, fd, terms)
+    sg = iso.series_prefix(gn, gd, terms)
     cauchy = [sum(sf[j] * sg[k - j] for j in range(k + 1)) % p for k in range(terms + 1)]
-    assert iso.series_prefix(f * g, terms) == cauchy
+    # the product's series, from the raw products of numerators and denominators
+    assert iso.series_prefix(fn * gn, fd * gd, terms) == cauchy
 
 
 def one_minus_t(p: int) -> Poly:

@@ -4,19 +4,37 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+import sympy
+from sympy.polys.fields import field
+from sympy.polys.matrices import DomainMatrix
 
 import isotypic as iso
 from isotypic import linalg
 from isotypic.arith import Poly, RatFunc
+from isotypic.cli import _parse_matrix_file
 from isotypic.cover import _inverse_dets, _products, builtin_action, cyclic_subgroups
 from isotypic import cover, reps
 from isotypic.errors import NotFaithful, SystemTooLarge
 from isotypic.scenarios import COVER_SCENARIOS
 from conftest import all_subgroups, cycles, exponents, forbid, matrix_inverse, subgroup_closure
 from polymat_oracle import bareiss_det
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+# (group, action, prime) of the Molien oracle: verify-all's five cover
+# actions and more, and the two matrix-file actions of the golden reports.
+# A prime of None is `choose_prime`'s; 42949657 is the largest prime
+# = 1 mod 24 below MAX_MODULUS.
+MOLIEN_ORACLE_CASES = [
+    ("S3", "perm", None), ("A4", "perm", None), ("S4", "perm", None), ("S5", "perm", None),
+    ("D4", "reflection", None), ("D6", "reflection", None), ("C4", "scalar", None),
+    ("C2", "scalar", None), ("C3", "scalar", None), ("D12", "reflection", None), ("Q8", "perm", None),
+    ("Q8", "action_Q8_model2.txt", None), ("A4", "action_A4_model3.txt", None), ("S4", "perm", 42949657),
+]
 
 
 def scalar_ctx(ctx, n):
@@ -228,7 +246,7 @@ def test_molien_matches_projectors_everywhere(ctx):
         action = make(c)
         for i in range(c.table.num_irreps):
             series = iso.molien_multiplicity_series(action, i, c.table)
-            coeffs = series_prefix(series, 12)
+            coeffs = series_prefix(series.num, series.den, 12)
             for d in range(13):
                 mult = action.piece_decomposition(d, c.table).multiplicities[i]
                 assert coeffs[d] == mult % c.p
@@ -274,7 +292,8 @@ def test_invariants_series_check_s3(ctx):
     whole = subgroup_closure(c.group, [1, 2])
     from isotypic.arith import series_prefix
 
-    inv_coeffs = series_prefix(iso.molien_multiplicity_series(action, 0, c.table), 8)
+    invariants = iso.molien_multiplicity_series(action, 0, c.table)
+    inv_coeffs = series_prefix(invariants.num, invariants.den, 8)
     assert iso.invariants_series_check(action, whole, 8, c.table) is None
     for d in range(9):
         assert iso.fixed_dim(action.piece(d), whole) % c.p == inv_coeffs[d]
@@ -470,24 +489,31 @@ def test_the_product_pass_builds_one_shifted_array_per_kernel(ctx, monkeypatch):
 
 
 def test_the_cover_report_expands_each_molien_series_once(ctx, monkeypatch):
-    # the invariants check of every cyclic subgroup slices the prefixes the
-    # series check expanded through max(12, CHECK_DEGREE), one per irreducible
+    # one memo of the Molien sums per action; the invariants check of every
+    # cyclic subgroup slices the prefixes the series check expanded through
+    # max(12, CHECK_DEGREE), one per irreducible
     c = ctx("S4")
     action = builtin_action(c.group, c.p, "perm4")
-    calls, real = [], cover.series_prefix
+    builds, calls, real, real_dets = [], [], cover.series_prefix, cover._inverse_dets
 
-    def spy(f, terms):
+    def spy(num, den, terms):
         calls.append(terms)
-        return real(f, terms)
+        return real(num, den, terms)
+
+    def spy_dets(*args):
+        builds.append(args)
+        return real_dets(*args)
 
     monkeypatch.setattr(cover, "series_prefix", spy)
+    monkeypatch.setattr(cover, "_inverse_dets", spy_dets)
     assert iso.pushforward_report(action, 12, c.table).passed
-    assert calls == [12] * 5
-    # a longer prefix is expanded anew, and a shorter one is its slice
+    assert len(builds) == 1 and calls == [12] * 5
+    # a longer prefix is one pass anew over every irreducible, and a shorter
+    # one is its slice
     series = iso.molien_multiplicity_series(action, 1, c.table)
-    assert cover._series_prefix(action, 1, 20, c.table) == real(series, 20)
-    assert cover._series_prefix(action, 1, 3, c.table) == real(series, 3)
-    assert calls == [12] * 5 + [20]
+    assert cover._series_prefixes(action, 20, c.table)[1] == real(series.num, series.den, 20)
+    assert cover._series_prefixes(action, 3, c.table)[1] == real(series.num, series.den, 3)
+    assert len(builds) == 1 and calls == [12] * 5 + [20] * 5
 
 
 def former_fixed_dim(rep, h):
@@ -578,7 +604,8 @@ def test_b1_dual_convention(ctx):
 
 def test_inverse_dets_match_bareiss_oracle(ctx):
     # det(I - t rho(g)^-1) by Bareiss elimination over F_p[t], for every
-    # element: the memo holds one per class, so it must be a class function
+    # element: the Molien sums take one per class, so it must be a class
+    # function
     for name, kind in (*COVER_SCENARIOS, ("S4", "perm")):
         c = ctx(name)
         action = builtin_action(c.group, c.p, kind)
@@ -593,22 +620,64 @@ def test_inverse_dets_match_bareiss_oracle(ctx):
             assert dets[c.classes.class_of[g]] == bareiss_det(mat)
 
 
+def sympy_molien(action, table):
+    """Per irreducible i, (1/|G|) sum over every element g of
+    chi_i(g^-1) / det(1 - t rho(g)^-1) in sympy's GF(p)(t): rho(g)^-1 is
+    inverted by sympy, and det(1 - tA) is the characteristic polynomial of
+    A with its coefficients reversed."""
+    group, classes, p = table.group, table.classes, table.p
+    F = sympy.GF(p)
+    K, t = field("t", F)
+    terms = []
+    for g in range(group.order):
+        inv = DomainMatrix([[F(int(x)) for x in row] for row in action.rep.mats[g]], (action.n,) * 2, F).inv()
+        det = sum((int(c) * t**k for k, c in enumerate(inv.charpoly())), K.zero)
+        terms.append((classes.inverse_class[classes.class_of[g]], K.one / det))
+    out = []
+    for chi in table.values:
+        acc = K.zero
+        for c, term in terms:
+            acc += chi[c] * term
+        out.append(acc * pow(group.order, -1, p))
+    return out
+
+
+def monic_pair(f, p):
+    """The coefficients, low to high, of f's reduced numerator and monic
+    denominator."""
+    lead = pow(int(f.denom.LC), -1, p)
+    return [[int(c) * lead % p for c in reversed(poly.to_dense())] for poly in (f.numer, f.denom)]
+
+
 @pytest.mark.parametrize(
-    "name, kind",
-    [("S3", "perm"), ("A4", "perm"), ("S4", "perm"), ("S5", "perm"), ("D4", "reflection"),
-     ("D6", "reflection"), ("C4", "scalar")],
+    "name, kind, prime",
+    MOLIEN_ORACLE_CASES,
+    ids=["-".join(str(x) for x in case if x is not None) for case in MOLIEN_ORACLE_CASES],
 )
-def test_molien_class_sum_matches_the_element_sum(ctx, name, kind):
-    # (1/|G|) sum over every element g of chi_i(g^-1) / det(1 - t rho(g)^-1)
+def test_molien_class_sum_matches_the_element_sum(ctx, name, kind, prime):
+    # the series, their prefixes through degree 12 and the generic
+    # multiplicities, against the sum over every element in sympy's GF(p)(t)
     c = ctx(name)
-    p, group = c.p, c.group
-    action = builtin_action(group, p, kind)
-    for i, chi in enumerate(c.table.values):
-        acc = RatFunc.const(p, 0)
-        for g in range(group.order):
-            det = Poly(p, linalg.charpoly(action.rep.mats[group.inv[g]], p)[::-1])
-            acc = acc + RatFunc(Poly.const(p, chi[c.classes.class_of[group.inv[g]]]), det)
-        assert iso.molien_multiplicity_series(action, i, c.table) == acc.scale(pow(group.order, -1, p))
+    table = c.table if prime is None else iso.character_table(c.group, c.classes, prime)
+    if kind.endswith(".txt"):
+        p, mats = _parse_matrix_file(str(GOLDEN / kind))
+        assert p == table.p
+        action = iso.validate_action(c.group, mats, p)
+    else:
+        action = builtin_action(c.group, table.p, kind)
+    want = sympy_molien(action, table)
+    prefixes = cover._series_prefixes(action, 12, table)
+    t = want[0].field.gens[0]
+    for i, f in enumerate(want):
+        series = iso.molien_multiplicity_series(action, i, table)
+        assert [list(series.num.coeffs), list(series.den.coeffs)] == monic_pair(f, table.p)
+        # den * prefix = num through degree 12 fixes the prefix, as den(0) != 0
+        prefix = sum((c * t**k for k, c in enumerate(prefixes[i])), t.field.zero)
+        cleared = (f.denom * prefix.numer - f.numer).to_dense()[::-1]
+        assert all(int(x) == 0 for x in cleared[:13])
+        ratio = f / want[0]
+        generic = int(ratio.numer(1)) * pow(int(ratio.denom(1)), -1, table.p) % table.p
+        assert iso.generic_multiplicity(action, i, table) == generic
 
 
 def test_a_foreign_table_is_refused_after_the_memos_are_built(ctx):

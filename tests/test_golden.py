@@ -67,13 +67,20 @@ CYCLIC_SHA256 = {
     (32, "polynomial"): "ffd00d0744097a555de08bba4631c19622e656cff4760ad102559a52146372a7",
 }
 
-# sha256 of `isotypic cover --format json` with these arguments, taken from
-# the CLI before the product check moved to component coordinates and
-# monomial pieces were decomposed one orbit block at a time.  A4 has
-# non-real characters, so its projectors are not symmetric.
+# sha256 of `isotypic cover --format json` with these arguments (a prime of
+# None is `choose_prime`'s).  The first two were taken from the CLI before
+# the product check moved to component coordinates and monomial pieces
+# were decomposed one orbit block at a time; A4 has non-real characters,
+# so its projectors are not symmetric.  The last three were taken before
+# the Molien series were summed over a common denominator and the tensor
+# multiplicities came from one product: D50 and D100 have 28 and 53
+# classes, and 42949657 is the largest prime = 1 mod 24 below MAX_MODULUS.
 COVER_SHA256 = {
-    ("S4", "perm4", 12): "ff98944442369c8923b284d4d6b1932fd60cfa44ab248c7147975cfc2818625e",
-    ("A4", "perm4", 8): "9ae9c58d50aede8715038fe32e7766481de0b7cc3336ffc3b8ccaffa86fbc7f5",
+    ("S4", "perm4", 12, None): "ff98944442369c8923b284d4d6b1932fd60cfa44ab248c7147975cfc2818625e",
+    ("A4", "perm4", 8, None): "9ae9c58d50aede8715038fe32e7766481de0b7cc3336ffc3b8ccaffa86fbc7f5",
+    ("D50", "reflection", 12, None): "797f65cf91228d4a79d41a04add57faca612487aac10b72afaec287bda5e5d3d",
+    ("D100", "reflection", 12, None): "a300b6109bb1acdd3eb6530b8b5e14d6553d04237e3b47bf59cc8d99b1052015",
+    ("S4", "perm4", 12, 42949657): "50a97cfca42c4e3ff343f9c83c4839d4c7e3a834f6f7ca6834cba43cda494b47",
 }
 
 
@@ -84,12 +91,16 @@ def test_large_cyclic_report_matches_pinned_sha256(n, variant):
     assert hashlib.sha256(result.stdout_bytes).hexdigest() == CYCLIC_SHA256[n, variant]
 
 
-@pytest.mark.parametrize("group, action, degree", sorted(COVER_SHA256))
-def test_large_cover_report_matches_pinned_sha256(group, action, degree):
+@pytest.mark.parametrize(
+    "group, action, degree, prime",
+    list(COVER_SHA256),
+    ids=["-".join(str(x) for x in key if x is not None) for key in COVER_SHA256],
+)
+def test_large_cover_report_matches_pinned_sha256(group, action, degree, prime):
     args = ["cover", "--group", group, "--action", action, "--max-degree", str(degree), "--format", "json"]
-    result = CliRunner().invoke(main, args)
+    result = CliRunner().invoke(main, args + (["--prime", str(prime)] if prime else []))
     assert result.exit_code == 0, result.output
-    assert hashlib.sha256(result.stdout_bytes).hexdigest() == COVER_SHA256[group, action, degree]
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == COVER_SHA256[group, action, degree, prime]
 
 
 @pytest.mark.parametrize("filename", sorted(CASES))
