@@ -8,9 +8,9 @@ E is the regular representation of S5 (dimension 120), V its degree-6
 irreducible model, the largest piece of the models-s5 workload.
 `restrict_to_subspace` acts on the 36-dimensional degree-6 isotypic
 component of E.  A basis of Hom_G(V, E) comes from `multiplicity_space`
-(Serre's operators), on E as built (index maps) and on its dense copy, so
-both branches of the group sums and actions have a number, and from
-`intertwiner_basis` (the null space of the 1440 x 720 Kronecker system).
+(Serre's operators, the library's one route to Hom_G), on E as built
+(index maps) and on its dense copy, so both branches of the group sums and
+actions have a number.
 `evaluation_iso_check` certifies V (x) Hom_G(V, E) -> E: on the warm table
 that built the models, whose orbit-block memo already holds E's reduced
 degree-6 component, and on a cold one, rebuilt before each round, which
@@ -42,16 +42,12 @@ def test_restrict_s5_regular_to_degree_6_component(benchmark, s5):
     assert sub.dim == 36
 
 
-@pytest.mark.parametrize("method", ["multiplicity_space", "multiplicity_space-dense", "intertwiner_basis"])
+@pytest.mark.parametrize("method", ["multiplicity_space", "multiplicity_space-dense"])
 def test_hom_basis_s5_regular(benchmark, s5, method):
     regular, model, _, _ = s5
-    if method == "multiplicity_space":
-        basis = benchmark(reps.multiplicity_space, regular, model)
-    elif method == "multiplicity_space-dense":
-        dense = reps.MatrixRep(regular.group, regular.p, regular.mats)
-        basis = benchmark(reps.multiplicity_space, dense, model)
-    else:
-        basis = benchmark(reps.intertwiner_basis, model, regular)
+    if method == "multiplicity_space-dense":
+        regular = reps.MatrixRep(regular.group, regular.p, regular.mats)
+    basis = benchmark(reps.multiplicity_space, regular, model)
     assert len(basis) == 6
 
 

@@ -33,8 +33,8 @@ def test_molien_sums(benchmark, name, kind):
     def fresh_action():
         return (cover.builtin_action(table.group, table.p, kind), table), {}
 
-    sums = benchmark.pedantic(cover._molien_sums, setup=fresh_action, rounds=50)
-    assert len(sums.nums) == table.num_irreps and sums.den.coeffs[0] != 0
+    den, nums, _ = benchmark.pedantic(cover._molien_sums, setup=fresh_action, rounds=50)
+    assert len(nums) == table.num_irreps and den.coeffs[0] != 0
 
 
 @pytest.mark.parametrize("name", ["S4", "D50"])

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
 
 import numpy as np
 
@@ -386,7 +386,7 @@ def product_structure_check(
     row_space(W) @ P_l^T.  Returns None when the check passes.
     """
     p = table.p
-    required = _forbidden(action, i, j, table)
+    required = _forbidden_sets(action, table)[i, j]
     prods = _component_products(action, j, a, b, table, [i]).get(i) if required else None
     if prods is None or not _hits_forbidden(action, prods, a + b, required, table):
         return None
@@ -400,10 +400,14 @@ def product_structure_check(
             return {"component": l, "degree": a + b, "vector": proj[rows[0]].tolist()}
 
 
-def _forbidden(action: LinearCoverAction, i: int, j: int, table: CharacterTable) -> tuple[int, ...]:
-    """The irreducibles absent from V_i tensor V_j, ascending."""
-    tens = _tensor_mults(action, table)
-    return tuple(l for l in range(table.num_irreps) if tens[i, j, l] == 0)
+def _forbidden_sets(action: LinearCoverAction, table: CharacterTable) -> dict[tuple[int, int], tuple[int, ...]]:
+    """The irreducibles absent from V_i tensor V_j, ascending, for every
+    ordered pair (i, j): the zero cells of the tensor multiplicities, in one
+    pass, dealt out pair by pair in row-major order."""
+    zero = _tensor_mults(action, table) == 0
+    absent = iter(np.nonzero(zero)[2].tolist())
+    counts = zero.sum(axis=2).ravel().tolist()
+    return {pair: tuple(islice(absent, k)) for pair, k in zip(np.ndindex(zero.shape[:2]), counts)}
 
 
 def _component_products(
@@ -465,7 +469,7 @@ def _product_failures(action: LinearCoverAction, table: CharacterTable) -> list[
     pair, once when the two sets are equal (always, for a real table).
     """
     r = table.num_irreps
-    forbidden = {(i, j): _forbidden(action, i, j, table) for i in range(r) for j in range(r)}
+    forbidden = _forbidden_sets(action, table)
     failures = []
     for j in range(r):
         for a in range(1, PRODUCT_DEGREE + 1):

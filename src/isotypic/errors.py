@@ -71,7 +71,7 @@ class NotAnIntertwiner(IsotypicError):
 
 
 class SystemTooLarge(IsotypicError):
-    """An intertwiner system would exceed the cell limit of dense elimination."""
+    """A dense array (multiplicity operators, a graded piece) would exceed the cell limit."""
 
 
 class SingularMatrix(IsotypicError):
@@ -83,7 +83,7 @@ class InconsistentMultiplicity(IsotypicError):
 
 
 class MethodMismatch(IsotypicError):
-    """Two independent computations of an intertwiner dimension disagree."""
+    """Two independent computations of a Hom_G dimension disagree."""
 
 
 class DimensionMismatch(IsotypicError):

@@ -5,9 +5,9 @@ by the canonical element order.  Central projectors cut out the isotypic
 components.  Multiplicity spaces Hom_G(V_i, E) come from Serre's operators
 p_{a1} built from the matrix coefficients of an irreducible model, and the
 evaluation map assembled from them is checked to be an isomorphism onto the
-component.
+component.  They are the one route to Hom_G, which `hom_dim` counts.
 
-All rank and null-space computations go through the deterministic
+All rank and row-space computations go through the deterministic
 eliminations in `linalg`, so component bases are reproducible.  The
 component of a monomial representation is reduced one orbit block at a
 time, and the blocks are kept on the character table, so every
@@ -49,8 +49,8 @@ from .errors import (
 from .groups import ConjugacyClasses, Group, Subgroup
 from .linalg import inv_mod
 
-# Largest dense array built for a hom system or a graded cover piece: 2^24
-# int64 cells are 128 MB, where S5's regular rep would need 28800 x 14400.
+# Largest dense array built for multiplicity operators or a graded cover
+# piece: 2^24 int64 cells are 128 MB; S5's regular rep takes 6 x 120 x 120.
 MAX_SYSTEM_CELLS = 2**24
 
 
@@ -351,15 +351,20 @@ def _components(rep: MatrixRep, table: CharacterTable, irreps) -> list[np.ndarra
     group object or prime raises ValueError rather than plant or read
     blocks that are not its own.
     """
+    _require_table(rep, table)
+    if rep.images is None:
+        return [linalg.row_space(isotypic_projector(rep, i, table).T, rep.p) for i in irreps]
+    types = _orbit_types(rep)
+    return [_orbit_row_space(rep, types, table, i) for i in irreps]
+
+
+def _require_table(rep: MatrixRep, table: CharacterTable) -> None:
+    """Raise ValueError when `rep` is not of the table's group object and prime."""
     if rep.group is not table.group or rep.p != table.p:
         raise ValueError(
             f"the character table of {table.group.name} at p = {table.p} does not belong"
             f" to the representation of {rep.group.name} at p = {rep.p}"
         )
-    if rep.images is None:
-        return [linalg.row_space(isotypic_projector(rep, i, table).T, rep.p) for i in irreps]
-    types = _orbit_types(rep)
-    return [_orbit_row_space(rep, types, table, i) for i in irreps]
 
 
 def _orbit_types(rep: MatrixRep) -> list[tuple[tuple[int, bytes], np.ndarray]]:
@@ -466,49 +471,29 @@ def restrict_to_subspace(rep: MatrixRep, basis: np.ndarray) -> MatrixRep:
 # -- hom spaces -------------------------------------------------------------------
 
 
-def _intertwiner_system(r1: MatrixRep, r2: MatrixRep) -> np.ndarray:
-    """Linear system whose null space is {T : T rho1(g) = rho2(g) T}.
-
-    T has shape (dim2, dim1) and is flattened row-major; one block of
-    equations per generator suffices.  A system above MAX_SYSTEM_CELLS
-    raises SystemTooLarge before anything is allocated.
-    """
-    p = r1.p
-    d1, d2 = r1.dim, r2.dim
-    check_size("the intertwiner system", len(r1.group.generator_indices) * d1 * d2, d1 * d2)
-    blocks = []
-    for g_pos, g in enumerate(r1.group.generator_indices):
-        a = np.kron(linalg.identity(d2), r1.mats[g].T)
-        b = np.kron(r2.mats[g], linalg.identity(d1))
-        blocks.append((a - b) % p)
-    if not blocks:
-        return np.zeros((0, d1 * d2), dtype=np.int64)
-    return np.concatenate(blocks, axis=0)
-
-
-def intertwiner_basis(r1: MatrixRep, r2: MatrixRep) -> list[np.ndarray]:
-    """Deterministic basis of Hom_G(r1, r2) as (dim2 x dim1) matrices."""
-    null = linalg.nullspace(_intertwiner_system(r1, r2), r1.p)
-    return [row.reshape(r2.dim, r1.dim) for row in null]
-
-
 def hom_dim(r1: MatrixRep, r2: MatrixRep, table: CharacterTable) -> int:
-    """Dimension of the intertwiner space, computed two independent ways.
+    """Dimension of Hom_G(r1, r2), computed two independent ways.
 
-    The null-space count is the returned integer; the character inner
-    product <chi_1^dual * chi_2, 1> must match it mod p.
+    As E = sum_i V_i (x) Hom_G(V_i, E), it is sum_i m_i(r1) m_i(r2), m_i the
+    length of `multiplicity_space` against model i of `irreducible_models`;
+    the character inner product <chi_1^dual * chi_2, 1> must match it mod p.
+    A rep of another group object or prime than the table's raises
+    ValueError, and operators above MAX_SYSTEM_CELLS raise SystemTooLarge,
+    both before any model is built.
     """
     classes, p = table.classes, table.p
-    nullity = len(intertwiner_basis(r1, r2))
-    chi = char_tensor(
-        char_dual(character_of(r1, classes), classes), character_of(r2, classes), p
-    )
+    for rep in (r1, r2):
+        _require_table(rep, table)
+        check_size("the array of the multiplicity operators", max(table.degrees), rep.dim, rep.dim)
+    models = irreducible_models(table.group, table)
+    m1 = [len(multiplicity_space(r1, model)) for model in models]
+    m2 = m1 if r2 is r1 else [len(multiplicity_space(r2, model)) for model in models]
+    dim = sum(a * b for a, b in zip(m1, m2))
+    chi = char_tensor(char_dual(character_of(r1, classes), classes), character_of(r2, classes), p)
     char_val = inner_mult(table, chi, char_trivial(table))
-    if nullity % p != char_val:
-        raise MethodMismatch(
-            f"nullity {nullity} and character value {char_val} disagree mod {p}"
-        )
-    return nullity
+    if dim % p != char_val:
+        raise MethodMismatch(f"multiplicity-space count {dim} and character value {char_val} disagree mod {p}")
+    return dim
 
 
 def decomposition_report(rep: MatrixRep, table: CharacterTable) -> dict:
@@ -621,10 +606,12 @@ def multiplicity_space(rep: MatrixRep, model: MatrixRep) -> list[np.ndarray]:
     wrong matrix, since every rho(g) enters every p_a.  MatrixRep validates
     every representation it builds, so a corrupted generator reaches this
     check only through a caller that rewrites a representation's arrays
-    after construction.
+    after construction.  Operators above MAX_SYSTEM_CELLS raise
+    SystemTooLarge before they are built.
     """
     group, p = rep.group, rep.p
     n, d, n_i = group.order, rep.dim, model.dim
+    check_size("the array of the multiplicity operators", n_i, d, d)
     scale = n_i * inv_mod(n, p) % p
     coef = model.mats[list(group.inv), 0, :].T * scale % p
     ops = _group_sum(rep, slice(None), coef)
@@ -658,13 +645,19 @@ def evaluation_iso_check(
     independent routes.  On a monomial representation the component is
     assembled from the table's reduced orbit blocks, which `decompose`,
     through `irreducible_models`, has already filled for the regular rep.
+
+    The model is first checked irreducible two ways: Burnside's rank n_i^2
+    of its |G| x n_i^2 flattened matrices, which for p not dividing |G|
+    holds exactly when End_G(model) = F_p (double centralizer theorem), and
+    <chi, chi> = 1 mod p.
     """
-    if hom_dim(model, model, table) != 1:
+    p, n_i = rep.p, model.dim
+    span = linalg.rank(model.mats.reshape(model.group.order, n_i * n_i), p)
+    chi = character_of(model, table.classes)
+    if span != n_i * n_i or inner_mult(table, chi, chi) != 1:
         raise WrongImage("the supplied model is not irreducible (endomorphisms != scalars)")
-    p = rep.p
     basis = multiplicity_space(rep, model)
     m = len(basis)
-    n_i = model.dim
     assembled = np.zeros((rep.dim, n_i * m), dtype=np.int64)
     for s, t_mat in enumerate(basis):
         assembled[:, s::m] = t_mat  # column a * m + s is T_s e_a

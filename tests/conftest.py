@@ -5,7 +5,8 @@ permutation generators and their closure one product at a time, the
 closure of element indices into a subgroup and every subgroup of a group,
 and the functors on representations and characters that only tests take
 (direct sums, tensor products, symmetric powers, exterior squares), and
-the exponent tuples of the monomials of one degree."""
+the exponent tuples of the monomials of one degree, and the Kronecker
+intertwiner system, the oracle of Hom_G."""
 
 from __future__ import annotations
 
@@ -253,6 +254,27 @@ def ext_square(rep):
     m = rep.mats
     minors = m[:, a[:, None], a] * m[:, b[:, None], b] - m[:, a[:, None], b] * m[:, b[:, None], a]
     return iso.MatrixRep(rep.group, rep.p, minors % rep.p)
+
+
+# -- the Kronecker oracle of Hom_G -----------------------------------------------
+
+
+def intertwiner_system(r1, r2):
+    """The linear system whose null space is {T : T rho1(g) = rho2(g) T},
+    T of shape (dim2, dim1) flattened row-major, one block of equations per
+    generator: (#generators * dim1 * dim2) x (dim1 * dim2) cells."""
+    d1, d2 = r1.dim, r2.dim
+    blocks = [
+        (np.kron(linalg.identity(d2), r1.mats[g].T) - np.kron(r2.mats[g], linalg.identity(d1))) % r1.p
+        for g in r1.group.generator_indices
+    ]
+    return np.concatenate(blocks) if blocks else np.zeros((0, d1 * d2), dtype=np.int64)
+
+
+def intertwiner_basis(r1, r2):
+    """A basis of Hom_G(r1, r2) as (dim2 x dim1) matrices: the null space of
+    `intertwiner_system`."""
+    return [row.reshape(r2.dim, r1.dim) for row in linalg.nullspace(intertwiner_system(r1, r2), r1.p)]
 
 
 # -- functors: characters, in closed form ------------------------------------------

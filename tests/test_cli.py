@@ -132,14 +132,19 @@ def test_decompose_matrix_file_modulus_conflict(runner, tmp_path):
     assert result.exit_code == 2
 
 
-def test_decompose_huge_hom_system_exits_2(runner):
-    # dim End_G of the S5 regular rep would need a 28800 x 14400 int64
-    # Kronecker system (3.3 GB); it is refused before anything is allocated
+def test_decompose_huge_hom_system_exits_2(runner, monkeypatch):
+    # `hom_dim` guards the n_i x dim x dim multiplicity operators of the
+    # largest model before it builds any model: the S5 regular rep's are
+    # 6 x 120 x 120, here above a lowered cell limit
+    from isotypic import reps
+
+    monkeypatch.setattr(reps, "MAX_SYSTEM_CELLS", 6 * 120 * 120 - 1)
+    monkeypatch.setattr(reps, "irreducible_models", lambda *args: pytest.fail("a model was built"))
     start = time.perf_counter()
     result = runner.invoke(main, ["decompose", "--group", "S5", "--rep", "regular"])
     elapsed = time.perf_counter() - start
     assert result.exit_code == 2
-    assert "the intertwiner system is 28800 x 14400 (414720000 cells)" in result.output
+    assert "the array of the multiplicity operators is 6 x 120 x 120 (86400 cells)" in result.output
     assert "Traceback" not in result.output and result.exception.__class__ is SystemExit
     assert elapsed < 5
 

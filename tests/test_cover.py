@@ -20,7 +20,7 @@ from isotypic.cover import _inverse_dets, _products, builtin_action, cyclic_subg
 from isotypic import cover, reps
 from isotypic.errors import NotFaithful, SystemTooLarge
 from isotypic.scenarios import COVER_SCENARIOS
-from conftest import all_subgroups, cycles, exponents, forbid, matrix_inverse, subgroup_closure
+from conftest import TEST_GROUPS, all_subgroups, cycles, exponents, forbid, matrix_inverse, subgroup_closure
 from polymat_oracle import bareiss_det
 
 
@@ -426,6 +426,28 @@ def test_the_report_product_pass_finds_the_per_tuple_witness(ctx, monkeypatch):
         seen.append(want)
     assert any(w is None for w in seen) and any(w is not None for w in seen)
     assert any(w is not None and w["i"] > w["j"] and w["a"] == w["b"] for w in seen)
+
+
+def per_pair_forbidden(action, table):
+    """The forbidden set of every ordered pair, each a scan of one row of
+    the tensor multiplicities."""
+    tens, r = cover._tensor_mults(action, table), table.num_irreps
+    return {(i, j): tuple(l for l in range(r) if tens[i, j, l] == 0) for i in range(r) for j in range(r)}
+
+
+@pytest.mark.parametrize("name", TEST_GROUPS + ("D100",))
+def test_the_forbidden_sets_are_the_per_pair_scans(ctx, monkeypatch, name):
+    # on the table's own tensor multiplicities and on a seeded 0/1 tensor
+    c = ctx(name)
+    action = iso.perm_action(c.group, c.p)
+    r = c.table.num_irreps
+    want = per_pair_forbidden(action, c.table)
+    got = cover._forbidden_sets(action, c.table)
+    assert list(got) == list(want) and got == want
+    assert any(want.values()) or r == 1
+    tens = np.random.default_rng(r).integers(0, 2, (r, r, r))
+    monkeypatch.setattr(cover, "_tensor_mults", lambda action, table: tens)
+    assert cover._forbidden_sets(action, c.table) == per_pair_forbidden(action, c.table)
 
 
 def test_the_product_pass_builds_one_shifted_array_per_kernel(ctx, monkeypatch):

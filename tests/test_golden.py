@@ -18,12 +18,17 @@ moved to `linalg.residues`.
 `cyclic_n3.json` (its
 determinant has the non-trivial unit 6), `cyclic_n4_laurent.json` and
 `cyclic_n6.json` were written before phi was factored as C·diag(y^e).
+`decompose_S5_regular.json` was written when `hom_dim` moved to Serre's
+multiplicity spaces, and no earlier tree could write it (the Kronecker
+system of its endomorphisms was 28800 x 14400), so its values are also
+checked against the degrees of `table_S5.json`.
 They pin element order, class order, row order and every value.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -52,6 +57,7 @@ REPORT_CASES = {
         "cover", "--group", "A4", "--action", str(GOLDEN / "action_A4_model3.txt"), "--max-degree", "12"
     ],
     "decompose_S4_regular.json": ["decompose", "--group", "S4", "--rep", "regular"],
+    "decompose_S5_regular.json": ["decompose", "--group", "S5", "--rep", "regular"],
     "cyclic_n3.json": ["cyclic", "--n", "3"],
     "cyclic_n4.json": ["cyclic", "--n", "4"],
     "cyclic_n4_laurent.json": ["cyclic", "--n", "4", "--variant", "laurent"],
@@ -82,6 +88,32 @@ COVER_SHA256 = {
     ("D100", "reflection", 12, None): "a300b6109bb1acdd3eb6530b8b5e14d6553d04237e3b47bf59cc8d99b1052015",
     ("S4", "perm4", 12, 42949657): "50a97cfca42c4e3ff343f9c83c4839d4c7e3a834f6f7ca6834cba43cda494b47",
 }
+
+
+# sha256 of `isotypic decompose --group G --rep regular --format json`, taken
+# from the CLI when `hom_dim` moved to Serre's multiplicity spaces: type
+# [1, 1, 5, 5, 5, 5, 9, 9, 10, 10, 16], endomorphism_dim 720.
+DECOMPOSE_SHA256 = {
+    "S6": "b82aec4020ab5a034e70c0507c49dafbc066af800005c6ece5472a258683d4c1",
+}
+
+
+@pytest.mark.parametrize("group", sorted(DECOMPOSE_SHA256))
+def test_large_decompose_report_matches_pinned_sha256(group):
+    result = CliRunner().invoke(main, ["decompose", "--group", group, "--rep", "regular", "--format", "json"])
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == DECOMPOSE_SHA256[group]
+
+
+def test_the_s5_regular_decomposition_has_the_degrees_of_the_s5_table():
+    # each irreducible occurs in the regular rep as often as its degree
+    degrees = json.loads((GOLDEN / "table_S5.json").read_bytes())["table"]["degrees"]
+    doc = json.loads((GOLDEN / "decompose_S5_regular.json").read_bytes())
+    assert degrees == [1, 1, 4, 4, 5, 5, 6]
+    assert doc["type"] == degrees
+    assert doc["component_dims"] == [d * d for d in degrees]
+    assert doc["dim"] == doc["endomorphism_dim"] == sum(d * d for d in degrees) == 120
+    assert doc["pass"] is True
 
 
 @pytest.mark.parametrize("n, variant", sorted(CYCLIC_SHA256))

@@ -5,7 +5,9 @@ most 5 (the S6 models alone take seconds), and checks the character table
 and the irreducible models of the group it gets: row orthogonality, the sum
 of the squared degrees, the character of every model, dim End_G(perm) as
 the sum of the squared multiplicity-space dimensions of the permutation
-representation, and every evaluation isomorphism; and, on the permutation
+representation, `hom_dim` against the Kronecker oracle from the direct
+sum of the models to itself and to the permutation representation, and
+every evaluation isomorphism; and, on the permutation
 and regular representations, every isotypic component against the row
 space of the dense projector; and the cached element orders and the
 cyclic subgroups against the cycle-count order and the closure of one
@@ -24,7 +26,7 @@ import isotypic as iso
 from isotypic import linalg
 from isotypic.reps import multiplicity_space
 
-from conftest import perm_order, permutation_generators, subgroup_closure
+from conftest import direct_sum, intertwiner_basis, perm_order, permutation_generators, subgroup_closure
 
 
 def permutation_groups():
@@ -45,13 +47,19 @@ def test_random_group_tables_and_models(group):
             assert total % p == (n % p if i == j else 0), (i, j)
     assert sum(d * d for d in table.degrees) == n
     perm = iso.permutation_rep(group, p)
+    models = iso.irreducible_models(group, table)
     mults = []
-    for i, model in enumerate(iso.irreducible_models(group, table)):
+    for i, model in enumerate(models):
         assert iso.character_of(model, classes) == table.values[i]
         mults.append(len(multiplicity_space(perm, model)))
         ok, _ = iso.evaluation_iso_check(perm, i, table, model)
         assert ok
     assert iso.hom_dim(perm, perm, table) == sum(m * m for m in mults)
+    # Hom_G out of the sum of the models is the sum over its summands, so
+    # two calls cover every ordered pair of models and every model to perm
+    every = direct_sum(*models)
+    assert iso.hom_dim(every, every, table) == len(intertwiner_basis(every, every)) == len(models)
+    assert iso.hom_dim(every, perm, table) == len(intertwiner_basis(every, perm)) == sum(mults)
 
 
 @settings(deadline=None)

@@ -20,10 +20,11 @@ from isotypic.errors import (
     NotAnIntertwiner,
     NotInjective,
     SingularMatrix,
+    SystemTooLarge,
     WrongImage,
 )
 from isotypic.cover import _sym_power_step
-from isotypic.reps import intertwiner_basis, multiplicity_space, restrict_to_subspace
+from isotypic.reps import multiplicity_space, restrict_to_subspace
 
 from conftest import (
     TEST_GROUPS,
@@ -32,6 +33,7 @@ from conftest import (
     char_sym_cube,
     direct_sum,
     ext_square,
+    intertwiner_basis,
     matrix_inverse,
     random_invertible,
     subgroup_closure,
@@ -447,9 +449,11 @@ def test_the_evaluation_component_is_the_projector_row_space(ctx, monkeypatch, n
 
 
 def test_s5_models_and_evaluations_reduce_each_component_once(monkeypatch, s5):
-    # on a fresh table, the 120-row eliminations are the 7 components of
+    # on a fresh table, the 120 x 120 eliminations are the 7 components of
     # `decompose` and the 7 `row_space(p_0^T)` of `multiplicity_space`; the
-    # 7 components of the evaluations are the table's blocks
+    # 7 components of the evaluations are the table's blocks.  The other
+    # 120-row eliminations are the Burnside ranks of the 7 models, one
+    # 120 x n_i^2 matrix each
     group, classes, p, _ = s5
     table = iso.character_table(group, classes, p)
     shapes = []
@@ -460,7 +464,19 @@ def test_s5_models_and_evaluations_reduce_each_component_once(monkeypatch, s5):
     for i, model in enumerate(models):
         ok, _ = iso.evaluation_iso_check(reg, i, table, model)
         assert ok
-    assert sum(rows == 120 for rows, _ in shapes) == 14
+    assert shapes.count((120, 120)) == 14
+    burnside = [shape for shape in shapes if shape[0] == 120 and shape != (120, 120)]
+    assert burnside == [(120, d * d) for d in table.degrees]
+
+
+def test_the_s5_regular_report_reads_no_dense_matrices(s5):
+    # `hom_dim` reaches Hom_G through Serre's operators, which a monomial
+    # rep sums from its index maps
+    group, _, p, table = s5
+    reg = iso.regular_rep(group, p)
+    report = iso.reps.decomposition_report(reg, table)
+    assert report["endomorphism_dim"] == 120 and report["pass"]
+    assert "mats" not in vars(reg)
 
 
 def test_a_foreign_rep_is_refused_by_the_table(ctx):
@@ -717,7 +733,7 @@ def test_multiplicity_space_matches_intertwiner_oracle(name, ctx):
             basis = multiplicity_space(rep, model)
             oracle = intertwiner_basis(model, rep)
             m = len(basis)
-            assert m == len(oracle), (rep_name, i)
+            assert m == len(oracle) == iso.hom_dim(model, rep, c.table), (rep_name, i)
             if m:
                 ours = np.stack([t.reshape(-1) for t in basis])
                 theirs = np.stack([t.reshape(-1) for t in oracle])
@@ -734,6 +750,74 @@ def test_multiplicity_space_matches_intertwiner_oracle(name, ctx):
                 zero_seen += 1
     # C1 has one irreducible, and the seeded C2 sum contains both of C2's
     assert zero_seen or name in ("C1", "C2")
+
+
+@pytest.mark.parametrize("name", TEST_GROUPS + ("S5",))
+def test_hom_dim_is_the_nullity_of_the_kronecker_oracle_on_pairs_of_models(name, ctx):
+    # (model, rep) for the regular, permutation and a random rep is in
+    # `test_multiplicity_space_matches_intertwiner_oracle`, beside its oracle
+    c = ctx(name)
+    for i, a in enumerate(c.models):
+        for j, b in enumerate(c.models):
+            assert iso.hom_dim(a, b, c.table) == len(intertwiner_basis(a, b)) == (i == j), (i, j)
+
+
+def test_hom_dim_refuses_a_foreign_rep(ctx, monkeypatch):
+    # S3 and C6 both split at p = 7 and have 6 elements; models of the S3
+    # table would count a C6 rep's intertwiners silently.  Either side is
+    # refused, as is the right group at another prime, before any model
+    s3, c6 = ctx("S3"), ctx("C6")
+    assert s3.p == c6.p == 7
+    monkeypatch.setattr(iso.reps, "irreducible_models", lambda *args: pytest.fail("a model was built"))
+    ours = iso.regular_rep(s3.group, s3.p)
+    foreign = [
+        (iso.regular_rep(c6.group, c6.p), "S3 at p = 7 .* C6 at p = 7"),
+        (iso.regular_rep(s3.group, 13), "S3 at p = 7 .* S3 at p = 13"),
+    ]
+    for rep, match in foreign:
+        for r1, r2 in ((rep, ours), (ours, rep), (rep, rep)):
+            with pytest.raises(ValueError, match=match):
+                iso.hom_dim(r1, r2, s3.table)
+
+
+def test_multiplicity_operators_above_the_cell_limit_raise(ctx, monkeypatch):
+    # the n_i x dim x dim operators of one model, and in `hom_dim` those of
+    # the largest degree for either rep, before any model is built
+    c = ctx("S3")
+    reg, perm = iso.regular_rep(c.group, c.p), iso.permutation_rep(c.group, c.p)
+    monkeypatch.setattr(iso.reps, "MAX_SYSTEM_CELLS", 2 * 6 * 6 - 1)
+    assert len(multiplicity_space(perm, c.models[2])) == 1
+    with pytest.raises(SystemTooLarge, match=r"the array of the multiplicity operators is 2 x 6 x 6 \(72 cells\)"):
+        multiplicity_space(reg, c.models[2])
+    assert len(multiplicity_space(reg, c.models[1])) == 1
+    models = c.models
+    monkeypatch.setattr(iso.reps, "irreducible_models", lambda *args: pytest.fail("a model was built"))
+    for r1, r2 in ((reg, perm), (perm, reg)):
+        with pytest.raises(SystemTooLarge, match=r"2 x 6 x 6 \(72 cells\)"):
+            iso.hom_dim(r1, r2, c.table)
+    monkeypatch.setattr(iso.reps, "irreducible_models", lambda *args: models)
+    assert iso.hom_dim(perm, perm, c.table) == 2
+
+
+@pytest.mark.parametrize("kind", ["sum of two 1-dim models", "permutation rep"])
+def test_evaluation_iso_rejects_a_reducible_model(ctx, kind):
+    # the trivial plus the sign model spans 2 of the 4 dimensions of M_2;
+    # the permutation rep, trivial plus standard, spans 1 + 4 of M_3's 9
+    c = ctx("S3")
+    reg = iso.regular_rep(c.group, c.p)
+    model = direct_sum(c.models[0], c.models[1]) if kind.startswith("sum") else iso.permutation_rep(c.group, c.p)
+    for i in range(c.table.num_irreps):
+        with pytest.raises(WrongImage, match="the supplied model is not irreducible"):
+            iso.evaluation_iso_check(reg, i, c.table, model)
+
+
+def test_evaluation_iso_rejects_a_model_whose_character_is_not_irreducible(ctx, monkeypatch):
+    # the character side alone: a planted <chi, chi> of 2 on a true model
+    c = ctx("S3")
+    reg = iso.regular_rep(c.group, c.p)
+    monkeypatch.setattr(iso.reps, "inner_mult", lambda *args: 2)
+    with pytest.raises(WrongImage, match="the supplied model is not irreducible"):
+        iso.evaluation_iso_check(reg, 2, c.table, c.models[2])
 
 
 def test_multiplicity_space_rejects_a_model_of_another_irreducible(ctx):
