@@ -68,8 +68,9 @@ def test_rref(benchmark, n, r):
 
 
 # (basis rows, vector rows) over 120 columns, as in `irreducible_models(S5)`:
-# `restrict_to_subspace` on a degree-6 model (6 basis rows, 120 * 6 images)
-# and one right-translation `split` of the 36-dimensional component
+# 6 basis rows of a degree-6 copy against the images of its rows under all
+# 120 elements, and one right-translation `split` of the 36-dimensional
+# component
 COORDINATE_CASES = {"restrict-s5": (6, 720), "split-s5": (36, 36)}
 
 

@@ -7,10 +7,13 @@ Outside the `testpaths` of pyproject.toml; run from the repository root:
 E is the regular representation of S5 (dimension 120), V its degree-6
 irreducible model, the largest piece of the models-s5 workload.
 `restrict_to_subspace` acts on the 36-dimensional degree-6 isotypic
-component of E.  A basis of Hom_G(V, E) comes from `multiplicity_space`
-(Serre's operators, the library's one route to Hom_G), on E as built
-(index maps) and on its dense copy, so both branches of the group sums and
-actions have a number.
+component of E: it checks the images of the two generators and reads
+every element's 36 x 36 matrix off the pivot columns of its images.  A
+basis of Hom_G(V, E) comes from `multiplicity_space` (Serre's operators,
+the library's one route to Hom_G): one group sum for p_0, and the
+120 x 120 x 6 translates of its image W.  It runs on E as built (index
+maps) and on its dense copy, so both branches of the group sum and the
+action have a number.
 `evaluation_iso_check` certifies V (x) Hom_G(V, E) -> E: on the warm table
 that built the models, whose orbit-block memo already holds E's reduced
 degree-6 component, and on a cold one, rebuilt before each round, which

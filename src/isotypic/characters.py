@@ -48,8 +48,10 @@ class CharacterTable:
     `_orbit_blocks` keeps the orbit-block reductions of
     `reps._orbit_row_space` for every monomial representation decomposed
     with this table: a block is a function of the central idempotent e_i
-    and of the orbit type, so all of them share it.  Both caches are left
-    out of `==`, which compares the table itself.
+    and of the orbit type, so all of them share it.  `_models` keeps the
+    irreducible models of `reps.irreducible_models`, built on first use,
+    a function of the table alone.  The caches are left out of `==`, which
+    compares the table itself.
     """
 
     group: Group
@@ -59,6 +61,7 @@ class CharacterTable:
     degrees: tuple[int, ...]
     _idempotents: list | None = field(default=None, init=False, repr=False, compare=False)
     _orbit_blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _models: list | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def num_irreps(self) -> int:

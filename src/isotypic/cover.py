@@ -491,8 +491,8 @@ def _forbidden_projector(
     idempotents of `forbidden`, memoized on the action by (d, forbidden)."""
     key = (d, forbidden)
     if key not in action._forbidden_projectors:
-        e_forbidden = np.sum([table.idempotents()[l] for l in forbidden], axis=0)[None] % table.p
-        action._forbidden_projectors[key] = _group_sum(action.piece(d), slice(None), e_forbidden)[0]
+        e_forbidden = np.sum([table.idempotents()[l] for l in forbidden], axis=0) % table.p
+        action._forbidden_projectors[key] = _group_sum(action.piece(d), slice(None), e_forbidden)
     return action._forbidden_projectors[key]
 
 

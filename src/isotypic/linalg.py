@@ -177,23 +177,38 @@ def nullspace(a: np.ndarray, p: int) -> np.ndarray:
     return basis
 
 
-def coordinates(basis: np.ndarray, vectors: np.ndarray, p: int) -> np.ndarray:
-    """Coordinates c with c @ basis = vectors, for a row basis.
+def pivot_inverse(basis: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
+    """The pivot columns P of a row basis and the inverse of basis[:, P].
 
-    One elimination of [basis | I]: its pivots P all fall in the basis
-    columns exactly when the rows are independent, and then the right-hand
-    block is the inverse of basis[:, P], so c = vectors[:, P] @ inverse.
-    Multiplying back must give the vectors.  Dependent rows and a vector
-    outside the span both raise SingularMatrix.
+    One elimination of [basis | I]: its pivots all fall in the basis
+    columns exactly when the rows are independent (else SingularMatrix),
+    and then the right-hand block is the inverse of basis[:, P], so a
+    vector v in the span has the coordinates v[P] @ inverse.
     """
-    basis, vectors = asmat(basis, p), asmat(vectors, p)
-    k, n = basis.shape
+    k, n = np.shape(basis)
     r, pivots = rref(np.concatenate([basis, identity(k)], axis=1), p)
     if len(pivots) < k or (k and pivots[-1] >= n):
         raise SingularMatrix("basis rows are linearly dependent")
-    c = matmul(vectors[..., list(pivots)], r[:, n:], p)
-    if not np.array_equal(matmul(c, basis, p), vectors):
+    return list(pivots), r[:, n:]
+
+
+def check_span(coords: np.ndarray, basis: np.ndarray, vectors: np.ndarray, p: int) -> None:
+    """Raise SingularMatrix unless coords @ basis = vectors, which fails
+    for the coordinates `pivot_inverse` reads off a vector outside the span."""
+    if not np.array_equal(matmul(coords, basis, p), vectors):
         raise SingularMatrix("a vector lies outside the span of the basis")
+
+
+def coordinates(basis: np.ndarray, vectors: np.ndarray, p: int) -> np.ndarray:
+    """Coordinates c with c @ basis = vectors, for a row basis: the one
+    change of basis.  `pivot_inverse` solves, c = vectors[:, P] @ inverse,
+    and `check_span` multiplies back.  Dependent rows and a vector outside
+    the span both raise SingularMatrix.
+    """
+    basis, vectors = asmat(basis, p), asmat(vectors, p)
+    pivots, inverse = pivot_inverse(basis, p)
+    c = matmul(vectors[..., pivots], inverse, p)
+    check_span(c, basis, vectors, p)
     return c
 
 

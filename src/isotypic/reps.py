@@ -3,9 +3,10 @@
 A representation assigns one invertible matrix per group element, indexed
 by the canonical element order.  Central projectors cut out the isotypic
 components.  Multiplicity spaces Hom_G(V_i, E) come from Serre's operators
-p_{a1} built from the matrix coefficients of an irreducible model, and the
+built from the matrix coefficients of an irreducible model, and the
 evaluation map assembled from them is checked to be an isomorphism onto the
-component.  They are the one route to Hom_G, which `hom_dim` counts.
+component.  They are the one route to Hom_G, which `hom_dim` counts
+against the models that the character table keeps.
 
 All rank and row-space computations go through the deterministic
 eliminations in `linalg`, so component bases are reproducible.  The
@@ -49,8 +50,8 @@ from .errors import (
 from .groups import ConjugacyClasses, Group, Subgroup
 from .linalg import inv_mod
 
-# Largest dense array built for multiplicity operators or a graded cover
-# piece: 2^24 int64 cells are 128 MB; S5's regular rep takes 6 x 120 x 120.
+# Largest dense array built for a multiplicity space or a graded cover
+# piece: 2^24 int64 cells are 128 MB; S5's regular rep takes 120 x 120 x 6.
 MAX_SYSTEM_CELLS = 2**24
 
 
@@ -257,12 +258,12 @@ def character_of(rep: MatrixRep, classes: ConjugacyClasses) -> tuple[int, ...]:
 
 
 def _group_sum(rep: MatrixRep, elems, coef: np.ndarray) -> np.ndarray:
-    """sum_k coef[a, k] rho(elems[k]) for each row a of `coef`, stacked.
+    """sum_k coef[k] rho(elems[k]), one dim x dim matrix.
 
     `elems` indexes the group elements (a list, or slice(None) for all).
     A monomial representation scatter-adds the coefficient times the scalar
-    of each (g, j) into cell (images[g, j], j), one `np.bincount` per row.
-    A cell sums at most |G| residues, so its float64 sums are exact: for
+    of each (g, j) into cell (images[g, j], j), one `np.bincount`.  A cell
+    sums at most |G| residues, so its float64 sums are exact: for
     dim >= 1, `require_exact` keeps p <= isqrt(2^63 - 1) + 1, and with
     |G| <= DEFAULT_CAP that makes |G| p < 1.6 10^13 < 2^53 (a dim-0
     representation sums no cells).  A dense representation takes one
@@ -270,15 +271,12 @@ def _group_sum(rep: MatrixRep, elems, coef: np.ndarray) -> np.ndarray:
     """
     p, d = rep.p, rep.dim
     if rep.images is not None:
-        scalars = rep.scalars[elems]
         cells = (rep.images[elems] * d + np.arange(d)).ravel()
-        out = np.empty((len(coef), d * d), dtype=np.int64)
-        for a, row in enumerate(coef):
-            weights = row[:, None] * scalars % p
-            out[a] = np.bincount(cells, weights=weights.ravel(), minlength=d * d)
-        return np.remainder(out, p, out=out).reshape(len(coef), d, d)
+        weights = coef[:, None] * rep.scalars[elems] % p
+        out = np.bincount(cells, weights=weights.ravel(), minlength=d * d).astype(np.int64)
+        return np.remainder(out, p, out=out).reshape(d, d)
     mats = rep.mats[elems]
-    return linalg.matmul(coef, mats.reshape(len(mats), d * d), p).reshape(len(coef), d, d)
+    return linalg.matmul(coef, mats.reshape(len(mats), d * d), p).reshape(d, d)
 
 
 def _act(rep: MatrixRep, elems, cols: np.ndarray) -> np.ndarray:
@@ -305,7 +303,7 @@ def _act(rep: MatrixRep, elems, cols: np.ndarray) -> np.ndarray:
 def isotypic_projector(rep: MatrixRep, i: int, table: CharacterTable) -> np.ndarray:
     """Central projector deg_i/|G| * sum_g chi_i(g^-1) rho(g), one
     `_group_sum` over the whole group."""
-    return _group_sum(rep, slice(None), table.idempotents()[i][None])[0]
+    return _group_sum(rep, slice(None), table.idempotents()[i])
 
 
 def decompose(rep: MatrixRep, table: CharacterTable) -> IsotypicDecomposition:
@@ -454,18 +452,28 @@ def _orbit_row_space(
 def restrict_to_subspace(rep: MatrixRep, basis: np.ndarray) -> MatrixRep:
     """Action matrices on an invariant row-subspace, in basis coordinates.
 
-    The images of the basis rows under every element come from one `_act`,
-    and their coordinates from one `linalg.coordinates` call, which raises
-    SingularMatrix when the subspace is not invariant; the result is
-    validated.
+    `linalg.pivot_inverse` gives the pivot columns P of the basis and the
+    inverse of basis[:, P].  The images of the basis rows under the
+    generators, one `_act`, must lie in its span (`linalg.check_span`): a
+    subspace the generators keep is kept by the group they generate.  So
+    the coordinates of every element's images are their pivot columns, rows
+    P of rho(g) basis^T (|G| x k x k), times the inverse.  Both checks
+    raise SingularMatrix, and the result is validated.
     """
-    p, n, d = rep.p, rep.group.order, rep.dim
+    group, p = rep.group, rep.p
     basis = linalg.asmat(basis, p)
-    k = basis.shape[0]
-    # images[g] = basis @ rho(g)^T, the images of the basis rows
-    images = _act(rep, slice(None), basis.T).transpose(0, 2, 1)
-    coords = linalg.coordinates(basis, images.reshape(n * k, d), p)
-    return MatrixRep(rep.group, p, coords.reshape(n, k, k).transpose(0, 2, 1))
+    pivots, inverse = linalg.pivot_inverse(basis, p)
+    if rep.images is None:
+        rows = linalg.matmul(rep.mats[:, pivots], basis.T, p)
+    else:
+        # row i of a monomial rho(g) holds scalars[g, j] in column j = images[g^-1, i]
+        j = rep.images[:, pivots][list(group.inv)]
+        rows = rep.scalars[np.arange(group.order)[:, None], j, None] * basis.T[j] % p
+    coords = linalg.matmul(rows.transpose(0, 2, 1), inverse, p)
+    # the generators' images of the basis rows, basis @ rho(s)^T
+    gens = list(group.generator_indices)
+    linalg.check_span(coords[gens], basis, _act(rep, gens, basis.T).transpose(0, 2, 1), p)
+    return MatrixRep(group, p, coords.transpose(0, 2, 1))
 
 
 # -- hom spaces -------------------------------------------------------------------
@@ -475,21 +483,27 @@ def hom_dim(r1: MatrixRep, r2: MatrixRep, table: CharacterTable) -> int:
     """Dimension of Hom_G(r1, r2), computed two independent ways.
 
     As E = sum_i V_i (x) Hom_G(V_i, E), it is sum_i m_i(r1) m_i(r2), m_i the
-    length of `multiplicity_space` against model i of `irreducible_models`;
-    the character inner product <chi_1^dual * chi_2, 1> must match it mod p.
-    A rep of another group object or prime than the table's raises
-    ValueError, and operators above MAX_SYSTEM_CELLS raise SystemTooLarge,
-    both before any model is built.
+    length of `multiplicity_space` against model i of the table's
+    `irreducible_models`; the character inner product
+    <chi_1^dual * chi_2, 1> must match it mod p.  A rep of another group
+    object or prime than the table's raises ValueError, and a p_0 or
+    translates of W above MAX_SYSTEM_CELLS raise SystemTooLarge, both
+    before any model is built; the character multiplicities, exact while
+    dim < p, give m.
     """
     classes, p = table.classes, table.p
+    chars = []
     for rep in (r1, r2):
         _require_table(rep, table)
-        check_size("the array of the multiplicity operators", max(table.degrees), rep.dim, rep.dim)
+        chars.append(character_of(rep, classes))
+        m = max(inner_mult(table, chars[-1], v) for v in table.values)
+        check_size("Serre's operator p_0", rep.dim, rep.dim)
+        check_size("the array of the translates of W", table.group.order, rep.dim, m)
     models = irreducible_models(table.group, table)
     m1 = [len(multiplicity_space(r1, model)) for model in models]
     m2 = m1 if r2 is r1 else [len(multiplicity_space(r2, model)) for model in models]
     dim = sum(a * b for a, b in zip(m1, m2))
-    chi = char_tensor(char_dual(character_of(r1, classes), classes), character_of(r2, classes), p)
+    chi = char_tensor(char_dual(chars[0], classes), chars[1], p)
     char_val = inner_mult(table, chi, char_trivial(table))
     if dim % p != char_val:
         raise MethodMismatch(f"multiplicity-space count {dim} and character value {char_val} disagree mod {p}")
@@ -534,8 +548,8 @@ def dual_rep(rep: MatrixRep) -> MatrixRep:
 
 def _averaging_projector(rep: MatrixRep, h: Subgroup) -> np.ndarray:
     """(1/|H|) sum_{h in H} rho(h), one `_group_sum` over H."""
-    coef = np.full((1, h.order), inv_mod(h.order % rep.p, rep.p), dtype=np.int64)
-    return _group_sum(rep, list(h.element_indices), coef)[0]
+    coef = np.full(h.order, inv_mod(h.order % rep.p, rep.p), dtype=np.int64)
+    return _group_sum(rep, list(h.element_indices), coef)
 
 
 def subgroup_invariants(rep: MatrixRep, h: Subgroup, table: CharacterTable) -> np.ndarray:
@@ -594,31 +608,33 @@ def multiplicity_space(rep: MatrixRep, model: MatrixRep) -> list[np.ndarray]:
 
     Serre's operators (*Linear Representations of Finite Groups*, §2.7,
     Prop. 8), with r(g) the model matrices:
-    p_a = (n_i/|G|) sum_g r(g^-1)[0, a] rho(g) for a = 0..n_i-1, all from
-    one `_group_sum` of the (n_i x |G|) coefficients.  For an irreducible
-    model, p_0 projects onto a space W of dimension the multiplicity, and
-    for w in W the matrix T_w = [p_0 w | ... | p_{n_i-1} w] intertwines:
-    rho(g) T_w = T_w r(g).  The T_w over the row basis of W,
-    `row_space(p_0^T)`, form the basis; one product gives them all.  Each
-    is checked against every generator, one `_act` and one product per
-    generator, and the first generator whose intertwining equation fails
-    raises NotAnIntertwiner.  That generator need not be the one with a
-    wrong matrix, since every rho(g) enters every p_a.  MatrixRep validates
-    every representation it builds, so a corrupted generator reaches this
-    check only through a caller that rewrites a representation's arrays
-    after construction.  Operators above MAX_SYSTEM_CELLS raise
-    SystemTooLarge before they are built.
+    p_a = (n_i/|G|) sum_g r(g^-1)[0, a] rho(g) for a = 0..n_i-1.  For an
+    irreducible model, p_0 projects onto a space W of dimension the
+    multiplicity m, and for w in W the matrix T_w = [p_0 w | ... |
+    p_{n_i-1} w] intertwines: rho(g) T_w = T_w r(g).  Only p_0 is built,
+    by one `_group_sum`, and W is its row basis `row_space(p_0^T)`.  The
+    columns p_a w of every T_w come from one `_act` of W^T over the group,
+    the |G| x dim x m translates rho(g) W^T, and one product with the
+    (n_i x |G|) coefficients.  Each T_w is checked against every
+    generator, one `_act` and one product per generator, and the first
+    generator whose intertwining equation fails raises NotAnIntertwiner.
+    That generator need not be the one with a wrong matrix, since every
+    rho(g) enters every p_a.  MatrixRep validates every representation it
+    builds, so a corrupted generator reaches this check only through a
+    caller that rewrites a representation's arrays after construction.
+    p_0 and the translates above MAX_SYSTEM_CELLS raise SystemTooLarge
+    before they are built.
     """
     group, p = rep.group, rep.p
     n, d, n_i = group.order, rep.dim, model.dim
-    check_size("the array of the multiplicity operators", n_i, d, d)
     scale = n_i * inv_mod(n, p) % p
     coef = model.mats[list(group.inv), 0, :].T * scale % p
-    ops = _group_sum(rep, slice(None), coef)
-    w = linalg.row_space(ops[0].T, p)
+    check_size("Serre's operator p_0", d, d)
+    w = linalg.row_space(_group_sum(rep, slice(None), coef[0]).T, p)
     m = w.shape[0]
+    check_size("the array of the translates of W", n, d, m)
     # cols[a, :, s] = p_a w_s, column a of the s-th intertwiner T_s
-    cols = linalg.matmul(ops.reshape(n_i * d, d), w.T, p).reshape(n_i, d, m)
+    cols = linalg.matmul(coef, _act(rep, slice(None), w.T).reshape(n, d * m), p).reshape(n_i, d, m)
     side_by_side = cols.transpose(1, 2, 0).reshape(d, m * n_i)  # [T_0 | T_1 | ...]
     stacked = cols.transpose(2, 1, 0).reshape(m * d, n_i)  # T_0 over T_1 over ...
     for pos, g in enumerate(group.generator_indices):
@@ -674,26 +690,31 @@ def evaluation_iso_check(
 
 
 def irreducible_models(group: Group, table: CharacterTable) -> list[MatrixRep]:
-    """One explicit matrix model per irreducible character.
+    """One explicit matrix model per irreducible character, kept on the table.
 
     Each model is cut out of the regular representation.  Right
     multiplication R_a: x -> x*a by an element a of F_p[G] commutes with
     the left regular action and preserves each isotypic component (a
     two-sided ideal), so its eigenspaces there are invariant; their
     dimensions are multiples of the degree n_i, and an eigenspace of
-    dimension exactly n_i is one copy of the irreducible.  The elements a
-    are seeded random draws, so the models are deterministic.
+    dimension exactly n_i is one copy of the irreducible, which
+    `restrict_to_subspace` restricts to.  The elements a are seeded random
+    draws, so the models are deterministic.  They are a function of the
+    table alone: the first call builds them into `table._models`, with
+    read-only matrices, and every call returns them.  A `group` that is
+    not `table.group` raises ValueError.
     """
-    p = table.p
-    reg = regular_rep(group, p)
-    decomp = decompose(reg, table)
-    models = []
-    for i in range(table.num_irreps):
-        basis = decomp.components[i]
-        if basis.shape[0] > table.degrees[i]:
-            basis = _one_copy(table, basis, i)
-        models.append(restrict_to_subspace(reg, basis))
-    return models
+    if group is not table.group:
+        raise ValueError(f"the character table of {table.group.name} does not belong to the group {group.name}")
+    if table._models is None:
+        reg = regular_rep(group, table.p)
+        table._models = [
+            restrict_to_subspace(reg, _one_copy(table, basis, i) if len(basis) > table.degrees[i] else basis)
+            for i, basis in enumerate(decompose(reg, table).components)
+        ]
+        for model in table._models:
+            model.mats.setflags(write=False)
+    return list(table._models)
 
 
 def _one_copy(table: CharacterTable, basis: np.ndarray, i: int) -> np.ndarray:

@@ -39,13 +39,11 @@ class GroupContext:
     classes: iso.ConjugacyClasses
     p: int
     table: iso.CharacterTable
-    _models: list | None = None
 
     @property
     def models(self):
-        if self._models is None:
-            self._models = iso.irreducible_models(self.group, self.table)
-        return self._models
+        """The models the table keeps, built on first use."""
+        return iso.irreducible_models(self.group, self.table)
 
 
 _CACHE: dict[str, GroupContext] = {}

@@ -133,9 +133,10 @@ def test_decompose_matrix_file_modulus_conflict(runner, tmp_path):
 
 
 def test_decompose_huge_hom_system_exits_2(runner, monkeypatch):
-    # `hom_dim` guards the n_i x dim x dim multiplicity operators of the
-    # largest model before it builds any model: the S5 regular rep's are
-    # 6 x 120 x 120, here above a lowered cell limit
+    # `hom_dim` guards the |G| x dim x m translates of the largest
+    # multiplicity space, m from the characters, before it builds any
+    # model: the S5 regular rep's are 120 x 120 x 6, here above a lowered
+    # cell limit
     from isotypic import reps
 
     monkeypatch.setattr(reps, "MAX_SYSTEM_CELLS", 6 * 120 * 120 - 1)
@@ -144,7 +145,7 @@ def test_decompose_huge_hom_system_exits_2(runner, monkeypatch):
     result = runner.invoke(main, ["decompose", "--group", "S5", "--rep", "regular"])
     elapsed = time.perf_counter() - start
     assert result.exit_code == 2
-    assert "the array of the multiplicity operators is 6 x 120 x 120 (86400 cells)" in result.output
+    assert "the array of the translates of W is 120 x 120 x 6 (86400 cells)" in result.output
     assert "Traceback" not in result.output and result.exception.__class__ is SystemExit
     assert elapsed < 5
 

@@ -41,7 +41,7 @@ from conftest import (
     tensor,
 )
 
-MODEL_DIGESTS = Path(__file__).resolve().parent / "golden" / "irreducible_models.json"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def conjugate_rep(rep, s):
@@ -563,8 +563,8 @@ def test_a_monomial_group_sum_is_float_exact_at_every_admissible_modulus():
     # the sign of C2 at that modulus, monomial: (p-1) rho(e) + (p-2) rho(g)
     group = iso.group_from_name("C2")
     rep = iso.MatrixRep(group, p, images=np.zeros((2, 1)), scalars=np.array([[1], [p - 1]]))
-    coef = np.array([[p - 1, p - 2]], dtype=np.int64)
-    assert iso.reps._group_sum(rep, slice(None), coef).tolist() == [[[((p - 1) + (p - 2) * (p - 1)) % p]]]
+    coef = np.array([p - 1, p - 2], dtype=np.int64)
+    assert iso.reps._group_sum(rep, slice(None), coef).tolist() == [[((p - 1) + (p - 2) * (p - 1)) % p]]
 
 
 def test_matmul_exact_at_max_modulus():
@@ -677,12 +677,28 @@ def test_restrict_to_subspace_rejects_bad_bases(ctx):
     c = ctx("S3")
     reg = iso.regular_rep(c.group, c.p)
     line = np.array([[1, 2, 0, 0, 0, 0]], dtype=np.int64)  # not invariant
-    with pytest.raises(SingularMatrix):
+    with pytest.raises(SingularMatrix, match="a vector lies outside the span of the basis"):
         restrict_to_subspace(reg, line)
     ones = np.ones((1, 6), dtype=np.int64)  # invariant, but listed twice
     assert restrict_to_subspace(reg, ones).dim == 1
-    with pytest.raises(SingularMatrix):
+    with pytest.raises(SingularMatrix, match="basis rows are linearly dependent"):
         restrict_to_subspace(reg, np.concatenate([ones, 2 * ones]))
+
+
+@pytest.mark.parametrize("kept", [0, 1])
+def test_restrict_to_subspace_checks_every_generator(ctx, kept):
+    # on the regular rep, the indicator of the cyclic subgroup <g_kept> is
+    # kept by g_kept and moved to another coset by the other generator
+    c = ctx("S3")
+    reg = iso.regular_rep(c.group, c.p)
+    gens = c.group.generator_indices
+    line = np.zeros((1, reg.dim), dtype=np.int64)
+    line[0, list(iso.cyclic_subgroup(c.group, gens[kept]).element_indices)] = 1
+    assert np.array_equal(line @ reg.mats[gens[kept]].T, line)
+    assert not np.array_equal(line @ reg.mats[gens[1 - kept]].T, line)
+    for rep in (reg, iso.MatrixRep(c.group, c.p, reg.mats)):
+        with pytest.raises(SingularMatrix, match="a vector lies outside the span of the basis"):
+            restrict_to_subspace(rep, line)
 
 
 @pytest.mark.parametrize("name", ["S4", "S5"])
@@ -693,7 +709,8 @@ def test_irreducible_models_from_right_translations(name, ctx, s5):
         c = ctx(name)
         group, classes, p, table = c.group, c.classes, c.p, c.table
     models = iso.irreducible_models(group, table)
-    again = iso.irreducible_models(group, table)
+    # the seeded draws give a fresh table the same models
+    again = iso.irreducible_models(group, iso.character_table(group, classes, p))
     reg = iso.regular_rep(group, p)
     for i, model in enumerate(models):
         assert np.array_equal(model.mats, again[i].mats)
@@ -703,12 +720,43 @@ def test_irreducible_models_from_right_translations(name, ctx, s5):
         assert ok and assembled.shape == (group.order, table.degrees[i] ** 2)
 
 
+def test_the_table_keeps_its_models(ctx, monkeypatch):
+    # built once, on first use, read-only and outside `==`; `hom_dim` and
+    # `decomposition_report` read them; another group object is refused
+    c = ctx("S4")
+    table = iso.character_table(c.group, c.classes, c.p)
+    assert table._models is None
+    models = iso.irreducible_models(c.group, table)
+    assert table == c.table and table._models is not None
+    assert all(a is b for a, b in zip(models, iso.irreducible_models(c.group, table)))
+    for model in models:
+        assert not model.mats.flags.writeable
+        with pytest.raises(ValueError):
+            model.mats[0, 0, 0] = 0
+    # a caller's list is its own
+    models.pop()
+    assert len(iso.irreducible_models(c.group, table)) == table.num_irreps
+    monkeypatch.setattr(iso.reps, "restrict_to_subspace", lambda *args: pytest.fail("a model was rebuilt"))
+    perm = iso.permutation_rep(c.group, c.p)
+    assert iso.hom_dim(perm, perm, table) == 2
+    assert iso.reps.decomposition_report(perm, table)["endomorphism_dim"] == 2
+    twin = iso.group_from_name("S4")
+    assert twin is not c.group and twin.elements == c.group.elements
+    with pytest.raises(ValueError, match="the character table of S4 does not belong to the group S4"):
+        iso.irreducible_models(twin, table)
+
+
 def test_irreducible_models_match_pinned_digests(ctx):
     """Values, dtype and shape of every model, pinned by sha256 digests of
-    `mats` that were written before the change of basis became
-    `linalg.coordinates` and the right-translation split `linalg.split`."""
-    pinned = json.loads(MODEL_DIGESTS.read_text())
+    `mats`.  Those of `irreducible_models.json` were written before the
+    change of basis became `linalg.coordinates` and the right-translation
+    split `linalg.split`; those of the rest of TEST_GROUPS and of S5
+    before `restrict_to_subspace` read every element's coordinates off
+    the pivot columns of its images."""
+    pinned = json.loads((GOLDEN / "irreducible_models.json").read_text())
     assert list(pinned) == ["S3", "D4", "Q8", "A4", "S4"]
+    pinned.update(json.loads((GOLDEN / "irreducible_models_cyclic_s5.json").read_text()))
+    assert set(pinned) == {*TEST_GROUPS, "S4", "S5"}
     for name, want in pinned.items():
         got = [
             {
@@ -729,10 +777,15 @@ def test_multiplicity_space_matches_intertwiner_oracle(name, ctx):
     reps = {"regular": iso.regular_rep(c.group, p), "perm": iso.permutation_rep(c.group, p), "random": rand}
     zero_seen = 0
     for rep_name, rep in reps.items():
+        # the dense copy of a monomial rep takes the dense branches
+        dense = None if rep.images is None else iso.MatrixRep(c.group, p, rep.mats)
         for i, model in enumerate(c.models):
             basis = multiplicity_space(rep, model)
             oracle = intertwiner_basis(model, rep)
             m = len(basis)
+            if dense is not None:
+                copy = multiplicity_space(dense, model)
+                assert len(copy) == m and all(np.array_equal(a, b) for a, b in zip(copy, basis)), (rep_name, i)
             assert m == len(oracle) == iso.hom_dim(model, rep, c.table), (rep_name, i)
             if m:
                 ours = np.stack([t.reshape(-1) for t in basis])
@@ -781,20 +834,26 @@ def test_hom_dim_refuses_a_foreign_rep(ctx, monkeypatch):
 
 
 def test_multiplicity_operators_above_the_cell_limit_raise(ctx, monkeypatch):
-    # the n_i x dim x dim operators of one model, and in `hom_dim` those of
-    # the largest degree for either rep, before any model is built
+    # p_0 (dim x dim) and the |G| x dim x m translates of W, by their real
+    # shapes, in `multiplicity_space`; in `hom_dim` those of the largest
+    # character multiplicity for either rep, before any model is built
     c = ctx("S3")
     reg, perm = iso.regular_rep(c.group, c.p), iso.permutation_rep(c.group, c.p)
-    monkeypatch.setattr(iso.reps, "MAX_SYSTEM_CELLS", 2 * 6 * 6 - 1)
+    monkeypatch.setattr(iso.reps, "MAX_SYSTEM_CELLS", 6 * 6 * 2 - 1)
     assert len(multiplicity_space(perm, c.models[2])) == 1
-    with pytest.raises(SystemTooLarge, match=r"the array of the multiplicity operators is 2 x 6 x 6 \(72 cells\)"):
+    with pytest.raises(SystemTooLarge, match=r"the array of the translates of W is 6 x 6 x 2 \(72 cells\)"):
         multiplicity_space(reg, c.models[2])
     assert len(multiplicity_space(reg, c.models[1])) == 1
     models = c.models
     monkeypatch.setattr(iso.reps, "irreducible_models", lambda *args: pytest.fail("a model was built"))
     for r1, r2 in ((reg, perm), (perm, reg)):
-        with pytest.raises(SystemTooLarge, match=r"2 x 6 x 6 \(72 cells\)"):
+        with pytest.raises(SystemTooLarge, match=r"6 x 6 x 2 \(72 cells\)"):
             iso.hom_dim(r1, r2, c.table)
+    monkeypatch.setattr(iso.reps, "MAX_SYSTEM_CELLS", 6 * 6 - 1)
+    with pytest.raises(SystemTooLarge, match=r"Serre's operator p_0 is 6 x 6 \(36 cells\)"):
+        multiplicity_space(reg, c.models[0])
+    with pytest.raises(SystemTooLarge, match=r"Serre's operator p_0 is 6 x 6 \(36 cells\)"):
+        iso.hom_dim(perm, reg, c.table)
     monkeypatch.setattr(iso.reps, "irreducible_models", lambda *args: models)
     assert iso.hom_dim(perm, perm, c.table) == 2
 
