@@ -14,13 +14,9 @@ from .arith import (
 from .characters import (
     CharacterTable,
     central_idempotents,
-    char_dual,
-    char_tensor,
-    char_trivial,
     character_table,
     class_matrix,
     convolve,
-    inner_mult,
     restrict_invariant_dim,
     splitting_element,
     tensor_multiplicities,

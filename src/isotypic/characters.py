@@ -1,10 +1,14 @@
-"""Irreducible characters, central idempotents, and character functors.
+"""Irreducible characters, their class weights, and central idempotents.
 
 All values live in F_p for a splitting prime p (p = 1 mod exponent,
 p > |G|).  Class functions are plain tuples of residues, one entry per
 conjugacy class in class-index order.  Integer quantities (degrees,
 multiplicities) are canonical lifts from [0, p), which is unambiguous
 whenever the true integer is < p.
+
+The character inner product is one product: the multiplicities <f, chi_i>
+of all irreducibles in a class function f are W f, W the class weights
+that the table keeps (`CharacterTable.weights`).
 """
 
 from __future__ import annotations
@@ -45,13 +49,15 @@ class CharacterTable:
     ascending degree with ties broken lexicographically on the value
     tuples (as residues).  Degrees are true integers.
 
-    `_orbit_blocks` keeps the orbit-block reductions of
-    `reps._orbit_row_space` for every monomial representation decomposed
-    with this table: a block is a function of the central idempotent e_i
-    and of the orbit type, so all of them share it.  `_models` keeps the
-    irreducible models of `reps.irreducible_models`, built on first use,
-    a function of the table alone.  The caches are left out of `==`, which
-    compares the table itself.
+    Four caches are built on first use and left out of `==`, which
+    compares the table itself.  `_weights` keeps the class weights W of
+    `weights()`, and `_idempotents` the central idempotents of
+    `idempotents()`, both read-only.  `_orbit_blocks` keeps the orbit-block
+    reductions of `reps._orbit_row_space` for every monomial representation
+    decomposed with this table: a block is a function of the central
+    idempotent e_i and of the orbit type, so all of them share it.
+    `_models` keeps the irreducible models of `reps.irreducible_models`, a
+    function of the table alone.
     """
 
     group: Group
@@ -59,6 +65,7 @@ class CharacterTable:
     p: int
     values: tuple[ClassFunction, ...]
     degrees: tuple[int, ...]
+    _weights: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _idempotents: list | None = field(default=None, init=False, repr=False, compare=False)
     _orbit_blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _models: list | None = field(default=None, init=False, repr=False, compare=False)
@@ -66,6 +73,13 @@ class CharacterTable:
     @property
     def num_irreps(self) -> int:
         return len(self.values)
+
+    def weights(self) -> np.ndarray:
+        """`class_weights` of this table, built once and read-only."""
+        if self._weights is None:
+            self._weights = class_weights(self)
+            self._weights.setflags(write=False)
+        return self._weights
 
     def idempotents(self) -> list[np.ndarray]:
         """`central_idempotents` of this table, built once and read-only."""
@@ -92,9 +106,12 @@ def character_table(group: Group, classes: ConjugacyClasses, p: int) -> Characte
 
     The vectors of class-sum eigenvalues (central characters) are the
     simultaneous eigenvectors of the commuting class matrices A_i
-    (`class_matrix`, built when the split loop reaches class i); each
-    one-dimensional joint eigenspace is normalized back to an irreducible
-    character.
+    (`class_matrix`, built when the split loop reaches class i).  The
+    one-dimensional joint eigenspaces are normalized back to irreducible
+    characters all at once: a line scaled to 1 on the identity is a
+    central character omega, of norm sum_c omega(c) omega(c^-1)/|c| =
+    |G|/deg^2; deg is the x <= sqrt(|G|) with x^2 norm = |G| mod p, and
+    chi(c) = deg omega(c)/|c|.  The rows must be orthonormal under W.
     """
     k = classes.num_classes
     order = group.order
@@ -109,35 +126,28 @@ def character_table(group: Group, classes: ConjugacyClasses, p: int) -> Characte
     if not all(s.shape[0] == 1 for s in subspaces):
         raise SplitFailure("common eigenspaces did not refine to lines")
 
-    size_inv = [inv_mod(s % p, p) for s in classes.sizes]
-    sqrt_bound = math.isqrt(order)
-    rows = []
-    for s in subspaces:
-        w = s[0] % p
-        if w[0] == 0:
-            raise SplitFailure("eigenvector vanishes on the identity class")
-        omega = w * inv_mod(int(w[0]), p) % p
-        denom = 0
-        for c in range(k):
-            denom += int(omega[c]) * int(omega[classes.inverse_class[c]]) * size_inv[c]
-        denom %= p
-        if denom == 0:
-            raise SplitFailure("degenerate norm for a central character")
-        d_sq = order * inv_mod(denom, p) % p
-        degree = next((x for x in range(1, sqrt_bound + 1) if x * x % p == d_sq), None)
-        if degree is None:
-            raise SplitFailure("no degree lift in [1, sqrt(|G|)]; modulus too small")
-        chi = tuple(int(degree * int(omega[c]) * size_inv[c] % p) for c in range(k))
-        rows.append((degree, chi))
-
-    rows.sort(key=lambda r: (r[0], r[1]))
-    degrees = tuple(r[0] for r in rows)
-    values = tuple(r[1] for r in rows)
+    lines = np.concatenate(subspaces) % p
+    if not lines[:, 0].all():
+        raise SplitFailure("eigenvector vanishes on the identity class")
+    omega = lines * np.array([inv_mod(int(w), p) for w in lines[:, 0]])[:, None] % p
+    # 1/|c| = |C_G(c)|/|G|; every norm term is below p^2, exact under require_exact
+    size_inv = order // np.array(classes.sizes, dtype=np.int64) * inv_mod(order % p, p) % p
+    norms = (omega * omega[:, list(classes.inverse_class)] % p * size_inv).sum(axis=1) % p
+    if not norms.all():
+        raise SplitFailure("degenerate norm for a central character")
+    # deg^2 * norm = |G| mod p; x^2 <= |G| < p are distinct residues, so deg is unique
+    squares = np.arange(1, math.isqrt(order) + 1, dtype=np.int64) ** 2
+    lifts = squares * norms[:, None] % p == order % p
+    if not lifts.any(axis=1).all():
+        raise SplitFailure("no degree lift in [1, sqrt(|G|)]; modulus too small")
+    degs = lifts.argmax(axis=1) + 1
+    chis = degs[:, None] * omega % p * size_inv % p
+    degrees, values = zip(*sorted(zip(degs.tolist(), map(tuple, chis.tolist()))))
     if sum(d * d for d in degrees) != order:
         raise SplitFailure("degree squares do not sum to the group order")
     table = CharacterTable(group, classes, p, values, degrees)
-    # Gram matrix of inner_mult over all pairs of rows
-    gram = matmul(class_weights(table), np.array(values, dtype=np.int64).T, p)
+    # the Gram matrix of the character inner product over all pairs of rows
+    gram = matmul(table.weights(), np.array(values, dtype=np.int64).T, p)
     if not np.array_equal(gram, np.eye(len(values), dtype=np.int64)):
         raise SplitFailure("row orthogonality failed")
     return table
@@ -146,22 +156,12 @@ def character_table(group: Group, classes: ConjugacyClasses, p: int) -> Characte
 def class_weights(table: CharacterTable) -> np.ndarray:
     """W[i, c] = |c| chi_i(c^-1) / |G| mod p, so that the class-weighted
     sums (1/|G|) sum_c |c| chi_i(c^-1) f(c) of all irreducibles i are one
-    product W F, F the k rows f(c)."""
+    product W F, F the k rows f(c).  Read it through
+    `CharacterTable.weights`, which builds it once per table."""
     classes, p = table.classes, table.p
     sizes = np.array(classes.sizes, dtype=np.int64)
     dual = np.array(table.values, dtype=np.int64)[:, list(classes.inverse_class)]
     return dual * sizes % p * inv_mod(table.group.order % p, p) % p
-
-
-def inner_mult(table: CharacterTable, w: ClassFunction, v: ClassFunction) -> int:
-    """(1/|G|) sum_c |c| W(c) V(c^-1), as a residue mod p, for class
-    functions W and V of the group of `table`.  For V = chi_i it is entry i
-    of `class_weights` times W, for callers that need one entry."""
-    classes, p = table.classes, table.p
-    acc = 0
-    for c in range(classes.num_classes):
-        acc += classes.sizes[c] * w[c] * v[classes.inverse_class[c]]
-    return acc * inv_mod(table.group.order % p, p) % p
 
 
 def central_idempotents(table: CharacterTable) -> list[np.ndarray]:
@@ -190,21 +190,6 @@ def delta_element(group: Group, g: int) -> np.ndarray:
     v = np.zeros(group.order, dtype=np.int64)
     v[g] = 1
     return v
-
-
-# -- character functors --------------------------------------------------------
-
-
-def char_trivial(table: CharacterTable) -> ClassFunction:
-    return tuple([1] * table.classes.num_classes)
-
-
-def char_dual(v: ClassFunction, classes: ConjugacyClasses) -> ClassFunction:
-    return tuple(v[classes.inverse_class[c]] for c in range(classes.num_classes))
-
-
-def char_tensor(v: ClassFunction, w: ClassFunction, p: int) -> ClassFunction:
-    return tuple(a * b % p for a, b in zip(v, w))
 
 
 def restrict_invariant_dim(table: CharacterTable, v: ClassFunction, h: Subgroup) -> int:
@@ -266,7 +251,7 @@ def tensor_multiplicities(table: CharacterTable) -> np.ndarray:
     """n[i][j][l] = multiplicity of irreducible l in irreducible i tensor j.
 
     The r^2 products chi_i chi_j are the rows of one r^2 x k residue
-    matrix, and one `matmul` by the k x r transpose of `class_weights`
+    matrix, and one `matmul` by the k x r transpose of `weights()`
     gives their inner products with every irreducible.
     A non-character input fails a bookkeeping check with
     NotAMultiplicity: every value is a true multiplicity, at most
@@ -275,7 +260,7 @@ def tensor_multiplicities(table: CharacterTable) -> np.ndarray:
     """
     p, r = table.p, table.num_irreps
     vals = np.array(table.values, dtype=np.int64)
-    weights = class_weights(table).T
+    weights = table.weights().T
     n = matmul((vals[:, None] * vals).reshape(r * r, -1) % p, weights, p).reshape(r, r, r)
     degs = np.array(table.degrees, dtype=np.int64)
     products = degs[:, None] * degs

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import linalg
 from .arith import Poly, RatFunc, limit_at_one, poly_gcd, root_of_unity, series_prefix
-from .characters import CharacterTable, class_weights, restrict_invariant_dim, tensor_multiplicities
+from .characters import CharacterTable, restrict_invariant_dim, tensor_multiplicities
 from .errors import NotFaithful
 from .groups import ConjugacyClasses, Group, Subgroup, cyclic_subgroup
 from .reps import (
@@ -281,8 +281,9 @@ def _molien_sums(action: LinearCoverAction, table: CharacterTable) -> tuple[Poly
     """The Molien series of every irreducible over one common denominator,
     memoized: (D, N, prefixes), irreducible i's series being N_i / D, not
     reduced.  D is the lcm of the class determinants det(1 - t rho(g_c)^-1),
-    from k - 1 gcds, and N = W Q is one product of the `class_weights` W
-    and the rows Q_c = D / det_c, exact under the table's `require_exact`.
+    from k - 1 gcds, and N = W Q is one product of the class weights
+    `table.weights()` and the rows Q_c = D / det_c, exact under the table's
+    `require_exact`.
     Row i of the prefixes is the longest power-series prefix of N_i / D
     expanded so far, none at first.
     """
@@ -297,7 +298,7 @@ def _molien_sums(action: LinearCoverAction, table: CharacterTable) -> tuple[Poly
         for c, det in enumerate(dets):
             coeffs = den.exact_div(det).coeffs
             quotients[c, : len(coeffs)] = coeffs
-        nums = linalg.matmul(class_weights(table), quotients, p)
+        nums = linalg.matmul(table.weights(), quotients, p)
         action._molien = den, [Poly(p, row) for row in nums], [[] for _ in nums]
     return action._molien
 

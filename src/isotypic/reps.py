@@ -8,6 +8,9 @@ evaluation map assembled from them is checked to be an isomorphism onto the
 component.  They are the one route to Hom_G, which `hom_dim` counts
 against the models that the character table keeps.
 
+The character side of every check is W chi, the multiplicities mod p of
+a representation's character chi, W the table's `weights()`.
+
 All rank and row-space computations go through the deterministic
 eliminations in `linalg`, so component bases are reproducible.  The
 component of a monomial representation is reduced one orbit block at a
@@ -27,14 +30,7 @@ from typing import NoReturn
 import numpy as np
 
 from . import linalg
-from .characters import (
-    CharacterTable,
-    char_dual,
-    char_tensor,
-    char_trivial,
-    inner_mult,
-    restrict_invariant_dim,
-)
+from .characters import CharacterTable, restrict_invariant_dim
 from .errors import (
     DimensionMismatch,
     InconsistentMultiplicity,
@@ -257,6 +253,14 @@ def character_of(rep: MatrixRep, classes: ConjugacyClasses) -> tuple[int, ...]:
     return tuple(int(np.trace(rep.mats[r]) % rep.p) for r in classes.reps)
 
 
+def _character_multiplicities(rep: MatrixRep, table: CharacterTable) -> np.ndarray:
+    """W chi: the multiplicity of every irreducible in `rep` as a residue
+    mod p, one product of the table's class weights with the character,
+    exact in int64 under the table's `require_exact`."""
+    chi = np.array(character_of(rep, table.classes), dtype=np.int64)
+    return table.weights() @ chi % table.p
+
+
 def _group_sum(rep: MatrixRep, elems, coef: np.ndarray) -> np.ndarray:
     """sum_k coef[k] rho(elems[k]), one dim x dim matrix.
 
@@ -312,12 +316,13 @@ def decompose(rep: MatrixRep, table: CharacterTable) -> IsotypicDecomposition:
     The component of i is `row_space(P_i^T)`, from `_components`, which
     raises ValueError for a representation of another group object or
     prime than the table's.  Multiplicities are true integers
-    rank(P_i)/deg_i; each one is cross-checked against the character inner
-    product, which lives mod p, so the two methods must agree as residues.
+    rank(P_i)/deg_i; each one is cross-checked against the character
+    multiplicity, entry i of W chi, which lives mod p, so the two methods
+    must agree as residues.
     """
     components = _components(rep, table, range(table.num_irreps))
     p = table.p
-    chi = character_of(rep, table.classes)
+    char_mults = _character_multiplicities(rep, table)
     mults = []
     for i, basis in enumerate(components):
         r = basis.shape[0]
@@ -326,10 +331,9 @@ def decompose(rep: MatrixRep, table: CharacterTable) -> IsotypicDecomposition:
                 f"projector rank {r} is not a multiple of degree {table.degrees[i]}"
             )
         m = r // table.degrees[i]
-        char_m = inner_mult(table, chi, table.values[i])
-        if m % p != char_m:
+        if m % p != char_mults[i]:
             raise InconsistentMultiplicity(
-                f"projector multiplicity {m} != character multiplicity {char_m} (mod {p})"
+                f"projector multiplicity {m} != character multiplicity {char_mults[i]} (mod {p})"
             )
         mults.append(m)
     if sum(c.shape[0] for c in components) != rep.dim:
@@ -484,30 +488,32 @@ def hom_dim(r1: MatrixRep, r2: MatrixRep, table: CharacterTable) -> int:
 
     As E = sum_i V_i (x) Hom_G(V_i, E), it is sum_i m_i(r1) m_i(r2), m_i the
     length of `multiplicity_space` against model i of the table's
-    `irreducible_models`; the character inner product
-    <chi_1^dual * chi_2, 1> must match it mod p.  A rep of another group
-    object or prime than the table's raises ValueError, and a p_0 or
-    translates of W above MAX_SYSTEM_CELLS raise SystemTooLarge, both
-    before any model is built; the character multiplicities, exact while
-    dim < p, give m.
+    `irreducible_models`.  Every m_i of both reps must equal its character
+    multiplicity, entry i of W chi, mod p, so the total matches the
+    character side too; the first irreducible that differs raises
+    MethodMismatch naming the rep.  A rep of another group object or prime
+    than the table's raises ValueError, and a p_0 or translates of W above
+    MAX_SYSTEM_CELLS raise SystemTooLarge, both before any model is built;
+    the character multiplicities, exact while dim < p, give m.
     """
-    classes, p = table.classes, table.p
-    chars = []
+    char_mults = []
     for rep in (r1, r2):
         _require_table(rep, table)
-        chars.append(character_of(rep, classes))
-        m = max(inner_mult(table, chars[-1], v) for v in table.values)
+        char_mults.append(_character_multiplicities(rep, table))
         check_size("Serre's operator p_0", rep.dim, rep.dim)
+        m = int(char_mults[-1].max())
         check_size("the array of the translates of W", table.group.order, rep.dim, m)
     models = irreducible_models(table.group, table)
     m1 = [len(multiplicity_space(r1, model)) for model in models]
     m2 = m1 if r2 is r1 else [len(multiplicity_space(r2, model)) for model in models]
-    dim = sum(a * b for a, b in zip(m1, m2))
-    chi = char_tensor(char_dual(chars[0], classes), chars[1], p)
-    char_val = inner_mult(table, chi, char_trivial(table))
-    if dim % p != char_val:
-        raise MethodMismatch(f"multiplicity-space count {dim} and character value {char_val} disagree mod {p}")
-    return dim
+    for name, mults, chars in (("r1", m1, char_mults[0]), ("r2", m2, char_mults[1])):
+        differ = np.flatnonzero(np.array(mults) % table.p != chars)
+        if differ.size:
+            i = differ[0]
+            raise MethodMismatch(
+                f"{name}: multiplicity space {i} has dimension {mults[i]}, character {chars[i]} mod {table.p}"
+            )
+    return sum(a * b for a, b in zip(m1, m2))
 
 
 def decomposition_report(rep: MatrixRep, table: CharacterTable) -> dict:
@@ -665,13 +671,19 @@ def evaluation_iso_check(
     The model is first checked irreducible two ways: Burnside's rank n_i^2
     of its |G| x n_i^2 flattened matrices, which for p not dividing |G|
     holds exactly when End_G(model) = F_p (double centralizer theorem), and
-    <chi, chi> = 1 mod p.
+    its character multiplicities W chi, which must be a unit vector e_j:
+    the irreducible characters are a basis of the class functions, so then
+    chi = chi_j.  A unit vector at j != i raises WrongImage naming j.
     """
     p, n_i = rep.p, model.dim
     span = linalg.rank(model.mats.reshape(model.group.order, n_i * n_i), p)
-    chi = character_of(model, table.classes)
-    if span != n_i * n_i or inner_mult(table, chi, chi) != 1:
+    char_mults = _character_multiplicities(model, table)
+    # residues in [0, p) sum to 1 only on a unit vector
+    if span != n_i * n_i or char_mults.sum() != 1:
         raise WrongImage("the supplied model is not irreducible (endomorphisms != scalars)")
+    j = int(char_mults.argmax())
+    if j != i:
+        raise WrongImage(f"the supplied model has the character of irreducible {j}, not {i}")
     basis = multiplicity_space(rep, model)
     m = len(basis)
     assembled = np.zeros((rep.dim, n_i * m), dtype=np.int64)

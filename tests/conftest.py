@@ -4,7 +4,8 @@ test, the inverse, the cycles and the order of permutations, random
 permutation generators and their closure one product at a time, the
 closure of element indices into a subgroup and every subgroup of a group,
 and the functors on representations and characters that only tests take
-(direct sums, tensor products, symmetric powers, exterior squares), and
+(direct sums, duals, tensor products, symmetric powers, exterior squares),
+the loop oracle `inner_mult` of the character inner product, and
 the exponent tuples of the monomials of one degree, and the Kronecker
 intertwiner system, the oracle of Hom_G."""
 
@@ -276,6 +277,27 @@ def intertwiner_basis(r1, r2):
 
 
 # -- functors: characters, in closed form ------------------------------------------
+
+
+def inner_mult(table, w, v):
+    """(1/|G|) sum_c |c| w(c) v(c^-1) mod p, one class at a time: the loop
+    oracle of the class weights, entry i of `table.weights() @ w` for
+    v = chi_i."""
+    classes, p = table.classes, table.p
+    acc = 0
+    for c in range(classes.num_classes):
+        acc += classes.sizes[c] * w[c] * v[classes.inverse_class[c]]
+    return acc * pow(table.group.order, -1, p) % p
+
+
+def char_dual(v, classes):
+    """The character of the dual: v(g^-1)."""
+    return tuple(v[classes.inverse_class[c]] for c in range(classes.num_classes))
+
+
+def char_tensor(v, w, p):
+    """The character of the tensor product: the values multiplied."""
+    return tuple(a * b % p for a, b in zip(v, w))
 
 
 def _power_values(chi, table, k):

@@ -19,7 +19,18 @@ from isotypic.characters import convolve, delta_element
 from isotypic.cli import main
 from isotypic.polymat import as_unit_times_power, factored_invariant_factors
 
-from conftest import ACCEPTANCE_GROUPS, all_subgroups, char_square, direct_sum, ext_square, sym_power, tensor
+from conftest import (
+    ACCEPTANCE_GROUPS,
+    all_subgroups,
+    char_dual,
+    char_square,
+    char_tensor,
+    direct_sum,
+    ext_square,
+    inner_mult,
+    sym_power,
+    tensor,
+)
 from test_reps import random_rep
 
 COVER_CASES = (
@@ -58,9 +69,10 @@ def test_c01_character_engine_soundness(ctx):
         c = ctx(name)
         p, k = c.p, c.classes.num_classes
         assert sum(d * d for d in c.table.degrees) == c.group.order
+        assert np.array_equal(c.table.weights() @ np.array(c.table.values).T % p, np.eye(k))
         for i in range(k):
             for j in range(k):
-                assert iso.inner_mult(c.table, c.table.values[i], c.table.values[j]) == (1 if i == j else 0)
+                assert inner_mult(c.table, c.table.values[i], c.table.values[j]) == (1 if i == j else 0)
         for ci in range(k):
             for cj in range(k):
                 acc = sum(
@@ -110,8 +122,8 @@ def test_c03_type_laws(ctx):
             r2, _ = random_rep(cc, rng, max_total_dim=4)
             chi1 = iso.character_of(r1, cc.classes)
             chi2 = iso.character_of(r2, cc.classes)
-            assert iso.character_of(tensor(r1, r2), cc.classes) == iso.char_tensor(chi1, chi2, cc.p)
-            assert iso.character_of(iso.dual_rep(r1), cc.classes) == iso.char_dual(
+            assert iso.character_of(tensor(r1, r2), cc.classes) == char_tensor(chi1, chi2, cc.p)
+            assert iso.character_of(iso.dual_rep(r1), cc.classes) == char_dual(
                 chi1, cc.classes
             )
             if cc.p > 2:

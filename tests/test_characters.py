@@ -1,6 +1,9 @@
-"""Character tables, idempotents, and the character functors."""
+"""Character tables, their class weights, idempotents, and the character
+functors."""
 
 from __future__ import annotations
+
+import zlib
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ import isotypic as iso
 from isotypic.characters import convolve, cyclic_weight_multiplicities, delta_element
 from isotypic.errors import NotAMultiplicity
 
-from conftest import TEST_GROUPS, char_square, subgroup_closure
+from conftest import TEST_GROUPS, char_dual, char_square, char_tensor, inner_mult, subgroup_closure
 
 
 def char_scale(v, s, p):
@@ -121,10 +124,33 @@ def test_character_table_shapes(ctx):
 def test_row_orthogonality_exact(ctx):
     for name in TEST_GROUPS:
         c = ctx(name)
-        for i in range(c.table.num_irreps):
-            for j in range(c.table.num_irreps):
-                got = iso.inner_mult(c.table, c.table.values[i], c.table.values[j])
-                assert got == (1 if i == j else 0)
+        r = c.table.num_irreps
+        gram = c.table.weights() @ np.array(c.table.values).T % c.p
+        assert np.array_equal(gram, np.eye(r))
+        for i in range(r):
+            for j in range(r):
+                assert inner_mult(c.table, c.table.values[j], c.table.values[i]) == (1 if i == j else 0)
+
+
+def test_weights_match_the_inner_product_loop_and_are_built_once(ctx, monkeypatch):
+    built = []
+    real = iso.characters.class_weights
+    monkeypatch.setattr(iso.characters, "class_weights", lambda table: built.append(table) or real(table))
+    for name in TEST_GROUPS:
+        c = ctx(name)
+        # a fresh table: its Gram check, the tensor multiplicities and a
+        # decomposition all read the one W that the table keeps
+        table = iso.character_table(c.group, c.classes, c.p)
+        iso.tensor_multiplicities(table)
+        iso.decompose(iso.regular_rep(c.group, c.p), table)
+        weights = table.weights()
+        assert sum(t is table for t in built) == 1 and table.weights() is weights
+        assert not weights.flags.writeable
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
+        for _ in range(10):
+            f = tuple(int(x) for x in rng.integers(0, c.p, c.classes.num_classes))
+            want = [inner_mult(table, f, chi) for chi in table.values]
+            assert (weights @ np.array(f) % c.p).tolist() == want
 
 
 def test_column_orthogonality_exact(ctx):
@@ -161,12 +187,11 @@ def test_regular_character_decomposition(ctx):
 def test_inner_mult_examples(ctx):
     c = ctx("S3")
     reg = (6, 0, 0)
-    for i in range(3):
-        assert iso.inner_mult(c.table, reg, c.table.values[i]) == c.table.degrees[i]
     perm = (3, 1, 0)
-    assert iso.inner_mult(c.table, perm, c.table.values[0]) == 1
-    # reg holds the standard character twice: not below a bound of 2
-    assert iso.inner_mult(c.table, reg, c.table.values[2]) >= 2
+    # reg holds each irreducible deg_i times; perm is trivial plus standard
+    for chi, want in ((reg, [1, 1, 2]), (perm, [1, 0, 1])):
+        assert (c.table.weights() @ np.array(chi) % c.p).tolist() == want
+        assert [inner_mult(c.table, chi, v) for v in c.table.values] == want
 
 
 def test_central_idempotents_c2():
@@ -222,11 +247,11 @@ def test_idempotent_s3_example(ctx):
 def test_char_dual_tensor(ctx):
     c = ctx("S3")
     std = c.table.values[2]
-    assert iso.char_dual(std, c.classes) == std
+    assert char_dual(std, c.classes) == std
     sign = c.table.values[1]
-    assert iso.char_tensor(sign, sign, c.p) == c.table.values[0]
+    assert char_tensor(sign, sign, c.p) == c.table.values[0]
     perm = (3, 1, 0)
-    assert iso.char_tensor(perm, c.table.values[0], c.p) == perm
+    assert char_tensor(perm, c.table.values[0], c.p) == perm
 
 
 def test_char_ext_power_perm_s3(ctx):
@@ -234,8 +259,7 @@ def test_char_ext_power_perm_s3(ctx):
     perm = (3, 1, 0)
     lam2 = char_square(perm, c.table, -1)
     assert lam2 == (3, 6, 0)  # (3, -1, 0) mod 7
-    mults = [iso.inner_mult(c.table, lam2, c.table.values[i]) for i in range(3)]
-    assert mults == [0, 1, 1]  # sign + standard
+    assert (c.table.weights() @ np.array(lam2) % c.p).tolist() == [0, 1, 1]  # sign + standard
 
 
 def test_restrict_invariant_dim(ctx):
@@ -294,16 +318,16 @@ def test_tensor_multiplicities_invariants(ctx):
 
 
 def looped_tensor_multiplicities(table):
-    """`tensor_multiplicities` as it was first written: one `inner_mult`
-    per (i, j, l) with j >= i, each a loop over the classes, and each value
-    a true multiplicity, at most deg_i deg_j."""
+    """`tensor_multiplicities` as it was first written: one loop-oracle
+    `inner_mult` per (i, j, l) with j >= i, each a loop over the classes,
+    and each value a true multiplicity, at most deg_i deg_j."""
     r, p = table.num_irreps, table.p
     n = np.zeros((r, r, r), dtype=np.int64)
     for i in range(r):
         for j in range(i, r):
-            prod = iso.char_tensor(table.values[i], table.values[j], p)
+            prod = char_tensor(table.values[i], table.values[j], p)
             for l in range(r):
-                n[i, j, l] = iso.inner_mult(table, prod, table.values[l])
+                n[i, j, l] = inner_mult(table, prod, table.values[l])
                 assert n[i, j, l] <= table.degrees[i] * table.degrees[j]
             n[j, i] = n[i, j]
     return n
@@ -330,8 +354,8 @@ def test_sum_of_copies_pairing(ctx):
     for name in ("S3", "D4", "A4"):
         c = ctx(name)
         for i in range(c.table.num_irreps):
-            dual = iso.char_dual(c.table.values[i], c.classes)
+            dual = char_dual(c.table.values[i], c.classes)
             for s in range(1, 5):
-                chi = iso.char_tensor(char_scale(c.table.values[i], s, c.p), dual, c.p)
-                got = iso.inner_mult(c.table, chi, c.table.values[0])
-                assert got == s
+                chi = char_tensor(char_scale(c.table.values[i], s, c.p), dual, c.p)
+                assert (c.table.weights() @ np.array(chi) % c.p)[0] == s
+                assert inner_mult(c.table, chi, c.table.values[0]) == s

@@ -15,6 +15,7 @@ import pytest
 import isotypic as iso
 from isotypic import linalg
 from isotypic.errors import (
+    MethodMismatch,
     ModulusTooLarge,
     NotAHomomorphism,
     NotAnIntertwiner,
@@ -29,8 +30,10 @@ from isotypic.reps import multiplicity_space, restrict_to_subspace
 from conftest import (
     TEST_GROUPS,
     all_subgroups,
+    char_dual,
     char_square,
     char_sym_cube,
+    char_tensor,
     direct_sum,
     ext_square,
     intertwiner_basis,
@@ -202,6 +205,23 @@ def test_hom_dim_two_methods_randomized(ctx):
             assert got == sum(a * b for a, b in zip(m1, m2))
 
 
+def test_hom_dim_compares_each_multiplicity_space_with_its_character(ctx, monkeypatch):
+    # S3's regular rep has multiplicity spaces of lengths (1, 1, 2) at p = 7;
+    # planted lengths (2, 1, 1) keep sum m^2 = 6, the character total
+    c = ctx("S3")
+    assert c.p == 7
+    reg = iso.regular_rep(c.group, c.p)
+    planted = dict(zip(map(id, c.models), (2, 1, 1)))
+    real = multiplicity_space
+    monkeypatch.setattr(
+        iso.reps, "multiplicity_space", lambda rep, model: [None] * planted[id(model)] if rep is reg else real(rep, model)
+    )
+    with pytest.raises(MethodMismatch, match="^r1: multiplicity space 0 has dimension 2, character 1 mod 7$"):
+        iso.hom_dim(reg, reg, c.table)
+    with pytest.raises(MethodMismatch, match="^r2: multiplicity space 0 has dimension 2, character 1 mod 7$"):
+        iso.hom_dim(c.models[2], reg, c.table)
+
+
 def test_hom_dim_pure_type_formula(ctx):
     for name in ("S3", "D4", "Q8", "A4"):
         c = ctx(name)
@@ -226,8 +246,8 @@ def test_dual_tensor_sym_ext_characters(ctx):
     std = c.models[2]
     chi_perm = iso.character_of(perm, c.classes)
     chi_std = iso.character_of(std, c.classes)
-    assert iso.character_of(tensor(perm, std), c.classes) == iso.char_tensor(chi_perm, chi_std, c.p)
-    assert iso.character_of(iso.dual_rep(perm), c.classes) == iso.char_dual(chi_perm, c.classes)
+    assert iso.character_of(tensor(perm, std), c.classes) == char_tensor(chi_perm, chi_std, c.p)
+    assert iso.character_of(iso.dual_rep(perm), c.classes) == char_dual(chi_perm, c.classes)
     assert iso.character_of(sym_power(perm, 2), c.classes) == char_square(chi_perm, c.table, 1)
     assert iso.character_of(ext_square(perm), c.classes) == char_square(chi_perm, c.table, -1)
     # double dual has the character of the original
@@ -305,8 +325,8 @@ def test_functor_character_identities_randomized(ctx):
             r2, _ = random_rep(c, rng, max_total_dim=4)
             chi1 = iso.character_of(r1, c.classes)
             chi2 = iso.character_of(r2, c.classes)
-            assert iso.character_of(tensor(r1, r2), c.classes) == iso.char_tensor(chi1, chi2, c.p)
-            assert iso.character_of(iso.dual_rep(r1), c.classes) == iso.char_dual(
+            assert iso.character_of(tensor(r1, r2), c.classes) == char_tensor(chi1, chi2, c.p)
+            assert iso.character_of(iso.dual_rep(r1), c.classes) == char_dual(
                 chi1, c.classes
             )
             if c.p > 2:
@@ -871,12 +891,17 @@ def test_evaluation_iso_rejects_a_reducible_model(ctx, kind):
 
 
 def test_evaluation_iso_rejects_a_model_whose_character_is_not_irreducible(ctx, monkeypatch):
-    # the character side alone: a planted <chi, chi> of 2 on a true model
+    # the character side alone: 2 chi_0 + 2 chi_1 of S3 has <chi, chi> = 8,
+    # 1 mod 7, but W chi = (2, 2, 0) is no unit vector; Burnside's rank of
+    # its 6 x 16 flattened matrices is planted at 16
     c = ctx("S3")
+    assert c.p == 7
     reg = iso.regular_rep(c.group, c.p)
-    monkeypatch.setattr(iso.reps, "inner_mult", lambda *args: 2)
+    model = direct_sum(c.models[0], c.models[0], c.models[1], c.models[1])
+    real_rank = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda a, p: 16 if a.shape == (6, 16) else real_rank(a, p))
     with pytest.raises(WrongImage, match="the supplied model is not irreducible"):
-        iso.evaluation_iso_check(reg, 2, c.table, c.models[2])
+        iso.evaluation_iso_check(reg, 0, c.table, model)
 
 
 def test_multiplicity_space_rejects_a_model_of_another_irreducible(ctx):
@@ -886,7 +911,7 @@ def test_multiplicity_space_rejects_a_model_of_another_irreducible(ctx):
     pairs = [(i, j) for i in range(len(degrees)) for j in range(len(degrees)) if i != j and degrees[i] == degrees[j]]
     assert len(pairs) == 6  # degrees 1, 4 and 5 each occur twice
     for i, j in pairs:
-        with pytest.raises(WrongImage):
+        with pytest.raises(WrongImage, match=f"the supplied model has the character of irreducible {j}, not {i}$"):
             iso.evaluation_iso_check(reg, i, c.table, c.models[j])
 
 
