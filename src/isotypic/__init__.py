@@ -16,7 +16,6 @@ from .characters import (
     central_idempotents,
     character_table,
     class_matrix,
-    convolve,
     restrict_invariant_dim,
     splitting_element,
     tensor_multiplicities,
@@ -37,7 +36,6 @@ from .cyclic import (
     CyclicCoverModel,
     build_cyclic,
     decompose_pushforward,
-    intermediate_fixed_ring,
     normal_basis_certificate,
     phi_det,
     phi_equivariance_check,
@@ -73,7 +71,6 @@ from .reps import (
     permutation_rep,
     regular_rep,
     rep_from_matrices,
-    subgroup_invariants,
     trivial_rep,
 )
 

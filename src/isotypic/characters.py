@@ -89,6 +89,15 @@ class CharacterTable:
                 row.setflags(write=False)
         return self._idempotents
 
+    def require_owner(self, owner, kind: str) -> None:
+        """Raise ValueError when `owner`, a representation or a cover action
+        (`kind` names which), is not of this table's group object and prime."""
+        if owner.group is not self.group or owner.p != self.p:
+            raise ValueError(
+                f"the character table of {self.group.name} at p = {self.p} does not belong"
+                f" to the {kind} of {owner.group.name} at p = {owner.p}"
+            )
+
     def to_dict(self) -> dict:
         return {
             "group": self.group.name,
@@ -175,21 +184,6 @@ def central_idempotents(table: CharacterTable) -> list[np.ndarray]:
     values = np.array(table.values, dtype=np.int64)[:, inv_class]
     scale = np.array(table.degrees, dtype=np.int64) * inv_mod(group.order % p, p) % p
     return list(values * scale[:, None] % p)
-
-
-def convolve(a: np.ndarray, b: np.ndarray, group: Group, p: int) -> np.ndarray:
-    """Group-algebra product: (a*b)[gh] accumulates a[g] b[h]."""
-    out = np.zeros(group.order, dtype=np.int64)
-    for g in range(group.order):
-        if a[g]:
-            out[group.mult[g]] = (out[group.mult[g]] + a[g] * b) % p
-    return out
-
-
-def delta_element(group: Group, g: int) -> np.ndarray:
-    v = np.zeros(group.order, dtype=np.int64)
-    v[g] = 1
-    return v
 
 
 def restrict_invariant_dim(table: CharacterTable, v: ClassFunction, h: Subgroup) -> int:

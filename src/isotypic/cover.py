@@ -162,7 +162,7 @@ class LinearCoverAction:
         All degrees share the table's memo of orbit-block reductions: the
         orbits of one type decompose the same way in every degree.
         """
-        _require_own_table(self, table)
+        table.require_owner(self, "action")
         if d not in self._piece_data:
             self._piece_data[d] = decompose(self.piece(d), table)
         return self._piece_data[d]
@@ -256,16 +256,6 @@ def builtin_action(group: Group, p: int, name: str) -> LinearCoverAction:
     return scalar_action(group, p)
 
 
-def _require_own_table(action: LinearCoverAction, table: CharacterTable) -> None:
-    """The memos of an action are built from one table: raise ValueError for
-    a table of another group object or prime."""
-    if table.group is not action.group or table.p != action.p:
-        raise ValueError(
-            f"the character table of {table.group.name} at p = {table.p} does not belong"
-            f" to the action of {action.group.name} at p = {action.p}"
-        )
-
-
 # -- multiplicity series -----------------------------------------------------------
 
 
@@ -287,7 +277,7 @@ def _molien_sums(action: LinearCoverAction, table: CharacterTable) -> tuple[Poly
     Row i of the prefixes is the longest power-series prefix of N_i / D
     expanded so far, none at first.
     """
-    _require_own_table(action, table)
+    table.require_owner(action, "action")
     if action._molien is None:
         p = action.p
         dets = _inverse_dets(action, table.classes)
@@ -499,7 +489,7 @@ def _forbidden_projector(
 
 def _tensor_mults(action: LinearCoverAction, table: CharacterTable) -> np.ndarray:
     """`tensor_multiplicities(table)`, memoized on the action."""
-    _require_own_table(action, table)
+    table.require_owner(action, "action")
     if action._tensors is None:
         action._tensors = tensor_multiplicities(table)
     return action._tensors

@@ -28,10 +28,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arith import Poly, choose_prime, root_of_unity
-from .characters import CharacterTable, character_table, restrict_invariant_dim
+from .characters import CharacterTable, character_table
 from .cover import Report, VerificationOutcome
 from .errors import SingularMatrix, error_witness
-from .groups import conjugacy_classes, cyclic_subgroup, group_from_name
+from .groups import conjugacy_classes, group_from_name
 from .linalg import block_det, det, inv_mod
 from .polymat import as_unit_times_power, factored_invariant_factors
 
@@ -144,34 +144,6 @@ def decompose_pushforward(model: CyclicCoverModel) -> list[int]:
     if sorted(out) != list(range(n)):
         raise AssertionError("component powers are not a bijection")
     return out
-
-
-def intermediate_fixed_ring(model: CyclicCoverModel, m: int) -> tuple[int, ...]:
-    """x-powers spanning the fixed ring of the subgroup generated by g^m.
-
-    Three descriptions must agree: characters trivial on the subgroup,
-    multiples of n/m (the subring F_p[x^(n/m)]), and the weighted count
-    of fixed-space dimensions.
-    """
-    n = model.n
-    if m < 1 or n % m != 0:
-        raise ValueError("m must divide the cover degree")
-    powers = decompose_pushforward(model)
-    h = cyclic_subgroup(model.group, m % n)
-    # characters trivial on H
-    triv_rows = [
-        k
-        for k in range(model.table.num_irreps)
-        if all(model.table.values[k][model.classes.class_of[x]] == 1 for x in h.element_indices)
-    ]
-    by_chars = tuple(sorted(powers[k] for k in triv_rows))
-    by_subring = tuple(j for j in range(n) if j % (n // m) == 0)
-    if by_chars != by_subring:
-        raise AssertionError("character and subring descriptions of the fixed ring disagree")
-    count = sum(restrict_invariant_dim(model.table, chi, h) for chi in model.table.values)
-    if count != len(by_chars):
-        raise AssertionError("fixed-ring rank disagrees with the weighted dimension count")
-    return by_chars
 
 
 def blocks_of(n: int) -> tuple[np.ndarray, np.ndarray]:

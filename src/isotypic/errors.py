@@ -86,10 +86,6 @@ class MethodMismatch(IsotypicError):
     """Two independent computations of a Hom_G dimension disagree."""
 
 
-class DimensionMismatch(IsotypicError):
-    """Fixed-subspace dimension disagrees with its character-side prediction."""
-
-
 class NotInjective(IsotypicError):
     """Assembled evaluation map has a nonzero kernel."""
 

@@ -11,6 +11,9 @@ against the models that the character table keeps.
 The character side of every check is W chi, the multiplicities mod p of
 a representation's character chi, W the table's `weights()`.
 
+A subgroup's invariants are counted (`fixed_dim`), not spanned: no
+Reynolds image, a basis of the H-fixed subspace, is built.
+
 All rank and row-space computations go through the deterministic
 eliminations in `linalg`, so component bases are reproducible.  The
 component of a monomial representation is reduced one orbit block at a
@@ -30,9 +33,8 @@ from typing import NoReturn
 import numpy as np
 
 from . import linalg
-from .characters import CharacterTable, restrict_invariant_dim
+from .characters import CharacterTable
 from .errors import (
-    DimensionMismatch,
     InconsistentMultiplicity,
     MethodMismatch,
     NotAHomomorphism,
@@ -353,20 +355,11 @@ def _components(rep: MatrixRep, table: CharacterTable, irreps) -> list[np.ndarra
     group object or prime raises ValueError rather than plant or read
     blocks that are not its own.
     """
-    _require_table(rep, table)
+    table.require_owner(rep, "representation")
     if rep.images is None:
         return [linalg.row_space(isotypic_projector(rep, i, table).T, rep.p) for i in irreps]
     types = _orbit_types(rep)
     return [_orbit_row_space(rep, types, table, i) for i in irreps]
-
-
-def _require_table(rep: MatrixRep, table: CharacterTable) -> None:
-    """Raise ValueError when `rep` is not of the table's group object and prime."""
-    if rep.group is not table.group or rep.p != table.p:
-        raise ValueError(
-            f"the character table of {table.group.name} at p = {table.p} does not belong"
-            f" to the representation of {rep.group.name} at p = {rep.p}"
-        )
 
 
 def _orbit_types(rep: MatrixRep) -> list[tuple[tuple[int, bytes], np.ndarray]]:
@@ -407,10 +400,12 @@ def _orbit_row_space(
     block is a * |O| + b, so rho(g) e_j, j = orbit[a], lands on cell
     a * |O| + local[images[g, j]] of the block of P_i^T, with weight
     e_i[g] * scalars[g, j]: one `np.bincount` of |G| * |O| weights.  A
-    cell sums at most |G| residues, exact in float64 while |G| p < 2^53,
-    which `_components` checks.  Each block is row-reduced alone, and its
-    rows, embedded and sorted by pivot column, are the reduced row-echelon
-    form of all of P_i^T, which is unique, so the same basis.
+    cell sums at most |G| residues, exact in float64 for the reason
+    `_group_sum` gives: a representation with an orbit block has
+    dim >= 1, so `require_exact` bounds p, and DEFAULT_CAP bounds |G|.
+    Each block is row-reduced alone, and its rows, embedded and sorted by
+    pivot column, are the reduced row-echelon form of all of P_i^T, which
+    is unique, so the same basis.
 
     A block is a function of e_i and of the orbit type, so
     `table._orbit_blocks` keeps its reduction under (i, type key), and
@@ -498,7 +493,7 @@ def hom_dim(r1: MatrixRep, r2: MatrixRep, table: CharacterTable) -> int:
     """
     char_mults = []
     for rep in (r1, r2):
-        _require_table(rep, table)
+        table.require_owner(rep, "representation")
         char_mults.append(_character_multiplicities(rep, table))
         check_size("Serre's operator p_0", rep.dim, rep.dim)
         m = int(char_mults[-1].max())
@@ -556,24 +551,6 @@ def _averaging_projector(rep: MatrixRep, h: Subgroup) -> np.ndarray:
     """(1/|H|) sum_{h in H} rho(h), one `_group_sum` over H."""
     coef = np.full(h.order, inv_mod(h.order % rep.p, rep.p), dtype=np.int64)
     return _group_sum(rep, list(h.element_indices), coef)
-
-
-def subgroup_invariants(rep: MatrixRep, h: Subgroup, table: CharacterTable) -> np.ndarray:
-    """Basis of the H-fixed subspace via the averaging projector.
-
-    The dimension is cross-checked against the character-side count
-    sum_i m_i * dim V_i^H; a mismatch indicts the implementation.
-    """
-    basis = linalg.row_space(_averaging_projector(rep, h).T, rep.p)
-    expected = sum(
-        m * restrict_invariant_dim(table, table.values[i], h)
-        for i, m in enumerate(decompose(rep, table).multiplicities)
-    )
-    if basis.shape[0] != expected:
-        raise DimensionMismatch(
-            f"fixed subspace has dim {basis.shape[0]}, character predicts {expected}"
-        )
-    return basis
 
 
 def _orbit_labels(images: np.ndarray) -> np.ndarray:

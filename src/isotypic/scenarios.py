@@ -2,6 +2,10 @@
 VERIFY_GROUPS, the cover reports of COVER_SCENARIOS and the cyclic reports
 of CYCLIC_DEGREES, as `cover.VerificationOutcome`s named by scenario.
 
+The idempotent check multiplies in F_p[G] on the regular representation,
+whose isotypic projector P_i is left multiplication by e_i: the library's
+one group-algebra product is the group sum that every projector takes.
+
 The library is called through module attributes (`reps.decompose`, never
 a `from .reps import decompose` alias), so a wrapper installed on a
 library module sees every call made from here.
@@ -13,7 +17,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import arith, characters, cover, cyclic, groups, reps
+from . import arith, characters, cover, cyclic, groups, linalg, reps
 from .cover import VerificationOutcome
 from .errors import IsotypicError, error_witness
 
@@ -43,19 +47,26 @@ def _first_error(attempts) -> dict | None:
     return witness
 
 
-def _idempotents_witness(table: characters.CharacterTable) -> dict | None:
+def _idempotents_witness(table: characters.CharacterTable, reg: reps.MatrixRep) -> dict | None:
     """None when e_i e_j = delta_ij e_i in F_p[G] and the e_i sum to 1;
     otherwise {"product": [i, j]} for the first pair (i, j) in row-major
     order whose product is wrong, or {"element": g} for the first
-    coefficient of the sum that differs from that of 1."""
-    group, p = table.group, table.p
-    idems = table.idempotents()
-    zero = np.zeros(group.order, dtype=np.int64)
+    coefficient of the sum that differs from that of 1.
+
+    The products are read on the regular rep `reg`: rho(g) e_c = e_{g*c},
+    so its isotypic projector P_i is left multiplication by e_i, and
+    column j of P_i E^T, E the idempotents stacked, is e_i e_j.
+    """
+    p = table.p
+    idems = np.array(table.idempotents())
     for i, e_i in enumerate(idems):
-        for j, e_j in enumerate(idems):
-            if not np.array_equal(characters.convolve(e_i, e_j, group, p), e_i % p if i == j else zero):
-                return {"product": [i, j]}
-    wrong = np.flatnonzero(sum(idems) % p != characters.delta_element(group, 0))
+        products = linalg.matmul(reps.isotypic_projector(reg, i, table), idems.T, p).T
+        # row j should be e_i for j = i, and 0 otherwise
+        wrong = np.flatnonzero((products != np.outer(np.arange(len(idems)) == i, e_i)).any(axis=1))
+        if wrong.size:
+            return {"product": [i, int(wrong[0])]}
+    # the unit of F_p[G] is 1 at the identity, element 0, and 0 elsewhere
+    wrong = np.flatnonzero(idems.sum(axis=0) % p != (np.arange(table.group.order) == 0))
     return {"element": int(wrong[0])} if wrong.size else None
 
 
@@ -79,7 +90,7 @@ def group_checks(table: characters.CharacterTable) -> list[VerificationOutcome]:
     degrees = list(table.degrees)
     return [
         VerificationOutcome(
-            f"{name}.idempotents", "orthogonal central idempotents summing to 1", _idempotents_witness(table)
+            f"{name}.idempotents", "orthogonal central idempotents summing to 1", _idempotents_witness(table, reg)
         ),
         VerificationOutcome(
             f"{name}.regular_type",

@@ -5,9 +5,10 @@ permutation generators and their closure one product at a time, the
 closure of element indices into a subgroup and every subgroup of a group,
 and the functors on representations and characters that only tests take
 (direct sums, duals, tensor products, symmetric powers, exterior squares),
-the loop oracle `inner_mult` of the character inner product, and
-the exponent tuples of the monomials of one degree, and the Kronecker
-intertwiner system, the oracle of Hom_G."""
+the loop oracle `inner_mult` of the character inner product, the loop
+oracle `convolve` of the product in F_p[G] with the basis elements
+`delta_element`, the exponent tuples of the monomials of one degree, and
+the Kronecker intertwiner system, the oracle of Hom_G."""
 
 from __future__ import annotations
 
@@ -274,6 +275,26 @@ def intertwiner_basis(r1, r2):
     """A basis of Hom_G(r1, r2) as (dim2 x dim1) matrices: the null space of
     `intertwiner_system`."""
     return [row.reshape(r2.dim, r1.dim) for row in linalg.nullspace(intertwiner_system(r1, r2), r1.p)]
+
+
+# -- the group algebra F_p[G], one element at a time -------------------------------
+
+
+def convolve(a, b, group, p):
+    """The product in F_p[G]: (a*b)[gh] accumulates a[g] b[h], one row of
+    the multiplication table per nonzero a[g]."""
+    out = np.zeros(group.order, dtype=np.int64)
+    for g in range(group.order):
+        if a[g]:
+            out[group.mult[g]] = (out[group.mult[g]] + a[g] * b) % p
+    return out
+
+
+def delta_element(group, g):
+    """The basis element g of F_p[G]."""
+    v = np.zeros(group.order, dtype=np.int64)
+    v[g] = 1
+    return v
 
 
 # -- functors: characters, in closed form ------------------------------------------

@@ -15,7 +15,6 @@ import pytest
 from click.testing import CliRunner
 
 import isotypic as iso
-from isotypic.characters import convolve, delta_element
 from isotypic.cli import main
 from isotypic.polymat import as_unit_times_power, factored_invariant_factors
 
@@ -25,6 +24,8 @@ from conftest import (
     char_dual,
     char_square,
     char_tensor,
+    convolve,
+    delta_element,
     direct_sum,
     ext_square,
     inner_mult,

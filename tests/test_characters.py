@@ -9,10 +9,19 @@ import numpy as np
 import pytest
 
 import isotypic as iso
-from isotypic.characters import convolve, cyclic_weight_multiplicities, delta_element
+from isotypic.characters import cyclic_weight_multiplicities
 from isotypic.errors import NotAMultiplicity
 
-from conftest import TEST_GROUPS, char_dual, char_square, char_tensor, inner_mult, subgroup_closure
+from conftest import (
+    TEST_GROUPS,
+    char_dual,
+    char_square,
+    char_tensor,
+    convolve,
+    delta_element,
+    inner_mult,
+    subgroup_closure,
+)
 
 
 def char_scale(v, s, p):

@@ -433,37 +433,61 @@ def _failing_outcomes(runner, args):
     return {o["check"]: o["witness"] for o in outcomes if not o["pass"]}, text
 
 
+def _planted_idempotents(group_name, plant):
+    """The verify-all table of `group_name` with its idempotent rows planted
+    as `plant(rows)` mod p, and the regular rep of its group: the arguments
+    of `scenarios._idempotents_witness`."""
+    from dataclasses import replace
+
+    import numpy as np
+    from isotypic import reps, scenarios
+
+    table = replace(scenarios._table(group_name))
+    table._idempotents = list(plant(np.array(table.idempotents())) % table.p)
+    return table, reps.regular_rep(table.group, table.p)
+
+
 def test_idempotents_outcome_witnesses_the_first_wrong_product(runner, monkeypatch):
     import numpy as np
-    from isotypic import characters
+    from isotypic import reps, scenarios
 
-    real = characters.convolve
+    def merge(rows):
+        rows[1] = rows[0] + rows[1]
+        return rows
 
-    def planted(a, b, group, p):
-        out = real(a, b, group, p)
-        return (out + 1) % p if group.name == "D4" and not np.array_equal(a, b) else out
+    # e_1 planted as e_0 + e_1: e_0 e_0 = e_0 is right, and e_0 (e_0 + e_1)
+    # = e_0 is the first wrong product
+    assert scenarios._idempotents_witness(*_planted_idempotents("S3", merge)) == {"product": [0, 1]}
 
-    monkeypatch.setattr(characters, "convolve", planted)
+    # through the command: P_1 of D4's regular rep read as P_0, so row 0 is
+    # right and P_1 e_0 = e_0 is the first wrong product
+    real = reps.isotypic_projector
+
+    def planted(rep, i, table):
+        regular = rep.images is not None and np.array_equal(rep.images, table.group.mult)
+        return real(rep, 0 if table.group.name == "D4" and regular and i == 1 else i, table)
+
+    monkeypatch.setattr(reps, "isotypic_projector", planted)
     failing, text = _failing_outcomes(runner, ["verify-all", "--max-degree", "2"])
-    assert failing == {"D4.idempotents": {"product": [0, 1]}}
-    assert '[FAIL] D4.idempotents: orthogonal central idempotents summing to 1\n        witness: {"product": [0, 1]}\n' in text
+    assert failing == {"D4.idempotents": {"product": [1, 0]}}
+    assert '[FAIL] D4.idempotents: orthogonal central idempotents summing to 1\n        witness: {"product": [1, 0]}\n' in text
 
 
-def test_idempotents_outcome_witnesses_the_first_wrong_coefficient_of_the_sum(runner, monkeypatch):
-    from isotypic import characters
+def test_idempotents_outcome_witnesses_the_first_wrong_coefficient_of_the_sum():
+    from isotypic import scenarios
 
-    real = characters.delta_element
+    def drop(k):
+        def plant(rows):
+            rows[k] = 0
+            return rows
 
-    def planted(group, g):
-        v = real(group, g)
-        if group.name == "Q8":
-            v[3] = 1
-        return v
+        return plant
 
-    monkeypatch.setattr(characters, "delta_element", planted)
-    failing, text = _failing_outcomes(runner, ["verify-all", "--max-degree", "2"])
-    assert failing == {"Q8.idempotents": {"element": 3}}
-    assert '[FAIL] Q8.idempotents: orthogonal central idempotents summing to 1\n        witness: {"element": 3}\n' in text
+    # dropping any of Q8's five e_k leaves every product right; the sum
+    # 1 - e_k is then wrong at the identity, where e_k is deg_k/|G|
+    for k in range(5):
+        assert scenarios._idempotents_witness(*_planted_idempotents("Q8", drop(k))) == {"element": 0}
+    assert scenarios._idempotents_witness(*_planted_idempotents("Q8", lambda rows: rows)) is None
 
 
 def test_regular_type_outcome_witnesses_the_multiplicities(runner, monkeypatch):

@@ -101,17 +101,6 @@ def test_components_exhaust_low_degrees():
             assert m.table.values[k][gen_class] == weight
 
 
-def test_intermediate_fixed_ring():
-    m4 = iso.build_cyclic(4)
-    assert iso.intermediate_fixed_ring(m4, 2) == (0, 2)
-    assert iso.intermediate_fixed_ring(m4, 4) == (0, 1, 2, 3)  # trivial subgroup
-    assert iso.intermediate_fixed_ring(m4, 1) == (0,)  # full group
-    m6 = iso.build_cyclic(6)
-    assert iso.intermediate_fixed_ring(m6, 3) == (0, 2, 4)
-    with pytest.raises(ValueError):
-        iso.intermediate_fixed_ring(m6, 4)
-
-
 def test_phi_matrix_n2_frozen():
     m = iso.build_cyclic(2)
     entries = poly_grid(phi_matrix(m))

@@ -34,12 +34,12 @@ from conftest import (
     char_square,
     char_sym_cube,
     char_tensor,
+    convolve,
     direct_sum,
     ext_square,
     intertwiner_basis,
     matrix_inverse,
     random_invertible,
-    subgroup_closure,
     sym_power,
     tensor,
 )
@@ -104,15 +104,19 @@ def test_rep_from_matrices_rejects_singular(ctx):
 
 
 def test_isotypic_projector_algebra(ctx):
-    for name in ("C4", "S3", "Q8"):
+    # on the regular rep, rho(g) e_c = e_{g*c}, so P_i is left multiplication
+    # by e_i: P_i e_j is the product e_i e_j of the convolution oracle
+    for name in TEST_GROUPS:
         c = ctx(name)
         reg = iso.regular_rep(c.group, c.p)
+        idems = c.table.idempotents()
         projs = [iso.isotypic_projector(reg, i, c.table) for i in range(c.table.num_irreps)]
         total = np.zeros((reg.dim, reg.dim), dtype=np.int64)
         for i, pi in enumerate(projs):
             total = (total + pi) % c.p
             assert np.array_equal(pi @ pi % c.p, pi)
             for j, pj in enumerate(projs):
+                assert np.array_equal(pi @ idems[j] % c.p, convolve(idems[i], idems[j], c.group, c.p))
                 if i != j:
                     assert not np.any(pi @ pj % c.p)
             for g in range(c.group.order):
@@ -337,27 +341,23 @@ def test_functor_character_identities_randomized(ctx):
                 assert iso.character_of(sym_power(r1, 3), c.classes) == char_sym_cube(chi1, c.table)
 
 
-def test_subgroup_invariants(ctx):
-    c = ctx("S3")
-    perm = iso.permutation_rep(c.group, c.p)
-    whole = subgroup_closure(c.group, [1, 2])
-    basis = iso.subgroup_invariants(perm, whole, c.table)
-    assert basis.shape[0] == 1  # the all-ones line
-    assert np.array_equal(basis[0], np.array([1, 1, 1]))
-    trivial_sub = subgroup_closure(c.group, [])
-    assert iso.subgroup_invariants(perm, trivial_sub, c.table).shape[0] == perm.dim
-    reg = iso.regular_rep(c.group, c.p)
-    a3 = subgroup_closure(c.group, [2])
-    assert iso.subgroup_invariants(reg, a3, c.table).shape[0] == 2
-
-
 def test_subgroup_invariants_all_groups(ctx):
+    # the H-fixed part of the regular rep has dimension |G/H|, three ways on
+    # every subgroup: orbit counts on the monomial rep, the averaging
+    # projector's rank on a dense copy, and the characters, sum_i deg_i dim V_i^H
     for name in ("C4", "D4", "A4"):
         c = ctx(name)
         reg = iso.regular_rep(c.group, c.p)
+        dense = iso.MatrixRep(c.group, c.p, reg.mats)
+        assert dense.images is None
         for sub in all_subgroups(c.group):
-            basis = iso.subgroup_invariants(reg, sub, c.table)
-            assert basis.shape[0] == c.group.order // sub.order  # coset count
+            cosets = c.group.order // sub.order
+            assert iso.fixed_dim(reg, sub) == cosets
+            assert iso.fixed_dim(dense, sub) == cosets
+            by_characters = sum(
+                d * iso.restrict_invariant_dim(c.table, chi, sub) for d, chi in zip(c.table.degrees, c.table.values)
+            )
+            assert by_characters == cosets
 
 
 def test_irreducible_models(ctx):
