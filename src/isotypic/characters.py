@@ -104,7 +104,7 @@ class CharacterTable:
             "order": self.group.order,
             "modulus": self.p,
             "class_sizes": list(self.classes.sizes),
-            "class_reps": [list(self.group.elements[r].images) for r in self.classes.reps],
+            "class_reps": self.group.images[list(self.classes.reps)].tolist(),
             "degrees": list(self.degrees),
             "values": [list(v) for v in self.values],
         }

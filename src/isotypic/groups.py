@@ -11,8 +11,8 @@ The closure works on arrays of permutation images, one breadth-first
 level per gather, and fills the multiplication table row by row from the left
 multiplications by the generators; conjugacy classes, element orders (one
 walk of all powers, kept on the group) and cyclic subgroups are then
-gathers on that table.  `Permutation` objects are the input and the
-output, not the arithmetic.
+gathers on that table.  `Permutation` objects are the input only: the
+group keeps the images of its elements as one array, `Group.images`.
 """
 
 from __future__ import annotations
@@ -45,13 +45,6 @@ class Permutation:
             raise InvalidPermutation(f"images {images} are not a bijection on 0..{n - 1}")
         self.images = images
 
-    @classmethod
-    def _trusted(cls, images: tuple[int, ...]) -> "Permutation":
-        """A permutation from images already known to be a bijection."""
-        perm = object.__new__(cls)
-        perm.images = images
-        return perm
-
     @property
     def degree(self) -> int:
         return len(self.images)
@@ -80,26 +73,27 @@ class Permutation:
 class Group:
     """Finite group with explicit multiplication and inverse tables.
 
-    Element 0 is the identity.  `mult[a, b]` is the index of
-    elements[a] * elements[b]; `word[k]` records how element k was first
-    discovered, as a (parent_index, generator_position) pair (None for the
-    identity), so that any map defined on generators extends along these
-    words deterministically.
+    Row k of `images` holds the images of element k on 0..degree-1, and
+    element 0 is the identity.  `mult[a, b]` is the index of the product
+    of elements a and b; `generator_indices[j]` is the index of generator
+    j, so its images are `images[generator_indices[j]]`; `words[k]`
+    records how element k was first discovered, as a (parent_index,
+    generator_position) pair (None for the identity), so that any map
+    defined on generators extends along these words deterministically.
     """
 
-    def __init__(self, elements, mult, inv, generators, generator_indices, words, name="custom"):
-        self.elements: tuple[Permutation, ...] = tuple(elements)
-        self.order: int = len(self.elements)
+    def __init__(self, images, mult, inv, generator_indices, words, name="custom"):
+        self.images: np.ndarray = images
+        self.order: int = images.shape[0]
         self.mult: np.ndarray = mult
         self.inv: tuple[int, ...] = tuple(inv)
-        self.generators: tuple[Permutation, ...] = tuple(generators)
         self.generator_indices: tuple[int, ...] = tuple(generator_indices)
         self.words: tuple = tuple(words)
         self.name = name
 
     @property
     def degree(self) -> int:
-        return self.elements[0].degree
+        return self.images.shape[1]
 
     def element_order(self, k: int) -> int:
         return self._orders[k]
@@ -174,10 +168,12 @@ def build_group(generators, name: str = "custom") -> Group:
     in (element, generator) row-major order, and a dict on their image
     bytes keeps the first occurrence of each new element in that order.
     Every element found while level L is scanned lies in level L + 1, so
-    elements, `words` and `generator_indices` come out exactly as a
+    `images`, `words` and `generator_indices` come out exactly as a
     search that multiplies one element by one generator at a time finds
     them.  Products of validated permutations are permutations, so only
-    the generators are validated.
+    the generators are validated.  The group keeps the search's image
+    array, read-only, as `Group.images`: its dtype is the narrowest
+    unsigned type that holds a point, and no `Permutation` is made.
     """
     generators = list(generators)
     deg = generators[0].degree if generators else 1
@@ -185,29 +181,25 @@ def build_group(generators, name: str = "custom") -> Group:
         raise InvalidPermutation("generators must share one degree")
 
     images, words, left = _breadth_first(generators, deg)
-    # images as shared ints: a fresh int object per entry would hold
-    # |G| * degree of them (28 bytes each past 256)
-    points = list(range(deg)).__getitem__
-    elements = [Permutation._trusted(tuple(map(points, row.tolist()))) for row in images]
-    del images  # |G| x degree, which the table does not read
+    images.setflags(write=False)
 
-    # Row k of the table follows the word of element k:
-    # elements[k] * x = elements[parent] * (generators[gen_pos] * x).
-    n = len(elements)
+    # Row k of the table follows the word (a, j) of element k, with g_k the
+    # element of index k: g_k * x = g_a * (generators[j] * x).
+    n = images.shape[0]
     mult = np.empty((n, n), dtype=np.int64)
     mult[0] = np.arange(n)
     for k, (a, j) in enumerate(words[1:], start=1):
         mult[a].take(left[j], out=mult[k])
     inv = np.argmin(mult, axis=1)  # the identity 0 occurs once in each row
-    return Group(elements, mult, inv.tolist(), generators, left[:, 0].tolist(), words, name=name)
+    return Group(images, mult, inv.tolist(), left[:, 0].tolist(), words, name=name)
 
 
 def _breadth_first(generators, deg: int):
     """The closure search of `build_group`, one level at a time.
 
     Returns the images of the elements (one row each), the words, and the
-    left multiplications left[j, k], the index of generators[j] *
-    elements[k].  The dict of image bytes that finds each index stays here.
+    left multiplications: left[j, k] is the index of generators[j] times
+    element k.  The dict of image bytes that finds each index stays here.
     """
     r = len(generators)
     # the smallest unsigned type that holds a point keeps the keys short
@@ -217,7 +209,7 @@ def _breadth_first(generators, deg: int):
     levels, words = [level], [None]
     first = 0  # index of the first element of `level`
     while level.shape[0]:
-        cand = level[:, gens]  # cand[a, j] = images of elements[first + a] * generators[j]
+        cand = level[:, gens]  # cand[a, j] = images of g_(first + a) * generators[j]
         fresh = []
         for c, key in enumerate(_row_bytes(cand)):
             if key not in index:

@@ -195,8 +195,10 @@ def regular_rep(group: Group, p: int) -> MatrixRep:
 
 def permutation_rep(group: Group, p: int) -> MatrixRep:
     """Permutation matrices of the defining permutation realization, in
-    monomial form: the index map of g is the permutation itself."""
-    images = np.array([perm.images for perm in group.elements], dtype=np.int64)
+    monomial form: the index map of g is its row of `group.images`, widened
+    to int64 because products such as `images * d` would wrap on its narrow
+    unsigned type."""
+    images = group.images.astype(np.int64)
     return MatrixRep(group, p, images=images, scalars=np.ones_like(images))
 
 
@@ -213,9 +215,9 @@ def rep_from_matrices(group: Group, p: int, gen_mats) -> MatrixRep:
     trivial representation.
     """
     gen_mats = [np.asarray(m, dtype=np.int64) % p for m in gen_mats]
-    if len(gen_mats) != len(group.generators):
+    if len(gen_mats) != len(group.generator_indices):
         raise NotAHomomorphism(
-            f"expected {len(group.generators)} generator matrices, got {len(gen_mats)}"
+            f"expected {len(group.generator_indices)} generator matrices, got {len(gen_mats)}"
         )
     dim = gen_mats[0].shape[0] if gen_mats else 1
     for m in gen_mats:
@@ -651,7 +653,11 @@ def evaluation_iso_check(
     its character multiplicities W chi, which must be a unit vector e_j:
     the irreducible characters are a basis of the class functions, so then
     chi = chi_j.  A unit vector at j != i raises WrongImage naming j.
+    Before any of this, a rep or model of another group object or prime
+    than the table's raises ValueError.
     """
+    table.require_owner(rep, "representation")
+    table.require_owner(model, "model")
     p, n_i = rep.p, model.dim
     span = linalg.rank(model.mats.reshape(model.group.order, n_i * n_i), p)
     char_mults = _character_multiplicities(model, table)

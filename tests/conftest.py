@@ -1,5 +1,6 @@
 """Shared fixtures and helpers: cached group/table contexts for the test
-groups, random invertible matrices and the matrix inverse, the identity
+groups, the elements and generators of a group as `Permutation` objects,
+random invertible matrices and the matrix inverse, the identity
 test, the inverse, the cycles and the order of permutations, random
 permutation generators and their closure one product at a time, the
 closure of element indices into a subgroup and every subgroup of a group,
@@ -88,6 +89,17 @@ def ctx():
         return _CACHE[name]
 
     return get
+
+
+def elements(group) -> tuple[iso.Permutation, ...]:
+    """The test oracle's view of a group: one `Permutation` per row of its
+    image array, in the canonical element order."""
+    return tuple(iso.Permutation(row) for row in group.images)
+
+
+def generators(group) -> list[iso.Permutation]:
+    """The generators in input order, read from the image array."""
+    return [iso.Permutation(row) for row in group.images[list(group.generator_indices)]]
 
 
 def is_identity(perm: iso.Permutation) -> bool:

@@ -20,7 +20,16 @@ from isotypic.cover import _inverse_dets, _products, builtin_action, cyclic_subg
 from isotypic import cover, reps
 from isotypic.errors import NotFaithful, SystemTooLarge
 from isotypic.scenarios import COVER_SCENARIOS
-from conftest import TEST_GROUPS, all_subgroups, cycles, exponents, forbid, matrix_inverse, subgroup_closure
+from conftest import (
+    TEST_GROUPS,
+    all_subgroups,
+    cycles,
+    exponents,
+    forbid,
+    generators,
+    matrix_inverse,
+    subgroup_closure,
+)
 from polymat_oracle import bareiss_det
 
 
@@ -99,7 +108,7 @@ def test_perm_action_matches_generator_words(ctx, name):
     c = ctx(name)
     deg = c.group.degree
     gen_mats = []
-    for g in c.group.generators:
+    for g in generators(c.group):
         m = np.zeros((deg, deg), dtype=np.int64)
         m[np.array(g.images), np.arange(deg)] = 1
         gen_mats.append(m)
@@ -719,8 +728,8 @@ def signed_perm_action(c):
     matrix times its sign, so rho = perm (x) sign, which is faithful."""
     perm = iso.permutation_rep(c.group, c.p).mats
     gens = []
-    for g in c.group.generator_indices:
-        sign = (-1) ** (c.group.degree - len(cycles(c.group.elements[g])))
+    for g, g_perm in zip(c.group.generator_indices, generators(c.group)):
+        sign = (-1) ** (c.group.degree - len(cycles(g_perm)))
         gens.append(perm[g] * sign % c.p)
     return cover.validate_action(c.group, gens, c.p, name="signed")
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 import random
@@ -18,6 +19,8 @@ from conftest import (
     TEST_GROUPS,
     all_subgroups,
     closure_oracle,
+    elements,
+    generators,
     inverse,
     is_identity,
     perm_order,
@@ -60,7 +63,7 @@ def test_permutation_composition_and_inverse():
 
 @pytest.mark.parametrize("name", ["S5", "D12"])
 def test_permutation_order_is_least_power_to_identity(name):
-    for g in iso.group_from_name(name).elements:
+    for g in elements(iso.group_from_name(name)):
         k, power = 1, g
         while not is_identity(power):
             k, power = k + 1, power * g
@@ -73,21 +76,21 @@ def test_build_s3_against_enumeration_oracle():
     group = iso.build_group(gens)
     assert group.order == 6
     oracle = {iso.Permutation(p) for p in itertools.permutations(range(3))}
-    assert set(group.elements) == oracle
-    assert is_identity(group.elements[0])
+    assert set(elements(group)) == oracle
+    assert is_identity(elements(group)[0])
 
 
 def test_build_trivial_group():
     group = iso.build_group([])
     assert group.order == 1
-    assert is_identity(group.elements[0])
+    assert is_identity(elements(group)[0])
 
 
 def test_build_dihedral_from_square_generators():
     gens = [iso.parse_cycles("(0 1 2 3)"), iso.parse_cycles("(0 2)(3)")]
     group = iso.build_group(gens)
     assert group.order == 8
-    assert len(set(group.elements)) == 8
+    assert len(set(elements(group))) == 8
 
 
 def test_closure_cap(monkeypatch):
@@ -222,7 +225,7 @@ def test_power_class_map():
 @pytest.mark.parametrize("name", TEST_GROUPS)
 def test_cached_element_orders_match_the_cycle_count_oracle(name):
     group = iso.group_from_name(name)
-    want = [perm_order(g) for g in group.elements]
+    want = [perm_order(g) for g in elements(group)]
     assert [group.element_order(k) for k in range(group.order)] == want
     assert iso.exponent(group) == math.lcm(*want)
 
@@ -282,6 +285,7 @@ def test_parse_generator_text_pads_degrees():
 
 def test_word_reconstruction():
     group = iso.group_from_name("A4")
+    gens, elems = generators(group), elements(group)
     for k in range(group.order):
         # multiply the generator word out and compare
         path = []
@@ -292,8 +296,8 @@ def test_word_reconstruction():
             cur = parent
         acc = iso.Permutation.identity(group.degree)
         for gen_pos in reversed(path):
-            acc = acc * group.generators[gen_pos]
-        assert acc == group.elements[k]
+            acc = acc * gens[gen_pos]
+        assert acc == elems[k]
 
 
 @pytest.mark.parametrize("name", TEST_GROUPS + ("S5", "D12"))
@@ -301,16 +305,17 @@ def test_closure_tables_match_definitions(name):
     # oracle: multiply the permutations themselves for every pair
     group = iso.group_from_name(name)
     n = group.order
-    index = {g: k for k, g in enumerate(group.elements)}
+    elems = elements(group)
+    index = {g: k for k, g in enumerate(elems)}
     assert len(index) == n
     for a in range(n):
-        row = [index[group.elements[a] * group.elements[b]] for b in range(n)]
+        row = [index[elems[a] * elems[b]] for b in range(n)]
         assert group.mult[a].tolist() == row
-        assert is_identity(group.elements[a] * group.elements[group.inv[a]])
+        assert is_identity(elems[a] * elems[group.inv[a]])
     classes = iso.conjugacy_classes(group)
     reps_seen = []
     for g in range(n):
-        orbit = {index[h * group.elements[g] * inverse(h)] for h in group.elements}
+        orbit = {index[h * elems[g] * inverse(h)] for h in elems}
         assert {classes.class_of[x] for x in orbit} == {classes.class_of[g]}
         assert classes.sizes[classes.class_of[g]] == len(orbit)
         if min(orbit) == g:
@@ -328,21 +333,21 @@ BUILTIN_FAMILIES = {
 }
 
 
-def assert_matches_oracle(group, generators):
-    elements, mult, inv, words, gen_idx = closure_oracle(generators)
-    assert group.elements == tuple(elements)
+def assert_matches_oracle(group, gens):
+    perms, mult, inv, words, gen_idx = closure_oracle(gens)
+    assert elements(group) == tuple(perms)
     assert group.mult.dtype == mult.dtype and np.array_equal(group.mult, mult)
     assert group.inv == tuple(inv)
     assert group.words == tuple(words)
     assert group.generator_indices == tuple(gen_idx)
-    assert iso.exponent(group) == math.lcm(*(perm_order(g) for g in elements))
+    assert iso.exponent(group) == math.lcm(*(perm_order(g) for g in perms))
 
 
 @pytest.mark.parametrize("family", BUILTIN_FAMILIES)
 def test_closure_matches_the_product_oracle_on_builtin_groups(family):
     for name in BUILTIN_FAMILIES[family]:
         group = iso.group_from_name(name)
-        assert_matches_oracle(group, group.generators)
+        assert_matches_oracle(group, generators(group))
 
 
 def relabel(images, sigma):
@@ -356,7 +361,7 @@ def relabel(images, sigma):
 @pytest.mark.parametrize("name", ["S6", "D100"])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_closure_matches_the_product_oracle_on_relabelled_generators(name, seed):
-    gens = iso.group_from_name(name).generators
+    gens = generators(iso.group_from_name(name))
     sigma = list(range(gens[0].degree))
     random.Random(f"{seed}:{name}").shuffle(sigma)
     relabelled = [relabel(g.images, sigma) for g in gens]
@@ -378,10 +383,29 @@ def test_closure_keeps_repeated_and_identity_generators():
     assert group.order == 3 and group.generator_indices == (1, 0, 1)
     assert_matches_oracle(group, gens)
     assert_matches_oracle(iso.build_group([iso.Permutation(())]), [iso.Permutation(())])
+    # the generators, the identity and the repeat included, are rows of images
+    assert group.images[list(group.generator_indices)].tolist() == [list(g.images) for g in gens]
+    assert group.images.shape == (group.order, group.degree) == (3, 3)
+    assert group.images.dtype == np.min_scalar_type(max(group.degree - 1, 0))
+    assert group.images[0].tolist() == [0, 1, 2]
+    assert not group.images.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        group.images[1, 0] = 0
+
+
+def test_closure_makes_no_permutation():
+    # one Permutation kept per element would be 200 more on D100
+    gens = generators(iso.group_from_name("D100"))
+    gc.collect()
+    before = sum(isinstance(obj, iso.Permutation) for obj in gc.get_objects())
+    group = iso.build_group(gens)
+    gc.collect()
+    after = sum(isinstance(obj, iso.Permutation) for obj in gc.get_objects())
+    assert group.order == 200 and after == before
 
 
 def test_closure_cap_boundary(monkeypatch):
-    gens = iso.group_from_name("S4").generators
+    gens = generators(iso.group_from_name("S4"))
     monkeypatch.setattr(iso.groups, "DEFAULT_CAP", 24)
     assert iso.build_group(gens).order == 24
     monkeypatch.setattr(iso.groups, "DEFAULT_CAP", 23)

@@ -27,7 +27,17 @@ from isotypic.cover import _sym_power_step, builtin_action, cyclic_subgroups
 from isotypic.errors import NotAHomomorphism, SingularMatrix
 from isotypic.reps import multiplicity_space, restrict_to_subspace
 
-from conftest import all_subgroups, block_diagonal, exponents, forbid, matrix_inverse, random_invertible, sym_power
+from conftest import (
+    all_subgroups,
+    block_diagonal,
+    cycles,
+    elements,
+    exponents,
+    forbid,
+    matrix_inverse,
+    random_invertible,
+    sym_power,
+)
 
 # A4 and C3 have non-real characters, so their projectors are not symmetric
 MONOMIAL_ACTIONS = (
@@ -87,7 +97,7 @@ def dense_regular(group):
 
 def dense_permutation(group):
     """The defining permutation matrices as a dense matrix loop."""
-    perms = group.elements
+    perms = elements(group)
     deg = perms[0].degree
     mats = np.zeros((group.order, deg, deg), dtype=np.int64)
     cols = np.arange(deg)
@@ -115,6 +125,20 @@ def test_regular_and_permutation_reps_are_built_monomial(ctx, name):
         assert rep.images is not None
         assert "mats" not in vars(rep)
         assert np.array_equal(rep.mats, dense(c.group)), build.__name__
+
+
+def test_permutation_rep_widens_uint16_images():
+    # D300 acts on 300 points, so its images are uint16; the index maps
+    # are int64 copies of them, and the character counts fixed points
+    group = iso.group_from_name("D300")
+    classes = iso.conjugacy_classes(group)
+    p = iso.choose_prime(group)
+    assert group.images.dtype == np.uint16
+    rep = iso.permutation_rep(group, p)
+    assert rep.images.dtype == np.int64 and np.array_equal(rep.images, group.images)
+    perms = elements(group)
+    fixed = [(group.degree - sum(len(c) for c in cycles(perms[r]))) % p for r in classes.reps]
+    assert iso.character_of(rep, classes) == tuple(fixed)
 
 
 @pytest.mark.parametrize("name", CONSTRUCTOR_GROUPS)

@@ -26,7 +26,7 @@ import isotypic as iso
 from isotypic import linalg
 from isotypic.reps import multiplicity_space
 
-from conftest import intertwiner_basis, perm_order, permutation_generators, subgroup_closure
+from conftest import elements, intertwiner_basis, perm_order, permutation_generators, subgroup_closure
 
 
 def permutation_groups():
@@ -81,7 +81,7 @@ def test_random_group_orbit_blocks_match_the_dense_projectors(group):
 @given(permutation_groups())
 def test_random_group_orders_and_cyclic_subgroups_match_the_oracles(group):
     orders = [group.element_order(k) for k in range(group.order)]
-    assert orders == [perm_order(g) for g in group.elements]
+    assert orders == [perm_order(g) for g in elements(group)]
     assert iso.exponent(group) == math.lcm(*orders)
     for g in range(group.order):
         assert iso.cyclic_subgroup(group, g) == subgroup_closure(group, [g])

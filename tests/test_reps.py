@@ -761,7 +761,7 @@ def test_the_table_keeps_its_models(ctx, monkeypatch):
     assert iso.hom_dim(perm, perm, table) == 2
     assert iso.reps.decomposition_report(perm, table)["endomorphism_dim"] == 2
     twin = iso.group_from_name("S4")
-    assert twin is not c.group and twin.elements == c.group.elements
+    assert twin is not c.group and np.array_equal(twin.images, c.group.images)
     with pytest.raises(ValueError, match="the character table of S4 does not belong to the group S4"):
         iso.irreducible_models(twin, table)
 
@@ -851,6 +851,31 @@ def test_hom_dim_refuses_a_foreign_rep(ctx, monkeypatch):
         for r1, r2 in ((rep, ours), (ours, rep), (rep, rep)):
             with pytest.raises(ValueError, match=match):
                 iso.hom_dim(r1, r2, s3.table)
+
+
+def test_evaluation_iso_check_refuses_a_foreign_rep_or_model(ctx, monkeypatch):
+    # a foreign model is refused, not called reducible (S4's degree-2
+    # model) nor taken for the table's own (C6's trivial model); a foreign
+    # rep is refused before its multiplicity space is built
+    s3, c6, s4 = ctx("S3"), ctx("C6"), ctx("S4")
+    assert s3.p == c6.p == 7
+    monkeypatch.setattr(iso.reps, "multiplicity_space", lambda *args: pytest.fail("a multiplicity space was built"))
+    ours = iso.regular_rep(s3.group, s3.p)
+    foreign_reps = [
+        (iso.regular_rep(c6.group, c6.p), "S3 at p = 7 .* representation of C6 at p = 7"),
+        (iso.regular_rep(s3.group, 13), "S3 at p = 7 .* representation of S3 at p = 13"),
+    ]
+    for rep, match in foreign_reps:
+        with pytest.raises(ValueError, match=match):
+            iso.evaluation_iso_check(rep, 0, s3.table, s3.models[0])
+    foreign_models = [
+        (s4.models[2], 2, f"S3 at p = 7 .* model of S4 at p = {s4.p}"),
+        (c6.models[0], 0, "S3 at p = 7 .* model of C6 at p = 7"),
+        (iso.trivial_rep(s3.group, 13), 0, "S3 at p = 7 .* model of S3 at p = 13"),
+    ]
+    for model, i, match in foreign_models:
+        with pytest.raises(ValueError, match=match):
+            iso.evaluation_iso_check(ours, i, s3.table, model)
 
 
 def test_multiplicity_operators_above_the_cell_limit_raise(ctx, monkeypatch):
