@@ -19,9 +19,16 @@ empty in every round.
 
 `test_product_checks` times the product pass of the S4 `perm4` cover
 report, `cover._product_failures`: every (i, j) over the five
-irreducibles and 1 <= a <= b <= 4, one shared kernel per (j, a, b), on an
-action whose pieces and decompositions through degree 8 are already
-memoized (and whose forbidden projectors are after the first round).
+irreducibles and 1 <= a <= b <= 4, one shared kernel per (j, a, b), on
+the G-module generators of the components of B_a.  Every round gets a
+fresh action whose pieces and decompositions through degree 8 are
+built, so the forbidden projectors and the generator rows, which the
+action memoizes, are built in each round.
+
+`test_fixed_ring_checks` times the fixed-ring checks of the same report
+through degree 12: the 17 cyclic subgroups of S4 fall into 5 conjugacy
+classes, and `invariants_series_check` runs on the first of each, on an
+action whose pieces, decompositions and series prefixes are built.
 
 `test_products` times `cover._products` for the 21 monomial index maps
 that one cover-s4 pass builds: the symmetric-power steps (d - 1, 1) for
@@ -115,11 +122,29 @@ def test_decompose_pieces(benchmark, s4):
 
 def test_product_checks(benchmark, s4):
     group, p, table = s4
-    action = cover.perm_action(group, p)
-    for d in range(2 * cover.PRODUCT_DEGREE + 1):
-        action.piece_decomposition(d, table)
-    failures = benchmark(cover._product_failures, action, table)
+
+    def fresh_action():
+        action = cover.perm_action(group, p)
+        for d in range(2 * cover.PRODUCT_DEGREE + 1):
+            action.piece_decomposition(d, table)
+        return (action, table), {}
+
+    failures = benchmark.pedantic(cover._product_failures, setup=fresh_action, rounds=20)
     assert failures == []
+
+
+def test_fixed_ring_checks(benchmark, s4):
+    group, p, table = s4
+    action = cover.perm_action(group, p)
+    for d in range(DEGREE + 1):
+        action.piece_decomposition(d, table)
+    cover._series_prefixes(action, DEGREE, table)
+
+    def checks():
+        subgroups = cover._class_representatives(cover.cyclic_subgroups(group), table.classes)
+        return [cover.invariants_series_check(action, h, DEGREE, table) for h in subgroups]
+
+    assert benchmark(checks) == [None] * 5
 
 
 def test_products(benchmark):

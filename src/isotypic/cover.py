@@ -129,6 +129,7 @@ class LinearCoverAction:
         self._pieces: dict[int, MatrixRep] = {}
         self._piece_data: dict[int, IsotypicDecomposition] = {}
         self._forbidden_projectors: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
+        self._generators: dict[int, list[np.ndarray]] = {}
         self._molien: tuple[Poly, list[Poly], list[list[int]]] | None = None
         self._mul_maps: dict[tuple[int, int], np.ndarray] = {}
         self._tensors: np.ndarray | None = None
@@ -378,7 +379,8 @@ def product_structure_check(
     """
     p = table.p
     required = _forbidden_sets(action, table)[i, j]
-    prods = _component_products(action, j, a, b, table, [i]).get(i) if required else None
+    comp_a = action.piece_decomposition(a, table).components[i]
+    prods = _component_products(action, j, a, b, table, {i: comp_a}).get(i) if required else None
     if prods is None or not _hits_forbidden(action, prods, a + b, required, table):
         return None
     rep = action.piece(a + b)
@@ -402,30 +404,28 @@ def _forbidden_sets(action: LinearCoverAction, table: CharacterTable) -> dict[tu
 
 
 def _component_products(
-    action: LinearCoverAction, j: int, a: int, b: int, table: CharacterTable, irreps
+    action: LinearCoverAction, j: int, a: int, b: int, table: CharacterTable, factors: dict[int, np.ndarray]
 ) -> dict[int, np.ndarray]:
-    """The products W of the i-component of B_a by the j-component of B_b,
-    row (s, t) the product of row s of the one and row t of the other, for
-    each i in `irreps` whose component is not empty; none when the
+    """The products W of the rows `factors[i]` (vectors of B_a) by the
+    j-component of B_b, row (s, t) the product of row s of the one and row
+    t of the other, for each i whose rows are not empty; none when the
     j-component is empty.
 
-    They are one matrix product of the rows of all those components,
-    stacked, with the rows of the j-component shifted by each monomial
-    x^alpha of B_a (`_shifted`), which is built once for all of them.
+    They are one matrix product of all the rows, stacked, with the rows of
+    the j-component shifted by each monomial x^alpha of B_a (`_shifted`),
+    which is built once for all of them.
     """
-    comps_a = action.piece_decomposition(a, table).components
     comp_b = action.piece_decomposition(b, table).components[j]
-    irreps = [i for i in irreps if comps_a[i].shape[0]]
-    if not irreps or comp_b.shape[0] == 0:
+    factors = {i: rows for i, rows in factors.items() if rows.shape[0]}
+    if not factors or comp_b.shape[0] == 0:
         return {}
     dim_a, dim_ab = action.piece(a).dim, action.piece(a + b).dim
     shifted = _shifted(comp_b, action.multiplication_map(a, b).reshape(dim_a, -1), dim_ab)
-    prods = linalg.matmul(np.concatenate([comps_a[i] for i in irreps]), shifted.reshape(dim_a, -1), table.p)
+    prods = linalg.matmul(np.concatenate(list(factors.values())), shifted.reshape(dim_a, -1), table.p)
     out, start = {}, 0
-    for i in irreps:
-        rows = comps_a[i].shape[0]
-        out[i] = prods[start : start + rows].reshape(-1, dim_ab)
-        start += rows
+    for i, rows in factors.items():
+        out[i] = prods[start : start + rows.shape[0]].reshape(-1, dim_ab)
+        start += rows.shape[0]
     return out
 
 
@@ -453,26 +453,64 @@ def _product_failures(action: LinearCoverAction, table: CharacterTable) -> list[
     `product_structure_check` fails, in no particular order.
 
     One `_component_products` per (j, a, b) gives the products of every i
-    with work.  At a == b the products of i by j are those of j by i, in
-    another row order, since `_products` maps (alpha, beta) and (beta,
-    alpha) to one monomial.  So the unordered pair {i, j} is multiplied
-    once, at i <= j, and tested against the forbidden set of each ordered
-    pair, once when the two sets are equal (always, for a real table).
+    with work, by the rows of `_generator_rows`: rows that generate the
+    i-component U of B_a as a G-module.  That is exact.  V, the
+    j-component of B_b, is G-stable, and multiplication and P_F commute
+    with G, so P_F (g s . v) = g P_F (s . g^-1 v): P_F kills U V exactly
+    when it kills the products of the generators by V.  At a == b the
+    products of i by j are those of j by i, since `_products` maps (alpha,
+    beta) and (beta, alpha) to one monomial, and U_i V_j = U_j V_i.  So
+    the unordered pair {i, j} is multiplied once, at i <= j, and tested
+    against the forbidden set of each ordered pair, once when the two sets
+    are equal (always, for a real table).
     """
     r = table.num_irreps
     forbidden = _forbidden_sets(action, table)
     failures = []
     for j in range(r):
         for a in range(1, PRODUCT_DEGREE + 1):
+            rows = _generator_rows(action, a, table)
             for b in range(a, PRODUCT_DEGREE + 1):
                 # at a == b, i by j are the products of j by i: one kernel, at i <= j
                 pairs = {i: {(i, j), (j, i)} if a == b else {(i, j)} for i in range(r) if a < b or i <= j}
                 work = [i for i in pairs if any(forbidden[pair] for pair in pairs[i])]
-                for i, prods in _component_products(action, j, a, b, table, work).items():
+                for i, prods in _component_products(action, j, a, b, table, {i: rows[i] for i in work}).items():
                     for f in {forbidden[pair] for pair in pairs[i]} - {()}:
                         if _hits_forbidden(action, prods, a + b, f, table):
                             failures += [(*pair, a, b) for pair in pairs[i] if forbidden[pair] == f]
     return failures
+
+
+def _generator_rows(action: LinearCoverAction, a: int, table: CharacterTable) -> list[np.ndarray]:
+    """Rows that span the i-component of B_a as a G-module, for each i,
+    memoized on the action by a.
+
+    On a monomial piece B_a is spanned as a G-module by one monomial
+    x^alpha per G-orbit of the basis lines, so the component P_i B_a by
+    the P_i x^alpha: column alpha of P_i, whose cells are e_i[g]
+    scalars[g, alpha] at row images[g, alpha].  Those columns, for every i
+    and every orbit, are one `np.bincount`, exact in float64 for the
+    reason `reps._group_sum` gives.  The nonzero columns of P_i are the
+    rows of i when they are fewer than the component's rows.  Otherwise,
+    and on a dense piece, the rows are the component's own.
+    """
+    if a not in action._generators:
+        rep, p = action.piece(a), table.p
+        comps = action.piece_decomposition(a, table).components
+        if rep.images is not None:
+            e, dim = np.array(table.idempotents()), rep.dim
+            # the least point of each orbit: images[:, alpha] is alpha's orbit
+            alphas = np.flatnonzero(rep.images.min(axis=0) == np.arange(dim))
+            r, k = len(comps), len(alphas)
+            # cell (i, s, images[g, alphas[s]]) of an r x k x dim array
+            cells = np.arange(r * k).reshape(r, k, 1) * dim + rep.images[:, alphas].T
+            weights = e[:, None, :] * rep.scalars[:, alphas].T % p
+            cols = np.bincount(cells.ravel(), weights.ravel(), r * k * dim).astype(np.int64)
+            cols = np.remainder(cols, p, out=cols).reshape(r, k, dim)
+            gens = [c[c.any(axis=1)] for c in cols]
+            comps = [g if g.shape[0] < c.shape[0] else c for g, c in zip(gens, comps)]
+        action._generators[a] = comps
+    return action._generators[a]
 
 
 def _forbidden_projector(
@@ -540,6 +578,22 @@ def cyclic_subgroups(group: Group) -> list[Subgroup]:
     return sorted(seen.values(), key=lambda s: (s.order, s.element_indices))
 
 
+def _class_representatives(subgroups: list[Subgroup], classes: ConjugacyClasses) -> list[Subgroup]:
+    """The first of each conjugacy class of the cyclic `subgroups`, in
+    their order.
+
+    Two cyclic subgroups are conjugate exactly when their elements meet
+    the same conjugacy classes of elements.  Then the largest element
+    order is the same in both, their order, so a generator of the one is
+    conjugate to an element of that order of the other, which generates
+    it.  So the set of those classes is the key.
+    """
+    first: dict[frozenset[int], Subgroup] = {}
+    for h in subgroups:
+        first.setdefault(frozenset(classes.class_of[x] for x in h.element_indices), h)
+    return list(first.values())
+
+
 def pushforward_report(action: LinearCoverAction, max_degree: int, table: CharacterTable) -> Report:
     """Run the full structure verification for one cover action.
 
@@ -551,6 +605,17 @@ def pushforward_report(action: LinearCoverAction, max_degree: int, table: Charac
     products respect the tensor vanishing pattern through PRODUCT_DEGREE.
     A graded piece or multiplication map above `reps.MAX_SYSTEM_CELLS`
     raises SystemTooLarge.
+
+    Neither check repeats what the group action makes redundant.  The
+    fixed-ring count runs on the first subgroup of each conjugacy class of cyclic subgroups
+    (`_class_representatives`): the pieces are homomorphisms, so
+    conjugate subgroups have equal fixed dimensions, and
+    `restrict_invariant_dim` is a class function, so a failure holds for
+    the whole class and the witness is still the first failing subgroup
+    in `cyclic_subgroups` order.  The product pass tests G-module
+    generators of each component (`_product_failures`); the witness of
+    its first failing tuple comes from `product_structure_check` on the
+    component's full rows.
     """
     group, p, r = action.group, action.p, table.num_irreps
     degrees = list(table.degrees)
@@ -565,7 +630,8 @@ def pushforward_report(action: LinearCoverAction, max_degree: int, table: Charac
         None,
     )
 
-    inv_checks = (invariants_series_check(action, h, max_degree, table) for h in cyclic_subgroups(group))
+    subgroups = _class_representatives(cyclic_subgroups(group), table.classes)
+    inv_checks = (invariants_series_check(action, h, max_degree, table) for h in subgroups)
     inv_witness = next((w for w in inv_checks if w is not None), None)
     failures = _product_failures(action, table)
     prod_witness = None

@@ -4,8 +4,11 @@ random invertible matrices and the matrix inverse, the identity
 test, the inverse, the cycles and the order of permutations, random
 permutation generators and their closure one product at a time, the
 closure of element indices into a subgroup and every subgroup of a group,
-and the functors on representations and characters that only tests take
-(direct sums, duals, tensor products, symmetric powers, exterior squares),
+the cover's product pass on full components
+`full_component_product_failures` (the oracle of its pass on G-module
+generators), and the functors on representations and characters that
+only tests take (direct sums, duals, tensor products, symmetric powers,
+exterior squares),
 the loop oracle `inner_mult` of the character inner product, the loop
 oracle `convolve` of the product in F_p[G] with the basis elements
 `delta_element`, the exponent tuples of the monomials of one degree, and
@@ -216,6 +219,26 @@ def forbid(monkeypatch, r, i, j, *forbidden):
     tens = np.ones((r, r, r), dtype=np.int64)
     tens[i, j, list(forbidden)] = 0
     monkeypatch.setattr(cover, "_tensor_mults", lambda action, table: tens)
+
+
+def full_component_product_failures(action, table):
+    """The failing (i, j, a, b) of the cover's product pass, with every row
+    of each component of B_a multiplied: the pass before it took G-module
+    generators, the oracle of `cover._product_failures`.  Sorted."""
+    r = table.num_irreps
+    forbidden = cover._forbidden_sets(action, table)
+    failures = []
+    for j in range(r):
+        for a in range(1, cover.PRODUCT_DEGREE + 1):
+            comps_a = action.piece_decomposition(a, table).components
+            for b in range(a, cover.PRODUCT_DEGREE + 1):
+                pairs = {i: {(i, j), (j, i)} if a == b else {(i, j)} for i in range(r) if a < b or i <= j}
+                work = {i: comps_a[i] for i in pairs if any(forbidden[pair] for pair in pairs[i])}
+                for i, prods in cover._component_products(action, j, a, b, table, work).items():
+                    for f in {forbidden[pair] for pair in pairs[i]} - {()}:
+                        if cover._hits_forbidden(action, prods, a + b, f, table):
+                            failures += [(*pair, a, b) for pair in pairs[i] if forbidden[pair] == f]
+    return sorted(failures)
 
 
 # -- functors: representations ----------------------------------------------------

@@ -26,6 +26,7 @@ from conftest import (
     cycles,
     exponents,
     forbid,
+    full_component_product_failures,
     generators,
     matrix_inverse,
     subgroup_closure,
@@ -336,6 +337,93 @@ def test_invariants_series_check_all_subgroups(ctx):
             assert iso.invariants_series_check(action, sub, 8, c.table) is None
 
 
+def builtin_actions(c):
+    """Every builtin action that fits the group of `c`: perm always, and
+    reflection or scalar where they apply."""
+    actions = []
+    for kind in ("perm", "reflection", "scalar"):
+        try:
+            actions.append(builtin_action(c.group, c.p, kind))
+        except ValueError:
+            continue
+    return actions
+
+
+def subgroup_conjugacy_classes(group, subgroups):
+    """`subgroups`, a conjugation-closed list, grouped into conjugacy
+    classes by conjugating with every element on the multiplication table;
+    the classes in the order of their first member, each in list order."""
+    mult, inv = group.mult, group.inv
+    classes, seen = [], set()
+    for h in subgroups:
+        if h.element_indices in seen:
+            continue
+        conj = {
+            tuple(sorted(int(mult[mult[g, x], inv[g]]) for x in h.element_indices)) for g in range(group.order)
+        }
+        seen |= conj
+        classes.append([s for s in subgroups if s.element_indices in conj])
+    return classes
+
+
+@pytest.mark.parametrize("name", TEST_GROUPS + ("S4", "D6"))
+def test_conjugate_cyclic_subgroups_pass_the_fixed_ring_check_alike(ctx, monkeypatch, name):
+    # the report checks the first subgroup of each conjugacy class only: the
+    # fixed dimensions of every member agree degree by degree, and so does
+    # the check's result on the true series and with one irreducible's
+    # degree-2 coefficient made wrong (a failure that depends on the class)
+    c = ctx(name)
+    subgroups = cyclic_subgroups(c.group)
+    classes = subgroup_conjugacy_classes(c.group, subgroups)
+    assert cover._class_representatives(subgroups, c.classes) == [members[0] for members in classes]
+    real_prefixes, outcomes = cover._series_prefixes, set()
+    for action in builtin_actions(c):
+        top = 8 if action.n <= 4 else 4
+        for members in classes:
+            dims = {tuple(iso.fixed_dim(action.piece(d), h) for d in range(top + 1)) for h in members}
+            assert len(dims) == 1, (action.name, members[0].element_indices)
+        for wrong in [None, *range(c.table.num_irreps)]:
+            monkeypatch.undo()
+            if wrong is not None:
+
+                def prefixes(action, terms, table, wrong=wrong):
+                    out = real_prefixes(action, terms, table)
+                    out[wrong][2] = (out[wrong][2] + 1) % table.p
+                    return out
+
+                monkeypatch.setattr(cover, "_series_prefixes", prefixes)
+            for members in classes:
+                results = [iso.invariants_series_check(action, h, top, c.table) for h in members]
+                degrees = {None if w is None else w["degree"] for w in results}
+                assert len(degrees) == 1, (action.name, wrong, members[0].element_indices)
+                assert all(w is None or w["subgroup"] == list(h.element_indices) for w, h in zip(results, members))
+                outcomes |= degrees
+    assert None in outcomes and (name == "C1" or 2 in outcomes)
+
+
+def test_a_wrong_fixed_dimension_on_some_classes_is_witnessed_at_the_first_failing_subgroup(ctx, monkeypatch):
+    # fixed_dim one too large from degree 2 on, on every member of one or
+    # two conjugacy classes of S4's cyclic subgroups: the report's witness
+    # is the first failing subgroup of the loop over every cyclic subgroup
+    c = ctx("S4")
+    action = builtin_action(c.group, c.p, "perm4")
+    subgroups = cyclic_subgroups(c.group)
+    classes = subgroup_conjugacy_classes(c.group, subgroups)
+    assert (len(subgroups), len(classes)) == (17, 5)
+    real = cover.fixed_dim
+    chosen = [[k] for k in range(5)] + [[k, l] for k in range(5) for l in range(k + 1, 5)]
+    for picks in chosen:
+        wrong = {h.element_indices for k in picks for h in classes[k]}
+        monkeypatch.setattr(
+            cover, "fixed_dim", lambda rep, h, wrong=wrong: real(rep, h) + (rep.dim >= 10 and h.element_indices in wrong)
+        )
+        report = iso.pushforward_report(action, 4, c.table)
+        outcome = next(o for o in report.outcomes if o.check == "cover.invariants")
+        first = next(w for h in subgroups if (w := iso.invariants_series_check(action, h, 4, c.table)))
+        assert outcome.witness == first, picks
+        assert first == {"subgroup": list(classes[min(picks)][0].element_indices), "degree": 2}
+
+
 def test_product_structure_sign_times_sign(ctx, monkeypatch):
     c = ctx("S3")
     action = iso.perm_action(c.group, c.p)
@@ -459,16 +547,103 @@ def test_the_forbidden_sets_are_the_per_pair_scans(ctx, monkeypatch, name):
     assert cover._forbidden_sets(action, c.table) == per_pair_forbidden(action, c.table)
 
 
+def assert_the_full_component_failures(monkeypatch, action, table):
+    """`cover._product_failures` fails at the tuples of the full-component
+    pass: on the table's tensor multiplicities, with each component
+    forbidden alone and all of them at once at each (i, j) (`forbid`), and
+    with the last component of each true V_i (x) V_j forbidden as well.
+    Returns how many of those failure sets were not empty."""
+    r = table.num_irreps
+    monkeypatch.undo()
+    try:
+        want = full_component_product_failures(action, table)
+    except SystemTooLarge:
+        with pytest.raises(SystemTooLarge):
+            cover._product_failures(action, table)
+        return 0
+    assert sorted(cover._product_failures(action, table)) == want == []
+    true = iso.tensor_multiplicities(table)
+    patches = []
+    for i in range(r):
+        for j in range(r):
+            patches += [(r, i, j, l) for l in range(r)] + [(r, i, j, *range(r))]
+    nonempty = 0
+    for patch in patches:
+        monkeypatch.undo()
+        forbid(monkeypatch, *patch)
+        want = full_component_product_failures(action, table)
+        assert sorted(cover._product_failures(action, table)) == want, (action.name, patch)
+        nonempty += bool(want)
+    for i in range(r):
+        for j in range(r):
+            tens = true.copy()
+            tens[i, j, np.flatnonzero(tens[i, j])[-1]] = 0
+            monkeypatch.undo()
+            monkeypatch.setattr(cover, "_tensor_mults", lambda action, table, tens=tens: tens)
+            want = full_component_product_failures(action, table)
+            assert sorted(cover._product_failures(action, table)) == want, (action.name, i, j)
+            nonempty += bool(want)
+    return nonempty
+
+
+@pytest.mark.parametrize("name", TEST_GROUPS + ("S4",))
+def test_the_product_pass_on_generators_fails_where_the_full_components_do(ctx, monkeypatch, name):
+    # every builtin action; C6 and Q8 `perm` raise SystemTooLarge on both sides
+    c = ctx(name)
+    nonempty = [assert_the_full_component_failures(monkeypatch, action, c.table) for action in builtin_actions(c)]
+    assert all(nonempty) or name in ("C1", "C6", "Q8")
+
+
+@pytest.mark.parametrize(
+    "name, kind", [("D6", "reflection2"), ("Q8", "action_Q8_model2.txt"), ("A4", "action_A4_model3.txt")]
+)
+def test_the_product_pass_on_dense_pieces_fails_where_the_full_components_do(ctx, monkeypatch, name, kind):
+    # dense pieces keep the component rows: the golden matrix-file actions
+    c = ctx(name)
+    if kind.endswith(".txt"):
+        p, mats = _parse_matrix_file(str(GOLDEN / kind))
+        action = iso.validate_action(c.group, mats, p)
+    else:
+        action = builtin_action(c.group, c.p, kind)
+    assert action.piece(1).images is None
+    assert assert_the_full_component_failures(monkeypatch, action, c.table)
+
+
+@pytest.mark.parametrize("name", TEST_GROUPS + ("S4", "D6"))
+def test_generator_rows_span_each_component_as_a_g_module(ctx, name):
+    # the translates of the rows of irreducible i span its component of B_a
+    # (the component's reduced rows, which are unique); monomial pieces take
+    # one column of P_i per orbit when those are fewer, as S4 `perm4` does
+    c = ctx(name)
+    fewer = 0
+    for action in builtin_actions(c):
+        for a in range(1, cover.PRODUCT_DEGREE + 1):
+            rep = action.piece(a)
+            comps = action.piece_decomposition(a, c.table).components
+            for rows, comp in zip(cover._generator_rows(action, a, c.table), comps):
+                translates = reps._act(rep, slice(None), rows.T).transpose(0, 2, 1).reshape(-1, rep.dim)
+                assert np.array_equal(linalg.row_space(translates, c.p), comp), (action.name, a)
+                assert rows.shape[0] <= comp.shape[0]
+                fewer += rows.shape[0] < comp.shape[0]
+                if rep.images is None:
+                    assert rows is comp
+    assert fewer or name != "S4"
+
+
 def test_the_product_pass_builds_one_shifted_array_per_kernel(ctx, monkeypatch):
-    # one `_shifted` and one matrix product per (j, a, b) with work, and one
-    # projector test per unordered pair {i, j} at a == b (the table is real)
+    # one `_shifted` and one matrix product per (j, a, b) with work, one
+    # projector test per unordered pair {i, j} at a == b (the table is real),
+    # and one `np.bincount` per degree a for the generator rows besides one
+    # per forbidden projector built; the tests take 1230 product rows, the
+    # largest 90, where the full components took 2701 and 324
     c = ctx("S4")
     action = builtin_action(c.group, c.p, "perm4")
     table, r, top = c.table, c.table.num_irreps, cover.PRODUCT_DEGREE
-    counts = {"builds": {}, "matmul": 0, "tests": 0}
+    counts = {"builds": {}, "matmul": 0, "tests": [], "bincount": 0}
     inside, key = [False], [None]
     real_pass, real_products = cover._product_failures, cover._component_products
     real_shifted, real_hits, real_matmul = cover._shifted, cover._hits_forbidden, linalg.matmul
+    real_bincount = np.bincount
 
     def product_pass(*args):
         inside[0] = True
@@ -477,21 +652,25 @@ def test_the_product_pass_builds_one_shifted_array_per_kernel(ctx, monkeypatch):
         finally:
             inside[0] = False
 
-    def products(action, j, a, b, table, irreps):
+    def products(action, j, a, b, table, factors):
         key[0] = (j, a, b)
-        return real_products(action, j, a, b, table, irreps)
+        return real_products(action, j, a, b, table, factors)
 
     def shifted(*args):
         counts["builds"][key[0]] = counts["builds"].get(key[0], 0) + 1
         return real_shifted(*args)
 
-    def hits(*args):
-        counts["tests"] += 1
-        return real_hits(*args)
+    def hits(action, prods, *args):
+        counts["tests"].append(prods.shape[0])
+        return real_hits(action, prods, *args)
 
     def matmul(*args):
         counts["matmul"] += inside[0]
         return real_matmul(*args)
+
+    def bincount(*args, **kwargs):
+        counts["bincount"] += inside[0]
+        return real_bincount(*args, **kwargs)
 
     for name, wrapper in [
         ("_product_failures", product_pass),
@@ -501,6 +680,7 @@ def test_the_product_pass_builds_one_shifted_array_per_kernel(ctx, monkeypatch):
     ]:
         monkeypatch.setattr(cover, name, wrapper)
     monkeypatch.setattr(linalg, "matmul", matmul)
+    monkeypatch.setattr(np, "bincount", bincount)
     assert iso.pushforward_report(action, 12, table).passed
     # the (j, a, b) with work, and the unordered pairs with work, from the components
     tens = iso.tensor_multiplicities(table)
@@ -515,8 +695,14 @@ def test_the_product_pass_builds_one_shifted_array_per_kernel(ctx, monkeypatch):
     }
     kernels = {(j, a, b) for _, j, a, b in work}
     assert counts["builds"] == dict.fromkeys(kernels, 1)
-    assert counts["tests"] == len(work)
     assert counts["matmul"] == len(kernels) + len(work)
+    assert counts["bincount"] == top + len(action._forbidden_projectors)
+    gens = [len(rows) for a in range(top + 1) for rows in cover._generator_rows(action, a, table)]
+    gens = np.reshape(gens, (top + 1, r))
+    assert sorted(counts["tests"]) == sorted(gens[a][i] * dims[b][j] for i, j, a, b in work)
+    assert (sum(counts["tests"]), max(counts["tests"]), len(work)) == (1230, 90, 91)
+    full = [dims[a][i] * dims[b][j] for i, j, a, b in work]
+    assert (sum(full), max(full)) == (2701, 324)
 
 
 def test_the_cover_report_expands_each_molien_series_once(ctx, monkeypatch):
