@@ -20,7 +20,7 @@ import numpy as np
 
 from .arith import root_of_unity
 from .errors import NoSplittingElement, NotAMultiplicity, SplitFailure
-from .groups import ConjugacyClasses, Group, Subgroup
+from .groups import ConjugacyClasses, Group, Subgroup, powers
 from .linalg import inv_mod, matmul, require_exact, split
 
 ClassFunction = tuple[int, ...]
@@ -202,15 +202,11 @@ def cyclic_weight_multiplicities(table: CharacterTable, v: ClassFunction, g: int
     the power values chi(g^m).  Lifts are genuine integers because each
     multiplicity is at most dim < p.
     """
-    group, classes, p = table.group, table.classes, table.p
-    m = group.element_order(g)
+    classes, p = table.classes, table.p
+    vals = [v[classes.class_of[x]] for x in powers(table.group, g)]
+    m = len(vals)
     zeta = root_of_unity(p, m)
     zeta_inv = inv_mod(zeta, p)
-    vals = []
-    acc = 0
-    for _ in range(m):
-        vals.append(v[classes.class_of[acc]])
-        acc = int(group.mult[acc, g])
     m_inv = inv_mod(m % p, p)
     mults = []
     for a in range(m):

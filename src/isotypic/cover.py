@@ -39,12 +39,13 @@ from .groups import ConjugacyClasses, Group, Subgroup, cyclic_subgroup
 from .reps import (
     IsotypicDecomposition,
     MatrixRep,
-    _group_sum,
     check_size,
     decompose,
     dual_rep,
     fixed_dim,
+    group_sum,
     isotypic_projector,
+    orbit_least_points,
     permutation_rep,
     rep_from_matrices,
     trivial_rep,
@@ -486,27 +487,18 @@ def _generator_rows(action: LinearCoverAction, a: int, table: CharacterTable) ->
     memoized on the action by a.
 
     On a monomial piece B_a is spanned as a G-module by one monomial
-    x^alpha per G-orbit of the basis lines, so the component P_i B_a by
-    the P_i x^alpha: column alpha of P_i, whose cells are e_i[g]
-    scalars[g, alpha] at row images[g, alpha].  Those columns, for every i
-    and every orbit, are one `np.bincount`, exact in float64 for the
-    reason `reps._group_sum` gives.  The nonzero columns of P_i are the
-    rows of i when they are fewer than the component's rows.  Otherwise,
-    and on a dense piece, the rows are the component's own.
+    x^alpha per G-orbit of the basis lines, its least point, so the
+    component P_i B_a by the P_i x^alpha: column alpha of P_i.  Those
+    columns, for every i, are one `group_sum`.  The nonzero columns of P_i
+    are the rows of i when they are fewer than the component's rows.
+    Otherwise, and on a dense piece, the rows are the component's own.
     """
     if a not in action._generators:
-        rep, p = action.piece(a), table.p
+        rep = action.piece(a)
         comps = action.piece_decomposition(a, table).components
-        if rep.images is not None:
-            e, dim = np.array(table.idempotents()), rep.dim
-            # the least point of each orbit: images[:, alpha] is alpha's orbit
-            alphas = np.flatnonzero(rep.images.min(axis=0) == np.arange(dim))
-            r, k = len(comps), len(alphas)
-            # cell (i, s, images[g, alphas[s]]) of an r x k x dim array
-            cells = np.arange(r * k).reshape(r, k, 1) * dim + rep.images[:, alphas].T
-            weights = e[:, None, :] * rep.scalars[:, alphas].T % p
-            cols = np.bincount(cells.ravel(), weights.ravel(), r * k * dim).astype(np.int64)
-            cols = np.remainder(cols, p, out=cols).reshape(r, k, dim)
+        alphas = orbit_least_points(rep)
+        if alphas is not None:
+            cols = group_sum(rep, table.idempotents(), alphas).transpose(0, 2, 1)
             gens = [c[c.any(axis=1)] for c in cols]
             comps = [g if g.shape[0] < c.shape[0] else c for g, c in zip(gens, comps)]
         action._generators[a] = comps
@@ -521,7 +513,7 @@ def _forbidden_projector(
     key = (d, forbidden)
     if key not in action._forbidden_projectors:
         e_forbidden = np.sum([table.idempotents()[l] for l in forbidden], axis=0) % table.p
-        action._forbidden_projectors[key] = _group_sum(action.piece(d), slice(None), e_forbidden)
+        action._forbidden_projectors[key] = group_sum(action.piece(d), e_forbidden)
     return action._forbidden_projectors[key]
 
 

@@ -258,25 +258,29 @@ def exponent(group: Group) -> int:
     return math.lcm(*set(group._orders))
 
 
+def powers(group: Group, g: int) -> list[int]:
+    """g^0, g^1, ..., g^(ord(g) - 1), one walk of ord(g) - 1 products on
+    the table: the one power walk of a single element."""
+    out = [0]
+    for _ in range(group.element_order(g) - 1):
+        out.append(int(group.mult[out[-1], g]))
+    return out
+
+
 def cyclic_subgroup(group: Group, g: int) -> Subgroup:
     """The subgroup generated by element g: its powers up to its order."""
-    powers = [0]
-    for _ in range(group.element_order(g) - 1):
-        powers.append(int(group.mult[powers[-1], g]))
-    return Subgroup(tuple(sorted(powers)))
+    return Subgroup(tuple(sorted(powers(group, g))))
 
 
 def power_class_map(group: Group, classes: ConjugacyClasses, k: int):
-    """Class-index map c -> class of g^k for g in class c (k >= 0); g^k
-    is g^(k mod ord(g)), so a walk takes fewer than ord(g) products."""
+    """Class-index map c -> class of g^k for g in class c (k >= 0): entry
+    k mod ord(g) of the `powers` of g."""
     if k < 0:
         raise ValueError("power must be nonnegative")
     out = []
     for r in classes.reps:
-        acc = 0
-        for _ in range(k % group.element_order(r)):
-            acc = int(group.mult[acc, r])
-        out.append(classes.class_of[acc])
+        walk = powers(group, r)
+        out.append(classes.class_of[walk[k % len(walk)]])
     return tuple(out)
 
 

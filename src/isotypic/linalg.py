@@ -30,8 +30,10 @@ def require_exact(n: int, p: int) -> None:
 
 
 def asmat(a, p: int) -> np.ndarray:
-    """Coerce to a new int64 array reduced mod p."""
-    return residues(np.array(a, dtype=np.int64), p)
+    """Coerce to a new C-ordered int64 array reduced mod p, so an
+    elimination walks rows in memory order whatever the layout of `a` (the
+    transpose of a projector is column-major)."""
+    return residues(np.array(a, dtype=np.int64, order="C"), p)
 
 
 def identity(n: int) -> np.ndarray:

@@ -1,8 +1,11 @@
 """Explicit matrix representations over F_p and their isotypic structure.
 
 A representation assigns one invertible matrix per group element, indexed
-by the canonical element order.  Central projectors cut out the isotypic
-components.  Multiplicity spaces Hom_G(V_i, E) come from Serre's operators
+by the canonical element order.  Every sum over the group, sum_g c(g)
+rho(g) for coefficients c in F_p[G], is one kernel, `group_sum`, which
+returns chosen columns of the sum for several coefficient rows at once:
+central projectors, which cut out the isotypic components, Serre's p_0,
+averaging over a subgroup and the orbit blocks below.  Multiplicity spaces Hom_G(V_i, E) come from Serre's operators
 built from the matrix coefficients of an irreducible model, and the
 evaluation map assembled from them is checked to be an isomorphism onto the
 component.  They are the one route to Hom_G, which `hom_dim` counts
@@ -265,31 +268,38 @@ def _character_multiplicities(rep: MatrixRep, table: CharacterTable) -> np.ndarr
     return table.weights() @ chi % table.p
 
 
-def _group_sum(rep: MatrixRep, elems, coef: np.ndarray) -> np.ndarray:
-    """sum_k coef[k] rho(elems[k]), one dim x dim matrix.
+def group_sum(rep: MatrixRep, coef, cols=slice(None)) -> np.ndarray:
+    """Columns `cols` of sum_g c(g) rho(g) for each coefficient row c of
+    `coef` (|G| residues, or rows of them), as a (rows x) dim x |cols| array.
 
-    `elems` indexes the group elements (a list, or slice(None) for all).
-    A monomial representation scatter-adds the coefficient times the scalar
-    of each (g, j) into cell (images[g, j], j), one `np.bincount`.  A cell
-    sums at most |G| residues, so its float64 sums are exact: for
+    A monomial representation scatter-adds c(g) scalars[g, j] into cell
+    (images[g, j], j) of each column j, one `np.bincount` for every row.
+    A cell sums at most |G| residues, so its float64 sums are exact: for
     dim >= 1, `require_exact` keeps p <= isqrt(2^63 - 1) + 1, and with
     |G| <= DEFAULT_CAP that makes |G| p < 1.6 10^13 < 2^53 (a dim-0
     representation sums no cells).  A dense representation takes one
-    `linalg.matmul` with the flattened matrices.
+    `linalg.matmul` with the flattened columns of its matrices.  This is
+    the one sum over the group of the library: every projector, Serre's
+    p_0, every averaging over a subgroup and every orbit block is one.
     """
-    p, d = rep.p, rep.dim
+    p, d, coef = rep.p, rep.dim, np.asarray(coef, dtype=np.int64)
+    rows, n = coef.shape[:-1], rep.group.order
+    coef = coef.reshape(math.prod(rows), n)
     if rep.images is not None:
-        cells = (rep.images[elems] * d + np.arange(d)).ravel()
-        weights = coef[:, None] * rep.scalars[elems] % p
-        out = np.bincount(cells, weights=weights.ravel(), minlength=d * d).astype(np.int64)
-        return np.remainder(out, p, out=out).reshape(d, d)
-    mats = rep.mats[elems]
-    return linalg.matmul(coef, mats.reshape(len(mats), d * d), p).reshape(d, d)
+        images, scalars = rep.images[:, cols], rep.scalars[:, cols]
+        k = images.shape[1]
+        cells = np.arange(len(coef))[:, None, None] * (d * k) + images * k + np.arange(k)
+        weights = coef[:, :, None] * scalars % p
+        out = np.bincount(cells.ravel(), weights.ravel(), len(coef) * d * k).astype(np.int64)
+        return np.remainder(out, p, out=out).reshape(*rows, d, k)
+    mats = rep.mats[:, :, cols]
+    k = mats.shape[2]
+    return linalg.matmul(coef, mats.reshape(n, d * k), p).reshape(*rows, d, k)
 
 
 def _act(rep: MatrixRep, elems, cols: np.ndarray) -> np.ndarray:
-    """rho(g) @ cols for each g in `elems` (as in `_group_sum`), stacked;
-    `cols` holds residues mod p.
+    """rho(g) @ cols for each g in `elems` (a list, or slice(None) for all),
+    stacked; `cols` holds residues mod p.
 
     A monomial rho(g) moves row j of `cols`, times scalars[g, j], to row
     images[g, j] (each index map of a representation is a permutation):
@@ -310,8 +320,8 @@ def _act(rep: MatrixRep, elems, cols: np.ndarray) -> np.ndarray:
 
 def isotypic_projector(rep: MatrixRep, i: int, table: CharacterTable) -> np.ndarray:
     """Central projector deg_i/|G| * sum_g chi_i(g^-1) rho(g), one
-    `_group_sum` over the whole group."""
-    return _group_sum(rep, slice(None), table.idempotents()[i])
+    `group_sum`."""
+    return group_sum(rep, table.idempotents()[i])
 
 
 def decompose(rep: MatrixRep, table: CharacterTable) -> IsotypicDecomposition:
@@ -398,16 +408,11 @@ def _orbit_row_space(
     monomial representation, `types` its orbits grouped by `_orbit_types`.
 
     P_i only has cells (images[g, j], j), so it is block diagonal over the
-    orbits.  With local[orbit] = arange(|O|), cell (a, b) of an orbit's
-    block is a * |O| + b, so rho(g) e_j, j = orbit[a], lands on cell
-    a * |O| + local[images[g, j]] of the block of P_i^T, with weight
-    e_i[g] * scalars[g, j]: one `np.bincount` of |G| * |O| weights.  A
-    cell sums at most |G| residues, exact in float64 for the reason
-    `_group_sum` gives: a representation with an orbit block has
-    dim >= 1, so `require_exact` bounds p, and DEFAULT_CAP bounds |G|.
-    Each block is row-reduced alone, and its rows, embedded and sorted by
-    pivot column, are the reduced row-echelon form of all of P_i^T, which
-    is unique, so the same basis.
+    orbits.  The block of an orbit is rows `orbit` of columns `orbit` of
+    P_i, one `group_sum` of |G| * |O| terms.  Each block of P_i^T is
+    row-reduced alone, and its rows, embedded and sorted by pivot column,
+    are the reduced row-echelon form of all of P_i^T, which is unique, so
+    the same basis.
 
     A block is a function of e_i and of the orbit type, so
     `table._orbit_blocks` keeps its reduction under (i, type key), and
@@ -415,22 +420,13 @@ def _orbit_row_space(
     with the table, reuses it: the rows of one (type, i) go into all the
     orbits of the type with one scatter.
     """
-    p, e, memo = rep.p, table.idempotents()[i], table._orbit_blocks
+    e, memo = table.idempotents()[i], table._orbit_blocks
     blocks = []
     for key, orbits in types:
         memo_key = (i, *key)
         if memo_key not in memo:
             orbit = orbits[0]
-            size = len(orbit)
-            local = np.empty(rep.dim, dtype=np.int64)
-            local[orbit] = np.arange(size)
-            cells = (np.arange(size) * size + local[rep.images[:, orbit]]).ravel()
-            weights = (e[:, None] * rep.scalars[:, orbit] % p).ravel()
-            block = np.bincount(cells, weights, size * size).astype(np.int64).reshape(size, size)
-            # a transitive rep (the regular rep) is one orbit of |G|: free
-            # its |G|^2-cell arrays before the elimination's own copies
-            del cells, weights
-            r, piv = linalg.rref(block, p)  # rref reduces mod p
+            r, piv = linalg.rref(group_sum(rep, e, orbit)[orbit].T, rep.p)
             memo[memo_key] = r[: len(piv)].copy(), piv
         blocks.append(memo[memo_key])
     # the pivot columns of the embedded rows, type by type, orbit by orbit
@@ -549,17 +545,20 @@ def dual_rep(rep: MatrixRep) -> MatrixRep:
 # -- invariants and the evaluation map ---------------------------------------------
 
 
-def _averaging_projector(rep: MatrixRep, h: Subgroup) -> np.ndarray:
-    """(1/|H|) sum_{h in H} rho(h), one `_group_sum` over H."""
-    coef = np.full(h.order, inv_mod(h.order % rep.p, rep.p), dtype=np.int64)
-    return _group_sum(rep, list(h.element_indices), coef)
-
-
 def _orbit_labels(images: np.ndarray) -> np.ndarray:
     """The least point of the orbit of each basis index, for the index maps
     `images` (one row per element) of a group: images[:, j] is then the
     orbit of j."""
     return images.min(axis=0)
+
+
+def orbit_least_points(rep: MatrixRep) -> np.ndarray | None:
+    """The least point of each G-orbit of the basis of a monomial
+    representation, ascending, those equal to their `_orbit_labels`; None
+    for a dense representation."""
+    if rep.images is None:
+        return None
+    return np.flatnonzero(_orbit_labels(rep.images) == np.arange(rep.dim))
 
 
 def fixed_dim(rep: MatrixRep, h: Subgroup) -> int:
@@ -574,7 +573,9 @@ def fixed_dim(rep: MatrixRep, h: Subgroup) -> int:
     least points, those equal to their `_orbit_labels`, with no sort; only
     when some point is twisted (fixed with a scalar other than 1) are the
     labels of the twisted points made unique, to drop their orbits.  A
-    dense representation takes the rank of the averaging projector.
+    dense representation takes the rank of the averaging projector
+    (1/|H|) sum_{h in H} rho(h), one `group_sum` with coefficient 1/|H| on
+    H and 0 elsewhere.
     """
     if rep.images is not None:
         elems = list(h.element_indices)
@@ -585,7 +586,9 @@ def fixed_dim(rep: MatrixRep, h: Subgroup) -> int:
         if twisted.any():
             count -= len(np.unique(label[twisted]))
         return count
-    return linalg.rank(_averaging_projector(rep, h), rep.p)
+    coef = np.zeros(rep.group.order, dtype=np.int64)
+    coef[list(h.element_indices)] = inv_mod(h.order % rep.p, rep.p)
+    return linalg.rank(group_sum(rep, coef), rep.p)
 
 
 def multiplicity_space(rep: MatrixRep, model: MatrixRep) -> list[np.ndarray]:
@@ -597,7 +600,7 @@ def multiplicity_space(rep: MatrixRep, model: MatrixRep) -> list[np.ndarray]:
     irreducible model, p_0 projects onto a space W of dimension the
     multiplicity m, and for w in W the matrix T_w = [p_0 w | ... |
     p_{n_i-1} w] intertwines: rho(g) T_w = T_w r(g).  Only p_0 is built,
-    by one `_group_sum`, and W is its row basis `row_space(p_0^T)`.  The
+    by one `group_sum`, and W is its row basis `row_space(p_0^T)`.  The
     columns p_a w of every T_w come from one `_act` of W^T over the group,
     the |G| x dim x m translates rho(g) W^T, and one product with the
     (n_i x |G|) coefficients.  Each T_w is checked against every
@@ -615,7 +618,7 @@ def multiplicity_space(rep: MatrixRep, model: MatrixRep) -> list[np.ndarray]:
     scale = n_i * inv_mod(n, p) % p
     coef = model.mats[list(group.inv), 0, :].T * scale % p
     check_size("Serre's operator p_0", d, d)
-    w = linalg.row_space(_group_sum(rep, slice(None), coef[0]).T, p)
+    w = linalg.row_space(group_sum(rep, coef[0]).T, p)
     m = w.shape[0]
     check_size("the array of the translates of W", n, d, m)
     # cols[a, :, s] = p_a w_s, column a of the s-th intertwiner T_s

@@ -998,17 +998,25 @@ def test_an_orbit_memo_belongs_to_one_table(ctx):
 
 
 def test_a_monomial_piece_is_decomposed_without_a_dense_projector(ctx, monkeypatch):
-    # no projector or group sum is built, no dense matrix is read, and no
-    # transient array has dim^2 cells
+    # no projector is built, no group sum on the piece takes all its
+    # columns, no dense matrix is read, and no transient array has dim^2
+    # cells
     c = ctx("S4")
     action = iso.perm_action(c.group, c.p)
     piece = action.piece(12)
+    real_sum, widths = reps.group_sum, []
 
     def refuse(*args):
         raise AssertionError("a dense projector was built")
 
+    def group_sum(rep, coef, cols=slice(None)):
+        out = real_sum(rep, coef, cols)
+        if rep is piece:
+            widths.append(out.shape[-1])
+        return out
+
     monkeypatch.setattr(reps, "isotypic_projector", refuse)
-    monkeypatch.setattr(reps, "_group_sum", refuse)
+    monkeypatch.setattr(reps, "group_sum", group_sum)
     table = fresh_table(c.table)
     table.idempotents()
     tracemalloc.start()
@@ -1018,5 +1026,6 @@ def test_a_monomial_piece_is_decomposed_without_a_dense_projector(ctx, monkeypat
     finally:
         tracemalloc.stop()
     assert sum(decomp.dims()) == piece.dim == 455
+    assert widths and max(widths) < piece.dim
     assert "mats" not in vars(piece)
     assert peak - current < piece.dim**2 * 8

@@ -199,6 +199,16 @@ def test_asmat_returns_a_new_reduced_array():
     assert m.tolist() == [[4, 2], [2, 3]] and a[0, 0] == -1
 
 
+def test_rref_does_not_depend_on_the_memory_layout_of_its_input():
+    rng = random.Random(3)
+    for a in seeded_matrices(rng, 7):
+        want = linalg.rref(np.ascontiguousarray(a), 7)
+        for layout in (np.asfortranarray(a), np.ascontiguousarray(a.T).T):
+            r, pivots = linalg.rref(layout, 7)
+            assert np.array_equal(r, want[0]) and pivots == want[1]
+            assert r.flags.c_contiguous
+
+
 def test_matrix_rep_holds_a_reduced_copy_of_its_input(ctx):
     c = ctx("S3")
     perm = iso.permutation_rep(c.group, c.p).mats
@@ -218,17 +228,17 @@ def test_product_check_builds_one_projector_until_it_fails(ctx, monkeypatch):
     c = ctx("S3")
     action = iso.perm_action(c.group, c.p)
     sums, built = [], []
-    group_sum, projector = cover._group_sum, cover.isotypic_projector
+    group_sum, projector = cover.group_sum, cover.isotypic_projector
 
-    def sum_spy(rep, elems, coef):
+    def sum_spy(rep, coef, cols=slice(None)):
         sums.append(rep)
-        return group_sum(rep, elems, coef)
+        return group_sum(rep, coef, cols)
 
     def projector_spy(rep, l, table):
         built.append((rep.dim, l))
         return projector(rep, l, table)
 
-    monkeypatch.setattr(cover, "_group_sum", sum_spy)
+    monkeypatch.setattr(cover, "group_sum", sum_spy)
     monkeypatch.setattr(cover, "isotypic_projector", projector_spy)
     tens = iso.tensor_multiplicities(c.table)
     seen, forbidden_sets = set(), set()

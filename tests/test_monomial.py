@@ -28,6 +28,7 @@ from isotypic.errors import NotAHomomorphism, SingularMatrix
 from isotypic.reps import multiplicity_space, restrict_to_subspace
 
 from conftest import (
+    TEST_GROUPS,
     all_subgroups,
     block_diagonal,
     cycles,
@@ -80,6 +81,42 @@ def test_monomial_pieces_match_the_dense_route(ctx, name, kind):
             assert iso.fixed_dim(rep, h) == iso.fixed_dim(dense, h), (d, h.element_indices)
         assert "mats" not in vars(rep)
         assert np.array_equal(rep.mats, dense.mats)
+
+
+def column_sets(rep):
+    """All columns, one orbit, the orbits' least points and no column."""
+    orbit = np.unique(rep.images[:, rep.dim - 1]) if rep.dim else np.empty(0, dtype=np.int64)
+    return [slice(None), orbit, iso.reps.orbit_least_points(rep), np.empty(0, dtype=np.int64)]
+
+
+def group_sum_cases(ctx):
+    """(name, monomial rep) for the regular and permutation reps of
+    TEST_GROUPS, the S4 perm4 pieces through degree 6 and a dim-0 rep."""
+    for name in TEST_GROUPS:
+        c = ctx(name)
+        yield name, iso.regular_rep(c.group, c.p)
+        yield name, iso.permutation_rep(c.group, c.p)
+    c = ctx("S4")
+    action = builtin_action(c.group, c.p, "perm4")
+    for d in range(7):
+        yield f"S4 B_{d}", action.piece(d)
+    n = c.group.order
+    empty = np.zeros((n, 0), dtype=np.int64)
+    yield "S4 dim 0", iso.MatrixRep(c.group, c.p, images=empty, scalars=empty.copy())
+
+
+def test_the_monomial_group_sum_equals_the_dense_one(ctx):
+    rng = np.random.default_rng(0)
+    for name, rep in group_sum_cases(ctx):
+        group, p, n = rep.group, rep.p, rep.group.order
+        dense = iso.MatrixRep(group, p, rep.mats)
+        for cols in column_sets(rep):
+            for coef in (rng.integers(0, p, n), rng.integers(0, p, (3, n))):
+                got = iso.reps.group_sum(rep, coef, cols)
+                want = iso.reps.group_sum(dense, coef, cols)
+                oracle = np.tensordot(coef, rep.mats[:, :, cols], 1) % p
+                assert got.shape == want.shape == oracle.shape, (name, cols)
+                assert np.array_equal(got, want) and np.array_equal(want, oracle), (name, cols)
 
 
 CONSTRUCTOR_GROUPS = ("C1", "C6", "S3", "D4", "Q8", "A4", "S5")

@@ -574,17 +574,22 @@ def test_matrix_rep_int64_bound():
 
 
 def test_a_monomial_group_sum_is_float_exact_at_every_admissible_modulus():
-    # `reps._group_sum` adds at most |G| <= DEFAULT_CAP residues per cell in
+    # `reps.group_sum` adds at most |G| <= DEFAULT_CAP residues per cell in
     # float64, and for dim >= 1 the bound above keeps p <= isqrt(2^63 - 1) + 1
     from isotypic.groups import DEFAULT_CAP
 
     p = math.isqrt(2**63 - 1) + 1
     assert DEFAULT_CAP * p < linalg.FLOAT_EXACT
-    # the sign of C2 at that modulus, monomial: (p-1) rho(e) + (p-2) rho(g)
+    # the sign of C2 at that modulus, monomial: a rho(e) + b rho(g) for the
+    # rows (a, b) = (p-1, p-2) and (p-2, p-1)
     group = iso.group_from_name("C2")
     rep = iso.MatrixRep(group, p, images=np.zeros((2, 1)), scalars=np.array([[1], [p - 1]]))
-    coef = np.array([p - 1, p - 2], dtype=np.int64)
-    assert iso.reps._group_sum(rep, slice(None), coef).tolist() == [[((p - 1) + (p - 2) * (p - 1)) % p]]
+    coef = np.array([[p - 1, p - 2], [p - 2, p - 1]], dtype=np.int64)
+    want = [((p - 1) + (p - 2) * (p - 1)) % p, ((p - 2) + (p - 1) * (p - 1)) % p]
+    assert iso.reps.group_sum(rep, coef[0]).tolist() == [[want[0]]]
+    assert iso.reps.group_sum(rep, coef).tolist() == [[[w]] for w in want]
+    assert iso.reps.group_sum(rep, coef, [0]).tolist() == [[[w]] for w in want]
+    assert iso.reps.group_sum(rep, coef, []).shape == (2, 1, 0)
 
 
 def test_matmul_exact_at_max_modulus():
