@@ -8,9 +8,10 @@ does not collect them.  Run from the repository root:
 Shapes follow the hot calls: the homomorphism check of the S5 regular
 representation (14400 x 120 times 120 x 120), the isotypic projector of
 the S4 degree-12 cover piece (1 x 24 times 24 x 455^2), a row-space
-rank of that size, the 120 x 120 orbit blocks of rank up to 36 that
-`irreducible_models(S5)` row-reduces, its changes of basis, and the first
-split of the D100 character table.  `residues` is timed against
+rank of that size, the 120 x 120 orbit blocks of rank up to 36 of the S5
+regular rep's components, the changes of basis of the regular-rep route
+to S5's models (the test oracle `oracle_models`), and the first split of
+the D100 character table.  `residues` is timed against
 `np.remainder` from 10^2 to 10^5 cells, the sizes of the reductions
 inside those calls, to place `linalg.RESIDUE_CELLS`.
 """
@@ -67,10 +68,10 @@ def test_rref(benchmark, n, r):
     assert len(pivots) == r
 
 
-# (basis rows, vector rows) over 120 columns, as in `irreducible_models(S5)`:
-# 6 basis rows of a degree-6 copy against the images of its rows under all
-# 120 elements, and one right-translation `split` of the 36-dimensional
-# component
+# (basis rows, vector rows) over 120 columns, as in the regular-rep route to
+# S5's models that tests/conftest.py keeps as the oracle: 6 basis rows of a
+# degree-6 copy against the images of its rows under all 120 elements, and
+# one right-translation `split` of the 36-dimensional component
 COORDINATE_CASES = {"restrict-s5": (6, 720), "split-s5": (36, 36)}
 
 

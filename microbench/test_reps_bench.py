@@ -15,9 +15,13 @@ the library's one route to Hom_G): one group sum for p_0, and the
 maps) and on its dense copy, so both branches of the group sum and the
 action have a number.
 `evaluation_iso_check` certifies V (x) Hom_G(V, E) -> E: on the warm table
-that built the models, whose orbit-block memo already holds E's reduced
-degree-6 component, and on a cold one, rebuilt before each round, which
-reduces the 120 x 120 block itself.
+whose orbit-block memo the fixture's `decompose` of E filled, and on a
+cold one, rebuilt before each round, which reduces the 120 x 120 block
+itself.
+`irreducible_models` builds every model of S5 and of S6 on a fresh
+character table, rebuilt before each round: the permutation rep's
+components, then tensor products of models (up to 16-dimensional for S5
+and 45-dimensional for S6), with no regular rep.
 """
 
 from __future__ import annotations
@@ -69,3 +73,16 @@ def test_evaluation_iso_s5_regular_degree_6(benchmark, s5, memo):
     else:
         ok, assembled = benchmark.pedantic(reps.evaluation_iso_check, setup=cold_table, rounds=20)
     assert ok and assembled.shape == (120, 36)
+
+
+@pytest.mark.parametrize("name", ["S5", "S6"])
+def test_irreducible_models_on_a_fresh_table(benchmark, name):
+    group = groups.group_from_name(name)
+    classes = groups.conjugacy_classes(group)
+    p = arith.choose_prime(group)
+
+    def fresh_table():
+        return (group, characters.character_table(group, classes, p)), {}
+
+    models = benchmark.pedantic(reps.irreducible_models, setup=fresh_table, rounds=20 if name == "S5" else 5)
+    assert sum(m.dim**2 for m in models) == group.order

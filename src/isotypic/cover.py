@@ -57,7 +57,7 @@ CHECK_DEGREE = 6
 PRODUCT_DEGREE = 4
 
 
-def _products(n: int, a: int, b: int) -> np.ndarray:
+def _products(n: int, a: int, b: int, tails: dict | None = None) -> np.ndarray:
     """The index in B_{a+b} of x^alpha x^beta for each (alpha, beta) in
     B_a x B_b, flattened.  The basis of B_d in n variables is the multisets
     of `combinations_with_replacement(range(n), d)`: graded lex, x_0^d first.
@@ -69,10 +69,13 @@ def _products(n: int, a: int, b: int) -> np.ndarray:
     monomials of degree t - 1 in x_k..x_{n-1}: C(t + n-k-2, n-k-1) of
     them.  Each count is at most dim B_d, so unlike a mixed-radix code of
     the exponent vectors the sum cannot overflow.
+
+    `tails` memoizes `_tails(n, .)` by degree, one memo per action.
     """
     d = a + b
-    tail_a, tail_b = _tails(n, a), _tails(n, b)
-    tail = (tail_a[:, None] + tail_b).reshape(len(tail_a) * len(tail_b), n - 1)
+    tails = {} if tails is None else tails
+    tails.update({k: _tails(n, k) for k in {a, b} - tails.keys()})
+    tail = (tails[a][:, None] + tails[b]).reshape(len(tails[a]) * len(tails[b]), n - 1)
     counts = np.array(
         [[math.comb(t + n - k - 2, n - k - 1) for k in range(n - 1)] for t in range(d + 1)], dtype=np.int64
     ).reshape(d + 1, n - 1)
@@ -87,7 +90,7 @@ def _tails(n: int, d: int) -> np.ndarray:
     return (factors > np.arange(n - 1)).sum(axis=1)
 
 
-def _sym_power_step(prev: MatrixRep, rep: MatrixRep, d: int) -> MatrixRep:
+def _sym_power_step(prev: MatrixRep, rep: MatrixRep, d: int, tails: dict | None = None) -> MatrixRep:
     """B_d from B_{d-1} (`prev`) and B_1 (`rep`) on the bases of `_products`.
 
     x^beta x_i is monomial scatter[beta, i] of B_d.  Column m is column beta
@@ -98,10 +101,11 @@ def _sym_power_step(prev: MatrixRep, rep: MatrixRep, d: int) -> MatrixRep:
     the product of the scalars.  Otherwise one element at a time, so only
     one matrix of temporaries is alive.  Each entry is a sum of dim(rep)
     products below p^2, exact in int64 because `rep` passed
-    `require_exact`; the MatrixRep constructor reduces it mod p.
+    `require_exact`; the MatrixRep constructor reduces it mod p.  `tails`
+    is the memo of `_products`.
     """
     n = rep.dim
-    scatter = _products(n, d - 1, 1).reshape(prev.dim, n)
+    scatter = _products(n, d - 1, 1, tails).reshape(prev.dim, n)
     factor = np.empty(scatter.max() + 1, dtype=np.int64)
     # one factorization (beta, j) per monomial of B_d, whichever is written last
     factor[scatter.ravel()] = np.arange(scatter.size)
@@ -131,6 +135,7 @@ class LinearCoverAction:
         self._piece_data: dict[int, IsotypicDecomposition] = {}
         self._forbidden_projectors: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
         self._generators: dict[int, list[np.ndarray]] = {}
+        self._tails: dict[int, np.ndarray] = {}
         self._molien: tuple[Poly, list[Poly], list[list[int]]] | None = None
         self._mul_maps: dict[tuple[int, int], np.ndarray] = {}
         self._tensors: np.ndarray | None = None
@@ -155,7 +160,7 @@ class LinearCoverAction:
                 # g . x_j = sum_i (rho(g)^-1)[j, i] x_i: the contragredient action
                 self._pieces[d] = dual_rep(self.rep)
             else:
-                self._pieces[d] = _sym_power_step(self.piece(d - 1), self.piece(1), d)
+                self._pieces[d] = _sym_power_step(self.piece(d - 1), self.piece(1), d, self._tails)
         return self._pieces[d]
 
     def piece_decomposition(self, d: int, table: CharacterTable) -> IsotypicDecomposition:
@@ -180,7 +185,7 @@ class LinearCoverAction:
         if key not in self._mul_maps:
             pa, pb, pab = self.piece(a), self.piece(b), self.piece(a + b)
             check_size(f"the multiplication map of degrees {a} and {b}", pa.dim * pb.dim, pab.dim)
-            self._mul_maps[key] = _products(self.n, a, b)
+            self._mul_maps[key] = _products(self.n, a, b, self._tails)
         return self._mul_maps[key]
 
     def to_dict(self) -> dict:

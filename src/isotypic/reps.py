@@ -5,11 +5,12 @@ by the canonical element order.  Every sum over the group, sum_g c(g)
 rho(g) for coefficients c in F_p[G], is one kernel, `group_sum`, which
 returns chosen columns of the sum for several coefficient rows at once:
 central projectors, which cut out the isotypic components, Serre's p_0,
-averaging over a subgroup and the orbit blocks below.  Multiplicity spaces Hom_G(V_i, E) come from Serre's operators
+averaging over a subgroup, the orbit blocks below and the splitting of
+models.  Multiplicity spaces Hom_G(V_i, E) come from Serre's operators
 built from the matrix coefficients of an irreducible model, and the
 evaluation map assembled from them is checked to be an isomorphism onto the
 component.  They are the one route to Hom_G, which `hom_dim` counts
-against the models that the character table keeps.
+against the models the table keeps, built without the regular rep.
 
 The character side of every check is W chi, the multiplicities mod p of
 a representation's character chi, W the table's `weights()`.
@@ -36,7 +37,7 @@ from typing import NoReturn
 import numpy as np
 
 from . import linalg
-from .characters import CharacterTable
+from .characters import CharacterTable, tensor_multiplicities
 from .errors import (
     InconsistentMultiplicity,
     MethodMismatch,
@@ -647,8 +648,8 @@ def evaluation_iso_check(
     coefficients (`multiplicity_space`) and the component from the
     character table (`_components`), so the image check compares two
     independent routes.  On a monomial representation the component is
-    assembled from the table's reduced orbit blocks, which `decompose`,
-    through `irreducible_models`, has already filled for the regular rep.
+    assembled from the table's reduced orbit blocks, reducing only those
+    that no earlier `decompose` or evaluation with the table has reduced.
 
     The model is first checked irreducible two ways: Burnside's rank n_i^2
     of its |G| x n_i^2 flattened matrices, which for p not dividing |G|
@@ -690,44 +691,68 @@ def evaluation_iso_check(
 def irreducible_models(group: Group, table: CharacterTable) -> list[MatrixRep]:
     """One explicit matrix model per irreducible character, kept on the table.
 
-    Each model is cut out of the regular representation.  Right
-    multiplication R_a: x -> x*a by an element a of F_p[G] commutes with
-    the left regular action and preserves each isotypic component (a
-    two-sided ideal), so its eigenspaces there are invariant; their
-    dimensions are multiples of the degree n_i, and an eigenspace of
-    dimension exactly n_i is one copy of the irreducible, which
-    `restrict_to_subspace` restricts to.  The elements a are seeded random
-    draws, so the models are deterministic.  They are a function of the
-    table alone: the first call builds them into `table._models`, with
-    read-only matrices, and every call returns them.  A `group` that is
-    not `table.group` raises ValueError.
+    A model of degree 1 is its character row as 1 x 1 monomial matrices;
+    the others are one copy in their component (`_spin_copy` of it if its
+    multiplicity is above 1) in `permutation_rep`, which is faithful, and
+    then in the smallest tensor product of two found models whose
+    `tensor_multiplicities` hold a missing irreducible, ties to the lowest
+    (a, b).  Every irreducible occurs in a tensor power of a faithful
+    representation (Burnside-Brauer; Isaacs, *Character Theory of Finite
+    Groups*, Thm 4.3).  A component without n_i (W chi)_i rows, or a model
+    without W chi = e_i, raises InconsistentMultiplicity.  The models are
+    the table's: the first call builds them into `table._models`, with
+    read-only matrices.  A `group` not `table.group` raises ValueError.
     """
     if group is not table.group:
         raise ValueError(f"the character table of {table.group.name} does not belong to the group {group.name}")
     if table._models is None:
-        reg = regular_rep(group, table.p)
-        table._models = [
-            restrict_to_subspace(reg, _one_copy(table, basis, i) if len(basis) > table.degrees[i] else basis)
-            for i, basis in enumerate(decompose(reg, table).components)
+        p, degrees, n = table.p, table.degrees, group.order
+        chis = np.array(table.values, dtype=np.int64)[:, list(table.classes.class_of), None]
+        models = [
+            MatrixRep(group, p, images=np.zeros_like(chi), scalars=chi) if d == 1 else None
+            for chi, d in zip(chis, degrees)
         ]
-        for model in table._models:
+        rep, tens = permutation_rep(group, p), tensor_multiplicities(table)
+        while True:
+            mults = _character_multiplicities(rep, table)
+            wanted = [k for k, model in enumerate(models) if model is None and mults[k]]
+            for k, basis in zip(wanted, _components(rep, table, wanted)):
+                if basis.shape[0] != degrees[k] * mults[k]:
+                    raise InconsistentMultiplicity(f"component {k}: {len(basis)} rows, not {degrees[k]} x {mults[k]}")
+                models[k] = restrict_to_subspace(rep, basis if mults[k] == 1 else _spin_copy(rep, basis, int(mults[k])))
+            missing = [k for k, model in enumerate(models) if model is None]
+            if not missing:
+                break
+            found = [k for k, model in enumerate(models) if model is not None]
+            d, a, b = min(
+                (degrees[a] * degrees[b], a, b) for a in found for b in found if a <= b and tens[a, b, missing].any()
+            )
+            check_size("the tensor product", n, d, d)
+            mats = models[a].mats[:, :, None, :, None] * models[b].mats[:, None, :, None, :]
+            rep = MatrixRep(group, p, mats.reshape(n, d, d))
+        for i, model in enumerate(models):
+            if (_character_multiplicities(model, table) != (np.arange(len(models)) == i)).any():
+                raise InconsistentMultiplicity(f"model {i} does not have the character of irreducible {i}")
             model.mats.setflags(write=False)
+        table._models = models
     return list(table._models)
 
 
-def _one_copy(table: CharacterTable, basis: np.ndarray, i: int) -> np.ndarray:
-    """A deg_i-dimensional eigenspace of a right translation on the basis of
-    the i-th isotypic component of the regular rep, from at most 100 seeded
-    draws of the translating element."""
-    group, p = table.group, table.p
-    n = group.order
-    cols = np.arange(n)[:, None]
+def _spin_copy(rep: MatrixRep, basis: np.ndarray, m: int) -> np.ndarray:
+    """One copy of V in the component V^m, m > 1, with row basis `basis`:
+    a seeded random A in F_p[G] (one `group_sum`) acts there as A_V (x) I_m,
+    so an eigenspace of dimension m is v (x) F_p^m, and its first vector
+    spins under the generators to a copy of V (Parker's MeatAxe).  After
+    100 draws with no such eigenspace, SplitFailure."""
+    p, gens = rep.p, list(rep.group.generator_indices)
     rng = random.Random(0)
     for _ in range(100):
-        right = np.zeros((n, n), dtype=np.int64)
-        # R_a e_c = sum_h a_h e_{c*h}; c -> c*h is a bijection for each c
-        right[group.mult, cols] = [rng.randrange(p) for _ in range(n)]
-        for space in linalg.split(basis, right, p, False):
-            if space.shape[0] == table.degrees[i]:
-                return space
-    raise SplitFailure("no right translation cut the isotypic component down to one copy")
+        a = group_sum(rep, [rng.randrange(p) for _ in range(rep.group.order)])
+        span = next((space[:1] for space in linalg.split(basis, a, p, False) if space.shape[0] == m), None)
+        while span is not None:
+            images = _act(rep, gens, span.T).transpose(0, 2, 1).reshape(-1, rep.dim)
+            grown = linalg.row_space(np.concatenate([span, images]), p)
+            if grown.shape[0] == span.shape[0]:
+                return grown
+            span = grown
+    raise SplitFailure("no group-algebra element cut the isotypic component down to one copy")

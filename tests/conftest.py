@@ -11,12 +11,16 @@ only tests take (direct sums, duals, tensor products, symmetric powers,
 exterior squares),
 the loop oracle `inner_mult` of the character inner product, the loop
 oracle `convolve` of the product in F_p[G] with the basis elements
-`delta_element`, the exponent tuples of the monomials of one degree, and
-the Kronecker intertwiner system, the oracle of Hom_G."""
+`delta_element`, the exponent tuples of the monomials of one degree, the
+Kronecker intertwiner system, the oracle of Hom_G, and the models cut out
+of the regular rep by right translations, `oracle_models`, the oracle of
+`irreducible_models`."""
 
 from __future__ import annotations
 
+import functools
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +30,9 @@ from hypothesis import strategies as st
 
 import isotypic as iso
 from isotypic import cover, linalg
-from isotypic.errors import SingularMatrix
+from isotypic.errors import SingularMatrix, SplitFailure
 from isotypic.cover import _sym_power_step
+from isotypic.reps import restrict_to_subspace
 
 # Every @given test draws the same examples on every run, so a failure
 # replays exactly; max_examples keeps its default.
@@ -50,6 +55,11 @@ class GroupContext:
     def models(self):
         """The models the table keeps, built on first use."""
         return iso.irreducible_models(self.group, self.table)
+
+    @functools.cached_property
+    def oracle_models(self):
+        """`oracle_models` of the group, built on first use."""
+        return oracle_models(self.table)
 
 
 _CACHE: dict[str, GroupContext] = {}
@@ -374,3 +384,45 @@ def char_sym_cube(chi, table):
     sixth = pow(6, -1, table.p)
     two, three = _power_values(chi, table, 2), _power_values(chi, table, 3)
     return tuple((x**3 + 3 * x * y + 2 * z) * sixth % table.p for x, y, z in zip(chi, two, three))
+
+
+# -- the regular-rep oracle of the irreducible models -------------------------------
+
+
+def oracle_models(table):
+    """One model per irreducible, cut out of the regular representation.
+
+    Right multiplication R_a: x -> x*a by an element a of F_p[G] commutes
+    with the left regular action and preserves each isotypic component (a
+    two-sided ideal), so its eigenspaces there are invariant; their
+    dimensions are multiples of the degree n_i, and an eigenspace of
+    dimension exactly n_i is one copy of the irreducible, which
+    `restrict_to_subspace` restricts to.  The elements a are seeded random
+    draws, so the models are deterministic: they are the models that
+    `irreducible_models` built before it took its copies from the
+    permutation rep and tensor products, pinned by
+    `golden/irreducible_models.json` and `irreducible_models_cyclic_s5.json`.
+    """
+    reg = iso.regular_rep(table.group, table.p)
+    return [
+        restrict_to_subspace(reg, _right_translation_copy(table, basis, i) if len(basis) > table.degrees[i] else basis)
+        for i, basis in enumerate(iso.decompose(reg, table).components)
+    ]
+
+
+def _right_translation_copy(table, basis, i):
+    """A deg_i-dimensional eigenspace of a right translation on the basis of
+    the i-th isotypic component of the regular rep, from at most 100 seeded
+    draws of the translating element."""
+    group, p = table.group, table.p
+    n = group.order
+    cols = np.arange(n)[:, None]
+    rng = random.Random(0)
+    for _ in range(100):
+        right = np.zeros((n, n), dtype=np.int64)
+        # R_a e_c = sum_h a_h e_{c*h}; c -> c*h is a bijection for each c
+        right[group.mult, cols] = [rng.randrange(p) for _ in range(n)]
+        for space in linalg.split(basis, right, p, False):
+            if space.shape[0] == table.degrees[i]:
+                return space
+    raise SplitFailure("no right translation cut the isotypic component down to one copy")

@@ -12,9 +12,11 @@ it pins the dense path, which every other cover report now bypasses.
 `cover_Q8_model2_d12.json` and `cover_A4_model3_d12.json` pin that path
 too: their actions are the matrix files `action_Q8_model2.txt` and
 `action_A4_model3.txt`, the generator matrices of the 2-dimensional Q8
-and 3-dimensional A4 models of `irreducible_models` at `choose_prime`
-(p = 13), and both reports were written before the reductions mod p
-moved to `linalg.residues`.
+and 3-dimensional A4 models at `choose_prime` (p = 13) that
+`irreducible_models` built when it cut them out of the regular rep: they
+are the models of the test oracle `oracle_models` (tests/conftest.py),
+not the library's.  Both reports were written before the reductions mod
+p moved to `linalg.residues`.
 `cyclic_n3.json` (its
 determinant has the non-trivial unit 6), `cyclic_n4_laurent.json` and
 `cyclic_n6.json` were written before phi was factored as C·diag(y^e).

@@ -404,16 +404,11 @@ def test_cover_report_never_builds_dense_monomial_pieces(ctx):
 
 def test_models_path_never_builds_dense_regular_matrices(ctx, monkeypatch):
     # S5's irreducible models and evaluation maps, as the models-s5 workload
-    # runs them: neither regular rep (120 x 120 x 120 dense) reads `mats`
+    # runs them: the models build no regular rep, and the one the
+    # evaluation maps take (120 x 120 x 120 dense) never reads `mats`
     c = ctx("S5")
-    built = []
     real = iso.reps.regular_rep
-
-    def spy(group, p):
-        built.append(real(group, p))
-        return built[-1]
-
-    monkeypatch.setattr(iso.reps, "regular_rep", spy)
+    monkeypatch.setattr(iso.reps, "regular_rep", lambda *args: pytest.fail("a regular rep was built"))
     # a fresh table builds its models here, whatever ran before
     table = iso.character_table(c.group, c.classes, c.p)
     models = iso.irreducible_models(c.group, table)
@@ -421,9 +416,7 @@ def test_models_path_never_builds_dense_regular_matrices(ctx, monkeypatch):
     for i, model in enumerate(models):
         ok, _ = iso.evaluation_iso_check(regular, i, table, model)
         assert ok, i
-    assert len(built) == 1
-    for rep in (built[0], regular):
-        assert rep.images is not None and "mats" not in vars(rep)
+    assert regular.images is not None and "mats" not in vars(regular)
 
 
 @pytest.mark.parametrize(("name", "kind"), ORACLE_ACTIONS)

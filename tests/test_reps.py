@@ -429,7 +429,10 @@ EVALUATION_CASES = (("S4", "regular"), ("A4", "regular"), ("S5", "regular"), ("S
 def test_evaluation_iso_builds_no_dense_projector(ctx, monkeypatch, warm):
     # the component of a monomial rep is assembled from the table's orbit
     # blocks: on a warm table every block is a hit, on a rebuilt one each
-    # orbit type is reduced here
+    # orbit type is reduced here.  The models are built first: their dense
+    # tensor products take projectors.
+    for name, _ in EVALUATION_CASES:
+        assert ctx(name).models
     monkeypatch.setattr(iso.reps, "isotypic_projector", lambda *args: pytest.fail("a dense projector was built"))
     for name, kind in EVALUATION_CASES:
         c = ctx(name)
@@ -727,7 +730,7 @@ def test_restrict_to_subspace_checks_every_generator(ctx, kept):
 
 
 @pytest.mark.parametrize("name", ["S4", "S5"])
-def test_irreducible_models_from_right_translations(name, ctx, s5):
+def test_irreducible_models_from_the_permutation_rep_and_tensor_products(name, ctx, s5):
     if name == "S5":
         group, classes, p, table = s5
     else:
@@ -771,27 +774,69 @@ def test_the_table_keeps_its_models(ctx, monkeypatch):
         iso.irreducible_models(twin, table)
 
 
+def model_digests(models):
+    """dtype, shape and the sha256 of `mats` of each model."""
+    return [
+        {"dtype": str(m.mats.dtype), "shape": list(m.mats.shape), "sha256": hashlib.sha256(m.mats.tobytes()).hexdigest()}
+        for m in models
+    ]
+
+
 def test_irreducible_models_match_pinned_digests(ctx):
-    """Values, dtype and shape of every model, pinned by sha256 digests of
-    `mats`.  Those of `irreducible_models.json` were written before the
+    """Values, dtype and shape of every model of the regular-rep oracle,
+    pinned by sha256 digests of `mats`: `irreducible_models` built these
+    models until it took its copies from the permutation rep and tensor
+    products.  Those of `irreducible_models.json` were written before the
     change of basis became `linalg.coordinates` and the right-translation
     split `linalg.split`; those of the rest of TEST_GROUPS and of S5
     before `restrict_to_subspace` read every element's coordinates off
-    the pivot columns of its images."""
+    the pivot columns of its images.  A degree-1 model is its character
+    row on either route, so the library's match these pins too."""
     pinned = json.loads((GOLDEN / "irreducible_models.json").read_text())
     assert list(pinned) == ["S3", "D4", "Q8", "A4", "S4"]
     pinned.update(json.loads((GOLDEN / "irreducible_models_cyclic_s5.json").read_text()))
     assert set(pinned) == {*TEST_GROUPS, "S4", "S5"}
     for name, want in pinned.items():
-        got = [
-            {
-                "dtype": str(m.mats.dtype),
-                "shape": list(m.mats.shape),
-                "sha256": hashlib.sha256(m.mats.tobytes()).hexdigest(),
-            }
-            for m in ctx(name).models
-        ]
-        assert got == want, name
+        c = ctx(name)
+        assert model_digests(c.oracle_models) == want, name
+        ours = model_digests(c.models)
+        assert [ours[i] for i, d in enumerate(c.table.degrees) if d == 1] == [
+            want[i] for i, d in enumerate(c.table.degrees) if d == 1
+        ], name
+
+
+def test_irreducible_models_match_the_tensor_route_digests(ctx):
+    # the library's models, from the permutation rep and tensor products,
+    # pinned the same way for the same groups
+    pinned = json.loads((GOLDEN / "irreducible_models_tensor.json").read_text())
+    assert set(pinned) == {*TEST_GROUPS, "S4", "S5"}
+    for name, want in pinned.items():
+        assert model_digests(ctx(name).models) == want, name
+
+
+@pytest.mark.parametrize("name", TEST_GROUPS + ("S4", "S5"))
+def test_irreducible_models_are_isomorphic_to_the_oracle(name, ctx):
+    c = ctx(name)
+    for i, (model, oracle) in enumerate(zip(c.models, c.oracle_models, strict=True)):
+        assert iso.hom_dim(model, oracle, c.table) == 1, i
+
+
+def test_s6_models_on_a_fresh_table():
+    # S6 takes tensor products of dimensions up to 45 and no regular rep:
+    # every model has W chi = e_i, and its evaluation map onto the
+    # permutation rep's component is an isomorphism
+    group = iso.group_from_name("S6")
+    classes = iso.conjugacy_classes(group)
+    p = iso.choose_prime(group)
+    table = iso.character_table(group, classes, p)
+    models = iso.irreducible_models(group, table)
+    perm = iso.permutation_rep(group, p)
+    unit = np.eye(table.num_irreps, dtype=np.int64)
+    for i, model in enumerate(models):
+        assert model.dim == table.degrees[i]
+        assert np.array_equal(iso.reps._character_multiplicities(model, table), unit[i]), i
+        ok, assembled = iso.evaluation_iso_check(perm, i, table, model)
+        assert ok and assembled.shape[1] == model.dim * len(iso.multiplicity_space(perm, model)), i
 
 
 @pytest.mark.parametrize("name", TEST_GROUPS + ("S5",))
@@ -966,13 +1011,15 @@ def _corrupted_monomial(rep, pos):
 @pytest.mark.parametrize("name", ["C6", "S3", "S5"])
 def test_multiplicity_space_rejects_a_corrupted_monomial_generator(name, ctx):
     # scalars are all 1 on these reps, so the corrupted matrices are those
-    # of `_corrupted`, and the monomial branch must raise as the dense one
+    # of `_corrupted`, and the monomial branch must raise as the dense one;
+    # on the oracle's models, which it was written against (the library's
+    # miss one case: see the test below)
     c = ctx(name)
     for rep in (iso.regular_rep(c.group, c.p), iso.permutation_rep(c.group, c.p)):
         bad = _corrupted_monomial(rep, 0)
         dense = _corrupted(rep, 0)
         assert bad.images is not None and (rep.scalars == 1).all()
-        for model in c.models:
+        for model in c.oracle_models:
             with pytest.raises(NotAnIntertwiner) as err:
                 multiplicity_space(bad, model)
             with pytest.raises(NotAnIntertwiner) as dense_err:
@@ -986,16 +1033,41 @@ def test_multiplicity_space_rejects_a_corrupted_generator(name, ctx):
     # The witness names the first generator whose intertwining equation
     # fails.  The corrupted matrix enters every operator p_a, so that need
     # not be the corrupted generator; on the regular rep and with a single
-    # generator it is.
+    # generator it is.  On the oracle's models, which it was written against.
     c = ctx(name)
     single = len(c.group.generator_indices) == 1
     for rep_name, rep in (("regular", iso.regular_rep(c.group, c.p)), ("perm", iso.permutation_rep(c.group, c.p))):
         bad = _corrupted(rep, 0)
-        for model in c.models:
+        for model in c.oracle_models:
             with pytest.raises(NotAnIntertwiner) as err:
                 multiplicity_space(bad, model)
             named = "rho(g0)" if rep_name == "regular" or single else "rho(g"
             assert named in str(err.value)
+
+
+@pytest.mark.parametrize(
+    ("name", "i", "length", "error", "message"),
+    [
+        ("S5", 3, 0, WrongImage, "evaluation image differs from isotypic component 3"),
+        ("S4", 4, 0, WrongImage, "evaluation image differs from isotypic component 4"),
+        ("D4", 0, 3, NotInjective, "evaluation map for irreducible 0 has a kernel"),
+    ],
+    ids=["S5", "S4", "D4"],
+)
+def test_multiplicity_space_misses_a_corrupted_permutation_generator(name, i, length, error, message, ctx):
+    # A detection gap, pinned as it is: on the permutation rep with
+    # generator 0 column-reversed, `multiplicity_space` tests no failing
+    # intertwining equation against these library models.  For S5's model 3
+    # (sign (x) standard) and S4's model 4, r(g0^-1)[0, 0] = 0 and p_0 of
+    # the corrupted rep vanishes, so the basis is empty; the trivial model
+    # of D4 has p_0 of rank 3, and the constant vectors are fixed by any
+    # permutation matrix.  `evaluation_iso_check` still raises.
+    c = ctx(name)
+    bad = _corrupted(iso.permutation_rep(c.group, c.p), 0)
+    model = c.models[i]
+    assert len(multiplicity_space(bad, model)) == length
+    with pytest.raises(error, match=message):
+        iso.evaluation_iso_check(bad, i, c.table, model)
 
 
 def test_corrupted_generator_reaches_the_evaluation_outcome(monkeypatch, ctx):
