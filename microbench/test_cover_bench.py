@@ -22,8 +22,8 @@ report, `cover._product_failures`: every (i, j) over the five
 irreducibles and 1 <= a <= b <= 4, one shared kernel per (j, a, b), on
 the G-module generators of the components of B_a.  Every round gets a
 fresh action whose pieces and decompositions through degree 8 are
-built, so the forbidden projectors and the generator rows, which the
-action memoizes, are built in each round.
+built; the forbidden projectors and the generator rows are the pass's
+own working set, built in each round.
 
 `test_fixed_ring_checks` times the fixed-ring checks of the same report
 through degree 12: the 17 cyclic subgroups of S4 fall into 5 conjugacy

@@ -119,10 +119,6 @@ class Poly:
         return cls(p, (c,))
 
     @classmethod
-    def x(cls, p: int) -> "Poly":
-        return cls(p, (0, 1))
-
-    @classmethod
     def monomial(cls, p: int, c: int, k: int) -> "Poly":
         return cls(p, (0,) * k + (c,))
 

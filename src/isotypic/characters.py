@@ -49,10 +49,11 @@ class CharacterTable:
     ascending degree with ties broken lexicographically on the value
     tuples (as residues).  Degrees are true integers.
 
-    Four caches are built on first use and left out of `==`, which
+    Five caches are built on first use and left out of `==`, which
     compares the table itself.  `_weights` keeps the class weights W of
-    `weights()`, and `_idempotents` the central idempotents of
-    `idempotents()`, both read-only.  `_orbit_blocks` keeps the orbit-block
+    `weights()`, `_idempotents` the central idempotents of `idempotents()`
+    and `_tensors` the tensor multiplicities of `tensors()`, all three
+    read-only.  `_orbit_blocks` keeps the orbit-block
     reductions of `reps._orbit_row_space` for every monomial representation
     decomposed with this table: a block is a function of the central
     idempotent e_i and of the orbit type, so all of them share it.
@@ -67,6 +68,7 @@ class CharacterTable:
     degrees: tuple[int, ...]
     _weights: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _idempotents: list | None = field(default=None, init=False, repr=False, compare=False)
+    _tensors: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _orbit_blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _models: list | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -88,6 +90,13 @@ class CharacterTable:
             for row in self._idempotents:
                 row.setflags(write=False)
         return self._idempotents
+
+    def tensors(self) -> np.ndarray:
+        """`tensor_multiplicities` of this table, built once and read-only."""
+        if self._tensors is None:
+            self._tensors = tensor_multiplicities(self)
+            self._tensors.setflags(write=False)
+        return self._tensors
 
     def require_owner(self, owner, kind: str) -> None:
         """Raise ValueError when `owner`, a representation or a cover action
@@ -247,6 +256,8 @@ def tensor_multiplicities(table: CharacterTable) -> np.ndarray:
     NotAMultiplicity: every value is a true multiplicity, at most
     deg_i deg_j; the trivial row is the identity functor; the degrees add
     up; and a second product gives <chi_j^dual chi_l, chi_i> = n[i][j][l].
+    n is symmetric in (i, j), as chi_i chi_j = chi_j chi_i.  Read it
+    through `CharacterTable.tensors`, which builds it once per table.
     """
     p, r = table.p, table.num_irreps
     vals = np.array(table.values, dtype=np.int64)

@@ -18,7 +18,7 @@ import click
 
 from . import cover, cyclic, scenarios
 from .arith import MAX_MODULUS, choose_prime, is_prime, splitting_prime_failure
-from .characters import CharacterTable, central_idempotents, character_table
+from .characters import CharacterTable, character_table
 from .errors import IsotypicError, SystemTooLarge
 from .groups import Group, conjugacy_classes, group_from_name, group_from_text
 from .reps import decomposition_report, permutation_rep, regular_rep, rep_from_matrices
@@ -162,14 +162,18 @@ def json_text(doc) -> str:
 
 
 def _emit(doc: dict, fmt: str, out: str | None, render) -> None:
-    """Write the document as JSON or rendered text; exit 1 if a check failed."""
+    """Write the document as JSON or rendered text; exit 1 if a check
+    failed, and 2 if `out` cannot be written."""
     if fmt == "json":
         payload = json_text(doc) + "\n"
     else:
         payload = render(doc)
     if out:
-        with open(out, "w") as fh:
-            fh.write(payload)
+        try:
+            with open(out, "w") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise click.UsageError(f"cannot write the output: {exc}") from exc
     else:
         click.echo(payload, nl=False)
     if not doc["pass"]:
@@ -257,7 +261,7 @@ def _group_opts(f):
         click.option("--gens", "gens_path", default=None, type=click.Path(), help="generator file, cycle notation"),
         click.option("--prime", default=None, type=int, help="override the modulus"),
         click.option("--format", "fmt", default="text", type=click.Choice(["text", "json"])),
-        click.option("--out", default=None, type=click.Path(), help="write output to a file"),
+        click.option("--out", default=None, type=click.Path(dir_okay=False), help="write output to a file"),
     ]):
         f = opt(f)
     return f
@@ -272,7 +276,7 @@ def cmd_table(group_name, gens_path, prime, fmt, out):
     doc = {
         "schema": SCHEMA,
         "table": table.to_dict(),
-        "idempotents": [e.tolist() for e in central_idempotents(table)],
+        "idempotents": [e.tolist() for e in table.idempotents()],
         "pass": True,
     }
     _emit(doc, fmt, out, _render_table)
@@ -329,7 +333,7 @@ def cmd_cover(group_name, gens_path, prime, fmt, out, action_source, max_degree)
 @click.option("--n", required=True, type=int, help="cover degree")
 @click.option("--variant", default="polynomial", type=click.Choice(["polynomial", "laurent"]), show_default=True)
 @click.option("--format", "fmt", default="text", type=click.Choice(["text", "json"]))
-@click.option("--out", "--report", "out", default=None, type=click.Path())
+@click.option("--out", "--report", "out", default=None, type=click.Path(dir_okay=False))
 def cmd_cyclic(n, variant, fmt, out):
     """Explicit cyclic cover: phi matrix, determinant, divisors, normal basis."""
     if n < 1:
@@ -346,7 +350,7 @@ def cmd_cyclic(n, variant, fmt, out):
 @main.command("verify-all")
 @click.option("--max-degree", default=12, type=click.IntRange(min=0), show_default=True)
 @click.option("--format", "fmt", default="json", type=click.Choice(["text", "json"]))
-@click.option("--out", default=None, type=click.Path())
+@click.option("--out", default=None, type=click.Path(dir_okay=False))
 def cmd_verify_all(max_degree, fmt, out):
     """Run every builtin scenario and aggregate the outcomes."""
     doc = verify_all_document(max_degree)

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import linalg
 from .arith import Poly, RatFunc, limit_at_one, poly_gcd, root_of_unity, series_prefix
-from .characters import CharacterTable, restrict_invariant_dim, tensor_multiplicities
+from .characters import CharacterTable, restrict_invariant_dim
 from .errors import NotFaithful
 from .groups import ConjugacyClasses, Group, Subgroup, cyclic_subgroup
 from .reps import (
@@ -133,12 +133,9 @@ class LinearCoverAction:
         self.name = name
         self._pieces: dict[int, MatrixRep] = {}
         self._piece_data: dict[int, IsotypicDecomposition] = {}
-        self._forbidden_projectors: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
-        self._generators: dict[int, list[np.ndarray]] = {}
         self._tails: dict[int, np.ndarray] = {}
         self._molien: tuple[Poly, list[Poly], list[list[int]]] | None = None
         self._mul_maps: dict[tuple[int, int], np.ndarray] = {}
-        self._tensors: np.ndarray | None = None
         kernel = [g for g in range(rep.group.order) if np.array_equal(rep.mats[g], rep.mats[0])]
         if len(kernel) != 1:
             raise NotFaithful(
@@ -370,40 +367,46 @@ def product_structure_check(
     that every projection onto an irreducible absent from V_i tensor V_j
     vanishes.
 
-    The products W come from `_component_products` for the one i, and
-    `_hits_forbidden` tests them against one projector P_F, the group sum
-    of e_F, the sum of the central idempotents e_l of the forbidden l: P_F
-    is the sum of those P_l, whose images are independent, so P_F W^T = 0
-    exactly when every forbidden P_l W^T = 0.  Nothing is built when no
-    component is forbidden or a factor is empty.  `pushforward_report`
-    runs the same kernel for every i at once and calls this check only to
-    build the witness of the first failing tuple.
+    The products W are those of `_generator_rows(action, a, table)[i]`,
+    rows that generate the i-component U of B_a as a G-module, by V, the
+    j-component of B_b, from `_component_products`.  That is exact: V is
+    G-stable, and multiplication and every P_l commute with G, so
+    P_l (g s . v) = g P_l (s . g^-1 v), and P_l kills U V exactly when it
+    kills W.  The report's pass (`_product_failures`) runs the same kernel
+    on the same rows, and calls this check only to build the witness of
+    its first failing tuple.  `_hits_forbidden` tests W against one
+    projector P_F, the group sum of e_F, the sum of the central
+    idempotents e_l of the forbidden l: P_F is the sum of those P_l, whose
+    images are independent, so P_F W^T = 0 exactly when every forbidden
+    P_l W^T = 0.  Nothing is built when no component is forbidden, and no
+    P_F when a factor is empty.
     The check fails at the first forbidden l, in ascending order, with
     P_l W^T nonzero, and only then builds the P_l up to it, for its witness
     {"component": l, "degree": a + b, "vector"}: the first nonzero row of
     row_space(W) @ P_l^T.  Returns None when the check passes.
     """
-    p = table.p
-    required = _forbidden_sets(action, table)[i, j]
-    comp_a = action.piece_decomposition(a, table).components[i]
-    prods = _component_products(action, j, a, b, table, {i: comp_a}).get(i) if required else None
-    if prods is None or not _hits_forbidden(action, prods, a + b, required, table):
+    table.require_owner(action, "action")
+    p, required = table.p, _forbidden_sets(table)[i, j]
+    if not required:
         return None
+    prods = _component_products(action, j, a, b, table, {i: _generator_rows(action, a, table)[i]}).get(i)
     rep = action.piece(a + b)
+    if prods is None or not _hits_forbidden(prods, _forbidden_projector(rep, required, table), p):
+        return None
     span = linalg.row_space(prods, p)
     # P_F is the sum of the forbidden P_l, so one of them is nonzero here
     for l in required:
         proj = linalg.matmul(span, isotypic_projector(rep, l, table).T, p)
-        rows = np.nonzero(proj.any(axis=1))[0]
-        if rows.size:
-            return {"component": l, "degree": a + b, "vector": proj[rows[0]].tolist()}
+        nonzero = np.nonzero(proj.any(axis=1))[0]
+        if nonzero.size:
+            return {"component": l, "degree": a + b, "vector": proj[nonzero[0]].tolist()}
 
 
-def _forbidden_sets(action: LinearCoverAction, table: CharacterTable) -> dict[tuple[int, int], tuple[int, ...]]:
+def _forbidden_sets(table: CharacterTable) -> dict[tuple[int, int], tuple[int, ...]]:
     """The irreducibles absent from V_i tensor V_j, ascending, for every
-    ordered pair (i, j): the zero cells of the tensor multiplicities, in one
-    pass, dealt out pair by pair in row-major order."""
-    zero = _tensor_mults(action, table) == 0
+    ordered pair (i, j): the zero cells of `table.tensors()`, in one pass,
+    dealt out pair by pair in row-major order."""
+    zero = table.tensors() == 0
     absent = iter(np.nonzero(zero)[2].tolist())
     counts = zero.sum(axis=2).ravel().tolist()
     return {pair: tuple(islice(absent, k)) for pair, k in zip(np.ndindex(zero.shape[:2]), counts)}
@@ -446,50 +449,47 @@ def _shifted(comp_b: np.ndarray, target: np.ndarray, dim_ab: int) -> np.ndarray:
     return shifted
 
 
-def _hits_forbidden(
-    action: LinearCoverAction, prods: np.ndarray, d: int, forbidden: tuple[int, ...], table: CharacterTable
-) -> bool:
-    """Whether P_F W^T is nonzero, for the products W (rows in B_d) and
-    the forbidden set F."""
-    return bool(linalg.matmul(prods, _forbidden_projector(action, d, forbidden, table).T, table.p).any())
+def _hits_forbidden(prods: np.ndarray, projector: np.ndarray, p: int) -> bool:
+    """Whether P_F W^T is nonzero, for the products W and the projector
+    P_F of a forbidden set, on one piece."""
+    return bool(linalg.matmul(prods, projector.T, p).any())
 
 
 def _product_failures(action: LinearCoverAction, table: CharacterTable) -> list[tuple[int, int, int, int]]:
     """Every (i, j, a, b), 1 <= a <= b <= PRODUCT_DEGREE, at which
     `product_structure_check` fails, in no particular order.
 
-    One `_component_products` per (j, a, b) gives the products of every i
-    with work, by the rows of `_generator_rows`: rows that generate the
-    i-component U of B_a as a G-module.  That is exact.  V, the
-    j-component of B_b, is G-stable, and multiplication and P_F commute
-    with G, so P_F (g s . v) = g P_F (s . g^-1 v): P_F kills U V exactly
-    when it kills the products of the generators by V.  At a == b the
-    products of i by j are those of j by i, since `_products` maps (alpha,
-    beta) and (beta, alpha) to one monomial, and U_i V_j = U_j V_i.  So
-    the unordered pair {i, j} is multiplied once, at i <= j, and tested
-    against the forbidden set of each ordered pair, once when the two sets
-    are equal (always, for a real table).
+    The pass keeps its own working set: the `_generator_rows` of each
+    degree a, and each P_F by (degree, forbidden set), built on first use.
+    One `_component_products` per (j, a, b) multiplies the generator rows
+    of every i with work by the j-component of B_b.  At a == b the
+    products of i by j are those of j by i, since `_products` maps
+    (alpha, beta) and (beta, alpha) to one monomial, and U_i V_j = U_j V_i;
+    the tensor multiplicities are symmetric in (i, j), so the two forbidden
+    sets agree too.  So the unordered pair {i, j} is multiplied and tested
+    once, at i <= j, and a failure is reported in both orders.
     """
-    r = table.num_irreps
-    forbidden = _forbidden_sets(action, table)
+    r, p = table.num_irreps, table.p
+    forbidden = _forbidden_sets(table)
+    projectors: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
     failures = []
-    for j in range(r):
-        for a in range(1, PRODUCT_DEGREE + 1):
-            rows = _generator_rows(action, a, table)
-            for b in range(a, PRODUCT_DEGREE + 1):
+    for a in range(1, PRODUCT_DEGREE + 1):
+        rows = _generator_rows(action, a, table)
+        for b in range(a, PRODUCT_DEGREE + 1):
+            for j in range(r):
                 # at a == b, i by j are the products of j by i: one kernel, at i <= j
-                pairs = {i: {(i, j), (j, i)} if a == b else {(i, j)} for i in range(r) if a < b or i <= j}
-                work = [i for i in pairs if any(forbidden[pair] for pair in pairs[i])]
-                for i, prods in _component_products(action, j, a, b, table, {i: rows[i] for i in work}).items():
-                    for f in {forbidden[pair] for pair in pairs[i]} - {()}:
-                        if _hits_forbidden(action, prods, a + b, f, table):
-                            failures += [(*pair, a, b) for pair in pairs[i] if forbidden[pair] == f]
+                work = {i: rows[i] for i in range(r) if (a < b or i <= j) and forbidden[i, j]}
+                for i, prods in _component_products(action, j, a, b, table, work).items():
+                    key = (a + b, forbidden[i, j])
+                    if key not in projectors:
+                        projectors[key] = _forbidden_projector(action.piece(a + b), key[1], table)
+                    if _hits_forbidden(prods, projectors[key], p):
+                        failures += {(i, j, a, b), (j, i, a, b)} if a == b else [(i, j, a, b)]
     return failures
 
 
 def _generator_rows(action: LinearCoverAction, a: int, table: CharacterTable) -> list[np.ndarray]:
-    """Rows that span the i-component of B_a as a G-module, for each i,
-    memoized on the action by a.
+    """Rows that span the i-component of B_a as a G-module, for each i.
 
     On a monomial piece B_a is spanned as a G-module by one monomial
     x^alpha per G-orbit of the basis lines, its least point, so the
@@ -498,36 +498,21 @@ def _generator_rows(action: LinearCoverAction, a: int, table: CharacterTable) ->
     are the rows of i when they are fewer than the component's rows.
     Otherwise, and on a dense piece, the rows are the component's own.
     """
-    if a not in action._generators:
-        rep = action.piece(a)
-        comps = action.piece_decomposition(a, table).components
-        alphas = orbit_least_points(rep)
-        if alphas is not None:
-            cols = group_sum(rep, table.idempotents(), alphas).transpose(0, 2, 1)
-            gens = [c[c.any(axis=1)] for c in cols]
-            comps = [g if g.shape[0] < c.shape[0] else c for g, c in zip(gens, comps)]
-        action._generators[a] = comps
-    return action._generators[a]
+    rep = action.piece(a)
+    comps = action.piece_decomposition(a, table).components
+    alphas = orbit_least_points(rep)
+    if alphas is None:
+        return comps
+    cols = group_sum(rep, table.idempotents(), alphas).transpose(0, 2, 1)
+    gens = [c[c.any(axis=1)] for c in cols]
+    return [g if g.shape[0] < c.shape[0] else c for g, c in zip(gens, comps)]
 
 
-def _forbidden_projector(
-    action: LinearCoverAction, d: int, forbidden: tuple[int, ...], table: CharacterTable
-) -> np.ndarray:
-    """P_F on the degree-d piece, the group sum of the sum of the central
-    idempotents of `forbidden`, memoized on the action by (d, forbidden)."""
-    key = (d, forbidden)
-    if key not in action._forbidden_projectors:
-        e_forbidden = np.sum([table.idempotents()[l] for l in forbidden], axis=0) % table.p
-        action._forbidden_projectors[key] = group_sum(action.piece(d), e_forbidden)
-    return action._forbidden_projectors[key]
-
-
-def _tensor_mults(action: LinearCoverAction, table: CharacterTable) -> np.ndarray:
-    """`tensor_multiplicities(table)`, memoized on the action."""
-    table.require_owner(action, "action")
-    if action._tensors is None:
-        action._tensors = tensor_multiplicities(table)
-    return action._tensors
+def _forbidden_projector(rep: MatrixRep, forbidden: tuple[int, ...], table: CharacterTable) -> np.ndarray:
+    """P_F on `rep`, the group sum of the sum of the central idempotents of
+    `forbidden`."""
+    e_forbidden = np.sum([table.idempotents()[l] for l in forbidden], axis=0) % table.p
+    return group_sum(rep, e_forbidden)
 
 
 # -- full report -----------------------------------------------------------------------
@@ -610,9 +595,9 @@ def pushforward_report(action: LinearCoverAction, max_degree: int, table: Charac
     `restrict_invariant_dim` is a class function, so a failure holds for
     the whole class and the witness is still the first failing subgroup
     in `cyclic_subgroups` order.  The product pass tests G-module
-    generators of each component (`_product_failures`); the witness of
-    its first failing tuple comes from `product_structure_check` on the
-    component's full rows.
+    generators of each component (`_product_failures`), and the witness
+    of its first failing tuple comes from `product_structure_check` on
+    the same rows.
     """
     group, p, r = action.group, action.p, table.num_irreps
     degrees = list(table.degrees)

@@ -37,7 +37,7 @@ from typing import NoReturn
 import numpy as np
 
 from . import linalg
-from .characters import CharacterTable, tensor_multiplicities
+from .characters import CharacterTable
 from .errors import (
     InconsistentMultiplicity,
     MethodMismatch,
@@ -694,11 +694,11 @@ def irreducible_models(group: Group, table: CharacterTable) -> list[MatrixRep]:
     A model of degree 1 is its character row as 1 x 1 monomial matrices;
     the others are one copy in their component (`_spin_copy` of it if its
     multiplicity is above 1) in `permutation_rep`, which is faithful, and
-    then in the smallest tensor product of two found models whose
-    `tensor_multiplicities` hold a missing irreducible, ties to the lowest
-    (a, b).  Every irreducible occurs in a tensor power of a faithful
-    representation (Burnside-Brauer; Isaacs, *Character Theory of Finite
-    Groups*, Thm 4.3).  A component without n_i (W chi)_i rows, or a model
+    then in the smallest tensor product of two found models whose tensor
+    multiplicities, `table.tensors()`, hold a missing irreducible, ties to
+    the lowest (a, b).  Every irreducible occurs in a tensor power of a
+    faithful representation (Burnside-Brauer; Isaacs, *Character Theory
+    of Finite Groups*, Thm 4.3).  A component without n_i (W chi)_i rows, or a model
     without W chi = e_i, raises InconsistentMultiplicity.  The models are
     the table's: the first call builds them into `table._models`, with
     read-only matrices.  A `group` not `table.group` raises ValueError.
@@ -712,7 +712,7 @@ def irreducible_models(group: Group, table: CharacterTable) -> list[MatrixRep]:
             MatrixRep(group, p, images=np.zeros_like(chi), scalars=chi) if d == 1 else None
             for chi, d in zip(chis, degrees)
         ]
-        rep, tens = permutation_rep(group, p), tensor_multiplicities(table)
+        rep, tens = permutation_rep(group, p), table.tensors()
         while True:
             mults = _character_multiplicities(rep, table)
             wanted = [k for k, model in enumerate(models) if model is None and mults[k]]

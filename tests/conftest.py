@@ -223,31 +223,35 @@ def all_subgroups(group):
     return sorted(seen.values(), key=lambda s: (s.order, s.element_indices))
 
 
-def forbid(monkeypatch, r, i, j, *forbidden):
-    """Make `cover.product_structure_check` forbid exactly the components
-    `forbidden` of V_i (x) V_j, by tensor multiplicities that are 1 elsewhere."""
+def forbid(monkeypatch, table, i, j, *forbidden):
+    """Make the cover's product checks forbid exactly the components
+    `forbidden` of V_i (x) V_j and of V_j (x) V_i, by tensor
+    multiplicities of the table that are 1 elsewhere."""
+    r = table.num_irreps
     tens = np.ones((r, r, r), dtype=np.int64)
-    tens[i, j, list(forbidden)] = 0
-    monkeypatch.setattr(cover, "_tensor_mults", lambda action, table: tens)
+    tens[i, j, list(forbidden)] = tens[j, i, list(forbidden)] = 0
+    monkeypatch.setattr(table, "_tensors", tens)
 
 
 def full_component_product_failures(action, table):
     """The failing (i, j, a, b) of the cover's product pass, with every row
-    of each component of B_a multiplied: the pass before it took G-module
-    generators, the oracle of `cover._product_failures`.  Sorted."""
-    r = table.num_irreps
-    forbidden = cover._forbidden_sets(action, table)
-    failures = []
-    for j in range(r):
-        for a in range(1, cover.PRODUCT_DEGREE + 1):
-            comps_a = action.piece_decomposition(a, table).components
-            for b in range(a, cover.PRODUCT_DEGREE + 1):
-                pairs = {i: {(i, j), (j, i)} if a == b else {(i, j)} for i in range(r) if a < b or i <= j}
-                work = {i: comps_a[i] for i in pairs if any(forbidden[pair] for pair in pairs[i])}
+    of each component of B_a multiplied and every ordered pair (i, j)
+    tested: the oracle of `cover._product_failures`, which multiplies
+    G-module generators and each unordered pair at a == b once.  Sorted."""
+    r, p = table.num_irreps, table.p
+    forbidden = cover._forbidden_sets(table)
+    projectors, failures = {}, []
+    for a in range(1, cover.PRODUCT_DEGREE + 1):
+        comps_a = action.piece_decomposition(a, table).components
+        for b in range(a, cover.PRODUCT_DEGREE + 1):
+            for j in range(r):
+                work = {i: comps_a[i] for i in range(r) if forbidden[i, j]}
                 for i, prods in cover._component_products(action, j, a, b, table, work).items():
-                    for f in {forbidden[pair] for pair in pairs[i]} - {()}:
-                        if cover._hits_forbidden(action, prods, a + b, f, table):
-                            failures += [(*pair, a, b) for pair in pairs[i] if forbidden[pair] == f]
+                    key = (a + b, forbidden[i, j])
+                    if key not in projectors:
+                        projectors[key] = cover._forbidden_projector(action.piece(a + b), key[1], table)
+                    if cover._hits_forbidden(prods, projectors[key], p):
+                        failures.append((i, j, a, b))
     return sorted(failures)
 
 

@@ -342,10 +342,14 @@ def looped_tensor_multiplicities(table):
     return n
 
 
-@pytest.mark.parametrize("name", (*TEST_GROUPS, "S5", "S6", "D12", "D50", "D100"))
+@pytest.mark.parametrize("name", (*TEST_GROUPS, "S4", "S5", "S6", "D12", "D50", "D100"))
 def test_tensor_multiplicities_match_the_inner_product_loop(ctx, name):
     table = ctx(name).table
-    assert np.array_equal(iso.tensor_multiplicities(table), looped_tensor_multiplicities(table))
+    n = iso.tensor_multiplicities(table)
+    assert np.array_equal(n, looped_tensor_multiplicities(table))
+    # chi_i chi_j = chi_j chi_i: the cover's product pass tests each
+    # unordered pair {i, j} at a == b against one forbidden set
+    assert np.array_equal(n, n.transpose(1, 0, 2))
 
 
 def test_tensor_multiplicities_refuse_a_row_that_is_no_character(ctx):

@@ -312,6 +312,27 @@ def test_output_file_matches_stdout(runner, tmp_path):
     assert out.read_text() == direct.output
 
 
+WRITING_COMMANDS = [
+    ["table", "--group", "C4", "--out"],
+    ["cover", "--group", "C2", "--action", "scalar", "--max-degree", "1", "--out"],
+    ["cyclic", "--n", "2", "--report"],
+    ["verify-all", "--max-degree", "1", "--out"],
+]
+
+
+@pytest.mark.parametrize("args", WRITING_COMMANDS, ids=lambda args: args[0])
+@pytest.mark.parametrize("target", ["directory", "missing directory"])
+def test_an_output_path_that_cannot_be_written_exits_2_with_the_path(runner, tmp_path, args, target):
+    # a directory is refused before anything runs; a file in a missing
+    # directory fails at write time; neither is a failed verification
+    path = tmp_path if target == "directory" else tmp_path / "missing" / "out.json"
+    result = runner.invoke(main, args + [str(path)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert str(path) in result.output and "Traceback" not in result.output
+    assert not (tmp_path / "missing").exists()
+
+
 def _prime_at_or_below(n):
     while not is_prime(n):
         n -= 1

@@ -205,7 +205,7 @@ def test_products_of_wide_and_deep_bases(n, a, b):
 def test_molien_series_c2(ctx):
     c, action = scalar_ctx(ctx, 2)
     p = c.p
-    one, t = Poly.const(p, 1), Poly.x(p)
+    one, t = Poly.const(p, 1), Poly.monomial(p, 1, 1)
     assert iso.molien_multiplicity_series(action, 0, c.table) == RatFunc(one, one - t * t)
     assert iso.molien_multiplicity_series(action, 1, c.table) == RatFunc(t, one - t * t)
 
@@ -213,13 +213,13 @@ def test_molien_series_c2(ctx):
 def test_molien_series_trivial_group(ctx):
     c = ctx("C1")
     action = iso.validate_action(c.group, [], c.p)
-    one, t = Poly.const(c.p, 1), Poly.x(c.p)
+    one, t = Poly.const(c.p, 1), Poly.monomial(c.p, 1, 1)
     assert iso.molien_multiplicity_series(action, 0, c.table) == RatFunc(one, one - t)
 
 
 def test_molien_series_c3(ctx):
     c, action = scalar_ctx(ctx, 3)
-    one, t = Poly.const(c.p, 1), Poly.x(c.p)
+    one, t = Poly.const(c.p, 1), Poly.monomial(c.p, 1, 1)
     assert iso.molien_multiplicity_series(action, 0, c.table) == RatFunc(one, one - t ** 3)
 
 
@@ -430,7 +430,7 @@ def test_product_structure_sign_times_sign(ctx, monkeypatch):
     # sign-isotypic vectors first appear in degree 3; their squares are invariant
     assert iso.product_structure_check(action, 1, 1, 3, 3, c.table) is None
     assert np.flatnonzero(iso.tensor_multiplicities(c.table)[1, 1] == 0).tolist() == [1, 2]
-    forbid(monkeypatch, 3, 1, 1, 0)
+    forbid(monkeypatch, c.table, 1, 1, 0)
     witness = iso.product_structure_check(action, 1, 1, 3, 3, c.table)
     assert witness["component"] == 0 and witness["degree"] == 6
 
@@ -443,10 +443,10 @@ def test_product_structure_trivial_factor(ctx, monkeypatch):
             monkeypatch.undo()
             assert iso.product_structure_check(action, 0, j, a, b, c.table) is None
             # an invariant times the j-component lies in the j-component ...
-            forbid(monkeypatch, 3, 0, j, *(l for l in range(3) if l != j))
+            forbid(monkeypatch, c.table, 0, j, *(l for l in range(3) if l != j))
             assert iso.product_structure_check(action, 0, j, a, b, c.table) is None
             # ... and is nonzero there when that component is (F_p[x] has no zero divisors)
-            forbid(monkeypatch, 3, 0, j, j)
+            forbid(monkeypatch, c.table, 0, j, j)
             witness = iso.product_structure_check(action, 0, j, a, b, c.table)
             assert (witness is None) == (action.piece_decomposition(b, c.table).multiplicities[j] == 0)
 
@@ -455,7 +455,7 @@ def test_product_structure_c2_odd_times_odd(ctx, monkeypatch):
     c, action = scalar_ctx(ctx, 2)
     assert iso.product_structure_check(action, 1, 1, 1, 1, c.table) is None
     assert np.flatnonzero(iso.tensor_multiplicities(c.table)[1, 1] == 0).tolist() == [1]
-    forbid(monkeypatch, 2, 1, 1, 0)
+    forbid(monkeypatch, c.table, 1, 1, 0)
     witness = iso.product_structure_check(action, 1, 1, 1, 1, c.table)
     assert witness == {"component": 0, "degree": 2, "vector": [1]}  # x * x = x^2
 
@@ -494,9 +494,8 @@ def report_product_witness(action, table):
 
 
 def test_the_report_product_pass_finds_the_per_tuple_witness(ctx, monkeypatch):
-    # patched tensors forbid components at chosen (i, j), i > j among them,
-    # so the pass's unordered pairs at a == b meet forbidden sets of (i, j)
-    # and (j, i) that differ; the report's witness is the loop's first one
+    # patched tensors forbid components at chosen (i, j) and (j, i), and
+    # the report's witness is the loop's first one
     seen = []
     for name, kind in [("S3", "perm3"), ("C2", "scalar"), ("C4", "scalar"), ("D4", "reflection2"), ("S4", "perm4")]:
         c = ctx(name)
@@ -508,50 +507,104 @@ def test_the_report_product_pass_finds_the_per_tuple_witness(ctx, monkeypatch):
         patches = [(r - 1, 0, *range(r)), (r - 1, r - 1, 0), (0, r - 1, r - 1), (r - 1, 0, r - 1), (r - 1, 0, 0)]
         for i, j, *forbidden in patches:
             monkeypatch.undo()
-            forbid(monkeypatch, r, i, j, *forbidden)
+            forbid(monkeypatch, c.table, i, j, *forbidden)
             want = per_tuple_product_outcome(action, c.table)
             assert report_product_witness(action, c.table) == want, (name, i, j, forbidden)
             seen.append(want)
-        # (i, j) and (j, i) both forbidden, with other sets
-        tens = iso.tensor_multiplicities(c.table).copy()
-        tens[r - 1, 0, :] = tens[0, r - 1, :] = 1
-        tens[r - 1, 0, 0] = tens[0, r - 1, r - 1] = 0
-        monkeypatch.undo()
-        monkeypatch.setattr(cover, "_tensor_mults", lambda action, table: tens)
-        want = per_tuple_product_outcome(action, c.table)
-        assert report_product_witness(action, c.table) == want, name
-        seen.append(want)
     assert any(w is None for w in seen) and any(w is not None for w in seen)
-    assert any(w is not None and w["i"] > w["j"] and w["a"] == w["b"] for w in seen)
 
 
-def per_pair_forbidden(action, table):
+def test_the_table_builds_its_tensor_multiplicities_once(ctx, monkeypatch):
+    # a fresh table: `tensors()` is read-only, equal to
+    # `tensor_multiplicities`, and built once across the models and a report
+    c = ctx("S4")
+    table = iso.character_table(c.group, c.classes, c.p)
+    builds, build = [], iso.characters.tensor_multiplicities
+    monkeypatch.setattr(iso.characters, "tensor_multiplicities", lambda t: builds.append(t) or build(t))
+    iso.irreducible_models(c.group, table)
+    assert iso.pushforward_report(builtin_action(c.group, c.p, "perm4"), 4, table).passed
+    tens = table.tensors()
+    assert builds == [table] and tens is table.tensors()
+    assert np.array_equal(tens, build(table)) and not tens.flags.writeable
+    with pytest.raises(ValueError):
+        tens[0, 0, 0] = 0
+
+
+def full_component_witness(action, table):
+    """(i, j, a, b, component, degree) of the first failing tuple of the
+    full-component pass, its component the first forbidden l whose
+    projector does not kill the products of the full component rows, or
+    None."""
+    failures = full_component_product_failures(action, table)
+    if not failures:
+        return None
+    i, j, a, b = failures[0]
+    comp_a = action.piece_decomposition(a, table).components[i]
+    prods = cover._component_products(action, j, a, b, table, {i: comp_a})[i]
+    rep = action.piece(a + b)
+    l = next(
+        l for l in cover._forbidden_sets(table)[i, j]
+        if linalg.matmul(prods, iso.isotypic_projector(rep, l, table).T, table.p).any()
+    )
+    return i, j, a, b, l, a + b
+
+
+@pytest.mark.parametrize(
+    ("name", "kind"), [("S3", "perm3"), ("S4", "perm4"), ("D4", "reflection2"), ("D6", "reflection2")]
+)
+def test_a_forced_product_failure_is_witnessed_in_the_forbidden_component(ctx, monkeypatch, name, kind):
+    # the report's witness has the full-component oracle's tuple, component
+    # and degree; its vector, from the generator rows, is a nonzero vector
+    # of the component it names
+    c = ctx(name)
+    action = builtin_action(c.group, c.p, kind)
+    r, witnessed = c.table.num_irreps, 0
+    for i in range(r):
+        for j in range(i, r):
+            for forbidden in [(l,) for l in range(r)] + [tuple(range(r))]:
+                monkeypatch.undo()
+                forbid(monkeypatch, c.table, i, j, *forbidden)
+                want = full_component_witness(action, c.table)
+                got = report_product_witness(action, c.table)
+                if want is None:
+                    assert got is None, (i, j, forbidden)
+                    continue
+                detail = got["detail"]
+                assert (got["i"], got["j"], got["a"], got["b"], detail["component"], detail["degree"]) == want
+                vector = np.array(detail["vector"], dtype=np.int64)
+                comp = action.piece_decomposition(detail["degree"], c.table).components[detail["component"]]
+                assert vector.any() and linalg.rank(np.vstack([comp, vector]), c.p) == comp.shape[0]
+                witnessed += 1
+    assert witnessed
+
+
+def per_pair_forbidden(table):
     """The forbidden set of every ordered pair, each a scan of one row of
     the tensor multiplicities."""
-    tens, r = cover._tensor_mults(action, table), table.num_irreps
+    tens, r = table.tensors(), table.num_irreps
     return {(i, j): tuple(l for l in range(r) if tens[i, j, l] == 0) for i in range(r) for j in range(r)}
 
 
 @pytest.mark.parametrize("name", TEST_GROUPS + ("D100",))
 def test_the_forbidden_sets_are_the_per_pair_scans(ctx, monkeypatch, name):
-    # on the table's own tensor multiplicities and on a seeded 0/1 tensor
+    # on the table's own tensor multiplicities and on a seeded symmetric 0/1 tensor
     c = ctx(name)
-    action = iso.perm_action(c.group, c.p)
     r = c.table.num_irreps
-    want = per_pair_forbidden(action, c.table)
-    got = cover._forbidden_sets(action, c.table)
+    want = per_pair_forbidden(c.table)
+    got = cover._forbidden_sets(c.table)
     assert list(got) == list(want) and got == want
     assert any(want.values()) or r == 1
     tens = np.random.default_rng(r).integers(0, 2, (r, r, r))
-    monkeypatch.setattr(cover, "_tensor_mults", lambda action, table: tens)
-    assert cover._forbidden_sets(action, c.table) == per_pair_forbidden(action, c.table)
+    monkeypatch.setattr(c.table, "_tensors", tens * tens.transpose(1, 0, 2))
+    assert cover._forbidden_sets(c.table) == per_pair_forbidden(c.table)
 
 
 def assert_the_full_component_failures(monkeypatch, action, table):
     """`cover._product_failures` fails at the tuples of the full-component
     pass: on the table's tensor multiplicities, with each component
     forbidden alone and all of them at once at each (i, j) (`forbid`), and
-    with the last component of each true V_i (x) V_j forbidden as well.
+    with the last component of each true V_i (x) V_j (and V_j (x) V_i)
+    forbidden as well.
     Returns how many of those failure sets were not empty."""
     r = table.num_irreps
     monkeypatch.undo()
@@ -564,9 +617,10 @@ def assert_the_full_component_failures(monkeypatch, action, table):
     assert sorted(cover._product_failures(action, table)) == want == []
     true = iso.tensor_multiplicities(table)
     patches = []
+    # the patches are symmetric, so (i, j) and (j, i) are one patch
     for i in range(r):
-        for j in range(r):
-            patches += [(r, i, j, l) for l in range(r)] + [(r, i, j, *range(r))]
+        for j in range(i, r):
+            patches += [(table, i, j, l) for l in range(r)] + [(table, i, j, *range(r))]
     nonempty = 0
     for patch in patches:
         monkeypatch.undo()
@@ -575,11 +629,11 @@ def assert_the_full_component_failures(monkeypatch, action, table):
         assert sorted(cover._product_failures(action, table)) == want, (action.name, patch)
         nonempty += bool(want)
     for i in range(r):
-        for j in range(r):
-            tens = true.copy()
-            tens[i, j, np.flatnonzero(tens[i, j])[-1]] = 0
+        for j in range(i, r):
+            tens, l = true.copy(), np.flatnonzero(true[i, j])[-1]
+            tens[i, j, l] = tens[j, i, l] = 0
             monkeypatch.undo()
-            monkeypatch.setattr(cover, "_tensor_mults", lambda action, table, tens=tens: tens)
+            monkeypatch.setattr(table, "_tensors", tens)
             want = full_component_product_failures(action, table)
             assert sorted(cover._product_failures(action, table)) == want, (action.name, i, j)
             nonempty += bool(want)
@@ -632,10 +686,10 @@ def test_generator_rows_span_each_component_as_a_g_module(ctx, name):
 
 def test_the_product_pass_builds_one_shifted_array_per_kernel(ctx, monkeypatch):
     # one `_shifted` and one matrix product per (j, a, b) with work, one
-    # projector test per unordered pair {i, j} at a == b (the table is real),
-    # and one `np.bincount` per degree a for the generator rows besides one
-    # per forbidden projector built; the tests take 1230 product rows, the
-    # largest 90, where the full components took 2701 and 324
+    # projector test per unordered pair {i, j} at a == b, and one
+    # `np.bincount` per degree a for the generator rows besides one per
+    # (degree, forbidden set) that the pass meets; the tests take 1230
+    # product rows, the largest 90, where the full components took 2701 and 324
     c = ctx("S4")
     action = builtin_action(c.group, c.p, "perm4")
     table, r, top = c.table, c.table.num_irreps, cover.PRODUCT_DEGREE
@@ -660,9 +714,9 @@ def test_the_product_pass_builds_one_shifted_array_per_kernel(ctx, monkeypatch):
         counts["builds"][key[0]] = counts["builds"].get(key[0], 0) + 1
         return real_shifted(*args)
 
-    def hits(action, prods, *args):
+    def hits(prods, *args):
         counts["tests"].append(prods.shape[0])
-        return real_hits(action, prods, *args)
+        return real_hits(prods, *args)
 
     def matmul(*args):
         counts["matmul"] += inside[0]
@@ -696,7 +750,8 @@ def test_the_product_pass_builds_one_shifted_array_per_kernel(ctx, monkeypatch):
     kernels = {(j, a, b) for _, j, a, b in work}
     assert counts["builds"] == dict.fromkeys(kernels, 1)
     assert counts["matmul"] == len(kernels) + len(work)
-    assert counts["bincount"] == top + len(action._forbidden_projectors)
+    projectors = {(a + b, tuple(np.flatnonzero(tens[i, j] == 0))) for i, j, a, b in work}
+    assert counts["bincount"] == top + len(projectors)
     gens = [len(rows) for a in range(top + 1) for rows in cover._generator_rows(action, a, table)]
     gens = np.reshape(gens, (top + 1, r))
     assert sorted(counts["tests"]) == sorted(gens[a][i] * dims[b][j] for i, j, a, b in work)

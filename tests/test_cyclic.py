@@ -105,7 +105,7 @@ def test_phi_matrix_n2_frozen():
     m = iso.build_cyclic(2)
     entries = poly_grid(phi_matrix(m))
     p = m.p
-    one, y = Poly.const(p, 1), Poly.x(p)
+    one, y = Poly.const(p, 1), Poly.monomial(p, 1, 1)
     minus = Poly.const(p, p - 1)
     # columns: 1(x)1, 1(x)x, x(x)1, x(x)x; rows: (e,1), (e,x), (g,1), (g,x)
     expected = [
@@ -282,7 +282,7 @@ def test_factored_phi_matches_elimination_oracle(n, variant):
     det = iso.phi_det(phi)
     assert det == bareiss_det(entries)
     divisors = factored_invariant_factors(det, phi.powers)
-    assert divisors == [Poly.const(p, 1)] * (n * (n + 1) // 2) + [Poly.x(p)] * (n * (n - 1) // 2)
+    assert divisors == [Poly.const(p, 1)] * (n * (n + 1) // 2) + [Poly.monomial(p, 1, 1)] * (n * (n - 1) // 2)
     if n <= 6:
         assert divisors == smith_normal_form(entries)
     assert iso.phi_equivariance_check(model, phi) is None

@@ -299,7 +299,7 @@ def test_poly_roots_of_linear_factors_with_repeats_times_an_irreducible(p):
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_poly_roots_of_x_to_the_p_minus_x(p):
     # every element is a root, so every draw a hits the root -a
-    f = Poly.monomial(p, 1, p) - Poly.x(p)
+    f = Poly.monomial(p, 1, p) - Poly.monomial(p, 1, 1)
     assert poly_roots(f) == list(range(p))
     assert poly_roots(f * irreducible_cofactor(p, random.Random(p))) == list(range(p))
 

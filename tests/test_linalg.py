@@ -221,10 +221,12 @@ def test_matrix_rep_holds_a_reduced_copy_of_its_input(ctx):
 
 
 def test_product_check_builds_one_projector_until_it_fails(ctx, monkeypatch):
-    # a passing check with forbidden components builds P_F, one group sum on
-    # B_{a+b}, the first time it meets its (a + b, forbidden set) and none
-    # after, and no P_l; with nothing forbidden or an empty factor it builds
-    # nothing; a failing one builds P_l for the forbidden l up to its witness
+    # a passing check with forbidden components builds the generator rows,
+    # one group sum on B_a, and P_F, one group sum on B_{a+b}, and no P_l;
+    # with nothing forbidden it builds nothing, and with an empty factor no
+    # P_F; a failing one builds P_l for the forbidden l up to its witness.
+    # The report's pass keeps its own P_F: one group sum per degree a and
+    # one per (a + b, forbidden set), reused by every check that has both
     c = ctx("S3")
     action = iso.perm_action(c.group, c.p)
     sums, built = [], []
@@ -244,33 +246,34 @@ def test_product_check_builds_one_projector_until_it_fails(ctx, monkeypatch):
     seen, forbidden_sets = set(), set()
     for i in range(3):
         for j in range(3):
-            for a in (1, 2):
-                for b in range(a, 3):
+            for a in range(1, cover.PRODUCT_DEGREE + 1):
+                for b in range(a, cover.PRODUCT_DEGREE + 1):
                     sums.clear()
                     assert iso.product_structure_check(action, i, j, a, b, c.table) is None
                     decomps = [action.piece_decomposition(d, c.table) for d in (a, b)]
                     if tens[i, j].all():
-                        kind = "nothing forbidden"
+                        kind, degrees = "nothing forbidden", []
                     elif not (decomps[0].multiplicities[i] and decomps[1].multiplicities[j]):
-                        kind = "empty factor"
+                        kind, degrees = "empty factor", [a]
                     else:
-                        key = (a + b, tuple(np.nonzero(tens[i, j] == 0)[0]))
-                        kind = "reused P_F" if key in forbidden_sets else "one group sum"
-                        forbidden_sets.add(key)
-                    assert [rep is action.piece(a + b) for rep in sums] == (
-                        [True] if kind == "one group sum" else []
-                    ), (i, j, a, b)
+                        kind, degrees = "P_F", [a, a + b]
+                        forbidden_sets.add((a + b, tuple(np.nonzero(tens[i, j] == 0)[0])))
+                    assert [rep.dim for rep in sums] == [action.piece(d).dim for d in degrees], (i, j, a, b)
+                    assert all(rep is action.piece(d) for rep, d in zip(sums, degrees)), (i, j, a, b)
                     seen.add(kind)
-    assert built == [] and len(seen) == 4
+    assert built == [] and len(seen) == 3
+    sums.clear()
+    assert cover._product_failures(action, c.table) == []
+    assert len(sums) == cover.PRODUCT_DEGREE + len(forbidden_sets) and built == []
     # (x_0 + x_1 + x_2)^2, the square of the trivial component of B_1, is
     # invariant: with everything forbidden, only P_0 is built
-    forbid(monkeypatch, 3, 0, 0, 0, 1, 2)
+    forbid(monkeypatch, c.table, 0, 0, 0, 1, 2)
     assert iso.product_structure_check(action, 0, 0, 1, 1, c.table)["component"] == 0
     assert built == [(6, 0)]
     # the standard component times an invariant is standard: P_1 vanishes on
     # it, P_2 is the witness, and P_0 is not forbidden
     built.clear()
-    forbid(monkeypatch, 3, 2, 0, 1, 2)
+    forbid(monkeypatch, c.table, 2, 0, 1, 2)
     assert iso.product_structure_check(action, 2, 0, 1, 1, c.table)["component"] == 2
     assert built == [(6, 1), (6, 2)]
 

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import isotypic as iso
-from isotypic import cover, linalg
+from isotypic import linalg
 from isotypic.cover import _sym_power_step, builtin_action, cyclic_subgroups
 from isotypic.errors import NotAHomomorphism, SingularMatrix
 from isotypic.reps import multiplicity_space, restrict_to_subspace
@@ -433,10 +433,14 @@ def test_components_are_the_row_spaces_of_the_dense_projectors(ctx, name, kind):
 class ProductOracle:
     """Projected products of components, from the dense pieces alone.
 
-    Components are the row spaces of the dense projectors' transposes, and
-    products go through a dense 0/1 matrix with one 1 per (alpha, beta)
-    row, in the column of alpha + beta, built from the oracle's own
-    exponent tuples.
+    Components are the row spaces of the dense projectors' transposes.  The
+    B_a factor is multiplied by its G-module generators, as the cover's
+    product check does: on a piece whose matrices have one nonzero per
+    column, the nonzero columns of P_i at the least point of each orbit of
+    the basis lines, when they are fewer than the component's rows, and the
+    component's rows otherwise.  Products go through a dense 0/1 matrix
+    with one 1 per (alpha, beta) row, in the column of alpha + beta, built
+    from the oracle's own exponent tuples.
     """
 
     def __init__(self, action, table, top):
@@ -449,6 +453,16 @@ class ProductOracle:
     def component(self, d, i):
         return linalg.row_space(self.projs[d][i].T, self.p)
 
+    def generators(self, d, i):
+        mats, comp = self.dense[d].mats, self.component(d, i)
+        if not ((mats != 0).sum(axis=1) == 1).all():
+            return comp
+        # the orbit of basis line k is the rows where column k of some rho(g) is nonzero
+        orbits = {frozenset(np.nonzero(mats[:, :, k].any(axis=0))[0].tolist()) for k in range(mats.shape[1])}
+        cols = self.projs[d][i][:, sorted(min(orbit) for orbit in orbits)].T
+        gens = cols[cols.any(axis=1)]
+        return gens if gens.shape[0] < comp.shape[0] else comp
+
     def projected(self, i, j, a, b):
         """span @ P_l^T for each l, span the row space of the products."""
         basis_a, basis_b, basis_ab = (exponents(self.action.n, d) for d in (a, b, a + b))
@@ -456,7 +470,7 @@ class ProductOracle:
         mul = np.zeros((len(basis_a) * len(basis_b), len(basis_ab)), dtype=np.int64)
         for row, (alpha, beta) in enumerate(itertools.product(basis_a, basis_b)):
             mul[row, index[tuple(x + y for x, y in zip(alpha, beta))]] = 1
-        outer = np.kron(self.component(a, i), self.component(b, j)) % self.p
+        outer = np.kron(self.generators(a, i), self.component(b, j)) % self.p
         span = linalg.row_space(linalg.matmul(outer, mul, self.p), self.p)
         return [linalg.matmul(span, proj.T, self.p) for proj in self.projs[a + b]]
 
@@ -476,7 +490,7 @@ def test_product_ranks_match_the_dense_oracle(ctx, monkeypatch, name, kind):
                     monkeypatch.undo()
                     assert iso.product_structure_check(action, i, j, a, b, c.table) is None
                     for l, projected in enumerate(oracle.projected(i, j, a, b)):
-                        forbid(monkeypatch, r, i, j, l)
+                        forbid(monkeypatch, c.table, i, j, l)
                         witness = iso.product_structure_check(action, i, j, a, b, c.table)
                         rows = np.nonzero(projected.any(axis=1))[0]
                         if rows.size == 0:
@@ -503,8 +517,8 @@ def test_forbidden_component_is_witnessed_by_the_oracle_row(ctx, monkeypatch, na
                 continue
             l = reached[-1]
             tens = true.copy()
-            tens[i, j, l] = 0
-            monkeypatch.setattr(cover, "_tensor_mults", lambda action, table: tens)
+            tens[i, j, l] = tens[j, i, l] = 0
+            monkeypatch.setattr(c.table, "_tensors", tens)
             witness = iso.product_structure_check(action, i, j, 2, 3, c.table)
             row = projected[l][np.nonzero(projected[l].any(axis=1))[0][0]]
             assert witness == {"component": l, "degree": 5, "vector": row.tolist()}, (i, j)
@@ -526,7 +540,7 @@ def test_lowest_forbidden_component_is_the_witness(ctx, monkeypatch, name, kind)
 
     i, j = next((i, j) for i in range(r) for j in range(r) if len(reached(i, j)) >= 2)
     low, high = reached(i, j)[-2:]
-    forbid(monkeypatch, r, i, j, low, high)
+    forbid(monkeypatch, c.table, i, j, low, high)
     witness = iso.product_structure_check(action, i, j, 1, 2, c.table)
     projected = oracle.projected(i, j, 1, 2)[low]
     row = projected[np.nonzero(projected.any(axis=1))[0][0]]

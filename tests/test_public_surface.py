@@ -1,9 +1,10 @@
 """Four guards on the library's surface, read from the AST of `src/isotypic/`.
 
-Every public, undecorated top-level function or class, and every public
-method of a public class, is referenced in code (an AST name or attribute;
-docstrings and the re-exports of `__init__.py` do not count) by a library
-module or by `perfbench/*.py`.  A bare name in a `perfbench/*.py` file that
+Every public, undecorated top-level function or class is referenced in
+code (an AST name or attribute; docstrings and the re-exports of
+`__init__.py` do not count) by a library module or by `perfbench/*.py`,
+and every public method of a public class by an AST attribute there: a
+local variable that shares a method's name does not read it.  A bare name in a `perfbench/*.py` file that
 the same file defines as a function refers to that function, not to a
 library definition.  What only tests call belongs in `tests/`.
 
@@ -48,7 +49,7 @@ ALLOWED_REDUNDANT = {"irreducible_models"}
 
 
 def test_every_public_definition_has_a_library_or_benchmark_reader():
-    refs = set()
+    names, attrs = set(), set()
     for path in MODULES + sorted((ROOT / "perfbench").glob("*.py")):
         tree = ast.parse(path.read_text())
         # a benchmark's bare call of its own function reads no library one
@@ -57,10 +58,10 @@ def test_every_public_definition_has_a_library_or_benchmark_reader():
             own = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and node.id not in own:
-                refs.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                refs.add(node.attr)
-    public = {}
+                attrs.add(node.attr)
+    public = []  # (where, name, the references that read it)
     for path in MODULES:
         if path.name == "__init__.py":
             continue
@@ -68,15 +69,15 @@ def test_every_public_definition_has_a_library_or_benchmark_reader():
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
                 continue
             if not node.decorator_list:
-                public[node.name] = path.name
+                public.append((path.name, node.name, names | attrs))
             if isinstance(node, ast.ClassDef):
                 for method in node.body:
                     if isinstance(method, ast.FunctionDef) and not method.name.startswith("_"):
-                        public[method.name] = f"{path.name}: {node.name}"
-    unread = sorted(f"{where}: {name}" for name, where in public.items() if name not in refs | ALLOWED)
+                        public.append((f"{path.name}: {node.name}", method.name, attrs))
+    unread = sorted(f"{where}: {name}" for where, name, refs in public if name not in refs | ALLOWED)
     assert not unread, "only tests read these; move them into tests/: " + ", ".join(unread)
     # the allowlist names only definitions that exist and still have no reader
-    assert ALLOWED <= public.keys() and not ALLOWED & refs
+    assert ALLOWED <= {name for _, name, _ in public} and not ALLOWED & (names | attrs)
 
 
 def test_every_allowlisted_name_is_claimed_by_an_open_roadmap_direction():
